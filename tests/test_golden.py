@@ -1,0 +1,122 @@
+"""Golden run logs: fixed-seed runs whose logs must not drift.
+
+Each case is one evolution run; its `log_text()` is compared with the file
+under `tests/golden/`. Every field must match exactly, except the
+per-generation `best_objective`, which may differ at 1e-9 relative (last-bit
+differences between fit kernels). A change to a golden file needs a
+CHANGES.md entry that says why. To rewrite the files:
+
+    PYTHONPATH=src python -m tests.test_golden
+"""
+
+import contextlib
+import io
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from evoreg import cli
+from evoreg import descriptors as dsc
+from evoreg.engine import run
+from evoreg.scores import ObjectiveSpec
+from tests.conftest import (
+    binary_topology,
+    normal_dataset,
+    planted_config,
+    planted_provider,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
+OBJECTIVE_RTOL = 1e-9
+
+
+def _planted_n2():
+    topology = binary_topology(10)
+    dataset = normal_dataset()
+    cfg = planted_config(seed=0, max_generations=40)
+    return run(cfg, topology, planted_provider(topology, dataset), dataset)
+
+
+def _table_p30_n3():
+    """p=30, n=3 on a descriptor table written by `evoreg gen-data`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "topology.cgt").write_text(
+            "".join(f"gene g{i} : a b\n" for i in range(9))
+        )
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main([
+                "gen-data", "--seed", "21",
+                "--activity-out", str(d / "activity.csv"),
+                "--descriptors-out", str(d / "descriptors.csv"),
+                "--topology", str(d / "topology.cgt"),
+                "--table-seed", "22", "--planted-count", "32",
+                "--planted-noise", "0.23", "--planted-seed", "23",
+            ])
+        assert rc == 0
+        topology = cli.load_topology(d / "topology.cgt")
+        dataset = dsc.load_activity(d / "activity.csv")
+        provider = dsc.load_descriptor_table(
+            d / "descriptors.csv", topology, dataset
+        )
+    cfg = planted_config(seed=5, p=30, n=3, max_generations=15)
+    return run(cfg, topology, provider, dataset)
+
+
+def _both_se_s15():
+    """Both intercept forms, error-sum objective at s = 1.5 (s != 2)."""
+    topology = binary_topology(10)
+    dataset = normal_dataset()
+    cfg = planted_config(
+        seed=3, max_generations=25, intercept_mode="both",
+        objective=ObjectiveSpec("se", 1.5),
+    )
+    return run(cfg, topology, planted_provider(topology, dataset), dataset)
+
+
+CASES = {
+    "planted_n2_seed0": _planted_n2,
+    "table_p30_n3": _table_p30_n3,
+    "both_se_s1.5": _both_se_s15,
+}
+
+
+def _close(got: str, want: str) -> bool:
+    a, b = float(got), float(want)
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b or abs(a - b) <= OBJECTIVE_RTOL * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_log_matches_golden(name):
+    want = (GOLDEN / f"{name}.tsv").read_text(encoding="utf-8").splitlines()
+    got = CASES[name]().log_text().splitlines()
+    assert got[0] == want[0]  # config fingerprint and seed
+    assert len(got) == len(want)
+    for line_got, line_want in zip(got[1:], want[1:]):
+        fields_got, fields_want = line_got.split("\t"), line_want.split("\t")
+        assert len(fields_got) == len(fields_want)
+        gen = fields_want[0]
+        # generation, improved, best_objective, model=, valid=, sample=
+        assert fields_got[:2] == fields_want[:2], f"generation {gen}"
+        assert _close(fields_got[2], fields_want[2]), (
+            f"generation {gen}: best_objective {fields_got[2]} != "
+            f"{fields_want[2]}"
+        )
+        assert fields_got[3:] == fields_want[3:], f"generation {gen}"
+
+
+def _write_golden():
+    GOLDEN.mkdir(exist_ok=True)
+    for name, make in CASES.items():
+        path = GOLDEN / f"{name}.tsv"
+        path.write_text(make().log_text(), encoding="utf-8")
+        print(f"wrote {path}")
+
+
+if __name__ == "__main__":
+    sys.exit(_write_golden())
