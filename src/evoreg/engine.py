@@ -21,7 +21,7 @@ import numpy as np
 from . import genome as gn
 from .descriptors import Dataset, Phenotype, ViabilityPolicy, check_viability
 from .genome import GeneticTopology, Genotype
-from .regress import GramFitter, RegressionModel, fit_assessed
+from .regress import GramFitter, RegressionModel, better, fit_assessed
 from .scores import (
     NormalizationState,
     ObjectiveSpec,
@@ -207,10 +207,6 @@ class EvolutionState:
             self.sur_norm = NormalizationState(n0, n1)
 
 
-def _better(a: float, b: float, direction: str) -> bool:
-    return a > b if direction == "max" else a < b
-
-
 def _make_individual(genotype: Genotype, phenotype: Phenotype) -> Individual:
     return Individual(genotype, phenotype, genotype.render())
 
@@ -287,7 +283,7 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
     fit_s = cfg.objective.s if cfg.objective.kind == "se" else 2.0
     fitter = GramFitter(
         panel, state.dataset.activity, [ind.rendered for ind in sample],
-        s=fit_s,
+        s=fit_s, n=cfg.n,
     )
     valid_models: list[tuple[tuple[int, ...], RegressionModel]] = []
     gen_best: tuple[float, tuple[int, ...], RegressionModel] | None = None
@@ -299,7 +295,7 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
                 continue
             valid_models.append((subset, model))
             value = objective_score(model, cfg.objective)
-            if gen_best is None or _better(value, gen_best[0], direction):
+            if gen_best is None or better(value, gen_best[0], direction):
                 gen_best = (value, subset, model)
 
     participations = [0] * p
@@ -310,7 +306,7 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
     improved = False
     if gen_best is not None:
         value, subset, model = gen_best
-        if state.best_model is None or _better(value, state.best_objective, direction):
+        if state.best_model is None or better(value, state.best_objective, direction):
             improved = True
             state.best_model = model
             state.best_objective = value
@@ -426,7 +422,7 @@ def run(
         rec = run_generation(state)
         records.append(rec)
         if cfg.target_objective is not None and state.best_model is not None:
-            if not _better(
+            if not better(
                 cfg.target_objective, state.best_objective,
                 cfg.objective.direction,
             ):

@@ -1,10 +1,25 @@
 """Ordinary least squares over phenotype subsets, coefficient significance,
 validity rules, and search-space sizing.
 
-Fits go through normal equations with partial pivoting; the subset counts are
-small (a handful of coefficients), so nothing heavier is warranted. A
-Gram-matrix fitter amortizes the per-generation sweep over all subsets of a
-fixed phenotype panel.
+The subset sweep fits every same-size subset of a fixed phenotype panel at
+once. GramFitter forms one Gram matrix of the panel rows, a column of ones
+and the response; the normal matrix of any subset, in either regression
+form, is a gather from it (the all-subsets scheme of Furnival & Wilson,
+*Regressions by Leaps and Bounds*, 1974). `GramFitter.fit_subsets` factors
+those small matrices elementwise along the subset axis (a Cholesky whose
+Python loops run only over the k <= n + 2 columns) in chunks of at most
+CHUNK_SUBSETS subsets, so memory stays bounded. `GramFitter.fit` is then a
+row lookup. `ols_fit` is the per-subset reference, computed directly on the
+design matrix.
+
+Singular rule, shared by both paths: order the columns as the subset
+members, then the intercept. A fit is singular when some Cholesky pivot of
+its normal matrix (the squared norm a column keeps after projecting out the
+columns before it) is at most PIVOT_TOL times that column's diagonal entry
+(its full squared norm). The intercept form therefore fails whenever the
+no-intercept form does. Applied to the response as one more column, the same
+rule decides an exact fit: an error sum at most PIVOT_TOL times sum(y^2) is
+rounding noise, so it is reported as 0 and nonzero t statistics as +-inf.
 """
 
 from __future__ import annotations
@@ -12,6 +27,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, combinations, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,17 +39,26 @@ from .stats import t_critical
 __all__ = [
     "RegressionModel",
     "SingularFitError",
+    "SubsetFits",
     "ols_fit",
     "assess_validity",
     "search_space_size",
     "GramFitter",
     "fit_assessed",
     "exhaustive_best",
+    "better",
+    "PIVOT_TOL",
+    "CHUNK_SUBSETS",
 ]
 
 logger = logging.getLogger(__name__)
 
 _CONDITION_WARN = 1e12
+# pivots below this share of their diagonal carry fewer than about six
+# significant digits in double precision
+PIVOT_TOL = 1e-10
+# subsets factored per kernel pass; bounds the kernel's working memory
+CHUNK_SUBSETS = 4096
 
 
 class SingularFitError(ArithmeticError):
@@ -79,162 +105,31 @@ class RegressionModel:
         return float(np.sum(np.abs(self.residuals) ** s))
 
 
-def _solve_small(a, c, k, scale):
-    """Closed-form solve+inverse for k <= 3 normal matrices (hot path)."""
-    tol = 1e-12 * scale
-    if k == 1:
-        a00 = a[0][0]
-        if abs(a00) <= tol:
-            raise SingularFitError("rank-deficient design matrix")
-        inv = 1.0 / a00
-        return [c[0] * inv], [[inv]]
-    if k == 2:
-        a00, a01 = a[0]
-        a10, a11 = a[1]
-        det = a00 * a11 - a01 * a10
-        if abs(det) <= tol * scale:
-            raise SingularFitError("rank-deficient design matrix")
-        i00 = a11 / det
-        i01 = -a01 / det
-        i10 = -a10 / det
-        i11 = a00 / det
-        c0, c1 = c
-        return (
-            [i00 * c0 + i01 * c1, i10 * c0 + i11 * c1],
-            [[i00, i01], [i10, i11]],
-        )
-    a00, a01, a02 = a[0]
-    a10, a11, a12 = a[1]
-    a20, a21, a22 = a[2]
-    m00 = a11 * a22 - a12 * a21
-    m01 = a12 * a20 - a10 * a22
-    m02 = a10 * a21 - a11 * a20
-    det = a00 * m00 + a01 * m01 + a02 * m02
-    if abs(det) <= tol * scale * scale:
-        raise SingularFitError("rank-deficient design matrix")
-    m10 = a02 * a21 - a01 * a22
-    m11 = a00 * a22 - a02 * a20
-    m12 = a01 * a20 - a00 * a21
-    m20 = a01 * a12 - a02 * a11
-    m21 = a02 * a10 - a00 * a12
-    m22 = a00 * a11 - a01 * a10
-    inv = [
-        [m00 / det, m10 / det, m20 / det],
-        [m01 / det, m11 / det, m21 / det],
-        [m02 / det, m12 / det, m22 / det],
-    ]
-    c0, c1, c2 = c
-    sol = [
-        inv[0][0] * c0 + inv[0][1] * c1 + inv[0][2] * c2,
-        inv[1][0] * c0 + inv[1][1] * c1 + inv[1][2] * c2,
-        inv[2][0] * c0 + inv[2][1] * c1 + inv[2][2] * c2,
-    ]
-    return sol, inv
+def better(a: float, b: float, direction: str) -> bool:
+    """Whether objective value `a` beats `b` in the given direction."""
+    return a > b if direction == "max" else a < b
 
 
-def _solve_with_inverse(a: list[list[float]], c: list[float],
-                        check_condition: bool = False):
-    """Solve the normal equations and invert the normal matrix.
-
-    k <= 3 goes through closed-form cofactor inverses; larger systems use
-    Gauss-Jordan with partial pivoting. Raises SingularFitError when the
-    system collapses relative to the matrix scale. Normal matrices put their
-    largest entry on the diagonal, so the diagonal maximum serves as the
-    scale reference.
-    """
-    k = len(a)
-    scale = 0.0
-    for i in range(k):
-        d = abs(a[i][i])
-        if d > scale:
-            scale = d
-    if scale == 0.0:
-        raise SingularFitError("all-zero normal matrix")
-    if k <= 3 and not check_condition:
-        return _solve_small(a, c, k, scale)
-    aug = [row[:] + [0.0] * k + [c[i]] for i, row in enumerate(a)]
-    for i in range(k):
-        aug[i][k + i] = 1.0
-    tol = 1e-12 * scale
-    for col in range(k):
-        piv = col
-        best = abs(aug[col][col])
-        for r in range(col + 1, k):
-            cand = abs(aug[r][col])
-            if cand > best:
-                best = cand
-                piv = r
-        if best <= tol:
-            raise SingularFitError("rank-deficient design matrix")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        row = aug[col]
-        pivval = row[col]
-        for j in range(col, 2 * k + 1):
-            row[j] /= pivval
-        for r in range(k):
-            if r == col:
-                continue
-            factor = aug[r][col]
-            if factor != 0.0:
-                other = aug[r]
-                for j in range(col, 2 * k + 1):
-                    other[j] -= factor * row[j]
-    solution = [aug[i][2 * k] for i in range(k)]
-    inverse = [aug[i][k : 2 * k] for i in range(k)]
-    if check_condition:
-        inv_scale = max(max(abs(v) for v in row) for row in inverse)
-        if scale * inv_scale > _CONDITION_WARN:
-            logger.warning("ill-conditioned normal equations (cond ~ %.2g)",
-                           scale * inv_scale)
-    return solution, inverse
+def _t_stats(coef, se):
+    """coef / se; an exact fit (se = 0) makes any nonzero coefficient
+    maximally significant."""
+    exact = np.where(coef == 0.0, 0.0, np.copysign(np.inf, coef))
+    return np.divide(coef, se, out=exact, where=se > 0.0)
 
 
-def _model_from_cross_products(
-    a, c, syy, sy, colsum, m, member_ids, with_intercept, s, residual_fn,
-    check_condition=False,
-) -> RegressionModel:
-    k = len(c)
-    if m <= k:
-        raise ValueError(f"need more observations than coefficients ({m} <= {k})")
-    b, inv = _solve_with_inverse(a, c, check_condition)
-    bc = sum(bi * ci for bi, ci in zip(b, c))
-    sse = max(0.0, syy - bc)
-    df = m - k
-    sigma2 = sse / df
-    t_stats = []
-    for i in range(k):
-        se = math.sqrt(max(0.0, sigma2 * inv[i][i]))
-        if se > 0.0:
-            t_stats.append(b[i] / se)
-        else:  # exact fit: any nonzero coefficient is maximally significant
-            t_stats.append(math.copysign(math.inf, b[i]) if b[i] else 0.0)
-    # r2 as squared correlation of y with y_hat, from the same cross products
-    yhat_sum = c[0] if with_intercept else sum(bi * si for bi, si in zip(b, colsum))
-    var_yhat = bc - yhat_sum * yhat_sum / m
-    var_y = syy - sy * sy / m
-    cov = bc - yhat_sum * sy / m
-    if var_yhat <= 0.0 or var_y <= 0.0:
-        r2 = 0.0
-    else:
-        r2 = min(1.0, max(0.0, cov * cov / (var_yhat * var_y)))
-    if s == 2.0:
-        se_s = sse
-        residuals = None
-    else:
-        residuals = residual_fn(b)
-        se_s = float(np.sum(np.abs(residuals) ** s))
-    return RegressionModel(
-        member_ids=tuple(member_ids),
-        with_intercept=with_intercept,
-        coefficients=tuple(b),
-        t_stats=tuple(t_stats),
-        r2=r2,
-        se_s=se_s,
-        s=s,
-        df=df,
-        residuals=residuals,
-    )
+def _r2(ssr, yhat_sum, sy, var_y, m):
+    """Squared correlation of y with y_hat from cross products: ssr is
+    y_hat . y_hat (= y_hat . y), yhat_sum the sum of y_hat. It is 0 when y
+    or y_hat is constant, y_hat by the pivot rule: its centred square sum at
+    most PIVOT_TOL times ssr."""
+    r2 = np.zeros(np.shape(ssr))
+    if var_y <= 0.0:
+        return r2
+    var_yhat = ssr - yhat_sum * yhat_sum / m
+    cov = ssr - yhat_sum * sy / m
+    np.divide(cov * cov, var_yhat * var_y, out=r2,
+              where=var_yhat > PIVOT_TOL * ssr)
+    return np.minimum(r2, 1.0, out=r2)
 
 
 def ols_fit(
@@ -243,10 +138,13 @@ def ols_fit(
     with_intercept: bool,
     s: float = 2.0,
 ) -> RegressionModel:
-    """Least-squares fit of the activity on a phenotype subset.
+    """Least-squares fit of the activity on a phenotype subset: the reference
+    the subset kernel is tested against, computed directly on the design
+    matrix with numpy's LAPACK routines.
 
     Models carry their residual vector; ``se_s`` is reported for the given
-    exponent.
+    exponent. Raises SingularFitError under the module's singular rule and
+    warns when the normal equations are ill-conditioned.
     """
     if not members:
         raise ValueError("need at least one phenotype")
@@ -255,40 +153,113 @@ def ols_fit(
         raise ValueError("phenotype length does not match dataset")
     if not np.all(np.isfinite(x)):
         raise ValueError("phenotype values must be finite")
+    m = ds.size
     y = ds.activity
-    design = np.column_stack([np.ones(ds.size), x]) if with_intercept else x
-    a = (design.T @ design).tolist()
-    c = (design.T @ y).tolist()
-    member_ids = [p.source_genotype.render() for p in members]
-    model = _model_from_cross_products(
-        a,
-        c,
-        float(y @ y),
-        float(y.sum()),
-        (design.sum(axis=0)).tolist(),
-        ds.size,
-        member_ids,
-        with_intercept,
-        s,
-        residual_fn=lambda b: y - design @ np.asarray(b),
-        check_condition=True,
+    # members first, intercept last: the column order of the singular rule
+    design = np.column_stack([x, np.ones(m)]) if with_intercept else x
+    k = design.shape[1]
+    if m <= k:
+        raise ValueError(f"need more observations than coefficients ({m} <= {k})")
+    a = design.T @ design
+    try:
+        pivots = np.diag(np.linalg.cholesky(a)) ** 2
+    except np.linalg.LinAlgError:
+        raise SingularFitError("rank-deficient design matrix") from None
+    if np.any(pivots <= PIVOT_TOL * np.diag(a)):
+        raise SingularFitError("rank-deficient design matrix")
+    cond = np.linalg.cond(a)
+    if cond > _CONDITION_WARN:
+        logger.warning("ill-conditioned normal equations (cond ~ %.2g)", cond)
+    coef = np.linalg.solve(a, design.T @ y)
+    residuals = y - design @ coef
+    sse = float(residuals @ residuals)
+    if sse <= PIVOT_TOL * float(y @ y):
+        sse = 0.0
+    df = m - k
+    t = _t_stats(coef, np.sqrt(sse / df * np.diag(np.linalg.inv(a))))
+    yhat = design @ coef
+    yhat_sum = float(y.sum()) if with_intercept else float(yhat.sum())
+    r2 = float(_r2(np.array(float(yhat @ yhat)), yhat_sum, float(y.sum()),
+                   float(y @ y) - float(y.sum()) ** 2 / m, m))
+    if s == 2.0 or sse == 0.0:
+        se_s = sse
+    else:
+        se_s = float(np.sum(np.abs(residuals) ** s))
+    if with_intercept:  # report the intercept first
+        coef, t = np.roll(coef, 1), np.roll(t, 1)
+    return RegressionModel(
+        member_ids=tuple(p.source_genotype.render() for p in members),
+        with_intercept=with_intercept,
+        coefficients=tuple(coef.tolist()),
+        t_stats=tuple(t.tolist()),
+        r2=r2,
+        se_s=se_s,
+        s=s,
+        df=df,
+        residuals=residuals,
     )
-    model.residuals = y - design @ np.asarray(model.coefficients)
-    if s == 2.0:
-        model.se_s = float(model.residuals @ model.residuals)
-    return model
+
+
+@dataclass(frozen=True)
+class SubsetFits:
+    """Fits of many same-size n-subsets in both regression forms.
+
+    Arrays index the form first (0 without, 1 with the intercept). ``table``
+    then indexes the field: n + 1 coefficients (the intercept slot first; 0
+    in the no-intercept form), their t statistics, r2 and se_s; and last the
+    subset.
+    ``df`` holds each form's residual degrees of freedom. Fits flagged in
+    ``singular`` are undefined.
+    """
+
+    n: int
+    df: np.ndarray
+    table: np.ndarray
+    singular: np.ndarray
+
+    def coefficients(self, with_intercept: bool) -> np.ndarray:
+        """(subsets, k) coefficients, the intercept first."""
+        lo = 1 - with_intercept
+        return self.table[int(with_intercept), lo : self.n + 1].T
+
+    def t_stats(self, with_intercept: bool) -> np.ndarray:
+        lo = self.n + 2 - with_intercept
+        return self.table[int(with_intercept), lo : 2 * self.n + 2].T
+
+    def r2(self, with_intercept: bool) -> np.ndarray:
+        return self.table[int(with_intercept), 2 * self.n + 2]
+
+    def se_s(self, with_intercept: bool) -> np.ndarray:
+        return self.table[int(with_intercept), 2 * self.n + 3]
+
+
+@lru_cache(maxsize=8)
+def _all_subsets(p: int, k: int):
+    """Every k-subset of range(p) in lexicographic order, one per row (a
+    read-only array), with the tables that rank a subset back to its row."""
+    count = math.comb(p, k)
+    flat = np.fromiter(chain.from_iterable(combinations(range(p), k)),
+                       dtype=np.intp, count=count * k)
+    index = flat.reshape(count, k)
+    index.setflags(write=False)
+    # row of (c_0 < ... < c_{k-1}) = C(p, k) - 1 - sum_i C(p - 1 - c_i, k - i)
+    terms = tuple(
+        tuple(math.comb(p - 1 - c, k - i) for c in range(p)) for i in range(k)
+    )
+    return index, terms, count - 1
 
 
 class GramFitter:
-    """Fits any small subset of a fixed phenotype panel against one response.
+    """Fits subsets of a fixed phenotype panel against one response.
 
-    Cross products are computed once for the panel; each subset fit then only
-    assembles and solves a k x k system, which keeps full-sweep generations
-    cheap. Results agree with ols_fit to floating-point noise.
+    The Gram matrix of [panel; 1; y] is formed once. With `n` given, every
+    n-subset is fitted in both forms at construction, so `fit` on an
+    n-subset is a row lookup; subsets of another size are fitted on their
+    first lookup. Results agree with ols_fit to floating-point noise.
     """
 
     def __init__(self, panel: np.ndarray, y: np.ndarray, ids: Sequence[str],
-                 s: float = 2.0):
+                 s: float = 2.0, n: int | None = None):
         panel = np.asarray(panel, dtype=float)
         y = np.asarray(y, dtype=float)
         if panel.ndim != 2 or panel.shape[1] != y.shape[0]:
@@ -300,46 +271,149 @@ class GramFitter:
         self.ids = list(ids)
         self.s = s
         self.m = y.shape[0]
-        self._gram = (panel @ panel.T).tolist()
-        self._gy = (panel @ y).tolist()
-        self._colsum = panel.sum(axis=1).tolist()
-        self._sy = float(y.sum())
-        self._syy = float(y @ y)
+        z = np.vstack([panel, np.ones(self.m), y])
+        self.gram = z @ z.T
+        self._sweeps: dict[int, tuple] = {}
+        if n is not None:
+            self._sweep(n)
+
+    def _sweep(self, k: int) -> tuple:
+        index, terms, last = _all_subsets(self.panel.shape[0], k)
+        sweep = self._sweeps[k] = (self.lookup(self.fit_subsets(index)),
+                                   terms, last)
+        return sweep
 
     def fit(self, subset: Sequence[int], with_intercept: bool) -> RegressionModel:
-        idx = list(subset)
-        gram, gy, colsum = self._gram, self._gy, self._colsum
-        if with_intercept:
-            a = [[float(self.m)] + [colsum[j] for j in idx]]
-            for i in idx:
-                a.append([colsum[i]] + [gram[i][j] for j in idx])
-            c = [self._sy] + [gy[i] for i in idx]
-            cs = [float(self.m)] + [colsum[i] for i in idx]
-        else:
-            a = [[gram[i][j] for j in idx] for i in idx]
-            c = [gy[i] for i in idx]
-            cs = [colsum[i] for i in idx]
-        return _model_from_cross_products(
-            a,
-            c,
-            self._syy,
-            self._sy,
-            cs,
-            self.m,
-            [self.ids[i] for i in idx],
-            with_intercept,
-            self.s,
-            residual_fn=lambda b: self._residuals(idx, with_intercept, b),
-        )
+        """The fit of one subset, given as strictly increasing panel rows."""
+        sweep = self._sweeps.get(len(subset)) or self._sweep(len(subset))
+        model, terms, row = sweep
+        prev = -1
+        for c, term in zip(subset, terms):
+            if c <= prev:
+                raise ValueError(f"subset {subset} is not strictly increasing")
+            row -= term[c]
+            prev = c
+        return model(row, subset, with_intercept)
 
-    def _residuals(self, idx, with_intercept, b):
-        yhat = np.zeros(self.m)
-        coeffs = list(b)
-        if with_intercept:
-            yhat += coeffs.pop(0)
-        for i, bi in zip(idx, coeffs):
-            yhat += bi * self.panel[i]
-        return self.y - yhat
+    def lookup(self, fits: SubsetFits):
+        """A function model(row, subset, with_intercept) that returns row
+        `row` of `fits`, the fit of `subset`, as a RegressionModel and raises
+        SingularFitError for a singular fit."""
+        rows = fits.table.transpose(0, 2, 1).tolist()
+        singular = fits.singular.tolist()
+        df, n1, s, ids = fits.df.tolist(), fits.n + 1, self.s, self.ids
+
+        def model(row, subset, with_intercept):
+            if singular[with_intercept][row]:
+                raise SingularFitError("rank-deficient design matrix")
+            values = rows[with_intercept][row]
+            lo = 1 - with_intercept
+            return RegressionModel(
+                member_ids=tuple([ids[i] for i in subset]),
+                with_intercept=with_intercept,
+                coefficients=tuple(values[lo:n1]),
+                t_stats=tuple(values[n1 + lo : 2 * n1]),
+                r2=values[2 * n1],
+                se_s=values[2 * n1 + 1],
+                s=s,
+                df=df[with_intercept],
+            )
+
+        return model
+
+    def fit_subsets(self, index: np.ndarray) -> SubsetFits:
+        """Fit every subset in `index` (one row of panel indices each) in
+        both forms, CHUNK_SUBSETS subsets per kernel pass."""
+        index = np.asarray(index, dtype=np.intp)
+        count, n = index.shape
+        if n < 1:
+            raise ValueError("subsets need at least one member")
+        if self.m <= n + 1:
+            raise ValueError(f"need more observations than coefficients "
+                             f"({self.m} <= {n + 1})")
+        fits = SubsetFits(
+            n=n,
+            df=np.array([self.m - n, self.m - n - 1]),
+            table=np.empty((2, 2 * n + 4, count)),
+            singular=np.zeros((2, count), dtype=bool),
+        )
+        for start in range(0, count, CHUNK_SUBSETS):
+            self._fit_chunk(index[start : start + CHUNK_SUBSETS], fits, start)
+        return fits
+
+    def _fit_chunk(self, idx: np.ndarray, fits: SubsetFits, start: int) -> None:
+        """The kernel: factor the bordered normal matrices of one chunk of
+        subsets elementwise along the subset axis, and write both forms'
+        fits into columns start.. of `fits.table`."""
+        rows, n = idx.shape
+        n1 = n + 1      # members and intercept
+        p, m, gram = self.panel.shape[0], self.m, self.gram
+        cols = np.empty((n1 + 1, rows), dtype=np.intp)
+        cols[:n] = idx.T
+        cols[n] = p         # intercept
+        cols[n1] = p + 1    # response
+        # a[i, j] is entry (i, j) of each subset's normal matrix bordered by
+        # the response; the Cholesky factor overwrites the lower triangle,
+        # the upper triangle keeps the Gram entries
+        a = gram[cols[:, None], cols[None, :]]
+        floor = PIVOT_TOL * gram.diagonal()[cols[:n1]]
+        singular = fits.singular[:, start : start + rows]
+        for j in range(n1):
+            if j:
+                a[j:, j] -= (a[j:, :j] * a[j, :j]).sum(axis=1)
+            pivot = a[j, j]
+            bad = pivot <= floor[j]
+            # a member pivot fails both forms, the intercept pivot one
+            singular[0 if j < n else 1 :] |= bad
+            pivot[bad] = 1.0    # keeps singular fits finite; they are masked
+            np.sqrt(pivot, out=pivot)
+            a[j + 1 :, j] /= pivot
+        # w = L^-1 of the design block; its leading n x n block inverts the
+        # no-intercept form's factor
+        w = np.zeros((n1, n1, rows))
+        for i in range(n1):
+            w[i, i] = 1.0 / a[i, i]
+            if i:
+                w[i, :i] = (a[i, :i, None] * w[:i, :i]).sum(axis=0)
+                w[i, :i] *= -w[i, i]
+        z = a[n1, :n1]          # L^-1 X'y
+        # sums over the leading n rows give the no-intercept form, over all
+        # n + 1 rows the intercept form: [n - 1:] keeps both
+        coef = np.cumsum(w * z[:, None], axis=0)[n - 1 :]
+        var = np.cumsum(w * w, axis=0)[n - 1 :]    # diagonal of the inverse
+        ssr = np.cumsum(z * z, axis=0)[n - 1 :]
+        yy, sy = gram[p + 1, p + 1], gram[p, p + 1]
+        sse = yy - ssr
+        exact = sse <= PIVOT_TOL * yy
+        sse[exact] = 0.0
+        t = _t_stats(coef, np.sqrt(var * (sse / fits.df[:, None])[:, None]))
+        yhat_sum = np.empty((2, rows))
+        (coef[0, :n] * a[:n, n]).sum(axis=0, out=yhat_sum[0])
+        yhat_sum[1] = sy
+        out = fits.table[:, :, start : start + rows]
+        out[:, 0], out[:, 1:n1] = coef[:, n], coef[:, :n]   # intercept first
+        out[:, n1], out[:, n1 + 1 : 2 * n1] = t[:, n], t[:, :n]
+        out[:, 2 * n1] = _r2(ssr, yhat_sum, sy, yy - sy * sy / m, m)
+        if self.s == 2.0:
+            out[:, 2 * n1 + 1] = sse
+        else:
+            for form in (0, 1):
+                out[form, 2 * n1 + 1] = np.where(
+                    exact[form], 0.0, self._error_sums(idx, coef[form]))
+
+    def _error_sums(self, idx, coef):
+        """sum(|y - y_hat|^s) per subset; coef[n] is the intercept."""
+        n = idx.shape[1]
+        resid = np.empty((idx.shape[0], self.m))
+        np.subtract(self.y, coef[n][:, None], out=resid)
+        term = np.empty_like(resid)
+        for j in range(n):
+            np.multiply(self.panel[idx[:, j]], coef[j][:, None], out=term)
+            resid -= term
+        del term
+        np.abs(resid, out=resid)
+        resid **= self.s
+        return resid.sum(axis=1)
 
 
 def assess_validity(
@@ -408,6 +482,11 @@ def fit_assessed(
     "fallback" fits the intercept form and demotes it when the intercept is
     insignificant; "both" additionally offers the pure no-intercept form as a
     second candidate, doubling the searched space.
+
+    In "fallback" a subset whose intercept form is singular is dropped, even
+    when its no-intercept form is well-posed (for instance a constant
+    member): the search starts from the intercept form, and a design that
+    cannot carry an intercept is not demoted into one that has none.
     """
     if intercept_mode not in ("fallback", "both"):
         raise ValueError(f"unknown intercept mode {intercept_mode!r}")
@@ -438,22 +517,25 @@ def exhaustive_best(
     intercept_mode: str = "fallback",
 ):
     """Enumerate every n-subset of the panel and return the best valid model
-    as (subset, model, objective); (None, None, None) when nothing is valid."""
-    from itertools import combinations
+    as (subset, model, objective); (None, None, None) when nothing is valid.
 
+    Subsets go through the fit kernel CHUNK_SUBSETS at a time, so memory
+    stays bounded however large the panel."""
     best = None
-    for subset in combinations(range(fitter.panel.shape[0]), n):
-        for model in fit_assessed(fitter.fit, subset, ds, alpha, intercept_mode):
-            if not model.valid:
-                continue
-            value = objective_fn(model)
-            if best is None or _better(value, best[2], direction):
-                best = (subset, model, value)
+    subsets = combinations(range(fitter.panel.shape[0]), n)
+    while chunk := list(islice(subsets, CHUNK_SUBSETS)):
+        fitted = fitter.lookup(fitter.fit_subsets(np.array(chunk, dtype=np.intp)))
+        for row, subset in enumerate(chunk):
+            def fit(_, wi, row=row, subset=subset):
+                return fitted(row, subset, wi)
+
+            for model in fit_assessed(fit, subset, ds, alpha, intercept_mode):
+                if not model.valid:
+                    continue
+                value = objective_fn(model)
+                if best is None or better(value, best[2], direction):
+                    best = (subset, model, value)
     return best if best is not None else (None, None, None)
-
-
-def _better(a: float, b: float, direction: str) -> bool:
-    return a > b if direction == "max" else a < b
 
 
 def search_space_size(n_genotypes: int, n: int, both_forms: bool = False) -> int:
