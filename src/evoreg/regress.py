@@ -1,25 +1,19 @@
 """Ordinary least squares over phenotype subsets, coefficient significance,
 validity rules, and search-space sizing.
 
-The subset sweep fits every same-size subset of a fixed phenotype panel at
-once. GramFitter forms one Gram matrix of the panel rows, a column of ones
-and the response; the normal matrix of any subset, in either regression
-form, is a gather from it (the all-subsets scheme of Furnival & Wilson,
-*Regressions by Leaps and Bounds*, 1974). `GramFitter.fit_subsets` factors
-those small matrices elementwise along the subset axis (a Cholesky whose
-Python loops run only over the k <= n + 2 columns) in chunks of at most
-CHUNK_SUBSETS subsets, so memory stays bounded. `GramFitter.fit` is then a
-row lookup. `ols_fit` is the per-subset reference, computed directly on the
-design matrix.
+GramFitter gathers the normal matrices of all same-size subsets of a panel,
+in both forms, from one Gram matrix of [panel; 1; y] (Furnival & Wilson,
+*Regressions by Leaps and Bounds*, 1974) and factors them by a Cholesky that
+runs elementwise along the subset axis, CHUNK_SUBSETS subsets at a time.
+`GramFitter.fit` is a row lookup; `ols_fit` is the per-subset reference.
 
-Singular rule, shared by both paths: order the columns as the subset
-members, then the intercept. A fit is singular when some Cholesky pivot of
-its normal matrix (the squared norm a column keeps after projecting out the
-columns before it) is at most PIVOT_TOL times that column's diagonal entry
-(its full squared norm). The intercept form therefore fails whenever the
-no-intercept form does. Applied to the response as one more column, the same
-rule decides an exact fit: an error sum at most PIVOT_TOL times sum(y^2) is
-rounding noise, so it is reported as 0 and nonzero t statistics as +-inf.
+Singular rule, shared by both: with the columns ordered as the members, then
+the intercept, a fit is singular when a Cholesky pivot (the squared norm a
+column keeps after projecting out the columns before it) is at most
+PIVOT_TOL times its diagonal entry. So the intercept form fails whenever the
+no-intercept form does. Applied to the response, the rule marks an exact
+fit: an error sum at most PIVOT_TOL * sum(y^2) is reported as 0, and
+nonzero t statistics as +-inf.
 """
 
 from __future__ import annotations
@@ -28,7 +22,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,8 +41,6 @@ __all__ = [
     "fit_assessed",
     "exhaustive_best",
     "better",
-    "PIVOT_TOL",
-    "CHUNK_SUBSETS",
 ]
 
 logger = logging.getLogger(__name__)
@@ -87,10 +79,6 @@ class RegressionModel:
     residuals: np.ndarray | None = None
 
     @property
-    def n_members(self) -> int:
-        return len(self.member_ids)
-
-    @property
     def slope_t_stats(self) -> tuple[float, ...]:
         return self.t_stats[1:] if self.with_intercept else self.t_stats
 
@@ -111,17 +99,14 @@ def better(a: float, b: float, direction: str) -> bool:
 
 
 def _t_stats(coef, se):
-    """coef / se; an exact fit (se = 0) makes any nonzero coefficient
-    maximally significant."""
+    """coef / se; in an exact fit (se = 0) nonzero coefficients get +-inf."""
     exact = np.where(coef == 0.0, 0.0, np.copysign(np.inf, coef))
     return np.divide(coef, se, out=exact, where=se > 0.0)
 
 
 def _r2(ssr, yhat_sum, sy, var_y, m):
-    """Squared correlation of y with y_hat from cross products: ssr is
-    y_hat . y_hat (= y_hat . y), yhat_sum the sum of y_hat. It is 0 when y
-    or y_hat is constant, y_hat by the pivot rule: its centred square sum at
-    most PIVOT_TOL times ssr."""
+    """Squared correlation of y with y_hat from ssr = y_hat . y_hat and the
+    sum of y_hat; 0 when y or, by the pivot rule, y_hat is constant."""
     r2 = np.zeros(np.shape(ssr))
     if var_y <= 0.0:
         return r2
@@ -138,13 +123,11 @@ def ols_fit(
     with_intercept: bool,
     s: float = 2.0,
 ) -> RegressionModel:
-    """Least-squares fit of the activity on a phenotype subset: the reference
-    the subset kernel is tested against, computed directly on the design
-    matrix with numpy's LAPACK routines.
+    """Least-squares fit of the activity on a phenotype subset, computed
+    directly on the design matrix: the reference for GramFitter.
 
     Models carry their residual vector; ``se_s`` is reported for the given
-    exponent. Raises SingularFitError under the module's singular rule and
-    warns when the normal equations are ill-conditioned.
+    exponent. Warns when the normal equations are ill-conditioned.
     """
     if not members:
         raise ValueError("need at least one phenotype")
@@ -153,49 +136,36 @@ def ols_fit(
         raise ValueError("phenotype length does not match dataset")
     if not np.all(np.isfinite(x)):
         raise ValueError("phenotype values must be finite")
-    m = ds.size
-    y = ds.activity
+    m, y = ds.size, ds.activity
     # members first, intercept last: the column order of the singular rule
     design = np.column_stack([x, np.ones(m)]) if with_intercept else x
     k = design.shape[1]
     if m <= k:
         raise ValueError(f"need more observations than coefficients ({m} <= {k})")
     a = design.T @ design
-    try:
-        pivots = np.diag(np.linalg.cholesky(a)) ** 2
-    except np.linalg.LinAlgError:
-        raise SingularFitError("rank-deficient design matrix") from None
+    # squared diagonal of R in design = QR: the Cholesky pivots of a
+    pivots = np.diag(np.linalg.qr(design, mode="r")) ** 2
     if np.any(pivots <= PIVOT_TOL * np.diag(a)):
         raise SingularFitError("rank-deficient design matrix")
     cond = np.linalg.cond(a)
     if cond > _CONDITION_WARN:
         logger.warning("ill-conditioned normal equations (cond ~ %.2g)", cond)
     coef = np.linalg.solve(a, design.T @ y)
-    residuals = y - design @ coef
-    sse = float(residuals @ residuals)
-    if sse <= PIVOT_TOL * float(y @ y):
-        sse = 0.0
-    df = m - k
-    t = _t_stats(coef, np.sqrt(sse / df * np.diag(np.linalg.inv(a))))
     yhat = design @ coef
-    yhat_sum = float(y.sum()) if with_intercept else float(yhat.sum())
-    r2 = float(_r2(np.array(float(yhat @ yhat)), yhat_sum, float(y.sum()),
-                   float(y @ y) - float(y.sum()) ** 2 / m, m))
-    if s == 2.0 or sse == 0.0:
-        se_s = sse
-    else:
-        se_s = float(np.sum(np.abs(residuals) ** s))
+    residuals = y - yhat
+    sse = float(residuals @ residuals)
+    sse = 0.0 if sse <= PIVOT_TOL * float(y @ y) else sse
+    t = _t_stats(coef, np.sqrt(sse / (m - k) * np.diag(np.linalg.inv(a))))
+    sy = float(y.sum())
+    r2 = _r2(np.array(float(yhat @ yhat)), sy if with_intercept else yhat.sum(),
+             sy, float(y @ y) - sy * sy / m, m)
+    if s != 2.0 and sse > 0.0:
+        sse = float(np.sum(np.abs(residuals) ** s))
     if with_intercept:  # report the intercept first
         coef, t = np.roll(coef, 1), np.roll(t, 1)
     return RegressionModel(
-        member_ids=tuple(p.source_genotype.render() for p in members),
-        with_intercept=with_intercept,
-        coefficients=tuple(coef.tolist()),
-        t_stats=tuple(t.tolist()),
-        r2=r2,
-        se_s=se_s,
-        s=s,
-        df=df,
+        tuple(p.source_genotype.render() for p in members), with_intercept,
+        tuple(coef.tolist()), tuple(t.tolist()), float(r2), sse, s, m - k,
         residuals=residuals,
     )
 
@@ -205,10 +175,8 @@ class SubsetFits:
     """Fits of many same-size n-subsets in both regression forms.
 
     Arrays index the form first (0 without, 1 with the intercept). ``table``
-    then indexes the field: n + 1 coefficients (the intercept slot first; 0
-    in the no-intercept form), their t statistics, r2 and se_s; and last the
-    subset.
-    ``df`` holds each form's residual degrees of freedom. Fits flagged in
+    then indexes the field (n + 1 coefficients, the intercept slot first,
+    their t statistics, r2, se_s), then the subset. Fits flagged in
     ``singular`` are undefined.
     """
 
@@ -217,36 +185,24 @@ class SubsetFits:
     table: np.ndarray
     singular: np.ndarray
 
-    def coefficients(self, with_intercept: bool) -> np.ndarray:
-        """(subsets, k) coefficients, the intercept first."""
-        lo = 1 - with_intercept
-        return self.table[int(with_intercept), lo : self.n + 1].T
-
-    def t_stats(self, with_intercept: bool) -> np.ndarray:
-        lo = self.n + 2 - with_intercept
-        return self.table[int(with_intercept), lo : 2 * self.n + 2].T
-
-    def r2(self, with_intercept: bool) -> np.ndarray:
-        return self.table[int(with_intercept), 2 * self.n + 2]
-
-    def se_s(self, with_intercept: bool) -> np.ndarray:
-        return self.table[int(with_intercept), 2 * self.n + 3]
+    def form(self, with_intercept: bool):
+        """(coefficients, t_stats, r2, se_s) of one form, one row per
+        subset; the coefficients list the intercept first."""
+        lo, n1 = 1 - with_intercept, self.n + 1
+        f = self.table[int(with_intercept)]
+        return f[lo:n1].T, f[n1 + lo : 2 * n1].T, f[2 * n1], f[2 * n1 + 1]
 
 
 @lru_cache(maxsize=8)
 def _all_subsets(p: int, k: int):
     """Every k-subset of range(p) in lexicographic order, one per row (a
     read-only array), with the tables that rank a subset back to its row."""
-    count = math.comb(p, k)
-    flat = np.fromiter(chain.from_iterable(combinations(range(p), k)),
-                       dtype=np.intp, count=count * k)
-    index = flat.reshape(count, k)
+    index = np.array(list(combinations(range(p), k)), dtype=np.intp)
     index.setflags(write=False)
     # row of (c_0 < ... < c_{k-1}) = C(p, k) - 1 - sum_i C(p - 1 - c_i, k - i)
-    terms = tuple(
-        tuple(math.comb(p - 1 - c, k - i) for c in range(p)) for i in range(k)
-    )
-    return index, terms, count - 1
+    terms = tuple(tuple(math.comb(p - 1 - c, k - i) for c in range(p))
+                  for i in range(k))
+    return index, terms, len(index) - 1
 
 
 class GramFitter:
@@ -266,12 +222,10 @@ class GramFitter:
             raise ValueError("panel must be (n_phenotypes, n_molecules)")
         if len(ids) != panel.shape[0]:
             raise ValueError("one id per panel row required")
-        self.panel = panel
-        self.y = y
-        self.ids = list(ids)
-        self.s = s
+        self.panel, self.y, self.ids, self.s = panel, y, list(ids), s
         self.m = y.shape[0]
-        z = np.vstack([panel, np.ones(self.m), y])
+        z = np.empty((panel.shape[0] + 2, self.m))
+        z[:-2], z[-2], z[-1] = panel, 1.0, y
         self.gram = z @ z.T
         self._sweeps: dict[int, tuple] = {}
         if n is not None:
@@ -279,44 +233,35 @@ class GramFitter:
 
     def _sweep(self, k: int) -> tuple:
         index, terms, last = _all_subsets(self.panel.shape[0], k)
-        sweep = self._sweeps[k] = (self.lookup(self.fit_subsets(index)),
-                                   terms, last)
-        return sweep
+        self._sweeps[k] = (self.lookup(self.fit_subsets(index)), terms, last)
+        return self._sweeps[k]
 
     def fit(self, subset: Sequence[int], with_intercept: bool) -> RegressionModel:
         """The fit of one subset, given as strictly increasing panel rows."""
-        sweep = self._sweeps.get(len(subset)) or self._sweep(len(subset))
-        model, terms, row = sweep
+        model, terms, row = (self._sweeps.get(len(subset))
+                             or self._sweep(len(subset)))
         prev = -1
         for c, term in zip(subset, terms):
             if c <= prev:
                 raise ValueError(f"subset {subset} is not strictly increasing")
-            row -= term[c]
-            prev = c
+            row, prev = row - term[c], c
         return model(row, subset, with_intercept)
 
     def lookup(self, fits: SubsetFits):
-        """A function model(row, subset, with_intercept) that returns row
-        `row` of `fits`, the fit of `subset`, as a RegressionModel and raises
-        SingularFitError for a singular fit."""
+        """A function model(row, subset, with_intercept): row `row` of `fits`,
+        the fit of `subset`, as a RegressionModel (SingularFitError if none)."""
         rows = fits.table.transpose(0, 2, 1).tolist()
-        singular = fits.singular.tolist()
-        df, n1, s, ids = fits.df.tolist(), fits.n + 1, self.s, self.ids
+        singular, df = fits.singular.tolist(), fits.df.tolist()
+        n1, s, ids = fits.n + 1, self.s, self.ids
 
         def model(row, subset, with_intercept):
             if singular[with_intercept][row]:
                 raise SingularFitError("rank-deficient design matrix")
-            values = rows[with_intercept][row]
-            lo = 1 - with_intercept
+            values, lo = rows[with_intercept][row], 1 - with_intercept
             return RegressionModel(
-                member_ids=tuple([ids[i] for i in subset]),
-                with_intercept=with_intercept,
-                coefficients=tuple(values[lo:n1]),
-                t_stats=tuple(values[n1 + lo : 2 * n1]),
-                r2=values[2 * n1],
-                se_s=values[2 * n1 + 1],
-                s=s,
-                df=df[with_intercept],
+                tuple([ids[i] for i in subset]), with_intercept,
+                tuple(values[lo:n1]), tuple(values[n1 + lo : 2 * n1]),
+                values[2 * n1], values[2 * n1 + 1], s, df[with_intercept],
             )
 
         return model
@@ -326,17 +271,11 @@ class GramFitter:
         both forms, CHUNK_SUBSETS subsets per kernel pass."""
         index = np.asarray(index, dtype=np.intp)
         count, n = index.shape
-        if n < 1:
-            raise ValueError("subsets need at least one member")
-        if self.m <= n + 1:
-            raise ValueError(f"need more observations than coefficients "
-                             f"({self.m} <= {n + 1})")
-        fits = SubsetFits(
-            n=n,
-            df=np.array([self.m - n, self.m - n - 1]),
-            table=np.empty((2, 2 * n + 4, count)),
-            singular=np.zeros((2, count), dtype=bool),
-        )
+        if not 1 <= n < self.m - 1:
+            raise ValueError(f"subset size {n} not in [1, m - 1 = {self.m - 1})")
+        fits = SubsetFits(n, np.array([self.m - n, self.m - n - 1]),
+                          np.empty((2, 2 * n + 4, count)),
+                          np.zeros((2, count), dtype=bool))
         for start in range(0, count, CHUNK_SUBSETS):
             self._fit_chunk(index[start : start + CHUNK_SUBSETS], fits, start)
         return fits
@@ -348,10 +287,8 @@ class GramFitter:
         rows, n = idx.shape
         n1 = n + 1      # members and intercept
         p, m, gram = self.panel.shape[0], self.m, self.gram
-        cols = np.empty((n1 + 1, rows), dtype=np.intp)
-        cols[:n] = idx.T
-        cols[n] = p         # intercept
-        cols[n1] = p + 1    # response
+        cols = np.empty((n1 + 1, rows), dtype=np.intp)   # Gram rows: members,
+        cols[:n], cols[n:] = idx.T, [[p], [p + 1]]      # intercept, response
         # a[i, j] is entry (i, j) of each subset's normal matrix bordered by
         # the response; the Cholesky factor overwrites the lower triangle,
         # the upper triangle keeps the Gram entries
@@ -374,8 +311,7 @@ class GramFitter:
         for i in range(n1):
             w[i, i] = 1.0 / a[i, i]
             if i:
-                w[i, :i] = (a[i, :i, None] * w[:i, :i]).sum(axis=0)
-                w[i, :i] *= -w[i, i]
+                w[i, :i] = -w[i, i] * (a[i, :i, None] * w[:i, :i]).sum(axis=0)
         z = a[n1, :n1]          # L^-1 X'y
         # sums over the leading n rows give the no-intercept form, over all
         # n + 1 rows the intercept form: [n - 1:] keeps both
@@ -387,33 +323,21 @@ class GramFitter:
         exact = sse <= PIVOT_TOL * yy
         sse[exact] = 0.0
         t = _t_stats(coef, np.sqrt(var * (sse / fits.df[:, None])[:, None]))
-        yhat_sum = np.empty((2, rows))
+        # sum of y_hat: from the column sums a[:n, n] without intercept
+        yhat_sum = np.full((2, rows), sy)
         (coef[0, :n] * a[:n, n]).sum(axis=0, out=yhat_sum[0])
-        yhat_sum[1] = sy
         out = fits.table[:, :, start : start + rows]
         out[:, 0], out[:, 1:n1] = coef[:, n], coef[:, :n]   # intercept first
         out[:, n1], out[:, n1 + 1 : 2 * n1] = t[:, n], t[:, :n]
         out[:, 2 * n1] = _r2(ssr, yhat_sum, sy, yy - sy * sy / m, m)
-        if self.s == 2.0:
-            out[:, 2 * n1 + 1] = sse
-        else:
-            for form in (0, 1):
-                out[form, 2 * n1 + 1] = np.where(
-                    exact[form], 0.0, self._error_sums(idx, coef[form]))
-
-    def _error_sums(self, idx, coef):
-        """sum(|y - y_hat|^s) per subset; coef[n] is the intercept."""
-        n = idx.shape[1]
-        resid = np.empty((idx.shape[0], self.m))
-        np.subtract(self.y, coef[n][:, None], out=resid)
-        term = np.empty_like(resid)
-        for j in range(n):
-            np.multiply(self.panel[idx[:, j]], coef[j][:, None], out=term)
-            resid -= term
-        del term
-        np.abs(resid, out=resid)
-        resid **= self.s
-        return resid.sum(axis=1)
+        out[:, 2 * n1 + 1] = sse
+        for form in (0, 1) if self.s != 2.0 else ():
+            # sum |y - y_hat|^s from the residual rows; coef[n] is the intercept
+            resid = self.y - coef[form, n, :, None]
+            for j in range(n):
+                resid -= coef[form, j, :, None] * self.panel[idx[:, j]]
+            se_s = (np.abs(resid, out=resid) ** self.s).sum(axis=1)
+            out[form, 2 * n1 + 1] = np.where(exact[form], 0.0, se_s)
 
 
 def assess_validity(
@@ -484,9 +408,8 @@ def fit_assessed(
     second candidate, doubling the searched space.
 
     In "fallback" a subset whose intercept form is singular is dropped, even
-    when its no-intercept form is well-posed (for instance a constant
-    member): the search starts from the intercept form, and a design that
-    cannot carry an intercept is not demoted into one that has none.
+    when its no-intercept form is well-posed (say, a constant member): only
+    a fitted intercept can be demoted.
     """
     if intercept_mode not in ("fallback", "both"):
         raise ValueError(f"unknown intercept mode {intercept_mode!r}")
@@ -526,9 +449,7 @@ def exhaustive_best(
     while chunk := list(islice(subsets, CHUNK_SUBSETS)):
         fitted = fitter.lookup(fitter.fit_subsets(np.array(chunk, dtype=np.intp)))
         for row, subset in enumerate(chunk):
-            def fit(_, wi, row=row, subset=subset):
-                return fitted(row, subset, wi)
-
+            fit = lambda _, wi, r=row, sub=subset: fitted(r, sub, wi)  # noqa: E731
             for model in fit_assessed(fit, subset, ds, alpha, intercept_mode):
                 if not model.valid:
                     continue

@@ -79,9 +79,7 @@ def test_kernel_matches_oracles(kind, n, seed, s):
                 assert fits.singular[int(wi), row], (subset, wi)
                 continue
             assert not fits.singular[int(wi), row], (subset, wi)
-            coef = fits.coefficients(wi)[row]
-            t = fits.t_stats(wi)[row]
-            r2, se_s = fits.r2(wi)[row], fits.se_s(wi)[row]
+            coef, t, r2, se_s = (field[row] for field in fits.form(wi))
             scale = float(np.max(np.abs(ref.coefficients)))
             assert np.allclose(coef, ref.coefficients, rtol=rtol,
                                atol=rtol * scale)
@@ -120,9 +118,9 @@ def test_kernel_panels_hit_their_cases():
             assert list(fits.singular[1]) == with_0
             assert not fits.singular[0].any()
         elif kind == "exact":     # (0, 1) with intercept fits exactly
-            assert fits.se_s(True)[0] == 0.0
-            assert np.all(np.isinf(fits.t_stats(True)[0]))
-            assert fits.r2(True)[0] == pytest.approx(1.0, abs=1e-12)
+            _, t, r2, se_s = fits.form(True)
+            assert se_s[0] == 0.0 and np.all(np.isinf(t[0]))
+            assert r2[0] == pytest.approx(1.0, abs=1e-12)
         else:
             assert not fits.singular.any()
 
@@ -207,7 +205,7 @@ def test_fit_lookup_matches_kernel_rows_and_checks_order():
     for row, subset in enumerate(combinations(range(7), 3)):
         for wi in (False, True):
             model = fitter.fit(subset, wi)
-            assert model.coefficients == tuple(fits.coefficients(wi)[row])
+            assert model.coefficients == tuple(fits.form(wi)[0][row])
             assert model.member_ids == tuple("abcdefg"[i] for i in subset)
     # other sizes are fitted on first use
     assert fitter.fit((2,), True).coefficients == pytest.approx(
