@@ -143,11 +143,14 @@ def ols_fit(
     if m <= k:
         raise ValueError(f"need more observations than coefficients ({m} <= {k})")
     a = design.T @ design
-    # squared diagonal of R in design = QR: the Cholesky pivots of a
-    pivots = np.diag(np.linalg.qr(design, mode="r")) ** 2
+    try:
+        pivots = np.diag(np.linalg.cholesky(a)) ** 2
+    except np.linalg.LinAlgError:   # not positive definite
+        pivots = np.zeros(k)
     if np.any(pivots <= PIVOT_TOL * np.diag(a)):
         raise SingularFitError("rank-deficient design matrix")
-    cond = np.linalg.cond(a)
+    inv = np.linalg.inv(a)
+    cond = float(np.max(np.diag(a)) * np.max(np.abs(inv)))  # max |a| is diagonal
     if cond > _CONDITION_WARN:
         logger.warning("ill-conditioned normal equations (cond ~ %.2g)", cond)
     coef = np.linalg.solve(a, design.T @ y)
@@ -155,7 +158,7 @@ def ols_fit(
     residuals = y - yhat
     sse = float(residuals @ residuals)
     sse = 0.0 if sse <= PIVOT_TOL * float(y @ y) else sse
-    t = _t_stats(coef, np.sqrt(sse / (m - k) * np.diag(np.linalg.inv(a))))
+    t = _t_stats(coef, np.sqrt(sse / (m - k) * np.diag(inv)))
     sy = float(y.sum())
     r2 = _r2(np.array(float(yhat @ yhat)), sy if with_intercept else yhat.sum(),
              sy, float(y @ y) - sy * sy / m, m)
@@ -269,7 +272,6 @@ class GramFitter:
     def fit_subsets(self, index: np.ndarray) -> SubsetFits:
         """Fit every subset in `index` (one row of panel indices each) in
         both forms, CHUNK_SUBSETS subsets per kernel pass."""
-        index = np.asarray(index, dtype=np.intp)
         count, n = index.shape
         if not 1 <= n < self.m - 1:
             raise ValueError(f"subset size {n} not in [1, m - 1 = {self.m - 1})")
@@ -293,15 +295,13 @@ class GramFitter:
         # the response; the Cholesky factor overwrites the lower triangle,
         # the upper triangle keeps the Gram entries
         a = gram[cols[:, None], cols[None, :]]
-        floor = PIVOT_TOL * gram.diagonal()[cols[:n1]]
-        singular = fits.singular[:, start : start + rows]
         for j in range(n1):
             if j:
                 a[j:, j] -= (a[j:, :j] * a[j, :j]).sum(axis=1)
             pivot = a[j, j]
-            bad = pivot <= floor[j]
+            bad = pivot <= PIVOT_TOL * gram[cols[j], cols[j]]
             # a member pivot fails both forms, the intercept pivot one
-            singular[0 if j < n else 1 :] |= bad
+            fits.singular[0 if j < n else 1 :, start : start + rows] |= bad
             pivot[bad] = 1.0    # keeps singular fits finite; they are masked
             np.sqrt(pivot, out=pivot)
             a[j + 1 :, j] /= pivot
@@ -447,7 +447,7 @@ def exhaustive_best(
     best = None
     subsets = combinations(range(fitter.panel.shape[0]), n)
     while chunk := list(islice(subsets, CHUNK_SUBSETS)):
-        fitted = fitter.lookup(fitter.fit_subsets(np.array(chunk, dtype=np.intp)))
+        fitted = fitter.lookup(fitter.fit_subsets(np.array(chunk)))
         for row, subset in enumerate(chunk):
             fit = lambda _, wi, r=row, sub=subset: fitted(r, sub, wi)  # noqa: E731
             for model in fit_assessed(fit, subset, ds, alpha, intercept_mode):
