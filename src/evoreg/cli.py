@@ -266,11 +266,8 @@ def _opt_float(cp, section, key) -> float | None:
     return float(value) if value is not None else None
 
 
-def _build_provider(manifest: RunManifest, topology: GeneticTopology,
-                    ds: dsc.Dataset):
-    if manifest.descriptors_path is not None:
-        return dsc.load_descriptor_table(manifest.descriptors_path, topology, ds)
-    spec = manifest.synthetic
+def _synthetic_provider(spec: SyntheticSpec, topology: GeneticTopology,
+                        ds: dsc.Dataset) -> dsc.SyntheticProvider:
     planted = {}
     if spec.planted_count > 0:
         keys = dsc.pick_planted_genotypes(
@@ -285,6 +282,13 @@ def _build_provider(manifest: RunManifest, topology: GeneticTopology,
     return dsc.SyntheticProvider(
         topology, ds, spec.seed, spec.low, spec.high, planted
     )
+
+
+def _build_provider(manifest: RunManifest, topology: GeneticTopology,
+                    ds: dsc.Dataset):
+    if manifest.descriptors_path is not None:
+        return dsc.load_descriptor_table(manifest.descriptors_path, topology, ds)
+    return _synthetic_provider(manifest.synthetic, topology, ds)
 
 
 def _load_run_inputs(manifest: RunManifest):
@@ -397,22 +401,18 @@ def _cmd_gen_data(args) -> int:
             f"topology spans {size} genotypes; refusing to materialize more "
             f"than {args.max_rows} rows (raise --max-rows to override)"
         )
-    planted = {}
-    if args.planted_count > 0:
-        keys = dsc.pick_planted_genotypes(
-            topology, args.planted_count, args.planted_seed
-        )
-        signal = dsc.PlantedSignal(
-            slope=args.planted_slope,
-            intercept=args.planted_intercept,
-            noise_sd=args.planted_noise,
-        )
-        planted = {k: signal for k in keys}
-        for key in keys:
-            print(f"planted {key}")
-    provider = dsc.SyntheticProvider(
-        topology, ds, args.table_seed, args.low, args.high, planted
-    )
+    provider = _synthetic_provider(SyntheticSpec(
+        seed=args.table_seed,
+        low=args.low,
+        high=args.high,
+        planted_count=args.planted_count,
+        planted_slope=args.planted_slope,
+        planted_intercept=args.planted_intercept,
+        planted_noise=args.planted_noise,
+        planted_seed=args.planted_seed,
+    ), topology, ds)
+    for key in provider.planted:
+        print(f"planted {key}")
     rows = {
         g.render(): provider.provide(g).values for g in topology.all_genotypes()
     }

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,6 +171,12 @@ class TableProvider:
     def __init__(self, topology: GeneticTopology, table: dict[str, np.ndarray]):
         self.topology = topology
         self._table = {k: _readonly(v) for k, v in table.items()}
+        self._genotypes: list[Genotype] = []
+        for key in self._table:
+            try:
+                self._genotypes.append(topology.parse(key))
+            except ValueError:
+                raise DescriptorDataError(f"malformed genotype {key!r}") from None
 
     def provide(self, genotype: Genotype) -> Phenotype | None:
         values = self._table.get(genotype.render())
@@ -180,7 +185,7 @@ class TableProvider:
         return Phenotype(values, genotype)
 
     def known_genotypes(self) -> list[Genotype]:
-        return [self.topology.parse(key) for key in self._table]
+        return list(self._genotypes)
 
     def __len__(self) -> int:
         return len(self._table)
@@ -310,51 +315,46 @@ def write_activity(ds: Dataset, path) -> None:
             w.writerow([mol, repr(float(y))])
 
 
-def _parse_cell(token: str) -> float:
-    t = token.strip().lower()
-    if t in ("nan", "+nan", "-nan"):
-        return math.nan
-    if t in ("inf", "+inf", "infinity", "+infinity"):
-        return math.inf
-    if t in ("-inf", "-infinity"):
-        return -math.inf
-    return float(token)
-
-
 def load_descriptor_table(path, topology: GeneticTopology, ds: Dataset) -> TableProvider:
     """Load a wide descriptor CSV and validate it against the dataset.
 
-    Columns must agree with the dataset's molecule ids (same order); NaN/Inf
-    tokens are allowed and left to the viability filter.
+    Columns must agree with the dataset's molecule ids (same order). A cell
+    is anything `float()` parses; NaN/Inf tokens are left to the viability
+    filter. Rows are read one at a time, so memory stays near the values' size.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DescriptorDataError(f"{path}: empty descriptor table")
-    header = [c.strip() for c in rows[0]]
-    if not header or header[0] != "genotype":
-        raise DescriptorDataError(f"{path}: first header column must be 'genotype'")
-    if tuple(header[1:]) != ds.molecule_ids:
-        raise DescriptorDataError(
-            f"{path}: molecule columns do not match the activity file"
-        )
     table: dict[str, np.ndarray] = {}
-    for r in rows[1:]:
-        if not r or not any(x.strip() for x in r):
-            continue
-        if len(r) != len(header):
-            raise DescriptorDataError(f"{path}: row {r[0]!r} has wrong width")
-        key = r[0].strip()
-        if key in table:
-            raise DescriptorDataError(f"{path}: duplicate genotype {key!r}")
-        topology.parse(key)  # malformed keys fail at load time
-        try:
-            table[key] = np.array([_parse_cell(v) for v in r[1:]])
-        except ValueError as exc:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None:
+            raise DescriptorDataError(f"{path}: empty descriptor table")
+        header = [c.strip() for c in header]
+        if not header or header[0] != "genotype":
             raise DescriptorDataError(
-                f"{path}: non-numeric value in row {key!r}"
-            ) from exc
-    return TableProvider(topology, table)
+                f"{path}: first header column must be 'genotype'"
+            )
+        if tuple(header[1:]) != ds.molecule_ids:
+            raise DescriptorDataError(
+                f"{path}: molecule columns do not match the activity file"
+            )
+        for r in rows:
+            if not any(x.strip() for x in r):
+                continue
+            if len(r) != len(header):
+                raise DescriptorDataError(f"{path}: row {r[0]!r} has wrong width")
+            key = r[0].strip()
+            if key in table:
+                raise DescriptorDataError(f"{path}: duplicate genotype {key!r}")
+            try:
+                table[key] = np.array(r[1:], dtype=float)
+            except ValueError as exc:
+                raise DescriptorDataError(
+                    f"{path}: non-numeric value in row {key!r}"
+                ) from exc
+    try:
+        return TableProvider(topology, table)
+    except DescriptorDataError as exc:
+        raise DescriptorDataError(f"{path}: {exc}") from None
 
 
 def write_descriptor_table(

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from evoreg.descriptors import (
     write_descriptor_table,
 )
 from evoreg.genome import Gene, GeneticTopology, Genotype, random_genotype
+from tests.conftest import binary_topology, normal_dataset
 
 
 @pytest.fixture
@@ -165,6 +167,18 @@ def test_table_provider_lookup(topo, dataset):
     assert [k.render() for k in provider.known_genotypes()] == [g.render()]
 
 
+def test_table_known_genotypes_file_order_and_copy(tmp_path, topo, dataset):
+    keys = ["bz", "ax", "by", "ay"]
+    path = tmp_path / "table.csv"
+    write_descriptor_table(path, dataset, {k: np.arange(40.0) for k in keys})
+    provider = load_descriptor_table(path, topo, dataset)
+    known = provider.known_genotypes()
+    assert [g.render() for g in known] == keys
+    known.clear()
+    known.append(Genotype(topo, (0, 0)))
+    assert [g.render() for g in provider.known_genotypes()] == keys
+
+
 def test_table_csv_round_trip(tmp_path, topo, dataset):
     rows = {
         Genotype(topo, (0, 0)).render(): np.arange(40.0),
@@ -175,7 +189,7 @@ def test_table_csv_round_trip(tmp_path, topo, dataset):
     provider = load_descriptor_table(path, topo, dataset)
     assert len(provider) == 2
     ph = provider.provide(Genotype(topo, (1, 2)))
-    assert np.allclose(ph.values, np.linspace(-1, 1, 40))
+    assert np.array_equal(ph.values, np.linspace(-1, 1, 40))
 
 
 def test_table_csv_rejects_mismatched_columns(tmp_path, topo, dataset):
@@ -196,14 +210,85 @@ def test_table_csv_rejects_malformed(tmp_path, topo, dataset):
         load_descriptor_table(path, topo, dataset)
 
 
+def _cells(*tokens, fill="1.5"):
+    return ",".join(list(tokens) + [fill] * (40 - len(tokens)))
+
+
+@pytest.mark.parametrize("body, message", [
+    ("ax,1.0,2.0", "row 'ax' has wrong width"),
+    (f"ax,{_cells()}\nby,{_cells()}\nax,{_cells()}",
+     "duplicate genotype 'ax'"),
+    (f"ax,{_cells()}\nqq,{_cells()}", "malformed genotype 'qq'"),
+    (f"ax,{_cells()}\nby,{_cells('2.0', '1.5x')}",
+     "non-numeric value in row 'by'"),
+    (f"ax,{_cells('')}", "non-numeric value in row 'ax'"),
+    (f"ax,{_cells('0x10')}", "non-numeric value in row 'ax'"),
+], ids=["width", "duplicate", "malformed-key", "non-numeric", "empty-cell",
+        "hex-cell"])
+def test_table_csv_errors_name_file_and_row(tmp_path, topo, dataset, body,
+                                            message):
+    path = tmp_path / "bad.csv"
+    path.write_text("genotype," + ",".join(dataset.molecule_ids) + "\n"
+                    + body + "\n")
+    with pytest.raises(DescriptorDataError) as err:
+        load_descriptor_table(path, topo, dataset)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_table_csv_skips_blank_rows(tmp_path, topo, dataset):
+    header = "genotype," + ",".join(dataset.molecule_ids)
+    comma_only = "," * 40
+    spaced = ",".join([" "] * 41)
+    path = tmp_path / "blank.csv"
+    path.write_text("\n".join([
+        header, "", f"ax,{_cells()}", comma_only, "", spaced,
+        f"by,{_cells('2.5')}", "", comma_only,
+    ]) + "\n")
+    provider = load_descriptor_table(path, topo, dataset)
+    assert [g.render() for g in provider.known_genotypes()] == ["ax", "by"]
+    assert provider.provide(topo.parse("by")).values[0] == 2.5
+
+
+NON_FINITE = ("nan", "+nan", "-nan", "NaN", " nan ", "inf", "+inf", "-inf",
+              "Infinity", "+infinity", "-Infinity", "INF")
+
+
 def test_table_csv_nan_rows_load_but_fail_viability(tmp_path, topo, dataset):
     header = "genotype," + ",".join(dataset.molecule_ids)
-    row = "ax," + ",".join(["nan"] + ["1.5"] * 39)
     path = tmp_path / "nan.csv"
-    path.write_text(header + "\n" + row + "\n")
-    provider = load_descriptor_table(path, topo, dataset)
-    ph = provider.provide(topo.parse("ax"))
-    assert not check_viability(ph, dataset, ViabilityPolicy()).viable
+    for token in NON_FINITE:
+        path.write_text(header + "\nax," + _cells(token) + "\n")
+        provider = load_descriptor_table(path, topo, dataset)
+        ph = provider.provide(topo.parse("ax"))
+        cell = ph.values[0]
+        assert not math.isfinite(cell), token
+        assert cell == float(token) or math.isnan(float(token)), token
+        assert np.array_equal(ph.values[1:], np.full(39, 1.5))
+        report = check_viability(ph, dataset, ViabilityPolicy())
+        assert report.failed_criteria() == ("finite", "non_constant"), token
+
+
+def test_table_load_memory_is_bounded(tmp_path):
+    """A 2048 x 206 table streams into about its float64 payload (3.4 MB);
+    holding every row as text first would need ten times that."""
+    topology = binary_topology(11)
+    ds = normal_dataset()
+    rng = np.random.default_rng(12)
+    rows = {g.render(): rng.normal(size=ds.size)
+            for g in topology.all_genotypes()}
+    path = tmp_path / "table.csv"
+    write_descriptor_table(path, ds, rows)
+    payload = len(rows) * ds.size * 8
+    del rows
+    loaded = []
+    tracemalloc.start()
+    try:
+        loaded.append(load_descriptor_table(path, topology, ds))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded[0]) == 2048
+    assert peak < 2 * payload, f"peak {peak / 2**20:.1f} MiB"
 
 
 # --- synthetic provider -----------------------------------------------------------
