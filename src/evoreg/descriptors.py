@@ -340,9 +340,9 @@ def load_descriptor_table(path, topology: GeneticTopology, ds: Dataset) -> Table
         for r in rows:
             if not any(x.strip() for x in r):
                 continue
-            if len(r) != len(header):
-                raise DescriptorDataError(f"{path}: row {r[0]!r} has wrong width")
             key = r[0].strip()
+            if len(r) != len(header):
+                raise DescriptorDataError(f"{path}: row {key!r} has wrong width")
             if key in table:
                 raise DescriptorDataError(f"{path}: duplicate genotype {key!r}")
             try:
