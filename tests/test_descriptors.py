@@ -270,14 +270,13 @@ def test_table_load_memory_is_bounded(tmp_path):
     write_descriptor_table(path, ds, rows)
     payload = len(rows) * ds.size * 8
     del rows
-    loaded = []
     tracemalloc.start()
     try:
-        loaded.append(load_descriptor_table(path, topology, ds))
+        provider = load_descriptor_table(path, topology, ds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(loaded[0]) == 2048
+    assert len(provider) == 2048
     assert peak < 2 * payload, f"peak {peak / 2**20:.1f} MiB"
 
 
