@@ -4,9 +4,12 @@ Each case is one evolution run; its `log_text()` is compared with the file
 under `tests/golden/`. Every field must match exactly, except the
 per-generation `best_objective`, which may differ at 1e-9 relative (last-bit
 differences between fit kernels). A change to a golden file needs a
-CHANGES.md entry that says why. To rewrite the files:
+CHANGES.md entry that says why. To write the files that are missing:
 
     PYTHONPATH=src python -m tests.test_golden
+
+Existing files are never overwritten, so adding a case cannot silently
+rewrite another; to regenerate a file, delete it first.
 """
 
 import contextlib
@@ -22,6 +25,7 @@ from evoreg import cli
 from evoreg import descriptors as dsc
 from evoreg.engine import run
 from evoreg.scores import ObjectiveSpec
+from evoreg.strategy import StrategySpec
 from tests.conftest import (
     binary_topology,
     normal_dataset,
@@ -77,10 +81,58 @@ def _both_se_s15():
     return run(cfg, topology, planted_provider(topology, dataset), dataset)
 
 
+def _centred(seed, alpha, **overrides):
+    """A planted run on activity centred at zero: the no-intercept form
+    rarely rescues a slope there, so some genotypes sit in no valid
+    regression and get the worst selection score."""
+    topology = binary_topology(10)
+    dataset = normal_dataset(mean=0.0)
+    cfg = planted_config(seed=seed, max_generations=15, alpha=alpha,
+                         **overrides)
+    return run(cfg, topology, planted_provider(topology, dataset), dataset)
+
+
+def _nalive_ranks_q2():
+    """Membership counts, ranked proportional selection, deterministic
+    survival, survival exponents q = 2 and r = 0.5."""
+    return _centred(
+        1, 0.25, selection_aggregate="nalive",
+        selection=StrategySpec("proportional", use_ranks=True),
+        survival=StrategySpec("deterministic"), q=2.0, r=0.5,
+    )
+
+
+def _avg_normalized_digits():
+    """Mean objective per genotype, normalized and rounded scores on both
+    sides, survival exponents q = 0.5 and r = 2."""
+    return _centred(
+        3, 0.05, selection_aggregate="avg",
+        selection=StrategySpec("tournament", normalization=(0.0, 1.0),
+                               significant_digits=3),
+        survival=StrategySpec("proportional", normalization=(1.0, 2.0),
+                              significant_digits=2),
+        q=0.5, r=2.0,
+    )
+
+
+def _min_se_both_ranks():
+    """Worst error sum per genotype (a minimized score), both intercept
+    forms, deterministic selection, ranked tournament survival."""
+    return _centred(
+        4, 0.05, selection_aggregate="min", intercept_mode="both",
+        objective=ObjectiveSpec("se", 2.0),
+        selection=StrategySpec("deterministic"),
+        survival=StrategySpec("tournament", use_ranks=True),
+    )
+
+
 CASES = {
     "planted_n2_seed0": _planted_n2,
     "table_p30_n3": _table_p30_n3,
     "both_se_s1.5": _both_se_s15,
+    "nalive_ranks_q2": _nalive_ranks_q2,
+    "avg_normalized_digits": _avg_normalized_digits,
+    "min_se_both_ranks": _min_se_both_ranks,
 }
 
 
@@ -114,6 +166,9 @@ def _write_golden():
     GOLDEN.mkdir(exist_ok=True)
     for name, make in CASES.items():
         path = GOLDEN / f"{name}.tsv"
+        if path.exists():
+            print(f"kept {path}")
+            continue
         path.write_text(make().log_text(), encoding="utf-8")
         print(f"wrote {path}")
 
