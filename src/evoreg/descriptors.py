@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,9 @@ class Dataset:
         if not np.all(np.isfinite(self.activity)):
             raise ValueError("activity values must be finite")
         if len(set(self.molecule_ids)) != m:
-            raise ValueError("molecule ids must be distinct")
+            repeated = next(k for k, c in Counter(self.molecule_ids).items()
+                            if c > 1)
+            raise ValueError(f"molecule id {repeated!r} is repeated")
 
     @property
     def size(self) -> int:
@@ -304,7 +307,10 @@ def load_activity(path) -> Dataset:
             raise DescriptorDataError(
                 f"{path}: non-numeric activity for {r[0]!r}"
             ) from exc
-    return Dataset(tuple(ids), np.array(values))
+    try:
+        return Dataset(tuple(ids), np.array(values))
+    except ValueError as exc:
+        raise DescriptorDataError(f"{path}: {exc}") from exc
 
 
 def write_activity(ds: Dataset, path) -> None:

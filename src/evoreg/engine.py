@@ -186,7 +186,6 @@ class EvolutionState:
     """Mutable state of one run."""
 
     cfg: EvolutionConfig
-    topology: GeneticTopology
     provider: object
     dataset: Dataset
     rng: random.Random
@@ -285,7 +284,8 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
         panel, state.dataset.activity, [ind.rendered for ind in sample],
         s=fit_s, n=cfg.n,
     )
-    valid_models: list[tuple[tuple[int, ...], RegressionModel]] = []
+    members: list[tuple[int, ...]] = []    # one row and value per valid model
+    values: list[float] = []
     gen_best: tuple[float, tuple[int, ...], RegressionModel] | None = None
     for subset in combinations(range(p), cfg.n):
         for model in fit_assessed(
@@ -293,15 +293,13 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
         ):
             if not model.valid:
                 continue
-            valid_models.append((subset, model))
             value = objective_score(model, cfg.objective)
+            members.append(subset)
+            values.append(value)
             if gen_best is None or better(value, gen_best[0], direction):
                 gen_best = (value, subset, model)
-
-    participations = [0] * p
-    for subset, _ in valid_models:
-        for i in subset:
-            participations[i] += 1
+    member_rows = np.array(members, dtype=np.intp).reshape(-1, cfg.n)
+    participations = np.bincount(member_rows.ravel(), minlength=p)
 
     improved = False
     if gen_best is not None:
@@ -314,7 +312,7 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
 
     # selection scores and parent extraction
     sel_fs = selection_scores(
-        p, valid_models, cfg.selection_aggregate, cfg.objective
+        p, member_rows, values, cfg.selection_aggregate, direction
     )
     sel_dir = selection_direction(cfg.selection_aggregate, cfg.objective)
     sel_table = transform_scores(
@@ -358,8 +356,8 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
         if gen_best is not None
         else (),
         sample_genotypes=tuple(ind.rendered for ind in sample),
-        valid_regression_count=len(valid_models),
-        participations=tuple(participations),
+        valid_regression_count=len(values),
+        participations=tuple(participations.tolist()),
     )
 
     if viable_children:
@@ -416,7 +414,7 @@ def run(
         )
     rng = random.Random(cfg.seed)
     sample = init_sample(cfg, topology, provider, ds, rng)
-    state = EvolutionState(cfg, topology, provider, ds, rng, sample)
+    state = EvolutionState(cfg, provider, ds, rng, sample)
     records: list[GenerationRecord] = []
     for _ in range(cfg.max_generations):
         rec = run_generation(state)

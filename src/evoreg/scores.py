@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .genome import Genotype, ncd
+from .genome import Genotype, TopologyMismatchError
 from .regress import RegressionModel
 
 __all__ = [
@@ -104,45 +104,39 @@ def selection_direction(aggregate: str, objective: ObjectiveSpec) -> str:
 
 def selection_scores(
     n_genotypes: int,
-    valid_models: Sequence[tuple[tuple[int, ...], RegressionModel]],
+    members: np.ndarray,
+    values,
     aggregate: str,
-    objective: ObjectiveSpec,
+    direction: str,
 ) -> np.ndarray:
     """Per-genotype score over the valid regressions that contain it.
 
-    ``valid_models`` pairs each model with the sample indices of its members.
-    Genotypes contained in no valid model get the worst score for the active
-    direction, so selection disfavors them and survival removal favors them.
+    Row v of the (V, n) ``members`` array holds the sample indices of valid
+    model v, and ``values[v]`` its objective score, whose sense is
+    ``direction``. Genotypes contained in no valid model get the worst score
+    for the aggregate's direction, so selection disfavors them and survival
+    removal favors them.
     """
     if aggregate not in SELECTION_AGGREGATES:
         raise ValueError(f"unknown selection aggregate {aggregate!r}")
-    direction = selection_direction(aggregate, objective)
-    if not valid_models:
+    members = np.asarray(members, dtype=np.intp)
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
         logger.warning("no valid regressions; all selection scores worst-valued")
-        return np.full(n_genotypes, worst_score(direction))
-
+    flat = members.ravel()
+    counts = np.bincount(flat, minlength=n_genotypes)
     if aggregate == "nalive":
-        counts = np.zeros(n_genotypes)
-        for members, _ in valid_models:
-            for i in members:
-                counts[i] += 1.0
-        return counts
-
-    per_genotype: list[list[float]] = [[] for _ in range(n_genotypes)]
-    for members, model in valid_models:
-        value = objective_score(model, objective)
-        for i in members:
-            per_genotype[i].append(value)
-    out = np.empty(n_genotypes)
-    for i, values in enumerate(per_genotype):
-        if not values:
-            out[i] = worst_score(direction)
-        elif aggregate == "min":
-            out[i] = min(values)
-        elif aggregate == "max":
-            out[i] = max(values)
-        else:
-            out[i] = sum(values) / len(values)
+        return counts.astype(float)
+    per_member = np.repeat(values, members.shape[-1])
+    if aggregate == "avg":
+        sums = np.bincount(flat, weights=per_member, minlength=n_genotypes)
+        out = np.divide(sums, counts, out=np.zeros(n_genotypes),
+                        where=counts > 0)
+    else:
+        out = np.full(n_genotypes, np.inf if aggregate == "min" else -np.inf)
+        ufunc = np.minimum if aggregate == "min" else np.maximum
+        ufunc.at(out, flat, per_member)
+    out[counts == 0] = worst_score(direction)
     return out
 
 
@@ -195,16 +189,10 @@ def round_significant(x: float, digits: int) -> float:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """Spearman mid-ranks (1-based, ties averaged)."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(
+        values, return_inverse=True, return_counts=True
+    )
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def transform_scores(
@@ -276,16 +264,15 @@ def survival_scores(
         raise ValueError("survival scores need a sample of at least 2")
     if values.shape != (p,):
         raise ValueError("one score per genotype required")
-    nc = genotypes[0].topology.gene_count
-    out = np.full(p, math.inf)
-    for i in range(p):
-        for j in range(i + 1, p):
-            vsp = abs(values[i] - values[j]) ** q
-            vsg = (ncd(genotypes[i], genotypes[j]) / nc) ** r
-            denom = vsp + vsg
-            vs = cap if denom == 0.0 else min(cap, 2.0 / denom)
-            if vs < out[i]:
-                out[i] = vs
-            if vs < out[j]:
-                out[j] = vs
-    return out
+    topology = genotypes[0].topology
+    if any(g.topology is not topology and g.topology != topology
+           for g in genotypes):
+        raise TopologyMismatchError("genotypes come from different topologies")
+    alleles = np.array([g.allele_index for g in genotypes], dtype=np.intp)
+    ncd = (alleles[:, None, :] != alleles[None, :, :]).sum(axis=2)
+    denom = (np.abs(values[:, None] - values[None, :]) ** q
+             + (ncd / topology.gene_count) ** r)
+    with np.errstate(divide="ignore"):
+        similarity = np.minimum(cap, 2.0 / denom)    # 2/0 = inf -> cap
+    np.fill_diagonal(similarity, np.inf)
+    return similarity.min(axis=1)

@@ -375,3 +375,13 @@ def test_activity_rejects_bad_files(tmp_path):
     path.write_text("molecule,activity\nm1,abc\n")
     with pytest.raises(DescriptorDataError):
         load_activity(path)
+    # the dataset's own checks name the file, and a repeated id by name
+    for body, fault in [
+        ("m1,1.0\nm2,2.0\nm1,3.0\n", "molecule id 'm1' is repeated"),
+        ("m1,1.0\nm2,nan\nm3,3.0\n", "activity values must be finite"),
+        ("m1,1.0\nm2,2.0\n", "dataset needs at least 3 molecules"),
+    ]:
+        path.write_text("molecule,activity\n" + body)
+        with pytest.raises(DescriptorDataError) as info:
+            load_activity(path)
+        assert str(info.value) == f"{path}: {fault}"

@@ -231,7 +231,7 @@ def test_engine_boundary_for_the_tracer(planted_world, monkeypatch):
     topo, ds, provider = planted_world
     cfg = planted_config(seed=8, p=12, n=2)
     rng = random.Random(cfg.seed)
-    state = EvolutionState(cfg, topo, provider, ds, rng,
+    state = EvolutionState(cfg, provider, ds, rng,
                            init_sample(cfg, topo, provider, ds, rng))
     calls = {"gram": 0, "fit": 0, "assessed": 0, "t": 0}
 

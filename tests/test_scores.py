@@ -3,14 +3,23 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evoreg.genome import Gene, GeneticTopology, Genotype
+from evoreg.genome import (
+    Gene,
+    GeneticTopology,
+    Genotype,
+    TopologyMismatchError,
+    ncd,
+)
 from evoreg.regress import RegressionModel, ols_fit
 from evoreg.scores import (
     SIMILARITY_CAP,
     WORST_MIN_SCORE,
     NormalizationState,
     ObjectiveSpec,
+    _midranks,
     objective_score,
     round_significant,
     selection_direction,
@@ -110,25 +119,38 @@ def test_objective_hr_boundaries():
 # --- selection scores ------------------------------------------------------------
 
 
+def scored(models, spec):
+    """The engine's member rows and objective values for (subset, model)
+    pairs."""
+    members = np.array([subset for subset, _ in models], dtype=np.intp)
+    return members, [objective_score(model, spec) for _, model in models]
+
+
 def test_selection_nalive_counts_memberships():
     models = [
         ((0, 1), model_stub()),
         ((0, 2), model_stub()),
         ((1, 2), model_stub()),
     ]
-    fs = selection_scores(4, models, "nalive", ObjectiveSpec("r2"))
+    spec = ObjectiveSpec("r2")
+    fs = selection_scores(4, *scored(models, spec), "nalive", spec.direction)
     assert fs.tolist() == [2.0, 2.0, 2.0, 0.0]
 
 
 def test_selection_zero_model_worst_value_for_direction():
-    fs = selection_scores(3, [((0, 1), model_stub())], "min", ObjectiveSpec("se"))
+    spec = ObjectiveSpec("se")
+    fs = selection_scores(3, *scored([((0, 1), model_stub())], spec), "min",
+                          spec.direction)
     assert fs[2] == WORST_MIN_SCORE
-    fs = selection_scores(3, [((0, 1), model_stub())], "max", ObjectiveSpec("r2"))
+    spec = ObjectiveSpec("r2")
+    fs = selection_scores(3, *scored([((0, 1), model_stub())], spec), "max",
+                          spec.direction)
     assert fs[2] == 0.0
 
 
 def test_selection_empty_model_set_flags_worst():
-    fs = selection_scores(3, [], "avg", ObjectiveSpec("r2"))
+    spec = ObjectiveSpec("r2")
+    fs = selection_scores(3, *scored([], spec), "avg", spec.direction)
     assert fs.tolist() == [0.0, 0.0, 0.0]
 
 
@@ -139,13 +161,16 @@ def test_selection_aggregates_match_membership_oracle():
         ((1, 2), model_stub(r2=0.7)),
     ]
     spec = ObjectiveSpec("r2", 1.0)
+    rows = scored(models, spec)
     # brute-force membership oracle
     expected_avg = {0: (0.9 + 0.5) / 2, 1: (0.9 + 0.7) / 2, 2: (0.5 + 0.7) / 2}
-    avg = selection_scores(3, models, "avg", spec)
+    avg = selection_scores(3, *rows, "avg", spec.direction)
     for i in range(3):
         assert avg[i] == pytest.approx(expected_avg[i])
-    assert selection_scores(3, models, "min", spec).tolist() == [0.5, 0.7, 0.5]
-    assert selection_scores(3, models, "max", spec).tolist() == [0.9, 0.9, 0.7]
+    assert selection_scores(3, *rows, "min", spec.direction).tolist() == \
+        [0.5, 0.7, 0.5]
+    assert selection_scores(3, *rows, "max", spec.direction).tolist() == \
+        [0.9, 0.9, 0.7]
 
 
 def test_selection_direction_mapping():
@@ -287,3 +312,164 @@ def test_survival_needs_two_individuals():
     gs = binary_genotypes((0, 0, 0))
     with pytest.raises(ValueError):
         survival_scores(gs, [1.0], q=1.0, r=1.0)
+
+
+def test_survival_rejects_mixed_topologies():
+    same = binary_genotypes((0, 0, 0), (1, 0, 1))
+    # equal topologies built separately are one topology
+    survival_scores(same + binary_genotypes((0, 1, 1)), [1.0, 2.0, 3.0],
+                    q=1.0, r=1.0)
+    with pytest.raises(TopologyMismatchError):
+        survival_scores(same + binary_genotypes((0, 1, 1, 0)), [1.0, 2.0, 3.0],
+                        q=1.0, r=1.0)
+
+
+# --- loop references ---------------------------------------------------------------
+#
+# The per-pair and per-genotype loops the array pipeline replaced, kept as
+# oracles: survival pair by pair through `ncd`, selection aggregates from
+# per-genotype lists, mid-ranks by walking runs of ties.
+
+
+def survival_reference(genotypes, fs, q, r, cap=SIMILARITY_CAP):
+    values = np.asarray(fs, dtype=float)
+    p = len(genotypes)
+    nc = genotypes[0].topology.gene_count
+    out = np.full(p, math.inf)
+    for i in range(p):
+        for j in range(i + 1, p):
+            vsp = abs(values[i] - values[j]) ** q
+            vsg = (ncd(genotypes[i], genotypes[j]) / nc) ** r
+            denom = vsp + vsg
+            vs = cap if denom == 0.0 else min(cap, 2.0 / denom)
+            if vs < out[i]:
+                out[i] = vs
+            if vs < out[j]:
+                out[j] = vs
+    return out
+
+
+def selection_reference(n_genotypes, members, values, aggregate, direction):
+    worst = WORST_MIN_SCORE if direction == "min" else 0.0
+    if aggregate == "nalive":
+        counts = np.zeros(n_genotypes)
+        for row in members:
+            for i in row:
+                counts[i] += 1.0
+        return counts
+    per_genotype = [[] for _ in range(n_genotypes)]
+    for row, value in zip(members, values):
+        for i in row:
+            per_genotype[i].append(value)
+    out = np.empty(n_genotypes)
+    for i, vals in enumerate(per_genotype):
+        if not vals:
+            out[i] = worst
+        elif aggregate == "min":
+            out[i] = min(vals)
+        elif aggregate == "max":
+            out[i] = max(vals)
+        else:
+            total = 0.0          # left to right, as sum() adds floats
+            for v in vals:
+                total += v
+            out[i] = total / len(vals)
+    return out
+
+
+def midranks_reference(values):
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+# The array pipeline raises to q and r with numpy's array power, the loop
+# with the C library's scalar pow; the two differ by an ulp at some inputs,
+# even at 0.5 and 2, where numpy takes a correctly rounded sqrt or square.
+# Only the default exponent 1 takes no power and matches bit for bit.
+EXACT_EXPONENT = 1.0
+ULP_RTOL = 4 * np.finfo(float).eps
+
+
+def some_genotypes(rng, p, genes, duplicates):
+    """p genotypes over `genes` three-allele genes, scores drawn from a short
+    list so that equal scores are common; with `duplicates`, the first two
+    individuals are the same genotype with the same score."""
+    topo = GeneticTopology(
+        tuple(Gene(f"g{i}", ("a", "b", "c")) for i in range(genes))
+    )
+    alleles = rng.integers(0, 3, size=(p, genes))
+    fs = rng.choice([0.0, 0.25, 1.0, 3.5, 1e-9], size=p)
+    spread = rng.random(p) < 0.5
+    fs[spread] = rng.normal(scale=2.0, size=int(spread.sum()))
+    if duplicates:
+        alleles[1], fs[1] = alleles[0], fs[0]
+    return [Genotype(topo, tuple(int(a) for a in row)) for row in alleles], fs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.integers(2, 14),
+    genes=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    q=st.sampled_from((1.0, 0.5, 2.0, 0.3, 1.7, 3.0)),
+    r=st.sampled_from((1.0, 0.5, 2.0, 0.3, 1.7, 3.0)),
+    duplicates=st.booleans(),
+)
+def test_survival_matches_loop_reference(p, genes, seed, q, r, duplicates):
+    rng = np.random.default_rng(seed)
+    gs, fs = some_genotypes(rng, p, genes, duplicates)
+    got = survival_scores(gs, fs, q, r)
+    want = survival_reference(gs, fs, q, r)
+    if duplicates and p == 2:
+        assert got.tolist() == [SIMILARITY_CAP, SIMILARITY_CAP]
+    if q == r == EXACT_EXPONENT:
+        assert got.tolist() == want.tolist()
+    else:
+        np.testing.assert_allclose(got, want, rtol=ULP_RTOL, atol=0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    n_genotypes=st.integers(2, 16),
+    n=st.integers(1, 3),
+    n_models=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+    aggregate=st.sampled_from(("nalive", "min", "max", "avg")),
+    direction=st.sampled_from(("min", "max")),
+)
+def test_selection_matches_loop_reference(
+    n_genotypes, n, n_models, seed, aggregate, direction
+):
+    rng = np.random.default_rng(seed)
+    n = min(n, n_genotypes - 1)
+    # sorted member rows, repeated when both intercept forms are valid
+    members = np.array(
+        [np.sort(rng.choice(n_genotypes, size=n, replace=False))
+         for _ in range(n_models)], dtype=np.intp,
+    ).reshape(n_models, n)
+    if n_models > 1:
+        members[-1] = members[0]
+    values = rng.choice([0.5, 0.1, 2.0], size=n_models)
+    spread = rng.random(n_models) < 0.7
+    values[spread] = rng.uniform(0.0, 50.0, size=int(spread.sum()))
+    got = selection_scores(n_genotypes, members, values, aggregate, direction)
+    want = selection_reference(n_genotypes, members.tolist(), values.tolist(),
+                               aggregate, direction)
+    assert got.tolist() == want.tolist()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from([-1.5, 0.0, -0.0, 0.25, 2.0, 7.0, 1e300]),
+                min_size=1, max_size=30)
+       | st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30))
+def test_midranks_match_loop_reference(values):
+    values = np.array(values)
+    assert _midranks(values).tolist() == midranks_reference(values).tolist()
