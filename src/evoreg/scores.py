@@ -272,7 +272,8 @@ def survival_scores(
     ncd = (alleles[:, None, :] != alleles[None, :, :]).sum(axis=2)
     denom = (np.abs(values[:, None] - values[None, :]) ** q
              + (ncd / topology.gene_count) ** r)
+    # 2/0 = inf gives the cap, also on the diagonal, where it never lowers
+    # a row's minimum: no pair scores above the cap
     with np.errstate(divide="ignore"):
-        similarity = np.minimum(cap, 2.0 / denom)    # 2/0 = inf -> cap
-    np.fill_diagonal(similarity, np.inf)
+        similarity = np.minimum(cap, 2.0 / denom)
     return similarity.min(axis=1)
