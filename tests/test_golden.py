@@ -126,6 +126,20 @@ def _min_se_both_ranks():
     )
 
 
+def _screened_24():
+    """24 genes (16.7M genotypes), one descriptor per model, with every
+    viability screen on: the cv floor, the Jarque-Bera gate and the simple
+    r2 floor each reject some children and some initial candidates."""
+    topology = binary_topology(24)
+    dataset = normal_dataset()
+    cfg = planted_config(
+        seed=9, p=24, n=1, k=12, max_generations=30,
+        viability=dsc.ViabilityPolicy(min_cv=0.56, jb_alpha=0.001,
+                                      min_simple_r2=0.0005),
+    )
+    return run(cfg, topology, planted_provider(topology, dataset), dataset)
+
+
 CASES = {
     "planted_n2_seed0": _planted_n2,
     "table_p30_n3": _table_p30_n3,
@@ -133,6 +147,7 @@ CASES = {
     "nalive_ranks_q2": _nalive_ranks_q2,
     "avg_normalized_digits": _avg_normalized_digits,
     "min_se_both_ranks": _min_se_both_ranks,
+    "screened_24": _screened_24,
 }
 
 
