@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +72,13 @@ class Dataset:
     def size(self) -> int:
         return len(self.molecule_ids)
 
+    @cached_property
+    def centred_activity(self) -> tuple[np.ndarray, float]:
+        """The activity minus its mean, and that vector's sum of squares."""
+        dy = self.activity - self.activity.mean()
+        dy.flags.writeable = False
+        return dy, float(dy @ dy)
+
 
 @dataclass(frozen=True)
 class Phenotype:
@@ -122,46 +131,50 @@ class ViabilityReport:
         return tuple(n for n, f in zip(names, flags) if f is False)
 
 
-def simple_r2(x: np.ndarray, y: np.ndarray) -> float:
-    """Squared Pearson correlation; 0 when either side has no variance."""
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    if sxx == 0.0 or syy == 0.0:
-        return 0.0
-    sxy = float(dx @ dy)
-    return min(1.0, sxy * sxy / (sxx * syy))
-
-
 def check_viability(
     p: Phenotype, ds: Dataset, policy: ViabilityPolicy
 ) -> ViabilityReport:
     """Apply the viability rules: finite everywhere, not all identical, and
-    any configured optional screens."""
+    any configured optional screens.
+
+    The screens work on one centred copy of the values: the cv compares the
+    population sd (pairwise sums, as numpy's mean and std take them) with
+    the mean; the simple r2 floor compares the squared Pearson correlation
+    with the activity (0 when either side has no variance)."""
     v = p.values
     if v.shape != ds.activity.shape:
         raise ValueError("phenotype length does not match dataset")
-    finite = bool(np.all(np.isfinite(v)))
-    non_constant = finite and bool(np.any(v != v[0]))
+    m = v.size
+    total = v.sum()
+    # a finite sum proves every value finite; an overflowed one proves nothing
+    finite = math.isfinite(total) or bool(np.isfinite(v).all())
+    non_constant = finite and bool((v != v[0]).any())
     cv_ok = jb_ok = r2_ok = None
     if finite:
+        if policy.min_cv is not None or policy.min_simple_r2 is not None:
+            mean = total / m
+            d = v - mean
         if policy.min_cv is not None:
-            mean = float(v.mean())
-            sd = float(v.std())
+            sd = math.sqrt((d * d).sum() / m)
             if mean == 0.0:
                 # zero mean with any spread is maximally variable
                 cv_ok = sd > 0.0
             else:
-                cv_ok = abs(sd / mean) >= policy.min_cv
+                cv_ok = abs(sd / float(mean)) >= policy.min_cv
         if policy.jb_alpha is not None:
-            if non_constant and v.size >= 4:
+            if non_constant and m >= 4:
                 _, pval = stats.jarque_bera(v)
                 jb_ok = pval >= policy.jb_alpha
             else:
                 jb_ok = False
         if policy.min_simple_r2 is not None:
-            r2_ok = simple_r2(v, ds.activity) >= policy.min_simple_r2
+            dy, syy = ds.centred_activity
+            sxx = float(d @ d)
+            r2 = 0.0
+            if sxx != 0.0 and syy != 0.0:
+                sxy = float(d @ dy)
+                r2 = min(1.0, sxy * sxy / (sxx * syy))
+            r2_ok = r2 >= policy.min_simple_r2
     return ViabilityReport(finite, non_constant, cv_ok, jb_ok, r2_ok)
 
 
@@ -210,8 +223,13 @@ class SyntheticProvider:
     (seed, rendered genotype), so a cell's value depends only on the seed,
     the genotype, and the molecule index. Non-planted cells are uniform on
     [low, high); planted genotypes produce a linear function of the activity
-    plus seeded gaussian noise.
+    plus seeded gaussian noise. One Philox generator serves every key: it is
+    re-keyed to the state a fresh `Philox(key=...)` starts in, which draws
+    the same values without building a generator per genotype.
     """
+
+    _ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+    _ZERO_WORDS.flags.writeable = False
 
     def __init__(
         self,
@@ -231,13 +249,20 @@ class SyntheticProvider:
         self.high = float(high)
         self.planted = dict(planted or {})
         self._cache: dict[str, Phenotype] = {}
+        self._rng = np.random.Generator(np.random.Philox(0))
 
     def _stream(self, key: str) -> np.random.Generator:
         digest = hashlib.blake2b(
             f"{self.seed}|{key}".encode(), digest_size=16
         ).digest()
-        words = np.frombuffer(digest, dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=words))
+        zeros = self._ZERO_WORDS
+        self._rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros,
+                      "key": np.frombuffer(digest, dtype=np.uint64)},
+            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        return self._rng
 
     def provide(self, genotype: Genotype) -> Phenotype:
         key = genotype.render()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "Gene",
@@ -148,8 +149,18 @@ class Genotype:
                     f"allele index {i} out of range for gene {gene.name!r}"
                 )
 
+    @cached_property
+    def key(self) -> str:
+        """The rendering without a separator, computed once per genotype.
+        Equality and hashing compare only the two fields."""
+        return self.topology.render(self)
+
+    def __getstate__(self):
+        # copies and pickles carry the fields, not the cached key
+        return {"topology": self.topology, "allele_index": self.allele_index}
+
     def render(self, sep: str = "") -> str:
-        return self.topology.render(self, sep)
+        return self.topology.render(self, sep) if sep else self.key
 
 
 def genome_size(topology: GeneticTopology) -> int:

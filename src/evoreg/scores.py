@@ -233,13 +233,22 @@ def transform_scores(
         values = np.array([round_significant(v, digits) for v in values])
     if use_ranks:
         values = 2.0 * _midranks(values) - 1.0
+    if np.isnan(values).any():
+        # rounding a value below about 1e-306 gives NaN (numpy's scalar round)
+        raise ValueError("score transform produced NaN")
 
-    distinct, counts = np.unique(values, return_counts=True)
-    by_value: dict[float, list[int]] = {v: [] for v in distinct}
-    for i, v in enumerate(values):
-        by_value[v].append(i)
-    groups = tuple(tuple(by_value[v]) for v in distinct)
-    return ScoreTable(values, distinct, counts, direction, groups, degenerate)
+    # one stable sort groups equal scores, indices ascending within a group
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.empty(values.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    bounds = starts.tolist() + [values.size]
+    members = order.tolist()
+    groups = tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return ScoreTable(values, ordered[starts], np.diff(bounds), direction,
+                      groups, degenerate)
 
 
 def survival_scores(

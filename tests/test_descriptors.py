@@ -1,10 +1,14 @@
+import hashlib
 import math
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evoreg import stats
 from evoreg.descriptors import (
     Dataset,
     DescriptorDataError,
@@ -17,7 +21,6 @@ from evoreg.descriptors import (
     load_activity,
     load_descriptor_table,
     pick_planted_genotypes,
-    simple_r2,
     write_activity,
     write_descriptor_table,
 )
@@ -144,6 +147,150 @@ def test_viability_length_mismatch(topo, dataset):
         check_viability(
             make_phenotype(np.arange(10.0), topo), dataset, ViabilityPolicy()
         )
+
+
+# The screen as numpy's mean and std and a separate simple_r2 computed it,
+# kept as an oracle: the array passes must give the same report bit for bit.
+
+
+def simple_r2(x, y):
+    """Squared Pearson correlation; 0 when either side has no variance."""
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sxx = float(dx @ dx)
+    syy = float(dy @ dy)
+    if sxx == 0.0 or syy == 0.0:
+        return 0.0
+    sxy = float(dx @ dy)
+    return min(1.0, sxy * sxy / (sxx * syy))
+
+
+def viability_reference(v, ds, policy):
+    finite = bool(np.all(np.isfinite(v)))
+    non_constant = finite and bool(np.any(v != v[0]))
+    cv_ok = jb_ok = r2_ok = None
+    if finite:
+        if policy.min_cv is not None:
+            mean = float(v.mean())
+            sd = float(v.std())
+            if mean == 0.0:
+                cv_ok = sd > 0.0
+            else:
+                cv_ok = abs(sd / mean) >= policy.min_cv
+        if policy.jb_alpha is not None:
+            if non_constant and v.size >= 4:
+                _, pval = stats.jarque_bera(v)
+                jb_ok = pval >= policy.jb_alpha
+            else:
+                jb_ok = False
+        if policy.min_simple_r2 is not None:
+            r2_ok = simple_r2(v, ds.activity) >= policy.min_simple_r2
+    return (finite, non_constant, cv_ok, jb_ok, r2_ok)
+
+
+def assert_same_report(values, ds, policy):
+    """Field by field, value and type: a numpy bool where a bool was is a
+    difference too."""
+    with np.errstate(all="ignore"):
+        got = check_viability(Phenotype(values, None), ds, policy)
+        want = viability_reference(np.asarray(values, dtype=float), ds, policy)
+    fields = (got.finite, got.non_constant, got.cv_ok, got.jb_ok,
+              got.simple_r2_ok)
+    assert [(type(f), f) for f in fields] == [(type(f), f) for f in want]
+    return got
+
+
+def adversarial_panels(m, rng):
+    """Value vectors that probe each branch of the screens."""
+    ramp = np.arange(m, dtype=float)
+    nan_at, inf_at = ramp.copy(), ramp.copy()
+    nan_at[m // 2] = math.nan
+    inf_at[-1] = math.inf
+    both_inf = ramp.copy()
+    both_inf[0], both_inf[-1] = math.inf, -math.inf
+    half = np.where(ramp < m // 2, 1.7e308, -1.7e308)
+    zero_mean = np.where(ramp % 2 == 0, 1.0, -1.0)
+    zero_mean[-1] *= m % 2 == 0     # an odd count ends on a zero
+    return {
+        "uniform": rng.uniform(size=m),
+        "normal": rng.normal(3.0, 2.0, size=m),
+        "negative_mean": rng.normal(-4.0, 0.5, size=m),
+        "zero_mean": zero_mean,
+        "constant": np.full(m, 3.3),
+        "zeros": np.zeros(m),
+        "signed_zeros": np.where(ramp % 2 == 0, 0.0, -0.0),
+        "tiny_spread": 10.0 + 1e-12 * np.sin(ramp),
+        "nan": nan_at,
+        "inf": inf_at,
+        "both_inf": both_inf,
+        "sum_overflows": np.linspace(1e308, 1.5e308, m),
+        "constant_1e308": np.full(m, 1e308),
+        "halves_overflow": half,
+        "activity_copy": None,   # filled in by the caller
+    }
+
+
+def constant_dataset(m):
+    return Dataset(tuple(f"m{i}" for i in range(m)), np.full(m, 2.5))
+
+
+@pytest.mark.parametrize("m", [3, 4, 7, 40, 206, 300])
+@pytest.mark.parametrize("constant_activity", [False, True])
+def test_viability_matches_reference_on_adversarial_panels(
+        m, constant_activity):
+    rng = np.random.default_rng(m)
+    ds = (constant_dataset(m) if constant_activity else
+          Dataset(tuple(f"m{i}" for i in range(m)), rng.normal(6.5, 0.8, m)))
+    policies = [
+        ViabilityPolicy(),
+        ViabilityPolicy(min_cv=0.1),
+        ViabilityPolicy(min_simple_r2=0.01),
+        ViabilityPolicy(min_cv=0.5, jb_alpha=0.01, min_simple_r2=0.5),
+        ViabilityPolicy(min_cv=0.0, jb_alpha=0.0, min_simple_r2=0.0),
+        ViabilityPolicy(min_cv=1e300, jb_alpha=1.0, min_simple_r2=1.0),
+    ]
+    panels = adversarial_panels(m, rng)
+    panels["activity_copy"] = 2.0 * ds.activity - 1.0
+    for name, values in panels.items():
+        for policy in policies:
+            assert_same_report(values, ds, policy)
+
+
+@pytest.mark.parametrize("m", [5, 40, 206])
+def test_viability_thresholds_match_reference_on_both_sides(m):
+    """A threshold set at the panel's own cv or r2 passes, and the next
+    float above it fails; both screens agree with the reference there."""
+    rng = np.random.default_rng(100 + m)
+    ds = Dataset(tuple(f"m{i}" for i in range(m)), rng.normal(6.5, 0.8, m))
+    for values in (rng.uniform(size=m), rng.normal(-2.0, 1.0, size=m),
+                   ds.activity + rng.normal(0.0, 0.5, size=m)):
+        cv = abs(float(values.std()) / float(values.mean()))
+        r2 = simple_r2(values, ds.activity)
+        for floor, ok in ((cv, True), (math.nextafter(cv, math.inf), False)):
+            got = assert_same_report(values, ds, ViabilityPolicy(min_cv=floor))
+            assert got.cv_ok is ok
+        for floor, ok in ((r2, True), (math.nextafter(r2, math.inf), False)):
+            got = assert_same_report(values, ds,
+                                     ViabilityPolicy(min_simple_r2=floor))
+            assert got.simple_r2_ok is ok
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    values=st.lists(st.floats(width=64) | st.sampled_from(
+        [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324]),
+        min_size=3, max_size=40),
+    min_cv=st.none() | st.floats(0.0, 3.0),
+    min_r2=st.none() | st.floats(0.0, 1.0),
+    jb_alpha=st.none() | st.floats(0.0, 1.0),
+)
+def test_viability_matches_reference_on_any_floats(values, min_cv, min_r2,
+                                                    jb_alpha):
+    m = len(values)
+    ds = Dataset(tuple(f"m{i}" for i in range(m)),
+                 np.random.default_rng(m).normal(size=m))
+    assert_same_report(np.array(values), ds,
+                       ViabilityPolicy(min_cv, jb_alpha, min_r2))
 
 
 def test_policy_validation():
@@ -346,6 +493,45 @@ def test_synthetic_planted_noise_is_deterministic(topo, dataset):
     b = SyntheticProvider(topo, dataset, seed=3, planted=planted).provide(g)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, dataset.activity)
+
+
+def fresh_stream_values(provider, key):
+    """The values a freshly built `Generator(Philox(key))` gives a key."""
+    digest = hashlib.blake2b(f"{provider.seed}|{key}".encode(),
+                             digest_size=16).digest()
+    rng = np.random.Generator(
+        np.random.Philox(key=np.frombuffer(digest, dtype=np.uint64)))
+    m = provider.dataset.size
+    signal = provider.planted.get(key)
+    if signal is None:
+        return rng.uniform(provider.low, provider.high, m)
+    values = signal.intercept + signal.slope * provider.dataset.activity
+    if signal.noise_sd > 0.0:
+        values = values + signal.noise_sd * rng.standard_normal(m)
+    return values
+
+
+def test_synthetic_rekeyed_stream_matches_fresh_generator():
+    """One re-keyed generator serves every key; interleaving uniform and
+    planted-noise genotypes (whose normal draws stop mid-buffer at an odd
+    molecule count) and cache hits must not carry any state from one key
+    into the next."""
+    topo = binary_topology(8)
+    ids = tuple(f"m{i}" for i in range(41))
+    ds = Dataset(ids, np.random.default_rng(12).normal(6.5, 0.8, 41))
+    rng = random.Random(13)
+    genotypes = [random_genotype(topo, rng) for _ in range(60)]
+    planted = {g.render(): PlantedSignal(slope=0.5, intercept=1.0,
+                                         noise_sd=0.3)
+               for g in genotypes[::3]}
+    planted[genotypes[1].render()] = PlantedSignal(slope=2.0)  # no noise
+    provider = SyntheticProvider(topo, ds, seed=14, low=-2.0, high=5.0,
+                                 planted=planted)
+    order = genotypes + genotypes[::-2] + genotypes[5:20]
+    for g in order:
+        got = provider.provide(g).values
+        assert got.tobytes() == fresh_stream_values(provider, g.render()
+                                                    ).tobytes()
 
 
 def test_pick_planted_genotypes(topo):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -312,6 +314,28 @@ def test_parse_render_inverse_multichar_unambiguous():
     )
     for g in topo.all_genotypes():
         assert topo.parse(g.render()) == g
+
+
+def test_genotype_cached_key_is_not_part_of_its_value():
+    """The separator-free rendering is cached on first use; equality,
+    hashing, copies and pickles see only the topology and the alleles."""
+    topo = GeneticTopology(
+        (Gene("g0", ("ab", "cd")), Gene("g1", ("x", "yz", "w")))
+    )
+    rendered = Genotype(topo, (1, 1))
+    fresh = Genotype(topo, (1, 1))
+    assert rendered.render() == "cdyz" and "key" in vars(rendered)
+    assert "key" not in vars(fresh)
+    assert rendered == fresh and hash(rendered) == hash(fresh)
+    assert rendered != Genotype(topo, (1, 2))
+    assert rendered.render(".") == "cd.yz"   # separators are not cached
+    assert rendered.render() is rendered.render()
+    for clone in (copy.copy(rendered), copy.deepcopy(rendered),
+                  pickle.loads(pickle.dumps(rendered))):
+        assert "key" not in vars(clone)
+        assert clone == rendered and hash(clone) == hash(rendered)
+        assert clone.render() == "cdyz" and clone.render(".") == "cd.yz"
+    assert {rendered: 1}[fresh] == 1
 
 
 def test_parse_rejects_garbage(topo232):

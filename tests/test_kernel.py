@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evoreg import engine, regress
+from evoreg import descriptors, engine, genome, regress
+from evoreg.descriptors import SyntheticProvider, TableProvider
 from evoreg.engine import EvolutionState, init_sample, run_generation
 from evoreg.regress import (
     PIVOT_TOL,
@@ -21,7 +22,7 @@ from evoreg.regress import (
     fit_assessed,
     ols_fit,
 )
-from tests.conftest import planted_config
+from tests.conftest import binary_topology, normal_dataset, planted_config
 from tests.test_regress import lstsq_oracle, make_dataset, make_phenotypes
 
 PANELS = ("random", "collinear", "constant", "near_constant", "exact", "tight")
@@ -254,6 +255,77 @@ def test_engine_boundary_for_the_tracer(planted_world, monkeypatch):
     assert calls["fit"] >= calls["assessed"]
     assert calls["t"] > 0
     assert record.valid_regression_count <= calls["assessed"]
+
+
+def _partial_table_world():
+    """A descriptor table with every third genotype of a 7-gene space left
+    out, so some children get no phenotype and never reach the screen."""
+    topology = binary_topology(7)
+    dataset = normal_dataset(m=30)
+    rng = np.random.default_rng(17)
+    table = {g.render(): rng.uniform(0.0, 1.0, 30)
+             for i, g in enumerate(topology.all_genotypes()) if i % 3}
+    return topology, dataset, TableProvider(topology, table)
+
+
+@pytest.mark.parametrize("world", ["synthetic", "partial_table"])
+def test_child_boundaries_for_the_tracer(world, planted_world, monkeypatch):
+    """The tracer also wraps engine.check_viability and both providers'
+    provide methods, and reads its provide_ms, viability_ms and nonviable
+    counts from them: one run_generation must screen each child that gets
+    a phenotype exactly once, right after its provide call."""
+    assert engine.check_viability is descriptors.check_viability
+    for cls in (SyntheticProvider, TableProvider):
+        assert callable(vars(cls)["provide"])
+
+    topo, ds, provider = (planted_world if world == "synthetic"
+                          else _partial_table_world())
+    cfg = planted_config(seed=4, p=12, n=1, k=6, pp=0.3, cp=0.3)
+    rng = random.Random(cfg.seed)
+    state = EvolutionState(cfg, provider, ds, rng,
+                           init_sample(cfg, topo, provider, ds, rng))
+    children, events = [], []
+
+    def bred(original):
+        def crossover(a, b, rng):
+            pair = original(a, b, rng)
+            children.extend(pair)
+            return pair
+        return crossover
+
+    def provided(original):
+        def provide(self, genotype):
+            ph = original(self, genotype)
+            events.append(("provide", genotype, ph))
+            return ph
+        return provide
+
+    def screened(original):
+        def check_viability(ph, ds, policy):
+            events.append(("screen", ph.source_genotype, ph))
+            return original(ph, ds, policy)
+        return check_viability
+
+    monkeypatch.setattr(genome, "crossover", bred(genome.crossover))
+    cls = type(provider)
+    monkeypatch.setattr(cls, "provide", provided(vars(cls)["provide"]))
+    monkeypatch.setattr(engine, "check_viability",
+                        screened(engine.check_viability))
+    run_generation(state)
+
+    assert len(children) == 2 * cfg.k
+    provides = [e for e in events if e[0] == "provide"]
+    screens = [e for e in events if e[0] == "screen"]
+    with_phenotype = [e for e in provides if e[2] is not None]
+    assert screens and len(provides) <= len(children)
+    if world == "partial_table":
+        assert len(with_phenotype) < len(provides)
+    assert len(screens) == len(with_phenotype)
+    for i, event in enumerate(events):
+        if event[0] == "screen":
+            kind, genotype, ph = events[i - 1]
+            assert kind == "provide" and ph is event[2]
+            assert genotype == event[1]
 
 
 # --- memory ------------------------------------------------------------------

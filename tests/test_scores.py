@@ -251,6 +251,8 @@ def test_transform_rejects_bad_input():
         transform_scores([])
     with pytest.raises(ValueError):
         transform_scores([1.0, math.nan])
+    with pytest.raises(ValueError, match="NaN"), np.errstate(invalid="ignore"):
+        transform_scores([2e-311, 1.0], digits=2)   # rounds to NaN
     with pytest.raises(ValueError):
         transform_scores([1.0], direction="sideways")
 
@@ -377,6 +379,16 @@ def selection_reference(n_genotypes, members, values, aggregate, direction):
     return out
 
 
+def groups_reference(values):
+    """Distinct values, counts and per-value index groups, grouped by a
+    dict loop after np.unique."""
+    distinct, counts = np.unique(values, return_counts=True)
+    by_value = {v: [] for v in distinct}
+    for i, v in enumerate(values):
+        by_value[v].append(i)
+    return distinct, counts, tuple(tuple(by_value[v]) for v in distinct)
+
+
 def midranks_reference(values):
     order = np.argsort(values, kind="stable")
     ranks = np.empty(values.size)
@@ -473,3 +485,33 @@ def test_selection_matches_loop_reference(
 def test_midranks_match_loop_reference(values):
     values = np.array(values)
     assert _midranks(values).tolist() == midranks_reference(values).tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    values=st.lists(st.sampled_from([-1.5, 0.0, -0.0, 0.25, 2.0, 7.0, 1e300]),
+                    min_size=1, max_size=30)
+    | st.lists(st.floats(-1e6, 1e6).filter(
+        lambda x: x == 0.0 or abs(x) > 1e-300), min_size=1, max_size=30),
+    normalize=st.sampled_from([None, "fresh", "primed"]),
+    digits=st.none() | st.integers(1, 3),
+    use_ranks=st.booleans(),
+    direction=st.sampled_from(("min", "max")),
+)
+def test_transform_groups_match_loop_reference(values, normalize, digits,
+                                               use_ranks, direction):
+    """Ties, signed zeros, the degenerate normalization (one repeated value
+    on a fresh state) and the rank path all group as the loop did."""
+    state = None
+    if normalize is not None:
+        state = NormalizationState(-1.0, 1.0)
+        if normalize == "primed":
+            state.update(-3.0, 3.0)
+    table = transform_scores(values, state, digits, use_ranks, direction)
+    distinct, counts, groups = groups_reference(table.fs)
+    assert table.distinct.tolist() == distinct.tolist()
+    assert table.counts.tolist() == counts.tolist()
+    assert table.groups == groups
+    assert all(type(i) is int for g in table.groups for i in g)
+    if normalize == "fresh" and len(set(values)) == 1:
+        assert table.degenerate
