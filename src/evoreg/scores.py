@@ -240,10 +240,8 @@ def transform_scores(
     # one stable sort groups equal scores, indices ascending within a group
     order = np.argsort(values, kind="stable")
     ordered = values[order]
-    first = np.empty(values.size, dtype=bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
+    starts = np.flatnonzero(
+        np.concatenate(([True], ordered[1:] != ordered[:-1])))
     bounds = starts.tolist() + [values.size]
     members = order.tolist()
     groups = tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
