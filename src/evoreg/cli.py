@@ -353,10 +353,7 @@ def _cmd_grid(args) -> int:
     topology, ds, cfg = _load_run_inputs(manifest)
     provider = _build_provider(manifest, topology, ds)
     agg = experiment.run_grid(
-        cfg,
-        topology,
-        lambda: provider,
-        ds,
+        cfg, topology, provider, ds,
         runs_per_cell=args.runs_per_cell,
         master_seed=manifest.seed,
         threshold=args.threshold,

@@ -122,13 +122,6 @@ def _config_dict(cfg: EvolutionConfig) -> dict:
 
 
 @dataclass(frozen=True)
-class Individual:
-    genotype: Genotype
-    phenotype: Phenotype
-    rendered: str
-
-
-@dataclass(frozen=True)
 class GenerationRecord:
     generation: int
     best_objective: float          # this generation's best valid model (NaN if none)
@@ -183,13 +176,14 @@ class RunResult:
 
 @dataclass
 class EvolutionState:
-    """Mutable state of one run."""
+    """Mutable state of one run. A sample member is the phenotype its
+    provider returned; its genotype is ``source_genotype``."""
 
     cfg: EvolutionConfig
     provider: object
     dataset: Dataset
     rng: random.Random
-    sample: list[Individual]
+    sample: list[Phenotype]
     generation: int = 0
     best_model: RegressionModel | None = None
     best_objective: float = float("nan")
@@ -206,8 +200,27 @@ class EvolutionState:
             self.sur_norm = NormalizationState(n0, n1)
 
 
-def _make_individual(genotype: Genotype, phenotype: Phenotype) -> Individual:
-    return Individual(genotype, phenotype, genotype.render())
+def _admit(g: Genotype, seen: set[str], provider, ds: Dataset,
+           policy: ViabilityPolicy, rejected: Counter[str]) -> Phenotype | None:
+    """The one rule for entering the sample, when it is drawn and when
+    children are bred: a key not in `seen`, a phenotype, and every viability
+    screen passed. An admitted key joins `seen`; each rejection is counted
+    in `rejected` under its reason (duplicate, no_phenotype, or the failed
+    criteria)."""
+    key = g.key
+    if key in seen:
+        rejected["duplicate"] += 1
+        return None
+    ph = provider.provide(g)
+    if ph is None:
+        rejected["no_phenotype"] += 1
+        return None
+    report = check_viability(ph, ds, policy)
+    if not report.viable:
+        rejected.update(report.failed_criteria())
+        return None
+    seen.add(key)
+    return ph
 
 
 def init_sample(
@@ -216,49 +229,32 @@ def init_sample(
     provider,
     ds: Dataset,
     rng: random.Random,
-) -> list[Individual]:
+) -> list[Phenotype]:
     """Assemble p distinct genotypes with viable phenotypes.
 
     Providers with an enumerable key set are sampled from that set (shuffled);
     open-ended providers are rejection-sampled up to a retry bound. Failure
-    reports a histogram of the criteria that rejected candidates.
+    reports a histogram of the reasons that rejected candidates.
     """
     known = provider.known_genotypes()
-    failures: Counter[str] = Counter()
-    sample: list[Individual] = []
-    seen: set[str] = set()
-
-    def consider(g: Genotype) -> bool:
-        key = g.render()
-        if key in seen:
-            failures["duplicate"] += 1
-            return False
-        ph = provider.provide(g)
-        if ph is None:
-            failures["no_phenotype"] += 1
-            return False
-        report = check_viability(ph, ds, cfg.viability)
-        if not report.viable:
-            failures.update(report.failed_criteria())
-            return False
-        seen.add(key)
-        sample.append(_make_individual(g, ph))
-        return True
-
     if known is not None:
-        pool = list(known)
-        rng.shuffle(pool)
-        for g in pool:
-            if consider(g) and len(sample) == cfg.p:
-                return sample
+        candidates = list(known)
+        rng.shuffle(candidates)
     else:
-        budget = _INIT_ATTEMPTS_PER_SLOT * cfg.p
-        for _ in range(budget):
-            if consider(gn.random_genotype(topology, rng)) and len(sample) == cfg.p:
+        candidates = (gn.random_genotype(topology, rng)
+                      for _ in range(_INIT_ATTEMPTS_PER_SLOT * cfg.p))
+    rejected: Counter[str] = Counter()
+    sample: list[Phenotype] = []
+    seen: set[str] = set()
+    for g in candidates:
+        ph = _admit(g, seen, provider, ds, cfg.viability, rejected)
+        if ph is not None:
+            sample.append(ph)
+            if len(sample) == cfg.p:
                 return sample
     raise InsufficientViableMaterialError(
         f"found {len(sample)} of {cfg.p} viable distinct genotypes; "
-        f"rejections: {dict(failures) or 'none'}"
+        f"rejections: {dict(rejected) or 'none'}"
     )
 
 
@@ -278,12 +274,10 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
 
     # full sweep: fit every n-subset of the sample; only the error-sum
     # objective needs per-fit residual sums at its own exponent
-    panel = np.vstack([ind.phenotype.values for ind in sample])
+    panel = np.vstack([ph.values for ph in sample])
+    keys = [ph.source_genotype.key for ph in sample]
     fit_s = cfg.objective.s if cfg.objective.kind == "se" else 2.0
-    fitter = GramFitter(
-        panel, state.dataset.activity, [ind.rendered for ind in sample],
-        s=fit_s, n=cfg.n,
-    )
+    fitter = GramFitter(panel, state.dataset.activity, keys, s=fit_s, n=cfg.n)
     members: list[tuple[int, ...]] = []    # one row and value per valid model
     values: list[float] = []
     gen_best: tuple[float, tuple[int, ...], RegressionModel] | None = None
@@ -308,7 +302,7 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
             improved = True
             state.best_model = model
             state.best_objective = value
-            state.best_genotypes = tuple(sample[i].rendered for i in subset)
+            state.best_genotypes = tuple(keys[i] for i in subset)
 
     # selection scores and parent extraction
     sel_fs = selection_scores(
@@ -325,37 +319,33 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
     parent_idx = extract(cfg.selection.method, sel_table, 2 * cfg.k, rng)
 
     # parents are mutated on copies; the sample itself is untouched here
-    parents = [_mutate(sample[i].genotype, cfg.pp, cfg, rng) for i in parent_idx]
+    parents = [_mutate(sample[i].source_genotype, cfg.pp, cfg, rng)
+               for i in parent_idx]
     children: list[Genotype] = []
     for a, b in zip(parents[0::2], parents[1::2]):
         c1, c2 = gn.crossover(a, b, rng)
         children.append(_mutate(c1, cfg.cp, cfg, rng))
         children.append(_mutate(c2, cfg.cp, cfg, rng))
 
-    # viability filter; duplicates of sample members (or of earlier accepted
-    # children) would corrupt the similarity scores, so they are nonviable here
-    sample_keys = {ind.rendered for ind in sample}
-    viable_children: list[Individual] = []
+    # admission; duplicates of sample members (or of earlier admitted
+    # children) would corrupt the similarity scores, so they are rejected
+    seen = set(keys)
+    rejected: Counter[str] = Counter()
+    viable_children: list[Phenotype] = []
     for child in children:
-        key = child.render()
-        if key in sample_keys:
-            continue
-        ph = state.provider.provide(child)
-        if ph is None:
-            continue
-        if not check_viability(ph, state.dataset, cfg.viability).viable:
-            continue
-        sample_keys.add(key)
-        viable_children.append(_make_individual(child, ph))
+        ph = _admit(child, seen, state.provider, state.dataset,
+                    cfg.viability, rejected)
+        if ph is not None:
+            viable_children.append(ph)
 
     record = GenerationRecord(
         generation=state.generation + 1,
         best_objective=gen_best[0] if gen_best is not None else float("nan"),
         improved=improved,
-        best_model_genotypes=tuple(sample[i].rendered for i in gen_best[1])
+        best_model_genotypes=tuple(keys[i] for i in gen_best[1])
         if gen_best is not None
         else (),
-        sample_genotypes=tuple(ind.rendered for ind in sample),
+        sample_genotypes=tuple(keys),
         valid_regression_count=len(values),
         participations=tuple(participations.tolist()),
     )
@@ -374,7 +364,7 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
         v = len(viable_children)
         if len(eligible) >= 2:
             vs = survival_scores(
-                [sample[i].genotype for i in eligible],
+                [sample[i].source_genotype for i in eligible],
                 sel_table.fs[eligible],
                 cfg.q,
                 cfg.r,

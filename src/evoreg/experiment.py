@@ -88,9 +88,6 @@ class GridAggregate:
     runs_per_cell: int = 0
     master_seed: int = 0
 
-    def cell(self, selection: str, survival: str) -> CellStats:
-        return self.cells[(selection, survival)]
-
     def contingency(self, measure: str) -> ContingencyTable:
         if measure not in MEASURES:
             raise ValueError(f"unknown measure {measure!r}")
@@ -133,7 +130,7 @@ def accumulate_run(cell: CellStats, result: RunResult) -> None:
 def run_grid(
     base_cfg: EvolutionConfig,
     topology: GeneticTopology,
-    provider_factory,
+    provider,
     ds: Dataset,
     runs_per_cell: int,
     master_seed: int,
@@ -144,8 +141,8 @@ def run_grid(
     Seeds derive deterministically from the master seed and the global run
     index, so the aggregate does not depend on execution order. A failing
     run aborts its cell (the error is recorded) without touching other cells.
-    ``provider_factory`` is called once per run to give each run a fresh
-    provider (providers may cache; the factory may return a shared one).
+    Every run shares ``provider``: a phenotype depends only on its genotype,
+    so a provider's cache cannot change any run.
     """
     if runs_per_cell < 1:
         raise ValueError("runs_per_cell must be at least 1")
@@ -168,7 +165,7 @@ def run_grid(
                     seed=seed,
                 )
                 try:
-                    result = run(cfg, topology, provider_factory(), ds)
+                    result = run(cfg, topology, provider, ds)
                 except Exception as exc:  # cell-local failure
                     cell.error = f"run seed={seed}: {exc}"
                     logger.error("cell %s:%s aborted: %s", sel, sur, cell.error)

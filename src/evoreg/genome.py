@@ -23,7 +23,6 @@ __all__ = [
     "crossover",
     "mutate",
     "mutate_per_gene",
-    "ncd",
     "parse_topology",
     "serialize_topology",
     "load_topology",
@@ -77,29 +76,10 @@ class GeneticTopology:
     def genotype(self, allele_index) -> "Genotype":
         return Genotype(self, tuple(allele_index))
 
-    def render(self, g: "Genotype", sep: str = "") -> str:
-        return sep.join(
-            gene.alleles[i] for gene, i in zip(self.genes, g.allele_index)
-        )
-
-    def parse(self, text: str, sep: str = "") -> "Genotype":
-        """Inverse of render. Backtracks over allele lengths, so it also
-        handles multi-character alleles without a separator as long as the
-        rendering is unambiguous."""
-        if sep:
-            parts = text.split(sep)
-            if len(parts) != self.gene_count:
-                raise ValueError(f"expected {self.gene_count} genes in {text!r}")
-            idx = []
-            for gene, part in zip(self.genes, parts):
-                try:
-                    idx.append(gene.alleles.index(part))
-                except ValueError:
-                    raise ValueError(
-                        f"unknown allele {part!r} for gene {gene.name!r}"
-                    ) from None
-            return Genotype(self, tuple(idx))
-
+    def parse(self, text: str) -> "Genotype":
+        """Inverse of Genotype.render. Backtracks over allele lengths, so
+        it also handles multi-character alleles as long as the rendering is
+        unambiguous."""
         result = self._parse_from(text, 0, 0)
         if result is None:
             raise ValueError(f"cannot parse {text!r} against topology")
@@ -151,16 +131,17 @@ class Genotype:
 
     @cached_property
     def key(self) -> str:
-        """The rendering without a separator, computed once per genotype.
-        Equality and hashing compare only the two fields."""
-        return self.topology.render(self)
+        """The rendering, computed once per genotype. Equality and hashing
+        compare only the two fields."""
+        return "".join(gene.alleles[i] for gene, i
+                       in zip(self.topology.genes, self.allele_index))
 
     def __getstate__(self):
         # copies and pickles carry the fields, not the cached key
         return {"topology": self.topology, "allele_index": self.allele_index}
 
-    def render(self, sep: str = "") -> str:
-        return self.topology.render(self, sep) if sep else self.key
+    def render(self) -> str:
+        return self.key
 
 
 def genome_size(topology: GeneticTopology) -> int:
@@ -236,12 +217,6 @@ def mutate_per_gene(g: Genotype, prob: float, rng: random.Random) -> Genotype:
             idx[pos] = (idx[pos] + shift) % len(gene.alleles)
             changed = True
     return Genotype(g.topology, tuple(idx)) if changed else g
-
-
-def ncd(a: Genotype, b: Genotype) -> int:
-    """Number of gene positions at which two genotypes differ."""
-    _require_same_topology(a, b)
-    return sum(x != y for x, y in zip(a.allele_index, b.allele_index))
 
 
 # --- topology file format -------------------------------------------------

@@ -63,8 +63,8 @@ class RegressionModel:
 
     ``coefficients`` lists the intercept first when ``with_intercept``; the
     ``t_stats`` align with the coefficients. ``se_s`` is the error sum
-    sum(|y_hat - y|^s) at the exponent the model was fitted with. ``valid``
-    is set by assess_validity.
+    sum(|y_hat - y|^s) at the exponent ``s`` the model was fitted with.
+    ``valid`` is set by assess_validity.
     """
 
     member_ids: tuple[str, ...]
@@ -76,21 +76,10 @@ class RegressionModel:
     s: float
     df: int
     valid: bool = False
-    residuals: np.ndarray | None = None
 
     @property
     def slope_t_stats(self) -> tuple[float, ...]:
         return self.t_stats[1:] if self.with_intercept else self.t_stats
-
-    def error_sum(self, s: float) -> float:
-        if s == self.s:
-            return self.se_s
-        if self.residuals is None:
-            raise ValueError(
-                f"model fitted with exponent {self.s}; residuals unavailable "
-                f"for exponent {s}"
-            )
-        return float(np.sum(np.abs(self.residuals) ** s))
 
 
 def better(a: float, b: float, direction: str) -> bool:
@@ -126,8 +115,8 @@ def ols_fit(
     """Least-squares fit of the activity on a phenotype subset, computed
     directly on the design matrix: the reference for GramFitter.
 
-    Models carry their residual vector; ``se_s`` is reported for the given
-    exponent. Warns when the normal equations are ill-conditioned.
+    ``se_s`` is reported for the given exponent. Warns when the normal
+    equations are ill-conditioned.
     """
     if not members:
         raise ValueError("need at least one phenotype")
@@ -169,7 +158,6 @@ def ols_fit(
     return RegressionModel(
         tuple(p.source_genotype.render() for p in members), with_intercept,
         tuple(coef.tolist()), tuple(t.tolist()), float(r2), sse, s, m - k,
-        residuals=residuals,
     )
 
 

@@ -78,7 +78,11 @@ def objective_score(model: RegressionModel, spec: ObjectiveSpec) -> float:
     """Evaluate one fitted model under the chosen objective."""
     s = spec.s
     if spec.kind == "se":
-        return model.error_sum(s)
+        if model.s != s:
+            raise ValueError(
+                f"model fitted with exponent {model.s}, objective needs {s}"
+            )
+        return model.se_s
     if spec.kind == "r2":
         return model.r2**s
     if spec.kind == "mt":
@@ -179,12 +183,21 @@ class ScoreTable:
 
 
 def round_significant(x: float, digits: int) -> float:
-    """Round to a number of significant digits."""
+    """Round to a number of significant digits with Python's correctly
+    rounded float round, subnormals included. A value that rounds past the
+    largest float raises ValueError."""
     if digits < 1:
         raise ValueError("need at least one significant digit")
+    x = float(x)
     if x == 0.0 or not math.isfinite(x):
         return x
-    return round(x, digits - 1 - math.floor(math.log10(abs(x))))
+    try:
+        return round(x, digits - 1 - math.floor(math.log10(abs(x))))
+    except OverflowError:
+        raise ValueError(
+            f"{x!r} rounded to {digits} significant digits exceeds the "
+            "float range"
+        ) from None
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -226,15 +239,18 @@ def transform_scores(
             values = np.full_like(values, state.n0)
             degenerate = True
         else:
-            values = state.n0 + (values - state.global_min) * (
-                (state.n1 - state.n0) / span
-            )
+            width, shifted = state.n1 - state.n0, values - state.global_min
+            scale = width / span
+            if math.isinf(scale):   # a subnormal span: divide by it first
+                values = state.n0 + shifted / span * width
+            else:
+                values = state.n0 + shifted * scale
     if digits is not None:
         values = np.array([round_significant(v, digits) for v in values])
     if use_ranks:
         values = 2.0 * _midranks(values) - 1.0
     if np.isnan(values).any():
-        # rounding a value below about 1e-306 gives NaN (numpy's scalar round)
+        # a normalization span that overflows to inf scales inf by 0
         raise ValueError("score transform produced NaN")
 
     # one stable sort groups equal scores, indices ascending within a group

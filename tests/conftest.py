@@ -19,6 +19,13 @@ def binary_topology(n_genes):
     )
 
 
+def ncd(a, b):
+    """Number of gene positions at which two genotypes differ: the pairwise
+    oracle for the survival scores' allele-matrix distances."""
+    assert a.topology == b.topology
+    return sum(x != y for x, y in zip(a.allele_index, b.allele_index))
+
+
 def normal_dataset(m=206, mean=6.4806, sd=0.83076, seed=7):
     rng = np.random.default_rng(seed)
     return Dataset(tuple(f"mol{i}" for i in range(m)), rng.normal(mean, sd, m))

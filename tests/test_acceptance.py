@@ -344,7 +344,7 @@ def test_criterion_8_grid_pipeline(tmp_path):
     dataset = normal_dataset()
     provider = planted_provider(topology, dataset)
     agg = run_grid(
-        planted_config(max_generations=60), topology, lambda: provider,
+        planted_config(max_generations=60), topology, provider,
         dataset, runs_per_cell=runs_per_cell, master_seed=4000, threshold=23,
     )
     counts_ok = True

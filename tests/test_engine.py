@@ -1,3 +1,4 @@
+import ast
 import math
 import random
 from dataclasses import replace
@@ -5,12 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from evoreg.descriptors import SyntheticProvider, TableProvider
+from evoreg import genome
+from evoreg.descriptors import Phenotype, SyntheticProvider, TableProvider
 from evoreg.engine import (
     EvolutionConfig,
+    EvolutionState,
     InsufficientViableMaterialError,
     init_sample,
     run,
+    run_generation,
 )
 from evoreg.genome import Gene, GeneticTopology, genome_size
 from evoreg.regress import GramFitter, exhaustive_best
@@ -68,7 +72,7 @@ def test_init_sample_synthetic_distinct():
     cfg = small_config(p=10, k=3)
     sample = init_sample(cfg, topo, provider, ds, random.Random(0))
     assert len(sample) == 10
-    assert len({ind.rendered for ind in sample}) == 10
+    assert len({ph.source_genotype.key for ph in sample}) == 10
 
 
 def test_init_sample_table_with_exactly_p_rows():
@@ -81,7 +85,7 @@ def test_init_sample_table_with_exactly_p_rows():
     )
     cfg = small_config(p=6, k=2)
     sample = init_sample(cfg, topo, provider, ds, random.Random(5))
-    assert sorted(ind.rendered for ind in sample) == sorted(keys)
+    assert sorted(ph.source_genotype.key for ph in sample) == sorted(keys)
 
 
 def test_init_sample_constant_phenotypes_error():
@@ -94,6 +98,93 @@ def test_init_sample_constant_phenotypes_error():
     with pytest.raises(InsufficientViableMaterialError) as err:
         init_sample(cfg, topo, provider, ds, random.Random(0))
     assert "non_constant" in str(err.value)
+
+
+class RecordingProvider:
+    """Passes provide calls through to another provider and records the key
+    of each genotype it is asked for."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.asked: list[str] = []
+
+    def provide(self, genotype):
+        self.asked.append(genotype.key)
+        return self.inner.provide(genotype)
+
+    def known_genotypes(self):
+        return self.inner.known_genotypes()
+
+
+def test_init_sample_failure_counts_every_rejection_reason():
+    """An open-ended provider over 8 genotypes: one without a phenotype,
+    one viable, the rest constant. Drawing 2 viable genotypes fails, and the
+    histogram counts the repeated draws of the admitted one as duplicates
+    next to the missing phenotype and the failed criterion."""
+    topo = binary_topology(3)
+    ds = normal_dataset(m=20)
+    values = np.linspace(0.0, 1.0, 20)
+
+    class Provider:
+        def provide(self, g):
+            if g.key == "aaa":
+                return None
+            return Phenotype(values if g.key == "bbb" else np.ones(20), g)
+
+        def known_genotypes(self):
+            return None
+
+    cfg = small_config(p=2, n=1, k=1)
+    with pytest.raises(InsufficientViableMaterialError) as err:
+        init_sample(cfg, topo, Provider(), ds, random.Random(0))
+    message = str(err.value)
+    assert message.startswith("found 1 of 2 viable distinct genotypes")
+    counts = ast.literal_eval(message.split("rejections: ", 1)[1])
+    assert set(counts) == {"duplicate", "no_phenotype", "non_constant"}
+    # every draw but the one admitted is rejected for exactly one reason
+    assert sum(counts.values()) == 200 * cfg.p - 1
+
+
+def test_children_are_admitted_once_and_duplicates_never_provided():
+    """On a 16-genotype space without mutation, children often equal a
+    sample member or an earlier child of the same generation. Only a child
+    whose key is new reaches provide, in breeding order, and the sample
+    keeps distinct keys."""
+    topo = binary_topology(4)
+    ds = normal_dataset(m=30)
+    provider = RecordingProvider(SyntheticProvider(topo, ds, seed=2))
+    cfg = small_config(p=8, k=4, pp=0.0, cp=0.0, max_generations=30)
+    rng = random.Random(cfg.seed)
+    state = EvolutionState(cfg, provider, ds, rng,
+                           init_sample(cfg, topo, provider, ds, rng))
+    children = []
+
+    def bred(a, b, rng, original=genome.crossover):
+        pair = original(a, b, rng)
+        children.extend(pair)
+        return pair
+
+    repeats = {"sample": 0, "sibling": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(genome, "crossover", bred)
+        for _ in range(cfg.max_generations):
+            before = [ph.source_genotype.key for ph in state.sample]
+            children.clear()
+            provider.asked.clear()
+            run_generation(state)
+            expected, seen = [], set(before)
+            for child in children:
+                if child.key in before:
+                    repeats["sample"] += 1
+                elif child.key in seen:
+                    repeats["sibling"] += 1
+                else:
+                    expected.append(child.key)
+                seen.add(child.key)
+            assert provider.asked == expected
+            keys = [ph.source_genotype.key for ph in state.sample]
+            assert len(set(keys)) == len(keys) == cfg.p
+    assert repeats["sample"] > 0 and repeats["sibling"] > 0
 
 
 def test_run_single_generation_record():

@@ -184,7 +184,7 @@ def desk_grid():
     provider = planted_provider(topology, dataset)
     base = planted_config(max_generations=40)
     return run_grid(
-        base, topology, lambda: provider, dataset,
+        base, topology, provider, dataset,
         runs_per_cell=2, master_seed=100, threshold=3,
     )
 
@@ -225,7 +225,7 @@ def test_grid_seeds_are_deterministic(desk_grid):
     dataset = normal_dataset()
     provider = planted_provider(topology, dataset)
     again = run_grid(
-        planted_config(max_generations=40), topology, lambda: provider,
+        planted_config(max_generations=40), topology, provider,
         dataset, runs_per_cell=2, master_seed=100, threshold=3,
     )
     for key, cell in desk_grid.cells.items():
@@ -238,7 +238,7 @@ def test_grid_cell_failure_is_isolated():
     dataset = normal_dataset(m=20)
     provider = planted_provider(topology, dataset, n_planted=2)
     agg = run_grid(
-        planted_config(max_generations=2), topology, lambda: provider,
+        planted_config(max_generations=2), topology, provider,
         dataset, runs_per_cell=1, master_seed=0,
     )
     assert all(cell.error is not None for cell in agg.cells.values())

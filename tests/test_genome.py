@@ -15,11 +15,11 @@ from evoreg.genome import (
     load_topology,
     mutate,
     mutate_per_gene,
-    ncd,
     parse_topology,
     random_genotype,
     serialize_topology,
 )
+from tests.conftest import ncd
 
 
 class ScriptedRng:
@@ -171,8 +171,6 @@ def test_crossover_topology_mismatch():
     b = random_genotype(binary_topology(4), random.Random(0))
     with pytest.raises(TopologyMismatchError):
         crossover(a, b, random.Random(1))
-    with pytest.raises(TopologyMismatchError):
-        ncd(a, b)
 
 
 def test_mutate_prob_zero():
@@ -299,14 +297,6 @@ def test_parse_render_inverse_single_char(topo232):
         assert topo232.parse(g.render()) == g
 
 
-def test_parse_render_inverse_multichar_with_separator():
-    topo = GeneticTopology(
-        (Gene("g0", ("si", "se", "ji")), Gene("g1", ("p", "p2", "e")))
-    )
-    for g in topo.all_genotypes():
-        assert topo.parse(g.render("."), sep=".") == g
-
-
 def test_parse_render_inverse_multichar_unambiguous():
     # distinct first characters keep concatenation parseable without separator
     topo = GeneticTopology(
@@ -317,8 +307,8 @@ def test_parse_render_inverse_multichar_unambiguous():
 
 
 def test_genotype_cached_key_is_not_part_of_its_value():
-    """The separator-free rendering is cached on first use; equality,
-    hashing, copies and pickles see only the topology and the alleles."""
+    """The rendering is cached on first use; equality, hashing, copies and
+    pickles see only the topology and the alleles."""
     topo = GeneticTopology(
         (Gene("g0", ("ab", "cd")), Gene("g1", ("x", "yz", "w")))
     )
@@ -328,13 +318,12 @@ def test_genotype_cached_key_is_not_part_of_its_value():
     assert "key" not in vars(fresh)
     assert rendered == fresh and hash(rendered) == hash(fresh)
     assert rendered != Genotype(topo, (1, 2))
-    assert rendered.render(".") == "cd.yz"   # separators are not cached
     assert rendered.render() is rendered.render()
     for clone in (copy.copy(rendered), copy.deepcopy(rendered),
                   pickle.loads(pickle.dumps(rendered))):
         assert "key" not in vars(clone)
         assert clone == rendered and hash(clone) == hash(rendered)
-        assert clone.render() == "cdyz" and clone.render(".") == "cd.yz"
+        assert clone.render() == "cdyz"
     assert {rendered: 1}[fresh] == 1
 
 

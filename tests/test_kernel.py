@@ -1,10 +1,12 @@
 """The batched subset-fit kernel against slow oracles, its singular rule,
 the engine boundary the benchmark's tracer wraps, and its memory bound."""
 
+import importlib
 import math
 import random
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,6 +328,38 @@ def test_child_boundaries_for_the_tracer(world, planted_world, monkeypatch):
             kind, genotype, ph = events[i - 1]
             assert kind == "provide" and ph is event[2]
             assert genotype == event[1]
+
+
+@pytest.mark.parametrize("instrument", ["Probe", "Tracer"])
+def test_tracer_patches_and_restores_every_name(instrument, planted_world,
+                                                monkeypatch):
+    """bench/tracing.py as it stands: each instrument finds every attribute
+    it patches (a renamed or deleted one fails here with a KeyError),
+    replaces it, and puts the original back on uninstall. The Tracer's
+    counts of a short run reconcile with the run's own records."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    tracing = importlib.import_module("tracing")
+    tool = getattr(tracing, instrument)()
+    try:
+        tool.install()   # inside the try: a partial install is undone too
+        patched = list(tool.patches._saved)
+        assert patched
+        for owner, attr, original in patched:
+            assert vars(owner)[attr] is not original
+        if instrument == "Tracer":
+            topo, ds, provider = planted_world
+            cfg = planted_config(seed=5, p=12, n=2, max_generations=3)
+            result = engine.run(cfg, topo, provider, ds)
+            tracing.reconcile(
+                tool.runs,
+                [[r.valid_regression_count for r in result.records]],
+                {"p": cfg.p, "n": cfg.n, "k": cfg.k},
+            )
+            assert tool.agg["descriptors.provide"][0] > 0
+    finally:
+        tool.uninstall()
+    for owner, attr, original in patched:
+        assert vars(owner)[attr] is original
 
 
 # --- memory ------------------------------------------------------------------

@@ -11,7 +11,6 @@ from evoreg.genome import (
     GeneticTopology,
     Genotype,
     TopologyMismatchError,
-    ncd,
 )
 from evoreg.regress import RegressionModel, ols_fit
 from evoreg.scores import (
@@ -27,6 +26,7 @@ from evoreg.scores import (
     survival_scores,
     transform_scores,
 )
+from tests.conftest import ncd
 from tests.test_regress import make_dataset, make_phenotypes
 
 
@@ -72,8 +72,12 @@ def test_objective_se_uses_exponent():
     x = np.array([0.0, 1.0, 2.0, 3.0])
     y = np.array([0.5, 0.5, -0.5, -0.5]) + x
     model = ols_fit(make_phenotypes([x]), make_dataset(y), True, s=1.0)
-    expected = float(np.sum(np.abs(model.residuals)))
+    design = np.column_stack([np.ones_like(x), x])   # intercept first
+    expected = float(np.sum(np.abs(y - design @ model.coefficients)))
     assert objective_score(model, ObjectiveSpec("se", 1.0)) == pytest.approx(expected)
+    # the error sum exists only at the exponent the model was fitted with
+    with pytest.raises(ValueError, match="exponent"):
+        objective_score(model, ObjectiveSpec("se", 2.0))
 
 
 def test_objective_mt_power_mean_of_equal_values():
@@ -216,6 +220,28 @@ def test_round_significant():
     assert round_significant(-0.0987, 2) == -0.099
 
 
+def test_round_significant_is_correctly_rounded_at_the_extremes():
+    """Python's float round: subnormals round without NaN, near the float
+    maximum values stay finite, and the last digit is correctly rounded."""
+    assert round_significant(np.float64(5e-324), 2) == 5e-324
+    assert round_significant(np.float64(2e-311), 2) == 2e-311
+    assert round_significant(np.float64(1.234e-310), 2) == 1.2e-310
+    assert round_significant(np.float64(1e300), 2) == 1e300
+    assert round_significant(np.float64(1.7e308), 2) == 1.7e308
+    assert round_significant(-1.74e308, 2) == -1.7e308
+    assert type(round_significant(np.float64(0.25), 1)) is float
+
+
+@pytest.mark.parametrize("x", [1.7e308, -1.7e308, 1.5e308])
+def test_round_significant_past_the_float_range_raises(x):
+    """1.7e308 to one digit is 2e308, which no float holds: a ValueError
+    that names the value and the digits, not an OverflowError or inf."""
+    with pytest.raises(ValueError, match=r"e\+308 rounded to 1 significant"):
+        round_significant(x, 1)
+    with pytest.raises(ValueError, match="float range"):
+        transform_scores([x, 1.0], digits=1)
+
+
 def test_transform_rounding_step():
     table = transform_scores([0.123456, 0.123449], digits=4)
     assert table.distinct.tolist() == [0.1234, 0.1235]
@@ -246,13 +272,25 @@ def test_transform_normalization_preserves_argmax():
         assert np.argmin(raw) == np.argmin(table.fs)
 
 
+def test_transform_normalizes_over_a_subnormal_span():
+    """A span of a few subnormals overflows (n1 - n0) / span to inf; the
+    scores still map onto [n0, n1] instead of 0 * inf = NaN."""
+    table = transform_scores([5e-324, -5e-324, 0.0], NormalizationState(-1.0, 1.0))
+    assert table.fs.tolist() == [1.0, -1.0, 0.0]
+    state = NormalizationState(0.0, 1.0)
+    state.update(0.0, 4e-323)
+    assert transform_scores([1e-323], state).fs.tolist() == [0.25]
+
+
 def test_transform_rejects_bad_input():
     with pytest.raises(ValueError):
         transform_scores([])
     with pytest.raises(ValueError):
         transform_scores([1.0, math.nan])
-    with pytest.raises(ValueError, match="NaN"), np.errstate(invalid="ignore"):
-        transform_scores([2e-311, 1.0], digits=2)   # rounds to NaN
+    # the span overflows to inf, and the infinite distance times 0 is NaN
+    with pytest.raises(ValueError, match="NaN"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        transform_scores([-1e308, 1e308], NormalizationState(0.0, 1.0))
     with pytest.raises(ValueError):
         transform_scores([1.0], direction="sideways")
 
@@ -491,8 +529,10 @@ def test_midranks_match_loop_reference(values):
 @given(
     values=st.lists(st.sampled_from([-1.5, 0.0, -0.0, 0.25, 2.0, 7.0, 1e300]),
                     min_size=1, max_size=30)
-    | st.lists(st.floats(-1e6, 1e6).filter(
-        lambda x: x == 0.0 or abs(x) > 1e-300), min_size=1, max_size=30),
+    | st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30)
+    | st.lists(st.sampled_from([5e-324, -5e-324, 2e-311, 1e-300, 0.0]),
+               min_size=1, max_size=30)
+    | st.lists(st.floats(-1e-300, 1e-300), min_size=1, max_size=30),
     normalize=st.sampled_from([None, "fresh", "primed"]),
     digits=st.none() | st.integers(1, 3),
     use_ranks=st.booleans(),

@@ -2,9 +2,12 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evoreg.scores import transform_scores
 from evoreg.strategy import (
+    METHODS,
     StrategySpec,
     extract,
     extract_deterministic,
@@ -215,3 +218,39 @@ def test_tournament_full_extraction_is_permutation():
     t = table([3.0, 1.0, 2.0, 5.0])
     picked = extract_tournament(t, 4, random.Random(47))
     assert sorted(picked) == [0, 1, 2, 3]
+
+
+# --- properties over score tables with ties ------------------------------------
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    scores=st.lists(st.sampled_from([-3.0, 0.0, 1.0, 2.5, 7.0]),
+                    min_size=1, max_size=16)
+    | st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16),
+    direction=st.sampled_from(("min", "max")),
+    method=st.sampled_from(METHODS),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_extract_properties(scores, direction, method, seed, data):
+    """Every method, either direction: distinct in-range indices, a
+    permutation when all are extracted, the same draw from the same seed,
+    and deterministic extraction leaves out no score better than one it
+    takes."""
+    t = table(scores, direction=direction)
+    size = len(scores)
+    n_sel = data.draw(st.integers(1, size), label="n_sel")
+    picked = extract(method, t, n_sel, random.Random(seed))
+    assert len(picked) == len(set(picked)) == n_sel
+    assert all(type(i) is int and 0 <= i < size for i in picked)
+    assert extract(method, t, n_sel, random.Random(seed)) == picked
+    assert sorted(extract(method, t, size, random.Random(seed))) == \
+        list(range(size))
+    if method == "deterministic":
+        taken = [t.fs[i] for i in picked]
+        left = [t.fs[i] for i in range(size) if i not in set(picked)]
+        if left and direction == "max":
+            assert min(taken) >= max(left)
+        elif left:
+            assert max(taken) <= min(left)
