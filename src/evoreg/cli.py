@@ -10,7 +10,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    seed: int
+    seed: int = 0
     low: float = 0.0
     high: float = 1.0
     planted_count: int = 0
@@ -53,6 +53,10 @@ class SyntheticSpec:
     planted_intercept: float = 0.0
     planted_noise: float = 0.0
     planted_seed: int = 1
+
+
+# [synthetic] keys: the SyntheticSpec fields, each parsed by its default's type
+_SYNTHETIC_TYPES = {f.name: type(f.default) for f in fields(SyntheticSpec)}
 
 
 @dataclass(frozen=True)
@@ -104,11 +108,7 @@ def load_manifest(path) -> RunManifest:
         {"topology", "activity", "descriptors", "evolution", "output"}, path,
     )
     _check_keys(cp, "run", {"seed"}, path)
-    _check_keys(
-        cp, "synthetic",
-        {"seed", "low", "high", "planted_count", "planted_slope",
-         "planted_intercept", "planted_noise", "planted_seed"}, path,
-    )
+    _check_keys(cp, "synthetic", set(_SYNTHETIC_TYPES), path)
     if not cp.has_section("paths"):
         raise ConfigError(f"{path}: missing [paths] section")
     base = path.parent
@@ -144,18 +144,10 @@ def load_manifest(path) -> RunManifest:
     synthetic = None
     if cp.has_section("synthetic"):
         try:
-            synthetic = SyntheticSpec(
-                seed=int(_get(cp, "synthetic", "seed", "0")),
-                low=float(_get(cp, "synthetic", "low", "0.0")),
-                high=float(_get(cp, "synthetic", "high", "1.0")),
-                planted_count=int(_get(cp, "synthetic", "planted_count", "0")),
-                planted_slope=float(_get(cp, "synthetic", "planted_slope", "1.0")),
-                planted_intercept=float(
-                    _get(cp, "synthetic", "planted_intercept", "0.0")
-                ),
-                planted_noise=float(_get(cp, "synthetic", "planted_noise", "0.0")),
-                planted_seed=int(_get(cp, "synthetic", "planted_seed", "1")),
-            )
+            synthetic = SyntheticSpec(**{
+                key: kind(value) for key, kind in _SYNTHETIC_TYPES.items()
+                if (value := _get(cp, "synthetic", key)) is not None
+            })
         except ValueError as exc:
             raise ConfigError(f"{path}: bad [synthetic] value: {exc}") from None
     if descriptors is None and synthetic is None:
@@ -486,14 +478,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--activity-out", required=True)
     p.add_argument("--descriptors-out")
     p.add_argument("--topology")
-    p.add_argument("--table-seed", type=int, default=0)
-    p.add_argument("--low", type=float, default=0.0)
-    p.add_argument("--high", type=float, default=1.0)
-    p.add_argument("--planted-count", type=int, default=0)
-    p.add_argument("--planted-slope", type=float, default=1.0)
-    p.add_argument("--planted-intercept", type=float, default=0.0)
-    p.add_argument("--planted-noise", type=float, default=0.0)
-    p.add_argument("--planted-seed", type=int, default=1)
+    p.add_argument("--table-seed", type=int, default=SyntheticSpec.seed)
+    p.add_argument("--low", type=float, default=SyntheticSpec.low)
+    p.add_argument("--high", type=float, default=SyntheticSpec.high)
+    p.add_argument("--planted-count", type=int,
+                   default=SyntheticSpec.planted_count)
+    p.add_argument("--planted-slope", type=float,
+                   default=SyntheticSpec.planted_slope)
+    p.add_argument("--planted-intercept", type=float,
+                   default=SyntheticSpec.planted_intercept)
+    p.add_argument("--planted-noise", type=float,
+                   default=SyntheticSpec.planted_noise)
+    p.add_argument("--planted-seed", type=int,
+                   default=SyntheticSpec.planted_seed)
     p.add_argument("--max-rows", type=int, default=100000)
     p.set_defaults(func=_cmd_gen_data)
 

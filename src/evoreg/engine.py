@@ -55,7 +55,14 @@ class InsufficientViableMaterialError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Everything one evolution run needs besides topology, provider, data."""
+    """Everything one evolution run needs besides topology, provider, data.
+
+    Each generation breeds 2k children. A child can only replace a sample
+    slot outside the elite (the best model's n members under keep_best), so
+    when 2k exceeds the free slots, children are admitted in breeding order
+    until every free slot is taken, and the rest are never provided or
+    screened.
+    """
 
     p: int                      # sample size
     n: int                      # regression multiplicity
@@ -327,12 +334,19 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
         children.append(_mutate(c1, cfg.cp, cfg, rng))
         children.append(_mutate(c2, cfg.cp, cfg, rng))
 
+    # a child replaces a slot outside the elite (the best model's members
+    # under keep_best), so admission stops once every such slot is taken
+    elite = set(gen_best[1]) if cfg.keep_best and gen_best is not None else ()
+    eligible = [i for i in range(p) if i not in elite]
+
     # admission; duplicates of sample members (or of earlier admitted
     # children) would corrupt the similarity scores, so they are rejected
     seen = set(keys)
     rejected: Counter[str] = Counter()
     viable_children: list[Phenotype] = []
     for child in children:
+        if len(viable_children) == len(eligible):
+            break
         ph = _admit(child, seen, state.provider, state.dataset,
                     cfg.viability, rejected)
         if ph is not None:
@@ -351,16 +365,6 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
     )
 
     if viable_children:
-        elite: set[int] = set()
-        if cfg.keep_best and gen_best is not None:
-            elite = set(gen_best[1])
-        eligible = [i for i in range(p) if i not in elite]
-        if len(viable_children) > len(eligible):
-            logger.warning(
-                "more viable children (%d) than removable individuals (%d); "
-                "extra children dropped", len(viable_children), len(eligible),
-            )
-            viable_children = viable_children[: len(eligible)]
         v = len(viable_children)
         if len(eligible) >= 2:
             vs = survival_scores(

@@ -176,17 +176,13 @@ def run_grid(
 
 
 def homogeneity_analysis(
-    source: GridAggregate | ContingencyTable,
-    measure: str | None = None,
+    agg: GridAggregate,
+    measure: str,
     alpha: float = 0.05,
 ) -> ChiSquareReport:
     """Chi-square homogeneity of one grid measure (rows = selection,
-    columns = survival), or of a ready-made contingency table."""
-    if isinstance(source, ContingencyTable):
-        return chi2_homogeneity(source, alpha)
-    if measure is None:
-        raise ValueError("measure required when analysing a grid aggregate")
-    return chi2_homogeneity(source.contingency(measure), alpha)
+    columns = survival)."""
+    return chi2_homogeneity(agg.contingency(measure), alpha)
 
 
 _MEASURE_TITLES = {

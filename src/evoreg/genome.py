@@ -73,9 +73,6 @@ class GeneticTopology:
     def gene_count(self) -> int:
         return len(self.genes)
 
-    def genotype(self, allele_index) -> "Genotype":
-        return Genotype(self, tuple(allele_index))
-
     def parse(self, text: str) -> "Genotype":
         """Inverse of Genotype.render. Backtracks over allele lengths, so
         it also handles multi-character alleles as long as the rendering is

@@ -1,11 +1,12 @@
 """Ordinary least squares over phenotype subsets, coefficient significance,
 validity rules, and search-space sizing.
 
-GramFitter gathers the normal matrices of all same-size subsets of a panel,
-in both forms, from one Gram matrix of [panel; 1; y] (Furnival & Wilson,
-*Regressions by Leaps and Bounds*, 1974) and factors them by a Cholesky that
-runs elementwise along the subset axis, CHUNK_SUBSETS subsets at a time.
-`GramFitter.fit` is a row lookup; `ols_fit` is the per-subset reference.
+GramFitter gathers the normal matrices of every n-subset of a panel, for
+the one size n it is built for, in both forms, from one Gram matrix of
+[panel; 1; y] (Furnival & Wilson, *Regressions by Leaps and Bounds*, 1974)
+and factors them by a Cholesky that runs elementwise along the subset axis,
+CHUNK_SUBSETS subsets at a time. `GramFitter.fit` is a row lookup into that
+table; `ols_fit` is the per-subset reference.
 
 Singular rule, shared by both: with the columns ordered as the members, then
 the intercept, a fit is singular when a Cholesky pivot (the squared norm a
@@ -22,7 +23,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,7 +40,6 @@ __all__ = [
     "search_space_size",
     "GramFitter",
     "fit_assessed",
-    "exhaustive_best",
     "better",
 ]
 
@@ -51,6 +51,8 @@ _CONDITION_WARN = 1e12
 PIVOT_TOL = 1e-10
 # subsets factored per kernel pass; bounds the kernel's working memory
 CHUNK_SUBSETS = 4096
+# a valid model has at most m - SIGNIFICANCE_OFFSET coefficients
+SIGNIFICANCE_OFFSET = 6
 
 
 class SingularFitError(ArithmeticError):
@@ -197,16 +199,15 @@ def _all_subsets(p: int, k: int):
 
 
 class GramFitter:
-    """Fits subsets of a fixed phenotype panel against one response.
+    """Fits every n-subset of a fixed phenotype panel against one response.
 
-    The Gram matrix of [panel; 1; y] is formed once. With `n` given, every
-    n-subset is fitted in both forms at construction, so `fit` on an
-    n-subset is a row lookup; subsets of another size are fitted on their
-    first lookup. Results agree with ols_fit to floating-point noise.
+    The Gram matrix of [panel; 1; y] is formed once, and every n-subset is
+    fitted in both forms at construction, so `fit` is a row lookup. Results
+    agree with ols_fit to floating-point noise.
     """
 
     def __init__(self, panel: np.ndarray, y: np.ndarray, ids: Sequence[str],
-                 s: float = 2.0, n: int | None = None):
+                 n: int, s: float = 2.0):
         panel = np.asarray(panel, dtype=float)
         y = np.asarray(y, dtype=float)
         if panel.ndim != 2 or panel.shape[1] != y.shape[0]:
@@ -218,44 +219,33 @@ class GramFitter:
         z = np.empty((panel.shape[0] + 2, self.m))
         z[:-2], z[-2], z[-1] = panel, 1.0, y
         self.gram = z @ z.T
-        self._sweeps: dict[int, tuple] = {}
-        if n is not None:
-            self._sweep(n)
-
-    def _sweep(self, k: int) -> tuple:
-        index, terms, last = _all_subsets(self.panel.shape[0], k)
-        self._sweeps[k] = (self.lookup(self.fit_subsets(index)), terms, last)
-        return self._sweeps[k]
+        self.n = n
+        index, self._terms, self._last = _all_subsets(panel.shape[0], n)
+        fits = self.fit_subsets(index)
+        self._rows = fits.table.transpose(0, 2, 1).tolist()
+        self._singular, self._df = fits.singular.tolist(), fits.df.tolist()
 
     def fit(self, subset: Sequence[int], with_intercept: bool) -> RegressionModel:
-        """The fit of one subset, given as strictly increasing panel rows."""
-        model, terms, row = (self._sweeps.get(len(subset))
-                             or self._sweep(len(subset)))
-        prev = -1
-        for c, term in zip(subset, terms):
+        """The fit of one n-subset, given as strictly increasing panel rows
+        (SingularFitError if it has none)."""
+        n = self.n
+        if len(subset) != n:    # cheaper per call than zip(strict=True)
+            raise ValueError(f"subset {subset} does not have {n} members")
+        row, prev = self._last, -1
+        for c, term in zip(subset, self._terms):
             if c <= prev:
                 raise ValueError(f"subset {subset} is not strictly increasing")
             row, prev = row - term[c], c
-        return model(row, subset, with_intercept)
-
-    def lookup(self, fits: SubsetFits):
-        """A function model(row, subset, with_intercept): row `row` of `fits`,
-        the fit of `subset`, as a RegressionModel (SingularFitError if none)."""
-        rows = fits.table.transpose(0, 2, 1).tolist()
-        singular, df = fits.singular.tolist(), fits.df.tolist()
-        n1, s, ids = fits.n + 1, self.s, self.ids
-
-        def model(row, subset, with_intercept):
-            if singular[with_intercept][row]:
-                raise SingularFitError("rank-deficient design matrix")
-            values, lo = rows[with_intercept][row], 1 - with_intercept
-            return RegressionModel(
-                tuple([ids[i] for i in subset]), with_intercept,
-                tuple(values[lo:n1]), tuple(values[n1 + lo : 2 * n1]),
-                values[2 * n1], values[2 * n1 + 1], s, df[with_intercept],
-            )
-
-        return model
+        if self._singular[with_intercept][row]:
+            raise SingularFitError("rank-deficient design matrix")
+        values, lo = self._rows[with_intercept][row], 1 - with_intercept
+        n1 = n + 1
+        return RegressionModel(
+            tuple([self.ids[i] for i in subset]), with_intercept,
+            tuple(values[lo:n1]), tuple(values[n1 + lo : 2 * n1]),
+            values[2 * n1], values[2 * n1 + 1], self.s,
+            self._df[with_intercept],
+        )
 
     def fit_subsets(self, index: np.ndarray) -> SubsetFits:
         """Fit every subset in `index` (one row of panel indices each) in
@@ -333,18 +323,16 @@ def assess_validity(
     ds: Dataset,
     alpha: float,
     refit: Callable[[bool], RegressionModel],
-    *,
-    significance_offset: int = 6,
 ) -> RegressionModel:
     """Apply the validity rules and return the final (possibly refitted) model.
 
-    Rules, in order: the coefficient count may not exceed m minus the
-    significance offset; an insignificant intercept demotes the fit to the
+    Rules, in order: the coefficient count may not exceed m minus
+    SIGNIFICANCE_OFFSET; an insignificant intercept demotes the fit to the
     no-intercept form; a slope insignificant in both forms invalidates the
     model. Invalidity is a state on the returned model, not an error.
     """
     m = ds.size
-    if len(model.coefficients) > m - significance_offset:
+    if len(model.coefficients) > m - SIGNIFICANCE_OFFSET:
         model.valid = False
         return model
 
@@ -362,7 +350,7 @@ def assess_validity(
         if abs(model.t_stats[0]) < crit:
             final = refit(False)
             other = model
-            if len(final.coefficients) > m - significance_offset:
+            if len(final.coefficients) > m - SIGNIFICANCE_OFFSET:
                 final.valid = False
                 return final
 
@@ -416,35 +404,6 @@ def fit_assessed(
         except SingularFitError:
             pass
     return candidates
-
-
-def exhaustive_best(
-    fitter: GramFitter,
-    n: int,
-    ds: Dataset,
-    alpha: float,
-    objective_fn: Callable[[RegressionModel], float],
-    direction: str,
-    intercept_mode: str = "fallback",
-):
-    """Enumerate every n-subset of the panel and return the best valid model
-    as (subset, model, objective); (None, None, None) when nothing is valid.
-
-    Subsets go through the fit kernel CHUNK_SUBSETS at a time, so memory
-    stays bounded however large the panel."""
-    best = None
-    subsets = combinations(range(fitter.panel.shape[0]), n)
-    while chunk := list(islice(subsets, CHUNK_SUBSETS)):
-        fitted = fitter.lookup(fitter.fit_subsets(np.array(chunk)))
-        for row, subset in enumerate(chunk):
-            fit = lambda _, wi, r=row, sub=subset: fitted(r, sub, wi)  # noqa: E731
-            for model in fit_assessed(fit, subset, ds, alpha, intercept_mode):
-                if not model.valid:
-                    continue
-                value = objective_fn(model)
-                if best is None or better(value, best[2], direction):
-                    best = (subset, model, value)
-    return best if best is not None else (None, None, None)
 
 
 def search_space_size(n_genotypes: int, n: int, both_forms: bool = False) -> int:

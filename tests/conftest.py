@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from evoreg.descriptors import (
 )
 from evoreg.engine import EvolutionConfig
 from evoreg.genome import Gene, GeneticTopology
+from evoreg.regress import better, fit_assessed
 from evoreg.scores import ObjectiveSpec
 from evoreg.strategy import StrategySpec
 
@@ -24,6 +27,22 @@ def ncd(a, b):
     oracle for the survival scores' allele-matrix distances."""
     assert a.topology == b.topology
     return sum(x != y for x, y in zip(a.allele_index, b.allele_index))
+
+
+def brute_best(fitter, ds, alpha, objective_fn, direction):
+    """The best valid model over every n-subset of a GramFitter's panel, as
+    (subset, model, value), or (None, None, None) when none is valid: one
+    fit_assessed call per subset, the first strictly better model winning.
+    The oracle for the engine's sweep."""
+    best = (None, None, None)
+    for subset in combinations(range(len(fitter.ids)), fitter.n):
+        for model in fit_assessed(fitter.fit, subset, ds, alpha):
+            if not model.valid:
+                continue
+            value = objective_fn(model)
+            if best[0] is None or better(value, best[2], direction):
+                best = (subset, model, value)
+    return best
 
 
 def normal_dataset(m=206, mean=6.4806, sd=0.83076, seed=7):

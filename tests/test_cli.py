@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from evoreg.cli import main
+from evoreg import cli
+from evoreg.cli import SyntheticSpec, load_manifest, main
 from evoreg.descriptors import load_activity
 from evoreg.stats import normal_mle
 
@@ -294,3 +295,33 @@ def test_validate_rejects_bad_values(tmp_path, capsys):
     evo = tmp_path / "evolution.cfg"
     evo.write_text(evo.read_text().replace("pairs = 2", "pairs = 9"))
     assert main(["validate", "--manifest", str(manifest)]) == 2
+
+
+def test_synthetic_defaults_come_from_the_spec(tmp_path, monkeypatch, capsys):
+    """An empty [synthetic] section and a bare gen-data both give
+    SyntheticSpec(); a present key is parsed by its field's type."""
+    manifest = write_world(tmp_path)
+    text = manifest.read_text()
+    head = text[: text.index("[synthetic]")] + "[synthetic]\n"
+    manifest.write_text(head)
+    assert load_manifest(manifest).synthetic == SyntheticSpec()
+    manifest.write_text(head + "seed = 4\nhigh = 2\n")
+    spec = load_manifest(manifest).synthetic
+    assert spec == SyntheticSpec(seed=4, high=2.0)
+    assert type(spec.seed) is int and type(spec.high) is float
+    for bad, message in (("seed = 1.5", "bad [synthetic] value"),
+                         ("planted_cnt = 2", "unknown keys in [synthetic]")):
+        manifest.write_text(head + bad + "\n")
+        assert main(["validate", "--manifest", str(manifest)]) == 2
+        assert message in capsys.readouterr().err
+
+    specs = []
+    build = cli._synthetic_provider
+    monkeypatch.setattr(cli, "_synthetic_provider", lambda spec, *rest: (
+        specs.append(spec) or build(spec, *rest)))
+    topo_path = tmp_path / "small.cgt"
+    topo_path.write_text("gene g0 : a b\ngene g1 : c d\n")
+    assert main(["gen-data", "--activity-out", str(tmp_path / "a.csv"),
+                 "--descriptors-out", str(tmp_path / "t.csv"),
+                 "--topology", str(topo_path)]) == 0
+    assert specs == [SyntheticSpec()]

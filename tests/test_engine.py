@@ -1,4 +1,5 @@
 import ast
+import logging
 import math
 import random
 from dataclasses import replace
@@ -17,11 +18,12 @@ from evoreg.engine import (
     run_generation,
 )
 from evoreg.genome import Gene, GeneticTopology, genome_size
-from evoreg.regress import GramFitter, exhaustive_best
+from evoreg.regress import GramFitter
 from evoreg.scores import ObjectiveSpec, objective_score
 from evoreg.strategy import StrategySpec
 from tests.conftest import (
     binary_topology,
+    brute_best,
     normal_dataset,
     planted_config,
     planted_provider,
@@ -185,6 +187,30 @@ def test_children_are_admitted_once_and_duplicates_never_provided():
             keys = [ph.source_genotype.key for ph in state.sample]
             assert len(set(keys)) == len(keys) == cfg.p
     assert repeats["sample"] > 0 and repeats["sibling"] > 0
+
+
+def test_children_beyond_the_free_slots_are_never_provided(planted_world,
+                                                         caplog):
+    """With keep_best and 2k > p - n, a generation has 2k children for
+    p - n free slots. Admission stops once every free slot is taken, so
+    provide is called at most p - n times a generation, and no admitted
+    child is dropped with a warning."""
+    topo, ds, inner = planted_world
+    provider = RecordingProvider(inner)
+    cfg = planted_config(seed=3, p=8, n=1, k=4, pp=0.3, cp=0.3,
+                         max_generations=40)
+    rng = random.Random(cfg.seed)
+    state = EvolutionState(cfg, provider, ds, rng,
+                           init_sample(cfg, topo, provider, ds, rng))
+    asked = []
+    with caplog.at_level(logging.WARNING, logger="evoreg.engine"):
+        for _ in range(cfg.max_generations):
+            provider.asked.clear()
+            record = run_generation(state)
+            assert len(record.best_model_genotypes) == cfg.n
+            asked.append(len(provider.asked))
+    assert max(asked) == cfg.p - cfg.n
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 def test_run_single_generation_record():
@@ -353,11 +379,10 @@ def test_tiny_space_reaches_exhaustive_optimum():
         genotypes = list(topo.all_genotypes())
         panel = np.vstack([provider.provide(g).values for g in genotypes])
         fitter = GramFitter(
-            panel, ds.activity, [g.render() for g in genotypes]
+            panel, ds.activity, [g.render() for g in genotypes], n=2
         )
-        _, best_model, best_value = exhaustive_best(
-            fitter, 2, ds, cfg.alpha,
-            lambda mo: objective_score(mo, spec), "max",
+        _, best_model, best_value = brute_best(
+            fitter, ds, cfg.alpha, lambda mo: objective_score(mo, spec), "max",
         )
         assert best_model is not None
         if result.best_objective == pytest.approx(best_value, rel=1e-9):

@@ -10,7 +10,7 @@ from evoreg.experiment import (
     render_grid_report,
     run_grid,
 )
-from evoreg.stats import ContingencyTable
+from evoreg.stats import ContingencyTable, chi2_homogeneity
 from tests.conftest import (
     binary_topology,
     normal_dataset,
@@ -83,7 +83,7 @@ def test_reference_tables_reproduced(measure):
     observed, rows, cols, total, row_verdicts, col_verdicts, total_verdict = \
         REFERENCE_TABLES[measure]
     table = ContingencyTable(observed, STRATEGY_LABELS, STRATEGY_LABELS)
-    report = homogeneity_analysis(table, alpha=0.05)
+    report = chi2_homogeneity(table, alpha=0.05)
     for got, want in zip(report.partial_row, rows):
         assert got == pytest.approx(want, rel=0.02)
     for got, want in zip(report.partial_col, cols):
@@ -101,7 +101,7 @@ def test_identical_rows_are_homogeneous():
     table = ContingencyTable(
         [[5, 5, 5], [5, 5, 5], [5, 5, 5]], STRATEGY_LABELS, STRATEGY_LABELS
     )
-    report = homogeneity_analysis(table)
+    report = chi2_homogeneity(table)
     assert report.total == 0.0
     assert not report.reject_total
 
@@ -247,8 +247,6 @@ def test_grid_cell_failure_is_isolated():
 
 
 def test_homogeneity_requires_measure_for_grid(desk_grid):
-    with pytest.raises(ValueError):
-        homogeneity_analysis(desk_grid)
     with pytest.raises(ValueError):
         homogeneity_analysis(desk_grid, "median")
 

@@ -20,7 +20,6 @@ from evoreg.regress import (
     PIVOT_TOL,
     GramFitter,
     SingularFitError,
-    exhaustive_best,
     fit_assessed,
     ols_fit,
 )
@@ -67,8 +66,8 @@ def test_kernel_matches_oracles(kind, n, seed, s):
     ds = make_dataset(y)
     phenos = make_phenotypes(list(panel))
     index = all_subsets(p, n)
-    fits = GramFitter(panel, y, [str(i) for i in range(p)], s=s).fit_subsets(
-        index)
+    fits = GramFitter(panel, y, [str(i) for i in range(p)], n,
+                      s=s).fit_subsets(index)
     # conditioning costs the normal equations digits on near-constant panels
     rtol = 1e-5 if kind == "near_constant" else 1e-8
     for wi in (False, True):
@@ -112,7 +111,7 @@ def test_kernel_panels_hit_their_cases():
     n = 2
     for kind in PANELS:
         panel, y = make_panel(kind, n, rng)
-        fits = GramFitter(panel, y, list("abcde")).fit_subsets(
+        fits = GramFitter(panel, y, list("abcde"), n).fit_subsets(
             all_subsets(5, n))
         with_0 = [0 in sub for sub in combinations(range(5), n)]
         if kind == "collinear":   # (0, 1) singular in both forms
@@ -210,11 +209,7 @@ def test_fit_lookup_matches_kernel_rows_and_checks_order():
             model = fitter.fit(subset, wi)
             assert model.coefficients == tuple(fits.form(wi)[0][row])
             assert model.member_ids == tuple("abcdefg"[i] for i in subset)
-    # other sizes are fitted on first use
-    assert fitter.fit((2,), True).coefficients == pytest.approx(
-        ols_fit(make_phenotypes([panel[2]]), make_dataset(y), True)
-        .coefficients)
-    for bad in ((1, 0, 2), (0, 0, 1), (-1, 2, 3)):
+    for bad in ((1, 0, 2), (0, 0, 1), (-1, 2, 3), (2,), (0, 1), (0, 1, 2, 3)):
         with pytest.raises(ValueError):
             fitter.fit(bad, True)
 
@@ -376,24 +371,24 @@ def _peak_mb(fn):
         tracemalloc.stop()
 
 
-def test_exhaustive_best_memory_is_bounded(monkeypatch):
+def test_fit_subsets_memory_is_bounded(monkeypatch):
     """C(400, 2) = 79800 subsets at s = 1.5, whose error sums need residual
-    rows: chunked, the sweep stays under the bound; one pass over all
+    rows: chunked, fitting them all stays under the bound; one pass over all
     subsets would exceed it."""
     rng = np.random.default_rng(45)
     p, m = 400, 60
     panel = rng.normal(size=(p, m)) + 2.0
     y = panel[7] - 0.5 * panel[300] + rng.normal(size=m) * 0.3
-    ds = make_dataset(y)
-    fitter = GramFitter(panel, y, [f"ph{i}" for i in range(p)], s=1.5)
+    # built for n = 1, so that only the pass measured below fits the pairs
+    fitter = GramFitter(panel, y, [f"ph{i}" for i in range(p)], n=1, s=1.5)
+    index = all_subsets(p, 2)
     found = []
-    peak = _peak_mb(lambda: found.append(exhaustive_best(
-        fitter, 2, ds, 0.05, lambda mo: mo.se_s, "min")))
-    subset, model, _ = found[0]
-    assert subset == (7, 300) and model.valid
+    peak = _peak_mb(lambda: found.append(fitter.fit_subsets(index)))
+    fits = found[0]
+    se_s = np.where(fits.singular[1], np.inf, fits.form(True)[3])
+    assert tuple(index[np.argmin(se_s)]) == (7, 300)
     assert peak < PEAK_BOUND_MB, f"peak {peak:.1f} MB"
 
     monkeypatch.setattr(regress, "CHUNK_SUBSETS", 10**9)
-    index = all_subsets(p, 2)
     unchunked = _peak_mb(lambda: fitter.fit_subsets(index))
     assert unchunked > PEAK_BOUND_MB, f"unchunked peak {unchunked:.1f} MB"

@@ -10,12 +10,10 @@ from evoreg.regress import (
     GramFitter,
     SingularFitError,
     assess_validity,
-    exhaustive_best,
     fit_assessed,
     ols_fit,
     search_space_size,
 )
-from evoreg.scores import ObjectiveSpec, objective_score
 
 
 def make_dataset(y):
@@ -99,8 +97,9 @@ def test_gram_fitter_matches_ols_fit():
     y = rng.normal(size=m)
     ds = make_dataset(y)
     phenos = make_phenotypes(list(panel))
-    fitter = GramFitter(panel, y, [ph.source_genotype.render() for ph in phenos])
+    ids = [ph.source_genotype.render() for ph in phenos]
     for n in (1, 2, 3):
+        fitter = GramFitter(panel, y, ids, n=n)
         for subset in combinations(range(p), n):
             for wi in (True, False):
                 fast = fitter.fit(subset, wi)
@@ -236,36 +235,12 @@ def test_fit_assessed_both_mode_adds_candidate():
     panel = rng.uniform(0, 1, size=(3, m))
     y = 4.0 + 2.0 * panel[0] - 1.5 * panel[1] + rng.normal(size=m) * 0.05
     ds = make_dataset(y)
-    fitter = GramFitter(panel, y, ["a", "b", "c"])
+    fitter = GramFitter(panel, y, ["a", "b", "c"], n=2)
     fallback = fit_assessed(fitter.fit, (0, 1), ds, 0.05, "fallback")
     both = fit_assessed(fitter.fit, (0, 1), ds, 0.05, "both")
     assert len(fallback) == 1 and fallback[0].with_intercept
     assert len(both) == 2
     assert {mo.with_intercept for mo in both} == {True, False}
-
-
-def test_exhaustive_best_matches_brute_force():
-    rng = np.random.default_rng(16)
-    m, p, n = 30, 9, 2
-    panel = rng.uniform(-1, 1, size=(p, m))
-    y = 1.2 * panel[2] - 0.8 * panel[5] + rng.normal(size=m) * 0.5
-    ds = make_dataset(y)
-    ids = [f"ph{i}" for i in range(p)]
-    fitter = GramFitter(panel, y, ids)
-    spec = ObjectiveSpec("r2", 1.0)
-    subset, model, value = exhaustive_best(
-        fitter, n, ds, 0.05, lambda mo: objective_score(mo, spec), "max"
-    )
-
-    # brute force re-coded: same sweep by hand
-    best_subset, best_value = None, -1.0
-    for cand in combinations(range(p), n):
-        for mo in fit_assessed(fitter.fit, cand, ds, 0.05):
-            if mo.valid and mo.r2 > best_value:
-                best_value = mo.r2
-                best_subset = cand
-    assert subset == best_subset
-    assert value == pytest.approx(best_value, rel=1e-12)
 
 
 # --- search space sizing -------------------------------------------------------
