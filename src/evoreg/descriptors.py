@@ -100,8 +100,8 @@ class ViabilityPolicy:
     min_simple_r2: float | None = None
 
     def __post_init__(self):
-        if self.min_cv is not None and self.min_cv < 0:
-            raise ValueError("min_cv must be nonnegative")
+        if self.min_cv is not None and not 0.0 <= self.min_cv < math.inf:
+            raise ValueError("min_cv must be nonnegative and finite")
         for name in ("jb_alpha", "min_simple_r2"):
             v = getattr(self, name)
             if v is not None and not 0.0 <= v <= 1.0:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -99,8 +99,12 @@ class EvolutionConfig:
                 raise ValueError(f"{name} must be a probability")
         if self.max_generations < 1:
             raise ValueError("max_generations must be at least 1")
-        if self.q <= 0 or self.r <= 0:
-            raise ValueError("q and r must be positive")
+        for name in ("q", "r"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        target = self.target_objective
+        if target is not None and math.isnan(target):
+            raise ValueError("target_objective must not be NaN")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         if self.intercept_mode not in ("fallback", "both"):
@@ -279,37 +283,41 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
     p = cfg.p
     direction = cfg.objective.direction
 
-    # full sweep: fit every n-subset of the sample; only the error-sum
-    # objective needs per-fit residual sums at its own exponent
+    # full sweep: fit every n-subset of the sample, one row of the fitter's
+    # table each; only the error-sum objective needs per-fit residual sums
+    # at its own exponent
     panel = np.vstack([ph.values for ph in sample])
     keys = [ph.source_genotype.key for ph in sample]
     fit_s = cfg.objective.s if cfg.objective.kind == "se" else 2.0
-    fitter = GramFitter(panel, state.dataset.activity, keys, s=fit_s, n=cfg.n)
-    members: list[tuple[int, ...]] = []    # one row and value per valid model
+    fitter = GramFitter(panel, state.dataset.activity, cfg.n, s=fit_s)
+    rows: list[int] = []    # one row and value per valid model
     values: list[float] = []
-    gen_best: tuple[float, tuple[int, ...], RegressionModel] | None = None
-    for subset in combinations(range(p), cfg.n):
+    gen_best: tuple[float, int, RegressionModel] | None = None
+    for row in range(len(fitter.subsets)):
         for model in fit_assessed(
-            fitter.fit, subset, state.dataset, cfg.alpha, cfg.intercept_mode
+            fitter.fit, row, state.dataset, cfg.alpha, cfg.intercept_mode
         ):
             if not model.valid:
                 continue
             value = objective_score(model, cfg.objective)
-            members.append(subset)
+            rows.append(row)
             values.append(value)
             if gen_best is None or better(value, gen_best[0], direction):
-                gen_best = (value, subset, model)
-    member_rows = np.array(members, dtype=np.intp).reshape(-1, cfg.n)
+                gen_best = (value, row, model)
+    member_rows = fitter.subsets[rows]
     participations = np.bincount(member_rows.ravel(), minlength=p)
+    best_members = (fitter.subsets[gen_best[1]].tolist()
+                    if gen_best is not None else [])
+    best_keys = tuple(keys[i] for i in best_members)
 
     improved = False
     if gen_best is not None:
-        value, subset, model = gen_best
+        value, _, model = gen_best
         if state.best_model is None or better(value, state.best_objective, direction):
             improved = True
             state.best_model = model
             state.best_objective = value
-            state.best_genotypes = tuple(keys[i] for i in subset)
+            state.best_genotypes = best_keys
 
     # selection scores and parent extraction
     sel_fs = selection_scores(
@@ -336,7 +344,7 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
 
     # a child replaces a slot outside the elite (the best model's members
     # under keep_best), so admission stops once every such slot is taken
-    elite = set(gen_best[1]) if cfg.keep_best and gen_best is not None else ()
+    elite = set(best_members) if cfg.keep_best else ()
     eligible = [i for i in range(p) if i not in elite]
 
     # admission; duplicates of sample members (or of earlier admitted
@@ -356,9 +364,7 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
         generation=state.generation + 1,
         best_objective=gen_best[0] if gen_best is not None else float("nan"),
         improved=improved,
-        best_model_genotypes=tuple(keys[i] for i in gen_best[1])
-        if gen_best is not None
-        else (),
+        best_model_genotypes=best_keys,
         sample_genotypes=tuple(keys),
         valid_regression_count=len(values),
         participations=tuple(participations.tolist()),

@@ -5,8 +5,9 @@ GramFitter gathers the normal matrices of every n-subset of a panel, for
 the one size n it is built for, in both forms, from one Gram matrix of
 [panel; 1; y] (Furnival & Wilson, *Regressions by Leaps and Bounds*, 1974)
 and factors them by a Cholesky that runs elementwise along the subset axis,
-CHUNK_SUBSETS subsets at a time. `GramFitter.fit` is a row lookup into that
-table; `ols_fit` is the per-subset reference.
+CHUNK_SUBSETS subsets at a time. A subset is addressed by its row of
+`GramFitter.subsets`, and `GramFitter.fit` reads that row of the table;
+`ols_fit` is the per-subset reference.
 
 Singular rule, shared by both: with the columns ordered as the members, then
 the intercept, a fit is singular when a Cholesky pivot (the squared norm a
@@ -61,7 +62,7 @@ class SingularFitError(ArithmeticError):
 
 @dataclass
 class RegressionModel:
-    """A fitted linear model over an ordered subset of phenotypes.
+    """A fitted linear model over a subset of phenotypes.
 
     ``coefficients`` lists the intercept first when ``with_intercept``; the
     ``t_stats`` align with the coefficients. ``se_s`` is the error sum
@@ -69,7 +70,6 @@ class RegressionModel:
     ``valid`` is set by assess_validity.
     """
 
-    member_ids: tuple[str, ...]
     with_intercept: bool
     coefficients: tuple[float, ...]
     t_stats: tuple[float, ...]
@@ -158,8 +158,8 @@ def ols_fit(
     if with_intercept:  # report the intercept first
         coef, t = np.roll(coef, 1), np.roll(t, 1)
     return RegressionModel(
-        tuple(p.source_genotype.render() for p in members), with_intercept,
-        tuple(coef.tolist()), tuple(t.tolist()), float(r2), sse, s, m - k,
+        with_intercept, tuple(coef.tolist()), tuple(t.tolist()), float(r2),
+        sse, s, m - k,
     )
 
 
@@ -187,64 +187,50 @@ class SubsetFits:
 
 
 @lru_cache(maxsize=8)
-def _all_subsets(p: int, k: int):
-    """Every k-subset of range(p) in lexicographic order, one per row (a
-    read-only array), with the tables that rank a subset back to its row."""
-    index = np.array(list(combinations(range(p), k)), dtype=np.intp)
+def _all_subsets(p: int, n: int) -> np.ndarray:
+    """Every n-subset of range(p) in lexicographic order, one per row, as a
+    read-only array."""
+    index = np.array(list(combinations(range(p), n)), dtype=np.intp)
     index.setflags(write=False)
-    # row of (c_0 < ... < c_{k-1}) = C(p, k) - 1 - sum_i C(p - 1 - c_i, k - i)
-    terms = tuple(tuple(math.comb(p - 1 - c, k - i) for c in range(p))
-                  for i in range(k))
-    return index, terms, len(index) - 1
+    return index
 
 
 class GramFitter:
     """Fits every n-subset of a fixed phenotype panel against one response.
 
     The Gram matrix of [panel; 1; y] is formed once, and every n-subset is
-    fitted in both forms at construction, so `fit` is a row lookup. Results
-    agree with ols_fit to floating-point noise.
+    fitted in both forms at construction, so `fit` is a lookup by the
+    subset's row of ``subsets``. Results agree with ols_fit to
+    floating-point noise.
     """
 
-    def __init__(self, panel: np.ndarray, y: np.ndarray, ids: Sequence[str],
-                 n: int, s: float = 2.0):
+    def __init__(self, panel: np.ndarray, y: np.ndarray, n: int,
+                 s: float = 2.0):
         panel = np.asarray(panel, dtype=float)
         y = np.asarray(y, dtype=float)
         if panel.ndim != 2 or panel.shape[1] != y.shape[0]:
             raise ValueError("panel must be (n_phenotypes, n_molecules)")
-        if len(ids) != panel.shape[0]:
-            raise ValueError("one id per panel row required")
-        self.panel, self.y, self.ids, self.s = panel, y, list(ids), s
+        self.panel, self.y, self.n, self.s = panel, y, n, s
         self.m = y.shape[0]
         z = np.empty((panel.shape[0] + 2, self.m))
         z[:-2], z[-2], z[-1] = panel, 1.0, y
         self.gram = z @ z.T
-        self.n = n
-        index, self._terms, self._last = _all_subsets(panel.shape[0], n)
-        fits = self.fit_subsets(index)
+        self.subsets = _all_subsets(panel.shape[0], n)
+        fits = self.fit_subsets(self.subsets)
         self._rows = fits.table.transpose(0, 2, 1).tolist()
         self._singular, self._df = fits.singular.tolist(), fits.df.tolist()
 
-    def fit(self, subset: Sequence[int], with_intercept: bool) -> RegressionModel:
-        """The fit of one n-subset, given as strictly increasing panel rows
-        (SingularFitError if it has none)."""
-        n = self.n
-        if len(subset) != n:    # cheaper per call than zip(strict=True)
-            raise ValueError(f"subset {subset} does not have {n} members")
-        row, prev = self._last, -1
-        for c, term in zip(subset, self._terms):
-            if c <= prev:
-                raise ValueError(f"subset {subset} is not strictly increasing")
-            row, prev = row - term[c], c
+    def fit(self, row: int, with_intercept: bool) -> RegressionModel:
+        """The fit of the subset in row `row` of `subsets` (SingularFitError
+        if it has none)."""
         if self._singular[with_intercept][row]:
             raise SingularFitError("rank-deficient design matrix")
         values, lo = self._rows[with_intercept][row], 1 - with_intercept
-        n1 = n + 1
+        n1 = self.n + 1
         return RegressionModel(
-            tuple([self.ids[i] for i in subset]), with_intercept,
-            tuple(values[lo:n1]), tuple(values[n1 + lo : 2 * n1]),
-            values[2 * n1], values[2 * n1 + 1], self.s,
-            self._df[with_intercept],
+            with_intercept, tuple(values[lo:n1]),
+            tuple(values[n1 + lo : 2 * n1]), values[2 * n1],
+            values[2 * n1 + 1], self.s, self._df[with_intercept],
         )
 
     def fit_subsets(self, index: np.ndarray) -> SubsetFits:
@@ -370,14 +356,15 @@ def assess_validity(
 
 
 def fit_assessed(
-    fit: Callable[[Sequence[int], bool], RegressionModel],
-    subset: Sequence[int],
+    fit: Callable[[int, bool], RegressionModel],
+    row: int,
     ds: Dataset,
     alpha: float,
     intercept_mode: str = "fallback",
 ) -> list[RegressionModel]:
-    """Fit one subset under the configured intercept handling and return the
-    assessed candidate models (empty when the design is singular).
+    """Fit the subset in row `row` of a GramFitter's table under the
+    configured intercept handling and return the assessed candidate models
+    (empty when the design is singular).
 
     "fallback" fits the intercept form and demotes it when the intercept is
     insignificant; "both" additionally offers the pure no-intercept form as a
@@ -390,16 +377,16 @@ def fit_assessed(
     if intercept_mode not in ("fallback", "both"):
         raise ValueError(f"unknown intercept mode {intercept_mode!r}")
     candidates: list[RegressionModel] = []
-    refit = lambda wi: fit(subset, wi)  # noqa: E731
+    refit = lambda wi: fit(row, wi)  # noqa: E731
     try:
-        primary = assess_validity(fit(subset, True), ds, alpha, refit)
+        primary = assess_validity(fit(row, True), ds, alpha, refit)
         candidates.append(primary)
     except SingularFitError:
         primary = None
     if intercept_mode == "both" and (primary is None or primary.with_intercept):
         try:
             candidates.append(
-                assess_validity(fit(subset, False), ds, alpha, refit)
+                assess_validity(fit(row, False), ds, alpha, refit)
             )
         except SingularFitError:
             pass

@@ -64,8 +64,8 @@ class ObjectiveSpec:
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if self.s is None:
             object.__setattr__(self, "s", _DEFAULT_S[self.kind])
-        if self.s <= 0:
-            raise ValueError("objective exponent must be positive")
+        if not 0.0 < self.s < math.inf:
+            raise ValueError("objective exponent s must be positive and finite")
         if self.kind == "hr" and self.s == 1.0:
             raise ValueError("hr objective is undefined at s = 1")
 

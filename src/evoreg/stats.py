@@ -23,7 +23,6 @@ __all__ = [
     "t_critical",
     "jarque_bera",
     "chi2_homogeneity",
-    "normal_mle",
     "load_contingency_csv",
     "write_contingency_csv",
     "format_report",
@@ -200,14 +199,6 @@ def jarque_bera(x) -> tuple[float, float]:
     kurt = float(np.mean(d**4)) / (m2 * m2)
     jb = (m / 6.0) * (skew * skew + (kurt - 3.0) ** 2 / 4.0)
     return jb, chi2_sf(jb, 2)
-
-
-def normal_mle(x) -> tuple[float, float]:
-    """Maximum-likelihood normal fit: sample mean and population-sd."""
-    v = np.asarray(x, dtype=float)
-    if v.size < 2:
-        raise ValueError("need at least 2 observations")
-    return float(v.mean()), float(v.std())
 
 
 # --- chi-square homogeneity -------------------------------------------------

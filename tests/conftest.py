@@ -32,11 +32,12 @@ def ncd(a, b):
 def brute_best(fitter, ds, alpha, objective_fn, direction):
     """The best valid model over every n-subset of a GramFitter's panel, as
     (subset, model, value), or (None, None, None) when none is valid: one
-    fit_assessed call per subset, the first strictly better model winning.
-    The oracle for the engine's sweep."""
+    fit_assessed call per subset, in lexicographic order, the first strictly
+    better model winning. The oracle for the engine's sweep."""
     best = (None, None, None)
-    for subset in combinations(range(len(fitter.ids)), fitter.n):
-        for model in fit_assessed(fitter.fit, subset, ds, alpha):
+    p = fitter.panel.shape[0]
+    for row, subset in enumerate(combinations(range(p), fitter.n)):
+        for model in fit_assessed(fitter.fit, row, ds, alpha):
             if not model.valid:
                 continue
             value = objective_fn(model)

@@ -186,7 +186,7 @@ def test_criterion_4_regression_oracle_equivalence():
     panel = rng.uniform(-1, 1, size=(n_phen, m))
     y = 0.9 * panel[3] - 1.1 * panel[7] + rng.normal(size=m) * 0.4
     ds = make_dataset(y)
-    fitter = GramFitter(panel, y, [f"ph{i}" for i in range(n_phen)], n=n)
+    fitter = GramFitter(panel, y, n=n)
     spec = ObjectiveSpec("r2", 1.0)
     subset, model, value = brute_best(
         fitter, ds, 0.05, lambda mo: objective_score(mo, spec), "max"
@@ -218,7 +218,7 @@ def test_criterion_5_score_formula_suite():
 
     def stub(ts):
         return RegressionModel(
-            member_ids=tuple("abc"[: len(ts)]), with_intercept=False,
+            with_intercept=False,
             coefficients=tuple(1.0 for _ in ts), t_stats=tuple(ts),
             r2=0.5, se_s=1.0, s=2.0, df=10,
         )

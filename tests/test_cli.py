@@ -5,7 +5,6 @@ import pytest
 from evoreg import cli
 from evoreg.cli import SyntheticSpec, load_manifest, main
 from evoreg.descriptors import load_activity
-from evoreg.stats import normal_mle
 
 TOPOLOGY = "\n".join(
     f"gene g{i} : a b" for i in range(10)
@@ -116,7 +115,7 @@ def test_gen_data_defaults_recover_distribution(tmp_path, capsys):
     assert main(["gen-data", "--seed", "1", "--activity-out", str(out)]) == 0
     ds = load_activity(out)
     assert ds.size == 206
-    mean, sd = normal_mle(ds.activity)
+    mean, sd = ds.activity.mean(), ds.activity.std()
     assert abs(mean - 6.4806) < 0.2
     assert abs(sd - 0.83076) < 0.2
 
@@ -295,6 +294,26 @@ def test_validate_rejects_bad_values(tmp_path, capsys):
     evo = tmp_path / "evolution.cfg"
     evo.write_text(evo.read_text().replace("pairs = 2", "pairs = 9"))
     assert main(["validate", "--manifest", str(manifest)]) == 2
+
+
+def test_run_rejects_nan_config_values(tmp_path, capsys):
+    """A NaN in the evolution config stops `run` at load, naming the field,
+    instead of failing or stopping silently generations later."""
+    manifest = write_world(tmp_path)
+    evo = tmp_path / "evolution.cfg"
+    text = evo.read_text()
+    for field, edited in (
+        ("q", text.replace("pairs = 2\n", "pairs = 2\nq = nan\n")),
+        ("target_objective", text.replace(
+            "pairs = 2\n", "pairs = 2\ntarget_objective = nan\n")),
+        ("exponent s", text.replace("\ns = 1\n", "\ns = nan\n")),
+        ("min_cv", text + "\n[viability]\nmin_cv = nan\n"),
+    ):
+        assert edited != text
+        evo.write_text(edited)
+        assert main(["run", "--manifest", str(manifest)]) == 2
+        assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_synthetic_defaults_come_from_the_spec(tmp_path, monkeypatch, capsys):

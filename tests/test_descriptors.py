@@ -298,6 +298,10 @@ def test_policy_validation():
         ViabilityPolicy(min_cv=-1.0)
     with pytest.raises(ValueError):
         ViabilityPolicy(jb_alpha=1.5)
+    for field in ("min_cv", "jb_alpha", "min_simple_r2"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^{field} "):
+                ViabilityPolicy(**{field: value})
 
 
 # --- table provider -------------------------------------------------------------

@@ -3,6 +3,7 @@ import logging
 import math
 import random
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from evoreg.engine import (
     run_generation,
 )
 from evoreg.genome import Gene, GeneticTopology, genome_size
-from evoreg.regress import GramFitter
+from evoreg.regress import GramFitter, fit_assessed
 from evoreg.scores import ObjectiveSpec, objective_score
 from evoreg.strategy import StrategySpec
 from tests.conftest import (
@@ -58,6 +59,13 @@ def test_config_validation():
         small_config(intercept_mode="sometimes")
     with pytest.raises(ValueError):
         small_config(selection_aggregate="median")
+    nan, inf = float("nan"), float("inf")
+    for field, value in (("q", nan), ("r", nan), ("q", inf), ("r", -1.0),
+                         ("target_objective", nan), ("alpha", nan),
+                         ("pp", nan)):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            small_config(**{field: value})
+    small_config(target_objective=inf)     # never reached, but well-defined
 
 
 def test_config_fingerprint_tracks_content():
@@ -238,6 +246,38 @@ def test_run_fit_count_small_sample():
         assert sum(rec.participations) == 2 * rec.valid_regression_count
 
 
+def test_generation_sweep_matches_brute_best():
+    """One generation's best model, valid count and participations equal a
+    loop over `combinations` that addresses each fit by its position in that
+    order: the engine maps fitter rows back to the same sample members."""
+    # activity centred on 0, so that many subsets are invalid and the
+    # participations differ between members
+    topo = binary_topology(8)
+    ds = normal_dataset(m=40, mean=0.0)
+    provider = planted_provider(topo, ds, n_planted=16)
+    for n in (1, 2, 3):
+        cfg = planted_config(seed=3, p=12, n=n)
+        rng = random.Random(cfg.seed)
+        sample = init_sample(cfg, topo, provider, ds, rng)
+        keys = [ph.source_genotype.key for ph in sample]
+        fitter = GramFitter(np.vstack([ph.values for ph in sample]),
+                            ds.activity, n=n)
+        subset, _, value = brute_best(
+            fitter, ds, cfg.alpha,
+            lambda mo: objective_score(mo, cfg.objective), "max",
+        )
+        counts = np.zeros(cfg.p, dtype=int)
+        for row, members in enumerate(combinations(range(cfg.p), n)):
+            for model in fit_assessed(fitter.fit, row, ds, cfg.alpha):
+                counts[list(members)] += model.valid
+        rec = run_generation(EvolutionState(cfg, provider, ds, rng, sample))
+        assert subset is not None
+        assert rec.best_objective == value
+        assert rec.best_model_genotypes == tuple(keys[i] for i in subset)
+        assert rec.participations == tuple(counts.tolist())
+        assert rec.valid_regression_count * n == counts.sum()
+
+
 def test_run_deterministic_same_seed(planted_world):
     topo, ds, _ = planted_world
     provider = planted_provider(topo, ds)
@@ -326,18 +366,47 @@ def test_run_rejects_space_smaller_than_sample():
         run(small_config(p=6), topo, provider, ds)
 
 
+def _parse_log_line(line):
+    """One generation line of a run log, back to GenerationRecord fields."""
+    gen, improved, best, model, valid, sample = line.split("\t")
+    keys = {}
+    for name, field in (("model", model), ("valid", valid),
+                        ("sample", sample)):
+        assert field.startswith(name + "=")
+        keys[name] = field[len(name) + 1:]
+    return dict(
+        generation=int(gen),
+        improved=bool(int(improved)),
+        best_objective=float(best),
+        best_model_genotypes=tuple(keys["model"].split(","))
+        if keys["model"] else (),
+        valid_regression_count=int(keys["valid"]),
+        sample_genotypes=tuple(keys["sample"].split(",")),
+    )
+
+
 def test_log_text_format(planted_world):
+    """Every log line parses back to its record field by field, the best
+    objective exactly, NaN and an empty model included."""
     topo, ds, provider = planted_world
     result = run(planted_config(seed=1, max_generations=3), topo, provider, ds)
+    # a generation without a valid model, as the log would show it
+    result.records.append(replace(
+        result.records[-1], generation=4, improved=False,
+        best_objective=float("nan"), best_model_genotypes=(),
+        valid_regression_count=0,
+    ))
     lines = result.log_text().splitlines()
-    assert lines[0].startswith("# config=")
-    assert len(lines) == 1 + 3
-    fields = lines[1].split("\t")
-    assert fields[0] == "1"
-    assert fields[1] in ("0", "1")
-    assert fields[3].startswith("model=")
-    assert fields[4].startswith("valid=")
-    assert fields[5].startswith("sample=")
+    assert lines[0] == (f"# config={result.config.fingerprint()}"
+                        f"\tseed={result.config.seed}")
+    assert len(lines) == 1 + len(result.records)
+    for line, rec in zip(lines[1:], result.records):
+        parsed = _parse_log_line(line)
+        best = parsed.pop("best_objective")
+        assert best == rec.best_objective or (
+            math.isnan(best) and math.isnan(rec.best_objective))
+        assert parsed == {k: getattr(rec, k) for k in parsed}
+    assert any(rec.improved for rec in result.records)
 
 
 def test_intercept_mode_both_runs(planted_world):
@@ -378,9 +447,7 @@ def test_tiny_space_reaches_exhaustive_optimum():
         # independent brute force over the whole space
         genotypes = list(topo.all_genotypes())
         panel = np.vstack([provider.provide(g).values for g in genotypes])
-        fitter = GramFitter(
-            panel, ds.activity, [g.render() for g in genotypes], n=2
-        )
+        fitter = GramFitter(panel, ds.activity, n=2)
         _, best_model, best_value = brute_best(
             fitter, ds, cfg.alpha, lambda mo: objective_score(mo, spec), "max",
         )

@@ -66,8 +66,7 @@ def test_kernel_matches_oracles(kind, n, seed, s):
     ds = make_dataset(y)
     phenos = make_phenotypes(list(panel))
     index = all_subsets(p, n)
-    fits = GramFitter(panel, y, [str(i) for i in range(p)], n,
-                      s=s).fit_subsets(index)
+    fits = GramFitter(panel, y, n, s=s).fit_subsets(index)
     # conditioning costs the normal equations digits on near-constant panels
     rtol = 1e-5 if kind == "near_constant" else 1e-8
     for wi in (False, True):
@@ -111,8 +110,7 @@ def test_kernel_panels_hit_their_cases():
     n = 2
     for kind in PANELS:
         panel, y = make_panel(kind, n, rng)
-        fits = GramFitter(panel, y, list("abcde"), n).fit_subsets(
-            all_subsets(5, n))
+        fits = GramFitter(panel, y, n).fit_subsets(all_subsets(5, n))
         with_0 = [0 in sub for sub in combinations(range(5), n)]
         if kind == "collinear":   # (0, 1) singular in both forms
             assert fits.singular[:, 0].all() and fits.singular.sum() == 2
@@ -143,16 +141,16 @@ def test_singular_rule_member_pivot(factor, singular):
     rng = np.random.default_rng(41)
     panel = _pair_with_pivot_ratio(factor * PIVOT_TOL, rng)
     y = rng.normal(size=panel.shape[1])
-    fitter = GramFitter(panel, y, ["a", "b"], n=2)
+    fitter = GramFitter(panel, y, n=2)
     phenos, ds = make_phenotypes(list(panel)), make_dataset(y)
     for wi in (False, True):
         if singular:
             with pytest.raises(SingularFitError):
-                fitter.fit((0, 1), wi)
+                fitter.fit(0, wi)
             with pytest.raises(SingularFitError):
                 ols_fit(phenos, ds, wi)
         else:
-            assert fitter.fit((0, 1), wi).df == panel.shape[1] - 2 - wi
+            assert fitter.fit(0, wi).df == panel.shape[1] - 2 - wi
             ols_fit(phenos, ds, wi)
 
 
@@ -168,15 +166,15 @@ def test_singular_rule_intercept_pivot(factor, singular):
     d = math.sqrt(ratio * m * c * c / ((1.0 - ratio) * (u @ u)))
     panel = (c + d * u)[None, :]
     y = rng.normal(size=m)
-    fitter = GramFitter(panel, y, ["a"], n=1)
-    assert fitter.fit((0,), False).df == m - 1
+    fitter = GramFitter(panel, y, n=1)
+    assert fitter.fit(0, False).df == m - 1
     if singular:
         with pytest.raises(SingularFitError):
-            fitter.fit((0,), True)
+            fitter.fit(0, True)
         with pytest.raises(SingularFitError):
             ols_fit(make_phenotypes(list(panel)), make_dataset(y), True)
     else:
-        assert fitter.fit((0,), True).df == m - 2
+        assert fitter.fit(0, True).df == m - 2
 
 
 def test_fallback_drops_subset_with_singular_intercept_form():
@@ -186,32 +184,36 @@ def test_fallback_drops_subset_with_singular_intercept_form():
     y = 3.0 * x + rng.normal(size=m) * 0.1
     panel = np.vstack([np.full(m, 2.0), x])
     ds = make_dataset(y)
-    fitter = GramFitter(panel, y, ["const", "x"], n=1)
+    fitter = GramFitter(panel, y, n=1)
     with pytest.raises(SingularFitError):
-        fitter.fit((0,), True)
-    alone = fitter.fit((0,), False)     # well-posed: y on a constant
+        fitter.fit(0, True)
+    alone = fitter.fit(0, False)     # well-posed: y on a constant
     assert alone.df == m - 1
-    assert fit_assessed(fitter.fit, (0,), ds, 0.05, "fallback") == []
-    both = fit_assessed(fitter.fit, (0,), ds, 0.05, "both")
+    assert fit_assessed(fitter.fit, 0, ds, 0.05, "fallback") == []
+    both = fit_assessed(fitter.fit, 0, ds, 0.05, "both")
     assert [mo.with_intercept for mo in both] == [False]
     # the well-posed member is unaffected
-    assert len(fit_assessed(fitter.fit, (1,), ds, 0.05, "fallback")) == 1
+    assert len(fit_assessed(fitter.fit, 1, ds, 0.05, "fallback")) == 1
 
 
 def test_fit_lookup_matches_kernel_rows_and_checks_order():
+    """`subsets` lists the n-subsets in lexicographic order, read-only, and
+    fit(row) reads that row of the kernel's table."""
     rng = np.random.default_rng(44)
     panel = rng.normal(size=(7, 25)) + 3.0
     y = rng.normal(size=25)
-    fitter = GramFitter(panel, y, list("abcdefg"), n=3)
-    fits = fitter.fit_subsets(all_subsets(7, 3))
-    for row, subset in enumerate(combinations(range(7), 3)):
+    fitter = GramFitter(panel, y, n=3)
+    assert np.array_equal(fitter.subsets, all_subsets(7, 3))
+    assert not fitter.subsets.flags.writeable
+    fits = fitter.fit_subsets(fitter.subsets)
+    for row in range(len(fitter.subsets)):
         for wi in (False, True):
-            model = fitter.fit(subset, wi)
-            assert model.coefficients == tuple(fits.form(wi)[0][row])
-            assert model.member_ids == tuple("abcdefg"[i] for i in subset)
-    for bad in ((1, 0, 2), (0, 0, 1), (-1, 2, 3), (2,), (0, 1), (0, 1, 2, 3)):
-        with pytest.raises(ValueError):
-            fitter.fit(bad, True)
+            model = fitter.fit(row, wi)
+            coef, t, r2, se_s = (field[row] for field in fits.form(wi))
+            assert model.coefficients == tuple(coef)
+            assert model.t_stats == tuple(t)
+            assert (model.r2, model.se_s) == (r2, se_s)
+            assert model.df == fits.df[int(wi)]
 
 
 # --- the boundary bench/tracing.py wraps by name -----------------------------
@@ -380,7 +382,7 @@ def test_fit_subsets_memory_is_bounded(monkeypatch):
     panel = rng.normal(size=(p, m)) + 2.0
     y = panel[7] - 0.5 * panel[300] + rng.normal(size=m) * 0.3
     # built for n = 1, so that only the pass measured below fits the pairs
-    fitter = GramFitter(panel, y, [f"ph{i}" for i in range(p)], n=1, s=1.5)
+    fitter = GramFitter(panel, y, n=1, s=1.5)
     index = all_subsets(p, 2)
     found = []
     peak = _peak_mb(lambda: found.append(fitter.fit_subsets(index)))

@@ -97,12 +97,11 @@ def test_gram_fitter_matches_ols_fit():
     y = rng.normal(size=m)
     ds = make_dataset(y)
     phenos = make_phenotypes(list(panel))
-    ids = [ph.source_genotype.render() for ph in phenos]
     for n in (1, 2, 3):
-        fitter = GramFitter(panel, y, ids, n=n)
-        for subset in combinations(range(p), n):
+        fitter = GramFitter(panel, y, n=n)
+        for row, subset in enumerate(combinations(range(p), n)):
             for wi in (True, False):
-                fast = fitter.fit(subset, wi)
+                fast = fitter.fit(row, wi)
                 ref = ols_fit([phenos[i] for i in subset], ds, wi)
                 assert np.allclose(
                     fast.coefficients, ref.coefficients, rtol=1e-9, atol=1e-11
@@ -235,9 +234,10 @@ def test_fit_assessed_both_mode_adds_candidate():
     panel = rng.uniform(0, 1, size=(3, m))
     y = 4.0 + 2.0 * panel[0] - 1.5 * panel[1] + rng.normal(size=m) * 0.05
     ds = make_dataset(y)
-    fitter = GramFitter(panel, y, ["a", "b", "c"], n=2)
-    fallback = fit_assessed(fitter.fit, (0, 1), ds, 0.05, "fallback")
-    both = fit_assessed(fitter.fit, (0, 1), ds, 0.05, "both")
+    fitter = GramFitter(panel, y, n=2)
+    # row 0 is the subset (0, 1)
+    fallback = fit_assessed(fitter.fit, 0, ds, 0.05, "fallback")
+    both = fit_assessed(fitter.fit, 0, ds, 0.05, "both")
     assert len(fallback) == 1 and fallback[0].with_intercept
     assert len(both) == 2
     assert {mo.with_intercept for mo in both} == {True, False}

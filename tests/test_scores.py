@@ -32,7 +32,6 @@ from tests.test_regress import make_dataset, make_phenotypes
 
 def model_stub(r2=0.5, t_stats=(3.0,), with_intercept=False, se=1.0, s=2.0):
     return RegressionModel(
-        member_ids=tuple(f"id{i}" for i in range(len(t_stats))),
         with_intercept=with_intercept,
         coefficients=tuple(1.0 for _ in t_stats),
         t_stats=tuple(t_stats),
@@ -54,6 +53,9 @@ def test_objective_spec_defaults_and_direction():
         ObjectiveSpec("hr", 1.0)
     with pytest.raises(ValueError):
         ObjectiveSpec("r2", -1.0)
+    for s in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="exponent s"):
+            ObjectiveSpec("r2", s)
     with pytest.raises(ValueError):
         ObjectiveSpec("nope")
 

@@ -11,7 +11,6 @@ from evoreg.stats import (
     format_report,
     jarque_bera,
     load_contingency_csv,
-    normal_mle,
     student_t_two_tail,
     t_critical,
     write_contingency_csv,
@@ -155,19 +154,6 @@ def test_jarque_bera_errors():
         jarque_bera([1.0, 1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
         jarque_bera([1.0, 2.0, 3.0])
-
-
-def test_normal_mle_trivial():
-    assert normal_mle([0.0, 0.0]) == (0.0, 0.0)
-    assert normal_mle([-1.0, 1.0]) == (0.0, 1.0)
-
-
-def test_normal_mle_recovers_parameters():
-    rng = np.random.default_rng(42)
-    x = rng.normal(6.4806, 0.83076, 100_000)
-    mean, sd = normal_mle(x)
-    assert abs(mean - 6.4806) < 0.01
-    assert abs(sd - 0.83076) < 0.01
 
 
 # --- homogeneity -------------------------------------------------------------
