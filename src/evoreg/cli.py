@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -53,6 +54,14 @@ class SyntheticSpec:
     planted_intercept: float = 0.0
     planted_noise: float = 0.0
     planted_seed: int = 1
+
+    def __post_init__(self):
+        for key in ("low", "high", "planted_slope", "planted_intercept",
+                    "planted_noise"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite")
+        if not self.low < self.high or self.planted_noise < 0.0:
+            raise ConfigError("need low < high and planted_noise >= 0")
 
 
 # [synthetic] keys: the SyntheticSpec fields, each parsed by its default's type
@@ -373,6 +382,16 @@ def _cmd_stats_chi2(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
+    spec = SyntheticSpec(
+        seed=args.table_seed,
+        low=args.low,
+        high=args.high,
+        planted_count=args.planted_count,
+        planted_slope=args.planted_slope,
+        planted_intercept=args.planted_intercept,
+        planted_noise=args.planted_noise,
+        planted_seed=args.planted_seed,
+    )
     rng = np.random.default_rng(args.seed)
     ids = tuple(f"mol{i + 1}" for i in range(args.molecules))
     activity = rng.normal(args.mean, args.sd, args.molecules)
@@ -390,16 +409,7 @@ def _cmd_gen_data(args) -> int:
             f"topology spans {size} genotypes; refusing to materialize more "
             f"than {args.max_rows} rows (raise --max-rows to override)"
         )
-    provider = _synthetic_provider(SyntheticSpec(
-        seed=args.table_seed,
-        low=args.low,
-        high=args.high,
-        planted_count=args.planted_count,
-        planted_slope=args.planted_slope,
-        planted_intercept=args.planted_intercept,
-        planted_noise=args.planted_noise,
-        planted_seed=args.planted_seed,
-    ), topology, ds)
+    provider = _synthetic_provider(spec, topology, ds)
     for key in provider.planted:
         print(f"planted {key}")
     rows = {

@@ -11,9 +11,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, Protocol
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "ViabilityPolicy",
     "ViabilityReport",
     "PlantedSignal",
+    "Provider",
     "TableProvider",
     "SyntheticProvider",
     "check_viability",
@@ -35,6 +37,11 @@ __all__ = [
     "write_descriptor_table",
     "DescriptorDataError",
 ]
+
+
+# phenotypes a SyntheticProvider keeps, least recently used evicted first; a
+# value depends only on its key, so eviction changes no output
+CACHE_PHENOTYPES = 8192
 
 
 class DescriptorDataError(ValueError):
@@ -207,6 +214,14 @@ class TableProvider:
         return len(self._table)
 
 
+class Provider(Protocol):
+    """What the engine asks of a phenotype source: a genotype's phenotype
+    (None if it has none), and every genotype that has one (None for all)."""
+
+    def provide(self, genotype: Genotype) -> Phenotype | None: ...
+    def known_genotypes(self) -> Iterable[Genotype] | None: ...
+
+
 @dataclass(frozen=True)
 class PlantedSignal:
     """Linear-in-activity cell: value = intercept + slope*Y + noise_sd*e."""
@@ -214,6 +229,11 @@ class PlantedSignal:
     slope: float = 1.0
     intercept: float = 0.0
     noise_sd: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.slope) and math.isfinite(self.intercept)
+                and 0.0 <= self.noise_sd < math.inf):
+            raise ValueError("need finite slope, intercept and noise_sd >= 0")
 
 
 class SyntheticProvider:
@@ -240,15 +260,15 @@ class SyntheticProvider:
         high: float = 1.0,
         planted: dict[str, PlantedSignal] | None = None,
     ):
-        if not low < high:
-            raise ValueError("need low < high for the uniform interval")
+        if not -math.inf < low < high < math.inf:
+            raise ValueError("need finite low < high for the uniform interval")
         self.topology = topology
         self.dataset = dataset
         self.seed = int(seed)
         self.low = float(low)
         self.high = float(high)
         self.planted = dict(planted or {})
-        self._cache: dict[str, Phenotype] = {}
+        self._cache: OrderedDict[str, Phenotype] = OrderedDict()
         self._rng = np.random.Generator(np.random.Philox(0))
 
     def _stream(self, key: str) -> np.random.Generator:
@@ -268,6 +288,7 @@ class SyntheticProvider:
         key = genotype.render()
         cached = self._cache.get(key)
         if cached is not None:
+            self._cache.move_to_end(key)
             return Phenotype(cached.values, genotype)
         rng = self._stream(key)
         m = self.dataset.size
@@ -280,6 +301,8 @@ class SyntheticProvider:
                 values = values + signal.noise_sd * rng.standard_normal(m)
         ph = Phenotype(values, genotype)
         self._cache[key] = ph
+        if len(self._cache) > CACHE_PHENOTYPES:
+            self._cache.popitem(last=False)
         return ph
 
     def known_genotypes(self) -> None:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import genome as gn
-from .descriptors import Dataset, Phenotype, ViabilityPolicy, check_viability
+from .descriptors import (Dataset, Phenotype, Provider, ViabilityPolicy,
+                          check_viability)
 from .genome import GeneticTopology, Genotype
 from .regress import GramFitter, RegressionModel, better, fit_assessed
 from .scores import (
@@ -191,7 +192,7 @@ class EvolutionState:
     provider returned; its genotype is ``source_genotype``."""
 
     cfg: EvolutionConfig
-    provider: object
+    provider: Provider
     dataset: Dataset
     rng: random.Random
     sample: list[Phenotype]
@@ -211,7 +212,7 @@ class EvolutionState:
             self.sur_norm = NormalizationState(n0, n1)
 
 
-def _admit(g: Genotype, seen: set[str], provider, ds: Dataset,
+def _admit(g: Genotype, seen: set[str], provider: Provider, ds: Dataset,
            policy: ViabilityPolicy, rejected: Counter[str]) -> Phenotype | None:
     """The one rule for entering the sample, when it is drawn and when
     children are bred: a key not in `seen`, a phenotype, and every viability
@@ -237,7 +238,7 @@ def _admit(g: Genotype, seen: set[str], provider, ds: Dataset,
 def init_sample(
     cfg: EvolutionConfig,
     topology: GeneticTopology,
-    provider,
+    provider: Provider,
     ds: Dataset,
     rng: random.Random,
 ) -> list[Phenotype]:
@@ -290,13 +291,12 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
     keys = [ph.source_genotype.key for ph in sample]
     fit_s = cfg.objective.s if cfg.objective.kind == "se" else 2.0
     fitter = GramFitter(panel, state.dataset.activity, cfg.n, s=fit_s)
+    validity = fitter.assess(cfg.alpha, cfg.intercept_mode == "both")
     rows: list[int] = []    # one row and value per valid model
     values: list[float] = []
     gen_best: tuple[float, int, RegressionModel] | None = None
     for row in range(len(fitter.subsets)):
-        for model in fit_assessed(
-            fitter.fit, row, state.dataset, cfg.alpha, cfg.intercept_mode
-        ):
+        for model in fit_assessed(fitter.fit, row, validity):
             if not model.valid:
                 continue
             value = objective_score(model, cfg.objective)
@@ -402,7 +402,7 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
 def run(
     cfg: EvolutionConfig,
     topology: GeneticTopology,
-    provider,
+    provider: Provider,
     ds: Dataset,
 ) -> RunResult:
     """Run the evolution until the objective target is met or the generation

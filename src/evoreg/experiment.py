@@ -8,7 +8,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from .descriptors import Dataset
+from .descriptors import Dataset, Provider
 from .engine import EvolutionConfig, RunResult, run
 from .genome import GeneticTopology
 from .stats import ChiSquareReport, ContingencyTable, chi2_homogeneity
@@ -130,7 +130,7 @@ def accumulate_run(cell: CellStats, result: RunResult) -> None:
 def run_grid(
     base_cfg: EvolutionConfig,
     topology: GeneticTopology,
-    provider,
+    provider: Provider,
     ds: Dataset,
     runs_per_cell: int,
     master_seed: int,

@@ -16,6 +16,18 @@ PIVOT_TOL times its diagonal entry. So the intercept form fails whenever the
 no-intercept form does. Applied to the response, the rule marks an exact
 fit: an error sum at most PIVOT_TOL * sum(y^2) is reported as 0, and
 nonzero t statistics as +-inf.
+
+Validity rules, applied by `GramFitter.assess` as masks over the table: a
+coefficient is insignificant when |t| < t_critical(alpha, df) of its form,
+two lookups a sweep as df is constant per form. A form with more than
+m - SIGNIFICANCE_OFFSET coefficients is invalid and is not demoted. The
+primary candidate is the intercept form, or the no-intercept form if the
+intercept is insignificant (demotion), and is valid unless a slope is
+insignificant in both forms. A singular intercept form gives no primary
+candidate, even beside a well-posed no-intercept form. "both" mode adds the
+no-intercept form as a second candidate unless the primary was demoted,
+valid unless a slope is insignificant in it and, in the intercept form,
+insignificant or singular. `fit_assessed` reads the masks for one subset.
 """
 
 from __future__ import annotations
@@ -36,8 +48,8 @@ __all__ = [
     "RegressionModel",
     "SingularFitError",
     "SubsetFits",
+    "Validity",
     "ols_fit",
-    "assess_validity",
     "search_space_size",
     "GramFitter",
     "fit_assessed",
@@ -67,7 +79,7 @@ class RegressionModel:
     ``coefficients`` lists the intercept first when ``with_intercept``; the
     ``t_stats`` align with the coefficients. ``se_s`` is the error sum
     sum(|y_hat - y|^s) at the exponent ``s`` the model was fitted with.
-    ``valid`` is set by assess_validity.
+    ``valid`` is set by fit_assessed.
     """
 
     with_intercept: bool
@@ -216,7 +228,7 @@ class GramFitter:
         z[:-2], z[-2], z[-1] = panel, 1.0, y
         self.gram = z @ z.T
         self.subsets = _all_subsets(panel.shape[0], n)
-        fits = self.fit_subsets(self.subsets)
+        self.fits = fits = self.fit_subsets(self.subsets)
         self._rows = fits.table.transpose(0, 2, 1).tolist()
         self._singular, self._df = fits.singular.tolist(), fits.df.tolist()
 
@@ -232,6 +244,20 @@ class GramFitter:
             tuple(values[n1 + lo : 2 * n1]), values[2 * n1],
             values[2 * n1 + 1], self.s, self._df[with_intercept],
         )
+
+    def assess(self, alpha: float, both: bool) -> Validity:
+        """The validity rules (module docstring) on every row of the table
+        at significance level `alpha`; `both` selects "both" mode."""
+        ins0, ins1 = (np.abs(self.fits.form(wi)[1])
+                      < t_critical(alpha, self._df[wi]) for wi in (False, True))
+        room0, room1 = (self.n + wi <= self.m - SIGNIFICANCE_OFFSET
+                        for wi in (0, 1))
+        sing1 = self.fits.singular[1]
+        valid1 = room1 & ~(ins0 & ins1[:, 1:]).any(axis=1)
+        valid0 = room0 & ~(ins0 & (ins1[:, 1:] | sing1[:, None])).any(axis=1)
+        demoted = room1 & ~sing1 & ins1[:, 0]
+        return Validity(demoted.tolist(), (valid0.tolist(), valid1.tolist()),
+                        both)
 
     def fit_subsets(self, index: np.ndarray) -> SubsetFits:
         """Fit every subset in `index` (one row of panel indices each) in
@@ -304,92 +330,32 @@ class GramFitter:
             out[form, 2 * n1 + 1] = np.where(exact[form], 0.0, se_s)
 
 
-def assess_validity(
-    model: RegressionModel,
-    ds: Dataset,
-    alpha: float,
-    refit: Callable[[bool], RegressionModel],
-) -> RegressionModel:
-    """Apply the validity rules and return the final (possibly refitted) model.
+@dataclass(frozen=True)
+class Validity:
+    """Each table row's verdict under the validity rules: ``demoted[row]`` if
+    the primary candidate has no intercept, ``valid[form][row]`` for a
+    candidate of form 0 (none) or 1 (intercept); ``both`` marks "both" mode."""
 
-    Rules, in order: the coefficient count may not exceed m minus
-    SIGNIFICANCE_OFFSET; an insignificant intercept demotes the fit to the
-    no-intercept form; a slope insignificant in both forms invalidates the
-    model. Invalidity is a state on the returned model, not an error.
-    """
-    m = ds.size
-    if len(model.coefficients) > m - SIGNIFICANCE_OFFSET:
-        model.valid = False
-        return model
-
-    other: RegressionModel | None = None
-
-    def other_form() -> RegressionModel:
-        nonlocal other
-        if other is None:
-            other = refit(not final.with_intercept)
-        return other
-
-    final = model
-    if model.with_intercept:
-        crit = t_critical(alpha, model.df)
-        if abs(model.t_stats[0]) < crit:
-            final = refit(False)
-            other = model
-            if len(final.coefficients) > m - SIGNIFICANCE_OFFSET:
-                final.valid = False
-                return final
-
-    crit = t_critical(alpha, final.df)
-    for i, t in enumerate(final.slope_t_stats):
-        if abs(t) < crit:
-            try:
-                alt = other_form()
-            except SingularFitError:
-                final.valid = False
-                return final
-            if abs(alt.slope_t_stats[i]) < t_critical(alpha, alt.df):
-                final.valid = False
-                return final
-    final.valid = True
-    return final
+    demoted: list[bool]
+    valid: tuple[list[bool], list[bool]]
+    both: bool
 
 
-def fit_assessed(
-    fit: Callable[[int, bool], RegressionModel],
-    row: int,
-    ds: Dataset,
-    alpha: float,
-    intercept_mode: str = "fallback",
-) -> list[RegressionModel]:
-    """Fit the subset in row `row` of a GramFitter's table under the
-    configured intercept handling and return the assessed candidate models
-    (empty when the design is singular).
-
-    "fallback" fits the intercept form and demotes it when the intercept is
-    insignificant; "both" additionally offers the pure no-intercept form as a
-    second candidate, doubling the searched space.
-
-    In "fallback" a subset whose intercept form is singular is dropped, even
-    when its no-intercept form is well-posed (say, a constant member): only
-    a fitted intercept can be demoted.
-    """
-    if intercept_mode not in ("fallback", "both"):
-        raise ValueError(f"unknown intercept mode {intercept_mode!r}")
+def fit_assessed(fit: Callable[[int, bool], RegressionModel], row: int,
+                 validity: Validity) -> list[RegressionModel]:
+    """The candidate models of row `row` of a GramFitter's table, primary
+    first, each fitted once and marked valid from `validity`; a singular one
+    raises in `fit` and is skipped. The engine calls it once per subset
+    because the benchmark's tracer counts those calls."""
+    primary = not validity.demoted[row]
     candidates: list[RegressionModel] = []
-    refit = lambda wi: fit(row, wi)  # noqa: E731
-    try:
-        primary = assess_validity(fit(row, True), ds, alpha, refit)
-        candidates.append(primary)
-    except SingularFitError:
-        primary = None
-    if intercept_mode == "both" and (primary is None or primary.with_intercept):
+    for wi in (primary, False) if validity.both and primary else (primary,):
         try:
-            candidates.append(
-                assess_validity(fit(row, False), ds, alpha, refit)
-            )
+            model = fit(row, wi)
         except SingularFitError:
-            pass
+            continue
+        model.valid = validity.valid[wi][row]
+        candidates.append(model)
     return candidates
 
 

@@ -9,6 +9,7 @@ seed reproduces extractions exactly.
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass
 
@@ -42,8 +43,8 @@ class StrategySpec:
             raise ValueError(f"unknown strategy method {self.method!r}")
         if self.normalization is not None:
             n0, n1 = self.normalization
-            if not n0 < n1:
-                raise ValueError("normalization bounds must be ordered")
+            if not -math.inf < n0 < n1 < math.inf:
+                raise ValueError("normalization bounds must be finite, ordered")
         if self.significant_digits is not None and self.significant_digits < 1:
             raise ValueError("significant_digits must be positive")
 

@@ -11,8 +11,9 @@ from evoreg.descriptors import (
 )
 from evoreg.engine import EvolutionConfig
 from evoreg.genome import Gene, GeneticTopology
-from evoreg.regress import better, fit_assessed
+from evoreg.regress import SIGNIFICANCE_OFFSET, SingularFitError, better
 from evoreg.scores import ObjectiveSpec
+from evoreg.stats import t_critical
 from evoreg.strategy import StrategySpec
 
 
@@ -29,15 +30,88 @@ def ncd(a, b):
     return sum(x != y for x, y in zip(a.allele_index, b.allele_index))
 
 
-def brute_best(fitter, ds, alpha, objective_fn, direction):
+def assess_validity(model, ds, alpha, refit):
+    """The validity rules applied to one fitted model, rule by rule: the
+    oracle for `GramFitter.assess`. Returns the final (possibly refitted)
+    model with ``valid`` set. `refit(with_intercept)` fits the other form.
+
+    Rules, in order: the coefficient count may not exceed m minus
+    SIGNIFICANCE_OFFSET; an insignificant intercept demotes the fit to the
+    no-intercept form; a slope insignificant in both forms, or insignificant
+    with the other form singular, invalidates the model."""
+    m = ds.size
+    if len(model.coefficients) > m - SIGNIFICANCE_OFFSET:
+        model.valid = False
+        return model
+
+    other = None
+
+    def other_form():
+        nonlocal other
+        if other is None:
+            other = refit(not final.with_intercept)
+        return other
+
+    final = model
+    if model.with_intercept:
+        crit = t_critical(alpha, model.df)
+        if abs(model.t_stats[0]) < crit:
+            final = refit(False)
+            other = model
+            if len(final.coefficients) > m - SIGNIFICANCE_OFFSET:
+                final.valid = False
+                return final
+
+    crit = t_critical(alpha, final.df)
+    for i, t in enumerate(final.slope_t_stats):
+        if abs(t) < crit:
+            try:
+                alt = other_form()
+            except SingularFitError:
+                final.valid = False
+                return final
+            if abs(alt.slope_t_stats[i]) < t_critical(alpha, alt.df):
+                final.valid = False
+                return final
+    final.valid = True
+    return final
+
+
+def fit_assessed_oracle(fit, row, ds, alpha, intercept_mode="fallback"):
+    """The assessed candidate models of row `row` of a GramFitter's table,
+    one subset at a time through `assess_validity`: the oracle for
+    `regress.fit_assessed`. "fallback" fits the intercept form and demotes
+    it when the intercept is insignificant; "both" adds the no-intercept
+    form unless the primary was demoted. A singular intercept form gives no
+    primary candidate."""
+    candidates = []
+    refit = lambda wi: fit(row, wi)  # noqa: E731
+    try:
+        primary = assess_validity(fit(row, True), ds, alpha, refit)
+        candidates.append(primary)
+    except SingularFitError:
+        primary = None
+    if intercept_mode == "both" and (primary is None or primary.with_intercept):
+        try:
+            candidates.append(
+                assess_validity(fit(row, False), ds, alpha, refit)
+            )
+        except SingularFitError:
+            pass
+    return candidates
+
+
+def brute_best(fitter, ds, alpha, objective_fn, direction,
+               intercept_mode="fallback"):
     """The best valid model over every n-subset of a GramFitter's panel, as
     (subset, model, value), or (None, None, None) when none is valid: one
-    fit_assessed call per subset, in lexicographic order, the first strictly
-    better model winning. The oracle for the engine's sweep."""
+    fit_assessed_oracle call per subset, in lexicographic order, the first
+    strictly better model winning. The oracle for the engine's sweep."""
     best = (None, None, None)
     p = fitter.panel.shape[0]
     for row, subset in enumerate(combinations(range(p), fitter.n)):
-        for model in fit_assessed(fitter.fit, row, ds, alpha):
+        for model in fit_assessed_oracle(fitter.fit, row, ds, alpha,
+                                         intercept_mode):
             if not model.valid:
                 continue
             value = objective_fn(model)

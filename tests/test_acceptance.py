@@ -41,6 +41,7 @@ from evoreg.stats import (
 from evoreg.strategy import extract_deterministic, extract_proportional, \
     extract_tournament
 from tests.conftest import (
+    assess_validity,
     binary_topology,
     brute_best,
     normal_dataset,
@@ -194,7 +195,6 @@ def test_criterion_4_regression_oracle_equivalence():
     brute_subset, brute_value = None, -1.0
     phenos = make_phenotypes(list(panel))
     for cand in combinations(range(n_phen), n):
-        from evoreg.regress import assess_validity
         mo = ols_fit([phenos[i] for i in cand], ds, True)
         mo = assess_validity(
             mo, ds, 0.05,

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from evoreg import cli
-from evoreg.cli import SyntheticSpec, load_manifest, main
+from evoreg.cli import ConfigError, SyntheticSpec, load_manifest, main
 from evoreg.descriptors import load_activity
 
 TOPOLOGY = "\n".join(
@@ -344,3 +344,48 @@ def test_synthetic_defaults_come_from_the_spec(tmp_path, monkeypatch, capsys):
                  "--descriptors-out", str(tmp_path / "t.csv"),
                  "--topology", str(topo_path)]) == 0
     assert specs == [SyntheticSpec()]
+
+
+def test_synthetic_values_must_be_finite(tmp_path, capsys):
+    """A non-finite planted value or interval bound, a negative
+    planted_noise, or low >= high is a ConfigError naming the key, from a
+    manifest at load and from gen-data before it writes anything."""
+    manifest = write_world(tmp_path)
+    text = manifest.read_text()
+    head = (text[: text.index("[synthetic]")]
+            + "[synthetic]\nplanted_count = 8\n")
+    cases = (("planted_noise", "nan"), ("planted_noise", "-0.25"),
+             ("planted_slope", "nan"), ("planted_intercept", "inf"),
+             ("low", "-inf"), ("high", "inf"), ("high", "nan"), ("low", "2"))
+    for key, value in cases:
+        manifest.write_text(f"{head}{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_manifest(manifest)
+        assert main(["run", "--manifest", str(manifest)]) == 2
+        assert key in capsys.readouterr().err
+        topo_path = tmp_path / "topology.cgt"
+        out = tmp_path / f"gen-{key}-{value}"
+        assert main(["gen-data", "--activity-out", str(out / "a.csv"),
+                     "--descriptors-out", str(out / "t.csv"),
+                     "--topology", str(topo_path),
+                     f"--{key.replace('_', '-')}={value}"]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_infinite_normalize_bounds(tmp_path, capsys):
+    """normalize bounds must be finite: `run` stops at load, before any
+    generation, naming the setting."""
+    manifest = write_world(tmp_path)
+    evo = tmp_path / "evolution.cfg"
+    text = evo.read_text()
+    for bounds in ("0:inf", "-inf:1", "0:nan"):
+        evo.write_text(text.replace(
+            "method = tournament\n",
+            f"method = tournament\nnormalize = {bounds}\n"))
+        with pytest.raises(ConfigError, match="normalization bounds"):
+            cli.load_evolution_config(evo, 11)
+        assert main(["run", "--manifest", str(manifest)]) == 2
+        assert "normalization bounds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evoreg import stats
+from evoreg import descriptors, stats
 from evoreg.descriptors import (
     Dataset,
     DescriptorDataError,
@@ -536,6 +536,38 @@ def test_synthetic_rekeyed_stream_matches_fresh_generator():
         got = provider.provide(g).values
         assert got.tobytes() == fresh_stream_values(provider, g.render()
                                                     ).tobytes()
+
+
+def test_synthetic_cache_evicts_least_recent_and_resynthesizes(monkeypatch):
+    """The provider keeps at most CACHE_PHENOTYPES phenotypes, evicting the
+    least recently used; an evicted genotype is synthesized again to the
+    same bits, planted or not."""
+    monkeypatch.setattr(descriptors, "CACHE_PHENOTYPES", 3)
+    topo = binary_topology(6)
+    ds = normal_dataset(m=30)
+    a, b, c, d = (Genotype(topo, tuple(int(x) for x in f"{i:06b}"))
+                  for i in (1, 2, 3, 4))
+    provider = SyntheticProvider(topo, ds, seed=3, planted={
+        b.render(): PlantedSignal(slope=0.5, noise_sd=0.2)})
+    first = {g.key: provider.provide(g).values.tobytes() for g in (a, b, c)}
+    provider.provide(a)             # a becomes the most recent
+    provider.provide(d)             # evicts b
+    assert list(provider._cache) == [c.render(), a.render(), d.render()]
+    for g in (b, c, a):
+        assert provider.provide(g).values.tobytes() == first[g.key]
+        assert len(provider._cache) == 3
+    assert list(provider._cache) == [b.render(), c.render(), a.render()]
+
+
+def test_planted_signal_and_interval_must_be_finite(topo, dataset):
+    for bad in (dict(slope=math.nan), dict(intercept=math.inf),
+                dict(noise_sd=math.nan), dict(noise_sd=-0.1)):
+        with pytest.raises(ValueError, match="finite slope"):
+            PlantedSignal(**bad)
+    for low, high in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
+                      (1.0, 1.0)):
+        with pytest.raises(ValueError, match="finite low < high"):
+            SyntheticProvider(topo, dataset, seed=1, low=low, high=high)
 
 
 def test_pick_planted_genotypes(topo):

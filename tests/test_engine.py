@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from evoreg import genome
+from evoreg import engine, genome
 from evoreg.descriptors import Phenotype, SyntheticProvider, TableProvider
 from evoreg.engine import (
     EvolutionConfig,
@@ -19,12 +19,13 @@ from evoreg.engine import (
     run_generation,
 )
 from evoreg.genome import Gene, GeneticTopology, genome_size
-from evoreg.regress import GramFitter, fit_assessed
+from evoreg.regress import GramFitter
 from evoreg.scores import ObjectiveSpec, objective_score
 from evoreg.strategy import StrategySpec
 from tests.conftest import (
     binary_topology,
     brute_best,
+    fit_assessed_oracle,
     normal_dataset,
     planted_config,
     planted_provider,
@@ -268,7 +269,7 @@ def test_generation_sweep_matches_brute_best():
         )
         counts = np.zeros(cfg.p, dtype=int)
         for row, members in enumerate(combinations(range(cfg.p), n)):
-            for model in fit_assessed(fitter.fit, row, ds, cfg.alpha):
+            for model in fit_assessed_oracle(fitter.fit, row, ds, cfg.alpha):
                 counts[list(members)] += model.valid
         rec = run_generation(EvolutionState(cfg, provider, ds, rng, sample))
         assert subset is not None
@@ -276,6 +277,48 @@ def test_generation_sweep_matches_brute_best():
         assert rec.best_model_genotypes == tuple(keys[i] for i in subset)
         assert rec.participations == tuple(counts.tolist())
         assert rec.valid_regression_count * n == counts.sum()
+
+
+def test_both_mode_run_matches_brute_best(monkeypatch):
+    """A whole run in "both" mode: every generation's best objective, best
+    genotypes, valid count and participations equal the per-subset oracle's
+    sweep of the sample that generation starts from."""
+    topo = binary_topology(8)
+    ds = normal_dataset(m=40, mean=0.0)
+    provider = planted_provider(topo, ds, n_planted=16)
+    cfg = planted_config(seed=4, p=12, n=2, intercept_mode="both",
+                         max_generations=12)
+    samples = []
+    original = engine.run_generation
+
+    def recorded(state):
+        samples.append(list(state.sample))
+        return original(state)
+
+    monkeypatch.setattr(engine, "run_generation", recorded)
+    result = run(cfg, topo, provider, ds)
+    assert len(samples) == len(result.records) == cfg.max_generations
+    values = []
+    for sample, rec in zip(samples, result.records):
+        keys = [ph.source_genotype.key for ph in sample]
+        fitter = GramFitter(np.vstack([ph.values for ph in sample]),
+                            ds.activity, n=cfg.n)
+        subset, _, value = brute_best(
+            fitter, ds, cfg.alpha,
+            lambda mo: objective_score(mo, cfg.objective), "max", "both",
+        )
+        counts = np.zeros(cfg.p, dtype=int)
+        for row, members in enumerate(fitter.subsets.tolist()):
+            for model in fit_assessed_oracle(fitter.fit, row, ds, cfg.alpha,
+                                             "both"):
+                counts[members] += model.valid
+        assert subset is not None
+        assert rec.best_objective == value
+        assert rec.best_model_genotypes == tuple(keys[i] for i in subset)
+        assert rec.participations == tuple(counts.tolist())
+        assert rec.valid_regression_count * cfg.n == counts.sum()
+        values.append(value)
+    assert result.best_objective == max(values)
 
 
 def test_run_deterministic_same_seed(planted_world):

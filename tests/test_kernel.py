@@ -23,16 +23,25 @@ from evoreg.regress import (
     fit_assessed,
     ols_fit,
 )
-from tests.conftest import binary_topology, normal_dataset, planted_config
+from tests.conftest import (
+    binary_topology,
+    fit_assessed_oracle,
+    normal_dataset,
+    planted_config,
+)
 from tests.test_regress import lstsq_oracle, make_dataset, make_phenotypes
 
 PANELS = ("random", "collinear", "constant", "near_constant", "exact", "tight")
+# m = n + 6: the intercept form has one coefficient more than the count rule
+# allows, the no-intercept form exactly as many
+VALIDITY_PANELS = PANELS + ("count_edge",)
 
 
 def make_panel(kind, n, rng):
     """A (p, m) panel and response of the given kind; see PANELS."""
     p = n + 3
-    m = n + 7 if kind == "tight" else int(rng.integers(n + 12, 40))
+    m = {"tight": n + 7, "count_edge": n + 6}.get(kind) or int(
+        rng.integers(n + 12, 40))
     panel = rng.normal(size=(p, m)) * rng.uniform(0.5, 3.0, size=(p, 1))
     panel += rng.uniform(-2.0, 2.0, size=(p, 1))
     y = panel[:n].T @ rng.normal(size=n) + rng.normal(size=m) + 1.5
@@ -189,11 +198,85 @@ def test_fallback_drops_subset_with_singular_intercept_form():
         fitter.fit(0, True)
     alone = fitter.fit(0, False)     # well-posed: y on a constant
     assert alone.df == m - 1
-    assert fit_assessed(fitter.fit, 0, ds, 0.05, "fallback") == []
-    both = fit_assessed(fitter.fit, 0, ds, 0.05, "both")
-    assert [mo.with_intercept for mo in both] == [False]
+    fallback, both = fitter.assess(0.05, False), fitter.assess(0.05, True)
+    assert fit_assessed(fitter.fit, 0, fallback) == []
+    candidates = fit_assessed(fitter.fit, 0, both)
+    assert [mo.with_intercept for mo in candidates] == [False]
+    assert candidates == fit_assessed_oracle(fitter.fit, 0, ds, 0.05, "both")
     # the well-posed member is unaffected
-    assert len(fit_assessed(fitter.fit, 1, ds, 0.05, "fallback")) == 1
+    assert len(fit_assessed(fitter.fit, 1, fallback)) == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(VALIDITY_PANELS),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.sampled_from([0.05, 0.25]),
+    mode=st.sampled_from(["fallback", "both"]),
+    junk=st.sampled_from([None, 0.0, np.inf]),
+)
+def test_validity_masks_match_oracle(kind, n, seed, alpha, mode, junk):
+    """fit_assessed's read-out of GramFitter.assess gives the per-subset
+    oracle's candidates, in order, with the same form, validity and
+    coefficients. It fits each candidate once, and still asks for a singular
+    intercept form, which raises. The table entries of singular fits are
+    undefined, so overwriting them with `junk` changes nothing."""
+    panel, y = make_panel(kind, n, np.random.default_rng(seed))
+    fitter = GramFitter(panel, y, n)
+    ds = make_dataset(y)
+    if junk is not None:
+        for form in (0, 1):
+            fitter.fits.table[form][:, fitter.fits.singular[form]] = junk
+    validity = fitter.assess(alpha, mode == "both")
+    calls, raised = [], []
+
+    def fit(row, wi):
+        calls.append((row, wi))
+        try:
+            return fitter.fit(row, wi)
+        except SingularFitError:
+            raised.append((row, wi))
+            raise
+
+    for row in range(len(fitter.subsets)):
+        calls.clear()
+        raised.clear()
+        got = fit_assessed(fit, row, validity)
+        want = fit_assessed_oracle(fitter.fit, row, ds, alpha, mode)
+        assert ([(mo.with_intercept, mo.valid, mo.coefficients) for mo in got]
+                == [(mo.with_intercept, mo.valid, mo.coefficients)
+                    for mo in want]), (kind, row)
+        assert len(calls) == len(got) + len(raised)
+        assert ((row, True) in raised) == fitter.fits.singular[1, row]
+
+
+def test_validity_panels_reach_every_case():
+    """The mask test's panels reach each rule on both sides of crit: a kept
+    and a demoted primary, each valid and invalid; the second candidate of
+    "both" mode valid and invalid, also beside a singular intercept form;
+    and at m = n + 6 an intercept form invalid by count only."""
+    seen = set()
+    for kind in VALIDITY_PANELS:
+        for n in (1, 2):
+            panel, y = make_panel(kind, n, np.random.default_rng(n))
+            fitter = GramFitter(panel, y, n)
+            validity = fitter.assess(0.05, True)
+            singular = fitter.fits.singular[1]
+            for row in range(len(fitter.subsets)):
+                if singular[row]:
+                    seen.add(("singular", validity.valid[0][row]))
+                elif validity.demoted[row]:
+                    seen.add(("demoted", validity.valid[0][row]))
+                else:
+                    seen.add(("kept", validity.valid[1][row]))
+                    seen.add(("second", validity.valid[0][row]))
+            if kind == "count_edge":
+                assert not any(validity.valid[1] + validity.demoted)
+                assert any(validity.valid[0])
+    assert seen == {(case, valid) for case in ("singular", "demoted", "kept",
+                                               "second")
+                    for valid in (False, True)}
 
 
 def test_fit_lookup_matches_kernel_rows_and_checks_order():

@@ -9,11 +9,11 @@ from evoreg.genome import Gene, GeneticTopology, Genotype
 from evoreg.regress import (
     GramFitter,
     SingularFitError,
-    assess_validity,
     fit_assessed,
     ols_fit,
     search_space_size,
 )
+from tests.conftest import assess_validity, fit_assessed_oracle
 
 
 def make_dataset(y):
@@ -236,11 +236,13 @@ def test_fit_assessed_both_mode_adds_candidate():
     ds = make_dataset(y)
     fitter = GramFitter(panel, y, n=2)
     # row 0 is the subset (0, 1)
-    fallback = fit_assessed(fitter.fit, 0, ds, 0.05, "fallback")
-    both = fit_assessed(fitter.fit, 0, ds, 0.05, "both")
+    fallback = fit_assessed(fitter.fit, 0, fitter.assess(0.05, False))
+    both = fit_assessed(fitter.fit, 0, fitter.assess(0.05, True))
     assert len(fallback) == 1 and fallback[0].with_intercept
     assert len(both) == 2
     assert {mo.with_intercept for mo in both} == {True, False}
+    for mode, got in (("fallback", fallback), ("both", both)):
+        assert got == fit_assessed_oracle(fitter.fit, 0, ds, 0.05, mode)
 
 
 # --- search space sizing -------------------------------------------------------

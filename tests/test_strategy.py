@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -24,8 +25,10 @@ def test_strategy_spec_validation():
     StrategySpec("tournament", use_ranks=True, normalization=(0.0, 1.0))
     with pytest.raises(ValueError):
         StrategySpec("roulette")
-    with pytest.raises(ValueError):
-        StrategySpec("proportional", normalization=(1.0, 1.0))
+    for bounds in ((1.0, 1.0), (0.0, math.inf), (-math.inf, 1.0),
+                   (0.0, math.nan), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="normalization bounds"):
+            StrategySpec("proportional", normalization=bounds)
     with pytest.raises(ValueError):
         StrategySpec("proportional", significant_digits=0)
 
