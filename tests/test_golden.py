@@ -126,6 +126,25 @@ def _min_se_both_ranks():
     )
 
 
+def _mt_s15_n3():
+    """Power mean of slope |t| at s = 1.5 over three-descriptor models on
+    centred activity: the slope terms are summed in order, so a reordered
+    or array-power objective moves the logged values."""
+    return _centred(6, 0.05, n=3, objective=ObjectiveSpec("mt", 1.5))
+
+
+def _both_hr_s2():
+    """Entropy of determination at s = 2 (a minimized objective) with both
+    intercept forms."""
+    topology = binary_topology(10)
+    dataset = normal_dataset()
+    cfg = planted_config(
+        seed=7, max_generations=25, intercept_mode="both",
+        objective=ObjectiveSpec("hr", 2.0),
+    )
+    return run(cfg, topology, planted_provider(topology, dataset), dataset)
+
+
 def _screened_24():
     """24 genes (16.7M genotypes), one descriptor per model, with every
     viability screen on: the cv floor, the Jarque-Bera gate and the simple
@@ -148,6 +167,8 @@ CASES = {
     "avg_normalized_digits": _avg_normalized_digits,
     "min_se_both_ranks": _min_se_both_ranks,
     "screened_24": _screened_24,
+    "mt_s1.5_n3": _mt_s15_n3,
+    "both_hr_s2": _both_hr_s2,
 }
 
 
