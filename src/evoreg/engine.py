@@ -26,7 +26,7 @@ from .regress import GramFitter, RegressionModel, better, fit_assessed
 from .scores import (
     NormalizationState,
     ObjectiveSpec,
-    objective_score,
+    objective_score,  # noqa: F401  (bench/tracing.py wraps it by name)
     selection_direction,
     selection_scores,
     survival_scores,
@@ -284,40 +284,34 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
     p = cfg.p
     direction = cfg.objective.direction
 
-    # full sweep: fit every n-subset of the sample, one row of the fitter's
-    # table each; only the error-sum objective needs per-fit residual sums
-    # at its own exponent
+    # full sweep: fit and score every n-subset of the sample, one table row
+    # each; only the error-sum objective needs residual sums at its exponent
     panel = np.vstack([ph.values for ph in sample])
     keys = [ph.source_genotype.key for ph in sample]
     fit_s = cfg.objective.s if cfg.objective.kind == "se" else 2.0
     fitter = GramFitter(panel, state.dataset.activity, cfg.n, s=fit_s)
-    validity = fitter.assess(cfg.alpha, cfg.intercept_mode == "both")
-    rows: list[int] = []    # one row and value per valid model
-    values: list[float] = []
-    gen_best: tuple[float, int, RegressionModel] | None = None
-    for row in range(len(fitter.subsets)):
-        for model in fit_assessed(fitter.fit, row, validity):
-            if not model.valid:
-                continue
-            value = objective_score(model, cfg.objective)
-            rows.append(row)
-            values.append(value)
-            if gen_best is None or better(value, gen_best[0], direction):
-                gen_best = (value, row, model)
-    member_rows = fitter.subsets[rows]
+    candidates = fitter.assess(cfg.alpha, cfg.intercept_mode == "both",
+                               cfg.objective.values)
+    kept = [(row, cand) for row in range(len(fitter.subsets))
+            for cand in fit_assessed(row, candidates) if cand.valid]
+    values = [cand.value for _, cand in kept]
+    # the first valid candidate that no later one beats: max and min keep
+    # the first of equal keys, comparing as `better` does
+    best = (max if direction == "max" else min)(
+        range(len(kept)), key=values.__getitem__, default=None)
+    member_rows = fitter.subsets[[row for row, _ in kept]]
     participations = np.bincount(member_rows.ravel(), minlength=p)
-    best_members = (fitter.subsets[gen_best[1]].tolist()
-                    if gen_best is not None else [])
+    best_members = (fitter.subsets[kept[best][0]].tolist()
+                    if best is not None else [])
     best_keys = tuple(keys[i] for i in best_members)
 
-    improved = False
-    if gen_best is not None:
-        value, _, model = gen_best
-        if state.best_model is None or better(value, state.best_objective, direction):
-            improved = True
-            state.best_model = model
-            state.best_objective = value
-            state.best_genotypes = best_keys
+    improved = best is not None and (state.best_model is None or better(
+        values[best], state.best_objective, direction))
+    if improved:
+        row, cand = kept[best]
+        state.best_model = fitter.fit(row, cand.with_intercept)
+        state.best_objective = cand.value
+        state.best_genotypes = best_keys
 
     # selection scores and parent extraction
     sel_fs = selection_scores(
@@ -362,7 +356,7 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
 
     record = GenerationRecord(
         generation=state.generation + 1,
-        best_objective=gen_best[0] if gen_best is not None else float("nan"),
+        best_objective=values[best] if best is not None else float("nan"),
         improved=improved,
         best_model_genotypes=best_keys,
         sample_genotypes=tuple(keys),

@@ -27,7 +27,7 @@ insignificant in both forms. A singular intercept form gives no primary
 candidate, even beside a well-posed no-intercept form. "both" mode adds the
 no-intercept form as a second candidate unless the primary was demoted,
 valid unless a slope is insignificant in it and, in the intercept form,
-insignificant or singular. `fit_assessed` reads the masks for one subset.
+insignificant or singular. The same pass scores the valid candidates.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Callable, Sequence
+from itertools import combinations, repeat
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,10 +45,10 @@ from .descriptors import Dataset, Phenotype
 from .stats import t_critical
 
 __all__ = [
+    "Candidate",
     "RegressionModel",
     "SingularFitError",
     "SubsetFits",
-    "Validity",
     "ols_fit",
     "search_space_size",
     "GramFitter",
@@ -79,7 +79,6 @@ class RegressionModel:
     ``coefficients`` lists the intercept first when ``with_intercept``; the
     ``t_stats`` align with the coefficients. ``se_s`` is the error sum
     sum(|y_hat - y|^s) at the exponent ``s`` the model was fitted with.
-    ``valid`` is set by fit_assessed.
     """
 
     with_intercept: bool
@@ -89,7 +88,6 @@ class RegressionModel:
     se_s: float
     s: float
     df: int
-    valid: bool = False
 
     @property
     def slope_t_stats(self) -> tuple[float, ...]:
@@ -228,36 +226,52 @@ class GramFitter:
         z[:-2], z[-2], z[-1] = panel, 1.0, y
         self.gram = z @ z.T
         self.subsets = _all_subsets(panel.shape[0], n)
-        self.fits = fits = self.fit_subsets(self.subsets)
-        self._rows = fits.table.transpose(0, 2, 1).tolist()
-        self._singular, self._df = fits.singular.tolist(), fits.df.tolist()
+        self.fits = self.fit_subsets(self.subsets)
 
     def fit(self, row: int, with_intercept: bool) -> RegressionModel:
         """The fit of the subset in row `row` of `subsets` (SingularFitError
         if it has none)."""
-        if self._singular[with_intercept][row]:
+        wi = int(with_intercept)
+        if self.fits.singular[wi, row]:
             raise SingularFitError("rank-deficient design matrix")
-        values, lo = self._rows[with_intercept][row], 1 - with_intercept
-        n1 = self.n + 1
-        return RegressionModel(
-            with_intercept, tuple(values[lo:n1]),
-            tuple(values[n1 + lo : 2 * n1]), values[2 * n1],
-            values[2 * n1 + 1], self.s, self._df[with_intercept],
-        )
+        coef, t, r2, se_s = (f[row].tolist() for f in self.fits.form(wi))
+        return RegressionModel(bool(wi), tuple(coef), tuple(t), r2, se_s,
+                               self.s, int(self.fits.df[wi]))
 
-    def assess(self, alpha: float, both: bool) -> Validity:
-        """The validity rules (module docstring) on every row of the table
-        at significance level `alpha`; `both` selects "both" mode."""
-        ins0, ins1 = (np.abs(self.fits.form(wi)[1])
-                      < t_critical(alpha, self._df[wi]) for wi in (False, True))
+    def assess(self, alpha: float, both: bool,
+               objective: Callable[..., list[float]]
+               ) -> list[tuple[Candidate, ...]]:
+        """The candidates of every row of the table, primary first, under
+        the validity rules (module docstring) at significance level `alpha`,
+        `both` selecting "both" mode. One `objective(r2, se_s, slope_t)` call
+        per form scores its valid candidates, one row of slope t each."""
+        fits, df = self.fits, self.fits.df.tolist()
+        ins0, ins1 = (np.abs(fits.form(wi)[1]) < t_critical(alpha, df[wi])
+                      for wi in (0, 1))
         room0, room1 = (self.n + wi <= self.m - SIGNIFICANCE_OFFSET
                         for wi in (0, 1))
-        sing1 = self.fits.singular[1]
+        sing0, sing1 = fits.singular
         valid1 = room1 & ~(ins0 & ins1[:, 1:]).any(axis=1)
         valid0 = room0 & ~(ins0 & (ins1[:, 1:] | sing1[:, None])).any(axis=1)
         demoted = room1 & ~sing1 & ins1[:, 0]
-        return Validity(demoted.tolist(), (valid0.tolist(), valid1.tolist()),
-                        both)
+        # the primary form, then in "both" mode the no-intercept form unless it
+        # is the primary; a singular form gives none (a demoted row never is)
+        present = ((demoted | both) & ~sing0, ~demoted & ~sing1)
+        streams = []    # per form, the candidates of its rows in row order
+        for wi, valid in enumerate((valid0, valid1)):
+            _, t, r2, se_s = fits.form(wi)
+            rows = np.flatnonzero(present[wi])
+            scored = rows[valid[rows]]
+            value = np.full(len(valid), np.nan)
+            value[scored] = objective(r2[scored], se_s[scored], t[scored, wi:])
+            # tuple.__new__ skips NamedTuple's Python-level constructor
+            streams.append(map(tuple.__new__, repeat(Candidate), zip(
+                repeat(bool(wi)), valid[rows].tolist(), value[rows].tolist())))
+        c0, c1 = streams
+        # k: 1 the intercept form only, 2 the no-intercept form only, 3 both
+        return [(next(c1),) if k == 1 else (next(c1), next(c0)) if k == 3
+                else (next(c0),) if k else ()
+                for k in (present[1] + 2 * present[0]).tolist()]
 
     def fit_subsets(self, index: np.ndarray) -> SubsetFits:
         """Fit every subset in `index` (one row of panel indices each) in
@@ -330,33 +344,21 @@ class GramFitter:
             out[form, 2 * n1 + 1] = np.where(exact[form], 0.0, se_s)
 
 
-@dataclass(frozen=True)
-class Validity:
-    """Each table row's verdict under the validity rules: ``demoted[row]`` if
-    the primary candidate has no intercept, ``valid[form][row]`` for a
-    candidate of form 0 (none) or 1 (intercept); ``both`` marks "both" mode."""
+class Candidate(NamedTuple):
+    """One candidate model of a subset: its form, whether the validity rules
+    keep it, and its objective value (NaN when invalid)."""
 
-    demoted: list[bool]
-    valid: tuple[list[bool], list[bool]]
-    both: bool
+    with_intercept: bool
+    valid: bool
+    value: float
 
 
-def fit_assessed(fit: Callable[[int, bool], RegressionModel], row: int,
-                 validity: Validity) -> list[RegressionModel]:
-    """The candidate models of row `row` of a GramFitter's table, primary
-    first, each fitted once and marked valid from `validity`; a singular one
-    raises in `fit` and is skipped. The engine calls it once per subset
-    because the benchmark's tracer counts those calls."""
-    primary = not validity.demoted[row]
-    candidates: list[RegressionModel] = []
-    for wi in (primary, False) if validity.both and primary else (primary,):
-        try:
-            model = fit(row, wi)
-        except SingularFitError:
-            continue
-        model.valid = validity.valid[wi][row]
-        candidates.append(model)
-    return candidates
+def fit_assessed(row: int, candidates: list[tuple[Candidate, ...]]
+                 ) -> tuple[Candidate, ...]:
+    """The candidates of row `row` of a GramFitter's table, out of
+    `GramFitter.assess`. The engine reads each row through this call only
+    because the benchmark's tracer counts subsets by it."""
+    return candidates[row]
 
 
 def search_space_size(n_genotypes: int, n: int, both_forms: bool = False) -> int:

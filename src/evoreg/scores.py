@@ -73,30 +73,34 @@ class ObjectiveSpec:
     def direction(self) -> str:
         return "min" if self.kind in ("se", "hr") else "max"
 
+    def values(self, r2: np.ndarray, se_s: np.ndarray,
+               slope_t: np.ndarray) -> list[float]:
+        """The objective of many fits, one entry of `r2` and `se_s` and one
+        row of slope t statistics in `slope_t` each. Python floats keep
+        ``**`` the C library's pow (numpy's array power differs from it in
+        the last bit at some inputs), and mt sums its terms left to right."""
+        s = self.s
+        if self.kind == "se":
+            return se_s.tolist()
+        if self.kind == "r2":
+            return [r**s for r in r2.tolist()]
+        if self.kind == "mt":
+            return [(sum(abs(t) ** s for t in ts) / len(ts)) ** (1.0 / s)
+                    for ts in slope_t.tolist()]
+        # hr: entropy of the (r2, 1-r2) split, in bits
+        return [math.log2(r**s + (1.0 - r) ** s) / (1.0 - s)
+                for r in r2.tolist()]
+
 
 def objective_score(model: RegressionModel, spec: ObjectiveSpec) -> float:
     """Evaluate one fitted model under the chosen objective."""
-    s = spec.s
-    if spec.kind == "se":
-        if model.s != s:
-            raise ValueError(
-                f"model fitted with exponent {model.s}, objective needs {s}"
-            )
-        return model.se_s
-    if spec.kind == "r2":
-        return model.r2**s
-    if spec.kind == "mt":
-        ts = model.slope_t_stats
-        if not ts:
-            raise ValueError("mt objective needs slope t statistics")
-        return (sum(abs(t) ** s for t in ts) / len(ts)) ** (1.0 / s)
-    # hr: entropy of the (r2, 1-r2) split, in bits
-    r2 = model.r2
-    return math.log2(r2**s + (1.0 - r2) ** s) / (1.0 - s)
-
-
-def worst_score(direction: str) -> float:
-    return 0.0 if direction == "max" else WORST_MIN_SCORE
+    if spec.kind == "se" and model.s != spec.s:
+        raise ValueError(f"model fitted with exponent {model.s}, "
+                         f"objective needs {spec.s}")
+    if spec.kind == "mt" and not model.slope_t_stats:
+        raise ValueError("mt objective needs slope t statistics")
+    return spec.values(np.array([model.r2]), np.array([model.se_s]),
+                       np.array([model.slope_t_stats]))[0]
 
 
 def selection_direction(aggregate: str, objective: ObjectiveSpec) -> str:
@@ -140,7 +144,7 @@ def selection_scores(
         out = np.full(n_genotypes, np.inf if aggregate == "min" else -np.inf)
         ufunc = np.minimum if aggregate == "min" else np.maximum
         ufunc.at(out, flat, per_member)
-    out[counts == 0] = worst_score(direction)
+    out[counts == 0] = 0.0 if direction == "max" else WORST_MIN_SCORE
     return out
 
 

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -12,7 +13,7 @@ from evoreg.descriptors import (
 from evoreg.engine import EvolutionConfig
 from evoreg.genome import Gene, GeneticTopology
 from evoreg.regress import SIGNIFICANCE_OFFSET, SingularFitError, better
-from evoreg.scores import ObjectiveSpec
+from evoreg.scores import ObjectiveSpec, objective_score
 from evoreg.stats import t_critical
 from evoreg.strategy import StrategySpec
 
@@ -33,7 +34,8 @@ def ncd(a, b):
 def assess_validity(model, ds, alpha, refit):
     """The validity rules applied to one fitted model, rule by rule: the
     oracle for `GramFitter.assess`. Returns the final (possibly refitted)
-    model with ``valid`` set. `refit(with_intercept)` fits the other form.
+    model with a ``valid`` attribute set. `refit(with_intercept)` fits the
+    other form.
 
     Rules, in order: the coefficient count may not exceed m minus
     SIGNIFICANCE_OFFSET; an insignificant intercept demotes the fit to the
@@ -79,11 +81,11 @@ def assess_validity(model, ds, alpha, refit):
 
 def fit_assessed_oracle(fit, row, ds, alpha, intercept_mode="fallback"):
     """The assessed candidate models of row `row` of a GramFitter's table,
-    one subset at a time through `assess_validity`: the oracle for
-    `regress.fit_assessed`. "fallback" fits the intercept form and demotes
-    it when the intercept is insignificant; "both" adds the no-intercept
-    form unless the primary was demoted. A singular intercept form gives no
-    primary candidate."""
+    one subset at a time through `assess_validity`: the oracle for the
+    candidates `GramFitter.assess` returns. "fallback" fits the intercept
+    form and demotes it when the intercept is insignificant; "both" adds the
+    no-intercept form unless the primary was demoted. A singular intercept
+    form gives no primary candidate."""
     candidates = []
     refit = lambda wi: fit(row, wi)  # noqa: E731
     try:
@@ -99,6 +101,40 @@ def fit_assessed_oracle(fit, row, ds, alpha, intercept_mode="fallback"):
         except SingularFitError:
             pass
     return candidates
+
+
+def candidate_view(candidates):
+    """(with_intercept, valid, value) of each `regress.Candidate`, the value
+    only when valid: an invalid candidate's value is NaN."""
+    return [(c.with_intercept, c.valid, c.value if c.valid else None)
+            for c in candidates]
+
+
+def scalar_objective(model, spec):
+    """The objective of one model, one Python-float operation at a time:
+    the oracle that `objective_score` and `ObjectiveSpec.values` equal bit
+    for bit."""
+    s, r2 = spec.s, model.r2
+    if spec.kind == "se":
+        return model.se_s
+    if spec.kind == "r2":
+        return r2**s
+    if spec.kind == "mt":
+        ts = model.slope_t_stats
+        return (sum(abs(t) ** s for t in ts) / len(ts)) ** (1.0 / s)
+    return math.log2(r2**s + (1.0 - r2) ** s) / (1.0 - s)
+
+
+def oracle_candidates(fitter, row, ds, alpha, spec, intercept_mode="fallback"):
+    """fit_assessed_oracle's models of row `row` in the form of
+    candidate_view, a valid model's value being its objective_score, which
+    must equal scalar_objective."""
+    out = []
+    for mo in fit_assessed_oracle(fitter.fit, row, ds, alpha, intercept_mode):
+        value = objective_score(mo, spec) if mo.valid else None
+        assert value is None or value == scalar_objective(mo, spec)
+        out.append((mo.with_intercept, mo.valid, value))
+    return out
 
 
 def brute_best(fitter, ds, alpha, objective_fn, direction,

@@ -19,7 +19,7 @@ from evoreg.engine import (
     run_generation,
 )
 from evoreg.genome import Gene, GeneticTopology, genome_size
-from evoreg.regress import GramFitter
+from evoreg.regress import GramFitter, better
 from evoreg.scores import ObjectiveSpec, objective_score
 from evoreg.strategy import StrategySpec
 from tests.conftest import (
@@ -277,6 +277,43 @@ def test_generation_sweep_matches_brute_best():
         assert rec.best_model_genotypes == tuple(keys[i] for i in subset)
         assert rec.participations == tuple(counts.tolist())
         assert rec.valid_regression_count * n == counts.sum()
+
+
+@pytest.mark.parametrize("kind", ["r2", "se"])
+def test_generation_best_is_the_first_of_tied_candidates(planted_world, kind,
+                                                         monkeypatch):
+    """Of equal objective values the first candidate in (row, primary,
+    second) order is the generation's best, as a loop over `better` finds
+    it, for a maximized and a minimized objective. Values rounded to one
+    significant digit make ties."""
+    topo, ds, provider = planted_world
+    cfg = planted_config(seed=6, p=12, n=2, intercept_mode="both",
+                         objective=ObjectiveSpec(kind))
+    rng = random.Random(cfg.seed)
+    state = EvolutionState(cfg, provider, ds, rng,
+                           init_sample(cfg, topo, provider, ds, rng))
+    seen = []
+    original = engine.fit_assessed
+
+    def tied(row, candidates):
+        out = tuple(c._replace(value=float(f"{c.value:.1g}"))
+                    for c in original(row, candidates))
+        seen.extend((row, c) for c in out)
+        return out
+
+    monkeypatch.setattr(engine, "fit_assessed", tied)
+    rec = run_generation(state)
+    best = None
+    for row, cand in seen:
+        if cand.valid and (best is None or better(
+                cand.value, best[1].value, cfg.objective.direction)):
+            best = (row, cand)
+    members = list(combinations(range(cfg.p), cfg.n))[best[0]]
+    assert rec.best_objective == best[1].value
+    assert rec.best_model_genotypes == tuple(rec.sample_genotypes[i]
+                                             for i in members)
+    assert state.best_model.with_intercept == best[1].with_intercept
+    assert sum(c.valid and c.value == best[1].value for _, c in seen) > 1
 
 
 def test_both_mode_run_matches_brute_best(monkeypatch):

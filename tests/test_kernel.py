@@ -23,11 +23,15 @@ from evoreg.regress import (
     fit_assessed,
     ols_fit,
 )
+from evoreg.scores import OBJECTIVE_KINDS, ObjectiveSpec
 from tests.conftest import (
     binary_topology,
+    candidate_view,
     fit_assessed_oracle,
     normal_dataset,
+    oracle_candidates,
     planted_config,
+    planted_provider,
 )
 from tests.test_regress import lstsq_oracle, make_dataset, make_phenotypes
 
@@ -35,6 +39,9 @@ PANELS = ("random", "collinear", "constant", "near_constant", "exact", "tight")
 # m = n + 6: the intercept form has one coefficient more than the count rule
 # allows, the no-intercept form exactly as many
 VALIDITY_PANELS = PANELS + ("count_edge",)
+R2 = ObjectiveSpec("r2", 1.0)
+OBJECTIVES = [ObjectiveSpec(kind, s) for kind in OBJECTIVE_KINDS
+              for s in (0.5, 1.0, 1.5, 2.0, 3.0) if (kind, s) != ("hr", 1.0)]
 
 
 def make_panel(kind, n, rng):
@@ -198,13 +205,15 @@ def test_fallback_drops_subset_with_singular_intercept_form():
         fitter.fit(0, True)
     alone = fitter.fit(0, False)     # well-posed: y on a constant
     assert alone.df == m - 1
-    fallback, both = fitter.assess(0.05, False), fitter.assess(0.05, True)
-    assert fit_assessed(fitter.fit, 0, fallback) == []
-    candidates = fit_assessed(fitter.fit, 0, both)
-    assert [mo.with_intercept for mo in candidates] == [False]
-    assert candidates == fit_assessed_oracle(fitter.fit, 0, ds, 0.05, "both")
+    fallback = fitter.assess(0.05, False, R2.values)
+    both = fitter.assess(0.05, True, R2.values)
+    assert fit_assessed(0, fallback) == ()
+    candidates = fit_assessed(0, both)
+    assert [c.with_intercept for c in candidates] == [False]
+    assert candidate_view(candidates) == oracle_candidates(fitter, 0, ds, 0.05,
+                                                           R2, "both")
     # the well-posed member is unaffected
-    assert len(fit_assessed(fitter.fit, 1, fallback)) == 1
+    assert len(fit_assessed(1, fallback)) == 1
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -218,37 +227,47 @@ def test_fallback_drops_subset_with_singular_intercept_form():
 )
 def test_validity_masks_match_oracle(kind, n, seed, alpha, mode, junk):
     """fit_assessed's read-out of GramFitter.assess gives the per-subset
-    oracle's candidates, in order, with the same form, validity and
-    coefficients. It fits each candidate once, and still asks for a singular
-    intercept form, which raises. The table entries of singular fits are
-    undefined, so overwriting them with `junk` changes nothing."""
+    oracle's candidates, in order, with the same form, validity and value,
+    and no fit. The table entries of singular fits are undefined, so
+    overwriting them with `junk` changes nothing."""
     panel, y = make_panel(kind, n, np.random.default_rng(seed))
     fitter = GramFitter(panel, y, n)
     ds = make_dataset(y)
+    want = [oracle_candidates(fitter, row, ds, alpha, R2, mode)
+            for row in range(len(fitter.subsets))]
     if junk is not None:
         for form in (0, 1):
             fitter.fits.table[form][:, fitter.fits.singular[form]] = junk
-    validity = fitter.assess(alpha, mode == "both")
-    calls, raised = [], []
-
-    def fit(row, wi):
-        calls.append((row, wi))
-        try:
-            return fitter.fit(row, wi)
-        except SingularFitError:
-            raised.append((row, wi))
-            raise
-
+    fitter.fit = None   # a candidate is read out, never fitted
+    candidates = fitter.assess(alpha, mode == "both", R2.values)
     for row in range(len(fitter.subsets)):
-        calls.clear()
-        raised.clear()
-        got = fit_assessed(fit, row, validity)
-        want = fit_assessed_oracle(fitter.fit, row, ds, alpha, mode)
-        assert ([(mo.with_intercept, mo.valid, mo.coefficients) for mo in got]
-                == [(mo.with_intercept, mo.valid, mo.coefficients)
-                    for mo in want]), (kind, row)
-        assert len(calls) == len(got) + len(raised)
-        assert ((row, True) in raised) == fitter.fits.singular[1, row]
+        got = candidate_view(fit_assessed(row, candidates))
+        assert got == want[row], (kind, row)
+
+
+@pytest.mark.parametrize("mode", ["fallback", "both"])
+@pytest.mark.parametrize("spec", OBJECTIVES, ids=lambda o: f"{o.kind}-{o.s}")
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(VALIDITY_PANELS),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.sampled_from([0.05, 0.25]),
+)
+def test_candidate_values_equal_objective_score(spec, mode, kind, n, seed,
+                                                alpha):
+    """Each valid candidate's value from the table pass equals, bit for bit,
+    objective_score of the oracle's model of the same row, for every
+    objective kind and exponent, on panels with singular, demoted and
+    exact-fit rows: the pass uses the same Python-float operations."""
+    panel, y = make_panel(kind, n, np.random.default_rng(seed))
+    fitter = GramFitter(panel, y, n, s=spec.s if spec.kind == "se" else 2.0)
+    ds = make_dataset(y)
+    candidates = fitter.assess(alpha, mode == "both", spec.values)
+    for row in range(len(fitter.subsets)):
+        got = candidate_view(fit_assessed(row, candidates))
+        assert got == oracle_candidates(fitter, row, ds, alpha, spec,
+                                        mode), (kind, row)
 
 
 def test_validity_panels_reach_every_case():
@@ -261,19 +280,23 @@ def test_validity_panels_reach_every_case():
         for n in (1, 2):
             panel, y = make_panel(kind, n, np.random.default_rng(n))
             fitter = GramFitter(panel, y, n)
-            validity = fitter.assess(0.05, True)
+            candidates = fitter.assess(0.05, True, R2.values)
             singular = fitter.fits.singular[1]
-            for row in range(len(fitter.subsets)):
+            rows = [fit_assessed(row, candidates)
+                    for row in range(len(fitter.subsets))]
+            for row, cands in enumerate(rows):
                 if singular[row]:
-                    seen.add(("singular", validity.valid[0][row]))
-                elif validity.demoted[row]:
-                    seen.add(("demoted", validity.valid[0][row]))
+                    seen.update(("singular", c.valid) for c in cands)
+                elif not cands[0].with_intercept:
+                    seen.add(("demoted", cands[0].valid))
                 else:
-                    seen.add(("kept", validity.valid[1][row]))
-                    seen.add(("second", validity.valid[0][row]))
-            if kind == "count_edge":
-                assert not any(validity.valid[1] + validity.demoted)
-                assert any(validity.valid[0])
+                    kept, second = cands
+                    seen.add(("kept", kept.valid))
+                    seen.add(("second", second.valid))
+            if kind == "count_edge":    # no demotion, no valid intercept form
+                assert all(len(c) == 2 for c in rows)
+                assert not any(c[0].valid for c in rows)
+                assert any(c[1].valid for c in rows)
     assert seen == {(case, valid) for case in ("singular", "demoted", "kept",
                                                "second")
                     for valid in (False, True)}
@@ -302,41 +325,61 @@ def test_fit_lookup_matches_kernel_rows_and_checks_order():
 # --- the boundary bench/tracing.py wraps by name -----------------------------
 
 
-def test_engine_boundary_for_the_tracer(planted_world, monkeypatch):
+def test_engine_boundary_for_the_tracer(monkeypatch):
     """The benchmark's tracer wraps engine.GramFitter, GramFitter.fit,
-    engine.fit_assessed and regress.t_critical by name, and reconciles
-    C(p, n) fit_assessed calls per generation; these names and counts are
-    its contract with the program."""
+    engine.fit_assessed, engine.objective_score and regress.t_critical by
+    name. It counts subsets by fit_assessed calls, C(p, n) a generation,
+    and reads the valid and demoted counts off their candidates' ``valid``
+    and ``with_intercept``; these names and counts are its contract with
+    the program. The first generation builds one model, its best."""
     assert engine.GramFitter is regress.GramFitter
     assert callable(vars(GramFitter)["fit"])
+    assert callable(vars(engine)["objective_score"])
     assert callable(engine.fit_assessed) and callable(regress.t_critical)
 
-    topo, ds, provider = planted_world
-    cfg = planted_config(seed=8, p=12, n=2)
-    rng = random.Random(cfg.seed)
-    state = EvolutionState(cfg, provider, ds, rng,
-                           init_sample(cfg, topo, provider, ds, rng))
-    calls = {"gram": 0, "fit": 0, "assessed": 0, "t": 0}
+    # activity centred on 0, so that demotions occur
+    topo = binary_topology(8)
+    ds = normal_dataset(m=40, mean=0.0)
+    provider = planted_provider(topo, ds, n_planted=16)
+    demoted_total = 0
+    for mode in ("fallback", "both"):
+        cfg = planted_config(seed=8, p=12, n=2, intercept_mode=mode)
+        rng = random.Random(cfg.seed)
+        state = EvolutionState(cfg, provider, ds, rng,
+                               init_sample(cfg, topo, provider, ds, rng))
+        fitter = GramFitter(np.vstack([ph.values for ph in state.sample]),
+                            ds.activity, n=cfg.n)
+        demoted = sum(not mo.with_intercept
+                      for row in range(len(fitter.subsets))
+                      for mo in fit_assessed_oracle(fitter.fit, row, ds,
+                                                    cfg.alpha, mode))
+        calls = {"gram": 0, "fit": 0, "assessed": 0, "t": 0}
+        returned = []
 
-    def counting(key, original):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return original(*args, **kwargs)
-        return wrapper
+        def counting(key, original):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                result = original(*args, **kwargs)
+                if key == "assessed":
+                    returned.extend(result)
+                return result
+            return wrapper
 
-    monkeypatch.setattr(engine, "GramFitter",
-                        counting("gram", engine.GramFitter))
-    monkeypatch.setattr(GramFitter, "fit", counting("fit", GramFitter.fit))
-    monkeypatch.setattr(engine, "fit_assessed",
-                        counting("assessed", engine.fit_assessed))
-    monkeypatch.setattr(regress, "t_critical",
-                        counting("t", regress.t_critical))
-    record = run_generation(state)
-    assert calls["gram"] == 1
-    assert calls["assessed"] == math.comb(cfg.p, cfg.n)
-    assert calls["fit"] >= calls["assessed"]
-    assert calls["t"] > 0
-    assert record.valid_regression_count <= calls["assessed"]
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "GramFitter",
+                          counting("gram", engine.GramFitter))
+            patch.setattr(GramFitter, "fit", counting("fit", GramFitter.fit))
+            patch.setattr(engine, "fit_assessed",
+                          counting("assessed", engine.fit_assessed))
+            patch.setattr(regress, "t_critical",
+                          counting("t", regress.t_critical))
+            record = run_generation(state)
+        assert calls == {"gram": 1, "fit": 1,
+                         "assessed": math.comb(cfg.p, cfg.n), "t": 2}
+        assert sum(c.valid for c in returned) == record.valid_regression_count
+        assert sum(not c.with_intercept for c in returned) == demoted
+        demoted_total += demoted
+    assert demoted_total > 0
 
 
 def _partial_table_world():

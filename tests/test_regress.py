@@ -13,7 +13,8 @@ from evoreg.regress import (
     ols_fit,
     search_space_size,
 )
-from tests.conftest import assess_validity, fit_assessed_oracle
+from evoreg.scores import ObjectiveSpec
+from tests.conftest import assess_validity, candidate_view, oracle_candidates
 
 
 def make_dataset(y):
@@ -235,14 +236,16 @@ def test_fit_assessed_both_mode_adds_candidate():
     y = 4.0 + 2.0 * panel[0] - 1.5 * panel[1] + rng.normal(size=m) * 0.05
     ds = make_dataset(y)
     fitter = GramFitter(panel, y, n=2)
+    spec = ObjectiveSpec("r2", 1.0)
     # row 0 is the subset (0, 1)
-    fallback = fit_assessed(fitter.fit, 0, fitter.assess(0.05, False))
-    both = fit_assessed(fitter.fit, 0, fitter.assess(0.05, True))
+    fallback = fit_assessed(0, fitter.assess(0.05, False, spec.values))
+    both = fit_assessed(0, fitter.assess(0.05, True, spec.values))
     assert len(fallback) == 1 and fallback[0].with_intercept
     assert len(both) == 2
-    assert {mo.with_intercept for mo in both} == {True, False}
+    assert {c.with_intercept for c in both} == {True, False}
     for mode, got in (("fallback", fallback), ("both", both)):
-        assert got == fit_assessed_oracle(fitter.fit, 0, ds, 0.05, mode)
+        assert candidate_view(got) == oracle_candidates(fitter, 0, ds, 0.05,
+                                                        spec, mode)
 
 
 # --- search space sizing -------------------------------------------------------
