@@ -202,6 +202,7 @@ class EvolutionState:
     best_genotypes: tuple[str, ...] = ()
     sel_norm: NormalizationState | None = None
     sur_norm: NormalizationState | None = None
+    fitter: GramFitter | None = None    # the last sweep's, to carry from
 
     def __post_init__(self):
         if self.cfg.selection.normalization is not None:
@@ -284,12 +285,14 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
     p = cfg.p
     direction = cfg.objective.direction
 
-    # full sweep: fit and score every n-subset of the sample, one table row
-    # each; only the error-sum objective needs residual sums at its exponent
+    # full sweep: every n-subset of the sample, one table row each, with the
+    # rows of unchanged slots carried from the last sweep; only the
+    # error-sum objective needs residual sums at its exponent
     panel = np.vstack([ph.values for ph in sample])
     keys = [ph.source_genotype.key for ph in sample]
     fit_s = cfg.objective.s if cfg.objective.kind == "se" else 2.0
-    fitter = GramFitter(panel, state.dataset.activity, cfg.n, s=fit_s)
+    fitter = state.fitter = GramFitter(panel, state.dataset.activity, cfg.n,
+                                       s=fit_s, previous=state.fitter)
     candidates = fitter.assess(cfg.alpha, cfg.intercept_mode == "both",
                                cfg.objective.values)
     kept = [(row, cand) for row in range(len(fitter.subsets))

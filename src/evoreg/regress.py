@@ -28,6 +28,14 @@ candidate, even beside a well-posed no-intercept form. "both" mode adds the
 no-intercept form as a second candidate unless the primary was demoted,
 valid unless a slope is insignificant in it and, in the intercept form,
 insignificant or singular. The same pass scores the valid candidates.
+
+Carried sweeps: given the `previous` generation's fitter with the same n, s,
+panel shape and y bits, a fitter refits only the rows ``touched`` by a panel
+row whose bits changed, and `assess` scores only those after an assess with
+the same arguments; other rows are copied. At a fixed shape BLAS gives two
+unchanged rows the same Gram bits and, on finite values, the kernel works
+per subset, so the result equals a cold sweep bit for bit. A different n, s,
+shape or y is cold.
 """
 
 from __future__ import annotations
@@ -211,22 +219,42 @@ class GramFitter:
     The Gram matrix of [panel; 1; y] is formed once, and every n-subset is
     fitted in both forms at construction, so `fit` is a lookup by the
     subset's row of ``subsets``. Results agree with ols_fit to
-    floating-point noise.
+    floating-point noise. Rows are carried from `previous` (module
+    docstring), which the fitter does not keep.
     """
 
     def __init__(self, panel: np.ndarray, y: np.ndarray, n: int,
-                 s: float = 2.0):
-        panel = np.asarray(panel, dtype=float)
-        y = np.asarray(y, dtype=float)
+                 s: float = 2.0, previous: GramFitter | None = None):
+        # copies: a later fitter compares its panel with this one's
+        panel = np.array(panel, dtype=float)
+        y = np.array(y, dtype=float)
         if panel.ndim != 2 or panel.shape[1] != y.shape[0]:
             raise ValueError("panel must be (n_phenotypes, n_molecules)")
+        p = panel.shape[0]
+        if n > p:
+            raise ValueError(f"subset size n={n} exceeds the panel's p={p} rows")
         self.panel, self.y, self.n, self.s = panel, y, n, s
         self.m = y.shape[0]
-        z = np.empty((panel.shape[0] + 2, self.m))
+        z = np.empty((p + 2, self.m))
         z[:-2], z[-2], z[-1] = panel, 1.0, y
         self.gram = z @ z.T
-        self.subsets = _all_subsets(panel.shape[0], n)
-        self.fits = self.fit_subsets(self.subsets)
+        self.subsets = _all_subsets(p, n)
+        # compared bit for bit: -0.0 is not 0.0, a NaN only its own bits
+        carry = (previous is not None and (previous.n, previous.s) == (n, s)
+                 and previous.panel.shape == panel.shape
+                 and previous.y.tobytes() == y.tobytes())
+        changed = ((previous.panel.view(np.uint64) != panel.view(np.uint64))
+                   .any(axis=1) if carry else np.ones(p, dtype=bool))
+        self.touched = changed[self.subsets].any(axis=1)
+        rows = np.flatnonzero(self.touched)
+        self.fits = fits = self.fit_subsets(self.subsets[rows])
+        # (alpha, both, objective) and the candidates of the last assess
+        self._assessed = previous._assessed if carry else None
+        if carry:
+            self.fits = SubsetFits(n, fits.df, previous.fits.table.copy(),
+                                   previous.fits.singular.copy())
+            self.fits.table[:, :, rows] = fits.table
+            self.fits.singular[:, rows] = fits.singular
 
     def fit(self, row: int, with_intercept: bool) -> RegressionModel:
         """The fit of the subset in row `row` of `subsets` (SingularFitError
@@ -244,7 +272,12 @@ class GramFitter:
         """The candidates of every row of the table, primary first, under
         the validity rules (module docstring) at significance level `alpha`,
         `both` selecting "both" mode. One `objective(r2, se_s, slope_t)` call
-        per form scores its valid candidates, one row of slope t each."""
+        per form scores its valid candidates, one row of slope t each. After
+        an assess with the same arguments, by this fitter or by the previous
+        one it carried from, only the touched rows are scored and built."""
+        key, last = (alpha, both, objective), self._assessed
+        touched = (self.touched if last is not None and last[0] == key
+                   else np.ones(len(self.subsets), dtype=bool))
         fits, df = self.fits, self.fits.df.tolist()
         ins0, ins1 = (np.abs(fits.form(wi)[1]) < t_critical(alpha, df[wi])
                       for wi in (0, 1))
@@ -260,18 +293,25 @@ class GramFitter:
         streams = []    # per form, the candidates of its rows in row order
         for wi, valid in enumerate((valid0, valid1)):
             _, t, r2, se_s = fits.form(wi)
-            rows = np.flatnonzero(present[wi])
-            scored = rows[valid[rows]]
-            value = np.full(len(valid), np.nan)
-            value[scored] = objective(r2[scored], se_s[scored], t[scored, wi:])
+            rows = np.flatnonzero(present[wi] & touched)
+            ok = valid[rows]
+            value = np.full(len(rows), np.nan)
+            scored = rows[ok]
+            value[ok] = objective(r2[scored], se_s[scored], t[scored, wi:])
             # tuple.__new__ skips NamedTuple's Python-level constructor
             streams.append(map(tuple.__new__, repeat(Candidate), zip(
-                repeat(bool(wi)), valid[rows].tolist(), value[rows].tolist())))
+                repeat(bool(wi)), ok.tolist(), value.tolist())))
         c0, c1 = streams
         # k: 1 the intercept form only, 2 the no-intercept form only, 3 both
-        return [(next(c1),) if k == 1 else (next(c1), next(c0)) if k == 3
-                else (next(c0),) if k else ()
-                for k in (present[1] + 2 * present[0]).tolist()]
+        out = [(next(c1),) if k == 1 else (next(c1), next(c0)) if k == 3
+               else (next(c0),) if k else ()
+               for k in (present[1] + 2 * present[0])[touched].tolist()]
+        if len(out) < len(touched):   # touched rows only: splice them in
+            fresh, out = out, list(last[1])
+            for row, cands in zip(np.flatnonzero(touched).tolist(), fresh):
+                out[row] = cands
+        self._assessed = key, out
+        return out
 
     def fit_subsets(self, index: np.ndarray) -> SubsetFits:
         """Fit every subset in `index` (one row of panel indices each) in

@@ -1,4 +1,5 @@
 import math
+import struct
 from itertools import combinations
 
 import numpy as np
@@ -108,6 +109,13 @@ def candidate_view(candidates):
     only when valid: an invalid candidate's value is NaN."""
     return [(c.with_intercept, c.valid, c.value if c.valid else None)
             for c in candidates]
+
+
+def candidate_bits(candidates):
+    """Every row's `regress.Candidate`s with each value as its bytes, so that
+    equal lists agree bit for bit, NaN included."""
+    return [tuple((c.with_intercept, c.valid, struct.pack("<d", c.value))
+                  for c in row) for row in candidates]
 
 
 def scalar_objective(model, spec):

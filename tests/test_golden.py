@@ -19,15 +19,18 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from evoreg import cli
+from evoreg import cli, engine
 from evoreg import descriptors as dsc
 from evoreg.engine import run
+from evoreg.regress import GramFitter
 from evoreg.scores import ObjectiveSpec
 from evoreg.strategy import StrategySpec
 from tests.conftest import (
     binary_topology,
+    candidate_bits,
     normal_dataset,
     planted_config,
     planted_provider,
@@ -196,6 +199,44 @@ def test_run_log_matches_golden(name):
             f"{fields_want[2]}"
         )
         assert fields_got[3:] == fields_want[3:], f"generation {gen}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_carried_sweeps_equal_cold_sweeps(name, monkeypatch):
+    """Over a whole golden run, each generation's fitter, which carries the
+    rows of unchanged slots from the last one, has the table, the singular
+    mask and the candidates of a fitter built without `previous`, bit for
+    bit. The cases cover both intercept modes, s = 2 and s != 2, n = 1, 2
+    and 3, and the table provider."""
+    carried = []
+
+    class Checked(GramFitter):
+        def __init__(self, panel, y, n, s=2.0, previous=None):
+            super().__init__(panel, y, n, s=s, previous=previous)
+            self.cold = GramFitter(panel, y, n, s=s)
+            assert np.array_equal(self.fits.table.view(np.uint64),
+                                  self.cold.fits.table.view(np.uint64))
+            assert np.array_equal(self.fits.singular, self.cold.fits.singular)
+            carried.append(int(np.count_nonzero(~self.touched)))
+
+        def assess(self, *args):
+            got = super().assess(*args)
+            assert candidate_bits(got) == candidate_bits(self.cold.assess(*args))
+            return got
+
+    monkeypatch.setattr(engine, "GramFitter", Checked)
+    CASES[name]()
+    assert sum(carried) > 0
+
+
+def test_hr_rewards_a_model_with_no_explanatory_power():
+    """hr, the entropy of the (r2, 1 - r2) split, is 0 at r2 = 0 as well as
+    at r2 = 1 and is minimized: the paper's formula, kept as it stands. So
+    the both-mode hr run ends on a no-intercept model whose slopes absorb
+    the activity's mean and whose r2 is near 0."""
+    result = _both_hr_s2()
+    assert not result.best_model.with_intercept
+    assert result.best_model.r2 < 1e-6
 
 
 def _write_golden():

@@ -5,6 +5,7 @@ import importlib
 import math
 import random
 import tracemalloc
+import weakref
 from itertools import combinations
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from evoreg.regress import (
 from evoreg.scores import OBJECTIVE_KINDS, ObjectiveSpec
 from tests.conftest import (
     binary_topology,
+    candidate_bits,
     candidate_view,
     fit_assessed_oracle,
     normal_dataset,
@@ -331,7 +333,10 @@ def test_engine_boundary_for_the_tracer(monkeypatch):
     name. It counts subsets by fit_assessed calls, C(p, n) a generation,
     and reads the valid and demoted counts off their candidates' ``valid``
     and ``with_intercept``; these names and counts are its contract with
-    the program. The first generation builds one model, its best."""
+    the program. engine.GramFitter is replaced by a plain function, as the
+    tracer does, and the second generation, which carries rows from the
+    first, keeps the counts. The first generation builds one model, its
+    best; a later one at most one."""
     assert engine.GramFitter is regress.GramFitter
     assert callable(vars(GramFitter)["fit"])
     assert callable(vars(engine)["objective_score"])
@@ -347,38 +352,44 @@ def test_engine_boundary_for_the_tracer(monkeypatch):
         rng = random.Random(cfg.seed)
         state = EvolutionState(cfg, provider, ds, rng,
                                init_sample(cfg, topo, provider, ds, rng))
-        fitter = GramFitter(np.vstack([ph.values for ph in state.sample]),
-                            ds.activity, n=cfg.n)
-        demoted = sum(not mo.with_intercept
-                      for row in range(len(fitter.subsets))
-                      for mo in fit_assessed_oracle(fitter.fit, row, ds,
-                                                    cfg.alpha, mode))
-        calls = {"gram": 0, "fit": 0, "assessed": 0, "t": 0}
-        returned = []
+        for generation in (1, 2):
+            fitter = GramFitter(np.vstack([ph.values for ph in state.sample]),
+                                ds.activity, n=cfg.n)
+            demoted = sum(not mo.with_intercept
+                          for row in range(len(fitter.subsets))
+                          for mo in fit_assessed_oracle(fitter.fit, row, ds,
+                                                        cfg.alpha, mode))
+            calls = {"gram": 0, "fit": 0, "assessed": 0, "t": 0}
+            returned = []
 
-        def counting(key, original):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                result = original(*args, **kwargs)
-                if key == "assessed":
-                    returned.extend(result)
-                return result
-            return wrapper
+            def counting(key, original):
+                def wrapper(*args, **kwargs):
+                    calls[key] += 1
+                    result = original(*args, **kwargs)
+                    if key == "assessed":
+                        returned.extend(result)
+                    return result
+                return wrapper
 
-        with monkeypatch.context() as patch:
-            patch.setattr(engine, "GramFitter",
-                          counting("gram", engine.GramFitter))
-            patch.setattr(GramFitter, "fit", counting("fit", GramFitter.fit))
-            patch.setattr(engine, "fit_assessed",
-                          counting("assessed", engine.fit_assessed))
-            patch.setattr(regress, "t_critical",
-                          counting("t", regress.t_critical))
-            record = run_generation(state)
-        assert calls == {"gram": 1, "fit": 1,
-                         "assessed": math.comb(cfg.p, cfg.n), "t": 2}
-        assert sum(c.valid for c in returned) == record.valid_regression_count
-        assert sum(not c.with_intercept for c in returned) == demoted
-        demoted_total += demoted
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "GramFitter",
+                              counting("gram", engine.GramFitter))
+                patch.setattr(GramFitter, "fit",
+                              counting("fit", GramFitter.fit))
+                patch.setattr(engine, "fit_assessed",
+                              counting("assessed", engine.fit_assessed))
+                patch.setattr(regress, "t_critical",
+                              counting("t", regress.t_critical))
+                record = run_generation(state)
+            fits = calls.pop("fit")
+            assert fits == 1 if generation == 1 else fits <= 1
+            assert calls == {"gram": 1, "assessed": math.comb(cfg.p, cfg.n),
+                             "t": 2}
+            assert (sum(c.valid for c in returned)
+                    == record.valid_regression_count)
+            assert sum(not c.with_intercept for c in returned) == demoted
+            demoted_total += demoted
+        assert not state.fitter.touched.all()   # the second sweep carried
     assert demoted_total > 0
 
 
@@ -483,6 +494,170 @@ def test_tracer_patches_and_restores_every_name(instrument, planted_world,
         tool.uninstall()
     for owner, attr, original in patched:
         assert vars(owner)[attr] is original
+
+
+# --- sweeps carried from the previous generation's fitter ---------------------
+
+
+def assert_equals_cold(fitter, *assessments):
+    """`fitter` has the table, the singular mask and, for each (alpha, both,
+    objective), the candidates of a fitter built without `previous`."""
+    cold = GramFitter(fitter.panel, fitter.y, fitter.n, s=fitter.s)
+    assert np.array_equal(fitter.fits.table.view(np.uint64),
+                          cold.fits.table.view(np.uint64))
+    assert np.array_equal(fitter.fits.singular, cold.fits.singular)
+    assert np.array_equal(fitter.fits.df, cold.fits.df)
+    for args in assessments:
+        assert (candidate_bits(fitter.assess(*args))
+                == candidate_bits(cold.assess(*args)))
+
+
+def counting_objective(sizes, spec=R2):
+    """spec.values, recording how many fits each call scores."""
+    def objective(r2, se_s, slope_t):
+        sizes.append(len(r2))
+        return spec.values(r2, se_s, slope_t)
+    return objective
+
+
+def _carry_panel(seed=46, p=8, m=30):
+    rng = np.random.default_rng(seed)
+    panel = rng.normal(size=(p, m)) + 2.0
+    panel[2, 7] = 0.0
+    y = panel[0] - 0.7 * panel[3] + rng.normal(size=m) + 1.0
+    return rng, panel, y
+
+
+@pytest.mark.parametrize("n,s", [(1, 2.0), (2, 1.5), (3, 2.0)])
+def test_carried_rows_are_those_without_a_changed_slot(n, s, monkeypatch):
+    """A panel row whose bits did not change, including a replaced slot
+    with identical values, is carried; a row of new values, 0.0 turned -0.0
+    or a value turned NaN is changed, and exactly the subsets with a changed
+    member are refitted. The result equals a cold sweep bit for bit, except
+    in the rows of a NaN member, which fit no model."""
+    rng, panel, y = _carry_panel()
+    refitted = []
+    fit_subsets = GramFitter.fit_subsets
+
+    def spy(self, index):
+        refitted.append(index.copy())
+        return fit_subsets(self, index)
+
+    def sweep(new, previous, changed):
+        refitted.clear()
+        fitter = GramFitter(new, y, n, s=s, previous=previous)
+        want = [bool(changed & set(row)) for row in fitter.subsets.tolist()]
+        assert fitter.touched.tolist() == want
+        assert len(refitted) == 1
+        assert np.array_equal(refitted[0], fitter.subsets[want])
+        return fitter
+
+    monkeypatch.setattr(GramFitter, "fit_subsets", spy)
+    args = (0.05, True, counting_objective([]))
+    previous = GramFitter(panel, y, n, s=s)
+    previous.assess(*args)
+    new = panel.copy()
+    new[1] = panel[1].copy()            # replaced by identical values
+    new[5] = rng.normal(size=30) + 2.0  # new values
+    new[2, 7] = -0.0
+    fitter = sweep(new, previous, {2, 5})
+    assert_equals_cold(fitter, args)
+    assert_equals_cold(sweep(new.copy(), fitter, set()), args)
+
+    new[6, 3] = np.nan      # in place: the fitter compares with its copy
+    fitter = sweep(new, fitter, {6})
+    cold = GramFitter(new, y, n, s=s)
+    finite = ~fitter.touched
+    assert np.array_equal(fitter.fits.table[:, :, finite].view(np.uint64),
+                          cold.fits.table[:, :, finite].view(np.uint64))
+    assert (candidate_bits(fitter.assess(*args))
+            == candidate_bits(cold.assess(*args)))
+
+
+def test_a_different_n_s_shape_or_response_sweeps_cold():
+    """Only a fitter with the same n, s, panel shape and response bits
+    carries rows; any other previous fitter gives a cold sweep."""
+    _, panel, y = _carry_panel()
+    previous = GramFitter(panel, y, 2)
+    previous.assess(0.05, False, R2.values)
+    y_signed = y.copy()
+    y_signed[np.argmin(np.abs(y))] *= -1.0
+    for args, kwargs in (((panel, y, 3), {}), ((panel, y, 2), {"s": 1.5}),
+                         ((panel[:-1], y, 2), {}),
+                         ((panel[:, 1:], y[1:], 2), {}),
+                         ((panel, y_signed, 2), {})):
+        fitter = GramFitter(*args, **kwargs, previous=previous)
+        assert fitter.touched.all()
+        assert_equals_cold(fitter, (0.05, False, R2.values))
+    assert not GramFitter(panel, y.copy(), 2, previous=previous).touched.any()
+
+
+def test_candidates_are_carried_only_under_the_same_assess_arguments():
+    """After an assess with the same alpha, mode and objective, only the
+    touched rows are scored; a different alpha, mode or objective scores
+    every row again. Either way the candidates equal a cold sweep's."""
+    rng, panel, y = _carry_panel()
+    sizes = []
+    objective = counting_objective(sizes)
+    previous = GramFitter(panel, y, 2)
+    previous.assess(0.05, False, objective)
+    new = panel.copy()
+    new[4] = rng.normal(size=30) + 2.0
+    fitter = GramFitter(new, y, 2, previous=previous)
+    cold = GramFitter(new, y, 2)
+
+    def scored(f, *args):
+        sizes.clear()
+        f.assess(*args)
+        return sum(sizes)
+
+    assert fitter.touched.tolist() == [4 in row
+                                       for row in fitter.subsets.tolist()]
+    assert 0 < scored(fitter, 0.05, False, objective) < scored(
+        cold, 0.05, False, objective)
+    for args in ((0.1, False, objective), (0.05, True, objective),
+                 (0.05, False, counting_objective(sizes))):
+        fitter = GramFitter(new, y, 2, previous=previous)
+        assert scored(fitter, *args) == scored(cold, *args)
+        assert_equals_cold(fitter, args)
+
+
+def test_a_carried_fitter_does_not_keep_its_previous_alive():
+    """The fitter copies what it carries and drops `previous`, so a run
+    holds one previous table and one candidate list at a time."""
+    _, panel, y = _carry_panel()
+    previous = GramFitter(panel, y, 2)
+    previous.assess(0.05, False, R2.values)
+    gone = [weakref.ref(previous), weakref.ref(previous.fits.table)]
+    fitter = GramFitter(panel.copy(), y, 2, previous=previous)
+    del previous
+    assert [ref() for ref in gone] == [None, None]
+    assert_equals_cold(fitter, (0.05, False, R2.values))
+
+
+def test_a_run_keeps_one_fitter_alive(planted_world, monkeypatch):
+    """Over a run, each generation's fitter replaces the last: after every
+    generation only the state's fitter and its table are alive."""
+    topo, ds, provider = planted_world
+    cfg = planted_config(seed=3, p=12, n=2, max_generations=12)
+    rng = random.Random(cfg.seed)
+    state = EvolutionState(cfg, provider, ds, rng,
+                           init_sample(cfg, topo, provider, ds, rng))
+    built = []
+
+    def tracked(*args, **kwargs):
+        fitter = GramFitter(*args, **kwargs)
+        built.append((weakref.ref(fitter), weakref.ref(fitter.fits.table)))
+        return fitter
+
+    monkeypatch.setattr(engine, "GramFitter", tracked)
+    for _ in range(cfg.max_generations):
+        run_generation(state)
+        alive = [i for i, refs in enumerate(built)
+                 if any(ref() is not None for ref in refs)]
+        assert alive == [len(built) - 1]
+        assert built[-1][0]() is state.fitter
+    assert len(built) == cfg.max_generations
 
 
 # --- memory ------------------------------------------------------------------

@@ -167,6 +167,33 @@ def test_dimension_mismatch_raises():
         ols_fit(make_phenotypes([np.arange(5.0)]), make_dataset(np.arange(6.0)), True)
 
 
+def test_gram_fitter_rejects_a_subset_size_above_the_panel_rows():
+    rng = np.random.default_rng(12)
+    with pytest.raises(ValueError, match=r"n=4 exceeds the panel's p=3"):
+        GramFitter(rng.normal(size=(3, 20)), rng.normal(size=20), n=4)
+
+
+def test_no_intercept_r2_is_the_squared_correlation_of_y_with_yhat():
+    """The no-intercept form's r2 is corr(y, y_hat)^2, not the uncentred
+    1 - SSE / y.y, and 0 when y_hat is constant (a constant member)."""
+    rng = np.random.default_rng(13)
+    m = 30
+    panel = rng.normal(size=(5, m)) + 1.0
+    panel[4] = 2.5
+    y = panel[0] - 0.5 * panel[1] + rng.normal(size=m) + 4.0
+    for n in (1, 2):
+        fitter = GramFitter(panel, y, n=n)
+        coef, _, r2, se_s = fitter.fits.form(False)
+        for row, subset in enumerate(fitter.subsets.tolist()):
+            if subset == [4]:
+                assert r2[row] == 0.0
+                continue
+            yhat = panel[subset].T @ coef[row]
+            want = np.corrcoef(y, yhat)[0, 1] ** 2
+            assert r2[row] == pytest.approx(want, rel=1e-9)
+            assert abs(r2[row] - (1.0 - se_s[row] / (y @ y))) > 0.1
+
+
 # --- validity ----------------------------------------------------------------
 
 
