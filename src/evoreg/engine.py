@@ -126,9 +126,7 @@ def _config_dict(cfg: EvolutionConfig) -> dict:
     def plain(v):
         if isinstance(v, (ObjectiveSpec, StrategySpec, ViabilityPolicy)):
             return {k: plain(x) for k, x in vars(v).items()}
-        if isinstance(v, tuple):
-            return list(v)
-        return v
+        return v    # json writes a tuple as a list
 
     return {k: plain(v) for k, v in vars(cfg).items()}
 
@@ -169,19 +167,16 @@ class RunResult:
         return "\n".join(lines) + "\n"
 
     def summary_dict(self) -> dict:
+        model = self.best_model
         return {
             "config_fingerprint": self.config.fingerprint(),
             "seed": self.config.seed,
             "generations": self.generations,
             "best_objective": self.best_objective,
             "best_genotypes": list(self.best_genotypes),
-            "best_coefficients": list(self.best_model.coefficients)
-            if self.best_model
-            else None,
-            "best_with_intercept": self.best_model.with_intercept
-            if self.best_model
-            else None,
-            "best_r2": self.best_model.r2 if self.best_model else None,
+            "best_coefficients": list(model.coefficients) if model else None,
+            "best_with_intercept": model.with_intercept if model else None,
+            "best_r2": model.r2 if model else None,
             "improving_generations": sum(r.improved for r in self.records),
         }
 
@@ -205,12 +200,10 @@ class EvolutionState:
     fitter: GramFitter | None = None    # the last sweep's, to carry from
 
     def __post_init__(self):
-        if self.cfg.selection.normalization is not None:
-            n0, n1 = self.cfg.selection.normalization
-            self.sel_norm = NormalizationState(n0, n1)
-        if self.cfg.survival.normalization is not None:
-            n0, n1 = self.cfg.survival.normalization
-            self.sur_norm = NormalizationState(n0, n1)
+        if (bounds := self.cfg.selection.normalization) is not None:
+            self.sel_norm = NormalizationState(*bounds)
+        if (bounds := self.cfg.survival.normalization) is not None:
+            self.sur_norm = NormalizationState(*bounds)
 
 
 def _admit(g: Genotype, seen: set[str], provider: Provider, ds: Dataset,
@@ -279,11 +272,8 @@ def _mutate(g: Genotype, prob: float, cfg: EvolutionConfig, rng) -> Genotype:
 
 def run_generation(state: EvolutionState) -> GenerationRecord:
     """Advance the sample by one generation and record what happened."""
-    cfg = state.cfg
-    rng = state.rng
-    sample = state.sample
-    p = cfg.p
-    direction = cfg.objective.direction
+    cfg, rng, sample = state.cfg, state.rng, state.sample
+    p, direction = cfg.p, cfg.objective.direction
 
     # full sweep: every n-subset of the sample, one table row each, with the
     # rows of unchanged slots carried from the last sweep; only the
@@ -293,27 +283,26 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
     fit_s = cfg.objective.s if cfg.objective.kind == "se" else 2.0
     fitter = state.fitter = GramFitter(panel, state.dataset.activity, cfg.n,
                                        s=fit_s, previous=state.fitter)
-    candidates = fitter.assess(cfg.alpha, cfg.intercept_mode == "both",
-                               cfg.objective.values)
-    kept = [(row, cand) for row in range(len(fitter.subsets))
-            for cand in fit_assessed(row, candidates) if cand.valid]
-    values = [cand.value for _, cand in kept]
-    # the first valid candidate that no later one beats: max and min keep
-    # the first of equal keys, comparing as `better` does
-    best = (max if direction == "max" else min)(
-        range(len(kept)), key=values.__getitem__, default=None)
-    member_rows = fitter.subsets[[row for row, _ in kept]]
+    sweep = fitter.assess(cfg.alpha, cfg.intercept_mode == "both",
+                          cfg.objective.values)
+    for row in range(len(sweep.shapes)):
+        fit_assessed(row, sweep.shapes)     # counted by bench/tracing.py
+    values = sweep.values
+    # the first best value: max and min return the first of equal values,
+    # comparing as `better` does, and index finds that one
+    best = (values.index((max if direction == "max" else min)(values))
+            if values else None)
+    member_rows = fitter.subsets[sweep.rows]
     participations = np.bincount(member_rows.ravel(), minlength=p)
-    best_members = (fitter.subsets[kept[best][0]].tolist()
-                    if best is not None else [])
+    best_members = member_rows[best].tolist() if best is not None else []
     best_keys = tuple(keys[i] for i in best_members)
 
     improved = best is not None and (state.best_model is None or better(
         values[best], state.best_objective, direction))
     if improved:
-        row, cand = kept[best]
-        state.best_model = fitter.fit(row, cand.with_intercept)
-        state.best_objective = cand.value
+        state.best_model = fitter.fit(sweep.rows[best],
+                                      sweep.with_intercept[best])
+        state.best_objective = values[best]
         state.best_genotypes = best_keys
 
     # selection scores and parent extraction
@@ -416,12 +405,10 @@ def run(
     for _ in range(cfg.max_generations):
         rec = run_generation(state)
         records.append(rec)
-        if cfg.target_objective is not None and state.best_model is not None:
-            if not better(
-                cfg.target_objective, state.best_objective,
-                cfg.objective.direction,
-            ):
-                break
+        if (cfg.target_objective is not None and state.best_model is not None
+                and not better(cfg.target_objective, state.best_objective,
+                               cfg.objective.direction)):
+            break
     return RunResult(
         config=cfg,
         records=records,

@@ -27,15 +27,16 @@ insignificant in both forms. A singular intercept form gives no primary
 candidate, even beside a well-posed no-intercept form. "both" mode adds the
 no-intercept form as a second candidate unless the primary was demoted,
 valid unless a slope is insignificant in it and, in the intercept form,
-insignificant or singular. The same pass scores the valid candidates.
+insignificant or singular. The same pass scores the valid candidates into
+a `Sweep` of arrays.
 
 Carried sweeps: given the `previous` generation's fitter with the same n, s,
 panel shape and y bits, a fitter refits only the rows ``touched`` by a panel
 row whose bits changed, and `assess` scores only those after an assess with
 the same arguments; other rows are copied. At a fixed shape BLAS gives two
-unchanged rows the same Gram bits and, on finite values, the kernel works
-per subset, so the result equals a cold sweep bit for bit. A different n, s,
-shape or y is cold.
+unchanged rows the same Gram bits and, on the finite values a fitter
+accepts, the kernel works per subset, so the result equals a cold sweep bit
+for bit. A different n, s, shape or y is cold.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import combinations
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -57,6 +58,7 @@ __all__ = [
     "RegressionModel",
     "SingularFitError",
     "SubsetFits",
+    "Sweep",
     "ols_fit",
     "search_space_size",
     "GramFitter",
@@ -220,7 +222,7 @@ class GramFitter:
     fitted in both forms at construction, so `fit` is a lookup by the
     subset's row of ``subsets``. Results agree with ols_fit to
     floating-point noise. Rows are carried from `previous` (module
-    docstring), which the fitter does not keep.
+    docstring), which the fitter does not keep. Inputs must be finite.
     """
 
     def __init__(self, panel: np.ndarray, y: np.ndarray, n: int,
@@ -230,6 +232,8 @@ class GramFitter:
         y = np.array(y, dtype=float)
         if panel.ndim != 2 or panel.shape[1] != y.shape[0]:
             raise ValueError("panel must be (n_phenotypes, n_molecules)")
+        if not (np.isfinite(panel).all() and np.isfinite(y).all()):
+            raise ValueError("panel and response values must be finite")
         p = panel.shape[0]
         if n > p:
             raise ValueError(f"subset size n={n} exceeds the panel's p={p} rows")
@@ -239,7 +243,7 @@ class GramFitter:
         z[:-2], z[-2], z[-1] = panel, 1.0, y
         self.gram = z @ z.T
         self.subsets = _all_subsets(p, n)
-        # compared bit for bit: -0.0 is not 0.0, a NaN only its own bits
+        # compared bit for bit: -0.0 is not 0.0
         carry = (previous is not None and (previous.n, previous.s) == (n, s)
                  and previous.panel.shape == panel.shape
                  and previous.y.tobytes() == y.tobytes())
@@ -248,7 +252,7 @@ class GramFitter:
         self.touched = changed[self.subsets].any(axis=1)
         rows = np.flatnonzero(self.touched)
         self.fits = fits = self.fit_subsets(self.subsets[rows])
-        # (alpha, both, objective) and the candidates of the last assess
+        # (alpha, both, objective) and the value matrix of the last assess
         self._assessed = previous._assessed if carry else None
         if carry:
             self.fits = SubsetFits(n, fits.df, previous.fits.table.copy(),
@@ -267,17 +271,17 @@ class GramFitter:
                                self.s, int(self.fits.df[wi]))
 
     def assess(self, alpha: float, both: bool,
-               objective: Callable[..., list[float]]
-               ) -> list[tuple[Candidate, ...]]:
-        """The candidates of every row of the table, primary first, under
-        the validity rules (module docstring) at significance level `alpha`,
-        `both` selecting "both" mode. One `objective(r2, se_s, slope_t)` call
-        per form scores its valid candidates, one row of slope t each. After
-        an assess with the same arguments, by this fitter or by the previous
-        one it carried from, only the touched rows are scored and built."""
+               objective: Callable[..., list[float]]) -> Sweep:
+        """The valid candidates of the table under the validity rules
+        (module docstring) at significance level `alpha`, `both` selecting
+        "both" mode. One `objective(r2, se_s, slope_t)` call per form scores
+        its valid candidates, one row of slope t each, into a (rows, 2) value
+        matrix by row and slot, NaN where no valid candidate is. After an
+        assess with the same arguments, by this fitter or by the previous
+        one it carried from, only the touched rows are scored."""
         key, last = (alpha, both, objective), self._assessed
-        touched = (self.touched if last is not None and last[0] == key
-                   else np.ones(len(self.subsets), dtype=bool))
+        carried = last is not None and last[0] == key
+        touched = self.touched | (not carried)    # every row unless carried
         fits, df = self.fits, self.fits.df.tolist()
         ins0, ins1 = (np.abs(fits.form(wi)[1]) < t_critical(alpha, df[wi])
                       for wi in (0, 1))
@@ -287,31 +291,24 @@ class GramFitter:
         valid1 = room1 & ~(ins0 & ins1[:, 1:]).any(axis=1)
         valid0 = room0 & ~(ins0 & (ins1[:, 1:] | sing1[:, None])).any(axis=1)
         demoted = room1 & ~sing1 & ins1[:, 0]
-        # the primary form, then in "both" mode the no-intercept form unless it
-        # is the primary; a singular form gives none (a demoted row never is)
-        present = ((demoted | both) & ~sing0, ~demoted & ~sing1)
-        streams = []    # per form, the candidates of its rows in row order
-        for wi, valid in enumerate((valid0, valid1)):
+        # per slot, the intercept form unless demoted, and the no-intercept
+        # form when demoted or in "both" mode; a singular form gives none
+        present = np.column_stack((~demoted & ~sing1,
+                                   (demoted | both) & ~sing0))
+        ok = present & np.column_stack((valid1, valid0))
+        values = last[1].copy() if carried else np.empty(ok.shape)
+        values[touched] = np.nan
+        for wi in (0, 1):
             _, t, r2, se_s = fits.form(wi)
-            rows = np.flatnonzero(present[wi] & touched)
-            ok = valid[rows]
-            value = np.full(len(rows), np.nan)
-            scored = rows[ok]
-            value[ok] = objective(r2[scored], se_s[scored], t[scored, wi:])
-            # tuple.__new__ skips NamedTuple's Python-level constructor
-            streams.append(map(tuple.__new__, repeat(Candidate), zip(
-                repeat(bool(wi)), ok.tolist(), value.tolist())))
-        c0, c1 = streams
-        # k: 1 the intercept form only, 2 the no-intercept form only, 3 both
-        out = [(next(c1),) if k == 1 else (next(c1), next(c0)) if k == 3
-               else (next(c0),) if k else ()
-               for k in (present[1] + 2 * present[0])[touched].tolist()]
-        if len(out) < len(touched):   # touched rows only: splice them in
-            fresh, out = out, list(last[1])
-            for row, cands in zip(np.flatnonzero(touched).tolist(), fresh):
-                out[row] = cands
-        self._assessed = key, out
-        return out
+            rows = np.flatnonzero(ok[:, 1 - wi] & touched)
+            values[rows, 1 - wi] = objective(r2[rows], se_s[rows],
+                                             t[rows, wi:])
+        self._assessed = key, values
+        flat = np.flatnonzero(ok)
+        # shape codes; per slot 0 no candidate, 1 an invalid one, 2 a valid one
+        shapes = (present.astype(np.intp) + ok) @ (3, 1)
+        return Sweep(flat >> 1, (flat & 1) == 0, values.take(flat).tolist(),
+                     shapes.tolist())
 
     def fit_subsets(self, index: np.ndarray) -> SubsetFits:
         """Fit every subset in `index` (one row of panel indices each) in
@@ -384,21 +381,35 @@ class GramFitter:
             out[form, 2 * n1 + 1] = np.where(exact[form], 0.0, se_s)
 
 
+class Sweep(NamedTuple):
+    """The valid candidates of a table in (row, slot) order, slot 0 the
+    intercept form: each one's row, form and value; and per row the shape
+    code that `fit_assessed` reads."""
+
+    rows: np.ndarray
+    with_intercept: np.ndarray
+    values: list[float]
+    shapes: list[int]
+
+
 class Candidate(NamedTuple):
-    """One candidate model of a subset: its form, whether the validity rules
-    keep it, and its objective value (NaN when invalid)."""
+    """A candidate model of a subset: its form and whether it is valid."""
 
     with_intercept: bool
     valid: bool
-    value: float
 
 
-def fit_assessed(row: int, candidates: list[tuple[Candidate, ...]]
-                 ) -> tuple[Candidate, ...]:
-    """The candidates of row `row` of a GramFitter's table, out of
-    `GramFitter.assess`. The engine reads each row through this call only
-    because the benchmark's tracer counts subsets by it."""
-    return candidates[row]
+# a row's candidates by shape code 3a + b, a and b the state of the intercept
+# and the no-intercept form: 0 no candidate, 1 invalid, 2 valid
+_SHAPES = [tuple(Candidate(wi, k == 2) for wi, k in ((True, a), (False, b))
+                 if k) for a in range(3) for b in range(3)]
+
+
+def fit_assessed(row: int, shapes: list[int]) -> tuple[Candidate, ...]:
+    """The candidates of row `row`, from a `Sweep`'s shapes. The engine calls
+    this once per row only for the benchmark's tracer, which counts subsets
+    and valid and demoted candidates by it."""
+    return _SHAPES[shapes[row]]
 
 
 def search_space_size(n_genotypes: int, n: int, both_forms: bool = False) -> int:

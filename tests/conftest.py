@@ -13,7 +13,8 @@ from evoreg.descriptors import (
 )
 from evoreg.engine import EvolutionConfig
 from evoreg.genome import Gene, GeneticTopology
-from evoreg.regress import SIGNIFICANCE_OFFSET, SingularFitError, better
+from evoreg.regress import (SIGNIFICANCE_OFFSET, SingularFitError, better,
+                            fit_assessed)
 from evoreg.scores import ObjectiveSpec, objective_score
 from evoreg.stats import t_critical
 from evoreg.strategy import StrategySpec
@@ -104,18 +105,40 @@ def fit_assessed_oracle(fit, row, ds, alpha, intercept_mode="fallback"):
     return candidates
 
 
-def candidate_view(candidates):
-    """(with_intercept, valid, value) of each `regress.Candidate`, the value
-    only when valid: an invalid candidate's value is NaN."""
-    return [(c.with_intercept, c.valid, c.value if c.valid else None)
-            for c in candidates]
+def candidate_view(sweep):
+    """Per table row, (with_intercept, valid, value) of each candidate of a
+    `regress.Sweep`, the value only when valid: the form and validity of
+    every candidate from `fit_assessed`, and the value of each valid one
+    from the sweep's arrays, which must list exactly the valid candidates
+    in (row, slot) order."""
+    listed = iter(zip(sweep.rows.tolist(), sweep.with_intercept.tolist(),
+                      sweep.values))
+    out = []
+    for row in range(len(sweep.shapes)):
+        view = []
+        for c in fit_assessed(row, sweep.shapes):
+            value = None
+            if c.valid:
+                got_row, with_intercept, value = next(listed)
+                assert (got_row, with_intercept) == (row, c.with_intercept)
+            view.append((c.with_intercept, c.valid, value))
+        out.append(view)
+    assert next(listed, None) is None
+    return out
 
 
-def candidate_bits(candidates):
-    """Every row's `regress.Candidate`s with each value as its bytes, so that
-    equal lists agree bit for bit, NaN included."""
-    return [tuple((c.with_intercept, c.valid, struct.pack("<d", c.value))
-                  for c in row) for row in candidates]
+def value_bits(view):
+    """A list of (with_intercept, valid, value) with each value as its
+    bytes, so that equal lists agree bit for bit."""
+    return [(wi, valid, None if v is None else struct.pack("<d", v))
+            for wi, valid, v in view]
+
+
+def candidate_bits(sweep):
+    """A `regress.Sweep` with each array and value as its bytes, so that
+    equal sweeps agree bit for bit, NaN included."""
+    return (sweep.rows.tobytes(), sweep.with_intercept.tobytes(),
+            [struct.pack("<d", v) for v in sweep.values], sweep.shapes)
 
 
 def scalar_objective(model, spec):

@@ -2,6 +2,7 @@ import ast
 import logging
 import math
 import random
+from collections import namedtuple
 from dataclasses import replace
 from itertools import combinations
 
@@ -25,6 +26,7 @@ from evoreg.strategy import StrategySpec
 from tests.conftest import (
     binary_topology,
     brute_best,
+    candidate_view,
     fit_assessed_oracle,
     normal_dataset,
     planted_config,
@@ -279,13 +281,17 @@ def test_generation_sweep_matches_brute_best():
         assert rec.valid_regression_count * n == counts.sum()
 
 
+# one candidate of a row, as candidate_view lists it
+View = namedtuple("View", "with_intercept valid value")
+
+
 @pytest.mark.parametrize("kind", ["r2", "se"])
 def test_generation_best_is_the_first_of_tied_candidates(planted_world, kind,
                                                          monkeypatch):
     """Of equal objective values the first candidate in (row, primary,
     second) order is the generation's best, as a loop over `better` finds
     it, for a maximized and a minimized objective. Values rounded to one
-    significant digit make ties."""
+    significant digit by `ObjectiveSpec.values` make ties."""
     topo, ds, provider = planted_world
     cfg = planted_config(seed=6, p=12, n=2, intercept_mode="both",
                          objective=ObjectiveSpec(kind))
@@ -293,15 +299,19 @@ def test_generation_best_is_the_first_of_tied_candidates(planted_world, kind,
     state = EvolutionState(cfg, provider, ds, rng,
                            init_sample(cfg, topo, provider, ds, rng))
     seen = []
-    original = engine.fit_assessed
+    values, assess = ObjectiveSpec.values, GramFitter.assess
 
-    def tied(row, candidates):
-        out = tuple(c._replace(value=float(f"{c.value:.1g}"))
-                    for c in original(row, candidates))
-        seen.extend((row, c) for c in out)
-        return out
+    def tied(spec, *args):
+        return [float(f"{v:.1g}") for v in values(spec, *args)]
 
-    monkeypatch.setattr(engine, "fit_assessed", tied)
+    def recorded(fitter, *args):
+        sweep = assess(fitter, *args)
+        seen.extend((row, View(*c)) for row, cands
+                    in enumerate(candidate_view(sweep)) for c in cands)
+        return sweep
+
+    monkeypatch.setattr(ObjectiveSpec, "values", tied)
+    monkeypatch.setattr(GramFitter, "assess", recorded)
     rec = run_generation(state)
     best = None
     for row, cand in seen:

@@ -9,7 +9,13 @@ CHANGES.md entry that says why. To write the files that are missing:
     PYTHONPATH=src python -m tests.test_golden
 
 Existing files are never overwritten, so adding a case cannot silently
-rewrite another; to regenerate a file, delete it first.
+rewrite another; to regenerate a file, delete it first. To compare every
+case with its file byte for byte, with no tolerance:
+
+    PYTHONPATH=src python -m tests.test_golden --check
+
+which prints, per case, "identical" or the number of lines that differ (a
+missing file differs on all of them) and exits 1 on any difference.
 """
 
 import contextlib
@@ -205,7 +211,7 @@ def test_run_log_matches_golden(name):
 def test_carried_sweeps_equal_cold_sweeps(name, monkeypatch):
     """Over a whole golden run, each generation's fitter, which carries the
     rows of unchanged slots from the last one, has the table, the singular
-    mask and the candidates of a fitter built without `previous`, bit for
+    mask and the sweep arrays of a fitter built without `previous`, bit for
     bit. The cases cover both intercept modes, s = 2 and s != 2, n = 1, 2
     and 3, and the table provider."""
     carried = []
@@ -239,6 +245,23 @@ def test_hr_rewards_a_model_with_no_explanatory_power():
     assert result.best_model.r2 < 1e-6
 
 
+def _check_golden() -> int:
+    """Compare each case's log with its file byte for byte; 1 on any
+    difference."""
+    failed = 0
+    for name, make in CASES.items():
+        path = GOLDEN / f"{name}.tsv"
+        got = make().log_text().splitlines()
+        want = (path.read_text(encoding="utf-8").splitlines()
+                if path.exists() else [])
+        differ = sum(a != b for a, b in zip(got, want)) + abs(
+            len(got) - len(want))
+        failed |= differ > 0
+        print(f"{name}: " + (f"{differ} lines differ" if differ
+                             else "identical"))
+    return int(failed)
+
+
 def _write_golden():
     GOLDEN.mkdir(exist_ok=True)
     for name, make in CASES.items():
@@ -251,4 +274,6 @@ def _write_golden():
 
 
 if __name__ == "__main__":
-    sys.exit(_write_golden())
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit("usage: python -m tests.test_golden [--check]")
+    sys.exit(_check_golden() if sys.argv[1:] else _write_golden())

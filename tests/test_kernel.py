@@ -34,6 +34,7 @@ from tests.conftest import (
     oracle_candidates,
     planted_config,
     planted_provider,
+    value_bits,
 )
 from tests.test_regress import lstsq_oracle, make_dataset, make_phenotypes
 
@@ -195,6 +196,29 @@ def test_singular_rule_intercept_pivot(factor, singular):
         assert fitter.fit(0, True).df == m - 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gram_fitter_rejects_non_finite_inputs(bad):
+    """A non-finite member or response value is a ValueError, as in ols_fit,
+    rather than NaN fits whose signs depend on the kernel's chunks; the
+    same panel, finite, still fits."""
+    rng = np.random.default_rng(47)
+    panel = rng.normal(size=(4, 20)) + 2.0
+    y = panel[0] - panel[3] + rng.normal(size=20)
+    member = panel.copy()
+    member[2, 5] = bad
+    response = y.copy()
+    response[3] = bad
+    for args in ((member, y), (panel, response)):
+        with pytest.raises(ValueError, match="finite"):
+            GramFitter(*args, 2)
+    with pytest.raises(ValueError, match="finite"):
+        ols_fit(make_phenotypes(list(member)), make_dataset(y), True)
+    fitter = GramFitter(panel, y, 2)
+    assert not fitter.fits.singular.any()
+    assert np.isfinite(fitter.fits.table).all()
+    assert fitter.fit(0, True).df == 20 - 3
+
+
 def test_fallback_drops_subset_with_singular_intercept_form():
     rng = np.random.default_rng(43)
     m = 40
@@ -209,13 +233,13 @@ def test_fallback_drops_subset_with_singular_intercept_form():
     assert alone.df == m - 1
     fallback = fitter.assess(0.05, False, R2.values)
     both = fitter.assess(0.05, True, R2.values)
-    assert fit_assessed(0, fallback) == ()
-    candidates = fit_assessed(0, both)
+    assert fit_assessed(0, fallback.shapes) == ()
+    candidates = fit_assessed(0, both.shapes)
     assert [c.with_intercept for c in candidates] == [False]
-    assert candidate_view(candidates) == oracle_candidates(fitter, 0, ds, 0.05,
-                                                           R2, "both")
+    assert candidate_view(both)[0] == oracle_candidates(fitter, 0, ds, 0.05,
+                                                        R2, "both")
     # the well-posed member is unaffected
-    assert len(fit_assessed(1, fallback)) == 1
+    assert len(fit_assessed(1, fallback.shapes)) == 1
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -228,10 +252,10 @@ def test_fallback_drops_subset_with_singular_intercept_form():
     junk=st.sampled_from([None, 0.0, np.inf]),
 )
 def test_validity_masks_match_oracle(kind, n, seed, alpha, mode, junk):
-    """fit_assessed's read-out of GramFitter.assess gives the per-subset
-    oracle's candidates, in order, with the same form, validity and value,
-    and no fit. The table entries of singular fits are undefined, so
-    overwriting them with `junk` changes nothing."""
+    """GramFitter.assess's arrays and fit_assessed's shapes give the
+    per-subset oracle's candidates, in (row, slot) order, with the same
+    form, validity and value bits, and no fit. The table entries of singular
+    fits are undefined, so overwriting them with `junk` changes nothing."""
     panel, y = make_panel(kind, n, np.random.default_rng(seed))
     fitter = GramFitter(panel, y, n)
     ds = make_dataset(y)
@@ -241,10 +265,9 @@ def test_validity_masks_match_oracle(kind, n, seed, alpha, mode, junk):
         for form in (0, 1):
             fitter.fits.table[form][:, fitter.fits.singular[form]] = junk
     fitter.fit = None   # a candidate is read out, never fitted
-    candidates = fitter.assess(alpha, mode == "both", R2.values)
+    got = candidate_view(fitter.assess(alpha, mode == "both", R2.values))
     for row in range(len(fitter.subsets)):
-        got = candidate_view(fit_assessed(row, candidates))
-        assert got == want[row], (kind, row)
+        assert value_bits(got[row]) == value_bits(want[row]), (kind, row)
 
 
 @pytest.mark.parametrize("mode", ["fallback", "both"])
@@ -265,11 +288,10 @@ def test_candidate_values_equal_objective_score(spec, mode, kind, n, seed,
     panel, y = make_panel(kind, n, np.random.default_rng(seed))
     fitter = GramFitter(panel, y, n, s=spec.s if spec.kind == "se" else 2.0)
     ds = make_dataset(y)
-    candidates = fitter.assess(alpha, mode == "both", spec.values)
+    got = candidate_view(fitter.assess(alpha, mode == "both", spec.values))
     for row in range(len(fitter.subsets)):
-        got = candidate_view(fit_assessed(row, candidates))
-        assert got == oracle_candidates(fitter, row, ds, alpha, spec,
-                                        mode), (kind, row)
+        want = oracle_candidates(fitter, row, ds, alpha, spec, mode)
+        assert value_bits(got[row]) == value_bits(want), (kind, row)
 
 
 def test_validity_panels_reach_every_case():
@@ -282,9 +304,9 @@ def test_validity_panels_reach_every_case():
         for n in (1, 2):
             panel, y = make_panel(kind, n, np.random.default_rng(n))
             fitter = GramFitter(panel, y, n)
-            candidates = fitter.assess(0.05, True, R2.values)
+            shapes = fitter.assess(0.05, True, R2.values).shapes
             singular = fitter.fits.singular[1]
-            rows = [fit_assessed(row, candidates)
+            rows = [fit_assessed(row, shapes)
                     for row in range(len(fitter.subsets))]
             for row, cands in enumerate(rows):
                 if singular[row]:
@@ -501,7 +523,7 @@ def test_tracer_patches_and_restores_every_name(instrument, planted_world,
 
 def assert_equals_cold(fitter, *assessments):
     """`fitter` has the table, the singular mask and, for each (alpha, both,
-    objective), the candidates of a fitter built without `previous`."""
+    objective), the sweep arrays of a fitter built without `previous`."""
     cold = GramFitter(fitter.panel, fitter.y, fitter.n, s=fitter.s)
     assert np.array_equal(fitter.fits.table.view(np.uint64),
                           cold.fits.table.view(np.uint64))
@@ -531,10 +553,10 @@ def _carry_panel(seed=46, p=8, m=30):
 @pytest.mark.parametrize("n,s", [(1, 2.0), (2, 1.5), (3, 2.0)])
 def test_carried_rows_are_those_without_a_changed_slot(n, s, monkeypatch):
     """A panel row whose bits did not change, including a replaced slot
-    with identical values, is carried; a row of new values, 0.0 turned -0.0
-    or a value turned NaN is changed, and exactly the subsets with a changed
-    member are refitted. The result equals a cold sweep bit for bit, except
-    in the rows of a NaN member, which fit no model."""
+    with identical values, is carried; a row of new values or 0.0 turned
+    -0.0 is changed, and exactly the subsets with a changed member are
+    refitted. The result equals a cold sweep bit for bit. A value turned NaN
+    is rejected, carried or cold."""
     rng, panel, y = _carry_panel()
     refitted = []
     fit_subsets = GramFitter.fit_subsets
@@ -564,14 +586,10 @@ def test_carried_rows_are_those_without_a_changed_slot(n, s, monkeypatch):
     assert_equals_cold(fitter, args)
     assert_equals_cold(sweep(new.copy(), fitter, set()), args)
 
-    new[6, 3] = np.nan      # in place: the fitter compares with its copy
-    fitter = sweep(new, fitter, {6})
-    cold = GramFitter(new, y, n, s=s)
-    finite = ~fitter.touched
-    assert np.array_equal(fitter.fits.table[:, :, finite].view(np.uint64),
-                          cold.fits.table[:, :, finite].view(np.uint64))
-    assert (candidate_bits(fitter.assess(*args))
-            == candidate_bits(cold.assess(*args)))
+    new[6, 3] = np.nan
+    for previous in (fitter, None):
+        with pytest.raises(ValueError, match="finite"):
+            GramFitter(new, y, n, s=s, previous=previous)
 
 
 def test_a_different_n_s_shape_or_response_sweeps_cold():

@@ -265,14 +265,16 @@ def test_fit_assessed_both_mode_adds_candidate():
     fitter = GramFitter(panel, y, n=2)
     spec = ObjectiveSpec("r2", 1.0)
     # row 0 is the subset (0, 1)
-    fallback = fit_assessed(0, fitter.assess(0.05, False, spec.values))
-    both = fit_assessed(0, fitter.assess(0.05, True, spec.values))
+    sweeps = {mode: fitter.assess(0.05, mode == "both", spec.values)
+              for mode in ("fallback", "both")}
+    fallback = fit_assessed(0, sweeps["fallback"].shapes)
+    both = fit_assessed(0, sweeps["both"].shapes)
     assert len(fallback) == 1 and fallback[0].with_intercept
     assert len(both) == 2
     assert {c.with_intercept for c in both} == {True, False}
-    for mode, got in (("fallback", fallback), ("both", both)):
-        assert candidate_view(got) == oracle_candidates(fitter, 0, ds, 0.05,
-                                                        spec, mode)
+    for mode, sweep in sweeps.items():
+        assert candidate_view(sweep)[0] == oracle_candidates(fitter, 0, ds,
+                                                             0.05, spec, mode)
 
 
 # --- search space sizing -------------------------------------------------------
