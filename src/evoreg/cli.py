@@ -11,7 +11,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,10 +62,8 @@ class SyntheticSpec:
                 raise ConfigError(f"{key} must be finite")
         if not self.low < self.high or self.planted_noise < 0.0:
             raise ConfigError("need low < high and planted_noise >= 0")
-
-
-# [synthetic] keys: the SyntheticSpec fields, each parsed by its default's type
-_SYNTHETIC_TYPES = {f.name: type(f.default) for f in fields(SyntheticSpec)}
+        if self.planted_count < 0:
+            raise ConfigError("planted_count must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -101,12 +99,11 @@ def _check_keys(cp, section: str, known: set[str], path: Path) -> None:
         )
 
 
-def _get(cp, section, key, default=None):
+def _get(cp, section, key) -> str | None:
+    """The key's stripped text, None if it is absent or empty."""
     if cp.has_option(section, key):
-        value = cp.get(section, key).strip()
-        if value != "":
-            return value
-    return default
+        return cp.get(section, key).strip() or None
+    return None
 
 
 def load_manifest(path) -> RunManifest:
@@ -117,7 +114,6 @@ def load_manifest(path) -> RunManifest:
         {"topology", "activity", "descriptors", "evolution", "output"}, path,
     )
     _check_keys(cp, "run", {"seed"}, path)
-    _check_keys(cp, "synthetic", set(_SYNTHETIC_TYPES), path)
     if not cp.has_section("paths"):
         raise ConfigError(f"{path}: missing [paths] section")
     base = path.parent
@@ -136,11 +132,9 @@ def load_manifest(path) -> RunManifest:
     descriptors = (base / descriptors).resolve() if descriptors else None
 
     for p, label in ((topology, "topology"), (activity, "activity"),
-                     (evolution, "evolution")):
-        if not p.exists():
+                     (evolution, "evolution"), (descriptors, "descriptors")):
+        if p is not None and not p.exists():
             raise ConfigError(f"{path}: {label} file not found: {p}")
-    if descriptors is not None and not descriptors.exists():
-        raise ConfigError(f"{path}: descriptors file not found: {descriptors}")
 
     seed = _get(cp, "run", "seed")
     if seed is None:
@@ -152,119 +146,87 @@ def load_manifest(path) -> RunManifest:
 
     synthetic = None
     if cp.has_section("synthetic"):
-        try:
-            synthetic = SyntheticSpec(**{
-                key: kind(value) for key, kind in _SYNTHETIC_TYPES.items()
-                if (value := _get(cp, "synthetic", key)) is not None
-            })
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad [synthetic] value: {exc}") from None
+        synthetic = _load_section(cp, path, "synthetic", SyntheticSpec,
+                                  _SYNTHETIC)
     if descriptors is None and synthetic is None:
         raise ConfigError(
             f"{path}: need either paths.descriptors or a [synthetic] section"
         )
-    return RunManifest(
-        topology_path=topology,
-        activity_path=activity,
-        evolution_path=evolution,
-        output_dir=output,
-        seed=seed,
-        descriptors_path=descriptors,
-        synthetic=synthetic,
-    )
+    return RunManifest(topology, activity, evolution, output, seed,
+                       descriptors, synthetic)
 
 
-_EVOLUTION_KEYS = {
-    "sample_size", "multiplicity", "pairs", "parent_mutation",
-    "child_mutation", "keep_best", "max_generations", "alpha",
-    "target_objective", "intercept_mode", "mutation_mode", "q", "r",
-    "selection_aggregate",
-}
-_STRATEGY_KEYS = {"method", "use_ranks", "normalize", "significant_digits"}
-
-
-def _parse_strategy(cp, section: str, path: Path) -> StrategySpec:
-    _check_keys(cp, section, _STRATEGY_KEYS, path)
-    if not cp.has_section(section):
-        raise ConfigError(f"{path}: missing [{section}] section")
-    method = _get(cp, section, "method")
-    if method is None:
-        raise ConfigError(f"{path}: missing {section}.method")
-    normalize = _get(cp, section, "normalize")
-    bounds = None
-    if normalize is not None:
-        try:
-            lo, hi = normalize.split(":")
-            bounds = (float(lo), float(hi))
-        except ValueError:
-            raise ConfigError(
-                f"{path}: {section}.normalize must look like '0:1'"
-            ) from None
-    digits = _get(cp, section, "significant_digits")
+def _boolean(text: str) -> bool:
     try:
-        return StrategySpec(
-            method=method,
-            use_ranks=cp.getboolean(section, "use_ranks", fallback=False),
-            normalization=bounds,
-            significant_digits=int(digits) if digits is not None else None,
-        )
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+def _bounds(text: str) -> tuple[float, float]:
+    try:
+        n0, n1 = map(float, text.split(":"))
+    except ValueError:
+        raise ValueError("must look like '0:1'") from None
+    return n0, n1
+
+
+def _same(**parsers):  # INI keys named as their fields
+    return {key: (key, parse) for key, parse in parsers.items()}
+
+
+# Each INI section's keys: key -> (dataclass field, parser of its text).
+_EVOLUTION = {
+    "sample_size": ("p", int), "multiplicity": ("n", int), "pairs": ("k", int),
+    "parent_mutation": ("pp", float), "child_mutation": ("cp", float),
+    **_same(keep_best=_boolean, max_generations=int, alpha=float,
+            target_objective=float, intercept_mode=str, mutation_mode=str,
+            q=float, r=float, selection_aggregate=str),
+}
+_OBJECTIVE = _same(kind=str, s=float)
+_STRATEGY = {**_same(method=str, use_ranks=_boolean, significant_digits=int),
+             "normalize": ("normalization", _bounds)}
+_VIABILITY = _same(min_cv=float, jb_alpha=float, min_simple_r2=float)
+_SYNTHETIC = _same(**{f.name: type(f.default) for f in fields(SyntheticSpec)})
+
+
+def _load_section(cp, path: Path, section: str, cls, keys: dict, **given):
+    """Build `cls` from one INI section. An absent or empty key keeps its
+    field's dataclass default; a field without one is a required key."""
+    _check_keys(cp, section, set(keys), path)
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    values = dict(given)
+    for key, (name, parse) in keys.items():
+        text = _get(cp, section, key)
+        if text is None:
+            if name in required:
+                raise ConfigError(f"{path}: missing {section}.{key}")
+            continue
+        try:
+            values[name] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{path}: bad [{section}] value: {key}: {exc}") from None
+    try:
+        return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{path}: [{section}]: {exc}") from None
+        raise ConfigError(f"{path}: bad [{section}] value: {exc}") from None
 
 
 def load_evolution_config(path, seed: int) -> engine.EvolutionConfig:
     path = Path(path)
     cp = _read_ini(path)
-    _check_keys(cp, "evolution", _EVOLUTION_KEYS, path)
-    _check_keys(cp, "objective", {"kind", "s"}, path)
-    _check_keys(cp, "viability", {"min_cv", "jb_alpha", "min_simple_r2"}, path)
-    if not cp.has_section("evolution"):
-        raise ConfigError(f"{path}: missing [evolution] section")
-
-    def ev(key, default=None):
-        return _get(cp, "evolution", key, default)
-
-    try:
-        objective = ObjectiveSpec(
-            kind=_get(cp, "objective", "kind", "r2"),
-            s=float(_get(cp, "objective", "s"))
-            if _get(cp, "objective", "s") is not None
-            else None,
-        )
-        target = ev("target_objective")
-        viability = dsc.ViabilityPolicy(
-            min_cv=_opt_float(cp, "viability", "min_cv"),
-            jb_alpha=_opt_float(cp, "viability", "jb_alpha"),
-            min_simple_r2=_opt_float(cp, "viability", "min_simple_r2"),
-        )
-        return engine.EvolutionConfig(
-            p=int(ev("sample_size")),
-            n=int(ev("multiplicity")),
-            k=int(ev("pairs")),
-            pp=float(ev("parent_mutation", "0.05")),
-            cp=float(ev("child_mutation", "0.05")),
-            keep_best=cp.getboolean("evolution", "keep_best", fallback=True),
-            objective=objective,
-            selection=_parse_strategy(cp, "selection", path),
-            survival=_parse_strategy(cp, "survival", path),
-            selection_aggregate=ev("selection_aggregate", "nalive"),
-            q=float(ev("q", "1.0")),
-            r=float(ev("r", "1.0")),
-            alpha=float(ev("alpha", "0.05")),
-            viability=viability,
-            max_generations=int(ev("max_generations", "100")),
-            target_objective=float(target) if target is not None else None,
-            seed=seed,
-            intercept_mode=ev("intercept_mode", "fallback"),
-            mutation_mode=ev("mutation_mode", "genotype"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _opt_float(cp, section, key) -> float | None:
-    value = _get(cp, section, key)
-    return float(value) if value is not None else None
+    return _load_section(
+        cp, path, "evolution", engine.EvolutionConfig, _EVOLUTION,
+        objective=_load_section(cp, path, "objective", ObjectiveSpec,
+                                _OBJECTIVE),
+        selection=_load_section(cp, path, "selection", StrategySpec, _STRATEGY),
+        survival=_load_section(cp, path, "survival", StrategySpec, _STRATEGY),
+        viability=_load_section(cp, path, "viability", dsc.ViabilityPolicy,
+                                _VIABILITY),
+        seed=seed,
+    )
 
 
 def _synthetic_provider(spec: SyntheticSpec, topology: GeneticTopology,
@@ -338,7 +300,8 @@ def _cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "run_log.tsv").write_text(result.log_text(), encoding="utf-8")
     (out / "summary.json").write_text(
-        json.dumps(result.summary_dict(), indent=2, sort_keys=True) + "\n",
+        json.dumps(result.summary_dict(), indent=2, sort_keys=True,
+                   allow_nan=False) + "\n",
         encoding="utf-8",
     )
     best = result.best_objective
@@ -381,17 +344,14 @@ def _cmd_stats_chi2(args) -> int:
     return EXIT_OK
 
 
+def _synthetic_flag(name: str) -> str:
+    """gen-data's dest for a [synthetic] key: --seed seeds the activity."""
+    return "table_seed" if name == "seed" else name
+
+
 def _cmd_gen_data(args) -> int:
-    spec = SyntheticSpec(
-        seed=args.table_seed,
-        low=args.low,
-        high=args.high,
-        planted_count=args.planted_count,
-        planted_slope=args.planted_slope,
-        planted_intercept=args.planted_intercept,
-        planted_noise=args.planted_noise,
-        planted_seed=args.planted_seed,
-    )
+    spec = SyntheticSpec(**{f.name: getattr(args, _synthetic_flag(f.name))
+                            for f in fields(SyntheticSpec)})
     rng = np.random.default_rng(args.seed)
     ids = tuple(f"mol{i + 1}" for i in range(args.molecules))
     activity = rng.normal(args.mean, args.sd, args.molecules)
@@ -441,6 +401,17 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _alpha(text: str) -> float:
+    """The type of --alpha: a significance level in (0, 1)."""
+    try:
+        alpha = float(text)
+    except ValueError:
+        alpha = math.nan
+    if not 0.0 < alpha < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
+    return alpha
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="evoreg",
@@ -468,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs-per-cell", type=int, default=46)
     p.add_argument("--threshold", type=int, default=23,
                    help="occurrence threshold for the top subtable")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
     p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("stats", help="statistical utilities")
@@ -476,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p2 = stats_sub.add_parser("chi2", help="chi-square homogeneity of a "
                               "labeled contingency CSV")
     p2.add_argument("--table", required=True)
-    p2.add_argument("--alpha", type=float, default=0.05)
+    p2.add_argument("--alpha", type=_alpha, default=0.05)
     p2.set_defaults(func=_cmd_stats_chi2)
 
     p = sub.add_parser("gen-data", help="generate synthetic activity and "
@@ -488,19 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--activity-out", required=True)
     p.add_argument("--descriptors-out")
     p.add_argument("--topology")
-    p.add_argument("--table-seed", type=int, default=SyntheticSpec.seed)
-    p.add_argument("--low", type=float, default=SyntheticSpec.low)
-    p.add_argument("--high", type=float, default=SyntheticSpec.high)
-    p.add_argument("--planted-count", type=int,
-                   default=SyntheticSpec.planted_count)
-    p.add_argument("--planted-slope", type=float,
-                   default=SyntheticSpec.planted_slope)
-    p.add_argument("--planted-intercept", type=float,
-                   default=SyntheticSpec.planted_intercept)
-    p.add_argument("--planted-noise", type=float,
-                   default=SyntheticSpec.planted_noise)
-    p.add_argument("--planted-seed", type=int,
-                   default=SyntheticSpec.planted_seed)
+    for f in fields(SyntheticSpec):
+        p.add_argument("--" + _synthetic_flag(f.name).replace("_", "-"),
+                       type=type(f.default), default=f.default)
     p.add_argument("--max-rows", type=int, default=100000)
     p.set_defaults(func=_cmd_gen_data)
 
@@ -517,13 +478,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, dsc.DescriptorDataError, TopologyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, dsc.DescriptorDataError, TopologyError,
+            FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # engine and other runtime failures

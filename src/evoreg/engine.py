@@ -71,7 +71,7 @@ class EvolutionConfig:
     pp: float = 0.05            # parent mutation probability
     cp: float = 0.05            # child mutation probability
     keep_best: bool = True      # elitism: protect best model's genotypes
-    objective: ObjectiveSpec = field(default_factory=lambda: ObjectiveSpec("r2"))
+    objective: ObjectiveSpec = field(default_factory=ObjectiveSpec)
     selection: StrategySpec = field(
         default_factory=lambda: StrategySpec("proportional")
     )
@@ -172,7 +172,7 @@ class RunResult:
             "config_fingerprint": self.config.fingerprint(),
             "seed": self.config.seed,
             "generations": self.generations,
-            "best_objective": self.best_objective,
+            "best_objective": self.best_objective if model else None,
             "best_genotypes": list(self.best_genotypes),
             "best_coefficients": list(model.coefficients) if model else None,
             "best_with_intercept": model.with_intercept if model else None,

@@ -56,7 +56,7 @@ class ObjectiveSpec:
     hr: entropy of determination in bits (minimize).
     """
 
-    kind: str
+    kind: str = "r2"
     s: float | None = None
 
     def __post_init__(self):

@@ -1,8 +1,9 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from evoreg import cli
+from evoreg import EvolutionConfig, StrategySpec, cli
 from evoreg.cli import ConfigError, SyntheticSpec, load_manifest, main
 from evoreg.descriptors import load_activity
 
@@ -348,17 +349,20 @@ def test_synthetic_defaults_come_from_the_spec(tmp_path, monkeypatch, capsys):
 
 def test_synthetic_values_must_be_finite(tmp_path, capsys):
     """A non-finite planted value or interval bound, a negative
-    planted_noise, or low >= high is a ConfigError naming the key, from a
-    manifest at load and from gen-data before it writes anything."""
+    planted_noise or planted_count, or low >= high is a ConfigError naming
+    the key, from a manifest at load and from gen-data before it writes
+    anything."""
     manifest = write_world(tmp_path)
     text = manifest.read_text()
-    head = (text[: text.index("[synthetic]")]
-            + "[synthetic]\nplanted_count = 8\n")
+    head = text[: text.index("[synthetic]")] + "[synthetic]\n"
     cases = (("planted_noise", "nan"), ("planted_noise", "-0.25"),
              ("planted_slope", "nan"), ("planted_intercept", "inf"),
-             ("low", "-inf"), ("high", "inf"), ("high", "nan"), ("low", "2"))
+             ("low", "-inf"), ("high", "inf"), ("high", "nan"), ("low", "2"),
+             ("planted_count", "-3"))
     for key, value in cases:
-        manifest.write_text(f"{head}{key} = {value}\n")
+        keys = {"planted_count": "8", key: value}
+        manifest.write_text(head + "".join(
+            f"{k} = {v}\n" for k, v in keys.items()))
         with pytest.raises(ConfigError, match=key):
             load_manifest(manifest)
         assert main(["run", "--manifest", str(manifest)]) == 2
@@ -389,3 +393,149 @@ def test_run_rejects_infinite_normalize_bounds(tmp_path, capsys):
         assert main(["run", "--manifest", str(manifest)]) == 2
         assert "normalization bounds" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# The accepted keys of each evolution-config section.
+EVOLUTION_KEYS = {
+    "evolution": ("sample_size", "multiplicity", "pairs", "parent_mutation",
+                  "child_mutation", "keep_best", "max_generations", "alpha",
+                  "target_objective", "intercept_mode", "mutation_mode", "q",
+                  "r", "selection_aggregate"),
+    "objective": ("kind", "s"),
+    "selection": ("method", "use_ranks", "normalize", "significant_digits"),
+    "survival": ("method", "use_ranks", "normalize", "significant_digits"),
+    "viability": ("min_cv", "jb_alpha", "min_simple_r2"),
+}
+MINIMAL_EVOLUTION = {
+    "evolution": {"sample_size": "10", "multiplicity": "2", "pairs": "2"},
+    "selection": {"method": "tournament"},
+    "survival": {"method": "deterministic"},
+}
+
+
+def write_ini(path, sections):
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()))
+
+
+def test_unset_config_keys_take_the_dataclass_defaults(tmp_path):
+    """Only the required keys load to the dataclass defaults, and so does
+    every other key given with an empty value, booleans included."""
+    expected = EvolutionConfig(10, 2, 2,
+                               selection=StrategySpec("tournament"),
+                               survival=StrategySpec("deterministic"),
+                               seed=7)
+    path = tmp_path / "evolution.cfg"
+    write_ini(path, MINIMAL_EVOLUTION)
+    cfg = cli.load_evolution_config(path, 7)
+    assert cfg == expected
+    assert cfg.fingerprint() == expected.fingerprint()
+    empty = {name: {key: MINIMAL_EVOLUTION.get(name, {}).get(key, "")
+                    for key in keys}
+             for name, keys in EVOLUTION_KEYS.items()}
+    write_ini(path, empty)
+    cfg = cli.load_evolution_config(path, 7)
+    assert cfg == expected
+    assert cfg.fingerprint() == expected.fingerprint()
+
+
+def test_config_errors_name_section_and_key(tmp_path):
+    path = tmp_path / "evolution.cfg"
+
+    def error(**edits):
+        sections = {name: dict(keys) for name, keys in
+                    MINIMAL_EVOLUTION.items()}
+        for name, keys in edits.items():
+            if keys is None:
+                del sections[name]
+            else:
+                sections.setdefault(name, {}).update(keys)
+        write_ini(path, sections)
+        with pytest.raises(ConfigError) as err:
+            cli.load_evolution_config(path, 7)
+        return str(err.value)
+
+    assert error(evolution=None).endswith("missing evolution.sample_size")
+    assert error(evolution={"pairs": ""}).endswith("missing evolution.pairs")
+    assert error(selection=None).endswith("missing selection.method")
+    assert error(survival={"method": ""}).endswith("missing survival.method")
+    for section, key, value in (
+        ("evolution", "sample_size", "ten"),
+        ("evolution", "keep_best", "maybe"),
+        ("objective", "s", "x"),
+        ("selection", "normalize", "1"),
+        ("survival", "use_ranks", "2"),
+        ("viability", "min_cv", "low"),
+    ):
+        message = error(**{section: {key: value}})
+        assert f"bad [{section}] value: {key}: " in message
+    assert "unknown keys in [objective]: exponent" in error(
+        objective={"exponent": "2"})
+    assert "bad [evolution] value: need 1 <= k" in error(
+        evolution={"pairs": "6"})
+
+
+def test_gen_data_flags_are_the_synthetic_keys(tmp_path, monkeypatch,
+                                               capsys):
+    """gen-data has one flag per [synthetic] key, seed as --table-seed,
+    and each flag sets its key."""
+    values = {"seed": "3", "low": "-2", "high": "5", "planted_count": "2",
+              "planted_slope": "0.5", "planted_intercept": "1",
+              "planted_noise": "0.1", "planted_seed": "9"}
+    assert set(values) == {f.name for f in fields(SyntheticSpec)}
+    topo_path = tmp_path / "small.cgt"
+    topo_path.write_text("gene g0 : a b\ngene g1 : c d\ngene g2 : e f\n")
+    argv = ["gen-data", "--activity-out", str(tmp_path / "a.csv"),
+            "--descriptors-out", str(tmp_path / "t.csv"),
+            "--topology", str(topo_path)]
+    for name, value in values.items():
+        flag = "table-seed" if name == "seed" else name.replace("_", "-")
+        argv += [f"--{flag}", value]
+    specs = []
+    build = cli._synthetic_provider
+    monkeypatch.setattr(cli, "_synthetic_provider", lambda spec, *rest: (
+        specs.append(spec) or build(spec, *rest)))
+    assert main(argv) == 0
+    assert specs == [SyntheticSpec(
+        seed=3, low=-2.0, high=5.0, planted_count=2, planted_slope=0.5,
+        planted_intercept=1.0, planted_noise=0.1, planted_seed=9)]
+
+
+def test_summary_is_strict_json_without_a_valid_model(tmp_path, capsys):
+    """A run whose generations never find a valid regression writes
+    best_objective as null: summary.json holds no NaN."""
+    manifest = write_world(tmp_path, planted=0)
+    manifest.write_text(manifest.read_text() + "low = -1\nhigh = 1\n")
+    evo = tmp_path / "evolution.cfg"
+    evo.write_text(evo.read_text().replace("alpha = 0.25", "alpha = 1e-10"))
+    assert main(["run", "--manifest", str(manifest)]) == 0
+    assert "best objective: nan" in capsys.readouterr().out
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                         parse_constant=reject)
+    assert summary["best_objective"] is None
+    assert summary["best_genotypes"] == [] and summary["best_r2"] is None
+
+
+@pytest.mark.parametrize("alpha", ["7", "1", "0", "-1", "nan", "inf", "x"])
+def test_alpha_outside_unit_interval_is_a_usage_error(tmp_path, capsys,
+                                                      alpha):
+    """stats chi2 and grid reject --alpha outside (0, 1) when the
+    arguments are parsed, before reading a table or running a grid."""
+    table = tmp_path / "table.csv"
+    table.write_text(",P,T,D\na,1,1,1\nb,1,1,1\n")
+    manifest = write_world(tmp_path)
+    for argv in (["stats", "chi2", "--table", str(table)],
+                 ["grid", "--manifest", str(manifest),
+                  "--runs-per-cell", "1"]):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--alpha", alpha])
+        assert err.value.code == 1
+        assert "--alpha: must lie in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(["stats", "chi2", "--table", str(table),
+                 "--alpha", "0.5"]) == 0
