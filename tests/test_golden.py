@@ -1,10 +1,13 @@
-"""Golden run logs: fixed-seed runs whose logs must not drift.
+"""Golden run logs and a golden grid report: fixed-seed outputs that must
+not drift.
 
 Each case is one evolution run; its `log_text()` is compared with the file
 under `tests/golden/`. Every field must match exactly, except the
 per-generation `best_objective`, which may differ at 1e-9 relative (last-bit
-differences between fit kernels). A change to a golden file needs a
-CHANGES.md entry that says why. To write the files that are missing:
+differences between fit kernels). Each report (`REPORTS`) is the text of a
+small strategy grid's `grid_report.txt` and must match its file byte for
+byte. A change to a golden file needs a CHANGES.md entry that says why. To
+write the files that are missing:
 
     PYTHONPATH=src python -m tests.test_golden
 
@@ -31,6 +34,7 @@ import pytest
 from evoreg import cli, engine
 from evoreg import descriptors as dsc
 from evoreg.engine import run
+from evoreg.experiment import render_grid_report, run_grid
 from evoreg.regress import GramFitter
 from evoreg.scores import ObjectiveSpec
 from evoreg.strategy import StrategySpec
@@ -181,6 +185,29 @@ CASES = {
 }
 
 
+def _grid_report():
+    """The 3x3 strategy grid on the planted world, 2 runs per cell of 15
+    generations, occurrence threshold 3: the per-cell counts of all six
+    measures and every homogeneity table as `evoreg grid` writes them."""
+    topology = binary_topology(10)
+    dataset = normal_dataset()
+    cfg = planted_config(max_generations=15)
+    agg = run_grid(cfg, topology, planted_provider(topology, dataset),
+                   dataset, runs_per_cell=2, master_seed=31, threshold=3)
+    return render_grid_report(agg)
+
+
+REPORTS = {"grid_report": _grid_report}
+
+
+def _golden_files():
+    """(path, function returning the text) for every case and report."""
+    for name, make in CASES.items():
+        yield GOLDEN / f"{name}.tsv", lambda make=make: make().log_text()
+    for name, make in REPORTS.items():
+        yield GOLDEN / f"{name}.txt", make
+
+
 def _close(got: str, want: str) -> bool:
     a, b = float(got), float(want)
     if math.isnan(a) or math.isnan(b):
@@ -205,6 +232,12 @@ def test_run_log_matches_golden(name):
             f"{fields_want[2]}"
         )
         assert fields_got[3:] == fields_want[3:], f"generation {gen}"
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_matches_golden(name):
+    want = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert REPORTS[name]() == want
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -246,30 +279,28 @@ def test_hr_rewards_a_model_with_no_explanatory_power():
 
 
 def _check_golden() -> int:
-    """Compare each case's log with its file byte for byte; 1 on any
-    difference."""
+    """Compare each case's log and each report with its file byte for
+    byte; 1 on any difference."""
     failed = 0
-    for name, make in CASES.items():
-        path = GOLDEN / f"{name}.tsv"
-        got = make().log_text().splitlines()
-        want = (path.read_text(encoding="utf-8").splitlines()
+    for path, make in _golden_files():
+        got = make().splitlines(keepends=True)
+        want = (path.read_text(encoding="utf-8").splitlines(keepends=True)
                 if path.exists() else [])
         differ = sum(a != b for a, b in zip(got, want)) + abs(
             len(got) - len(want))
         failed |= differ > 0
-        print(f"{name}: " + (f"{differ} lines differ" if differ
-                             else "identical"))
+        print(f"{path.stem}: " + (f"{differ} lines differ" if differ
+                                  else "identical"))
     return int(failed)
 
 
 def _write_golden():
     GOLDEN.mkdir(exist_ok=True)
-    for name, make in CASES.items():
-        path = GOLDEN / f"{name}.tsv"
+    for path, make in _golden_files():
         if path.exists():
             print(f"kept {path}")
             continue
-        path.write_text(make().log_text(), encoding="utf-8")
+        path.write_text(make(), encoding="utf-8")
         print(f"wrote {path}")
 
 
