@@ -247,18 +247,19 @@ def _synthetic_provider(spec: SyntheticSpec, topology: GeneticTopology,
     )
 
 
-def _build_provider(manifest: RunManifest, topology: GeneticTopology,
-                    ds: dsc.Dataset):
-    if manifest.descriptors_path is not None:
-        return dsc.load_descriptor_table(manifest.descriptors_path, topology, ds)
-    return _synthetic_provider(manifest.synthetic, topology, ds)
-
-
-def _load_run_inputs(manifest: RunManifest):
+def _load_run(path):
+    """The manifest at `path` and what it names, loaded for `run`, `grid`
+    and `validate`: (manifest, topology, dataset, config, provider)."""
+    manifest = load_manifest(path)
     topology = load_topology(manifest.topology_path)
     ds = dsc.load_activity(manifest.activity_path)
     cfg = load_evolution_config(manifest.evolution_path, manifest.seed)
-    return topology, ds, cfg
+    if manifest.descriptors_path is not None:
+        provider = dsc.load_descriptor_table(manifest.descriptors_path,
+                                             topology, ds)
+    else:
+        provider = _synthetic_provider(manifest.synthetic, topology, ds)
+    return manifest, topology, ds, cfg, provider
 
 
 # --- commands -------------------------------------------------------------
@@ -292,9 +293,7 @@ def _cmd_space_size(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    manifest = load_manifest(args.manifest)
-    topology, ds, cfg = _load_run_inputs(manifest)
-    provider = _build_provider(manifest, topology, ds)
+    manifest, topology, ds, cfg, provider = _load_run(args.manifest)
     result = engine.run(cfg, topology, provider, ds)
     out = manifest.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -313,9 +312,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    manifest = load_manifest(args.manifest)
-    topology, ds, cfg = _load_run_inputs(manifest)
-    provider = _build_provider(manifest, topology, ds)
+    manifest, topology, ds, cfg, provider = _load_run(args.manifest)
     agg = experiment.run_grid(
         cfg, topology, provider, ds,
         runs_per_cell=args.runs_per_cell,
@@ -381,9 +378,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    manifest = load_manifest(args.manifest)
-    topology, ds, cfg = _load_run_inputs(manifest)
-    provider = _build_provider(manifest, topology, ds)
+    manifest, topology, ds, cfg, provider = _load_run(args.manifest)
     print(f"manifest: {args.manifest}")
     print(f"topology: {manifest.topology_path} "
           f"({topology.gene_count} genes, {genome_size(topology)} genotypes)")

@@ -147,7 +147,8 @@ def check_viability(
     The screens work on one centred copy of the values: the cv compares the
     population sd (pairwise sums, as numpy's mean and std take them) with
     the mean; the simple r2 floor compares the squared Pearson correlation
-    with the activity (0 when either side has no variance)."""
+    with the activity (0 when either side has no variance, and failing when
+    its sums overflow)."""
     v = p.values
     if v.shape != ds.activity.shape:
         raise ValueError("phenotype length does not match dataset")
@@ -180,8 +181,8 @@ def check_viability(
             r2 = 0.0
             if sxx != 0.0 and syy != 0.0:
                 sxy = float(d @ dy)
-                r2 = min(1.0, sxy * sxy / (sxx * syy))
-            r2_ok = r2 >= policy.min_simple_r2
+                r2 = sxy * sxy / (sxx * syy)
+            r2_ok = math.isfinite(r2) and r2 >= policy.min_simple_r2
     return ViabilityReport(finite, non_constant, cv_ok, jb_ok, r2_ok)
 
 

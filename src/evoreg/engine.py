@@ -1,6 +1,7 @@
 """The evolution loop: full-sweep regression scoring, selection of parent
 pairs, crossover/mutation, viability filtering of children, and similarity-
-driven survival replacement, generation after generation.
+driven survival replacement (selection and survival draw alike: transform
+the scores, then extract), generation after generation.
 
 One run owns all its mutable state and a single random.Random seeded from the
 config, so identical configs reproduce byte-identical logs.
@@ -26,6 +27,7 @@ from .regress import GramFitter, RegressionModel, better, fit_assessed
 from .scores import (
     NormalizationState,
     ObjectiveSpec,
+    ScoreTable,
     objective_score,  # noqa: F401  (bench/tracing.py wraps it by name)
     selection_direction,
     selection_scores,
@@ -270,6 +272,16 @@ def _mutate(g: Genotype, prob: float, cfg: EvolutionConfig, rng) -> Genotype:
     return gn.mutate(g, prob, rng)
 
 
+def _draw(spec: StrategySpec, norm: NormalizationState | None, fs,
+          direction: str, count: int, rng) -> tuple[ScoreTable, list[int]]:
+    """One strategy draw, for parents and for victims alike: the scores
+    `fs`, whose sense is `direction`, through `spec`'s transforms, and
+    `count` indices extracted from the result by `spec`'s method."""
+    table = transform_scores(fs, norm, spec.significant_digits,
+                             spec.use_ranks, direction)
+    return table, extract(spec.method, table, count, rng)
+
+
 def run_generation(state: EvolutionState) -> GenerationRecord:
     """Advance the sample by one generation and record what happened."""
     cfg, rng, sample = state.cfg, state.rng, state.sample
@@ -306,18 +318,12 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
         state.best_genotypes = best_keys
 
     # selection scores and parent extraction
-    sel_fs = selection_scores(
-        p, member_rows, values, cfg.selection_aggregate, direction
-    )
-    sel_dir = selection_direction(cfg.selection_aggregate, cfg.objective)
-    sel_table = transform_scores(
-        sel_fs,
-        state.sel_norm,
-        cfg.selection.significant_digits,
-        cfg.selection.use_ranks,
-        sel_dir,
-    )
-    parent_idx = extract(cfg.selection.method, sel_table, 2 * cfg.k, rng)
+    sel_table, parent_idx = _draw(
+        cfg.selection, state.sel_norm,
+        selection_scores(p, member_rows, values, cfg.selection_aggregate,
+                         direction),
+        selection_direction(cfg.selection_aggregate, cfg.objective),
+        2 * cfg.k, rng)
 
     # parents are mutated on copies; the sample itself is untouched here
     parents = [_mutate(sample[i].source_genotype, cfg.pp, cfg, rng)
@@ -359,20 +365,10 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
     if viable_children:
         v = len(viable_children)
         if len(eligible) >= 2:
-            vs = survival_scores(
-                [sample[i].source_genotype for i in eligible],
-                sel_table.fs[eligible],
-                cfg.q,
-                cfg.r,
-            )
-            sur_table = transform_scores(
-                vs,
-                state.sur_norm,
-                cfg.survival.significant_digits,
-                cfg.survival.use_ranks,
-                "max",
-            )
-            victims_rel = extract(cfg.survival.method, sur_table, v, rng)
+            vs = survival_scores([sample[i].source_genotype for i in eligible],
+                                 sel_table.fs[eligible], cfg.q, cfg.r)
+            _, victims_rel = _draw(cfg.survival, state.sur_norm, vs, "max",
+                                   v, rng)
             victims = [eligible[i] for i in victims_rel]
         else:
             victims = eligible[:v]

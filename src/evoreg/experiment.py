@@ -1,5 +1,6 @@
 """The selection x survival strategy grid, genotype bookkeeping over
-improving generations, and the homogeneity analysis across strategy pairs.
+improving generations (two counters per cell, from which every measure is
+computed), and the homogeneity analysis across strategy pairs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,15 @@ _LABEL_TO_METHOD = {
     "D": "deterministic",
 }
 
-MEASURES = ("num", "occ", "par", "top_num", "top_occ", "top_par")
+# the homogeneity measures, in report order, and their report titles
+MEASURES = {
+    "num": "distinct genotypes in improving generations",
+    "occ": "genotype occurrences in improving generations",
+    "par": "participations in valid regressions",
+    "top_num": "distinct genotypes above the occurrence threshold",
+    "top_occ": "occurrences of genotypes above the threshold",
+    "top_par": "participations of genotypes above the threshold",
+}
 
 
 @dataclass
@@ -46,37 +55,19 @@ class CellStats:
     participations: Counter = field(default_factory=Counter)
     error: str | None = None
 
-    @property
-    def num(self) -> int:
-        return len(self.occurrences)
-
-    @property
-    def occ(self) -> int:
-        return sum(self.occurrences.values())
-
-    @property
-    def par(self) -> int:
-        return sum(self.participations.values())
-
-    def top(self, threshold: int) -> tuple[int, int, int]:
-        """(num, occ, par) restricted to genotypes with >= threshold
-        occurrences."""
-        keys = [g for g, c in self.occurrences.items() if c >= threshold]
-        return (
-            len(keys),
-            sum(self.occurrences[g] for g in keys),
-            sum(self.participations[g] for g in keys),
-        )
-
-    def measure(self, measure: str, threshold: int) -> int:
-        if measure == "num":
-            return self.num
-        if measure == "occ":
-            return self.occ
-        if measure == "par":
-            return self.par
-        top = self.top(threshold)
-        return {"top_num": top[0], "top_occ": top[1], "top_par": top[2]}[measure]
+    def measure(self, name: str, threshold: int) -> int:
+        """One of the MEASURES: the distinct genotypes (num), their
+        occurrences (occ) or their participations (par); a top_ measure
+        counts only the genotypes with at least `threshold` occurrences."""
+        if name not in MEASURES:
+            raise ValueError(f"unknown measure {name!r}")
+        floor = threshold if name.startswith("top_") else 0
+        keys = [g for g, c in self.occurrences.items() if c >= floor]
+        if name.endswith("num"):
+            return len(keys)
+        counts = (self.occurrences if name.endswith("occ")
+                  else self.participations)
+        return sum(counts[g] for g in keys)
 
 
 @dataclass
@@ -89,8 +80,6 @@ class GridAggregate:
     master_seed: int = 0
 
     def contingency(self, measure: str) -> ContingencyTable:
-        if measure not in MEASURES:
-            raise ValueError(f"unknown measure {measure!r}")
         counts = []
         for sel in STRATEGY_LABELS:
             row = []
@@ -185,16 +174,6 @@ def homogeneity_analysis(
     return chi2_homogeneity(agg.contingency(measure), alpha)
 
 
-_MEASURE_TITLES = {
-    "num": "distinct genotypes in improving generations",
-    "occ": "genotype occurrences in improving generations",
-    "par": "participations in valid regressions",
-    "top_num": "distinct genotypes above the occurrence threshold",
-    "top_occ": "occurrences of genotypes above the threshold",
-    "top_par": "participations of genotypes above the threshold",
-}
-
-
 def render_grid_report(agg: GridAggregate, alpha: float = 0.05) -> str:
     """Human-readable per-cell counts plus the homogeneity verdicts."""
     from .stats import format_report
@@ -213,14 +192,12 @@ def render_grid_report(agg: GridAggregate, alpha: float = 0.05) -> str:
             if cell.error is not None:
                 lines.append(f"{sel}:{sur}      FAILED: {cell.error}")
                 continue
-            tnum, tocc, tpar = cell.top(agg.threshold)
-            lines.append(
-                f"{sel}:{sur}      {cell.runs:<5d} {cell.num:<7d} "
-                f"{cell.occ:<7d} {cell.par:<7d} {tnum:<7d} {tocc:<7d} {tpar}"
-            )
-    for measure in MEASURES:
+            counts = " ".join(f"{cell.measure(m, agg.threshold):<7d}"
+                              for m in MEASURES)
+            lines.append(f"{sel}:{sur}      {cell.runs:<5d} {counts}".rstrip())
+    for measure, title in MEASURES.items():
         lines.append("")
-        lines.append(f"== homogeneity of {_MEASURE_TITLES[measure]} ==")
+        lines.append(f"== homogeneity of {title} ==")
         try:
             report = homogeneity_analysis(agg, measure, alpha)
         except ValueError as exc:

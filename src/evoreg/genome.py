@@ -8,6 +8,7 @@ what a symbol means.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -94,17 +95,8 @@ class GeneticTopology:
 
     def all_genotypes(self):
         """Iterate the whole space in lexicographic allele-index order."""
-        counts = [len(g.alleles) for g in self.genes]
-        idx = [0] * len(counts)
-        while True:
-            yield Genotype(self, tuple(idx))
-            for pos in reversed(range(len(counts))):
-                idx[pos] += 1
-                if idx[pos] < counts[pos]:
-                    break
-                idx[pos] = 0
-            else:
-                return
+        ranges = [range(len(g.alleles)) for g in self.genes]
+        return (Genotype(self, idx) for idx in itertools.product(*ranges))
 
 
 @dataclass(frozen=True)

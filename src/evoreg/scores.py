@@ -176,10 +176,8 @@ class ScoreTable:
 
     fs: np.ndarray
     distinct: np.ndarray              # ascending
-    counts: np.ndarray                # occurrences per distinct value
     direction: str
     groups: tuple[tuple[int, ...], ...]  # sample indices per distinct value
-    degenerate: bool = False
 
     @property
     def size(self) -> int:
@@ -223,8 +221,8 @@ def transform_scores(
 
     Order: normalization against the running references, rounding to
     significant digits, tie-aware integer ranks (doubled mid-ranks shifted to
-    start at 1), then sorting into distinct values with counts. Every step
-    preserves the score ordering.
+    start at 1), then grouping the sample indices by distinct value. Every
+    step preserves the score ordering.
     """
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
@@ -234,14 +232,12 @@ def transform_scores(
     if not np.all(np.isfinite(values)):
         raise ValueError("scores must be finite")
 
-    degenerate = False
     if state is not None:
         state.update(float(values.min()), float(values.max()))
         span = state.global_max - state.global_min
         if span == 0.0:
             logger.warning("degenerate normalization: all scores map to n0")
             values = np.full_like(values, state.n0)
-            degenerate = True
         else:
             width, shifted = state.n1 - state.n0, values - state.global_min
             scale = width / span
@@ -265,8 +261,7 @@ def transform_scores(
     bounds = starts.tolist() + [values.size]
     members = order.tolist()
     groups = tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
-    return ScoreTable(values, ordered[starts], np.diff(bounds), direction,
-                      groups, degenerate)
+    return ScoreTable(values, ordered[starts], direction, groups)
 
 
 def survival_scores(
@@ -274,7 +269,6 @@ def survival_scores(
     fs,
     q: float,
     r: float,
-    cap: float = SIMILARITY_CAP,
 ) -> np.ndarray:
     """Similarity of each individual to the rest of the sample.
 
@@ -302,5 +296,5 @@ def survival_scores(
     # 2/0 = inf gives the cap, also on the diagonal, where it never lowers
     # a row's minimum: no pair scores above the cap
     with np.errstate(divide="ignore"):
-        similarity = np.minimum(cap, 2.0 / denom)
+        similarity = np.minimum(SIMILARITY_CAP, 2.0 / denom)
     return similarity.min(axis=1)

@@ -351,10 +351,10 @@ def test_criterion_8_grid_pipeline(tmp_path):
     counts_ok = True
     for cell in agg.cells.values():
         counts_ok = counts_ok and cell.error is None
-        counts_ok = counts_ok and cell.occ >= cell.num
-        tnum, tocc, tpar = cell.top(agg.threshold)
-        counts_ok = counts_ok and tnum <= cell.num and tocc <= cell.occ \
-            and tpar <= cell.par
+        num, occ, par, tnum, tocc, tpar = (
+            cell.measure(m, agg.threshold) for m in MEASURES)
+        counts_ok = counts_ok and occ >= num
+        counts_ok = counts_ok and tnum <= num and tocc <= occ and tpar <= par
 
     # contingency CSV round-trips to the same statistic
     from evoreg.stats import write_contingency_csv

@@ -154,7 +154,8 @@ def test_viability_length_mismatch(topo, dataset):
 
 
 def simple_r2(x, y):
-    """Squared Pearson correlation; 0 when either side has no variance."""
+    """Squared Pearson correlation; 0 when either side has no variance, and
+    NaN, which fails every floor, when its sums overflow."""
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(dx @ dx)
@@ -162,7 +163,8 @@ def simple_r2(x, y):
     if sxx == 0.0 or syy == 0.0:
         return 0.0
     sxy = float(dx @ dy)
-    return min(1.0, sxy * sxy / (sxx * syy))
+    r2 = sxy * sxy / (sxx * syy)
+    return min(1.0, r2) if math.isfinite(r2) else math.nan
 
 
 def viability_reference(v, ds, policy):
@@ -200,6 +202,9 @@ def assert_same_report(values, ds, policy):
     return got
 
 
+OVERFLOWING_SQUARES = [1e200, -1e200, 1e200, 0.0, 3.0, 1.0, 2.0, 5.0]
+
+
 def adversarial_panels(m, rng):
     """Value vectors that probe each branch of the screens."""
     ramp = np.arange(m, dtype=float)
@@ -226,6 +231,9 @@ def adversarial_panels(m, rng):
         "sum_overflows": np.linspace(1e308, 1.5e308, m),
         "constant_1e308": np.full(m, 1e308),
         "halves_overflow": half,
+        # squares overflow (r2 is NaN); cubes overflow (the JB moments do)
+        "squares_overflow": np.resize(OVERFLOWING_SQUARES, m),
+        "cubes_overflow": np.resize([1e150, -1e150, 1e150, 0.0, 3.0], m),
         "activity_copy": None,   # filled in by the caller
     }
 
@@ -254,6 +262,18 @@ def test_viability_matches_reference_on_adversarial_panels(
     for name, values in panels.items():
         for policy in policies:
             assert_same_report(values, ds, policy)
+
+
+def test_an_overflowing_r2_fails_the_floor():
+    """The panel's sums of squares overflow, so r2 = sxy^2 / (sxx syy) is
+    NaN, and min(1.0, nan) is 1.0: a clamp alone would pass it. A
+    non-finite r2 fails the floor."""
+    m = len(OVERFLOWING_SQUARES)
+    ds = Dataset(tuple(f"m{i}" for i in range(m)),
+                 np.random.default_rng(m).normal(6.5, 0.8, m))
+    got = assert_same_report(np.array(OVERFLOWING_SQUARES), ds,
+                             ViabilityPolicy(min_simple_r2=0.99))
+    assert got.simple_r2_ok is False
 
 
 @pytest.mark.parametrize("m", [5, 40, 206])

@@ -133,10 +133,10 @@ def test_accumulate_counts_improving_generations_only():
         record(3, True, ["aa", "ba", "bb"], [1, 1, 1]),
     ])
     accumulate_run(cell, result)
-    assert cell.num == 4  # aa, ab, bb, ba
+    assert cell.measure("num", 23) == 4  # aa, ab, bb, ba
     assert cell.occurrences["aa"] == 2
-    assert cell.occ == 6
-    assert cell.par == (2 + 1 + 0) + (1 + 1 + 1)
+    assert cell.measure("occ", 23) == 6
+    assert cell.measure("par", 23) == (2 + 1 + 0) + (1 + 1 + 1)
     assert cell.participations["aa"] == 3
 
 
@@ -144,9 +144,9 @@ def test_cellstats_top_threshold():
     cell = CellStats()
     cell.occurrences.update({"a": 30, "b": 23, "c": 22})
     cell.participations.update({"a": 28, "b": 20, "c": 21})
-    num, occ, par = cell.top(23)
-    assert (num, occ, par) == (2, 53, 48)
-    assert cell.top(23) <= (cell.num, cell.occ, cell.par)
+    top = tuple(cell.measure(m, 23) for m in ("top_num", "top_occ", "top_par"))
+    assert top == (2, 53, 48)
+    assert top <= tuple(cell.measure(m, 23) for m in ("num", "occ", "par"))
 
 
 def test_accumulation_is_order_independent():
@@ -172,9 +172,9 @@ def test_accumulate_twice_doubles_counts():
     twice = CellStats()
     accumulate_run(twice, result)
     accumulate_run(twice, result)
-    assert twice.num == once.num
-    assert twice.occ == 2 * once.occ
-    assert twice.par == 2 * once.par
+    assert twice.measure("num", 23) == once.measure("num", 23)
+    assert twice.measure("occ", 23) == 2 * once.measure("occ", 23)
+    assert twice.measure("par", 23) == 2 * once.measure("par", 23)
 
 
 @pytest.fixture(scope="module")
@@ -199,19 +199,20 @@ def test_grid_runs_all_cells(desk_grid):
 
 def test_grid_counts_are_consistent(desk_grid):
     for cell in desk_grid.cells.values():
-        assert cell.occ >= cell.num
-        assert cell.par >= 0
-        tnum, tocc, tpar = cell.top(desk_grid.threshold)
-        assert tnum <= cell.num
-        assert tocc <= cell.occ
-        assert tpar <= cell.par
+        num, occ, par, tnum, tocc, tpar = (
+            cell.measure(m, desk_grid.threshold) for m in MEASURES)
+        assert occ >= num
+        assert par >= 0
+        assert tnum <= num
+        assert tocc <= occ
+        assert tpar <= par
 
 
 def test_grid_contingency_and_report(desk_grid):
     table = desk_grid.contingency("num")
     assert table.shape == (3, 3)
     assert table.observed.sum() == sum(
-        c.num for c in desk_grid.cells.values()
+        c.measure("num", desk_grid.threshold) for c in desk_grid.cells.values()
     )
     report = homogeneity_analysis(desk_grid, "num")
     assert report.total >= 0.0

@@ -25,6 +25,7 @@ from evoreg.regress import (
     ols_fit,
 )
 from evoreg.scores import OBJECTIVE_KINDS, ObjectiveSpec
+from evoreg.strategy import StrategySpec
 from tests.conftest import (
     binary_topology,
     candidate_bits,
@@ -413,6 +414,42 @@ def test_engine_boundary_for_the_tracer(monkeypatch):
             demoted_total += demoted
         assert not state.fitter.touched.all()   # the second sweep carried
     assert demoted_total > 0
+
+
+def test_draw_boundary_for_the_tracer(planted_world, monkeypatch):
+    """The tracer names each engine.transform_scores span by phase, which
+    turns to survival when engine.survival_scores returns, and each
+    engine.extract span by the call's first positional argument. So a
+    generation that admits a child with at least two eligible slots calls
+    transform_scores once before survival_scores and once after it, and
+    extract after each, with the strategy's method name first."""
+    topo, ds, provider = planted_world
+    cfg = planted_config(seed=4, p=12, n=1, k=2,
+                         selection=StrategySpec("tournament"),
+                         survival=StrategySpec("deterministic"))
+    rng = random.Random(cfg.seed)
+    state = EvolutionState(cfg, provider, ds, rng,
+                           init_sample(cfg, topo, provider, ds, rng))
+    events = []
+
+    def logged(name):
+        original = getattr(engine, name)
+
+        def wrapper(*args, **kwargs):
+            events.append((name, args[0] if name == "extract" else None))
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("transform_scores", "survival_scores", "extract"):
+        monkeypatch.setattr(engine, name, logged(name))
+    before = [ph.source_genotype.key for ph in state.sample]
+    run_generation(state)
+    assert [ph.source_genotype.key for ph in state.sample] != before
+    assert events == [
+        ("transform_scores", None), ("extract", "tournament"),
+        ("survival_scores", None),
+        ("transform_scores", None), ("extract", "deterministic"),
+    ]
 
 
 def _partial_table_world():

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from evoreg.genome import (
@@ -202,10 +202,11 @@ def test_transform_normalization_uses_running_references():
     assert table.fs.tolist() == [(3 - 2) / 3, 1.0]
 
 
-def test_transform_degenerate_normalization():
+def test_transform_degenerate_normalization(caplog):
     state = NormalizationState(0.0, 1.0)
     table = transform_scores([7.0, 7.0, 7.0], state)
-    assert table.degenerate
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "degenerate normalization: all scores map to n0")]
     assert table.fs.tolist() == [0.0, 0.0, 0.0]
 
 
@@ -252,7 +253,7 @@ def test_transform_rounding_step():
 def test_transform_groups_and_counts():
     table = transform_scores([5.0, 3.0, 3.0, 1.0])
     assert table.distinct.tolist() == [1.0, 3.0, 5.0]
-    assert table.counts.tolist() == [1, 2, 1]
+    assert [len(g) for g in table.groups] == [1, 2, 1]
     assert table.groups == ((3,), (1, 2), (0,))
 
 
@@ -527,7 +528,8 @@ def test_midranks_match_loop_reference(values):
     assert _midranks(values).tolist() == midranks_reference(values).tolist()
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     values=st.lists(st.sampled_from([-1.5, 0.0, -0.0, 0.25, 2.0, 7.0, 1e300]),
                     min_size=1, max_size=30)
@@ -541,9 +543,11 @@ def test_midranks_match_loop_reference(values):
     direction=st.sampled_from(("min", "max")),
 )
 def test_transform_groups_match_loop_reference(values, normalize, digits,
-                                               use_ranks, direction):
+                                               use_ranks, direction, caplog):
     """Ties, signed zeros, the degenerate normalization (one repeated value
-    on a fresh state) and the rank path all group as the loop did."""
+    on a fresh state, logged as a warning) and the rank path all group as
+    the loop did."""
+    caplog.clear()   # one caplog serves every example
     state = None
     if normalize is not None:
         state = NormalizationState(-1.0, 1.0)
@@ -552,8 +556,9 @@ def test_transform_groups_match_loop_reference(values, normalize, digits,
     table = transform_scores(values, state, digits, use_ranks, direction)
     distinct, counts, groups = groups_reference(table.fs)
     assert table.distinct.tolist() == distinct.tolist()
-    assert table.counts.tolist() == counts.tolist()
+    assert [len(g) for g in table.groups] == counts.tolist()
     assert table.groups == groups
     assert all(type(i) is int for g in table.groups for i in g)
     if normalize == "fresh" and len(set(values)) == 1:
-        assert table.degenerate
+        assert "degenerate normalization: all scores map to n0" in (
+            caplog.messages)

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,13 @@ def test_chi2_sf_rejects_bad_arguments():
         chi2_sf(1.0, 0)
     with pytest.raises(ValueError):
         chi2_sf(-1.0, 2)
+    with pytest.raises(ValueError, match="nan"):
+        chi2_sf(math.nan, 2)
+
+
+def test_student_t_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        student_t_two_tail(math.nan, 5)
 
 
 @pytest.mark.parametrize("t,df,expected", T_TWO_TAIL_ORACLE)
@@ -147,6 +155,20 @@ def test_jarque_bera_detects_outlier():
     x[13] = 10.0
     _, p = jarque_bera(x)
     assert p < 0.01
+
+
+@pytest.mark.parametrize("x,jb", [
+    ([1e200, -1e200, 1e200, 0.0, 3.0], math.nan),   # d * d overflows
+    ([1e150, -1e150, 1e150, 0.0, 3.0], math.inf),   # m2 ** 1.5 overflows
+])
+def test_jarque_bera_overflowing_moments_give_p_zero(x, jb):
+    """A statistic whose moments overflow is not finite; its tail
+    probability is 0, with no RuntimeWarning and no OverflowError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, p = jarque_bera(x)
+    assert p == 0.0
+    assert (math.isnan(got) if math.isnan(jb) else got == jb)
 
 
 def test_jarque_bera_errors():
