@@ -138,6 +138,7 @@ class ViabilityReport:
         return tuple(n for n, f in zip(names, flags) if f is False)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_viability(
     p: Phenotype, ds: Dataset, policy: ViabilityPolicy
 ) -> ViabilityReport:
@@ -147,8 +148,9 @@ def check_viability(
     The screens work on one centred copy of the values: the cv compares the
     population sd (pairwise sums, as numpy's mean and std take them) with
     the mean; the simple r2 floor compares the squared Pearson correlation
-    with the activity (0 when either side has no variance, and failing when
-    its sums overflow)."""
+    with the activity (0 when either side has no variance). Overflowing
+    squares give cv = inf, which passes, and fail the r2; an overflowing
+    sum leaves no representable mean, so the cv and the r2 fail."""
     v = p.values
     if v.shape != ds.activity.shape:
         raise ValueError("phenotype length does not match dataset")

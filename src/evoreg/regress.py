@@ -1,13 +1,12 @@
 """Ordinary least squares over phenotype subsets, coefficient significance,
 validity rules, and search-space sizing.
 
-GramFitter gathers the normal matrices of every n-subset of a panel, for
-the one size n it is built for, in both forms, from one Gram matrix of
-[panel; 1; y] (Furnival & Wilson, *Regressions by Leaps and Bounds*, 1974)
-and factors them by a Cholesky that runs elementwise along the subset axis,
+GramFitter fits every n-subset of a panel in both forms into its `table`:
+it gathers their normal matrices from one Gram matrix of [panel; 1; y]
+(Furnival & Wilson, *Regressions by Leaps and Bounds*, 1974) and factors
+them by a Cholesky that runs elementwise along the subset axis,
 CHUNK_SUBSETS subsets at a time. A subset is addressed by its row of
-`GramFitter.subsets`, and `GramFitter.fit` reads that row of the table;
-`ols_fit` is the per-subset reference.
+`GramFitter.subsets`; `ols_fit` is the per-subset reference.
 
 Singular rule, shared by both: with the columns ordered as the members, then
 the intercept, a fit is singular when a Cholesky pivot (the squared norm a
@@ -57,7 +56,6 @@ __all__ = [
     "Candidate",
     "RegressionModel",
     "SingularFitError",
-    "SubsetFits",
     "Sweep",
     "ols_fit",
     "search_space_size",
@@ -183,29 +181,6 @@ def ols_fit(
     )
 
 
-@dataclass(frozen=True)
-class SubsetFits:
-    """Fits of many same-size n-subsets in both regression forms.
-
-    Arrays index the form first (0 without, 1 with the intercept). ``table``
-    then indexes the field (n + 1 coefficients, the intercept slot first,
-    their t statistics, r2, se_s), then the subset. Fits flagged in
-    ``singular`` are undefined.
-    """
-
-    n: int
-    df: np.ndarray
-    table: np.ndarray
-    singular: np.ndarray
-
-    def form(self, with_intercept: bool):
-        """(coefficients, t_stats, r2, se_s) of one form, one row per
-        subset; the coefficients list the intercept first."""
-        lo, n1 = 1 - with_intercept, self.n + 1
-        f = self.table[int(with_intercept)]
-        return f[lo:n1].T, f[n1 + lo : 2 * n1].T, f[2 * n1], f[2 * n1 + 1]
-
-
 @lru_cache(maxsize=8)
 def _all_subsets(p: int, n: int) -> np.ndarray:
     """Every n-subset of range(p) in lexicographic order, one per row, as a
@@ -216,13 +191,18 @@ def _all_subsets(p: int, n: int) -> np.ndarray:
 
 
 class GramFitter:
-    """Fits every n-subset of a fixed phenotype panel against one response.
+    """Fits every n-subset of a fixed phenotype panel against one response,
+    in both forms, at construction (module docstring), so `fit` is a lookup
+    by the subset's row of ``subsets``. Results agree with ols_fit to
+    floating-point noise. Rows are carried from `previous`, which the
+    fitter does not keep. Inputs must be finite, and 1 <= n < m - 1 for m
+    molecules.
 
-    The Gram matrix of [panel; 1; y] is formed once, and every n-subset is
-    fitted in both forms at construction, so `fit` is a lookup by the
-    subset's row of ``subsets``. Results agree with ols_fit to
-    floating-point noise. Rows are carried from `previous` (module
-    docstring), which the fitter does not keep. Inputs must be finite.
+    ``table`` and ``singular`` index the form first (0 without, 1 with the
+    intercept) and the subset last; between them ``table`` holds n + 1
+    coefficients, the intercept slot first, their t statistics, r2, se_s.
+    Fits flagged in ``singular`` are undefined. ``df`` holds each form's
+    residual degrees of freedom.
     """
 
     def __init__(self, panel: np.ndarray, y: np.ndarray, n: int,
@@ -239,6 +219,9 @@ class GramFitter:
             raise ValueError(f"subset size n={n} exceeds the panel's p={p} rows")
         self.panel, self.y, self.n, self.s = panel, y, n, s
         self.m = y.shape[0]
+        if not 1 <= n < self.m - 1:
+            raise ValueError(f"subset size {n} not in [1, m - 1 = {self.m - 1})")
+        self.df = (self.m - n, self.m - n - 1)
         z = np.empty((p + 2, self.m))
         z[:-2], z[-2], z[-1] = panel, 1.0, y
         self.gram = z @ z.T
@@ -251,24 +234,38 @@ class GramFitter:
                    .any(axis=1) if carry else np.ones(p, dtype=bool))
         self.touched = changed[self.subsets].any(axis=1)
         rows = np.flatnonzero(self.touched)
-        self.fits = fits = self.fit_subsets(self.subsets[rows])
+        # fit into one buffer (the table when cold), then copy the previous
+        # table: copying first, or chunk outputs from the kernel, ran slower
+        table = np.empty((2, 2 * n + 4, rows.size))
+        singular = np.zeros((2, rows.size), dtype=bool)
+        for start in range(0, rows.size, CHUNK_SUBSETS):
+            chunk = slice(start, start + CHUNK_SUBSETS)
+            self._fit_chunk(self.subsets[rows[chunk]], table[:, :, chunk],
+                            singular[:, chunk])
         # (alpha, both, objective) and the value matrix of the last assess
         self._assessed = previous._assessed if carry else None
+        self.table, self.singular = table, singular
         if carry:
-            self.fits = SubsetFits(n, fits.df, previous.fits.table.copy(),
-                                   previous.fits.singular.copy())
-            self.fits.table[:, :, rows] = fits.table
-            self.fits.singular[:, rows] = fits.singular
+            self.table = previous.table.copy()
+            self.singular = previous.singular.copy()
+            self.table[:, :, rows], self.singular[:, rows] = table, singular
+
+    def form(self, with_intercept: bool):
+        """(coefficients, t_stats, r2, se_s) of one form, one row per
+        subset; the coefficients list the intercept first."""
+        lo, n1 = 1 - with_intercept, self.n + 1
+        f = self.table[int(with_intercept)]
+        return f[lo:n1].T, f[n1 + lo : 2 * n1].T, f[2 * n1], f[2 * n1 + 1]
 
     def fit(self, row: int, with_intercept: bool) -> RegressionModel:
         """The fit of the subset in row `row` of `subsets` (SingularFitError
         if it has none)."""
         wi = int(with_intercept)
-        if self.fits.singular[wi, row]:
+        if self.singular[wi, row]:
             raise SingularFitError("rank-deficient design matrix")
-        coef, t, r2, se_s = (f[row].tolist() for f in self.fits.form(wi))
+        coef, t, r2, se_s = (f[row].tolist() for f in self.form(wi))
         return RegressionModel(bool(wi), tuple(coef), tuple(t), r2, se_s,
-                               self.s, int(self.fits.df[wi]))
+                               self.s, self.df[wi])
 
     def assess(self, alpha: float, both: bool,
                objective: Callable[..., list[float]]) -> Sweep:
@@ -282,12 +279,11 @@ class GramFitter:
         key, last = (alpha, both, objective), self._assessed
         carried = last is not None and last[0] == key
         touched = self.touched | (not carried)    # every row unless carried
-        fits, df = self.fits, self.fits.df.tolist()
-        ins0, ins1 = (np.abs(fits.form(wi)[1]) < t_critical(alpha, df[wi])
+        ins0, ins1 = (np.abs(self.form(wi)[1]) < t_critical(alpha, self.df[wi])
                       for wi in (0, 1))
         room0, room1 = (self.n + wi <= self.m - SIGNIFICANCE_OFFSET
                         for wi in (0, 1))
-        sing0, sing1 = fits.singular
+        sing0, sing1 = self.singular
         valid1 = room1 & ~(ins0 & ins1[:, 1:]).any(axis=1)
         valid0 = room0 & ~(ins0 & (ins1[:, 1:] | sing1[:, None])).any(axis=1)
         demoted = room1 & ~sing1 & ins1[:, 0]
@@ -299,7 +295,7 @@ class GramFitter:
         values = last[1].copy() if carried else np.empty(ok.shape)
         values[touched] = np.nan
         for wi in (0, 1):
-            _, t, r2, se_s = fits.form(wi)
+            _, t, r2, se_s = self.form(wi)
             rows = np.flatnonzero(ok[:, 1 - wi] & touched)
             values[rows, 1 - wi] = objective(r2[rows], se_s[rows],
                                              t[rows, wi:])
@@ -310,23 +306,11 @@ class GramFitter:
         return Sweep(flat >> 1, (flat & 1) == 0, values.take(flat).tolist(),
                      shapes.tolist())
 
-    def fit_subsets(self, index: np.ndarray) -> SubsetFits:
-        """Fit every subset in `index` (one row of panel indices each) in
-        both forms, CHUNK_SUBSETS subsets per kernel pass."""
-        count, n = index.shape
-        if not 1 <= n < self.m - 1:
-            raise ValueError(f"subset size {n} not in [1, m - 1 = {self.m - 1})")
-        fits = SubsetFits(n, np.array([self.m - n, self.m - n - 1]),
-                          np.empty((2, 2 * n + 4, count)),
-                          np.zeros((2, count), dtype=bool))
-        for start in range(0, count, CHUNK_SUBSETS):
-            self._fit_chunk(index[start : start + CHUNK_SUBSETS], fits, start)
-        return fits
-
-    def _fit_chunk(self, idx: np.ndarray, fits: SubsetFits, start: int) -> None:
-        """The kernel: factor the bordered normal matrices of one chunk of
-        subsets elementwise along the subset axis, and write both forms'
-        fits into columns start.. of `fits.table`."""
+    def _fit_chunk(self, idx: np.ndarray, out: np.ndarray,
+                   singular: np.ndarray) -> None:
+        """The kernel: factor the bordered normal matrices of the subsets in
+        `idx` elementwise along the subset axis, and write both forms' fits
+        into `out` and `singular`, laid out as ``table`` and ``singular``."""
         rows, n = idx.shape
         n1 = n + 1      # members and intercept
         p, m, gram = self.panel.shape[0], self.m, self.gram
@@ -342,7 +326,7 @@ class GramFitter:
             pivot = a[j, j]
             bad = pivot <= PIVOT_TOL * gram[cols[j], cols[j]]
             # a member pivot fails both forms, the intercept pivot one
-            fits.singular[0 if j < n else 1 :, start : start + rows] |= bad
+            singular[0 if j < n else 1 :] |= bad
             pivot[bad] = 1.0    # keeps singular fits finite; they are masked
             np.sqrt(pivot, out=pivot)
             a[j + 1 :, j] /= pivot
@@ -363,11 +347,11 @@ class GramFitter:
         sse = yy - ssr
         exact = sse <= PIVOT_TOL * yy
         sse[exact] = 0.0
-        t = _t_stats(coef, np.sqrt(var * (sse / fits.df[:, None])[:, None]))
+        df = np.array(self.df)[:, None]
+        t = _t_stats(coef, np.sqrt(var * (sse / df)[:, None]))
         # sum of y_hat: from the column sums a[:n, n] without intercept
         yhat_sum = np.full((2, rows), sy)
         (coef[0, :n] * a[:n, n]).sum(axis=0, out=yhat_sum[0])
-        out = fits.table[:, :, start : start + rows]
         out[:, 0], out[:, 1:n1] = coef[:, n], coef[:, :n]   # intercept first
         out[:, n1], out[:, n1 + 1 : 2 * n1] = t[:, n], t[:, :n]
         out[:, 2 * n1] = _r2(ssr, yhat_sum, sy, yy - sy * sy / m, m)

@@ -276,6 +276,23 @@ def test_an_overflowing_r2_fails_the_floor():
     assert got.simple_r2_ok is False
 
 
+def test_overflowing_panels_are_screened_without_warnings():
+    """Outside np.errstate, where a numpy warning is an error: squares that
+    overflow give cv = inf, which passes min_cv, and a sum that overflows
+    leaves no mean, so the cv and the r2 fail. Neither passes JB."""
+    policy = ViabilityPolicy(min_cv=0.1, jb_alpha=0.01, min_simple_r2=0.0)
+    for values, want in (([1e308, 1e308, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+                          (True, True, False, False, False)),
+                         (OVERFLOWING_SQUARES,
+                          (True, True, True, False, False))):
+        m = len(values)
+        ds = Dataset(tuple(f"m{i}" for i in range(m)),
+                     np.random.default_rng(m).normal(6.5, 0.8, m))
+        got = check_viability(Phenotype(np.array(values), None), ds, policy)
+        assert (got.finite, got.non_constant, got.cv_ok, got.jb_ok,
+                got.simple_r2_ok) == want
+
+
 @pytest.mark.parametrize("m", [5, 40, 206])
 def test_viability_thresholds_match_reference_on_both_sides(m):
     """A threshold set at the panel's own cv or r2 passes, and the next

@@ -253,9 +253,9 @@ def test_carried_sweeps_equal_cold_sweeps(name, monkeypatch):
         def __init__(self, panel, y, n, s=2.0, previous=None):
             super().__init__(panel, y, n, s=s, previous=previous)
             self.cold = GramFitter(panel, y, n, s=s)
-            assert np.array_equal(self.fits.table.view(np.uint64),
-                                  self.cold.fits.table.view(np.uint64))
-            assert np.array_equal(self.fits.singular, self.cold.fits.singular)
+            assert np.array_equal(self.table.view(np.uint64),
+                                  self.cold.table.view(np.uint64))
+            assert np.array_equal(self.singular, self.cold.singular)
             carried.append(int(np.count_nonzero(~self.touched)))
 
         def assess(self, *args):

@@ -85,22 +85,21 @@ def test_kernel_matches_oracles(kind, n, seed, s):
     p, m = panel.shape
     ds = make_dataset(y)
     phenos = make_phenotypes(list(panel))
-    index = all_subsets(p, n)
-    fits = GramFitter(panel, y, n, s=s).fit_subsets(index)
+    fitter = GramFitter(panel, y, n, s=s)
     # conditioning costs the normal equations digits on near-constant panels
     rtol = 1e-5 if kind == "near_constant" else 1e-8
     for wi in (False, True):
         k = n + wi
-        assert fits.df[int(wi)] == m - k
-        for row, subset in enumerate(index.tolist()):
+        assert fitter.df[int(wi)] == m - k
+        for row, subset in enumerate(fitter.subsets.tolist()):
             members = [phenos[i] for i in subset]
             try:
                 ref = ols_fit(members, ds, wi, s)
             except SingularFitError:
-                assert fits.singular[int(wi), row], (subset, wi)
+                assert fitter.singular[int(wi), row], (subset, wi)
                 continue
-            assert not fits.singular[int(wi), row], (subset, wi)
-            coef, t, r2, se_s = (field[row] for field in fits.form(wi))
+            assert not fitter.singular[int(wi), row], (subset, wi)
+            coef, t, r2, se_s = (field[row] for field in fitter.form(wi))
             scale = float(np.max(np.abs(ref.coefficients)))
             assert np.allclose(coef, ref.coefficients, rtol=rtol,
                                atol=rtol * scale)
@@ -130,19 +129,19 @@ def test_kernel_panels_hit_their_cases():
     n = 2
     for kind in PANELS:
         panel, y = make_panel(kind, n, rng)
-        fits = GramFitter(panel, y, n).fit_subsets(all_subsets(5, n))
+        fitter = GramFitter(panel, y, n)
         with_0 = [0 in sub for sub in combinations(range(5), n)]
         if kind == "collinear":   # (0, 1) singular in both forms
-            assert fits.singular[:, 0].all() and fits.singular.sum() == 2
+            assert fitter.singular[:, 0].all() and fitter.singular.sum() == 2
         elif kind == "constant":  # member 0 only breaks the intercept form
-            assert list(fits.singular[1]) == with_0
-            assert not fits.singular[0].any()
+            assert list(fitter.singular[1]) == with_0
+            assert not fitter.singular[0].any()
         elif kind == "exact":     # (0, 1) with intercept fits exactly
-            _, t, r2, se_s = fits.form(True)
+            _, t, r2, se_s = fitter.form(True)
             assert se_s[0] == 0.0 and np.all(np.isinf(t[0]))
             assert r2[0] == pytest.approx(1.0, abs=1e-12)
         else:
-            assert not fits.singular.any()
+            assert not fitter.singular.any()
 
 
 def _pair_with_pivot_ratio(ratio, rng, m=30):
@@ -215,8 +214,8 @@ def test_gram_fitter_rejects_non_finite_inputs(bad):
     with pytest.raises(ValueError, match="finite"):
         ols_fit(make_phenotypes(list(member)), make_dataset(y), True)
     fitter = GramFitter(panel, y, 2)
-    assert not fitter.fits.singular.any()
-    assert np.isfinite(fitter.fits.table).all()
+    assert not fitter.singular.any()
+    assert np.isfinite(fitter.table).all()
     assert fitter.fit(0, True).df == 20 - 3
 
 
@@ -264,7 +263,7 @@ def test_validity_masks_match_oracle(kind, n, seed, alpha, mode, junk):
             for row in range(len(fitter.subsets))]
     if junk is not None:
         for form in (0, 1):
-            fitter.fits.table[form][:, fitter.fits.singular[form]] = junk
+            fitter.table[form][:, fitter.singular[form]] = junk
     fitter.fit = None   # a candidate is read out, never fitted
     got = candidate_view(fitter.assess(alpha, mode == "both", R2.values))
     for row in range(len(fitter.subsets)):
@@ -306,7 +305,7 @@ def test_validity_panels_reach_every_case():
             panel, y = make_panel(kind, n, np.random.default_rng(n))
             fitter = GramFitter(panel, y, n)
             shapes = fitter.assess(0.05, True, R2.values).shapes
-            singular = fitter.fits.singular[1]
+            singular = fitter.singular[1]
             rows = [fit_assessed(row, shapes)
                     for row in range(len(fitter.subsets))]
             for row, cands in enumerate(rows):
@@ -336,15 +335,14 @@ def test_fit_lookup_matches_kernel_rows_and_checks_order():
     fitter = GramFitter(panel, y, n=3)
     assert np.array_equal(fitter.subsets, all_subsets(7, 3))
     assert not fitter.subsets.flags.writeable
-    fits = fitter.fit_subsets(fitter.subsets)
     for row in range(len(fitter.subsets)):
         for wi in (False, True):
             model = fitter.fit(row, wi)
-            coef, t, r2, se_s = (field[row] for field in fits.form(wi))
+            coef, t, r2, se_s = (field[row] for field in fitter.form(wi))
             assert model.coefficients == tuple(coef)
             assert model.t_stats == tuple(t)
             assert (model.r2, model.se_s) == (r2, se_s)
-            assert model.df == fits.df[int(wi)]
+            assert model.df == fitter.df[int(wi)]
 
 
 # --- the boundary bench/tracing.py wraps by name -----------------------------
@@ -562,10 +560,10 @@ def assert_equals_cold(fitter, *assessments):
     """`fitter` has the table, the singular mask and, for each (alpha, both,
     objective), the sweep arrays of a fitter built without `previous`."""
     cold = GramFitter(fitter.panel, fitter.y, fitter.n, s=fitter.s)
-    assert np.array_equal(fitter.fits.table.view(np.uint64),
-                          cold.fits.table.view(np.uint64))
-    assert np.array_equal(fitter.fits.singular, cold.fits.singular)
-    assert np.array_equal(fitter.fits.df, cold.fits.df)
+    assert np.array_equal(fitter.table.view(np.uint64),
+                          cold.table.view(np.uint64))
+    assert np.array_equal(fitter.singular, cold.singular)
+    assert fitter.df == cold.df
     for args in assessments:
         assert (candidate_bits(fitter.assess(*args))
                 == candidate_bits(cold.assess(*args)))
@@ -596,22 +594,23 @@ def test_carried_rows_are_those_without_a_changed_slot(n, s, monkeypatch):
     is rejected, carried or cold."""
     rng, panel, y = _carry_panel()
     refitted = []
-    fit_subsets = GramFitter.fit_subsets
+    fit_chunk = GramFitter._fit_chunk
 
-    def spy(self, index):
-        refitted.append(index.copy())
-        return fit_subsets(self, index)
+    def spy(self, idx, out, singular):
+        refitted.append(idx.copy())
+        fit_chunk(self, idx, out, singular)
 
     def sweep(new, previous, changed):
         refitted.clear()
         fitter = GramFitter(new, y, n, s=s, previous=previous)
         want = [bool(changed & set(row)) for row in fitter.subsets.tolist()]
         assert fitter.touched.tolist() == want
-        assert len(refitted) == 1
-        assert np.array_equal(refitted[0], fitter.subsets[want])
+        assert len(refitted) == math.ceil(sum(want) / regress.CHUNK_SUBSETS)
+        assert np.array_equal(np.vstack([np.empty((0, n), np.intp), *refitted]),
+                              fitter.subsets[want])
         return fitter
 
-    monkeypatch.setattr(GramFitter, "fit_subsets", spy)
+    monkeypatch.setattr(GramFitter, "_fit_chunk", spy)
     args = (0.05, True, counting_objective([]))
     previous = GramFitter(panel, y, n, s=s)
     previous.assess(*args)
@@ -683,7 +682,7 @@ def test_a_carried_fitter_does_not_keep_its_previous_alive():
     _, panel, y = _carry_panel()
     previous = GramFitter(panel, y, 2)
     previous.assess(0.05, False, R2.values)
-    gone = [weakref.ref(previous), weakref.ref(previous.fits.table)]
+    gone = [weakref.ref(previous), weakref.ref(previous.table)]
     fitter = GramFitter(panel.copy(), y, 2, previous=previous)
     del previous
     assert [ref() for ref in gone] == [None, None]
@@ -702,7 +701,7 @@ def test_a_run_keeps_one_fitter_alive(planted_world, monkeypatch):
 
     def tracked(*args, **kwargs):
         fitter = GramFitter(*args, **kwargs)
-        built.append((weakref.ref(fitter), weakref.ref(fitter.fits.table)))
+        built.append((weakref.ref(fitter), weakref.ref(fitter.table)))
         return fitter
 
     monkeypatch.setattr(engine, "GramFitter", tracked)
@@ -729,24 +728,21 @@ def _peak_mb(fn):
         tracemalloc.stop()
 
 
-def test_fit_subsets_memory_is_bounded(monkeypatch):
+def test_gram_fitter_memory_is_bounded(monkeypatch):
     """C(400, 2) = 79800 subsets at s = 1.5, whose error sums need residual
-    rows: chunked, fitting them all stays under the bound; one pass over all
-    subsets would exceed it."""
+    rows: chunked, the fitter that fits them all stays under the bound; one
+    pass over all subsets would exceed it."""
     rng = np.random.default_rng(45)
     p, m = 400, 60
     panel = rng.normal(size=(p, m)) + 2.0
     y = panel[7] - 0.5 * panel[300] + rng.normal(size=m) * 0.3
-    # built for n = 1, so that only the pass measured below fits the pairs
-    fitter = GramFitter(panel, y, n=1, s=1.5)
-    index = all_subsets(p, 2)
     found = []
-    peak = _peak_mb(lambda: found.append(fitter.fit_subsets(index)))
-    fits = found[0]
-    se_s = np.where(fits.singular[1], np.inf, fits.form(True)[3])
-    assert tuple(index[np.argmin(se_s)]) == (7, 300)
+    peak = _peak_mb(lambda: found.append(GramFitter(panel, y, n=2, s=1.5)))
+    fitter = found[0]
+    se_s = np.where(fitter.singular[1], np.inf, fitter.form(True)[3])
+    assert tuple(fitter.subsets[np.argmin(se_s)]) == (7, 300)
     assert peak < PEAK_BOUND_MB, f"peak {peak:.1f} MB"
 
     monkeypatch.setattr(regress, "CHUNK_SUBSETS", 10**9)
-    unchunked = _peak_mb(lambda: fitter.fit_subsets(index))
+    unchunked = _peak_mb(lambda: GramFitter(panel, y, n=2, s=1.5))
     assert unchunked > PEAK_BOUND_MB, f"unchunked peak {unchunked:.1f} MB"

@@ -173,6 +173,19 @@ def test_gram_fitter_rejects_a_subset_size_above_the_panel_rows():
         GramFitter(rng.normal(size=(3, 20)), rng.normal(size=20), n=4)
 
 
+def test_gram_fitter_rejects_a_subset_size_outside_one_to_m_minus_two():
+    """n = 0 leaves nothing to fit, and with m = n + 1 molecules the
+    intercept form has no residual degree of freedom: both are ValueError.
+    m = n + 2 is the smallest sample a fitter accepts."""
+    rng = np.random.default_rng(14)
+    for n, m in ((0, 20), (1, 2), (2, 3)):
+        with pytest.raises(ValueError,
+                           match=rf"size {n} not in \[1, m - 1 = {m - 1}\)"):
+            GramFitter(rng.normal(size=(4, m)), rng.normal(size=m), n=n)
+    fitter = GramFitter(rng.normal(size=(4, 4)), rng.normal(size=4), n=2)
+    assert fitter.df == (2, 1)
+
+
 def test_no_intercept_r2_is_the_squared_correlation_of_y_with_yhat():
     """The no-intercept form's r2 is corr(y, y_hat)^2, not the uncentred
     1 - SSE / y.y, and 0 when y_hat is constant (a constant member)."""
@@ -183,7 +196,7 @@ def test_no_intercept_r2_is_the_squared_correlation_of_y_with_yhat():
     y = panel[0] - 0.5 * panel[1] + rng.normal(size=m) + 4.0
     for n in (1, 2):
         fitter = GramFitter(panel, y, n=n)
-        coef, _, r2, se_s = fitter.fits.form(False)
+        coef, _, r2, se_s = fitter.form(False)
         for row, subset in enumerate(fitter.subsets.tolist()):
             if subset == [4]:
                 assert r2[row] == 0.0
