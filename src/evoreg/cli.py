@@ -89,71 +89,36 @@ def _read_ini(path: Path) -> configparser.ConfigParser:
     return cp
 
 
-def _check_keys(cp, section: str, known: set[str], path: Path) -> None:
-    if not cp.has_section(section):
-        return
-    unknown = set(cp.options(section)) - known
-    if unknown:
-        raise ConfigError(
-            f"{path}: unknown keys in [{section}]: {', '.join(sorted(unknown))}"
-        )
-
-
-def _get(cp, section, key) -> str | None:
-    """The key's stripped text, None if it is absent or empty."""
-    if cp.has_option(section, key):
-        return cp.get(section, key).strip() or None
-    return None
-
-
 def load_manifest(path) -> RunManifest:
+    """The manifest at `path`: its [paths] resolved against its directory
+    (every input must exist), its [run] seed, and its [synthetic] spec."""
     path = Path(path)
     cp = _read_ini(path)
-    _check_keys(
-        cp, "paths",
-        {"topology", "activity", "descriptors", "evolution", "output"}, path,
-    )
-    _check_keys(cp, "run", {"seed"}, path)
-    if not cp.has_section("paths"):
-        raise ConfigError(f"{path}: missing [paths] section")
-    base = path.parent
 
-    def need(key) -> Path:
-        value = _get(cp, "paths", key)
-        if value is None:
-            raise ConfigError(f"{path}: missing paths.{key}")
-        return (base / value).resolve()
+    def located(text: str) -> Path:
+        return (path.parent / text).resolve()
 
-    topology = need("topology")
-    activity = need("activity")
-    evolution = need("evolution")
-    output = need("output")
-    descriptors = _get(cp, "paths", "descriptors")
-    descriptors = (base / descriptors).resolve() if descriptors else None
+    def existing(text: str) -> Path:
+        found = located(text)
+        if not found.exists():
+            raise ValueError(f"file not found: {found}")
+        return found
 
-    for p, label in ((topology, "topology"), (activity, "activity"),
-                     (evolution, "evolution"), (descriptors, "descriptors")):
-        if p is not None and not p.exists():
-            raise ConfigError(f"{path}: {label} file not found: {p}")
-
-    seed = _get(cp, "run", "seed")
-    if seed is None:
-        raise ConfigError(f"{path}: missing run.seed")
-    try:
-        seed = int(seed)
-    except ValueError:
-        raise ConfigError(f"{path}: run.seed must be an integer") from None
-
-    synthetic = None
-    if cp.has_section("synthetic"):
-        synthetic = _load_section(cp, path, "synthetic", SyntheticSpec,
-                                  _SYNTHETIC)
-    if descriptors is None and synthetic is None:
+    paths = _section_values(cp, path, "paths", RunManifest, {
+        "topology": ("topology_path", existing),
+        "activity": ("activity_path", existing),
+        "evolution": ("evolution_path", existing),
+        "descriptors": ("descriptors_path", existing),
+        "output": ("output_dir", located)})
+    run = _section_values(cp, path, "run", RunManifest, {"seed": ("seed", int)})
+    synthetic = (_load_section(cp, path, "synthetic", SyntheticSpec,
+                               _SYNTHETIC)
+                 if cp.has_section("synthetic") else None)
+    if "descriptors_path" not in paths and synthetic is None:
         raise ConfigError(
             f"{path}: need either paths.descriptors or a [synthetic] section"
         )
-    return RunManifest(topology, activity, evolution, output, seed,
-                       descriptors, synthetic)
+    return RunManifest(**paths, **run, synthetic=synthetic)
 
 
 def _boolean(text: str) -> bool:
@@ -190,16 +155,21 @@ _VIABILITY = _same(min_cv=float, jb_alpha=float, min_simple_r2=float)
 _SYNTHETIC = _same(**{f.name: type(f.default) for f in fields(SyntheticSpec)})
 
 
-def _load_section(cp, path: Path, section: str, cls, keys: dict, **given):
-    """Build `cls` from one INI section. An absent or empty key keeps its
-    field's dataclass default; a field without one is a required key."""
-    _check_keys(cp, section, set(keys), path)
+def _section_values(cp, path: Path, section: str, cls, keys: dict) -> dict:
+    """One INI section's values by `cls` field name. An absent or empty key
+    keeps its field's dataclass default; a field without one is a required
+    key."""
+    unknown = cp.has_section(section) and set(cp.options(section)) - set(keys)
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys in [{section}]: "
+                          f"{', '.join(sorted(unknown))}")
     required = {f.name for f in fields(cls)
                 if f.default is MISSING and f.default_factory is MISSING}
-    values = dict(given)
+    values = {}
     for key, (name, parse) in keys.items():
-        text = _get(cp, section, key)
-        if text is None:
+        text = cp.get(section, key) if cp.has_option(section, key) else ""
+        text = text.strip()
+        if not text:
             if name in required:
                 raise ConfigError(f"{path}: missing {section}.{key}")
             continue
@@ -208,8 +178,14 @@ def _load_section(cp, path: Path, section: str, cls, keys: dict, **given):
         except ValueError as exc:
             raise ConfigError(
                 f"{path}: bad [{section}] value: {key}: {exc}") from None
+    return values
+
+
+def _load_section(cp, path: Path, section: str, cls, keys: dict, **given):
+    """Build `cls` from one INI section's values and the fields `given`."""
+    values = _section_values(cp, path, section, cls, keys)
     try:
-        return cls(**values)
+        return cls(**given, **values)
     except ValueError as exc:
         raise ConfigError(f"{path}: bad [{section}] value: {exc}") from None
 

@@ -8,10 +8,10 @@ planted mode where designated genotypes track the activity linearly.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from collections import Counter, OrderedDict
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Protocol
@@ -335,79 +335,54 @@ def pick_planted_genotypes(
 
 # --- file formats -------------------------------------------------------------
 #
+# Both are labelled-row CSVs: `stats.read_labelled_rows` and
+# `stats.write_labelled_rows` own the rules they share.
 # activity CSV:    header "molecule,activity", one molecule per row
 # descriptor CSV:  header "genotype,<mol_1>,...,<mol_m>", one genotype per row
 
 
 def load_activity(path) -> Dataset:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != ["molecule", "activity"]:
-        raise DescriptorDataError(f"{path}: expected header 'molecule,activity'")
-    ids = []
-    values = []
-    for r in rows[1:]:
-        if not r or not any(x.strip() for x in r):
-            continue
-        if len(r) != 2:
-            raise DescriptorDataError(f"{path}: malformed row {r!r}")
-        ids.append(r[0].strip())
-        try:
-            values.append(float(r[1]))
-        except ValueError as exc:
+    with closing(stats.read_labelled_rows(path, "molecule",
+                                          DescriptorDataError)) as rows:
+        if next(rows) != ["activity"]:
             raise DescriptorDataError(
-                f"{path}: non-numeric activity for {r[0]!r}"
-            ) from exc
+                f"{path}: expected header 'molecule,activity'")
+        labelled = list(rows)
     try:
-        return Dataset(tuple(ids), np.array(values))
+        return Dataset(tuple(mol for mol, _ in labelled),
+                       np.array([y[0] for _, y in labelled]))
     except ValueError as exc:
         raise DescriptorDataError(f"{path}: {exc}") from exc
 
 
+def _float_cell(v) -> str:
+    return repr(float(v))
+
+
 def write_activity(ds: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["molecule", "activity"])
-        for mol, y in zip(ds.molecule_ids, ds.activity):
-            w.writerow([mol, repr(float(y))])
+    stats.write_labelled_rows(path, "molecule", ["activity"],
+                              zip(ds.molecule_ids, ds.activity[:, None]),
+                              _float_cell)
 
 
 def load_descriptor_table(path, topology: GeneticTopology, ds: Dataset) -> TableProvider:
     """Load a wide descriptor CSV and validate it against the dataset.
 
-    Columns must agree with the dataset's molecule ids (same order). A cell
-    is anything `float()` parses; NaN/Inf tokens are left to the viability
-    filter. Rows are read one at a time, so memory stays near the values' size.
+    Columns must agree with the dataset's molecule ids (same order), and a
+    genotype appears once. NaN/Inf cells are left to the viability filter.
+    Rows are read one at a time, so memory stays near the values' size.
     """
     table: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        if header is None:
-            raise DescriptorDataError(f"{path}: empty descriptor table")
-        header = [c.strip() for c in header]
-        if not header or header[0] != "genotype":
+    with closing(stats.read_labelled_rows(path, "genotype",
+                                          DescriptorDataError)) as rows:
+        if tuple(next(rows)) != ds.molecule_ids:
             raise DescriptorDataError(
-                f"{path}: first header column must be 'genotype'"
-            )
-        if tuple(header[1:]) != ds.molecule_ids:
-            raise DescriptorDataError(
-                f"{path}: molecule columns do not match the activity file"
-            )
-        for r in rows:
-            if not any(x.strip() for x in r):
-                continue
-            key = r[0].strip()
-            if len(r) != len(header):
-                raise DescriptorDataError(f"{path}: row {key!r} has wrong width")
+                f"{path}: molecule columns do not match the activity file")
+        for key, values in rows:
             if key in table:
-                raise DescriptorDataError(f"{path}: duplicate genotype {key!r}")
-            try:
-                table[key] = np.array(r[1:], dtype=float)
-            except ValueError as exc:
                 raise DescriptorDataError(
-                    f"{path}: non-numeric value in row {key!r}"
-                ) from exc
+                    f"{path}: duplicate genotype {key!r}")
+            table[key] = values
     try:
         return TableProvider(topology, table)
     except DescriptorDataError as exc:
@@ -417,8 +392,5 @@ def load_descriptor_table(path, topology: GeneticTopology, ds: Dataset) -> Table
 def write_descriptor_table(
     path, ds: Dataset, rows: dict[str, np.ndarray]
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["genotype"] + list(ds.molecule_ids))
-        for key, values in rows.items():
-            w.writerow([key] + [repr(float(v)) for v in values])
+    stats.write_labelled_rows(path, "genotype", ds.molecule_ids, rows.items(),
+                              _float_cell)

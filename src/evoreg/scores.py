@@ -11,6 +11,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -85,8 +87,8 @@ class ObjectiveSpec:
         if self.kind == "r2":
             return [r**s for r in r2.tolist()]
         if self.kind == "mt":
-            return [(sum(abs(t) ** s for t in ts) / len(ts)) ** (1.0 / s)
-                    for ts in slope_t.tolist()]
+            return [(reduce(add, [abs(t) ** s for t in ts], 0.0) / len(ts))
+                    ** (1.0 / s) for ts in slope_t.tolist()]
         # hr: entropy of the (r2, 1-r2) split, in bits
         return [math.log2(r**s + (1.0 - r) ** s) / (1.0 - s)
                 for r in r2.tolist()]

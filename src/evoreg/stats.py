@@ -24,6 +24,8 @@ __all__ = [
     "t_critical",
     "jarque_bera",
     "chi2_homogeneity",
+    "read_labelled_rows",
+    "write_labelled_rows",
     "load_contingency_csv",
     "write_contingency_csv",
     "format_report",
@@ -311,36 +313,61 @@ def chi2_homogeneity(table: ContingencyTable, alpha: float = 0.05) -> ChiSquareR
     )
 
 
-# --- contingency CSV and rendering -------------------------------------------
+# --- labelled-row CSV and rendering ------------------------------------------
+
+
+def read_labelled_rows(path, corner: str, error=ValueError):
+    """Stream a labelled-row CSV: a header `<corner>,<column labels>`, then
+    one labelled row of numbers per line. Yields the column labels, then
+    each row's label and its cells as a float array.
+
+    The header is the first non-blank row; rows of blank cells are skipped;
+    every row is as wide as the header; a cell is anything `float()` parses.
+    A fault raises `error` naming the file and the row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = (r for r in csv.reader(fh) if any(map(str.strip, r)))
+        header = [c.strip() for c in next(rows, ())]
+        if header[:1] != [corner]:
+            raise error(f"{path}: first header column must be {corner!r}")
+        yield header[1:]
+        for r in rows:
+            label = r[0].strip()
+            if len(r) != len(header):
+                raise error(f"{path}: row {label!r} has wrong width")
+            try:
+                values = np.array(r[1:], dtype=float)
+            except ValueError:
+                raise error(
+                    f"{path}: non-numeric value in row {label!r}") from None
+            yield label, values
+
+
+def write_labelled_rows(path, corner: str, columns, rows, cell) -> None:
+    """Write what `read_labelled_rows` reads: `rows` yields (label, values),
+    and `cell` renders one value."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow([corner, *columns])
+        for label, values in rows:
+            w.writerow([label, *map(cell, values)])
 
 
 def load_contingency_csv(path) -> ContingencyTable:
-    """Read a labeled contingency table: header ',C1,C2,...', one labeled
-    row per line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and any(f.strip() for f in r)]
-    if len(rows) < 3:
+    """Read a labelled contingency table: header ',C1,C2,...', then at
+    least two labelled rows of counts."""
+    col_labels, *labelled = read_labelled_rows(path, "")
+    if len(labelled) < 2:
         raise ValueError(f"{path}: need a header and at least two rows")
-    col_labels = [c.strip() for c in rows[0][1:]]
-    row_labels = []
-    counts = []
-    for r in rows[1:]:
-        if len(r) != len(col_labels) + 1:
-            raise ValueError(f"{path}: row {r[0]!r} has wrong column count")
-        row_labels.append(r[0].strip())
-        try:
-            counts.append([float(v) for v in r[1:]])
-        except ValueError as exc:
-            raise ValueError(f"{path}: non-numeric count in row {r[0]!r}") from exc
-    return ContingencyTable(counts, row_labels, col_labels)
+    row_labels, counts = zip(*labelled)
+    try:
+        return ContingencyTable(counts, row_labels, col_labels)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_contingency_csv(table: ContingencyTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([""] + list(table.col_labels))
-        for label, row in zip(table.row_labels, table.observed):
-            w.writerow([label] + [_format_count(v) for v in row])
+    write_labelled_rows(path, "", table.col_labels,
+                        zip(table.row_labels, table.observed), _format_count)
 
 
 def _format_count(v: float) -> str:

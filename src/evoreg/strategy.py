@@ -12,6 +12,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .scores import ScoreTable
 
@@ -99,7 +100,9 @@ def extract_proportional(
     counts = [len(g) for g in remaining]
     selected: list[int] = []
     for _ in range(n_sel):
-        total = sum(m * c for m, c in zip(masses, counts))
+        # running masses, summed left to right: a draw's total is the last
+        reached = list(accumulate(m * c for m, c in zip(masses, counts)))
+        total = reached[-1]
         if total <= 0.0:
             pool = [i for group in remaining for i in group]
             logger.warning("zero selection mass; drawing uniformly")
@@ -108,13 +111,8 @@ def extract_proportional(
                 selected.append(pick)
             break
         freq = rng.random() * total
-        acc = 0.0
-        group = len(masses) - 1
-        for gi, (m, c) in enumerate(zip(masses, counts)):
-            acc += m * c
-            if freq <= acc and c > 0:
-                group = gi
-                break
+        group = next((gi for gi, (acc, c) in enumerate(zip(reached, counts))
+                      if freq <= acc and c > 0), len(masses) - 1)
         while counts[group] == 0:  # guard: walk past exhausted groups
             group = (group + 1) % len(counts)
         members = remaining[group]

@@ -182,6 +182,36 @@ def test_run_missing_activity_names_path(tmp_path, capsys):
     assert "activity" in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t[t.index("[run]"):], "missing paths.topology"),
+    (lambda t: t.replace("evolution = evolution.cfg\n", ""),
+     "missing paths.evolution"),
+    (lambda t: t.replace("output = out\n", "output =\n"),
+     "missing paths.output"),
+    (lambda t: t.replace("activity.csv", "absent.csv"),
+     "bad [paths] value: activity: file not found: "),
+    (lambda t: t.replace("seed = 11\n", ""), "missing run.seed"),
+    (lambda t: t.replace("seed = 11\n", "seed = 1.5\n"),
+     "bad [run] value: seed: "),
+    (lambda t: t.replace("output = out\n", "output = out\ncolour = red\n"),
+     "unknown keys in [paths]: colour"),
+    (lambda t: t[:t.index("[synthetic]")],
+     "need either paths.descriptors or a [synthetic] section"),
+])
+def test_manifest_errors_name_section_and_key(tmp_path, capsys, edit,
+                                              message):
+    """Each manifest fault exits 2 with an error naming its section and
+    key, and writes nothing."""
+    manifest = write_world(tmp_path)
+    text = manifest.read_text()
+    assert edit(text) != text
+    manifest.write_text(edit(text))
+    for command in ("validate", "run"):
+        assert main([command, "--manifest", str(manifest)]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_deterministic_outputs(tmp_path, capsys):
     manifest = write_world(tmp_path, gens=4)
     main(["run", "--manifest", str(manifest)])

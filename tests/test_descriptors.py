@@ -427,6 +427,51 @@ def test_table_csv_skips_blank_rows(tmp_path, topo, dataset):
     assert provider.provide(topo.parse("by")).values[0] == 2.5
 
 
+def _labelled_csv(kind, dataset):
+    """A valid file of each labelled-row CSV kind, its loader and a view of
+    what it loaded: (header, rows, load, content)."""
+    if kind == "activity":
+        return ("molecule,activity", ["m1,1.5", "m2,2.5", "m3,0.5"],
+                lambda path, topo: load_activity(path),
+                lambda ds: (ds.molecule_ids, ds.activity.tolist()))
+    if kind == "descriptors":
+        return ("genotype," + ",".join(dataset.molecule_ids),
+                [f"ax,{_cells()}", f"by,{_cells('2.5')}"],
+                lambda path, topo: load_descriptor_table(path, topo, dataset),
+                lambda tp: [(g.render(), tp.provide(g).values.tolist())
+                            for g in tp.known_genotypes()])
+    return (",P,T", ["a,1,2", "b,3,4"],
+            lambda path, topo: stats.load_contingency_csv(path),
+            lambda t: (t.row_labels, t.col_labels, t.observed.tolist()))
+
+
+@pytest.mark.parametrize("kind", ["activity", "descriptors", "contingency"])
+def test_labelled_csv_readers_share_one_rule(tmp_path, topo, dataset, kind):
+    """The activity, descriptor and contingency readers take the header
+    from the first non-blank row, skip rows of blank cells, and reject a
+    wrong corner cell, a row of the wrong width and a non-numeric cell with
+    an error naming the file and the row."""
+    header, rows, load, content = _labelled_csv(kind, dataset)
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    expected = content(load(path, topo))
+    path.write_text("\n".join(["", " , ", header, "", *rows, ",,"]) + "\n")
+    assert content(load(path, topo)) == expected
+
+    label, cells = rows[1].split(",", 1)
+    corner = header.split(",")[0]
+    for lines, fault in (
+        (["x" + header, *rows], f"first header column must be {corner!r}"),
+        ([header, rows[0], rows[1] + ",9"], f"row {label!r} has wrong width"),
+        ([header, rows[0], ",".join([label, "x", *cells.split(",")[1:]])],
+         f"non-numeric value in row {label!r}"),
+    ):
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load(path, topo)
+        assert str(err.value) == f"{path}: {fault}"
+
+
 NON_FINITE = ("nan", "+nan", "-nan", "NaN", " nan ", "inf", "+inf", "-inf",
               "Infinity", "+infinity", "-Infinity", "INF")
 

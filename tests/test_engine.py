@@ -237,6 +237,37 @@ def test_run_single_generation_record():
     assert len(rec.participations) == 6
 
 
+def test_gene_mutation_mode_mutates_per_gene(monkeypatch):
+    """mutation_mode = "gene" breeds through mutate_per_gene and never
+    through mutate, and its runs are a function of the seed."""
+    topo = binary_topology(8)
+    ds = normal_dataset(m=30)
+    calls = {"mutate": 0, "mutate_per_gene": 0}
+
+    def counted(name):
+        original = getattr(genome, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(genome, name, counted(name))
+    cfg = small_config(mutation_mode="gene", pp=0.5, cp=0.5, max_generations=8)
+
+    def log(**changes):
+        provider = SyntheticProvider(topo, ds, seed=4)
+        return run(replace(cfg, **changes), topo, provider, ds).log_text()
+
+    first = log()
+    assert calls["mutate"] == 0 and calls["mutate_per_gene"] > 0
+    assert log() == first
+    assert log(seed=2) != first
+    assert log(mutation_mode="genotype") != first
+    assert calls["mutate"] > 0
+
+
 def test_run_fit_count_small_sample():
     # p = 3, n = 2 sweeps exactly 3 subsets; participation sums respect that
     topo = binary_topology(6)

@@ -109,6 +109,18 @@ def test_objective_mt_uses_slopes_only():
         )
 
 
+def test_objective_mt_sums_left_to_right():
+    """mt adds its terms left to right, so it gives the same bits on every
+    Python version: from 3.12 the built-in sum() of floats is compensated,
+    and the compensated sum of these terms differs from the plain one."""
+    ts = (1.0, 1e-16, 1e-16)
+    plain = ((1.0 + 1e-16) + 1e-16) / 3
+    assert plain != math.fsum(ts) / 3
+    spec = ObjectiveSpec("mt", 1.0)
+    assert spec.values(np.zeros(1), np.zeros(1), np.array([ts])) == [plain]
+    assert objective_score(model_stub(t_stats=ts), spec) == plain
+
+
 def test_objective_hr_direct_value():
     model = model_stub(r2=0.5)
     assert objective_score(model, ObjectiveSpec("hr", 2.0)) == pytest.approx(1.0)

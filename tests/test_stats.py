@@ -257,6 +257,24 @@ def test_contingency_csv_round_trip(tmp_path):
     assert r1.total == r2.total
 
 
+def test_contingency_csv_needs_a_two_by_two_table(tmp_path):
+    """A contingency CSV needs two labelled rows and two columns of
+    nonnegative counts; each fault names the file."""
+    path = tmp_path / "table.csv"
+    for text, message in (
+        ("", "first header column must be ''"),
+        (",P,T\n", "need a header and at least two rows"),
+        (",P,T\na,1,2\n", "need a header and at least two rows"),
+        ("\n,P,T\n\na,1,2\n,,\n", "need a header and at least two rows"),
+        (",P\na,1\nb,2\n", "contingency table must be at least 2x2"),
+        (",P,T\na,1,2\nb,3,-4\n", "counts must be finite and nonnegative"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_contingency_csv(path)
+        assert str(err.value) == f"{path}: {message}"
+
+
 def test_format_report_prints_verdicts():
     text = format_report(chi2_homogeneity(TABLE_NUM))
     assert "X^2(P,.)" in text
