@@ -11,7 +11,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -345,11 +345,10 @@ def _cmd_gen_data(args) -> int:
     provider = _synthetic_provider(spec, topology, ds)
     for key in provider.planted:
         print(f"planted {key}")
-    rows = {
-        g.render(): provider.provide(g).values for g in topology.all_genotypes()
-    }
-    dsc.write_descriptor_table(args.descriptors_out, ds, rows)
-    print(f"wrote {args.descriptors_out} ({size} genotypes)")
+    rows = ((g.render(), provider.provide(g).values)
+            for g in topology.all_genotypes())
+    written = dsc.write_descriptor_table(args.descriptors_out, ds, rows)
+    print(f"wrote {args.descriptors_out} ({written} genotypes)")
     return EXIT_OK
 
 
@@ -367,7 +366,7 @@ def _cmd_validate(args) -> int:
     print(f"descriptors: {source}")
     print(f"seed: {manifest.seed}")
     print(f"config fingerprint: {cfg.fingerprint()}")
-    for key, value in sorted(engine._config_dict(cfg).items()):
+    for key, value in sorted(asdict(cfg).items()):
         print(f"  {key} = {value}")
     return EXIT_OK
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 from collections import Counter, OrderedDict
 from contextlib import closing
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Iterable, Protocol
 
 import numpy as np
 
-from .genome import GeneticTopology, Genotype
+from .genome import GeneticTopology, Genotype, genome_size, random_genotype
 from . import stats
 
 __all__ = [
@@ -70,6 +71,11 @@ class Dataset:
             raise ValueError("activity length does not match molecule count")
         if not np.all(np.isfinite(self.activity)):
             raise ValueError("activity values must be finite")
+        # the CSV readers strip cells, so such an id would read back changed
+        padded = next((i for i in self.molecule_ids if i != i.strip()), None)
+        if padded is not None:
+            raise ValueError(
+                f"molecule id {padded!r} has surrounding whitespace")
         if len(set(self.molecule_ids)) != m:
             repeated = next(k for k, c in Counter(self.molecule_ids).items()
                             if c > 1)
@@ -315,22 +321,15 @@ class SyntheticProvider:
 def pick_planted_genotypes(
     topology: GeneticTopology, count: int, seed: int
 ) -> list[str]:
-    """Deterministically designate `count` distinct genotypes for planting."""
-    import random as _random
-
-    from .genome import genome_size, random_genotype
-
+    """Deterministically designate `count` distinct genotypes for planting,
+    in the order they are first drawn."""
     if count > genome_size(topology):
         raise ValueError("cannot plant more genotypes than the space holds")
-    rng = _random.Random(seed)
-    chosen: list[str] = []
-    seen: set[str] = set()
+    rng = random.Random(seed)
+    chosen: dict[str, None] = {}    # one key per genotype
     while len(chosen) < count:
-        key = random_genotype(topology, rng).render()
-        if key not in seen:
-            seen.add(key)
-            chosen.append(key)
-    return chosen
+        chosen[random_genotype(topology, rng).render()] = None
+    return list(chosen)
 
 
 # --- file formats -------------------------------------------------------------
@@ -390,7 +389,8 @@ def load_descriptor_table(path, topology: GeneticTopology, ds: Dataset) -> Table
 
 
 def write_descriptor_table(
-    path, ds: Dataset, rows: dict[str, np.ndarray]
-) -> None:
-    stats.write_labelled_rows(path, "genotype", ds.molecule_ids, rows.items(),
-                              _float_cell)
+    path, ds: Dataset, rows: Iterable[tuple[str, np.ndarray]]
+) -> int:
+    """Write (genotype key, values) pairs as they come; returns how many."""
+    return stats.write_labelled_rows(path, "genotype", ds.molecule_ids, rows,
+                                     _float_cell)

@@ -15,7 +15,7 @@ import logging
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -120,17 +120,8 @@ class EvolutionConfig:
             )
 
     def fingerprint(self) -> str:
-        blob = json.dumps(_config_dict(self), sort_keys=True)
+        blob = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _config_dict(cfg: EvolutionConfig) -> dict:
-    def plain(v):
-        if isinstance(v, (ObjectiveSpec, StrategySpec, ViabilityPolicy)):
-            return {k: plain(x) for k, x in vars(v).items()}
-        return v    # json writes a tuple as a list
-
-    return {k: plain(v) for k, v in vars(cfg).items()}
 
 
 @dataclass(frozen=True)

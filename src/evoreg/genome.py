@@ -2,8 +2,9 @@
 
 A topology is an ordered list of genes, each carrying an ordered alphabet of
 allele symbols. A genotype picks one allele per gene; its rendered form is the
-concatenation of the chosen symbols. Alleles are opaque: nothing here knows
-what a symbol means.
+concatenation of the chosen symbols. No allele is a prefix of another in its
+gene, so a rendering names exactly one genotype. Alleles are opaque: nothing
+here knows what a symbol means.
 """
 
 from __future__ import annotations
@@ -53,8 +54,14 @@ class Gene:
         for a in self.alleles:
             if not a or any(c.isspace() for c in a):
                 raise TopologyError(f"invalid allele {a!r} in gene {self.name!r}")
-        if len(set(self.alleles)) != len(self.alleles):
-            raise TopologyError(f"duplicate alleles in gene {self.name!r}")
+        # a key names one genotype only if no allele prefixes another in its
+        # gene; sorted, an allele's extensions follow it
+        ordered = sorted(self.alleles)
+        for a, b in zip(ordered, ordered[1:]):
+            if b.startswith(a):
+                clash = "is repeated" if a == b else f"is a prefix of {b!r}"
+                raise TopologyError(
+                    f"allele {a!r} {clash} in gene {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -75,23 +82,18 @@ class GeneticTopology:
         return len(self.genes)
 
     def parse(self, text: str) -> "Genotype":
-        """Inverse of Genotype.render. Backtracks over allele lengths, so
-        it also handles multi-character alleles as long as the rendering is
-        unambiguous."""
-        result = self._parse_from(text, 0, 0)
-        if result is None:
+        """Inverse of Genotype.render. Alphabets are prefix-free, so at most
+        one allele of each gene fits where the previous gene ended."""
+        index, pos = [], 0
+        for gene in self.genes:
+            for i, allele in enumerate(gene.alleles):
+                if text.startswith(allele, pos):
+                    index.append(i)
+                    pos += len(allele)
+                    break
+        if len(index) < self.gene_count or pos != len(text):
             raise ValueError(f"cannot parse {text!r} against topology")
-        return Genotype(self, tuple(result))
-
-    def _parse_from(self, text, pos, gene_i):
-        if gene_i == self.gene_count:
-            return [] if pos == len(text) else None
-        for ai, allele in enumerate(self.genes[gene_i].alleles):
-            if text.startswith(allele, pos):
-                rest = self._parse_from(text, pos + len(allele), gene_i + 1)
-                if rest is not None:
-                    return [ai] + rest
-        return None
+        return Genotype(self, tuple(index))
 
     def all_genotypes(self):
         """Iterate the whole space in lexicographic allele-index order."""

@@ -342,14 +342,16 @@ def read_labelled_rows(path, corner: str, error=ValueError):
             yield label, values
 
 
-def write_labelled_rows(path, corner: str, columns, rows, cell) -> None:
+def write_labelled_rows(path, corner: str, columns, rows, cell) -> int:
     """Write what `read_labelled_rows` reads: `rows` yields (label, values),
-    and `cell` renders one value."""
+    and `cell` renders one value. Returns the number of rows written."""
+    count = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([corner, *columns])
-        for label, values in rows:
+        for count, (label, values) in enumerate(rows, 1):
             w.writerow([label, *map(cell, values)])
+    return count
 
 
 def load_contingency_csv(path) -> ContingencyTable:

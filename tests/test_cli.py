@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 from dataclasses import fields
 
 import pytest
 
 from evoreg import EvolutionConfig, StrategySpec, cli
+from evoreg import descriptors as dsc
 from evoreg.cli import ConfigError, SyntheticSpec, load_manifest, main
 from evoreg.descriptors import load_activity
 
@@ -148,6 +150,45 @@ def test_gen_data_descriptor_table(tmp_path, capsys):
     lines = table.read_text().splitlines()
     assert len(lines) == 1 + 8  # header + full genotype space
     assert lines[0].startswith("genotype,mol1,")
+
+
+def test_gen_data_streams_its_table(tmp_path, monkeypatch, capsys):
+    """gen-data writes each row as it is drawn: its peak memory stays below
+    the table's float payload (2048 x 206 values). The synthetic
+    provider's own cache is shrunk, so what is measured is the table."""
+    monkeypatch.setattr(dsc, "CACHE_PHENOTYPES", 64)
+    topo_path = tmp_path / "binary.cgt"
+    topo_path.write_text("".join(f"gene g{i} : a b\n" for i in range(11)))
+    table = tmp_path / "table.csv"
+    tracemalloc.start()
+    try:
+        code = main(["gen-data", "--seed", "2",
+                     "--activity-out", str(tmp_path / "activity.csv"),
+                     "--descriptors-out", str(table),
+                     "--topology", str(topo_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert f"wrote {table} (2048 genotypes)" in capsys.readouterr().out
+    assert peak < 2048 * 206 * 8
+
+
+def test_ambiguous_alleles_exit_2(tmp_path, capsys):
+    """In `gene g0 : a ab` / `gene g1 : bc c`, genotypes (0, 0) and (1, 1)
+    would share the key `abc`: validate and gen-data refuse the topology,
+    naming the gene, and gen-data writes no table."""
+    manifest = write_world(tmp_path)
+    topo_path = tmp_path / "topology.cgt"
+    topo_path.write_text("gene g0 : a ab\ngene g1 : bc c\n")
+    assert main(["validate", "--manifest", str(manifest)]) == 2
+    assert "'a' is a prefix of 'ab' in gene 'g0'" in capsys.readouterr().err
+    table = tmp_path / "table.csv"
+    assert main(["gen-data", "--activity-out", str(tmp_path / "a.csv"),
+                 "--descriptors-out", str(table),
+                 "--topology", str(topo_path)]) == 2
+    assert "'g0'" in capsys.readouterr().err
+    assert not table.exists()
 
 
 def test_gen_data_refuses_huge_table(tmp_path, capsys):

@@ -52,6 +52,23 @@ def test_dataset_validation():
         Dataset(("a", "b", "c"), np.array([1.0, math.inf, 3.0]))
 
 
+def test_dataset_ids_read_back_as_written(tmp_path):
+    """The CSV readers strip every cell, so an id with surrounding
+    whitespace would come back as another id: the dataset refuses it, and
+    the ids it accepts survive the activity and descriptor files."""
+    for bad in (" m1", "m1 ", "\tm1", "m1\n"):
+        with pytest.raises(ValueError, match="surrounding whitespace"):
+            Dataset((bad, "m2", "m3"), np.array([1.0, 2.0, 3.0]))
+    ds = Dataset(("m 1", "m2", "m3"), np.array([1.0, 2.0, 3.0]))
+    write_activity(ds, tmp_path / "a.csv")
+    assert load_activity(tmp_path / "a.csv").molecule_ids == ds.molecule_ids
+    topo = GeneticTopology((Gene("g", ("a", "b")),))
+    write_descriptor_table(tmp_path / "t.csv", ds,
+                           [("a", np.arange(3.0)), ("b", np.ones(3))])
+    provider = load_descriptor_table(tmp_path / "t.csv", topo, ds)
+    assert len(provider) == 2
+
+
 # --- viability -----------------------------------------------------------------
 
 
@@ -358,7 +375,8 @@ def test_table_provider_lookup(topo, dataset):
 def test_table_known_genotypes_file_order_and_copy(tmp_path, topo, dataset):
     keys = ["bz", "ax", "by", "ay"]
     path = tmp_path / "table.csv"
-    write_descriptor_table(path, dataset, {k: np.arange(40.0) for k in keys})
+    write_descriptor_table(path, dataset,
+                           [(k, np.arange(40.0)) for k in keys])
     provider = load_descriptor_table(path, topo, dataset)
     known = provider.known_genotypes()
     assert [g.render() for g in known] == keys
@@ -373,7 +391,7 @@ def test_table_csv_round_trip(tmp_path, topo, dataset):
         Genotype(topo, (1, 2)).render(): np.linspace(-1, 1, 40),
     }
     path = tmp_path / "table.csv"
-    write_descriptor_table(path, dataset, rows)
+    write_descriptor_table(path, dataset, rows.items())
     provider = load_descriptor_table(path, topo, dataset)
     assert len(provider) == 2
     ph = provider.provide(Genotype(topo, (1, 2)))
@@ -500,7 +518,7 @@ def test_table_load_memory_is_bounded(tmp_path):
     rows = {g.render(): rng.normal(size=ds.size)
             for g in topology.all_genotypes()}
     path = tmp_path / "table.csv"
-    write_descriptor_table(path, ds, rows)
+    write_descriptor_table(path, ds, rows.items())
     payload = len(rows) * ds.size * 8
     del rows
     tracemalloc.start()

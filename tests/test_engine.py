@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from evoreg import engine, genome
-from evoreg.descriptors import Phenotype, SyntheticProvider, TableProvider
+from evoreg.descriptors import (Phenotype, SyntheticProvider, TableProvider,
+                                ViabilityPolicy)
 from evoreg.engine import (
     EvolutionConfig,
     EvolutionState,
@@ -76,6 +77,23 @@ def test_config_fingerprint_tracks_content():
     b = small_config()
     assert a.fingerprint() == b.fingerprint()
     assert a.fingerprint() != small_config(seed=2).fingerprint()
+
+
+def test_config_fingerprint_bytes_are_pinned():
+    """The fingerprint hashes the config's fields as JSON, nested specs as
+    objects. Its digests, for a default config and for one with every field
+    set, are in every run log's header, so they must not drift."""
+    full = EvolutionConfig(
+        p=12, n=3, k=4, pp=0.25, cp=0.125, keep_best=False,
+        objective=ObjectiveSpec("mt", 2.5),
+        selection=StrategySpec("tournament", True, (0.0, 2.0), 3),
+        survival=StrategySpec("deterministic", False, (-1.0, 1.0), 2),
+        selection_aggregate="avg", q=1.5, r=2.0, alpha=0.1,
+        viability=ViabilityPolicy(0.05, 0.01, 0.02), max_generations=7,
+        target_objective=0.9, seed=17, intercept_mode="both",
+        mutation_mode="gene")
+    assert EvolutionConfig(p=10, n=2, k=2).fingerprint() == "cec6250e4ad02a6c"
+    assert full.fingerprint() == "6be726db575ff001"
 
 
 def test_init_sample_synthetic_distinct():

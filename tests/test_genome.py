@@ -3,6 +3,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evoreg.genome import (
     Gene,
@@ -295,6 +297,61 @@ def test_parse_topology_errors():
 def test_parse_render_inverse_single_char(topo232):
     for g in topo232.all_genotypes():
         assert topo232.parse(g.render()) == g
+
+
+def _prefix_free(words):
+    """The words, in order, that neither prefix nor extend an earlier one."""
+    kept = []
+    for w in words:
+        if not any(w.startswith(k) or k.startswith(w) for k in kept):
+            kept.append(w)
+    return tuple(kept[:4])
+
+
+# 2-5 genes, each of 2-4 alleles of 1-3 characters over one shared small
+# alphabet, so that one gene's allele often begins another gene's
+_topologies = st.lists(
+    st.lists(st.text("abc", min_size=1, max_size=3), min_size=2, max_size=8)
+    .map(_prefix_free).filter(lambda alleles: len(alleles) >= 2),
+    min_size=2, max_size=5,
+).map(lambda alphabets: GeneticTopology(tuple(
+    Gene(f"g{i}", alleles) for i, alleles in enumerate(alphabets))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_topologies)
+def test_prefix_free_keys_name_one_genotype(topo):
+    """Every key of the space parses back to its genotype, and no two
+    genotypes share a key."""
+    keys = set()
+    for g in topo.all_genotypes():
+        key = g.render()
+        assert topo.parse(key) == g
+        keys.add(key)
+    assert len(keys) == genome_size(topo)
+
+
+def test_parse_has_no_depth_limit():
+    """parse is one loop over the genes: a topology far deeper than the
+    interpreter's recursion limit parses."""
+    topo = GeneticTopology(tuple(
+        Gene(f"g{i}", ("a", "ba", "bb")) for i in range(1200)))
+    g = random_genotype(topo, random.Random(5))
+    assert topo.parse(g.render()) == g
+
+
+def test_allele_prefix_of_another_is_rejected():
+    """With `a` and `ab` in one gene, `a`+`bc` and `ab`+`c` would both
+    render `abc`: such a gene is refused, by name, wherever it is built."""
+    with pytest.raises(TopologyError, match="'a' is a prefix of 'ab'.*'g0'"):
+        Gene("g0", ("ab", "a"))
+    with pytest.raises(TopologyError, match="'a' is repeated.*'g0'"):
+        Gene("g0", ("a", "b", "a"))
+    with pytest.raises(TopologyError, match="'g0'"):
+        parse_topology("gene g0 : a ab\ngene g1 : bc c\n")
+    # one allele extending another across genes is fine
+    topo = parse_topology("gene g0 : a b\ngene g1 : ab c\n")
+    assert topo.parse("aab") == Genotype(topo, (0, 0))
 
 
 def test_parse_render_inverse_multichar_unambiguous():

@@ -31,8 +31,11 @@ def make_phenotypes(columns):
     n = len(columns)
     key = n
     if key not in _TOPO_CACHE:
+        # zero-padded labels: an alphabet has no allele that prefixes another
+        size = max(2, n)
+        width = len(str(size - 1))
         _TOPO_CACHE[key] = GeneticTopology(
-            (Gene("ix", tuple(f"v{i}" for i in range(max(2, n)))),)
+            (Gene("ix", tuple(f"v{i:0{width}d}" for i in range(size))),)
         )
     topo = _TOPO_CACHE[key]
     return [
