@@ -329,19 +329,22 @@ def _cmd_gen_data(args) -> int:
     ids = tuple(f"mol{i + 1}" for i in range(args.molecules))
     activity = rng.normal(args.mean, args.sd, args.molecules)
     ds = dsc.Dataset(ids, activity)
+    if args.descriptors_out is not None:
+        # every data error is raised before a file is written
+        if args.topology is None:
+            raise ConfigError("--descriptors-out needs --topology")
+        topology = load_topology(args.topology)
+        size = genome_size(topology)
+        if size > args.max_rows:
+            raise ConfigError(
+                f"topology spans {size} genotypes; refusing to materialize "
+                f"more than {args.max_rows} rows (raise --max-rows to "
+                f"override)"
+            )
     dsc.write_activity(ds, args.activity_out)
     print(f"wrote {args.activity_out} ({args.molecules} molecules)")
     if args.descriptors_out is None:
         return EXIT_OK
-    if args.topology is None:
-        raise ConfigError("--descriptors-out needs --topology")
-    topology = load_topology(args.topology)
-    size = genome_size(topology)
-    if size > args.max_rows:
-        raise ConfigError(
-            f"topology spans {size} genotypes; refusing to materialize more "
-            f"than {args.max_rows} rows (raise --max-rows to override)"
-        )
     provider = _synthetic_provider(spec, topology, ds)
     for key in provider.planted:
         print(f"planted {key}")
@@ -354,6 +357,9 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_validate(args) -> int:
     manifest, topology, ds, cfg, provider = _load_run(args.manifest)
+    # a table parses its rows when they are provided: check every cell
+    for g in provider.known_genotypes() or ():
+        provider.provide(g)
     print(f"manifest: {args.manifest}")
     print(f"topology: {manifest.topology_path} "
           f"({topology.gene_count} genes, {genome_size(topology)} genotypes)")
@@ -435,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rows", type=int, default=100000)
     p.set_defaults(func=_cmd_gen_data)
 
-    p = sub.add_parser("validate", help="parse all configs and print the "
-                       "normalized forms")
+    p = sub.add_parser("validate", help="parse all configs and data files "
+                       "(every table cell) and print the normalized forms")
     p.add_argument("--manifest", required=True)
     p.set_defaults(func=_cmd_validate)
 

@@ -1,9 +1,10 @@
 """Phenotype providers and the viability filter.
 
 A provider maps genotypes to phenotypes (one descriptor value per molecule).
-Two implementations: an exact-lookup table loaded from CSV, and a seeded
-synthetic generator whose cells are uniform on an interval, with an optional
-planted mode where designated genotypes track the activity linearly.
+Two implementations: an exact-lookup table indexed from CSV, its rows
+parsed on first use, and a seeded synthetic generator whose cells are
+uniform on an interval, with an optional planted mode where designated
+genotypes track the activity linearly.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import weakref
 from collections import Counter, OrderedDict
-from contextlib import closing
+from collections.abc import Mapping
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Protocol
@@ -198,22 +201,32 @@ def check_viability(
 
 
 class TableProvider:
-    """Exact lookup in a descriptor table keyed by rendered genotype string."""
+    """Exact lookup in a descriptor table keyed by rendered genotype string.
 
-    def __init__(self, topology: GeneticTopology, table: dict[str, np.ndarray]):
+    `table` maps each key to its values: a dict, or the rows of a CSV file
+    that `load_descriptor_table` parses on first use. A row is taken from
+    `table` on its first `provide` and kept read-only."""
+
+    def __init__(self, topology: GeneticTopology,
+                 table: Mapping[str, np.ndarray]):
         self.topology = topology
-        self._table = {k: _readonly(v) for k, v in table.items()}
+        self._table = table
+        self._values: dict[str, np.ndarray] = {}
         self._genotypes: list[Genotype] = []
-        for key in self._table:
+        for key in table:
             try:
                 self._genotypes.append(topology.parse(key))
             except ValueError:
                 raise DescriptorDataError(f"malformed genotype {key!r}") from None
 
     def provide(self, genotype: Genotype) -> Phenotype | None:
-        values = self._table.get(genotype.render())
+        key = genotype.render()
+        values = self._values.get(key)
         if values is None:
-            return None
+            values = self._table.get(key)
+            if values is None:
+                return None
+            values = self._values[key] = _readonly(values)
         return Phenotype(values, genotype)
 
     def known_genotypes(self) -> list[Genotype]:
@@ -341,15 +354,21 @@ def pick_planted_genotypes(
 
 
 def load_activity(path) -> Dataset:
-    with closing(stats.read_labelled_rows(path, "molecule",
-                                          DescriptorDataError)) as rows:
+    ids, activity = [], []
+    with open(path, "rb") as fh:
+        rows = stats.read_labelled_rows(fh, "molecule", DescriptorDataError)
         if next(rows) != ["activity"]:
             raise DescriptorDataError(
                 f"{path}: expected header 'molecule,activity'")
-        labelled = list(rows)
+        for mol, (cell,), _ in rows:
+            try:
+                activity.append(float(cell))
+            except ValueError:
+                raise stats.non_numeric(path, mol,
+                                        DescriptorDataError) from None
+            ids.append(mol)
     try:
-        return Dataset(tuple(mol for mol, _ in labelled),
-                       np.array([y[0] for _, y in labelled]))
+        return Dataset(tuple(ids), np.array(activity))
     except ValueError as exc:
         raise DescriptorDataError(f"{path}: {exc}") from exc
 
@@ -364,28 +383,56 @@ def write_activity(ds: Dataset, path) -> None:
                               _float_cell)
 
 
-def load_descriptor_table(path, topology: GeneticTopology, ds: Dataset) -> TableProvider:
-    """Load a wide descriptor CSV and validate it against the dataset.
+class _TableRows(Mapping):
+    """A descriptor CSV's rows by genotype key, each parsed from its line,
+    at its byte offset, when read. The open binary handle `fh` is read for
+    the mapping's lifetime and closed when the mapping is collected."""
 
-    Columns must agree with the dataset's molecule ids (same order), and a
-    genotype appears once. NaN/Inf cells are left to the viability filter.
-    Rows are read one at a time, so memory stays near the values' size.
+    def __init__(self, fh, offsets: dict[str, int]):
+        self._fh, self._offsets = fh, offsets
+        weakref.finalize(self, fh.close)
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        self._fh.seek(self._offsets[key])
+        cells = stats.split_line(self._fh.readline())
+        return stats.numbers(self._fh.name, key, cells[1:],
+                             DescriptorDataError)
+
+    def __iter__(self):
+        return iter(self._offsets)
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+
+def load_descriptor_table(path, topology: GeneticTopology, ds: Dataset) -> TableProvider:
+    """Index a wide descriptor CSV and validate it against the dataset.
+
+    Columns must agree with the dataset's molecule ids (same order), a row
+    is as wide as the header, and a genotype appears once and parses: one
+    pass over the file checks these and keeps each row's byte offset. A
+    row's cells are parsed when the provider first provides it, so a
+    non-numeric cell raises there (`evoreg validate` provides every row).
+    NaN/Inf cells are left to the viability filter.
     """
-    table: dict[str, np.ndarray] = {}
-    with closing(stats.read_labelled_rows(path, "genotype",
-                                          DescriptorDataError)) as rows:
+    with ExitStack() as on_error:
+        fh = on_error.enter_context(open(path, "rb"))
+        rows = stats.read_labelled_rows(fh, "genotype", DescriptorDataError)
         if tuple(next(rows)) != ds.molecule_ids:
             raise DescriptorDataError(
                 f"{path}: molecule columns do not match the activity file")
-        for key, values in rows:
-            if key in table:
+        offsets: dict[str, int] = {}
+        for key, _, offset in rows:
+            if key in offsets:
                 raise DescriptorDataError(
                     f"{path}: duplicate genotype {key!r}")
-            table[key] = values
-    try:
-        return TableProvider(topology, table)
-    except DescriptorDataError as exc:
-        raise DescriptorDataError(f"{path}: {exc}") from None
+            offsets[key] = offset
+        try:
+            provider = TableProvider(topology, _TableRows(fh, offsets))
+        except DescriptorDataError as exc:
+            raise DescriptorDataError(f"{path}: {exc}") from None
+        on_error.pop_all()
+    return provider
 
 
 def write_descriptor_table(

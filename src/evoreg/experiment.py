@@ -9,7 +9,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from .descriptors import Dataset, Provider
+from .descriptors import Dataset, DescriptorDataError, Provider
 from .engine import EvolutionConfig, RunResult, run
 from .genome import GeneticTopology
 from .stats import ChiSquareReport, ContingencyTable, chi2_homogeneity
@@ -129,7 +129,9 @@ def run_grid(
 
     Seeds derive deterministically from the master seed and the global run
     index, so the aggregate does not depend on execution order. A failing
-    run aborts its cell (the error is recorded) without touching other cells.
+    run aborts its cell (the error is recorded) without touching other cells,
+    except a `DescriptorDataError`, such as a table row first provided with
+    a non-numeric cell, which is raised.
     Every run shares ``provider``: a phenotype depends only on its genotype,
     so a provider's cache cannot change any run.
     """
@@ -155,6 +157,8 @@ def run_grid(
                 )
                 try:
                     result = run(cfg, topology, provider, ds)
+                except DescriptorDataError:
+                    raise   # the data, not the cell, is at fault
                 except Exception as exc:  # cell-local failure
                     cell.error = f"run seed={seed}: {exc}"
                     logger.error("cell %s:%s aborted: %s", sel, sur, cell.error)

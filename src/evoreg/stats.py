@@ -24,7 +24,10 @@ __all__ = [
     "t_critical",
     "jarque_bera",
     "chi2_homogeneity",
+    "split_line",
     "read_labelled_rows",
+    "non_numeric",
+    "numbers",
     "write_labelled_rows",
     "load_contingency_csv",
     "write_contingency_csv",
@@ -316,30 +319,65 @@ def chi2_homogeneity(table: ContingencyTable, alpha: float = 0.05) -> ChiSquareR
 # --- labelled-row CSV and rendering ------------------------------------------
 
 
-def read_labelled_rows(path, corner: str, error=ValueError):
-    """Stream a labelled-row CSV: a header `<corner>,<column labels>`, then
-    one labelled row of numbers per line. Yields the column labels, then
-    each row's label and its cells as a float array.
+def split_line(line: bytes) -> list[str]:
+    """The cells of one CSV line, read in binary mode with its line end.
+    Raises csv.Error if a quoted cell runs past the end of the line: a
+    record is one line."""
+    text = line.decode("utf-8").rstrip("\r\n")
+    if '"' not in text:
+        return text.split(",")
+    # csv keeps the newline inside a quoted cell that is still open
+    cells = next(csv.reader([text + "\n"]), [])
+    if cells and cells[-1].endswith("\n"):
+        raise csv.Error("quoted cell runs past the end of the line")
+    return cells
+
+
+def read_labelled_rows(fh, corner: str, error=ValueError):
+    """Stream a labelled-row CSV from `fh`, a file opened in binary mode: a
+    header `<corner>,<column labels>`, then one labelled row per line.
+    Yields the column labels, then each row's label, its cells as text and
+    the byte offset its line starts at.
 
     The header is the first non-blank row; rows of blank cells are skipped;
-    every row is as wide as the header; a cell is anything `float()` parses.
-    A fault raises `error` naming the file and the row."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = (r for r in csv.reader(fh) if any(map(str.strip, r)))
-        header = [c.strip() for c in next(rows, ())]
-        if header[:1] != [corner]:
-            raise error(f"{path}: first header column must be {corner!r}")
-        yield header[1:]
-        for r in rows:
-            label = r[0].strip()
-            if len(r) != len(header):
-                raise error(f"{path}: row {label!r} has wrong width")
-            try:
-                values = np.array(r[1:], dtype=float)
-            except ValueError:
-                raise error(
-                    f"{path}: non-numeric value in row {label!r}") from None
-            yield label, values
+    every row is as wide as the header. A fault raises `error` naming the
+    file and the row; `non_numeric` is the one for a cell that a caller
+    finds is not a number."""
+    header, offset = None, fh.tell()
+    for lineno, line in enumerate(fh, 1):
+        start, offset = offset, offset + len(line)
+        try:
+            cells = split_line(line)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise error(f"{fh.name}: line {lineno}: {exc}") from None
+        if not any(map(str.strip, cells)):
+            continue
+        label = cells[0].strip()
+        if header is None:
+            header = [c.strip() for c in cells]
+            if label != corner:
+                break
+            yield header[1:]
+        elif len(cells) != len(header):
+            raise error(f"{fh.name}: row {label!r} has wrong width")
+        else:
+            yield label, cells[1:], start
+    if header is None or header[0] != corner:
+        raise error(f"{fh.name}: first header column must be {corner!r}")
+
+
+def non_numeric(path, label: str, error=ValueError) -> Exception:
+    """The error for row `label` of a labelled-row CSV holding a cell that
+    `float()` does not parse."""
+    return error(f"{path}: non-numeric value in row {label!r}")
+
+
+def numbers(path, label: str, cells: list[str], error=ValueError) -> np.ndarray:
+    """Row `label`'s `cells` as a float array, or its `non_numeric` error."""
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        raise non_numeric(path, label, error) from None
 
 
 def write_labelled_rows(path, corner: str, columns, rows, cell) -> int:
@@ -357,7 +395,11 @@ def write_labelled_rows(path, corner: str, columns, rows, cell) -> int:
 def load_contingency_csv(path) -> ContingencyTable:
     """Read a labelled contingency table: header ',C1,C2,...', then at
     least two labelled rows of counts."""
-    col_labels, *labelled = read_labelled_rows(path, "")
+    with open(path, "rb") as fh:
+        rows = read_labelled_rows(fh, "")
+        col_labels = next(rows)
+        labelled = [(label, numbers(path, label, cells))
+                    for label, cells, _ in rows]
     if len(labelled) < 2:
         raise ValueError(f"{path}: need a header and at least two rows")
     row_labels, counts = zip(*labelled)

@@ -177,7 +177,7 @@ def test_gen_data_streams_its_table(tmp_path, monkeypatch, capsys):
 def test_ambiguous_alleles_exit_2(tmp_path, capsys):
     """In `gene g0 : a ab` / `gene g1 : bc c`, genotypes (0, 0) and (1, 1)
     would share the key `abc`: validate and gen-data refuse the topology,
-    naming the gene, and gen-data writes no table."""
+    naming the gene, and gen-data writes no file."""
     manifest = write_world(tmp_path)
     topo_path = tmp_path / "topology.cgt"
     topo_path.write_text("gene g0 : a ab\ngene g1 : bc c\n")
@@ -189,9 +189,11 @@ def test_ambiguous_alleles_exit_2(tmp_path, capsys):
                  "--topology", str(topo_path)]) == 2
     assert "'g0'" in capsys.readouterr().err
     assert not table.exists()
+    assert not (tmp_path / "a.csv").exists()
 
 
 def test_gen_data_refuses_huge_table(tmp_path, capsys):
+    """Over --max-rows, gen-data exits 2 and writes neither file."""
     topo_path = tmp_path / "big.cgt"
     topo_path.write_text(BIG_TOPOLOGY)
     code = main([
@@ -201,6 +203,8 @@ def test_gen_data_refuses_huge_table(tmp_path, capsys):
         "--topology", str(topo_path), "--max-rows", "1000",
     ])
     assert code == 2
+    assert not (tmp_path / "a.csv").exists()
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_run_command(tmp_path, capsys):
@@ -263,20 +267,18 @@ def test_run_deterministic_outputs(tmp_path, capsys):
     assert (tmp_path / "out" / "summary.json").read_bytes() == first_summary
 
 
-def test_run_with_table_provider(tmp_path, capsys):
-    topo_path = tmp_path / "topology.cgt"
-    topo_path.write_text(TOPOLOGY)
+def write_table_world(tmp_path):
+    """A world whose descriptors come from a 64-row table (6 binary genes):
+    its manifest (outputs in `out2`) and the table's path."""
     act = tmp_path / "activity.csv"
     table = tmp_path / "table.csv"
-    main(["gen-data", "--molecules", "40", "--seed", "4",
-          "--activity-out", str(act)])
-    # small table: enumerate a sub-space via a 6-gene topology instead
+    # small table: enumerate a sub-space via a 6-gene topology
     small = tmp_path / "small.cgt"
     small.write_text("\n".join(f"gene g{i} : a b" for i in range(6)) + "\n")
-    main(["gen-data", "--molecules", "40", "--seed", "4",
-          "--activity-out", str(act),
-          "--descriptors-out", str(table), "--topology", str(small),
-          "--planted-count", "4", "--planted-noise", "0.3"])
+    assert main(["gen-data", "--molecules", "40", "--seed", "4",
+                 "--activity-out", str(act),
+                 "--descriptors-out", str(table), "--topology", str(small),
+                 "--planted-count", "4", "--planted-noise", "0.3"]) == 0
     (tmp_path / "evolution.cfg").write_text(EVOLUTION.format(gens=2))
     manifest = tmp_path / "manifest.cfg"
     manifest.write_text(
@@ -288,8 +290,67 @@ def test_run_with_table_provider(tmp_path, capsys):
         "output = out2\n"
         "[run]\nseed = 3\n"
     )
+    return manifest, table
+
+
+def test_run_with_table_provider(tmp_path, capsys):
+    manifest, _ = write_table_world(tmp_path)
     assert main(["run", "--manifest", str(manifest)]) == 0
     assert (tmp_path / "out2" / "summary.json").exists()
+
+
+def _provided_keys(monkeypatch, argv) -> list[str]:
+    """The table rows `main(argv)` provides, in the order first provided;
+    the command must succeed."""
+    seen: dict[str, None] = {}
+    provide = dsc.TableProvider.provide
+
+    def spy(self, genotype):
+        seen.setdefault(genotype.render())
+        return provide(self, genotype)
+
+    with monkeypatch.context() as m:
+        m.setattr(dsc.TableProvider, "provide", spy)
+        assert main(argv) == 0
+    return list(seen)
+
+
+def _spoil_row(table, clean: bytes, key: str) -> None:
+    """Rewrite `table` from `clean` with row `key`'s first value unparsable."""
+    lines = clean.decode().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith(key + ","))
+    cells = lines[i].split(",")
+    cells[1] = "oops"
+    lines[i] = ",".join(cells)
+    table.write_text("".join(lines), newline="")
+
+
+def test_table_rows_are_checked_when_provided(tmp_path, monkeypatch, capsys):
+    """A non-numeric cell fails `validate`, which provides every row. `run`
+    and `grid` exit 2 when they first provide its row, and a run that never
+    provides it succeeds with the outputs of a clean table."""
+    manifest, table = write_table_world(tmp_path)
+    run = ["run", "--manifest", str(manifest)]
+    grid = ["grid", "--manifest", str(manifest), "--runs-per-cell", "1"]
+    ran = _provided_keys(monkeypatch, run)
+    log = (tmp_path / "out2" / "run_log.tsv").read_bytes()
+    in_grid = _provided_keys(monkeypatch, grid)
+    clean = table.read_bytes()
+    keys = [line.split(",")[0] for line in clean.decode().splitlines()[1:]]
+    unread = next(k for k in keys if k not in ran)
+
+    _spoil_row(table, clean, unread)
+    capsys.readouterr()
+    assert main(["validate", "--manifest", str(manifest)]) == 2
+    assert f"non-numeric value in row {unread!r}" in capsys.readouterr().err
+    assert main(run) == 0
+    assert (tmp_path / "out2" / "run_log.tsv").read_bytes() == log
+    for argv, key in ((run, ran[-1]), (grid, in_grid[-1])):
+        _spoil_row(table, clean, key)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            f"error: {table}: non-numeric value in row {key!r}\n"
 
 
 def test_grid_command_and_chi2_round_trip(tmp_path, capsys):

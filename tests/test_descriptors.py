@@ -1,7 +1,11 @@
+import csv
+import gc
 import hashlib
 import math
 import random
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,7 +414,9 @@ def _cells(*tokens, fill="1.5"):
 
 
 def test_table_csv_rejects_malformed(tmp_path, topo, dataset):
-    """Each bad row raises DescriptorDataError naming the file and the row."""
+    """Each bad row raises DescriptorDataError naming the file and the row:
+    a wrong width, a repeated key and a malformed key when the table is
+    loaded, a non-numeric cell when its row is first provided."""
     cases = [
         (f"ax,{_cells(fill='oops')}", "non-numeric value in row 'ax'"),
         (" ax ,1.0", "row 'ax' has wrong width"),
@@ -423,11 +429,16 @@ def test_table_csv_rejects_malformed(tmp_path, topo, dataset):
         (f"ax,{_cells('0x10')}", "non-numeric value in row 'ax'"),
     ]
     header = "genotype," + ",".join(dataset.molecule_ids)
-    path = tmp_path / "bad.csv"
-    for body, message in cases:
+    for i, (body, message) in enumerate(cases):
+        path = tmp_path / f"bad{i}.csv"
         path.write_text(header + "\n" + body + "\n")
-        with pytest.raises(DescriptorDataError) as err:
-            load_descriptor_table(path, topo, dataset)
+        if message.startswith("non-numeric"):
+            provider = load_descriptor_table(path, topo, dataset)
+            with pytest.raises(DescriptorDataError) as err:
+                _provided(provider)
+        else:
+            with pytest.raises(DescriptorDataError) as err:
+                load_descriptor_table(path, topo, dataset)
         assert str(err.value) == f"{path}: {message}"
 
 
@@ -445,6 +456,13 @@ def test_table_csv_skips_blank_rows(tmp_path, topo, dataset):
     assert provider.provide(topo.parse("by")).values[0] == 2.5
 
 
+def _provided(provider):
+    """Every row of a table provider as (key, values), provided in file
+    order as `evoreg validate` provides them."""
+    return [(g.render(), provider.provide(g).values.tolist())
+            for g in provider.known_genotypes()]
+
+
 def _labelled_csv(kind, dataset):
     """A valid file of each labelled-row CSV kind, its loader and a view of
     what it loaded: (header, rows, load, content)."""
@@ -455,9 +473,9 @@ def _labelled_csv(kind, dataset):
     if kind == "descriptors":
         return ("genotype," + ",".join(dataset.molecule_ids),
                 [f"ax,{_cells()}", f"by,{_cells('2.5')}"],
-                lambda path, topo: load_descriptor_table(path, topo, dataset),
-                lambda tp: [(g.render(), tp.provide(g).values.tolist())
-                            for g in tp.known_genotypes()])
+                lambda path, topo: _provided(
+                    load_descriptor_table(path, topo, dataset)),
+                lambda rows: rows)
     return (",P,T", ["a,1,2", "b,3,4"],
             lambda path, topo: stats.load_contingency_csv(path),
             lambda t: (t.row_labels, t.col_labels, t.observed.tolist()))
@@ -510,8 +528,9 @@ def test_table_csv_nan_rows_load_but_fail_viability(tmp_path, topo, dataset):
 
 
 def test_table_load_memory_is_bounded(tmp_path):
-    """A 2048 x 206 table streams into about its float64 payload (3.4 MB);
-    holding every row as text first would need ten times that."""
+    """Loading a 2048 x 206 table keeps each row's byte offset, far below
+    its float64 payload (3.4 MB); holding every row as text first would
+    need ten times that."""
     topology = binary_topology(11)
     ds = normal_dataset()
     rng = np.random.default_rng(12)
@@ -529,6 +548,112 @@ def test_table_load_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert len(provider) == 2048
     assert peak < 2 * payload, f"peak {peak / 2**20:.1f} MiB"
+
+
+# alleles holding a comma and a quote, so their keys are quoted in a CSV
+QUOTED_TOPOLOGY = GeneticTopology(
+    (Gene("g0", ("a", "b,c", 'd"e')), Gene("g1", ("x", "y"))))
+QUOTED_DATASET = Dataset(("m0", "m1", "m2"), np.array([6.0, 7.5, 5.0]))
+BLANK_ROWS = ("", "   ", ",,,", " , ,\t, ", '"", ,')
+
+
+def _csv_cell(text: str, quote: bool) -> str:
+    return '"' + text.replace('"', '""') + '"' if quote else text
+
+
+@st.composite
+def _table_files(draw):
+    """A descriptor CSV over QUOTED_TOPOLOGY: LF and CRLF line ends, blank
+    rows, padded and quoted keys and cells, every nan/inf spelling."""
+    number = st.one_of(
+        st.floats(allow_nan=False).map(repr),
+        st.floats(allow_nan=False, width=32).map(lambda v: f"{v:.6g}"),
+        st.sampled_from(NON_FINITE))
+    pad = st.sampled_from(["", " ", "  "])
+    keys = draw(st.permutations(
+        [g.render() for g in QUOTED_TOPOLOGY.all_genotypes()]))
+    lines = ["genotype," + ",".join(QUOTED_DATASET.molecule_ids)]
+    for key in keys[:draw(st.integers(1, len(keys)))]:
+        lines += draw(st.lists(st.sampled_from(BLANK_ROWS), max_size=2))
+        quote = draw(st.booleans()) or "," in key or '"' in key
+        cells = [_csv_cell(draw(pad) + key + draw(pad), quote)]
+        for _ in QUOTED_DATASET.molecule_ids:
+            cells.append(_csv_cell(draw(pad) + draw(number) + draw(pad),
+                                   draw(st.booleans())))
+        lines.append(",".join(cells))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""   # no line end after the last row
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _eager_rows(path) -> dict[str, np.ndarray]:
+    """The oracle: every row parsed up front by csv.reader and float()."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = [r for r in csv.reader(fh) if any(c.strip() for c in r)]
+    return {r[0].strip(): np.array([float(c) for c in r[1:]])
+            for r in rows[1:]}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_table_files())
+def test_indexed_table_matches_an_eager_reader(text):
+    """The provider's rows, parsed one at a time from their byte offsets,
+    equal bit for bit what an eager csv.reader + float() pass reads, in
+    the same order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _eager_rows(path)
+        provider = load_descriptor_table(path, QUOTED_TOPOLOGY,
+                                         QUOTED_DATASET)
+        assert [g.render() for g in provider.known_genotypes()] == \
+            list(expected)
+        for key, values in expected.items():
+            got = provider.provide(QUOTED_TOPOLOGY.parse(key)).values
+            assert got.tobytes() == values.tobytes(), key
+
+
+@pytest.mark.parametrize("row", ['"b,c\nx",1,2,3', 'ax,"1\n",2,3'])
+def test_table_record_spanning_lines_is_rejected(tmp_path, row):
+    """A record is one line, so that its byte offset finds it: a quoted
+    cell left open at the end of its line fails the load, naming the file
+    and the line."""
+    path = tmp_path / "table.csv"
+    path.write_text("genotype,m0,m1,m2\n\n" + row + "\n")
+    with pytest.raises(DescriptorDataError) as err:
+        load_descriptor_table(path, QUOTED_TOPOLOGY, QUOTED_DATASET)
+    assert str(err.value) == \
+        f"{path}: line 3: quoted cell runs past the end of the line"
+
+
+def test_table_rows_read_after_the_file_is_removed(tmp_path, topo, dataset):
+    """The provider reads rows through the handle it opened at load, so a
+    removed file still provides them; each row is parsed once."""
+    rows = {g.render(): np.arange(40.0) * i
+            for i, g in enumerate(topo.all_genotypes())}
+    path = tmp_path / "table.csv"
+    write_descriptor_table(path, dataset, rows.items())
+    provider = load_descriptor_table(path, topo, dataset)
+    path.unlink()
+    for g in provider.known_genotypes():
+        values = provider.provide(g).values
+        assert np.array_equal(values, rows[g.render()])
+        assert provider.provide(g).values is values
+        assert not values.flags.writeable
+
+
+def test_collected_table_provider_closes_its_file(tmp_path, topo, dataset):
+    path = tmp_path / "table.csv"
+    write_descriptor_table(path, dataset, [("ax", np.arange(40.0))])
+    provider = load_descriptor_table(path, topo, dataset)
+    handle = provider._table._fh
+    provider.provide(topo.parse("ax"))
+    assert not handle.closed
+    del provider
+    gc.collect()
+    assert handle.closed
 
 
 # --- synthetic provider -----------------------------------------------------------

@@ -123,6 +123,18 @@ def test_kernel_matches_oracles(kind, n, seed, s):
                 assert se_s == pytest.approx(lsse, rel=rtol)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_head_sums_add_in_cumsum_order(n):
+    """The kernel's sums over the leading n and n + 1 rows add the rows in
+    cumsum's order: the bits equal np.cumsum(x, axis=0)[n - 1:], on values
+    whose magnitudes differ enough that another order would round apart."""
+    rng = np.random.default_rng(n)
+    for shape in [(n + 1, 500), (n + 1, n + 1, 500)]:
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+        expected = np.cumsum(x, axis=0)[n - 1:]
+        assert regress._head_sums(x, n).tobytes() == expected.tobytes()
+
+
 def test_kernel_panels_hit_their_cases():
     """The oracle panels do reach the cases they are named for."""
     rng = np.random.default_rng(3)
