@@ -14,7 +14,7 @@ import math
 import random
 import weakref
 from collections import Counter, OrderedDict
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
@@ -200,24 +200,39 @@ def check_viability(
 # --- providers ---------------------------------------------------------------
 
 
+class _ParsedKeys(Sequence):
+    """Genotype keys in file order, read-only, each parsed when read."""
+
+    def __init__(self, topology: GeneticTopology, keys: tuple[str, ...]):
+        self._topology, self._keys = topology, keys
+
+    def __getitem__(self, i: int) -> Genotype:
+        return self._topology.parse(self._keys[i])
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
 class TableProvider:
     """Exact lookup in a descriptor table keyed by rendered genotype string.
 
     `table` maps each key to its values: a dict, or the rows of a CSV file
-    that `load_descriptor_table` parses on first use. A row is taken from
-    `table` on its first `provide` and kept read-only."""
+    that `load_descriptor_table` parses on first use. Every key is checked
+    against the topology's key pattern here; a key becomes a `Genotype`
+    only when `known_genotypes` is read at it. A row is taken from `table`
+    on its first `provide` and kept read-only."""
 
     def __init__(self, topology: GeneticTopology,
                  table: Mapping[str, np.ndarray]):
         self.topology = topology
         self._table = table
         self._values: dict[str, np.ndarray] = {}
-        self._genotypes: list[Genotype] = []
-        for key in table:
-            try:
-                self._genotypes.append(topology.parse(key))
-            except ValueError:
-                raise DescriptorDataError(f"malformed genotype {key!r}") from None
+        keys = tuple(table)
+        is_key = topology.key_pattern.fullmatch
+        bad = next((k for k in keys if is_key(k) is None), None)
+        if bad is not None:
+            raise DescriptorDataError(f"malformed genotype {bad!r}")
+        self._known = _ParsedKeys(topology, keys)
 
     def provide(self, genotype: Genotype) -> Phenotype | None:
         key = genotype.render()
@@ -229,8 +244,8 @@ class TableProvider:
             values = self._values[key] = _readonly(values)
         return Phenotype(values, genotype)
 
-    def known_genotypes(self) -> list[Genotype]:
-        return list(self._genotypes)
+    def known_genotypes(self) -> Sequence[Genotype]:
+        return self._known
 
     def __len__(self) -> int:
         return len(self._table)
@@ -238,10 +253,11 @@ class TableProvider:
 
 class Provider(Protocol):
     """What the engine asks of a phenotype source: a genotype's phenotype
-    (None if it has none), and every genotype that has one (None for all)."""
+    (None if it has none), and every genotype that has one, in a fixed
+    order (None for all)."""
 
     def provide(self, genotype: Genotype) -> Phenotype | None: ...
-    def known_genotypes(self) -> Iterable[Genotype] | None: ...
+    def known_genotypes(self) -> Sequence[Genotype] | None: ...
 
 
 @dataclass(frozen=True)
@@ -360,9 +376,9 @@ def load_activity(path) -> Dataset:
         if next(rows) != ["activity"]:
             raise DescriptorDataError(
                 f"{path}: expected header 'molecule,activity'")
-        for mol, (cell,), _ in rows:
+        for mol, line, _ in rows:
             try:
-                activity.append(float(cell))
+                activity.append(float(stats.split_line(line)[1]))
             except ValueError:
                 raise stats.non_numeric(path, mol,
                                         DescriptorDataError) from None
@@ -409,11 +425,12 @@ def load_descriptor_table(path, topology: GeneticTopology, ds: Dataset) -> Table
     """Index a wide descriptor CSV and validate it against the dataset.
 
     Columns must agree with the dataset's molecule ids (same order), a row
-    is as wide as the header, and a genotype appears once and parses: one
-    pass over the file checks these and keeps each row's byte offset. A
-    row's cells are parsed when the provider first provides it, so a
-    non-numeric cell raises there (`evoreg validate` provides every row).
-    NaN/Inf cells are left to the viability filter.
+    is as wide as the header, and a genotype appears once and matches the
+    topology's key pattern: one pass over the file checks these and keeps
+    each row's byte offset. A row's cells are parsed when the provider
+    first provides it, so a non-numeric cell raises there
+    (`evoreg validate` provides every row). NaN/Inf cells are left to the
+    viability filter.
     """
     with ExitStack() as on_error:
         fh = on_error.enter_context(open(path, "rb"))

@@ -237,8 +237,11 @@ def init_sample(
     """
     known = provider.known_genotypes()
     if known is not None:
-        candidates = list(known)
-        rng.shuffle(candidates)
+        # a shuffle's swaps depend only on the length: shuffle the indices
+        # and build each candidate's genotype when it is drawn
+        order = list(range(len(known)))
+        rng.shuffle(order)
+        candidates = (known[i] for i in order)
     else:
         candidates = (gn.random_genotype(topology, rng)
                       for _ in range(_INIT_ATTEMPTS_PER_SLOT * cfg.p))

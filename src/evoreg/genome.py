@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -81,19 +82,22 @@ class GeneticTopology:
     def gene_count(self) -> int:
         return len(self.genes)
 
+    @cached_property
+    def key_pattern(self) -> re.Pattern:
+        """Matches exactly the renderings of the space's genotypes: one
+        group per gene, the alternation of its alleles. Alphabets are
+        prefix-free, so at most one allele of a gene fits where the
+        previous gene ended, and the groups read back each gene's allele."""
+        return re.compile("".join(
+            "(" + "|".join(map(re.escape, g.alleles)) + ")" for g in self.genes))
+
     def parse(self, text: str) -> "Genotype":
-        """Inverse of Genotype.render. Alphabets are prefix-free, so at most
-        one allele of each gene fits where the previous gene ended."""
-        index, pos = [], 0
-        for gene in self.genes:
-            for i, allele in enumerate(gene.alleles):
-                if text.startswith(allele, pos):
-                    index.append(i)
-                    pos += len(allele)
-                    break
-        if len(index) < self.gene_count or pos != len(text):
+        """Inverse of Genotype.render."""
+        match = self.key_pattern.fullmatch(text)
+        if match is None:
             raise ValueError(f"cannot parse {text!r} against topology")
-        return Genotype(self, tuple(index))
+        return Genotype(self, tuple(
+            g.alleles.index(a) for g, a in zip(self.genes, match.groups())))
 
     def all_genotypes(self):
         """Iterate the whole space in lexicographic allele-index order."""

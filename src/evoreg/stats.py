@@ -336,16 +336,24 @@ def split_line(line: bytes) -> list[str]:
 def read_labelled_rows(fh, corner: str, error=ValueError):
     """Stream a labelled-row CSV from `fh`, a file opened in binary mode: a
     header `<corner>,<column labels>`, then one labelled row per line.
-    Yields the column labels, then each row's label, its cells as text and
-    the byte offset its line starts at.
+    Yields the column labels, then each row's label, its line (split it
+    with `split_line`) and the byte offset the line starts at.
 
     The header is the first non-blank row; rows of blank cells are skipped;
     every row is as wide as the header. A fault raises `error` naming the
     file and the row; `non_numeric` is the one for a cell that a caller
-    finds is not a number."""
+    finds is not a number. A plain line (ASCII, unquoted, with a label) is
+    checked without splitting it: its cells are its commas plus one."""
     header, offset = None, fh.tell()
     for lineno, line in enumerate(fh, 1):
         start, offset = offset, offset + len(line)
+        if header is not None and line.isascii() and b'"' not in line:
+            label = line.partition(b",")[0].decode().strip()
+            if label:
+                if line.count(b",") + 1 != len(header):
+                    raise error(f"{fh.name}: row {label!r} has wrong width")
+                yield label, line, start
+                continue
         try:
             cells = split_line(line)
         except (csv.Error, UnicodeDecodeError) as exc:
@@ -361,7 +369,7 @@ def read_labelled_rows(fh, corner: str, error=ValueError):
         elif len(cells) != len(header):
             raise error(f"{fh.name}: row {label!r} has wrong width")
         else:
-            yield label, cells[1:], start
+            yield label, line, start
     if header is None or header[0] != corner:
         raise error(f"{fh.name}: first header column must be {corner!r}")
 
@@ -398,8 +406,8 @@ def load_contingency_csv(path) -> ContingencyTable:
     with open(path, "rb") as fh:
         rows = read_labelled_rows(fh, "")
         col_labels = next(rows)
-        labelled = [(label, numbers(path, label, cells))
-                    for label, cells, _ in rows]
+        labelled = [(label, numbers(path, label, split_line(line)[1:]))
+                    for label, line, _ in rows]
     if len(labelled) < 2:
         raise ValueError(f"{path}: need a header and at least two rows")
     row_labels, counts = zip(*labelled)

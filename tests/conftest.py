@@ -26,6 +26,23 @@ def binary_topology(n_genes):
     )
 
 
+def parse_oracle(topology, text):
+    """The allele indices of key `text`, or None if it is not a key: one
+    left-to-right pass over the genes, taking the first allele of each that
+    fits where the previous gene ended (at most one does, as alphabets are
+    prefix-free). The oracle for `GeneticTopology.parse`."""
+    index, pos = [], 0
+    for gene in topology.genes:
+        for i, allele in enumerate(gene.alleles):
+            if text.startswith(allele, pos):
+                index.append(i)
+                pos += len(allele)
+                break
+    if len(index) < topology.gene_count or pos != len(text):
+        return None
+    return tuple(index)
+
+
 def ncd(a, b):
     """Number of gene positions at which two genotypes differ: the pairwise
     oracle for the survival scores' allele-matrix distances."""

@@ -376,7 +376,10 @@ def test_table_provider_lookup(topo, dataset):
     assert [k.render() for k in provider.known_genotypes()] == [g.render()]
 
 
-def test_table_known_genotypes_file_order_and_copy(tmp_path, topo, dataset):
+def test_table_known_genotypes_file_order_and_read_only(tmp_path, topo,
+                                                        dataset):
+    """The known genotypes are the table's keys in file order, and a caller
+    cannot change them: the sequence takes no assignment and no clear."""
     keys = ["bz", "ax", "by", "ay"]
     path = tmp_path / "table.csv"
     write_descriptor_table(path, dataset,
@@ -384,8 +387,11 @@ def test_table_known_genotypes_file_order_and_copy(tmp_path, topo, dataset):
     provider = load_descriptor_table(path, topo, dataset)
     known = provider.known_genotypes()
     assert [g.render() for g in known] == keys
-    known.clear()
-    known.append(Genotype(topo, (0, 0)))
+    assert known[1] == Genotype(topo, (0, 0)) and len(known) == 4
+    with pytest.raises(TypeError):
+        known[0] = Genotype(topo, (0, 0))
+    with pytest.raises(AttributeError):
+        known.clear()
     assert [g.render() for g in provider.known_genotypes()] == keys
 
 
@@ -440,6 +446,38 @@ def test_table_csv_rejects_malformed(tmp_path, topo, dataset):
             with pytest.raises(DescriptorDataError) as err:
                 load_descriptor_table(path, topo, dataset)
         assert str(err.value) == f"{path}: {message}"
+
+
+_ROW = _cells().encode()
+
+
+@pytest.mark.parametrize("body, fault", [
+    # a plain line (ASCII, unquoted, labelled), a quoted and a non-ASCII one
+    (b"ax,1.5,2.5", "row 'ax' has wrong width"),
+    (b'"ax",1.5,2.5', "row 'ax' has wrong width"),
+    (b"ax," + _ROW + b'\nby,"1.5",2.5', "row 'by' has wrong width"),
+    ("\u3000ax\xa0,1.5,2.5".encode(), "row 'ax' has wrong width"),
+    (b"ax," + _ROW + "\nby,\xb5,".encode() + _ROW,
+     "row 'by' has wrong width"),
+    # a blank label
+    (b" ,1.5", "row '' has wrong width"),
+    (b"\t," + _ROW, "malformed genotype ''"),
+    # bytes that are not UTF-8, in a cell of the third line
+    (b"ax," + _ROW + b"\nby,1.5\xff," + _ROW[4:],
+     "line 3: 'utf-8' codec can't decode byte 0xff in position 6: "
+     "invalid start byte"),
+], ids=["plain", "quoted", "quoted-later", "non-ascii-label",
+        "non-ascii-cell", "blank-label", "blank-label-full", "not-utf-8"])
+def test_table_load_errors_on_every_line_kind(tmp_path, topo, dataset, body,
+                                              fault):
+    """Plain lines are checked without splitting them, other lines by
+    splitting: both fail the load with the same messages."""
+    header = ("genotype," + ",".join(dataset.molecule_ids)).encode()
+    path = tmp_path / "bad.csv"
+    path.write_bytes(header + b"\n" + body + b"\n")
+    with pytest.raises(DescriptorDataError) as err:
+        load_descriptor_table(path, topo, dataset)
+    assert str(err.value) == f"{path}: {fault}"
 
 
 def test_table_csv_skips_blank_rows(tmp_path, topo, dataset):
@@ -561,31 +599,45 @@ def _csv_cell(text: str, quote: bool) -> str:
     return '"' + text.replace('"', '""') + '"' if quote else text
 
 
+# str.strip removes "\x1c" and bytes.strip does not; float() refuses it
+ASCII_PADS = ("", " ", "  ", "\x1c")
+WIDE_PADS = ASCII_PADS + ("\u3000", "\xa0")
+
+
 @st.composite
 def _table_files(draw):
-    """A descriptor CSV over QUOTED_TOPOLOGY: LF and CRLF line ends, blank
-    rows, padded and quoted keys and cells, every nan/inf spelling."""
+    """A descriptor CSV over QUOTED_TOPOLOGY and its dataset: ASCII or
+    non-ASCII molecule ids, LF and CRLF line ends, blank rows, plain rows
+    (ASCII, unquoted, labelled) and rows with quoted or non-ASCII padded
+    keys and cells, every nan/inf spelling."""
+    ids = draw(st.sampled_from([QUOTED_DATASET.molecule_ids,
+                                ("m\xe90", "\xb51", "m\u30012")]))
     number = st.one_of(
         st.floats(allow_nan=False).map(repr),
         st.floats(allow_nan=False, width=32).map(lambda v: f"{v:.6g}"),
         st.sampled_from(NON_FINITE))
-    pad = st.sampled_from(["", " ", "  "])
     keys = draw(st.permutations(
         [g.render() for g in QUOTED_TOPOLOGY.all_genotypes()]))
-    lines = ["genotype," + ",".join(QUOTED_DATASET.molecule_ids)]
+    lines = ["genotype," + ",".join(ids)]
     for key in keys[:draw(st.integers(1, len(keys)))]:
         lines += draw(st.lists(st.sampled_from(BLANK_ROWS), max_size=2))
-        quote = draw(st.booleans()) or "," in key or '"' in key
+        plain = draw(st.booleans())
+        pad = st.sampled_from(ASCII_PADS if plain else WIDE_PADS)
+        cell_pad = st.sampled_from(
+            [p for p in (ASCII_PADS if plain else WIDE_PADS) if p != "\x1c"])
+        quoted = st.just(False) if plain else st.booleans()
+        quote = draw(quoted) or "," in key or '"' in key
         cells = [_csv_cell(draw(pad) + key + draw(pad), quote)]
-        for _ in QUOTED_DATASET.molecule_ids:
-            cells.append(_csv_cell(draw(pad) + draw(number) + draw(pad),
-                                   draw(st.booleans())))
+        for _ in ids:
+            cells.append(_csv_cell(draw(cell_pad) + draw(number)
+                                   + draw(cell_pad), draw(quoted)))
         lines.append(",".join(cells))
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
                          min_size=len(lines), max_size=len(lines)))
     if draw(st.booleans()):
         ends[-1] = ""   # no line end after the last row
-    return "".join(line + end for line, end in zip(lines, ends))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text, Dataset(ids, QUOTED_DATASET.activity)
 
 
 def _eager_rows(path) -> dict[str, np.ndarray]:
@@ -598,16 +650,16 @@ def _eager_rows(path) -> dict[str, np.ndarray]:
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_table_files())
-def test_indexed_table_matches_an_eager_reader(text):
+def test_indexed_table_matches_an_eager_reader(table):
     """The provider's rows, parsed one at a time from their byte offsets,
     equal bit for bit what an eager csv.reader + float() pass reads, in
     the same order."""
+    text, ds = table
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
         path.write_bytes(text.encode("utf-8"))
         expected = _eager_rows(path)
-        provider = load_descriptor_table(path, QUOTED_TOPOLOGY,
-                                         QUOTED_DATASET)
+        provider = load_descriptor_table(path, QUOTED_TOPOLOGY, ds)
         assert [g.render() for g in provider.known_genotypes()] == \
             list(expected)
         for key, values in expected.items():

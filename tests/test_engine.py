@@ -11,7 +11,8 @@ import pytest
 
 from evoreg import engine, genome
 from evoreg.descriptors import (Phenotype, SyntheticProvider, TableProvider,
-                                ViabilityPolicy)
+                                ViabilityPolicy, check_viability,
+                                load_descriptor_table, write_descriptor_table)
 from evoreg.engine import (
     EvolutionConfig,
     EvolutionState,
@@ -145,6 +146,76 @@ class RecordingProvider:
 
     def known_genotypes(self):
         return self.inner.known_genotypes()
+
+
+def _table_rows(topo, ds, seed, constant_every=3):
+    """A value row per genotype of `topo`, every `constant_every`-th one
+    constant so that it fails viability, the rest planted or uniform."""
+    synthetic = planted_provider(topo, ds, plant_seed=seed, value_seed=seed)
+    return {g.key: (np.ones(ds.size) if i % constant_every == 0
+                    else synthetic.provide(g).values)
+            for i, g in enumerate(topo.all_genotypes())}
+
+
+def test_run_parses_only_the_keys_init_sample_draws(tmp_path, monkeypatch):
+    """A run at sweep-n3's shape (p=30, n=3, k=3) over a 4,096-row table
+    file: loading parses no key, and the run parses one per candidate that
+    `init_sample` tried."""
+    topo = binary_topology(12)
+    ds = normal_dataset(m=30)
+    path = tmp_path / "table.csv"
+    write_descriptor_table(path, ds, _table_rows(topo, ds, seed=4).items())
+    parsed = []
+    parse = GeneticTopology.parse
+    monkeypatch.setattr(GeneticTopology, "parse",
+                        lambda self, text: parsed.append(text)
+                        or parse(self, text))
+    provider = RecordingProvider(load_descriptor_table(path, topo, ds))
+    assert len(provider.inner) == 4096 and parsed == []
+    tried = []
+
+    def counted_init(*args, original=engine.init_sample):
+        sample = original(*args)
+        tried.extend(provider.asked)
+        return sample
+
+    monkeypatch.setattr(engine, "init_sample", counted_init)
+    cfg = small_config(p=30, n=3, k=3, max_generations=2, seed=9)
+    run(cfg, topo, provider, ds)
+    assert len(tried) > cfg.p    # constant rows were drawn and rejected
+    assert parsed == tried
+
+
+def _init_sample_oracle(cfg, provider, ds, rng):
+    """The first sample as drawn from a copied, shuffled list of every known
+    genotype: the oracle for `init_sample` over a table, whose keys are
+    distinct."""
+    candidates = list(provider.known_genotypes())
+    rng.shuffle(candidates)
+    sample = []
+    for g in candidates:
+        ph = provider.provide(g)
+        if ph is not None and check_viability(ph, ds, cfg.viability).viable:
+            sample.append(ph)
+            if len(sample) == cfg.p:
+                return sample
+    raise AssertionError("the oracle found too few viable rows")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_init_sample_over_a_table_matches_a_shuffled_list(seed):
+    """Shuffling indices and parsing each drawn key gives the sample, and
+    leaves the generator in the state, that shuffling the parsed list did."""
+    topo = binary_topology(8)
+    ds = normal_dataset(m=20)
+    provider = TableProvider(topo, _table_rows(topo, ds, seed=seed))
+    cfg = small_config(p=30, n=3, k=3, seed=seed)
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    sample = init_sample(cfg, topo, provider, ds, rng)
+    expected = _init_sample_oracle(cfg, provider, ds, oracle_rng)
+    assert [ph.source_genotype for ph in sample] == \
+        [ph.source_genotype for ph in expected]
+    assert rng.getstate() == oracle_rng.getstate()
 
 
 def test_init_sample_failure_counts_every_rejection_reason():

@@ -21,7 +21,7 @@ from evoreg.genome import (
     random_genotype,
     serialize_topology,
 )
-from tests.conftest import ncd
+from tests.conftest import ncd, parse_oracle
 
 
 class ScriptedRng:
@@ -331,9 +331,55 @@ def test_prefix_free_keys_name_one_genotype(topo):
     assert len(keys) == genome_size(topo)
 
 
+# every regular-expression metacharacter the key pattern must escape
+_METACHARACTERS = "ab.*+?()[]\\|^$"
+
+_metacharacter_topologies = st.lists(
+    st.lists(st.text(_METACHARACTERS, min_size=1, max_size=3), min_size=2,
+             max_size=8)
+    .map(_prefix_free).filter(lambda alleles: len(alleles) >= 2),
+    min_size=1, max_size=4,
+).map(lambda alphabets: GeneticTopology(tuple(
+    Gene(f"g{i}", alleles) for i, alleles in enumerate(alphabets))))
+
+
+@st.composite
+def _keys_and_near_keys(draw):
+    """A topology over metacharacter alleles and a text: one of its keys,
+    that key with one character deleted, inserted or replaced, cut short
+    or extended, or any short text over the same characters."""
+    topo = draw(_metacharacter_topologies)
+    key = Genotype(topo, tuple(draw(st.integers(0, len(g.alleles) - 1))
+                               for g in topo.genes)).render()
+    i = draw(st.integers(0, len(key)))
+    c = draw(st.sampled_from(_METACHARACTERS))
+    text = draw(st.sampled_from([
+        key, key[:i] + key[i + 1:], key[:i] + c + key[i:],
+        key[:i] + c + key[i + 1:], key[:i], key + c,
+        draw(st.text(_METACHARACTERS, max_size=8)),
+    ]))
+    return topo, text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_keys_and_near_keys())
+def test_key_pattern_agrees_with_the_left_to_right_parser(case):
+    """The compiled key pattern accepts exactly the texts that the
+    left-to-right parser reads, and parse returns the same alleles."""
+    topo, text = case
+    expected = parse_oracle(topo, text)
+    assert (topo.key_pattern.fullmatch(text) is not None) == \
+        (expected is not None)
+    if expected is None:
+        with pytest.raises(ValueError, match="cannot parse"):
+            topo.parse(text)
+    else:
+        assert topo.parse(text).allele_index == expected
+
+
 def test_parse_has_no_depth_limit():
-    """parse is one loop over the genes: a topology far deeper than the
-    interpreter's recursion limit parses."""
+    """parse is one match of a pattern with a group per gene: a topology far
+    deeper than the interpreter's recursion limit parses."""
     topo = GeneticTopology(tuple(
         Gene(f"g{i}", ("a", "ba", "bb")) for i in range(1200)))
     g = random_genotype(topo, random.Random(5))
