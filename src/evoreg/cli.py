@@ -300,11 +300,14 @@ def _cmd_grid(args) -> int:
     report = experiment.render_grid_report(agg, alpha=args.alpha)
     (out / "grid_report.txt").write_text(report, encoding="utf-8")
     for measure in experiment.MEASURES:
+        csv_path = out / f"grid_{measure}.csv"
         try:
             table = agg.contingency(measure)
         except ValueError:
+            # not testable: leave no earlier grid's counts to re-test
+            csv_path.unlink(missing_ok=True)
             continue
-        stats.write_contingency_csv(table, out / f"grid_{measure}.csv")
+        stats.write_contingency_csv(table, csv_path)
     print(report, end="")
     print(f"outputs written to {out}")
     return EXIT_OK

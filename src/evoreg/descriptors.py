@@ -15,7 +15,6 @@ import random
 import weakref
 from collections import Counter, OrderedDict
 from collections.abc import Mapping, Sequence
-from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Protocol
@@ -136,9 +135,7 @@ class ViabilityReport:
 
     @property
     def viable(self) -> bool:
-        checks = (self.finite, self.non_constant, self.cv_ok, self.jb_ok,
-                  self.simple_r2_ok)
-        return all(c is not False for c in checks)
+        return not self.failed_criteria()
 
     def failed_criteria(self) -> tuple[str, ...]:
         names = ("finite", "non_constant", "cv", "jarque_bera", "simple_r2")
@@ -219,14 +216,13 @@ class TableProvider:
     `table` maps each key to its values: a dict, or the rows of a CSV file
     that `load_descriptor_table` parses on first use. Every key is checked
     against the topology's key pattern here; a key becomes a `Genotype`
-    only when `known_genotypes` is read at it. A row is taken from `table`
-    on its first `provide` and kept read-only."""
+    only when `known_genotypes` is read at it. `provide` only looks a key
+    up: the table owns its values, and a `Phenotype` makes them read-only."""
 
     def __init__(self, topology: GeneticTopology,
                  table: Mapping[str, np.ndarray]):
         self.topology = topology
         self._table = table
-        self._values: dict[str, np.ndarray] = {}
         keys = tuple(table)
         is_key = topology.key_pattern.fullmatch
         bad = next((k for k in keys if is_key(k) is None), None)
@@ -235,14 +231,8 @@ class TableProvider:
         self._known = _ParsedKeys(topology, keys)
 
     def provide(self, genotype: Genotype) -> Phenotype | None:
-        key = genotype.render()
-        values = self._values.get(key)
-        if values is None:
-            values = self._table.get(key)
-            if values is None:
-                return None
-            values = self._values[key] = _readonly(values)
-        return Phenotype(values, genotype)
+        values = self._table.get(genotype.render())
+        return None if values is None else Phenotype(values, genotype)
 
     def known_genotypes(self) -> Sequence[Genotype]:
         return self._known
@@ -400,19 +390,36 @@ def write_activity(ds: Dataset, path) -> None:
 
 
 class _TableRows(Mapping):
-    """A descriptor CSV's rows by genotype key, each parsed from its line,
-    at its byte offset, when read. The open binary handle `fh` is read for
-    the mapping's lifetime and closed when the mapping is collected."""
+    """A descriptor CSV's rows by genotype key. Building the mapping opens
+    `path` and indexes it in one pass: the header must list `columns`,
+    every row is as wide as the header, and a key appears once. A row is
+    parsed from its line, at its byte offset, when first read, and kept
+    read-only. The file stays open for the mapping's lifetime and is closed
+    when the mapping is collected, as is one whose indexing failed."""
 
-    def __init__(self, fh, offsets: dict[str, int]):
-        self._fh, self._offsets = fh, offsets
+    def __init__(self, path, columns: tuple[str, ...]):
+        self._fh = fh = open(path, "rb")
         weakref.finalize(self, fh.close)
+        self._parsed: dict[str, np.ndarray] = {}
+        self._offsets: dict[str, int] = {}
+        rows = stats.read_labelled_rows(fh, "genotype", DescriptorDataError)
+        if tuple(next(rows)) != columns:
+            raise DescriptorDataError(
+                f"{path}: molecule columns do not match the activity file")
+        for key, _, offset in rows:
+            if key in self._offsets:
+                raise DescriptorDataError(
+                    f"{path}: duplicate genotype {key!r}")
+            self._offsets[key] = offset
 
     def __getitem__(self, key: str) -> np.ndarray:
-        self._fh.seek(self._offsets[key])
-        cells = stats.split_line(self._fh.readline())
-        return stats.numbers(self._fh.name, key, cells[1:],
-                             DescriptorDataError)
+        values = self._parsed.get(key)
+        if values is None:
+            self._fh.seek(self._offsets[key])
+            cells = stats.split_line(self._fh.readline())
+            values = self._parsed[key] = _readonly(stats.numbers(
+                self._fh.name, key, cells[1:], DescriptorDataError))
+        return values
 
     def __iter__(self):
         return iter(self._offsets)
@@ -432,24 +439,11 @@ def load_descriptor_table(path, topology: GeneticTopology, ds: Dataset) -> Table
     (`evoreg validate` provides every row). NaN/Inf cells are left to the
     viability filter.
     """
-    with ExitStack() as on_error:
-        fh = on_error.enter_context(open(path, "rb"))
-        rows = stats.read_labelled_rows(fh, "genotype", DescriptorDataError)
-        if tuple(next(rows)) != ds.molecule_ids:
-            raise DescriptorDataError(
-                f"{path}: molecule columns do not match the activity file")
-        offsets: dict[str, int] = {}
-        for key, _, offset in rows:
-            if key in offsets:
-                raise DescriptorDataError(
-                    f"{path}: duplicate genotype {key!r}")
-            offsets[key] = offset
-        try:
-            provider = TableProvider(topology, _TableRows(fh, offsets))
-        except DescriptorDataError as exc:
-            raise DescriptorDataError(f"{path}: {exc}") from None
-        on_error.pop_all()
-    return provider
+    table = _TableRows(path, ds.molecule_ids)
+    try:
+        return TableProvider(topology, table)
+    except DescriptorDataError as exc:
+        raise DescriptorDataError(f"{path}: {exc}") from None
 
 
 def write_descriptor_table(

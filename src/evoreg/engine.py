@@ -25,6 +25,7 @@ from .descriptors import (Dataset, Phenotype, Provider, ViabilityPolicy,
 from .genome import GeneticTopology, Genotype
 from .regress import GramFitter, RegressionModel, better, fit_assessed
 from .scores import (
+    SELECTION_AGGREGATES,
     NormalizationState,
     ObjectiveSpec,
     ScoreTable,
@@ -114,7 +115,7 @@ class EvolutionConfig:
             raise ValueError(f"unknown intercept_mode {self.intercept_mode!r}")
         if self.mutation_mode not in ("genotype", "gene"):
             raise ValueError(f"unknown mutation_mode {self.mutation_mode!r}")
-        if self.selection_aggregate not in ("nalive", "min", "max", "avg"):
+        if self.selection_aggregate not in SELECTION_AGGREGATES:
             raise ValueError(
                 f"unknown selection_aggregate {self.selection_aggregate!r}"
             )

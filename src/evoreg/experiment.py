@@ -8,6 +8,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 from .descriptors import Dataset, DescriptorDataError, Provider
 from .engine import EvolutionConfig, RunResult, run
@@ -29,6 +30,9 @@ logger = logging.getLogger(__name__)
 
 # row/column order of the strategy pairs in all reports
 STRATEGY_LABELS = ("P", "T", "D")
+# the (selection, survival) cells, row by row: the order runs are seeded,
+# tables are read and reports are printed in
+_CELLS = tuple(product(STRATEGY_LABELS, repeat=2))
 _LABEL_TO_METHOD = {
     "P": "proportional",
     "T": "tournament",
@@ -81,23 +85,20 @@ class GridAggregate:
 
     def contingency(self, measure: str) -> ContingencyTable:
         counts = []
-        for sel in STRATEGY_LABELS:
-            row = []
-            for sur in STRATEGY_LABELS:
-                cell = self.cells[(sel, sur)]
-                if cell.error is not None:
-                    raise ValueError(
-                        f"cell {sel}:{sur} failed: {cell.error}"
-                    )
-                value = cell.measure(measure, self.threshold)
-                if value == 0:
-                    raise ValueError(
-                        f"cell {sel}:{sur} has zero {measure}; "
-                        "homogeneity table needs positive margins"
-                    )
-                row.append(value)
-            counts.append(row)
-        return ContingencyTable(counts, STRATEGY_LABELS, STRATEGY_LABELS)
+        for sel, sur in _CELLS:
+            cell = self.cells[(sel, sur)]
+            if cell.error is not None:
+                raise ValueError(f"cell {sel}:{sur} failed: {cell.error}")
+            value = cell.measure(measure, self.threshold)
+            if value == 0:
+                raise ValueError(
+                    f"cell {sel}:{sur} has zero {measure}; "
+                    "homogeneity table needs positive margins"
+                )
+            counts.append(value)
+        side = len(STRATEGY_LABELS)
+        rows = [counts[i:i + side] for i in range(0, len(counts), side)]
+        return ContingencyTable(rows, STRATEGY_LABELS, STRATEGY_LABELS)
 
 
 def accumulate_run(cell: CellStats, result: RunResult) -> None:
@@ -138,33 +139,29 @@ def run_grid(
     if runs_per_cell < 1:
         raise ValueError("runs_per_cell must be at least 1")
     cells: dict[tuple[str, str], CellStats] = {}
-    cell_index = 0
-    for sel in STRATEGY_LABELS:
-        for sur in STRATEGY_LABELS:
-            cell = CellStats()
-            cells[(sel, sur)] = cell
-            for run_i in range(runs_per_cell):
-                seed = master_seed + cell_index * runs_per_cell + run_i
-                cfg = replace(
-                    base_cfg,
-                    selection=replace(
-                        base_cfg.selection, method=_LABEL_TO_METHOD[sel]
-                    ),
-                    survival=replace(
-                        base_cfg.survival, method=_LABEL_TO_METHOD[sur]
-                    ),
-                    seed=seed,
-                )
-                try:
-                    result = run(cfg, topology, provider, ds)
-                except DescriptorDataError:
-                    raise   # the data, not the cell, is at fault
-                except Exception as exc:  # cell-local failure
-                    cell.error = f"run seed={seed}: {exc}"
-                    logger.error("cell %s:%s aborted: %s", sel, sur, cell.error)
-                    break
-                accumulate_run(cell, result)
-            cell_index += 1
+    for cell_index, (sel, sur) in enumerate(_CELLS):
+        cell = cells[(sel, sur)] = CellStats()
+        for run_i in range(runs_per_cell):
+            seed = master_seed + cell_index * runs_per_cell + run_i
+            cfg = replace(
+                base_cfg,
+                selection=replace(
+                    base_cfg.selection, method=_LABEL_TO_METHOD[sel]
+                ),
+                survival=replace(
+                    base_cfg.survival, method=_LABEL_TO_METHOD[sur]
+                ),
+                seed=seed,
+            )
+            try:
+                result = run(cfg, topology, provider, ds)
+            except DescriptorDataError:
+                raise   # the data, not the cell, is at fault
+            except Exception as exc:  # cell-local failure
+                cell.error = f"run seed={seed}: {exc}"
+                logger.error("cell %s:%s aborted: %s", sel, sur, cell.error)
+                break
+            accumulate_run(cell, result)
     return GridAggregate(cells, threshold, runs_per_cell, master_seed)
 
 
@@ -190,15 +187,14 @@ def render_grid_report(agg: GridAggregate, alpha: float = 0.05) -> str:
         "cell     runs  num     occ     par     "
         f"T{agg.threshold}num  T{agg.threshold}occ  T{agg.threshold}par",
     ]
-    for sel in STRATEGY_LABELS:
-        for sur in STRATEGY_LABELS:
-            cell = agg.cells[(sel, sur)]
-            if cell.error is not None:
-                lines.append(f"{sel}:{sur}      FAILED: {cell.error}")
-                continue
-            counts = " ".join(f"{cell.measure(m, agg.threshold):<7d}"
-                              for m in MEASURES)
-            lines.append(f"{sel}:{sur}      {cell.runs:<5d} {counts}".rstrip())
+    for sel, sur in _CELLS:
+        cell = agg.cells[(sel, sur)]
+        if cell.error is not None:
+            lines.append(f"{sel}:{sur}      FAILED: {cell.error}")
+            continue
+        counts = " ".join(f"{cell.measure(m, agg.threshold):<7d}"
+                          for m in MEASURES)
+        lines.append(f"{sel}:{sur}      {cell.runs:<5d} {counts}".rstrip())
     for measure, title in MEASURES.items():
         lines.append("")
         lines.append(f"== homogeneity of {title} ==")

@@ -9,8 +9,10 @@ test suite.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -187,7 +189,10 @@ def jarque_bera(x) -> tuple[float, float]:
 
     Skewness and kurtosis use population (1/m) moment estimators. When a
     moment overflows the float range, the statistic is not finite and its
-    tail probability is 0: such a sample is taken as far from normal.
+    tail probability is 0: such a sample is taken as far from normal. When
+    the squared variance underflows, the moments are taken of the sample
+    divided by its largest magnitude, which leaves skewness and kurtosis
+    unchanged.
     """
     v = np.asarray(x, dtype=float)
     m = v.size
@@ -198,6 +203,10 @@ def jarque_bera(x) -> tuple[float, float]:
     with np.errstate(over="ignore", invalid="ignore"):
         d = v - v.mean()
         m2 = float(np.mean(d * d))
+        if m2 * m2 < sys.float_info.min and d.any():
+            v = v / np.abs(v).max()
+            d = v - v.mean()
+            m2 = float(np.mean(d * d))
         if m2 == 0.0:
             raise ValueError("Jarque-Bera undefined for zero-variance samples")
         try:
@@ -339,14 +348,18 @@ def read_labelled_rows(fh, corner: str, error=ValueError):
     Yields the column labels, then each row's label, its line (split it
     with `split_line`) and the byte offset the line starts at.
 
-    The header is the first non-blank row; rows of blank cells are skipped;
-    every row is as wide as the header. A fault raises `error` naming the
-    file and the row; `non_numeric` is the one for a cell that a caller
-    finds is not a number. A plain line (ASCII, unquoted, with a label) is
-    checked without splitting it: its cells are its commas plus one."""
+    A UTF-8 byte-order mark that starts the file is not part of its first
+    cell (offsets still count it). The header is the first non-blank row;
+    rows of blank cells are skipped; every row is as wide as the header.
+    A fault raises `error` naming the file and the row; `non_numeric` is
+    the one for a cell that a caller finds is not a number. A plain line
+    (ASCII, unquoted, with a label) is checked without splitting it: its
+    cells are its commas plus one."""
     header, offset = None, fh.tell()
     for lineno, line in enumerate(fh, 1):
         start, offset = offset, offset + len(line)
+        if lineno == 1:
+            line = line.removeprefix(codecs.BOM_UTF8)
         if header is not None and line.isascii() and b'"' not in line:
             label = line.partition(b",")[0].decode().strip()
             if label:

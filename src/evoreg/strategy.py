@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import random
 from dataclasses import dataclass
 from itertools import accumulate
@@ -97,28 +98,24 @@ def extract_proportional(
     _check_n_sel(table, n_sel)
     masses = _group_masses(table)
     remaining = [list(g) for g in table.groups]
-    counts = [len(g) for g in remaining]
     selected: list[int] = []
     for _ in range(n_sel):
         # running masses, summed left to right: a draw's total is the last
-        reached = list(accumulate(m * c for m, c in zip(masses, counts)))
+        reached = list(accumulate(m * len(g) for m, g in zip(masses, remaining)))
         total = reached[-1]
         if total <= 0.0:
             pool = [i for group in remaining for i in group]
             logger.warning("zero selection mass; drawing uniformly")
             while len(selected) < n_sel:
-                pick = pool.pop(rng.randrange(len(pool)))
-                selected.append(pick)
+                selected.append(pool.pop(rng.randrange(len(pool))))
             break
         freq = rng.random() * total
-        group = next((gi for gi, (acc, c) in enumerate(zip(reached, counts))
-                      if freq <= acc and c > 0), len(masses) - 1)
-        while counts[group] == 0:  # guard: walk past exhausted groups
-            group = (group + 1) % len(counts)
+        group = next((gi for gi, (acc, g) in enumerate(zip(reached, remaining))
+                      if freq <= acc and g), len(masses) - 1)
+        while not remaining[group]:  # guard: walk past exhausted groups
+            group = (group + 1) % len(remaining)
         members = remaining[group]
-        pick = members.pop(rng.randrange(len(members)))
-        counts[group] -= 1
-        selected.append(pick)
+        selected.append(members.pop(rng.randrange(len(members))))
     return selected
 
 
@@ -149,32 +146,26 @@ def extract_tournament(
     """Tournament on a random permutation.
 
     Adjacent comparisons over the first n_sel positions push better scores
-    toward the prefix boundary (exact ties flip a fair coin); one random
-    challenger from the remainder then plays the boundary position. The
-    first n_sel positions are returned.
+    toward the prefix boundary; one random challenger from the remainder
+    then plays the boundary position. Both passes play one `match` rule.
+    The first n_sel positions are returned.
     """
     _check_n_sel(table, n_sel)
-    fs = table.fs
+    wins = operator.gt if table.direction == "max" else operator.lt
+    fs = table.fs.tolist()
     size = table.size
     perm = list(range(size))
     rng.shuffle(perm)
 
-    if table.direction == "max":
-        beats = lambda a, b: fs[a] > fs[b]  # noqa: E731
-    else:
-        beats = lambda a, b: fs[a] < fs[b]  # noqa: E731
+    def match(i: int, j: int) -> None:
+        """Position i keeps the better of positions i and j; on an exact
+        tie it stays put when a coin, drawn only then, falls below 0.5."""
+        a, b = fs[perm[i]], fs[perm[j]]
+        if not (wins(a, b) or a == b and rng.random() < 0.5):
+            perm[i], perm[j] = perm[j], perm[i]
 
     for i in range(1, n_sel):
-        if not beats(perm[i], perm[i - 1]):
-            if fs[perm[i]] == fs[perm[i - 1]] and rng.random() < 0.5:
-                continue
-            perm[i - 1], perm[i] = perm[i], perm[i - 1]
+        match(i, i - 1)
     if n_sel < size:
-        j = rng.randrange(n_sel, size)
-        boundary = n_sel - 1
-        if not beats(perm[boundary], perm[j]):
-            if fs[perm[boundary]] == fs[perm[j]] and rng.random() < 0.5:
-                pass  # tournament completed
-            else:
-                perm[boundary], perm[j] = perm[j], perm[boundary]
+        match(n_sel - 1, rng.randrange(n_sel, size))
     return perm[:n_sel]

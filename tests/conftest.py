@@ -1,6 +1,6 @@
 import math
 import struct
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
@@ -41,6 +41,74 @@ def parse_oracle(topology, text):
     if len(index) < topology.gene_count or pos != len(text):
         return None
     return tuple(index)
+
+
+def tournament_oracle(table, n_sel, rng):
+    """Tournament extraction as two passes: adjacent comparisons over the
+    first n_sel positions of a shuffled permutation, then one challenger
+    from the remainder against the boundary position. An exact tie flips a
+    coin, drawn only on a tie; a position stays put when it is below 0.5.
+    The oracle for `strategy.extract_tournament`'s picks and draw order."""
+    fs = table.fs
+    size = table.size
+    perm = list(range(size))
+    rng.shuffle(perm)
+
+    if table.direction == "max":
+        beats = lambda a, b: fs[a] > fs[b]  # noqa: E731
+    else:
+        beats = lambda a, b: fs[a] < fs[b]  # noqa: E731
+
+    for i in range(1, n_sel):
+        if not beats(perm[i], perm[i - 1]):
+            if fs[perm[i]] == fs[perm[i - 1]] and rng.random() < 0.5:
+                continue
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    if n_sel < size:
+        j = rng.randrange(n_sel, size)
+        boundary = n_sel - 1
+        if not beats(perm[boundary], perm[j]):
+            if fs[perm[boundary]] == fs[perm[j]] and rng.random() < 0.5:
+                pass
+            else:
+                perm[boundary], perm[j] = perm[j], perm[boundary]
+    return perm[:n_sel]
+
+
+def proportional_oracle(table, n_sel, rng):
+    """Proportional extraction with a separate count per score group: the
+    running masses value*count summed left to right, a uniform point in
+    the total, the first group with members that reaches it (the last group
+    if none does, as when the point is NaN), then past exhausted groups,
+    and a uniform member of that group; uniform draws once the total mass
+    is zero. The oracle for `strategy.extract_proportional`'s picks and
+    draw order."""
+    values = [float(v) for v in table.distinct]
+    if table.direction == "min":
+        hi, lo = values[-1], values[0]
+        values = [hi + lo - v for v in values]
+    low = min(values)
+    masses = [v - low for v in values] if low < 0.0 else values
+    remaining = [list(g) for g in table.groups]
+    counts = [len(g) for g in remaining]
+    selected = []
+    for _ in range(n_sel):
+        reached = list(accumulate(m * c for m, c in zip(masses, counts)))
+        total = reached[-1]
+        if total <= 0.0:
+            pool = [i for group in remaining for i in group]
+            while len(selected) < n_sel:
+                selected.append(pool.pop(rng.randrange(len(pool))))
+            break
+        freq = rng.random() * total
+        group = next((gi for gi, (acc, c) in enumerate(zip(reached, counts))
+                      if freq <= acc and c > 0), len(masses) - 1)
+        while counts[group] == 0:
+            group = (group + 1) % len(counts)
+        members = remaining[group]
+        selected.append(members.pop(rng.randrange(len(members))))
+        counts[group] -= 1
+    return selected
 
 
 def ncd(a, b):

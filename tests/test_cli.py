@@ -384,6 +384,23 @@ def test_grid_command_and_chi2_round_trip(tmp_path, capsys):
             break
 
 
+def test_grid_removes_the_csv_of_an_untestable_measure(tmp_path, capsys):
+    """A measure that is not testable gets no contingency CSV, and a grid
+    removes the one an earlier grid wrote into the same directory, so
+    `stats chi2` cannot re-test stale counts."""
+    manifest = write_world(tmp_path, gens=8)
+    out = tmp_path / "out"
+    grid = ["grid", "--manifest", str(manifest), "--runs-per-cell"]
+    assert main(grid + ["2", "--threshold", "2"]) == 0
+    assert sorted(p.name for p in out.glob("grid_top_*.csv")) == [
+        "grid_top_num.csv", "grid_top_occ.csv", "grid_top_par.csv"]
+    assert main(grid + ["1", "--threshold", "500"]) == 0
+    capsys.readouterr()
+    assert (out / "grid_report.txt").read_text().count("not testable") == 3
+    assert sorted(p.name for p in out.glob("grid_*.csv")) == [
+        "grid_num.csv", "grid_occ.csv", "grid_par.csv"]
+
+
 def test_stats_chi2_reference_table(tmp_path, capsys):
     csv_path = tmp_path / "table.csv"
     csv_path.write_text(

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import gc
 import hashlib
@@ -546,8 +547,57 @@ def test_labelled_csv_readers_share_one_rule(tmp_path, topo, dataset, kind):
         assert str(err.value) == f"{path}: {fault}"
 
 
+@pytest.mark.parametrize("kind", ["activity", "descriptors", "contingency"])
+def test_labelled_csv_readers_skip_a_leading_bom(tmp_path, topo, dataset,
+                                                 kind):
+    """A UTF-8 byte-order mark that starts the file, as spreadsheet "CSV
+    UTF-8" exports write it, is not part of the corner cell: each reader
+    loads the file as it loads it without the mark. A mark anywhere else
+    stays part of its cell: a second mark, one that starts a later line and
+    one ahead of a number each fail as the cell would."""
+    header, rows, load, content = _labelled_csv(kind, dataset)
+    path = tmp_path / f"{kind}.csv"
+    text = "\n".join([header, *rows]) + "\n"
+    path.write_text(text)
+    expected = content(load(path, topo))
+    path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert content(load(path, topo)) == expected
+
+    bom = codecs.BOM_UTF8.decode()
+    label, cells = rows[1].split(",", 1)
+    corner = header.split(",")[0]
+    no_header = f"first header column must be {corner!r}"
+    for lines, fault in (
+        ([bom + bom + header, *rows], no_header),
+        ([bom, bom + header, *rows], no_header),
+        ([bom + header, rows[0], f"{label},{bom}{cells}"],
+         f"non-numeric value in row {label!r}"),
+    ):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load(path, topo)
+        assert str(err.value) == f"{path}: {fault}"
+
+
 NON_FINITE = ("nan", "+nan", "-nan", "NaN", " nan ", "inf", "+inf", "-inf",
               "Infinity", "+infinity", "-Infinity", "INF")
+
+
+def test_table_with_a_bom_provides_the_rows_without_it(tmp_path, topo,
+                                                      dataset):
+    """A table that starts with a byte-order mark provides every row bit
+    for bit as the same file without it: row offsets count the mark."""
+    rng = np.random.default_rng(3)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_descriptor_table(plain, dataset, [
+        (g.render(), rng.normal(size=40)) for g in topo.all_genotypes()])
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    want = load_descriptor_table(plain, topo, dataset)
+    got = load_descriptor_table(marked, topo, dataset)
+    assert list(got.known_genotypes()) == list(want.known_genotypes())
+    for g in want.known_genotypes():
+        assert (got.provide(g).values.tobytes()
+                == want.provide(g).values.tobytes())
 
 
 def test_table_csv_nan_rows_load_but_fail_viability(tmp_path, topo, dataset):

@@ -171,6 +171,20 @@ def test_jarque_bera_overflowing_moments_give_p_zero(x, jb):
     assert (math.isnan(got) if math.isnan(jb) else got == jb)
 
 
+@pytest.mark.parametrize("tiny", [1e-99, 1e-165])
+def test_jarque_bera_underflowing_moments_are_scale_free(tiny):
+    """A non-constant sample whose squared variance (or variance itself)
+    underflows gives the statistic of the same sample at unit scale, with
+    no ZeroDivisionError and no zero-variance error; so does a sample of
+    subnormals."""
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(40)
+    x[-1] = 6.0
+    assert jarque_bera(x * tiny) == pytest.approx(jarque_bera(x), rel=1e-9)
+    assert jarque_bera([0.0, 0.0, 0.0, 5e-324]) == pytest.approx(
+        jarque_bera([0.0, 0.0, 0.0, 1.0]), rel=1e-12)
+
+
 def test_jarque_bera_errors():
     with pytest.raises(ValueError):
         jarque_bera([1.0, 1.0, 1.0, 1.0])

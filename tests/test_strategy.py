@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evoreg.scores import transform_scores
@@ -15,6 +15,7 @@ from evoreg.strategy import (
     extract_proportional,
     extract_tournament,
 )
+from tests.conftest import proportional_oracle, tournament_oracle
 
 
 def table(scores, direction="max", **kwargs):
@@ -257,3 +258,30 @@ def test_extract_properties(scores, direction, method, seed, data):
             assert min(taken) >= max(left)
         elif left:
             assert max(taken) <= min(left)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    scores=st.lists(st.sampled_from([-3.0, 0.0, 1.0, 2.5, 7.0]),
+                    min_size=1, max_size=12)
+    | st.lists(st.just(0.0), min_size=1, max_size=6)
+    | st.lists(st.sampled_from([-1.7e308, 0.0, 1e308, 1.7e308]),
+               min_size=1, max_size=8)
+    | st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12),
+    direction=st.sampled_from(("min", "max")),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(scores=[-1.7e308, 1.7e308, 1.7e308], direction="max", seed=0)
+def test_extraction_draw_order_matches_oracle(scores, direction, seed):
+    """Tournament and proportional extraction, at every n_sel, pick what
+    their oracles pick and leave the generator in the same state, so every
+    draw, each tie's coin included, happens in the oracle's order. The
+    scores hold many ties, all-zero tables (uniform fallback) and masses
+    that overflow to inf (a NaN point once an inf group is exhausted)."""
+    t = table(scores, direction=direction)
+    for n_sel in range(1, t.size + 1):
+        for method, oracle in ((extract_tournament, tournament_oracle),
+                               (extract_proportional, proportional_oracle)):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert method(t, n_sel, rng) == oracle(t, n_sel, ref)
+            assert rng.getstate() == ref.getstate()
