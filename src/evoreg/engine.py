@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -292,24 +292,25 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
                                        s=fit_s, previous=state.fitter)
     sweep = fitter.assess(cfg.alpha, cfg.intercept_mode == "both",
                           cfg.objective.values)
-    for row in range(len(sweep.shapes)):
-        fit_assessed(row, sweep.shapes)     # counted by bench/tracing.py
+    # one call per subset, counted by bench/tracing.py
+    deque(map(fit_assessed, sweep.shapes), maxlen=0)
     values = sweep.values
-    # the first best value: max and min return the first of equal values,
-    # comparing as `better` does, and index finds that one
-    best = (values.index((max if direction == "max" else min)(values))
-            if values else None)
+    # the first best value: argmax and argmin return the first of equal
+    # values, comparing as `better` does
+    best = ((np.argmax if direction == "max" else np.argmin)(values)
+            if values.size else None)
+    best_value = float(values[best]) if best is not None else float("nan")
     member_rows = fitter.subsets[sweep.rows]
     participations = np.bincount(member_rows.ravel(), minlength=p)
     best_members = member_rows[best].tolist() if best is not None else []
     best_keys = tuple(keys[i] for i in best_members)
 
     improved = best is not None and (state.best_model is None or better(
-        values[best], state.best_objective, direction))
+        best_value, state.best_objective, direction))
     if improved:
         state.best_model = fitter.fit(sweep.rows[best],
                                       sweep.with_intercept[best])
-        state.best_objective = values[best]
+        state.best_objective = best_value
         state.best_genotypes = best_keys
 
     # selection scores and parent extraction
@@ -349,7 +350,7 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
 
     record = GenerationRecord(
         generation=state.generation + 1,
-        best_objective=values[best] if best is not None else float("nan"),
+        best_objective=best_value,
         improved=improved,
         best_model_genotypes=best_keys,
         sample_genotypes=tuple(keys),

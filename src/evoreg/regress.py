@@ -4,8 +4,8 @@ validity rules, and search-space sizing.
 GramFitter fits every n-subset of a panel in both forms into its `table`:
 it gathers their normal matrices from one Gram matrix of [panel; 1; y]
 (Furnival & Wilson, *Regressions by Leaps and Bounds*, 1974) and factors
-them by a Cholesky that runs elementwise along the subset axis,
-CHUNK_SUBSETS subsets at a time. A subset is addressed by its row of
+them by a Cholesky that runs elementwise along the subset axis, in equal
+chunks of at most CHUNK_SUBSETS subsets. A subset is addressed by its row of
 `GramFitter.subsets`; `ols_fit` is the per-subset reference.
 
 Singular rule, shared by both: with the columns ordered as the members, then
@@ -27,7 +27,8 @@ candidate, even beside a well-posed no-intercept form. "both" mode adds the
 no-intercept form as a second candidate unless the primary was demoted,
 valid unless a slope is insignificant in it and, in the intercept form,
 insignificant or singular. The same pass scores the valid candidates into
-a `Sweep` of arrays.
+a `Sweep` of arrays: their values stay one float64 array from the objective
+to selection. `fit_assessed` reads a row's candidates from its shape code.
 
 Carried sweeps: given the `previous` generation's fitter with the same n, s,
 panel shape and y bits, a fitter refits only the rows ``touched`` by a panel
@@ -70,8 +71,10 @@ _CONDITION_WARN = 1e12
 # pivots below this share of their diagonal carry fewer than about six
 # significant digits in double precision
 PIVOT_TOL = 1e-10
-# subsets factored per kernel pass; bounds the kernel's working memory
-CHUNK_SUBSETS = 4096
+# the most subsets factored per kernel pass; bounds the kernel's working
+# memory. At n = 3 one pass over 4,060 subsets took about 1.6 times as long
+# as three of 1,354, and each extra pass costs a fixed overhead
+CHUNK_SUBSETS = 1500
 # a valid model has at most m - SIGNIFICANCE_OFFSET coefficients
 SIGNIFICANCE_OFFSET = 6
 
@@ -245,14 +248,21 @@ class GramFitter:
                  and previous.y.tobytes() == y.tobytes())
         changed = ((previous.panel.view(np.uint64) != panel.view(np.uint64))
                    .any(axis=1) if carry else np.ones(p, dtype=bool))
-        self.touched = changed[self.subsets].any(axis=1)
+        # column by column: a 2-d gather and any(axis=1) ran 6x slower
+        members = iter(self.subsets.T)
+        self.touched = changed[next(members)]
+        for column in members:
+            self.touched |= changed[column]
         rows = np.flatnonzero(self.touched)
         # fit into one buffer (the table when cold), then copy the previous
         # table: copying first, or chunk outputs from the kernel, ran slower
         table = np.empty((2, 2 * n + 4, rows.size))
         singular = np.zeros((2, rows.size), dtype=bool)
-        for start in range(0, rows.size, CHUNK_SUBSETS):
-            chunk = slice(start, start + CHUNK_SUBSETS)
+        # the fewest chunks of at most CHUNK_SUBSETS rows, of equal size
+        chunks = max(1, -(-rows.size // CHUNK_SUBSETS))
+        size = max(1, -(-rows.size // chunks))
+        for start in range(0, rows.size, size):
+            chunk = slice(start, start + size)
             self._fit_chunk(self.subsets[rows[chunk]], table[:, :, chunk],
                             singular[:, chunk])
         # (alpha, both, objective) and the value matrix of the last assess
@@ -281,7 +291,7 @@ class GramFitter:
                                self.s, self.df[wi])
 
     def assess(self, alpha: float, both: bool,
-               objective: Callable[..., list[float]]) -> Sweep:
+               objective: Callable[..., np.ndarray]) -> Sweep:
         """The valid candidates of the table under the validity rules
         (module docstring) at significance level `alpha`, `both` selecting
         "both" mode. One `objective(r2, se_s, slope_t)` call per form scores
@@ -316,7 +326,7 @@ class GramFitter:
         flat = np.flatnonzero(ok)
         # shape codes; per slot 0 no candidate, 1 an invalid one, 2 a valid one
         shapes = (present.astype(np.intp) + ok) @ (3, 1)
-        return Sweep(flat >> 1, (flat & 1) == 0, values.take(flat).tolist(),
+        return Sweep(flat >> 1, (flat & 1) == 0, values.take(flat),
                      shapes.tolist())
 
     def _fit_chunk(self, idx: np.ndarray, out: np.ndarray,
@@ -380,12 +390,12 @@ class GramFitter:
 
 class Sweep(NamedTuple):
     """The valid candidates of a table in (row, slot) order, slot 0 the
-    intercept form: each one's row, form and value; and per row the shape
-    code that `fit_assessed` reads."""
+    intercept form: each one's row, form and float64 value, one array each;
+    and per row the shape code that `fit_assessed` reads."""
 
     rows: np.ndarray
     with_intercept: np.ndarray
-    values: list[float]
+    values: np.ndarray
     shapes: list[int]
 
 
@@ -402,11 +412,11 @@ _SHAPES = [tuple(Candidate(wi, k == 2) for wi, k in ((True, a), (False, b))
                  if k) for a in range(3) for b in range(3)]
 
 
-def fit_assessed(row: int, shapes: list[int]) -> tuple[Candidate, ...]:
-    """The candidates of row `row`, from a `Sweep`'s shapes. The engine calls
-    this once per row only for the benchmark's tracer, which counts subsets
-    and valid and demoted candidates by it."""
-    return _SHAPES[shapes[row]]
+# The candidates of a row, from its shape code in a `Sweep`'s shapes. The
+# engine calls this once per row only for the benchmark's tracer, which
+# counts subsets and valid and demoted candidates by it; as a bound method
+# of the list, the calls run in C when the tracer is off.
+fit_assessed: Callable[[int], tuple[Candidate, ...]] = _SHAPES.__getitem__
 
 
 def search_space_size(n_genotypes: int, n: int, both_forms: bool = False) -> int:

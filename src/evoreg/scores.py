@@ -76,22 +76,27 @@ class ObjectiveSpec:
         return "min" if self.kind in ("se", "hr") else "max"
 
     def values(self, r2: np.ndarray, se_s: np.ndarray,
-               slope_t: np.ndarray) -> list[float]:
-        """The objective of many fits, one entry of `r2` and `se_s` and one
-        row of slope t statistics in `slope_t` each. Python floats keep
-        ``**`` the C library's pow (numpy's array power differs from it in
-        the last bit at some inputs), and mt sums its terms left to right."""
+               slope_t: np.ndarray) -> np.ndarray:
+        """The objective of many fits as a float64 array, one entry of `r2`
+        and `se_s` and one row of slope t statistics in `slope_t` each. se,
+        and r2 at s = 1 (pow(r, 1) is r), are their inputs; the other kinds
+        compute on Python floats, whose ``**`` is the C library's pow
+        (numpy's array power differs from it in the last bit at some
+        inputs), and mt sums its terms left to right."""
         s = self.s
         if self.kind == "se":
-            return se_s.tolist()
+            return se_s
         if self.kind == "r2":
-            return [r**s for r in r2.tolist()]
-        if self.kind == "mt":
-            return [(reduce(add, [abs(t) ** s for t in ts], 0.0) / len(ts))
-                    ** (1.0 / s) for ts in slope_t.tolist()]
-        # hr: entropy of the (r2, 1-r2) split, in bits
-        return [math.log2(r**s + (1.0 - r) ** s) / (1.0 - s)
-                for r in r2.tolist()]
+            if s == 1.0:
+                return r2
+            out = [r**s for r in r2.tolist()]
+        elif self.kind == "mt":
+            out = [(reduce(add, [abs(t) ** s for t in ts], 0.0) / len(ts))
+                   ** (1.0 / s) for ts in slope_t.tolist()]
+        else:   # hr: entropy of the (r2, 1-r2) split, in bits
+            out = [math.log2(r**s + (1.0 - r) ** s) / (1.0 - s)
+                   for r in r2.tolist()]
+        return np.array(out, dtype=float)
 
 
 def objective_score(model: RegressionModel, spec: ObjectiveSpec) -> float:
@@ -101,8 +106,8 @@ def objective_score(model: RegressionModel, spec: ObjectiveSpec) -> float:
                          f"objective needs {spec.s}")
     if spec.kind == "mt" and not model.slope_t_stats:
         raise ValueError("mt objective needs slope t statistics")
-    return spec.values(np.array([model.r2]), np.array([model.se_s]),
-                       np.array([model.slope_t_stats]))[0]
+    return float(spec.values(np.array([model.r2]), np.array([model.se_s]),
+                             np.array([model.slope_t_stats]))[0])
 
 
 def selection_direction(aggregate: str, objective: ObjectiveSpec) -> str:
@@ -247,13 +252,14 @@ def transform_scores(
                 values = state.n0 + shifted / span * width
             else:
                 values = state.n0 + shifted * scale
+            if np.isnan(values).any():
+                # a span that overflows to inf scales inf by 0; checked
+                # before the ranks, which would rank the NaN
+                raise ValueError("score transform produced NaN")
     if digits is not None:
         values = np.array([round_significant(v, digits) for v in values])
     if use_ranks:
         values = 2.0 * _midranks(values) - 1.0
-    if np.isnan(values).any():
-        # a normalization span that overflows to inf scales inf by 0
-        raise ValueError("score transform produced NaN")
 
     # one stable sort groups equal scores, indices ascending within a group
     order = np.argsort(values, kind="stable")

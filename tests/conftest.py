@@ -4,6 +4,8 @@ from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
+from hypothesis.internal.conjecture import providers as hypothesis_providers
+from hypothesis.internal.constants_ast import Constants
 
 from evoreg.descriptors import (
     Dataset,
@@ -18,6 +20,16 @@ from evoreg.regress import (SIGNIFICANCE_OFFSET, SingularFitError, better,
 from evoreg.scores import ObjectiveSpec, objective_score
 from evoreg.stats import t_critical
 from evoreg.strategy import StrategySpec
+
+
+# Hypothesis mixes the literal constants of every loaded local module into
+# what it draws, so a derandomized test would draw other examples after an
+# edit anywhere in src/, or beside other test modules. The pool is pinned
+# empty for the whole suite; the extremes the tests need are in their
+# strategies. tests/test_draws.py fails if this hook goes away.
+NO_LOCAL_CONSTANTS = Constants()
+if hasattr(hypothesis_providers, "_get_local_constants"):
+    hypothesis_providers._get_local_constants = lambda: NO_LOCAL_CONSTANTS
 
 
 def binary_topology(n_genes):
@@ -195,13 +207,15 @@ def candidate_view(sweep):
     `regress.Sweep`, the value only when valid: the form and validity of
     every candidate from `fit_assessed`, and the value of each valid one
     from the sweep's arrays, which must list exactly the valid candidates
-    in (row, slot) order."""
+    in (row, slot) order, the values as one float64 array."""
+    assert isinstance(sweep.values, np.ndarray)
+    assert sweep.values.dtype == np.float64
     listed = iter(zip(sweep.rows.tolist(), sweep.with_intercept.tolist(),
-                      sweep.values))
+                      sweep.values.tolist()))
     out = []
     for row in range(len(sweep.shapes)):
         view = []
-        for c in fit_assessed(row, sweep.shapes):
+        for c in fit_assessed(sweep.shapes[row]):
             value = None
             if c.valid:
                 got_row, with_intercept, value = next(listed)
@@ -220,10 +234,9 @@ def value_bits(view):
 
 
 def candidate_bits(sweep):
-    """A `regress.Sweep` with each array and value as its bytes, so that
+    """A `regress.Sweep` with each array as its dtype and bytes, so that
     equal sweeps agree bit for bit, NaN included."""
-    return (sweep.rows.tobytes(), sweep.with_intercept.tobytes(),
-            [struct.pack("<d", v) for v in sweep.values], sweep.shapes)
+    return (*((a.dtype, a.tobytes()) for a in sweep[:3]), sweep.shapes)
 
 
 def scalar_objective(model, spec):

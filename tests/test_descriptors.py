@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evoreg import descriptors, stats
@@ -337,12 +337,17 @@ def test_viability_thresholds_match_reference_on_both_sides(m):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     values=st.lists(st.floats(width=64) | st.sampled_from(
-        [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324]),
+        [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324, -5e-324, 1e-99, 1e-165,
+         1.7e308, -1.7e308, math.inf, -math.inf, math.nan]),
         min_size=3, max_size=40),
     min_cv=st.none() | st.floats(0.0, 3.0),
     min_r2=st.none() | st.floats(0.0, 1.0),
     jb_alpha=st.none() | st.floats(0.0, 1.0),
 )
+# squared variance underflows: found by this test, see the jarque_bera
+# scale-free tests
+@example(values=[0.0, 0.0, 0.0, 5.9e-99], min_cv=None, min_r2=None,
+         jb_alpha=0.0)
 def test_viability_matches_reference_on_any_floats(values, min_cv, min_r2,
                                                     jb_alpha):
     m = len(values)
@@ -664,6 +669,8 @@ def _table_files(draw):
                                 ("m\xe90", "\xb51", "m\u30012")]))
     number = st.one_of(
         st.floats(allow_nan=False).map(repr),
+        st.sampled_from([5e-324, -5e-324, 1e-99, 1e-165, 1.7e308, -1.7e308])
+        .map(repr),
         st.floats(allow_nan=False, width=32).map(lambda v: f"{v:.6g}"),
         st.sampled_from(NON_FINITE))
     keys = draw(st.permutations(

@@ -422,7 +422,7 @@ def test_generation_best_is_the_first_of_tied_candidates(planted_world, kind,
     values, assess = ObjectiveSpec.values, GramFitter.assess
 
     def tied(spec, *args):
-        return [float(f"{v:.1g}") for v in values(spec, *args)]
+        return np.array([float(f"{v:.1g}") for v in values(spec, *args)])
 
     def recorded(fitter, *args):
         sweep = assess(fitter, *args)
@@ -444,6 +444,69 @@ def test_generation_best_is_the_first_of_tied_candidates(planted_world, kind,
                                              for i in members)
     assert state.best_model.with_intercept == best[1].with_intercept
     assert sum(c.valid and c.value == best[1].value for _, c in seen) > 1
+
+
+@pytest.mark.parametrize("kind,pattern", [
+    ("r2", (-np.inf, -0.0, 0.0, -0.0)),
+    ("r2", (-1.0, 0.0, -0.0, 0.0)),
+    ("r2", (0.0, np.inf, -np.inf, np.inf)),
+    ("se", (np.inf, 0.0, -0.0, 0.0)),
+    ("se", (1.0, -0.0, 0.0, -0.0)),
+    ("se", (0.0, -np.inf, np.inf, -np.inf)),
+])
+def test_generation_best_on_signed_zero_and_infinite_ties(planted_world, kind,
+                                                          pattern,
+                                                          monkeypatch):
+    """The candidate values, cycled through `pattern`, tie 0.0 with -0.0 or
+    inf with inf: the generation's best is the candidate at
+    ``values.index(max(values))`` (``min`` for a minimized objective), and
+    its value keeps its sign."""
+    topo, ds, provider = planted_world
+    cfg = planted_config(seed=6, p=12, n=2, intercept_mode="both",
+                         objective=ObjectiveSpec(kind),
+                         selection_aggregate="nalive")
+    rng = random.Random(cfg.seed)
+    state = EvolutionState(cfg, provider, ds, rng,
+                           init_sample(cfg, topo, provider, ds, rng))
+    sweeps, assess = [], GramFitter.assess
+
+    def patterned(spec, r2, se_s, slope_t):
+        return np.resize(np.array(pattern), len(r2))
+
+    def recorded(fitter, *args):
+        sweeps.append(assess(fitter, *args))
+        return sweeps[-1]
+
+    monkeypatch.setattr(ObjectiveSpec, "values", patterned)
+    monkeypatch.setattr(GramFitter, "assess", recorded)
+    rec = run_generation(state)
+    values = sweeps[0].values.tolist()
+    assert len(values) > len(pattern)
+    best = values.index((max if kind == "r2" else min)(values))
+    assert best > 0
+    members = state.fitter.subsets[sweeps[0].rows[best]].tolist()
+    assert rec.best_model_genotypes == tuple(rec.sample_genotypes[i]
+                                             for i in members)
+    assert type(rec.best_objective) is float
+    assert math.copysign(1.0, rec.best_objective) == math.copysign(
+        1.0, values[best])
+    assert rec.best_objective == values[best]
+
+
+def test_objectives_leave_the_sweep_as_python_floats(planted_world):
+    """Every objective value that leaves the sweep is a Python float: each
+    generation's record, the run's best, and objective_score; so the run
+    log prints plain reprs."""
+    topo, ds, provider = planted_world
+    for kind in ("r2", "se", "mt", "hr"):
+        cfg = planted_config(seed=3, p=12, n=2, max_generations=4,
+                             objective=ObjectiveSpec(kind))
+        result = run(cfg, topo, provider, ds)
+        assert all(type(r.best_objective) is float for r in result.records)
+        assert type(result.best_objective) is float
+        assert all(type(r.improved) is bool for r in result.records)
+        assert type(objective_score(result.best_model, cfg.objective)) is float
+        assert "np." not in result.log_text()
 
 
 def test_both_mode_run_matches_brute_best(monkeypatch):

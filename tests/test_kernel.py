@@ -245,13 +245,13 @@ def test_fallback_drops_subset_with_singular_intercept_form():
     assert alone.df == m - 1
     fallback = fitter.assess(0.05, False, R2.values)
     both = fitter.assess(0.05, True, R2.values)
-    assert fit_assessed(0, fallback.shapes) == ()
-    candidates = fit_assessed(0, both.shapes)
+    assert fit_assessed(fallback.shapes[0]) == ()
+    candidates = fit_assessed(both.shapes[0])
     assert [c.with_intercept for c in candidates] == [False]
     assert candidate_view(both)[0] == oracle_candidates(fitter, 0, ds, 0.05,
                                                         R2, "both")
     # the well-posed member is unaffected
-    assert len(fit_assessed(1, fallback.shapes)) == 1
+    assert len(fit_assessed(fallback.shapes[1])) == 1
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -318,7 +318,7 @@ def test_validity_panels_reach_every_case():
             fitter = GramFitter(panel, y, n)
             shapes = fitter.assess(0.05, True, R2.values).shapes
             singular = fitter.singular[1]
-            rows = [fit_assessed(row, shapes)
+            rows = [fit_assessed(shapes[row])
                     for row in range(len(fitter.subsets))]
             for row, cands in enumerate(rows):
                 if singular[row]:
@@ -638,6 +638,31 @@ def test_carried_rows_are_those_without_a_changed_slot(n, s, monkeypatch):
     for previous in (fitter, None):
         with pytest.raises(ValueError, match="finite"):
             GramFitter(new, y, n, s=s, previous=previous)
+
+
+@pytest.mark.parametrize("s", [2.0, 1.5])
+def test_chunk_size_leaves_the_table_unchanged(s, monkeypatch):
+    """The kernel works per subset, so chunks of 1 and of 7 subsets (165 is
+    not a multiple of 7) give the table and the singular mask of the
+    default chunks bit for bit, singular fits included, cold and carried."""
+    rng, panel, y = _carry_panel(p=11)
+    panel[1], panel[9] = panel[0], 2.5   # collinear and constant slots
+    new = panel.copy()
+    new[[4, 6]] = rng.normal(size=(2, 30)) + 2.0
+
+    def sweeps():
+        cold = GramFitter(panel, y, 3, s=s)
+        return cold, GramFitter(new, y, 3, s=s, previous=cold)
+
+    want = sweeps()
+    assert all(w.singular.any() for w in want)
+    assert not want[1].touched.all()
+    for size in (1, 7):
+        monkeypatch.setattr(regress, "CHUNK_SUBSETS", size)
+        for got, ref in zip(sweeps(), want):
+            assert np.array_equal(got.table.view(np.uint64),
+                                  ref.table.view(np.uint64))
+            assert np.array_equal(got.singular, ref.singular)
 
 
 def test_a_different_n_s_shape_or_response_sweeps_cold():

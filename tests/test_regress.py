@@ -283,8 +283,8 @@ def test_fit_assessed_both_mode_adds_candidate():
     # row 0 is the subset (0, 1)
     sweeps = {mode: fitter.assess(0.05, mode == "both", spec.values)
               for mode in ("fallback", "both")}
-    fallback = fit_assessed(0, sweeps["fallback"].shapes)
-    both = fit_assessed(0, sweeps["both"].shapes)
+    fallback = fit_assessed(sweeps["fallback"].shapes[0])
+    both = fit_assessed(sweeps["both"].shapes[0])
     assert len(fallback) == 1 and fallback[0].with_intercept
     assert len(both) == 2
     assert {c.with_intercept for c in both} == {True, False}

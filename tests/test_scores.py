@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from evoreg.genome import (
@@ -14,6 +14,7 @@ from evoreg.genome import (
 )
 from evoreg.regress import RegressionModel, ols_fit
 from evoreg.scores import (
+    OBJECTIVE_KINDS,
     SIMILARITY_CAP,
     WORST_MIN_SCORE,
     NormalizationState,
@@ -26,7 +27,7 @@ from evoreg.scores import (
     survival_scores,
     transform_scores,
 )
-from tests.conftest import ncd
+from tests.conftest import ncd, scalar_objective
 from tests.test_regress import make_dataset, make_phenotypes
 
 
@@ -117,8 +118,49 @@ def test_objective_mt_sums_left_to_right():
     plain = ((1.0 + 1e-16) + 1e-16) / 3
     assert plain != math.fsum(ts) / 3
     spec = ObjectiveSpec("mt", 1.0)
-    assert spec.values(np.zeros(1), np.zeros(1), np.array([ts])) == [plain]
+    assert spec.values(np.zeros(1), np.zeros(1), np.array([ts])).tolist() == \
+        [plain]
     assert objective_score(model_stub(t_stats=ts), spec) == plain
+
+
+@pytest.mark.parametrize("spec", [
+    ObjectiveSpec(kind, s) for kind in OBJECTIVE_KINDS
+    for s in (0.5, 1.0, 1.5, 2.0, 3.0) if (kind, s) != ("hr", 1.0)
+], ids=lambda o: f"{o.kind}-{o.s}")
+def test_objective_values_are_one_array_of_the_scalar_bits(spec):
+    """ObjectiveSpec.values gives one float64 array whose bits equal the
+    per-element Python oracle for every kind and exponent: r2 at s = 1 too,
+    on 0.0, the smallest subnormal and 1.0; error sums up to the largest
+    float and inf; t statistics of zero, subnormal and infinite size. An
+    empty batch is an empty float64 array."""
+    rng = np.random.default_rng(48)
+    r2 = np.concatenate(([0.0, 5e-324, 1e-165, 1e-99, 1.0, 0.5],
+                         rng.random(200)))
+    se_s = np.concatenate(([0.0, 5e-324, 1e-99, 1.7e308, np.inf, 1.0],
+                           rng.exponential(size=200)))
+    slope_t = np.concatenate(([[0.0, 5e-324], [-5e-324, 1e-165],
+                               [np.inf, 1.0], [-np.inf, -np.inf],
+                               [1e-99, 1e99], [-2.0, 0.0]],
+                              rng.normal(scale=5.0, size=(200, 2))))
+    got = spec.values(r2, se_s, slope_t)
+    assert isinstance(got, np.ndarray)
+    assert got.dtype == np.float64 and got.shape == r2.shape
+    want = [scalar_objective(model_stub(r2=r, t_stats=tuple(ts), se=e,
+                                        s=spec.s), spec)
+            for r, e, ts in zip(r2.tolist(), se_s.tolist(), slope_t.tolist())]
+    assert got.tobytes() == np.array(want).tobytes()
+    empty = spec.values(np.empty(0), np.empty(0), np.empty((0, 2)))
+    assert empty.dtype == np.float64 and empty.shape == (0,)
+
+
+@pytest.mark.xfail(raises=OverflowError, strict=True,
+                   reason="Python float ** raises where C pow gives inf")
+def test_objective_mt_past_the_float_range_is_infinite():
+    """A finite |t| ** s past the largest float should score inf, as an
+    infinite t does; today the Python float power raises instead."""
+    spec = ObjectiveSpec("mt", 2.0)
+    got = spec.values(np.zeros(1), np.zeros(1), np.array([[1.7e308, 1.0]]))
+    assert got.tolist() == [math.inf]
 
 
 def test_objective_hr_direct_value():
@@ -302,10 +344,13 @@ def test_transform_rejects_bad_input():
         transform_scores([])
     with pytest.raises(ValueError):
         transform_scores([1.0, math.nan])
-    # the span overflows to inf, and the infinite distance times 0 is NaN
-    with pytest.raises(ValueError, match="NaN"), \
-            np.errstate(over="ignore", invalid="ignore"):
-        transform_scores([-1e308, 1e308], NormalizationState(0.0, 1.0))
+    # the span overflows to inf, and the infinite distance times 0 is NaN,
+    # also when ranks or rounding follow, which would hide the NaN
+    for digits, use_ranks in ((None, False), (None, True), (2, True)):
+        with pytest.raises(ValueError, match="NaN"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            transform_scores([-1e308, 1e308], NormalizationState(0.0, 1.0),
+                             digits, use_ranks)
     with pytest.raises(ValueError):
         transform_scores([1.0], direction="sideways")
 
@@ -534,7 +579,10 @@ def test_selection_matches_loop_reference(
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.sampled_from([-1.5, 0.0, -0.0, 0.25, 2.0, 7.0, 1e300]),
                 min_size=1, max_size=30)
-       | st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30))
+       | st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30)
+       | st.lists(st.sampled_from([5e-324, -5e-324, 1e-99, 1e-165, -0.0,
+                                   1.7e308, -1.7e308, math.inf, -math.inf]),
+                  min_size=1, max_size=30))
 def test_midranks_match_loop_reference(values):
     values = np.array(values)
     assert _midranks(values).tolist() == midranks_reference(values).tolist()
@@ -546,7 +594,10 @@ def test_midranks_match_loop_reference(values):
     values=st.lists(st.sampled_from([-1.5, 0.0, -0.0, 0.25, 2.0, 7.0, 1e300]),
                     min_size=1, max_size=30)
     | st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30)
-    | st.lists(st.sampled_from([5e-324, -5e-324, 2e-311, 1e-300, 0.0]),
+    | st.lists(st.sampled_from([5e-324, -5e-324, 2e-311, 1e-300, 1e-165,
+                                1e-99, 0.0]),
+               min_size=1, max_size=30)
+    | st.lists(st.sampled_from([1.7e308, -1.7e308, 1e-99, 0.25, -0.0]),
                min_size=1, max_size=30)
     | st.lists(st.floats(-1e-300, 1e-300), min_size=1, max_size=30),
     normalize=st.sampled_from([None, "fresh", "primed"]),
@@ -554,6 +605,12 @@ def test_midranks_match_loop_reference(values):
     use_ranks=st.booleans(),
     direction=st.sampled_from(("min", "max")),
 )
+# found by this test: a fresh normalization over a subnormal span, and
+# subnormal scores rounded to significant digits
+@example(values=[5e-324, -5e-324], normalize="fresh", digits=None,
+         use_ranks=False, direction="max")
+@example(values=[5e-324, 2e-311, -1e-300], normalize=None, digits=2,
+         use_ranks=False, direction="min")
 def test_transform_groups_match_loop_reference(values, normalize, digits,
                                                use_ranks, direction, caplog):
     """Ties, signed zeros, the degenerate normalization (one repeated value
@@ -565,6 +622,15 @@ def test_transform_groups_match_loop_reference(values, normalize, digits,
         state = NormalizationState(-1.0, 1.0)
         if normalize == "primed":
             state.update(-3.0, 3.0)
+    magnitudes = {abs(v) for v in values}
+    if (1.7e308 in values and -1.7e308 in values and state is not None
+            or 1.7e308 in magnitudes and state is None and digits == 1):
+        # past the float range: a span of inf scales inf by 0 to NaN, and
+        # one significant digit rounds 1.7e308 to 2e308
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="NaN|float range"):
+            transform_scores(values, state, digits, use_ranks, direction)
+        return
     table = transform_scores(values, state, digits, use_ranks, direction)
     distinct, counts, groups = groups_reference(table.fs)
     assert table.distinct.tolist() == distinct.tolist()

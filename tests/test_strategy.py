@@ -18,6 +18,10 @@ from evoreg.strategy import (
 from tests.conftest import proportional_oracle, tournament_oracle
 
 
+# finite extremes: subnormal, tiny and near-overflow scores of either sign
+EXTREMES = [5e-324, -5e-324, 1e-99, 1e-165, 0.0, 1.7e308, -1.7e308]
+
+
 def table(scores, direction="max", **kwargs):
     return transform_scores(scores, direction=direction, **kwargs)
 
@@ -231,7 +235,8 @@ def test_tournament_full_extraction_is_permutation():
 @given(
     scores=st.lists(st.sampled_from([-3.0, 0.0, 1.0, 2.5, 7.0]),
                     min_size=1, max_size=16)
-    | st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16),
+    | st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16)
+    | st.lists(st.sampled_from(EXTREMES), min_size=1, max_size=16),
     direction=st.sampled_from(("min", "max")),
     method=st.sampled_from(METHODS),
     seed=st.integers(0, 2**32 - 1),
@@ -267,6 +272,7 @@ def test_extract_properties(scores, direction, method, seed, data):
     | st.lists(st.just(0.0), min_size=1, max_size=6)
     | st.lists(st.sampled_from([-1.7e308, 0.0, 1e308, 1.7e308]),
                min_size=1, max_size=8)
+    | st.lists(st.sampled_from(EXTREMES), min_size=1, max_size=8)
     | st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12),
     direction=st.sampled_from(("min", "max")),
     seed=st.integers(0, 2**32 - 1),
