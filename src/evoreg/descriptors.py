@@ -1,8 +1,8 @@
 """Phenotype providers and the viability filter.
 
 A provider maps genotypes to phenotypes (one descriptor value per molecule).
-Two implementations: an exact-lookup table indexed from CSV, its rows
-parsed on first use, and a seeded synthetic generator whose cells are
+Two implementations: an exact-lookup table indexed from CSV, a row parsed
+each time it is provided, and a seeded synthetic generator whose cells are
 uniform on an interval, with an optional planted mode where designated
 genotypes track the activity linearly.
 """
@@ -214,7 +214,7 @@ class TableProvider:
     """Exact lookup in a descriptor table keyed by rendered genotype string.
 
     `table` maps each key to its values: a dict, or the rows of a CSV file
-    that `load_descriptor_table` parses on first use. Every key is checked
+    that `load_descriptor_table` parses on each read. Every key is checked
     against the topology's key pattern here; a key becomes a `Genotype`
     only when `known_genotypes` is read at it. `provide` only looks a key
     up: the table owns its values, and a `Phenotype` makes them read-only."""
@@ -392,15 +392,15 @@ def write_activity(ds: Dataset, path) -> None:
 class _TableRows(Mapping):
     """A descriptor CSV's rows by genotype key. Building the mapping opens
     `path` and indexes it in one pass: the header must list `columns`,
-    every row is as wide as the header, and a key appears once. A row is
-    parsed from its line, at its byte offset, when first read, and kept
-    read-only. The file stays open for the mapping's lifetime and is closed
-    when the mapping is collected, as is one whose indexing failed."""
+    every row is as wide as the header, and a key appears once. Each read
+    of a row parses its line, at its byte offset, into a new array; no
+    parsed row is kept. The file stays open for the mapping's lifetime and
+    is closed when the mapping is collected, as is one whose indexing
+    failed."""
 
     def __init__(self, path, columns: tuple[str, ...]):
         self._fh = fh = open(path, "rb")
         weakref.finalize(self, fh.close)
-        self._parsed: dict[str, np.ndarray] = {}
         self._offsets: dict[str, int] = {}
         rows = stats.read_labelled_rows(fh, "genotype", DescriptorDataError)
         if tuple(next(rows)) != columns:
@@ -413,13 +413,9 @@ class _TableRows(Mapping):
             self._offsets[key] = offset
 
     def __getitem__(self, key: str) -> np.ndarray:
-        values = self._parsed.get(key)
-        if values is None:
-            self._fh.seek(self._offsets[key])
-            cells = stats.split_line(self._fh.readline())
-            values = self._parsed[key] = _readonly(stats.numbers(
-                self._fh.name, key, cells[1:], DescriptorDataError))
-        return values
+        self._fh.seek(self._offsets[key])
+        cells = stats.split_line(self._fh.readline())[1:]
+        return stats.numbers(self._fh.name, key, cells, DescriptorDataError)
 
     def __iter__(self):
         return iter(self._offsets)
@@ -434,8 +430,8 @@ def load_descriptor_table(path, topology: GeneticTopology, ds: Dataset) -> Table
     Columns must agree with the dataset's molecule ids (same order), a row
     is as wide as the header, and a genotype appears once and matches the
     topology's key pattern: one pass over the file checks these and keeps
-    each row's byte offset. A row's cells are parsed when the provider
-    first provides it, so a non-numeric cell raises there
+    each row's byte offset. A row's cells are parsed each time the
+    provider provides it, so a non-numeric cell raises there
     (`evoreg validate` provides every row). NaN/Inf cells are left to the
     viability filter.
     """

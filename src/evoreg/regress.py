@@ -32,11 +32,11 @@ to selection. `fit_assessed` reads a row's candidates from its shape code.
 
 Carried sweeps: given the `previous` generation's fitter with the same n, s,
 panel shape and y bits, a fitter refits only the rows ``touched`` by a panel
-row whose bits changed, and `assess` scores only those after an assess with
-the same arguments; other rows are copied. At a fixed shape BLAS gives two
-unchanged rows the same Gram bits and, on the finite values a fitter
-accepts, the kernel works per subset, so the result equals a cold sweep bit
-for bit. A different n, s, shape or y is cold.
+row whose bits changed and copies the other rows of its table. At a fixed
+shape BLAS gives two unchanged rows the same Gram bits and, on the finite
+values a fitter accepts, the kernel works per subset, so the table equals a
+cold sweep's bit for bit. A different n, s, shape or y is cold. `assess`
+reads the table alone and scores every valid row.
 """
 
 from __future__ import annotations
@@ -265,8 +265,6 @@ class GramFitter:
             chunk = slice(start, start + size)
             self._fit_chunk(self.subsets[rows[chunk]], table[:, :, chunk],
                             singular[:, chunk])
-        # (alpha, both, objective) and the value matrix of the last assess
-        self._assessed = previous._assessed if carry else None
         self.table, self.singular = table, singular
         if carry:
             self.table = previous.table.copy()
@@ -296,12 +294,8 @@ class GramFitter:
         (module docstring) at significance level `alpha`, `both` selecting
         "both" mode. One `objective(r2, se_s, slope_t)` call per form scores
         its valid candidates, one row of slope t each, into a (rows, 2) value
-        matrix by row and slot, NaN where no valid candidate is. After an
-        assess with the same arguments, by this fitter or by the previous
-        one it carried from, only the touched rows are scored."""
-        key, last = (alpha, both, objective), self._assessed
-        carried = last is not None and last[0] == key
-        touched = self.touched | (not carried)    # every row unless carried
+        matrix by row and slot, NaN where no valid candidate is. The sweep
+        depends on the table and the arguments alone: nothing is kept."""
         ins0, ins1 = (np.abs(self.form(wi)[1]) < t_critical(alpha, self.df[wi])
                       for wi in (0, 1))
         room0, room1 = (self.n + wi <= self.m - SIGNIFICANCE_OFFSET
@@ -315,14 +309,12 @@ class GramFitter:
         present = np.column_stack((~demoted & ~sing1,
                                    (demoted | both) & ~sing0))
         ok = present & np.column_stack((valid1, valid0))
-        values = last[1].copy() if carried else np.empty(ok.shape)
-        values[touched] = np.nan
+        values = np.full(ok.shape, np.nan)
         for wi in (0, 1):
             _, t, r2, se_s = self.form(wi)
-            rows = np.flatnonzero(ok[:, 1 - wi] & touched)
+            rows = np.flatnonzero(ok[:, 1 - wi])
             values[rows, 1 - wi] = objective(r2[rows], se_s[rows],
                                              t[rows, wi:])
-        self._assessed = key, values
         flat = np.flatnonzero(ok)
         # shape codes; per slot 0 no candidate, 1 an invalid one, 2 a valid one
         shapes = (present.astype(np.intp) + ok) @ (3, 1)

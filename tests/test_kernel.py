@@ -581,14 +581,6 @@ def assert_equals_cold(fitter, *assessments):
                 == candidate_bits(cold.assess(*args)))
 
 
-def counting_objective(sizes, spec=R2):
-    """spec.values, recording how many fits each call scores."""
-    def objective(r2, se_s, slope_t):
-        sizes.append(len(r2))
-        return spec.values(r2, se_s, slope_t)
-    return objective
-
-
 def _carry_panel(seed=46, p=8, m=30):
     rng = np.random.default_rng(seed)
     panel = rng.normal(size=(p, m)) + 2.0
@@ -602,8 +594,9 @@ def test_carried_rows_are_those_without_a_changed_slot(n, s, monkeypatch):
     """A panel row whose bits did not change, including a replaced slot
     with identical values, is carried; a row of new values or 0.0 turned
     -0.0 is changed, and exactly the subsets with a changed member are
-    refitted. The result equals a cold sweep bit for bit. A value turned NaN
-    is rejected, carried or cold."""
+    refitted. The result equals a cold sweep bit for bit, and so do its
+    candidates under any alpha, mode and objective, whatever the previous
+    fitter assessed. A value turned NaN is rejected, carried or cold."""
     rng, panel, y = _carry_panel()
     refitted = []
     fit_chunk = GramFitter._fit_chunk
@@ -623,16 +616,17 @@ def test_carried_rows_are_those_without_a_changed_slot(n, s, monkeypatch):
         return fitter
 
     monkeypatch.setattr(GramFitter, "_fit_chunk", spy)
-    args = (0.05, True, counting_objective([]))
+    assessments = [(0.05, True, R2.values), (0.1, False, R2.values),
+                   (0.05, False, ObjectiveSpec("mt", 2.0).values)]
     previous = GramFitter(panel, y, n, s=s)
-    previous.assess(*args)
+    previous.assess(*assessments[0])
     new = panel.copy()
     new[1] = panel[1].copy()            # replaced by identical values
     new[5] = rng.normal(size=30) + 2.0  # new values
     new[2, 7] = -0.0
     fitter = sweep(new, previous, {2, 5})
-    assert_equals_cold(fitter, args)
-    assert_equals_cold(sweep(new.copy(), fitter, set()), args)
+    assert_equals_cold(fitter, *assessments)
+    assert_equals_cold(sweep(new.copy(), fitter, set()), *assessments)
 
     new[6, 3] = np.nan
     for previous in (fitter, None):
@@ -681,36 +675,6 @@ def test_a_different_n_s_shape_or_response_sweeps_cold():
         assert fitter.touched.all()
         assert_equals_cold(fitter, (0.05, False, R2.values))
     assert not GramFitter(panel, y.copy(), 2, previous=previous).touched.any()
-
-
-def test_candidates_are_carried_only_under_the_same_assess_arguments():
-    """After an assess with the same alpha, mode and objective, only the
-    touched rows are scored; a different alpha, mode or objective scores
-    every row again. Either way the candidates equal a cold sweep's."""
-    rng, panel, y = _carry_panel()
-    sizes = []
-    objective = counting_objective(sizes)
-    previous = GramFitter(panel, y, 2)
-    previous.assess(0.05, False, objective)
-    new = panel.copy()
-    new[4] = rng.normal(size=30) + 2.0
-    fitter = GramFitter(new, y, 2, previous=previous)
-    cold = GramFitter(new, y, 2)
-
-    def scored(f, *args):
-        sizes.clear()
-        f.assess(*args)
-        return sum(sizes)
-
-    assert fitter.touched.tolist() == [4 in row
-                                       for row in fitter.subsets.tolist()]
-    assert 0 < scored(fitter, 0.05, False, objective) < scored(
-        cold, 0.05, False, objective)
-    for args in ((0.1, False, objective), (0.05, True, objective),
-                 (0.05, False, counting_objective(sizes))):
-        fitter = GramFitter(new, y, 2, previous=previous)
-        assert scored(fitter, *args) == scored(cold, *args)
-        assert_equals_cold(fitter, args)
 
 
 def test_a_carried_fitter_does_not_keep_its_previous_alive():
