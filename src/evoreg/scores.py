@@ -82,7 +82,7 @@ class ObjectiveSpec:
         and r2 at s = 1 (pow(r, 1) is r), are their inputs; the other kinds
         compute on Python floats, whose ``**`` is the C library's pow
         (numpy's array power differs from it in the last bit at some
-        inputs), and mt sums its terms left to right."""
+        inputs), and mt sums its terms left to right (`_power_mean`)."""
         s = self.s
         if self.kind == "se":
             return se_s
@@ -91,12 +91,22 @@ class ObjectiveSpec:
                 return r2
             out = [r**s for r in r2.tolist()]
         elif self.kind == "mt":
-            out = [(reduce(add, [abs(t) ** s for t in ts], 0.0) / len(ts))
-                   ** (1.0 / s) for ts in slope_t.tolist()]
+            out = [_power_mean(ts, s) for ts in slope_t.tolist()]
         else:   # hr: entropy of the (r2, 1-r2) split, in bits
             out = [math.log2(r**s + (1.0 - r) ** s) / (1.0 - s)
                    for r in r2.tolist()]
         return np.array(out, dtype=float)
+
+
+def _power_mean(ts: list[float], s: float) -> float:
+    """The power mean of |t| at exponent s. A term |t| ** s or a mean
+    ** (1 / s) past the float range, where Python's ``**`` raises and C's
+    pow gives inf, scores inf, as an infinite t does."""
+    try:
+        mean = reduce(add, [abs(t) ** s for t in ts], 0.0) / len(ts)
+        return mean ** (1.0 / s)
+    except OverflowError:
+        return math.inf
 
 
 def objective_score(model: RegressionModel, spec: ObjectiveSpec) -> float:

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -153,14 +154,19 @@ def test_objective_values_are_one_array_of_the_scalar_bits(spec):
     assert empty.dtype == np.float64 and empty.shape == (0,)
 
 
-@pytest.mark.xfail(raises=OverflowError, strict=True,
-                   reason="Python float ** raises where C pow gives inf")
 def test_objective_mt_past_the_float_range_is_infinite():
-    """A finite |t| ** s past the largest float should score inf, as an
-    infinite t does; today the Python float power raises instead."""
-    spec = ObjectiveSpec("mt", 2.0)
-    got = spec.values(np.zeros(1), np.zeros(1), np.array([[1.7e308, 1.0]]))
-    assert got.tolist() == [math.inf]
+    """A finite |t| ** s past the largest float scores inf, as an infinite
+    t does, and so does a power mean whose outer power ** (1 / s) passes it
+    (s = 0.25 at the largest t); at s = 0.5 the largest t stays finite.
+    `objective_score` gives the same values."""
+    big = sys.float_info.max
+    for s, ts, want in ((2.0, [1.7e308, 1.0], math.inf),
+                        (0.25, [big], math.inf),
+                        (0.5, [big, big], 1.7976931348623155e308)):
+        spec = ObjectiveSpec("mt", s)
+        got = spec.values(np.zeros(1), np.zeros(1), np.array([ts]))
+        assert got.tolist() == [want]
+        assert objective_score(model_stub(t_stats=tuple(ts)), spec) == want
 
 
 def test_objective_hr_direct_value():
