@@ -466,9 +466,10 @@ def format_report(report: ChiSquareReport) -> str:
     partials = ([(f"{label},.", report.df_row) for label in t.row_labels]
                 + [(f".,{label}", report.df_col) for label in t.col_labels]
                 + [(".,.", report.df_total)])
-    for (cells, df), x2, p in zip(
+    for (cells, df), x2, p, reject in zip(
             partials, report.partial_row + report.partial_col + (report.total,),
-            report.p_row + report.p_col + (report.p_total,)):
+            report.p_row + report.p_col + (report.p_total,),
+            report.reject_row + report.reject_col + (report.reject_total,)):
         lines.append(f"X^2({cells}) = {x2:.4g}   p(df={df}) = {p:.3g}   "
-                     f"{'No' if p < report.alpha else '-'}")
+                     f"{'No' if reject else '-'}")
     return "\n".join(lines) + "\n"
