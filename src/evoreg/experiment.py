@@ -43,7 +43,7 @@ _LABEL_TO_METHOD = {
 MEASURES = {
     "num": "distinct genotypes in improving generations",
     "occ": "genotype occurrences in improving generations",
-    "par": "participations in valid regressions",
+    "par": "occurrences in at least one valid regression",
     "top_num": "distinct genotypes above the occurrence threshold",
     "top_occ": "occurrences of genotypes above the threshold",
     "top_par": "participations of genotypes above the threshold",
@@ -61,8 +61,9 @@ class CellStats:
 
     def measure(self, name: str, threshold: int) -> int:
         """One of the MEASURES: the distinct genotypes (num), their
-        occurrences (occ) or their participations (par); a top_ measure
-        counts only the genotypes with at least `threshold` occurrences."""
+        occurrences (occ) or their participations (par), the occurrences
+        in a valid regression; a top_ measure counts only the genotypes
+        with at least `threshold` occurrences."""
         if name not in MEASURES:
             raise ValueError(f"unknown measure {name!r}")
         floor = threshold if name.startswith("top_") else 0
@@ -105,8 +106,9 @@ def accumulate_run(cell: CellStats, result: RunResult) -> None:
     """Fold one run's improving-generation records into a cell.
 
     A genotype counts once per improving generation it sits in the sample of
-    (occurrences), plus its memberships in that generation's valid
-    regressions (participations).
+    (occurrences), and once more per such generation in which it is a member
+    of at least one valid regression (participations), so participations
+    never exceed occurrences, as in every cell of the paper's tables.
     """
     cell.runs += 1
     for rec in result.records:
@@ -114,7 +116,7 @@ def accumulate_run(cell: CellStats, result: RunResult) -> None:
             continue
         for slot, g in enumerate(rec.sample_genotypes):
             cell.occurrences[g] += 1
-            cell.participations[g] += rec.participations[slot]
+            cell.participations[g] += rec.participations[slot] > 0
 
 
 def run_grid(

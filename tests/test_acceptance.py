@@ -353,8 +353,9 @@ def test_criterion_8_grid_pipeline(tmp_path):
         counts_ok = counts_ok and cell.error is None
         num, occ, par, tnum, tocc, tpar = (
             cell.measure(m, agg.threshold) for m in MEASURES)
-        counts_ok = counts_ok and occ >= num
+        counts_ok = counts_ok and occ >= num and par <= occ
         counts_ok = counts_ok and tnum <= num and tocc <= occ and tpar <= par
+        counts_ok = counts_ok and tpar <= tocc
 
     # contingency CSV round-trips to the same statistic
     from evoreg.stats import write_contingency_csv

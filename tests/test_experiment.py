@@ -126,9 +126,12 @@ def record(gen, improved, sample, participations):
 
 
 def test_accumulate_counts_improving_generations_only():
+    """An occurrence is a participation when its genotype is in at least
+    one valid regression of the generation: members of 3, 1 and 0 count 1,
+    1 and 0; a non-improving generation counts nothing."""
     cell = CellStats()
     result = make_result([
-        record(1, True, ["aa", "ab", "bb"], [2, 1, 0]),
+        record(1, True, ["aa", "ab", "bb"], [3, 1, 0]),
         record(2, False, ["aa", "ab", "bb"], [5, 5, 5]),  # ignored
         record(3, True, ["aa", "ba", "bb"], [1, 1, 1]),
     ])
@@ -136,8 +139,8 @@ def test_accumulate_counts_improving_generations_only():
     assert cell.measure("num", 23) == 4  # aa, ab, bb, ba
     assert cell.occurrences["aa"] == 2
     assert cell.measure("occ", 23) == 6
-    assert cell.measure("par", 23) == (2 + 1 + 0) + (1 + 1 + 1)
-    assert cell.participations["aa"] == 3
+    assert cell.measure("par", 23) == (1 + 1 + 0) + (1 + 1 + 1)
+    assert cell.participations == {"aa": 2, "ab": 1, "bb": 1, "ba": 1}
 
 
 def test_cellstats_top_threshold():
@@ -202,10 +205,10 @@ def test_grid_counts_are_consistent(desk_grid):
         num, occ, par, tnum, tocc, tpar = (
             cell.measure(m, desk_grid.threshold) for m in MEASURES)
         assert occ >= num
-        assert par >= 0
+        assert 0 <= par <= occ
         assert tnum <= num
         assert tocc <= occ
-        assert tpar <= par
+        assert tpar <= par and tpar <= tocc
 
 
 def test_grid_contingency_and_report(desk_grid):
