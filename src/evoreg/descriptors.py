@@ -393,10 +393,9 @@ class _TableRows(Mapping):
     """A descriptor CSV's rows by genotype key. Building the mapping opens
     `path` and indexes it in one pass: the header must list `columns`,
     every row is as wide as the header, and a key appears once. Each read
-    of a row parses its line, at its byte offset, into a new array; no
-    parsed row is kept. The file stays open for the mapping's lifetime and
-    is closed when the mapping is collected, as is one whose indexing
-    failed."""
+    parses a row from its line, at its byte offset; no row is kept. The
+    file stays open for the mapping's lifetime and is closed when the
+    mapping is collected, as is one whose indexing failed."""
 
     def __init__(self, path, columns: tuple[str, ...]):
         self._fh = fh = open(path, "rb")

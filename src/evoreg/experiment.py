@@ -61,9 +61,8 @@ class CellStats:
 
     def measure(self, name: str, threshold: int) -> int:
         """One of the MEASURES: the distinct genotypes (num), their
-        occurrences (occ) or their participations (par), the occurrences
-        in a valid regression; a top_ measure counts only the genotypes
-        with at least `threshold` occurrences."""
+        occurrences (occ) or their participations (par); a top_ measure
+        counts only the genotypes with at least `threshold` occurrences."""
         if name not in MEASURES:
             raise ValueError(f"unknown measure {name!r}")
         floor = threshold if name.startswith("top_") else 0
@@ -106,9 +105,8 @@ def accumulate_run(cell: CellStats, result: RunResult) -> None:
     """Fold one run's improving-generation records into a cell.
 
     A genotype counts once per improving generation it sits in the sample of
-    (occurrences), and once more per such generation in which it is a member
-    of at least one valid regression (participations), so participations
-    never exceed occurrences, as in every cell of the paper's tables.
+    (occurrences), and once per such generation it is in a valid regression
+    of (participations), so participations never exceed occurrences.
     """
     cell.runs += 1
     for rec in result.records:

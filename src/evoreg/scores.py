@@ -99,9 +99,8 @@ class ObjectiveSpec:
 
 
 def _power_mean(ts: list[float], s: float) -> float:
-    """The power mean of |t| at exponent s. A term |t| ** s or a mean
-    ** (1 / s) past the float range, where Python's ``**`` raises and C's
-    pow gives inf, scores inf, as an infinite t does."""
+    """The power mean of |t| at exponent s; inf, as for an infinite t, where
+    a power passes the float range (Python's ``**`` raises, C's pow: inf)."""
     try:
         mean = reduce(add, [abs(t) ** s for t in ts], 0.0) / len(ts)
         return mean ** (1.0 / s)

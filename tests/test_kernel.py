@@ -679,10 +679,14 @@ def test_a_different_n_s_shape_or_response_sweeps_cold():
 
 def test_a_carried_fitter_does_not_keep_its_previous_alive():
     """The fitter copies what it carries and drops `previous`, so a run
-    holds one previous table and one candidate list at a time."""
+    holds one previous table and one candidate list at a time; `assess`
+    adds nothing to the fitter."""
     _, panel, y = _carry_panel()
     previous = GramFitter(panel, y, 2)
+    kept = [(name, id(value)) for name, value in vars(previous).items()]
     previous.assess(0.05, False, R2.values)
+    assert [(name, id(value))
+            for name, value in vars(previous).items()] == kept
     gone = [weakref.ref(previous), weakref.ref(previous.table)]
     fitter = GramFitter(panel.copy(), y, 2, previous=previous)
     del previous
