@@ -634,6 +634,42 @@ def test_carried_rows_are_those_without_a_changed_slot(n, s, monkeypatch):
             GramFitter(new, y, n, s=s, previous=previous)
 
 
+def test_candidates_are_carried_only_under_the_same_assess_arguments():
+    """A carried fitter marks as touched exactly the subsets with a changed
+    slot, and its assess keeps nothing from the previous fitter's: under the
+    previous alpha, mode and objective and under another of each, it scores
+    the rows a cold sweep scores, and its candidates equal a cold sweep's."""
+    rng, panel, y = _carry_panel()
+    sizes = []
+
+    def counting(spec):
+        def objective(r2, se_s, slope_t):
+            sizes.append(len(r2))
+            return spec.values(r2, se_s, slope_t)
+        return objective
+
+    objective = counting(R2)
+    previous = GramFitter(panel, y, 2)
+    previous.assess(0.05, False, objective)
+    new = panel.copy()
+    new[4] = rng.normal(size=30) + 2.0
+    cold = GramFitter(new, y, 2)
+
+    def scored(f, *args):
+        sizes.clear()
+        f.assess(*args)
+        return sorted(sizes)
+
+    for args in ((0.05, False, objective), (0.1, False, objective),
+                 (0.05, True, objective),
+                 (0.05, False, counting(ObjectiveSpec("mt", 2.0)))):
+        fitter = GramFitter(new, y, 2, previous=previous)
+        assert fitter.touched.tolist() == [4 in row
+                                           for row in fitter.subsets.tolist()]
+        assert scored(fitter, *args) == scored(cold, *args)
+        assert_equals_cold(fitter, args)
+
+
 @pytest.mark.parametrize("s", [2.0, 1.5])
 def test_chunk_size_leaves_the_table_unchanged(s, monkeypatch):
     """The kernel works per subset, so chunks of 1 and of 7 subsets (165 is
