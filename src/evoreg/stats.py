@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import io
 import math
 import sys
 from dataclasses import dataclass
@@ -342,6 +343,25 @@ def split_line(line: bytes) -> list[str]:
     return cells
 
 
+# Bytes per read. glibc gives freed buffers of 128 KiB and more back to the
+# kernel by default, so a larger block is faulted in anew on every read:
+# 1 MiB blocks index a 16 MB table about a third slower than these.
+_BLOCK = 1 << 16
+# From this length a line's commas are counted faster from its block's comma
+# mask (under 1 us a call) than by bytes.count (about 0.7 ns a byte).
+_LONG_LINE = 1024
+
+
+def _line_blocks(fh):
+    """`fh`'s bytes in blocks of whole lines: a read of `_BLOCK` bytes that
+    ends inside a line takes the rest of it. The last block may end
+    without a line end."""
+    while block := fh.read(_BLOCK):
+        if not block.endswith(b"\n"):
+            block += fh.readline()
+        yield block
+
+
 def read_labelled_rows(fh, corner: str, error=ValueError):
     """Stream a labelled-row CSV from `fh`, a file opened in binary mode: a
     header `<corner>,<column labels>`, then one labelled row per line.
@@ -351,40 +371,61 @@ def read_labelled_rows(fh, corner: str, error=ValueError):
     A UTF-8 byte-order mark that starts the file is not part of its first
     cell (offsets still count it). The header is the first non-blank row;
     rows of blank cells are skipped; every row is as wide as the header.
-    A fault raises `error` naming the file and the row; `non_numeric` is
-    the one for a cell that a caller finds is not a number. A plain line
-    (ASCII, unquoted, with a label) is checked without splitting it: its
-    cells are its commas plus one."""
-    header, offset = None, fh.tell()
-    for lineno, line in enumerate(fh, 1):
-        start, offset = offset, offset + len(line)
-        if lineno == 1:
-            line = line.removeprefix(codecs.BOM_UTF8)
-        if header is not None and line.isascii() and b'"' not in line:
-            label = line.partition(b",")[0].decode().strip()
-            if label:
-                if line.count(b",") + 1 != len(header):
-                    raise error(f"{fh.name}: row {label!r} has wrong width")
-                yield label, line, start
+    Lines end in LF or CRLF: any other carriage return fails the load. A
+    fault raises `error` naming the file and the row or line, the first
+    fault in the file; `non_numeric` is the one for a cell that a caller
+    finds is not a number.
+
+    The file is read in blocks of whole lines (`_line_blocks`). In a block
+    that is all ASCII with no quote, a row with a label is checked without
+    splitting it: its cells are its commas plus one, counted from one
+    comma mask of the block. Every other line is split."""
+    no_header = f"{fh.name}: first header column must be {corner!r}"
+    offset = fh.tell()
+    if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+        fh.seek(offset)
+    header, offset, lineno = None, fh.tell(), 0
+    for block in _line_blocks(fh):
+        commas = None
+        if block.isascii() and b'"' not in block:
+            commas = np.frombuffer(block, np.uint8) == ord(",")
+        end = 0
+        for lineno, line in enumerate(io.BytesIO(block), lineno + 1):
+            start, end = end, end + len(line)
+            cr = line.find(b"\r")
+            if cr >= 0 and line[cr + 1:cr + 2] != b"\n":
+                raise error(f"{fh.name}: line {lineno}: "
+                            "carriage return without a line feed")
+            if header is not None and commas is not None:
+                label = line.partition(b",")[0].decode().strip()
+                if label:
+                    if len(line) < _LONG_LINE:
+                        width = line.count(b",") + 1
+                    else:
+                        width = np.count_nonzero(commas[start:end]) + 1
+                    if width != len(header):
+                        raise error(f"{fh.name}: row {label!r} has wrong width")
+                    yield label, line, offset + start
+                    continue
+            try:
+                cells = split_line(line)
+            except (csv.Error, UnicodeDecodeError) as exc:
+                raise error(f"{fh.name}: line {lineno}: {exc}") from None
+            if not any(map(str.strip, cells)):
                 continue
-        try:
-            cells = split_line(line)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise error(f"{fh.name}: line {lineno}: {exc}") from None
-        if not any(map(str.strip, cells)):
-            continue
-        label = cells[0].strip()
-        if header is None:
-            header = [c.strip() for c in cells]
-            if label != corner:
-                break
-            yield header[1:]
-        elif len(cells) != len(header):
-            raise error(f"{fh.name}: row {label!r} has wrong width")
-        else:
-            yield label, line, start
-    if header is None or header[0] != corner:
-        raise error(f"{fh.name}: first header column must be {corner!r}")
+            label = cells[0].strip()
+            if header is None:
+                header = [c.strip() for c in cells]
+                if label != corner:
+                    raise error(no_header)
+                yield header[1:]
+            elif len(cells) != len(header):
+                raise error(f"{fh.name}: row {label!r} has wrong width")
+            else:
+                yield label, line, offset + start
+        offset += len(block)
+    if header is None:
+        raise error(no_header)
 
 
 def non_numeric(path, label: str, error=ValueError) -> Exception:

@@ -1,3 +1,5 @@
+import codecs
+import csv
 import math
 import struct
 from itertools import accumulate, combinations
@@ -18,7 +20,7 @@ from evoreg.genome import Gene, GeneticTopology
 from evoreg.regress import (SIGNIFICANCE_OFFSET, SingularFitError, better,
                             fit_assessed)
 from evoreg.scores import ObjectiveSpec, objective_score
-from evoreg.stats import t_critical
+from evoreg.stats import split_line, t_critical
 from evoreg.strategy import StrategySpec
 
 
@@ -53,6 +55,43 @@ def parse_oracle(topology, text):
     if len(index) < topology.gene_count or pos != len(text):
         return None
     return tuple(index)
+
+
+def labelled_rows_oracle(fh, corner, error=ValueError):
+    """`stats.read_labelled_rows` as one readline per line, each plain line
+    (ASCII, unquoted, labelled) checked by its own comma count. The oracle
+    for the block reader's yields and its first error on files whose
+    carriage returns all end a line."""
+    header, offset = None, fh.tell()
+    for lineno, line in enumerate(fh, 1):
+        start, offset = offset, offset + len(line)
+        if lineno == 1:
+            line = line.removeprefix(codecs.BOM_UTF8)
+        if header is not None and line.isascii() and b'"' not in line:
+            label = line.partition(b",")[0].decode().strip()
+            if label:
+                if line.count(b",") + 1 != len(header):
+                    raise error(f"{fh.name}: row {label!r} has wrong width")
+                yield label, line, start
+                continue
+        try:
+            cells = split_line(line)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise error(f"{fh.name}: line {lineno}: {exc}") from None
+        if not any(map(str.strip, cells)):
+            continue
+        label = cells[0].strip()
+        if header is None:
+            header = [c.strip() for c in cells]
+            if label != corner:
+                break
+            yield header[1:]
+        elif len(cells) != len(header):
+            raise error(f"{fh.name}: row {label!r} has wrong width")
+        else:
+            yield label, line, start
+    if header is None or header[0] != corner:
+        raise error(f"{fh.name}: first header column must be {corner!r}")
 
 
 def tournament_oracle(table, n_sel, rng):

@@ -30,7 +30,8 @@ from evoreg.descriptors import (
     write_descriptor_table,
 )
 from evoreg.genome import Gene, GeneticTopology, Genotype, random_genotype
-from tests.conftest import binary_topology, normal_dataset
+from tests.conftest import (binary_topology, labelled_rows_oracle,
+                            normal_dataset)
 
 
 @pytest.fixture
@@ -530,7 +531,8 @@ def test_labelled_csv_readers_share_one_rule(tmp_path, topo, dataset, kind):
     """The activity, descriptor and contingency readers take the header
     from the first non-blank row, skip rows of blank cells, and reject a
     wrong corner cell, a row of the wrong width and a non-numeric cell with
-    an error naming the file and the row."""
+    an error naming the file and the row, and a carriage return that does
+    not end a line (as old Mac spreadsheets write them) naming the line."""
     header, rows, load, content = _labelled_csv(kind, dataset)
     path = tmp_path / f"{kind}.csv"
     path.write_text("\n".join([header, *rows]) + "\n")
@@ -550,6 +552,17 @@ def test_labelled_csv_readers_share_one_rule(tmp_path, topo, dataset, kind):
         with pytest.raises(ValueError) as err:
             load(path, topo)
         assert str(err.value) == f"{path}: {fault}"
+
+    for text, lineno in (
+        ("\r".join([header, *rows]) + "\r", 1),
+        ("\r\n".join([header, *rows]) + "\r", len(rows) + 1),
+        ("\r\n".join([header, rows[0], f"{label}\r,{cells}"]) + "\r\n", 3),
+    ):
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError) as err:
+            load(path, topo)
+        assert str(err.value) == \
+            f"{path}: line {lineno}: carriage return without a line feed"
 
 
 @pytest.mark.parametrize("kind", ["activity", "descriptors", "contingency"])
@@ -621,26 +634,28 @@ def test_table_csv_nan_rows_load_but_fail_viability(tmp_path, topo, dataset):
 
 
 def test_table_load_memory_is_bounded(tmp_path):
-    """Loading a 2048 x 206 table keeps each row's byte offset, far below
-    its float64 payload (3.4 MB); holding every row as text first would
-    need ten times that."""
+    """Indexing a 2048 x 206 table (8.3 MB) keeps each row's byte offset,
+    far below the rows' float64 payload (3.4 MB), and peaks at that plus
+    a few read blocks: a table that kept its rows, or a reader that held
+    the file, would pass one bound or the other many times over."""
     topology = binary_topology(11)
     ds = normal_dataset()
     rng = np.random.default_rng(12)
-    rows = {g.render(): rng.normal(size=ds.size)
-            for g in topology.all_genotypes()}
     path = tmp_path / "table.csv"
-    write_descriptor_table(path, ds, rows.items())
-    payload = len(rows) * ds.size * 8
-    del rows
+    write_descriptor_table(path, ds, (
+        (g.render(), rng.normal(size=ds.size))
+        for g in topology.all_genotypes()))
     tracemalloc.start()
     try:
         provider = load_descriptor_table(path, topology, ds)
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(provider) == 2048
-    assert peak < 2 * payload, f"peak {peak / 2**20:.1f} MiB"
+    payload = len(provider) * ds.size * 8
+    assert kept < payload / 8, f"kept {kept / 2**10:.0f} KiB"
+    assert peak - kept < 6 * stats._BLOCK < path.stat().st_size / 20, \
+        f"peak {peak / 2**10:.0f} KiB, kept {kept / 2**10:.0f} KiB"
 
 
 def test_providing_every_row_keeps_memory_bounded(tmp_path, dataset):
@@ -758,6 +773,102 @@ def test_table_record_spanning_lines_is_rejected(tmp_path, row):
         load_descriptor_table(path, QUOTED_TOPOLOGY, QUOTED_DATASET)
     assert str(err.value) == \
         f"{path}: line 3: quoted cell runs past the end of the line"
+
+
+def test_table_wrong_width_deep_in_the_file_names_the_row(tmp_path):
+    """A row of the wrong width dozens of blocks into a generated table
+    fails the load naming that row."""
+    topology = binary_topology(12)
+    ds = normal_dataset(m=64)
+    rng = np.random.default_rng(14)
+    path = tmp_path / "table.csv"
+    write_descriptor_table(path, ds, (
+        (g.render(), rng.normal(size=ds.size))
+        for g in topology.all_genotypes()))
+    lines = path.read_bytes().split(b"\n")
+    key, _, cells = lines[3000].partition(b",")
+    lines[3000] = key + b"," + cells.partition(b",")[2]
+    path.write_bytes(b"\n".join(lines))
+    assert len(b"\n".join(lines[:3000])) > 50 * stats._BLOCK
+    with pytest.raises(DescriptorDataError) as err:
+        load_descriptor_table(path, topology, ds)
+    assert str(err.value) == f"{path}: row {key.decode()!r} has wrong width"
+
+
+# cells and labels of a labelled-row line: plain ones (padded, long, empty;
+# "\x1c" is blank to str.strip only), then quoted and non-ASCII ones
+PLAIN_CELLS = ("1.5", " -2 ", "", "x", "7" * 90, "\x1c")
+READER_CELLS = PLAIN_CELLS + ('"4,5"', '""', "\xb5", "m\u3000")
+PLAIN_LABELS = ("a", " b ", "c" * 80, "")
+READER_LABELS = PLAIN_LABELS + ('"d,e"', "\xe9")
+
+
+@st.composite
+def _labelled_files(draw):
+    """A labelled-row CSV with corner "c", as bytes: LF and CRLF line
+    ends, maybe a leading byte-order mark and no line end after the last
+    line, blank rows, rows of plain, long, and (in half the files) quoted
+    and non-ASCII cells; and now and then a wrong corner, a row of the
+    wrong width, a quoted cell left open or a byte that is not UTF-8."""
+    plain = draw(st.booleans())
+    labels = st.sampled_from(PLAIN_LABELS if plain else READER_LABELS)
+    cells = st.sampled_from(PLAIN_CELLS if plain else READER_CELLS)
+    width = draw(st.integers(1, 4))
+    lines = [",".join(["c", *(f"m{i}" for i in range(1, width))]).encode()]
+    if draw(st.integers(0, 9)) == 0:
+        lines[0] = b"x" + lines[0]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 29))
+        if kind < 3:
+            lines.append(draw(st.sampled_from(BLANK_ROWS)).encode())
+            continue
+        n = width - 1 + (kind == 3) * draw(st.sampled_from([-1, 1]))
+        line = ",".join([draw(labels), *draw(st.lists(
+            cells, min_size=max(n, 0), max_size=max(n, 0)))]).encode()
+        lines.append(line + {4: b',"open', 5: b"\xff"}.get(kind, b""))
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = b""
+    bom = codecs.BOM_UTF8 if draw(st.booleans()) else b""
+    return bom + b"".join(line + end for line, end in zip(lines, ends))
+
+
+def _read_all(read, path):
+    """What `read` yields from the file at `path` for corner "c", and the
+    message of the error that ends it (None if none does)."""
+    rows = []
+    with open(path, "rb") as fh:
+        try:
+            for row in read(fh, "c"):
+                rows.append(row)
+        except ValueError as exc:
+            return rows, str(exc)
+    return rows, None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_labelled_files())
+# the last comma of a file that ends in an empty cell, with no line end
+@example(b"c,m1,m2\r\na,1,")
+def test_block_reader_matches_a_line_reader(data):
+    """Read in blocks of 1, 2, 7 and 64 bytes and at the module's own size,
+    so that long rows, CRLFs and the byte-order mark straddle block
+    boundaries, `read_labelled_rows` yields the labels, lines and offsets
+    that reading one line at a time yields, and fails with the same first
+    error. A long-line limit of 1 counts every plain row's commas from
+    its block's comma mask."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        path.write_bytes(data)
+        want = _read_all(labelled_rows_oracle, path)
+        for block in (1, 2, 7, 64, stats._BLOCK):
+            for long_line in (1, stats._LONG_LINE):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(stats, "_BLOCK", block)
+                    mp.setattr(stats, "_LONG_LINE", long_line)
+                    got = _read_all(stats.read_labelled_rows, path)
+                assert got == want, (block, long_line)
 
 
 def test_table_rows_read_after_the_file_is_removed(tmp_path, topo, dataset):
