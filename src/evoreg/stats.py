@@ -369,17 +369,17 @@ def read_labelled_rows(fh, corner: str, error=ValueError):
     with `split_line`) and the byte offset the line starts at.
 
     A UTF-8 byte-order mark that starts the file is not part of its first
-    cell (offsets still count it). The header is the first non-blank row;
-    rows of blank cells are skipped; every row is as wide as the header.
-    Lines end in LF or CRLF: any other carriage return fails the load. A
-    fault raises `error` naming the file and the row or line, the first
-    fault in the file; `non_numeric` is the one for a cell that a caller
-    finds is not a number.
+    cell (offsets still count it). Lines end in LF or CRLF: any other
+    carriage return fails the load. Then, in order: a row of blank cells is
+    skipped, the first other row is the header, and a later row fails if
+    it has no label or is not as wide as the header. A fault raises
+    `error` naming the file and the row or line, the first fault in the
+    file; `non_numeric` is the one for a cell a caller finds not a number.
 
-    The file is read in blocks of whole lines (`_line_blocks`). In a block
-    that is all ASCII with no quote, a row with a label is checked without
-    splitting it: its cells are its commas plus one, counted from one
-    comma mask of the block. Every other line is split."""
+    The file is read in blocks of whole lines (`_line_blocks`). A line's
+    label and width come from its bytes, its width counted from one comma
+    mask of its block, if the block is all ASCII with no quote and the
+    label is not blank; from splitting the line otherwise."""
     no_header = f"{fh.name}: first header column must be {corner!r}"
     offset = fh.tell()
     if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
@@ -396,30 +396,27 @@ def read_labelled_rows(fh, corner: str, error=ValueError):
             if cr >= 0 and line[cr + 1:cr + 2] != b"\n":
                 raise error(f"{fh.name}: line {lineno}: "
                             "carriage return without a line feed")
+            label = ""
             if header is not None and commas is not None:
                 label = line.partition(b",")[0].decode().strip()
-                if label:
-                    if len(line) < _LONG_LINE:
-                        width = line.count(b",") + 1
-                    else:
-                        width = np.count_nonzero(commas[start:end]) + 1
-                    if width != len(header):
-                        raise error(f"{fh.name}: row {label!r} has wrong width")
-                    yield label, line, offset + start
-                    continue
-            try:
-                cells = split_line(line)
-            except (csv.Error, UnicodeDecodeError) as exc:
-                raise error(f"{fh.name}: line {lineno}: {exc}") from None
-            if not any(map(str.strip, cells)):
+                width = line.count(b",") + 1 if len(line) < _LONG_LINE \
+                    else np.count_nonzero(commas[start:end]) + 1
+            if not label:  # the header, a line to split, or a blank label
+                try:
+                    cells = split_line(line)
+                except (csv.Error, UnicodeDecodeError) as exc:
+                    raise error(f"{fh.name}: line {lineno}: {exc}") from None
+                label, width = cells[0].strip(), len(cells)
+            if not label and not any(map(str.strip, cells)):  # split above
                 continue
-            label = cells[0].strip()
             if header is None:
                 header = [c.strip() for c in cells]
                 if label != corner:
                     raise error(no_header)
                 yield header[1:]
-            elif len(cells) != len(header):
+            elif not label:
+                raise error(f"{fh.name}: line {lineno}: row has no label")
+            elif width != len(header):
                 raise error(f"{fh.name}: row {label!r} has wrong width")
             else:
                 yield label, line, offset + start

@@ -86,6 +86,8 @@ def labelled_rows_oracle(fh, corner, error=ValueError):
             if label != corner:
                 break
             yield header[1:]
+        elif not label:
+            raise error(f"{fh.name}: line {lineno}: row has no label")
         elif len(cells) != len(header):
             raise error(f"{fh.name}: row {label!r} has wrong width")
         else:

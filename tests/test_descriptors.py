@@ -466,9 +466,9 @@ _ROW = _cells().encode()
     ("\u3000ax\xa0,1.5,2.5".encode(), "row 'ax' has wrong width"),
     (b"ax," + _ROW + "\nby,\xb5,".encode() + _ROW,
      "row 'by' has wrong width"),
-    # a blank label
-    (b" ,1.5", "row '' has wrong width"),
-    (b"\t," + _ROW, "malformed genotype ''"),
+    # a blank label, on a row of the wrong width and on a full one
+    (b" ,1.5", "line 2: row has no label"),
+    (b"\t," + _ROW, "line 2: row has no label"),
     # bytes that are not UTF-8, in a cell of the third line
     (b"ax," + _ROW + b"\nby,1.5\xff," + _ROW[4:],
      "line 3: 'utf-8' codec can't decode byte 0xff in position 6: "
@@ -531,8 +531,10 @@ def test_labelled_csv_readers_share_one_rule(tmp_path, topo, dataset, kind):
     """The activity, descriptor and contingency readers take the header
     from the first non-blank row, skip rows of blank cells, and reject a
     wrong corner cell, a row of the wrong width and a non-numeric cell with
-    an error naming the file and the row, and a carriage return that does
-    not end a line (as old Mac spreadsheets write them) naming the line."""
+    an error naming the file and the row, and a row without a label and a
+    carriage return that does not end a line (as old Mac spreadsheets write
+    them) with one naming the line. The contingency header's blank corner
+    is not a row without a label."""
     header, rows, load, content = _labelled_csv(kind, dataset)
     path = tmp_path / f"{kind}.csv"
     path.write_text("\n".join([header, *rows]) + "\n")
@@ -547,6 +549,8 @@ def test_labelled_csv_readers_share_one_rule(tmp_path, topo, dataset, kind):
         ([header, rows[0], rows[1] + ",9"], f"row {label!r} has wrong width"),
         ([header, rows[0], ",".join([label, "x", *cells.split(",")[1:]])],
          f"non-numeric value in row {label!r}"),
+        ([header, rows[0], f",{cells}"], "line 3: row has no label"),
+        ([header, "", f" \t,{cells}", rows[0]], "line 3: row has no label"),
     ):
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as err:
