@@ -271,14 +271,13 @@ def _cmd_space_size(args) -> int:
 def _cmd_run(args) -> int:
     manifest, topology, ds, cfg, provider = _load_run(args.manifest)
     result = engine.run(cfg, topology, provider, ds)
+    log = result.log_text()
+    summary = json.dumps(result.summary_dict(), indent=2, sort_keys=True,
+                         allow_nan=False) + "\n"
     out = manifest.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    (out / "run_log.tsv").write_text(result.log_text(), encoding="utf-8")
-    (out / "summary.json").write_text(
-        json.dumps(result.summary_dict(), indent=2, sort_keys=True,
-                   allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
+    (out / "run_log.tsv").write_text(log, encoding="utf-8")
+    (out / "summary.json").write_text(summary, encoding="utf-8")
     best = result.best_objective
     print(f"generations: {result.generations}")
     print(f"best objective: {best:.6g}")
@@ -332,6 +331,7 @@ def _cmd_gen_data(args) -> int:
     ids = tuple(f"mol{i + 1}" for i in range(args.molecules))
     activity = rng.normal(args.mean, args.sd, args.molecules)
     ds = dsc.Dataset(ids, activity)
+    provider = None
     if args.descriptors_out is not None:
         # every data error is raised before a file is written
         if args.topology is None:
@@ -344,11 +344,11 @@ def _cmd_gen_data(args) -> int:
                 f"more than {args.max_rows} rows (raise --max-rows to "
                 f"override)"
             )
+        provider = _synthetic_provider(spec, topology, ds)
     dsc.write_activity(ds, args.activity_out)
     print(f"wrote {args.activity_out} ({args.molecules} molecules)")
-    if args.descriptors_out is None:
+    if provider is None:
         return EXIT_OK
-    provider = _synthetic_provider(spec, topology, ds)
     for key in provider.planted:
         print(f"planted {key}")
     rows = ((g.render(), provider.provide(g).values)

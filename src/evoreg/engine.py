@@ -161,12 +161,14 @@ class RunResult:
         return "\n".join(lines) + "\n"
 
     def summary_dict(self) -> dict:
-        model = self.best_model
+        model, best = self.best_model, self.best_objective
         return {
             "config_fingerprint": self.config.fingerprint(),
             "seed": self.config.seed,
             "generations": self.generations,
-            "best_objective": self.best_objective if model else None,
+            # strict JSON: null also for a best that is not finite, such as
+            # an exact fit's mt score; best_r2 tells it from no model
+            "best_objective": best if model and math.isfinite(best) else None,
             "best_genotypes": list(self.best_genotypes),
             "best_coefficients": list(model.coefficients) if model else None,
             "best_with_intercept": model.with_intercept if model else None,

@@ -207,6 +207,20 @@ def test_gen_data_refuses_huge_table(tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_gen_data_refuses_more_planted_than_the_space(tmp_path, capsys):
+    """Planting more genotypes than a 2-gene topology holds is a data
+    error: gen-data exits 2 and writes neither file."""
+    topo_path = tmp_path / "small.cgt"
+    topo_path.write_text("gene g0 : a b\ngene g1 : c d\n")
+    assert main(["gen-data", "--activity-out", str(tmp_path / "a.csv"),
+                 "--descriptors-out", str(tmp_path / "t.csv"),
+                 "--topology", str(topo_path), "--planted-count", "9"]) == 2
+    assert "cannot plant more genotypes than the space holds" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_run_command(tmp_path, capsys):
     manifest = write_world(tmp_path, gens=3)
     assert main(["run", "--manifest", str(manifest)]) == 0
@@ -217,6 +231,52 @@ def test_run_command(tmp_path, capsys):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["generations"] == 3
     assert summary["seed"] == 11
+
+
+def _exact_fit_world(tmp_path, aggregate):
+    """`write_world` with the mt objective, noiseless planted genotypes and
+    `selection_aggregate` set to `aggregate`: a planted pair fits exactly,
+    and an exact fit scores inf."""
+    manifest = write_world(tmp_path)
+    evo = tmp_path / "evolution.cfg"
+    evo.write_text(evo.read_text().replace("kind = r2", "kind = mt").replace(
+        "selection_aggregate = max", f"selection_aggregate = {aggregate}"))
+    manifest.write_text(manifest.read_text().replace(
+        "planted_noise = 0.25", "planted_noise = 0"))
+    return manifest
+
+
+def _no_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_run_with_an_infinite_best_objective(tmp_path, capsys):
+    """An exact mt fit is the best model and scores inf: the run writes
+    both outputs, the summary as strict JSON with `best_objective` null
+    (its `best_r2` and `best_genotypes` tell it from a run with no model),
+    and the log's best column reads inf."""
+    manifest = _exact_fit_world(tmp_path, "nalive")
+    assert main(["run", "--manifest", str(manifest)]) == 0
+    out_dir = tmp_path / "out"
+    summary = json.loads((out_dir / "summary.json").read_text(),
+                         parse_constant=_no_constant)
+    assert summary["best_objective"] is None
+    assert summary["best_r2"] > 0.999 and summary["best_genotypes"]
+    log = (out_dir / "run_log.tsv").read_text().splitlines()
+    assert log[-1].split("\t")[2] == "inf"
+    assert "best objective: inf" in capsys.readouterr().out
+
+
+@pytest.mark.xfail(strict=True, reason="what selection, normalization and "
+                   "proportional extraction do with an infinite score is "
+                   "not decided: transform_scores rejects it")
+@pytest.mark.parametrize("aggregate", ["min", "max", "avg"])
+def test_run_selects_on_an_infinite_objective(tmp_path, aggregate):
+    """The same exact-fit world under a selection aggregate that scores a
+    slot by its models' objectives hands inf to `transform_scores`, which
+    stops the run with "scores must be finite" (exit 2)."""
+    manifest = _exact_fit_world(tmp_path, aggregate)
+    assert main(["run", "--manifest", str(manifest)]) == 0
 
 
 def test_run_missing_activity_names_path(tmp_path, capsys):
