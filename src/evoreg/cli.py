@@ -361,8 +361,8 @@ def _cmd_gen_data(args) -> int:
 def _cmd_validate(args) -> int:
     manifest, topology, ds, cfg, provider = _load_run(args.manifest)
     # a table parses its rows when they are provided: check every cell
-    for g in provider.known_genotypes() or ():
-        provider.provide(g)
+    for key in provider.known_keys() or ():
+        provider.provide(topology.parse(key))
     print(f"manifest: {args.manifest}")
     print(f"topology: {manifest.topology_path} "
           f"({topology.gene_count} genes, {genome_size(topology)} genotypes)")

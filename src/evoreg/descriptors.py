@@ -14,7 +14,7 @@ import math
 import random
 import weakref
 from collections import Counter, OrderedDict
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Protocol
@@ -197,45 +197,31 @@ def check_viability(
 # --- providers ---------------------------------------------------------------
 
 
-class _ParsedKeys(Sequence):
-    """Genotype keys in file order, read-only, each parsed when read."""
-
-    def __init__(self, topology: GeneticTopology, keys: tuple[str, ...]):
-        self._topology, self._keys = topology, keys
-
-    def __getitem__(self, i: int) -> Genotype:
-        return self._topology.parse(self._keys[i])
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-
 class TableProvider:
     """Exact lookup in a descriptor table keyed by rendered genotype string.
 
     `table` maps each key to its values: a dict, or the rows of a CSV file
     that `load_descriptor_table` parses on each read. Every key is checked
-    against the topology's key pattern here; a key becomes a `Genotype`
-    only when `known_genotypes` is read at it. `provide` only looks a key
+    against the topology's key pattern here; `known_keys` hands them out as
+    text, for the caller to parse those it uses. `provide` only looks a key
     up: the table owns its values, and a `Phenotype` makes them read-only."""
 
     def __init__(self, topology: GeneticTopology,
                  table: Mapping[str, np.ndarray]):
         self.topology = topology
         self._table = table
-        keys = tuple(table)
+        self._keys = tuple(table)
         is_key = topology.key_pattern.fullmatch
-        bad = next((k for k in keys if is_key(k) is None), None)
+        bad = next((k for k in self._keys if is_key(k) is None), None)
         if bad is not None:
             raise DescriptorDataError(f"malformed genotype {bad!r}")
-        self._known = _ParsedKeys(topology, keys)
 
     def provide(self, genotype: Genotype) -> Phenotype | None:
         values = self._table.get(genotype.render())
         return None if values is None else Phenotype(values, genotype)
 
-    def known_genotypes(self) -> Sequence[Genotype]:
-        return self._known
+    def known_keys(self) -> tuple[str, ...]:
+        return self._keys
 
     def __len__(self) -> int:
         return len(self._table)
@@ -243,11 +229,11 @@ class TableProvider:
 
 class Provider(Protocol):
     """What the engine asks of a phenotype source: a genotype's phenotype
-    (None if it has none), and every genotype that has one, in a fixed
-    order (None for all)."""
+    (None if it has none), and the key of every genotype that has one, in a
+    fixed order (None for all)."""
 
     def provide(self, genotype: Genotype) -> Phenotype | None: ...
-    def known_genotypes(self) -> Sequence[Genotype] | None: ...
+    def known_keys(self) -> tuple[str, ...] | None: ...
 
 
 @dataclass(frozen=True)
@@ -333,7 +319,7 @@ class SyntheticProvider:
             self._cache.popitem(last=False)
         return ph
 
-    def known_genotypes(self) -> None:
+    def known_keys(self) -> None:
         return None  # defined on the whole space
 
 

@@ -238,13 +238,12 @@ def init_sample(
     open-ended providers are rejection-sampled up to a retry bound. Failure
     reports a histogram of the reasons that rejected candidates.
     """
-    known = provider.known_genotypes()
+    known = provider.known_keys()
     if known is not None:
-        # a shuffle's swaps depend only on the length: shuffle the indices
-        # and build each candidate's genotype when it is drawn
-        order = list(range(len(known)))
-        rng.shuffle(order)
-        candidates = (known[i] for i in order)
+        # parse each key when it is drawn
+        keys = list(known)
+        rng.shuffle(keys)
+        candidates = map(topology.parse, keys)
     else:
         candidates = (gn.random_genotype(topology, rng)
                       for _ in range(_INIT_ATTEMPTS_PER_SLOT * cfg.p))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 __all__ = [
@@ -107,33 +107,30 @@ class GeneticTopology:
 
 @dataclass(frozen=True)
 class Genotype:
-    """One allele choice per gene (0-based indices into the alphabets)."""
+    """One allele choice per gene (0-based indices into the alphabets).
+
+    `key` is the rendering, built once as the indices are checked; equality
+    and hashing compare only the two fields."""
 
     topology: GeneticTopology
     allele_index: tuple[int, ...]
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.allele_index) != self.topology.gene_count:
+        genes = self.topology.genes
+        if len(self.allele_index) != len(genes):
             raise TopologyError(
-                f"expected {self.topology.gene_count} gene values, "
+                f"expected {len(genes)} gene values, "
                 f"got {len(self.allele_index)}"
             )
-        for gene, i in zip(self.topology.genes, self.allele_index):
+        symbols = []
+        for gene, i in zip(genes, self.allele_index):
             if not 0 <= i < len(gene.alleles):
                 raise TopologyError(
                     f"allele index {i} out of range for gene {gene.name!r}"
                 )
-
-    @cached_property
-    def key(self) -> str:
-        """The rendering, computed once per genotype. Equality and hashing
-        compare only the two fields."""
-        return "".join(gene.alleles[i] for gene, i
-                       in zip(self.topology.genes, self.allele_index))
-
-    def __getstate__(self):
-        # copies and pickles carry the fields, not the cached key
-        return {"topology": self.topology, "allele_index": self.allele_index}
+            symbols.append(gene.alleles[i])
+        object.__setattr__(self, "key", "".join(symbols))
 
     def render(self) -> str:
         return self.key

@@ -380,26 +380,25 @@ def test_table_provider_lookup(topo, dataset):
     assert ph is not None
     assert np.array_equal(ph.values, values)
     assert provider.provide(Genotype(topo, (1, 1))) is None
-    assert [k.render() for k in provider.known_genotypes()] == [g.render()]
+    assert provider.known_keys() == (g.render(),)
 
 
-def test_table_known_genotypes_file_order_and_read_only(tmp_path, topo,
-                                                        dataset):
-    """The known genotypes are the table's keys in file order, and a caller
+def test_table_known_keys_file_order_and_read_only(tmp_path, topo, dataset):
+    """The known keys are the table's keys in file order, and a caller
     cannot change them: the sequence takes no assignment and no clear."""
     keys = ["bz", "ax", "by", "ay"]
     path = tmp_path / "table.csv"
     write_descriptor_table(path, dataset,
                            [(k, np.arange(40.0)) for k in keys])
     provider = load_descriptor_table(path, topo, dataset)
-    known = provider.known_genotypes()
-    assert [g.render() for g in known] == keys
-    assert known[1] == Genotype(topo, (0, 0)) and len(known) == 4
+    known = provider.known_keys()
+    assert list(known) == keys
+    assert topo.parse(known[1]) == Genotype(topo, (0, 0)) and len(known) == 4
     with pytest.raises(TypeError):
-        known[0] = Genotype(topo, (0, 0))
+        known[0] = "ax"
     with pytest.raises(AttributeError):
         known.clear()
-    assert [g.render() for g in provider.known_genotypes()] == keys
+    assert list(provider.known_keys()) == keys
 
 
 def test_table_csv_round_trip(tmp_path, topo, dataset):
@@ -497,15 +496,16 @@ def test_table_csv_skips_blank_rows(tmp_path, topo, dataset):
         f"by,{_cells('2.5')}", "", comma_only,
     ]) + "\n")
     provider = load_descriptor_table(path, topo, dataset)
-    assert [g.render() for g in provider.known_genotypes()] == ["ax", "by"]
+    assert provider.known_keys() == ("ax", "by")
     assert provider.provide(topo.parse("by")).values[0] == 2.5
 
 
 def _provided(provider):
     """Every row of a table provider as (key, values), provided in file
     order as `evoreg validate` provides them."""
-    return [(g.render(), provider.provide(g).values.tolist())
-            for g in provider.known_genotypes()]
+    parse = provider.topology.parse
+    return [(key, provider.provide(parse(key)).values.tolist())
+            for key in provider.known_keys()]
 
 
 def _labelled_csv(kind, dataset):
@@ -616,8 +616,8 @@ def test_table_with_a_bom_provides_the_rows_without_it(tmp_path, topo,
     marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
     want = load_descriptor_table(plain, topo, dataset)
     got = load_descriptor_table(marked, topo, dataset)
-    assert list(got.known_genotypes()) == list(want.known_genotypes())
-    for g in want.known_genotypes():
+    assert got.known_keys() == want.known_keys()
+    for g in map(topo.parse, want.known_keys()):
         assert (got.provide(g).values.tobytes()
                 == want.provide(g).values.tobytes())
 
@@ -676,8 +676,8 @@ def test_providing_every_row_keeps_memory_bounded(tmp_path, dataset):
     payload = len(provider) * dataset.size * 8
     tracemalloc.start()
     try:
-        for g in provider.known_genotypes():
-            provider.provide(g)
+        for key in provider.known_keys():
+            provider.provide(topology.parse(key))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -759,8 +759,7 @@ def test_indexed_table_matches_an_eager_reader(table):
         path.write_bytes(text.encode("utf-8"))
         expected = _eager_rows(path)
         provider = load_descriptor_table(path, QUOTED_TOPOLOGY, ds)
-        assert [g.render() for g in provider.known_genotypes()] == \
-            list(expected)
+        assert list(provider.known_keys()) == list(expected)
         for key, values in expected.items():
             got = provider.provide(QUOTED_TOPOLOGY.parse(key)).values
             assert got.tobytes() == values.tobytes(), key
@@ -885,7 +884,7 @@ def test_table_rows_read_after_the_file_is_removed(tmp_path, topo, dataset):
     write_descriptor_table(path, dataset, rows.items())
     provider = load_descriptor_table(path, topo, dataset)
     path.unlink()
-    for g in provider.known_genotypes():
+    for g in map(topo.parse, provider.known_keys()):
         for _ in range(2):
             values = provider.provide(g).values
             assert np.array_equal(values, rows[g.render()])

@@ -144,8 +144,8 @@ class RecordingProvider:
         self.asked.append(genotype.key)
         return self.inner.provide(genotype)
 
-    def known_genotypes(self):
-        return self.inner.known_genotypes()
+    def known_keys(self):
+        return self.inner.known_keys()
 
 
 def _table_rows(topo, ds, seed, constant_every=3):
@@ -190,7 +190,7 @@ def _init_sample_oracle(cfg, provider, ds, rng):
     """The first sample as drawn from a copied, shuffled list of every known
     genotype: the oracle for `init_sample` over a table, whose keys are
     distinct."""
-    candidates = list(provider.known_genotypes())
+    candidates = list(map(provider.topology.parse, provider.known_keys()))
     rng.shuffle(candidates)
     sample = []
     for g in candidates:
@@ -233,7 +233,7 @@ def test_init_sample_failure_counts_every_rejection_reason():
                 return None
             return Phenotype(values if g.key == "bbb" else np.ones(20), g)
 
-        def known_genotypes(self):
+        def known_keys(self):
             return None
 
     cfg = small_config(p=2, n=1, k=1)

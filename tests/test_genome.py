@@ -409,25 +409,27 @@ def test_parse_render_inverse_multichar_unambiguous():
         assert topo.parse(g.render()) == g
 
 
-def test_genotype_cached_key_is_not_part_of_its_value():
-    """The rendering is cached on first use; equality, hashing, copies and
-    pickles see only the topology and the alleles."""
+def test_genotype_key_is_not_part_of_its_value():
+    """The rendering is built with the genotype and kept as its key;
+    equality, hashing, copies and pickles see only the topology and the
+    alleles, and a clone keeps the original's key."""
     topo = GeneticTopology(
         (Gene("g0", ("ab", "cd")), Gene("g1", ("x", "yz", "w")))
     )
-    rendered = Genotype(topo, (1, 1))
-    fresh = Genotype(topo, (1, 1))
-    assert rendered.render() == "cdyz" and "key" in vars(rendered)
-    assert "key" not in vars(fresh)
-    assert rendered == fresh and hash(rendered) == hash(fresh)
-    assert rendered != Genotype(topo, (1, 2))
-    assert rendered.render() is rendered.render()
-    for clone in (copy.copy(rendered), copy.deepcopy(rendered),
-                  pickle.loads(pickle.dumps(rendered))):
-        assert "key" not in vars(clone)
-        assert clone == rendered and hash(clone) == hash(rendered)
-        assert clone.render() == "cdyz"
-    assert {rendered: 1}[fresh] == 1
+    g = Genotype(topo, (1, 1))
+    other = Genotype(topo, (1, 1))
+    assert g.key == "cdyz" and g.render() is g.key
+    assert g == other and hash(g) == hash(other)
+    assert g != Genotype(topo, (1, 2))
+    assert "key" not in repr(g)
+    # a different key does not change what the genotype is equal to
+    object.__setattr__(other, "key", "elsewhere")
+    assert g == other and hash(g) == hash(other)
+    for clone in (copy.copy(g), copy.deepcopy(g),
+                  pickle.loads(pickle.dumps(g))):
+        assert clone == g and hash(clone) == hash(g)
+        assert clone.key == g.key == "cdyz"
+    assert {g: 1}[other] == 1
 
 
 def test_parse_rejects_garbage(topo232):
