@@ -104,12 +104,20 @@ def load_manifest(path) -> RunManifest:
             raise ValueError(f"file not found: {found}")
         return found
 
+    def directory(text: str) -> Path:
+        # the nearest path at or above it that exists must be a directory
+        found = located(text)
+        there = next(p for p in (found, *found.parents) if p.exists())
+        if not there.is_dir():
+            raise ValueError(f"not a directory: {there}")
+        return found
+
     paths = _section_values(cp, path, "paths", RunManifest, {
         "topology": ("topology_path", existing),
         "activity": ("activity_path", existing),
         "evolution": ("evolution_path", existing),
         "descriptors": ("descriptors_path", existing),
-        "output": ("output_dir", located)})
+        "output": ("output_dir", directory)})
     run = _section_values(cp, path, "run", RunManifest, {"seed": ("seed", int)})
     synthetic = (_load_section(cp, path, "synthetic", SyntheticSpec,
                                _SYNTHETIC)
@@ -380,15 +388,23 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _alpha(text: str) -> float:
-    """The type of --alpha: a significance level in (0, 1)."""
-    try:
-        alpha = float(text)
-    except ValueError:
-        alpha = math.nan
-    if not 0.0 < alpha < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
-    return alpha
+def _bounded(parse, inside, rule: str):
+    """An argparse type: the value `parse` reads from the text, if `inside`
+    holds for it; otherwise a usage error saying that the value must
+    `rule`."""
+    def check(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not inside(value):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {text!r}")
+        return value
+    return check
+
+
+_alpha = _bounded(float, lambda a: 0.0 < a < 1.0, "lie in (0, 1)")
+_positive = _bounded(int, lambda n: n >= 1, "be a positive integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, help="number of genotypes")
     p.add_argument("--topology", help="topology file to take N from")
     p.add_argument("--n", type=int, help="subset size")
-    p.add_argument("--n-max", type=int, help="print sizes for n = 1..n_max")
+    p.add_argument("--n-max", type=_positive,
+                   help="print sizes for n = 1..n_max")
     p.add_argument("--both-forms", action="store_true",
                    help="double for searching both regression forms")
     p.add_argument("--csv", action="store_true", help="emit CSV")
@@ -416,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="3x3 selection/survival strategy grid")
     p.add_argument("--manifest", required=True)
     p.add_argument("--runs-per-cell", type=int, default=46)
-    p.add_argument("--threshold", type=int, default=23,
+    p.add_argument("--threshold", type=_positive, default=23,
                    help="occurrence threshold for the top subtable")
     p.add_argument("--alpha", type=_alpha, default=0.05)
     p.set_defaults(func=_cmd_grid)

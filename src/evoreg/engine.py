@@ -240,7 +240,7 @@ def init_sample(
     """
     known = provider.known_keys()
     if known is not None:
-        # parse each key when it is drawn
+        # map is lazy: only the keys drawn are parsed
         keys = list(known)
         rng.shuffle(keys)
         candidates = map(topology.parse, keys)

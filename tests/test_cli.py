@@ -317,6 +317,25 @@ def test_manifest_errors_name_section_and_key(tmp_path, capsys, edit,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("output", ["out", "out/run"])
+def test_manifest_output_under_a_file_is_refused_at_load(tmp_path, capsys,
+                                                        output):
+    """An output path that is, or lies under, an existing file exits 2 when
+    the manifest loads, naming the file, before a data file is read: the
+    unreadable activity file here is never reached."""
+    manifest = write_world(tmp_path)
+    manifest.write_text(manifest.read_text().replace(
+        "output = out\n", f"output = {output}\n"))
+    (tmp_path / "out").write_text("not a directory\n")
+    (tmp_path / "activity.csv").write_text("no,such,header\n")
+    for argv in (["validate"], ["run"], ["grid", "--runs-per-cell", "1"]):
+        assert main([*argv, "--manifest", str(manifest)]) == 2
+        assert ("bad [paths] value: output: not a directory: "
+                f"{(tmp_path / 'out').resolve()}\n"
+                in capsys.readouterr().err)
+    assert (tmp_path / "out").read_text() == "not a directory\n"
+
+
 def test_run_deterministic_outputs(tmp_path, capsys):
     manifest = write_world(tmp_path, gens=4)
     main(["run", "--manifest", str(manifest)])
@@ -728,6 +747,26 @@ def test_summary_is_strict_json_without_a_valid_model(tmp_path, capsys):
                          parse_constant=reject)
     assert summary["best_objective"] is None
     assert summary["best_genotypes"] == [] and summary["best_r2"] is None
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "1.5", "x"])
+def test_count_not_a_positive_integer_is_a_usage_error(tmp_path, capsys, value):
+    """grid --threshold and space-size --n-max reject a value that is not
+    an integer of at least 1 when the arguments are parsed, before running
+    a grid or printing a size."""
+    manifest = write_world(tmp_path)
+    capsys.readouterr()
+    for argv in (["grid", "--manifest", str(manifest), "--runs-per-cell",
+                  "1", "--threshold", value],
+                 ["space-size", "--N", "5", "--n-max", value]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert f"{argv[-2]}: must be a positive integer" in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+    assert main(["space-size", "--N", "5", "--n-max", "1"]) == 0
 
 
 @pytest.mark.parametrize("alpha", ["7", "1", "0", "-1", "nan", "inf", "x"])

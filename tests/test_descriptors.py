@@ -60,11 +60,15 @@ def test_dataset_validation():
 
 def test_dataset_ids_read_back_as_written(tmp_path):
     """The CSV readers strip every cell, so an id with surrounding
-    whitespace would come back as another id: the dataset refuses it, and
-    the ids it accepts survive the activity and descriptor files."""
+    whitespace would come back as another id, and an empty id or one with a
+    line break would not come back: the dataset refuses them, and the ids
+    it accepts survive the activity and descriptor files."""
     for bad in (" m1", "m1 ", "\tm1", "m1\n"):
         with pytest.raises(ValueError, match="surrounding whitespace"):
             Dataset((bad, "m2", "m3"), np.array([1.0, 2.0, 3.0]))
+    for bad in ("", "m\n1", "m\r1", "m\r\n1"):
+        with pytest.raises(ValueError, match="is empty or spans lines"):
+            Dataset(("m2", bad, "m3"), np.array([1.0, 2.0, 3.0]))
     ds = Dataset(("m 1", "m2", "m3"), np.array([1.0, 2.0, 3.0]))
     write_activity(ds, tmp_path / "a.csv")
     assert load_activity(tmp_path / "a.csv").molecule_ids == ds.molecule_ids

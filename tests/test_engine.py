@@ -701,6 +701,16 @@ def test_tiny_space_reaches_exhaustive_optimum():
     assert genome_size(topo) == 12
     ds = normal_dataset(m=30, seed=21)
     spec = ObjectiveSpec("r2", 1.0)
+    alpha = 0.3
+    # independent brute force over the whole space, the same in every trial
+    provider = SyntheticProvider(topo, ds, seed=77)
+    panel = np.vstack([provider.provide(g).values
+                       for g in topo.all_genotypes()])
+    fitter = GramFitter(panel, ds.activity, n=2)
+    _, best_model, best_value = brute_best(
+        fitter, ds, alpha, lambda mo: objective_score(mo, spec), "max",
+    )
+    assert best_model is not None
     hits = 0
     trials = 100
     for seed in range(trials):
@@ -711,20 +721,13 @@ def test_tiny_space_reaches_exhaustive_optimum():
             selection=StrategySpec("tournament"),
             survival=StrategySpec("proportional"),
             selection_aggregate="max",
-            alpha=0.3,
+            alpha=alpha,
             max_generations=300,
+            # a run stops once it is within the hit tolerance below
+            target_objective=best_value - 1e-9 * abs(best_value),
             seed=seed,
         )
         result = run(cfg, topo, provider, ds)
-
-        # independent brute force over the whole space
-        genotypes = list(topo.all_genotypes())
-        panel = np.vstack([provider.provide(g).values for g in genotypes])
-        fitter = GramFitter(panel, ds.activity, n=2)
-        _, best_model, best_value = brute_best(
-            fitter, ds, cfg.alpha, lambda mo: objective_score(mo, spec), "max",
-        )
-        assert best_model is not None
         if result.best_objective == pytest.approx(best_value, rel=1e-9):
             hits += 1
     assert hits / trials >= 0.95
