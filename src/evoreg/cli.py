@@ -368,7 +368,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_validate(args) -> int:
     manifest, topology, ds, cfg, provider = _load_run(args.manifest)
-    # a table parses its rows when they are provided: check every cell
+    # a table splits a row when it is provided: check every width and cell
     for key in provider.known_keys() or ():
         provider.provide(topology.parse(key))
     print(f"manifest: {args.manifest}")
@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="3x3 selection/survival strategy grid")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--runs-per-cell", type=int, default=46)
+    p.add_argument("--runs-per-cell", type=_positive, default=46)
     p.add_argument("--threshold", type=_positive, default=23,
                    help="occurrence threshold for the top subtable")
     p.add_argument("--alpha", type=_alpha, default=0.05)

@@ -357,8 +357,9 @@ def load_activity(path) -> Dataset:
             raise DescriptorDataError(
                 f"{path}: expected header 'molecule,activity'")
         for mol, line, _ in rows:
+            cell, = stats.row_cells(path, mol, line, 1, DescriptorDataError)
             try:
-                activity.append(float(stats.split_line(line)[1]))
+                activity.append(float(cell))
             except ValueError:
                 raise stats.non_numeric(path, mol,
                                         DescriptorDataError) from None
@@ -381,9 +382,9 @@ def write_activity(ds: Dataset, path) -> None:
 
 class _TableRows(Mapping):
     """A descriptor CSV's rows by genotype key. Building the mapping opens
-    `path` and indexes it in one pass: the header must list `columns`,
-    every row is as wide as the header, and a key appears once. Each read
-    parses a row from its line, at its byte offset; no row is kept. The
+    `path` and indexes it in one pass: the header must list `columns`, and
+    a key appears once. Each read splits a row from its line, at its byte
+    offset, and checks its width and its numbers; no row is kept. The
     file stays open for the mapping's lifetime and is closed when the
     mapping is collected, as is one whose indexing failed."""
 
@@ -395,6 +396,7 @@ class _TableRows(Mapping):
         if tuple(next(rows)) != columns:
             raise DescriptorDataError(
                 f"{path}: molecule columns do not match the activity file")
+        self._columns = len(columns)
         for key, _, offset in rows:
             if key in self._offsets:
                 raise DescriptorDataError(
@@ -403,7 +405,8 @@ class _TableRows(Mapping):
 
     def __getitem__(self, key: str) -> np.ndarray:
         self._fh.seek(self._offsets[key])
-        cells = stats.split_line(self._fh.readline())[1:]
+        cells = stats.row_cells(self._fh.name, key, self._fh.readline(),
+                                self._columns, DescriptorDataError)
         return stats.numbers(self._fh.name, key, cells, DescriptorDataError)
 
     def __iter__(self):
@@ -416,13 +419,13 @@ class _TableRows(Mapping):
 def load_descriptor_table(path, topology: GeneticTopology, ds: Dataset) -> TableProvider:
     """Index a wide descriptor CSV and validate it against the dataset.
 
-    Columns must agree with the dataset's molecule ids (same order), a row
-    is as wide as the header, and a genotype appears once and matches the
-    topology's key pattern: one pass over the file checks these and keeps
-    each row's byte offset. A row's cells are parsed each time the
-    provider provides it, so a non-numeric cell raises there
-    (`evoreg validate` provides every row). NaN/Inf cells are left to the
-    viability filter.
+    Columns must agree with the dataset's molecule ids (same order), and a
+    genotype appears once and matches the topology's key pattern: one pass
+    over the file checks these and keeps each row's byte offset. A row's
+    cells are split and parsed each time the provider provides it, so a
+    row that is not as wide as the header, or holds a non-numeric cell,
+    raises there (`evoreg validate` provides every row). NaN/Inf cells are
+    left to the viability filter.
     """
     table = _TableRows(path, ds.molecule_ids)
     try:

@@ -29,6 +29,7 @@ __all__ = [
     "chi2_homogeneity",
     "split_line",
     "read_labelled_rows",
+    "row_cells",
     "non_numeric",
     "numbers",
     "write_labelled_rows",
@@ -347,9 +348,6 @@ def split_line(line: bytes) -> list[str]:
 # kernel by default, so a larger block is faulted in anew on every read:
 # 1 MiB blocks index a 16 MB table about a third slower than these.
 _BLOCK = 1 << 16
-# From this length a line's commas are counted faster from its block's comma
-# mask (under 1 us a call) than by bytes.count (about 0.7 ns a byte).
-_LONG_LINE = 1024
 
 
 def _line_blocks(fh):
@@ -366,49 +364,44 @@ def read_labelled_rows(fh, corner: str, error=ValueError):
     """Stream a labelled-row CSV from `fh`, a file opened in binary mode: a
     header `<corner>,<column labels>`, then one labelled row per line.
     Yields the column labels, then each row's label, its line (split it
-    with `split_line`) and the byte offset the line starts at.
+    with `row_cells`) and the byte offset the line starts at.
 
     A UTF-8 byte-order mark that starts the file is not part of its first
     cell (offsets still count it). Lines end in LF or CRLF: any other
     carriage return fails the load. Then, in order: a row of blank cells is
     skipped, the first other row is the header, and a later row fails if
-    it has no label or is not as wide as the header. A fault raises
-    `error` naming the file and the row or line, the first fault in the
-    file; `non_numeric` is the one for a cell a caller finds not a number.
+    it has no label. A fault raises `error` naming the file and any line,
+    the first fault in the file; `non_numeric` is the one for a cell a
+    caller finds not a number.
 
     The file is read in blocks of whole lines (`_line_blocks`). A line's
-    label and width come from its bytes, its width counted from one comma
-    mask of its block, if the block is all ASCII with no quote and the
-    label is not blank; from splitting the line otherwise."""
+    label is the text before its first comma if the block is all ASCII
+    with no quote and that text is not blank; otherwise the line is
+    split."""
     no_header = f"{fh.name}: first header column must be {corner!r}"
     offset = fh.tell()
     if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
         fh.seek(offset)
     header, offset, lineno = None, fh.tell(), 0
     for block in _line_blocks(fh):
-        commas = None
-        if block.isascii() and b'"' not in block:
-            commas = np.frombuffer(block, np.uint8) == ord(",")
-        end = 0
+        plain = block.isascii() and b'"' not in block
         for lineno, line in enumerate(io.BytesIO(block), lineno + 1):
-            start, end = end, end + len(line)
+            start, offset = offset, offset + len(line)
             cr = line.find(b"\r")
             if cr >= 0 and line[cr + 1:cr + 2] != b"\n":
                 raise error(f"{fh.name}: line {lineno}: "
                             "carriage return without a line feed")
             label = ""
-            if header is not None and commas is not None:
+            if header is not None and plain:
                 label = line.partition(b",")[0].decode().strip()
-                width = line.count(b",") + 1 if len(line) < _LONG_LINE \
-                    else np.count_nonzero(commas[start:end]) + 1
             if not label:  # the header, a line to split, or a blank label
                 try:
                     cells = split_line(line)
                 except (csv.Error, UnicodeDecodeError) as exc:
                     raise error(f"{fh.name}: line {lineno}: {exc}") from None
-                label, width = cells[0].strip(), len(cells)
-            if not label and not any(map(str.strip, cells)):  # split above
-                continue
+                label = cells[0].strip()
+                if not label and not any(map(str.strip, cells)):
+                    continue
             if header is None:
                 header = [c.strip() for c in cells]
                 if label != corner:
@@ -416,13 +409,19 @@ def read_labelled_rows(fh, corner: str, error=ValueError):
                 yield header[1:]
             elif not label:
                 raise error(f"{fh.name}: line {lineno}: row has no label")
-            elif width != len(header):
-                raise error(f"{fh.name}: row {label!r} has wrong width")
             else:
-                yield label, line, offset + start
-        offset += len(block)
+                yield label, line, start
     if header is None:
         raise error(no_header)
+
+
+def row_cells(path, label: str, line: bytes, columns: int,
+              error=ValueError) -> list[str]:
+    """Row `label`'s cells after its label: `columns` of them, or an error."""
+    cells = split_line(line)[1:]
+    if len(cells) != columns:
+        raise error(f"{path}: row {label!r} has wrong width")
+    return cells
 
 
 def non_numeric(path, label: str, error=ValueError) -> Exception:
@@ -457,7 +456,8 @@ def load_contingency_csv(path) -> ContingencyTable:
     with open(path, "rb") as fh:
         rows = read_labelled_rows(fh, "")
         col_labels = next(rows)
-        labelled = [(label, numbers(path, label, split_line(line)[1:]))
+        labelled = [(label, numbers(path, label, row_cells(
+                        path, label, line, len(col_labels))))
                     for label, line, _ in rows]
     if len(labelled) < 2:
         raise ValueError(f"{path}: need a header and at least two rows")

@@ -432,6 +432,35 @@ def test_table_rows_are_checked_when_provided(tmp_path, monkeypatch, capsys):
             f"error: {table}: non-numeric value in row {key!r}\n"
 
 
+def _shorten_rows(table, clean: bytes, keys) -> None:
+    """Rewrite `table` from `clean` with the last cell of each row in
+    `keys` dropped."""
+    lines = clean.decode().splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line.split(",", 1)[0] in keys:
+            lines[i] = line.rstrip("\r\n").rpartition(",")[0] + "\n"
+    table.write_text("".join(lines), newline="")
+
+
+def test_table_row_widths_are_checked_when_provided(tmp_path, capsys):
+    """A row with a cell missing loads, and fails where its cells are
+    split: `validate`, which provides every row, exits 2 naming it, and a
+    run on a table whose rows are all short exits 2 and writes no file."""
+    manifest, table = write_table_world(tmp_path)
+    clean = table.read_bytes()
+    keys = [line.split(",")[0] for line in clean.decode().splitlines()[1:]]
+    _shorten_rows(table, clean, {keys[1]})
+    capsys.readouterr()
+    assert main(["validate", "--manifest", str(manifest)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {table}: row {keys[1]!r} has wrong width\n"
+
+    _shorten_rows(table, clean, set(keys))
+    assert main(["run", "--manifest", str(manifest)]) == 2
+    assert "has wrong width\n" in capsys.readouterr().err
+    assert not (tmp_path / "out2").exists()
+
+
 def test_grid_command_and_chi2_round_trip(tmp_path, capsys):
     manifest = write_world(tmp_path, gens=8)
     assert main([
@@ -751,13 +780,15 @@ def test_summary_is_strict_json_without_a_valid_model(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["0", "-5", "1.5", "x"])
 def test_count_not_a_positive_integer_is_a_usage_error(tmp_path, capsys, value):
-    """grid --threshold and space-size --n-max reject a value that is not
-    an integer of at least 1 when the arguments are parsed, before running
-    a grid or printing a size."""
+    """grid --threshold and --runs-per-cell and space-size --n-max reject a
+    value that is not an integer of at least 1 when the arguments are
+    parsed, before reading a file, running a grid or printing a size."""
     manifest = write_world(tmp_path)
     capsys.readouterr()
     for argv in (["grid", "--manifest", str(manifest), "--runs-per-cell",
                   "1", "--threshold", value],
+                 ["grid", "--manifest", str(manifest), "--runs-per-cell",
+                  value],
                  ["space-size", "--N", "5", "--n-max", value]):
         with pytest.raises(SystemExit) as err:
             main(argv)

@@ -431,8 +431,8 @@ def _cells(*tokens, fill="1.5"):
 
 def test_table_csv_rejects_malformed(tmp_path, topo, dataset):
     """Each bad row raises DescriptorDataError naming the file and the row:
-    a wrong width, a repeated key and a malformed key when the table is
-    loaded, a non-numeric cell when its row is first provided."""
+    a repeated key and a malformed key when the table is loaded, a wrong
+    width and a non-numeric cell when its row is first provided."""
     cases = [
         (f"ax,{_cells(fill='oops')}", "non-numeric value in row 'ax'"),
         (" ax ,1.0", "row 'ax' has wrong width"),
@@ -448,7 +448,7 @@ def test_table_csv_rejects_malformed(tmp_path, topo, dataset):
     for i, (body, message) in enumerate(cases):
         path = tmp_path / f"bad{i}.csv"
         path.write_text(header + "\n" + body + "\n")
-        if message.startswith("non-numeric"):
+        if message.startswith("non-numeric") or message.endswith("width"):
             provider = load_descriptor_table(path, topo, dataset)
             with pytest.raises(DescriptorDataError) as err:
                 _provided(provider)
@@ -480,13 +480,20 @@ _ROW = _cells().encode()
         "non-ascii-cell", "blank-label", "blank-label-full", "not-utf-8"])
 def test_table_load_errors_on_every_line_kind(tmp_path, topo, dataset, body,
                                               fault):
-    """Plain lines are checked without splitting them, other lines by
-    splitting: both fail the load with the same messages."""
+    """Plain lines are labelled without splitting them, other lines by
+    splitting: both fail with the same messages, a row without a label or
+    a line that is not UTF-8 when the table is loaded, a row of the wrong
+    width when it is provided."""
     header = ("genotype," + ",".join(dataset.molecule_ids)).encode()
     path = tmp_path / "bad.csv"
     path.write_bytes(header + b"\n" + body + b"\n")
-    with pytest.raises(DescriptorDataError) as err:
-        load_descriptor_table(path, topo, dataset)
+    if fault.endswith("has wrong width"):
+        provider = load_descriptor_table(path, topo, dataset)
+        with pytest.raises(DescriptorDataError) as err:
+            _provided(provider)
+    else:
+        with pytest.raises(DescriptorDataError) as err:
+            load_descriptor_table(path, topo, dataset)
     assert str(err.value) == f"{path}: {fault}"
 
 
@@ -784,7 +791,8 @@ def test_table_record_spanning_lines_is_rejected(tmp_path, row):
 
 def test_table_wrong_width_deep_in_the_file_names_the_row(tmp_path):
     """A row of the wrong width dozens of blocks into a generated table
-    fails the load naming that row."""
+    loads, and fails naming that row when it is provided; its neighbours
+    are provided from their own offsets."""
     topology = binary_topology(12)
     ds = normal_dataset(m=64)
     rng = np.random.default_rng(14)
@@ -797,8 +805,13 @@ def test_table_wrong_width_deep_in_the_file_names_the_row(tmp_path):
     lines[3000] = key + b"," + cells.partition(b",")[2]
     path.write_bytes(b"\n".join(lines))
     assert len(b"\n".join(lines[:3000])) > 50 * stats._BLOCK
+    provider = load_descriptor_table(path, topology, ds)
+    keys = provider.known_keys()
+    assert keys[2999] == key.decode() and len(keys) == 4096
+    for near in (keys[2998], keys[3000]):
+        assert provider.provide(topology.parse(near)).values.size == ds.size
     with pytest.raises(DescriptorDataError) as err:
-        load_descriptor_table(path, topology, ds)
+        provider.provide(topology.parse(keys[2999]))
     assert str(err.value) == f"{path}: row {key.decode()!r} has wrong width"
 
 
@@ -841,6 +854,17 @@ def _labelled_files(draw):
     return bom + b"".join(line + end for line, end in zip(lines, ends))
 
 
+def _width_checked(fh, corner):
+    """`stats.read_labelled_rows`, each row split by `stats.row_cells`, so
+    that a row of the wrong width fails, before it is yielded."""
+    rows = stats.read_labelled_rows(fh, corner)
+    columns = next(rows)
+    yield columns
+    for label, line, offset in rows:
+        stats.row_cells(fh.name, label, line, len(columns))
+        yield label, line, offset
+
+
 def _read_all(read, path):
     """What `read` yields from the file at `path` for corner "c", and the
     message of the error that ends it (None if none does)."""
@@ -861,21 +885,18 @@ def _read_all(read, path):
 def test_block_reader_matches_a_line_reader(data):
     """Read in blocks of 1, 2, 7 and 64 bytes and at the module's own size,
     so that long rows, CRLFs and the byte-order mark straddle block
-    boundaries, `read_labelled_rows` yields the labels, lines and offsets
-    that reading one line at a time yields, and fails with the same first
-    error. A long-line limit of 1 counts every plain row's commas from
-    its block's comma mask."""
+    boundaries, `read_labelled_rows`, each row's width checked where it is
+    split, yields the labels, lines and offsets that reading one line at a
+    time yields, and fails with the same first error."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.csv"
         path.write_bytes(data)
         want = _read_all(labelled_rows_oracle, path)
         for block in (1, 2, 7, 64, stats._BLOCK):
-            for long_line in (1, stats._LONG_LINE):
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(stats, "_BLOCK", block)
-                    mp.setattr(stats, "_LONG_LINE", long_line)
-                    got = _read_all(stats.read_labelled_rows, path)
-                assert got == want, (block, long_line)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(stats, "_BLOCK", block)
+                got = _read_all(_width_checked, path)
+            assert got == want, block
 
 
 def test_table_rows_read_after_the_file_is_removed(tmp_path, topo, dataset):
