@@ -322,7 +322,10 @@ def _cmd_grid(args) -> int:
 
 def _cmd_stats_chi2(args) -> int:
     table = stats.load_contingency_csv(args.table)
-    report = stats.chi2_homogeneity(table, alpha=args.alpha)
+    try:
+        report = stats.chi2_homogeneity(table, alpha=args.alpha)
+    except ValueError as exc:
+        raise ValueError(f"{args.table}: {exc}") from None
     print(stats.format_report(report), end="")
     return EXIT_OK
 

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -529,6 +530,23 @@ def test_stats_chi2_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text(",P,T\nP,1\n")
     assert main(["stats", "chi2", "--table", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("rows,message", [
+    ("r1,0,0\nr2,3,4\n", "every row and column margin must be positive"),
+    ("r1,1,2\nr2,3,1e308\nr3,1e308,5\n",
+     "margins and expected counts must be finite"),
+])
+def test_stats_chi2_untestable_table_names_the_file(tmp_path, capsys, rows,
+                                                    message):
+    """A table the test cannot use exits 2 with an error that starts with
+    the file's path, as the loader's errors do, and no RuntimeWarning."""
+    table = tmp_path / "z.csv"
+    table.write_text(",P,T\n" + rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["stats", "chi2", "--table", str(table)]) == 2
+    assert capsys.readouterr().err == f"error: {table}: {message}\n"
 
 
 def test_validate_command(tmp_path, capsys):

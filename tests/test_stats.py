@@ -36,6 +36,11 @@ CHI2_SF_ORACLE = [
     (450.0, 60, 4.0747246554481605e-61),
     (0.001, 1, 0.97477287936996039),
     (200.0, 4, 3.7572767357810443e-42),
+    # mpmath 1.3.0 at 50 digits, gammainc(df/2, x/2, inf, regularized=True)
+    (40.0, 9, 7.598525229464276e-6),
+    (95.0, 9, 1.6080063508051432e-16),
+    (120.0, 51, 1.7288918608233702e-7),
+    (250.0, 51, 4.9169691267013428e-28),
 ]
 
 T_TWO_TAIL_ORACLE = [
@@ -53,12 +58,38 @@ T_TWO_TAIL_ORACLE = [
     (12.7062047361747, 1, 0.05000000000000002),
     (0.05, 4, 0.96251951844119452),
     (8.0, 20, 1.1656628271488523e-7),
+    # near the alpha = 0.05 and 0.25 critical values at a sample's df: mpmath
+    # 1.3.0 at 50 digits, betainc(df/2, 1/2, 0, df/(df+t^2), regularized=True)
+    (1.97, 203, 0.0501981678257857),
+    (1.972, 204, 0.049960978775008467),
+    (1.155, 203, 0.24944817062827416),
+    (1.15, 204, 0.25149021482357159),
+]
+
+# the root in t of the T_TWO_TAIL_ORACLE expression at alpha, by mpmath's
+# findroot at 50 digits
+T_CRITICAL_ORACLE = [
+    (0.05, 204, 1.9716608894937619),
+    (0.25, 203, 1.1536503652893365),
 ]
 
 
 @pytest.mark.parametrize("x,df,expected", CHI2_SF_ORACLE)
 def test_chi2_sf_against_frozen_oracle(x, df, expected):
     assert chi2_sf(x, df) == pytest.approx(expected, abs=1e-10)
+
+
+def test_chi2_sf_keeps_relative_accuracy_deep_in_the_tail():
+    # a sum of positive terms: no cancellation however small the tail
+    for x, df, expected in CHI2_SF_ORACLE:
+        if expected < 1e-6:
+            assert chi2_sf(x, df) == pytest.approx(expected, rel=1e-12)
+
+
+def test_chi2_sf_is_one_where_the_lower_tail_rounds_away():
+    # the lower tail at (12.2, 100) is 1.5e-28 (mpmath), far below half an
+    # ulp of 1; summed, the rounded upper-tail terms land a few ulps off 1
+    assert chi2_sf(12.2, 100) == 1.0
 
 
 def test_chi2_sf_closed_forms():
@@ -78,6 +109,11 @@ def test_chi2_sf_bounds_and_monotonicity():
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+def test_chi2_sf_of_a_statistic_whose_half_underflows_is_one():
+    for df in (1, 2, 3):
+        assert chi2_sf(5e-324, df) == 1.0
+
+
 def test_chi2_sf_rejects_bad_arguments():
     with pytest.raises(ValueError):
         chi2_sf(1.0, 0)
@@ -90,6 +126,20 @@ def test_chi2_sf_rejects_bad_arguments():
 def test_student_t_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
         student_t_two_tail(math.nan, 5)
+
+
+def test_infinite_statistics_have_zero_tails():
+    assert chi2_sf(math.inf, 2) == 0.0
+    for df in (1, 2, 7, 204):
+        assert student_t_two_tail(math.inf, df) == 0.0
+        assert student_t_two_tail(-math.inf, df) == 0.0
+
+
+@pytest.mark.parametrize("tail", [chi2_sf, student_t_two_tail])
+def test_df_must_be_integral(tail):
+    assert tail(1.5, 4.0) == tail(1.5, 4)
+    with pytest.raises(ValueError, match="positive integer, got 4.5"):
+        tail(1.5, 4.5)
 
 
 @pytest.mark.parametrize("t,df,expected", T_TWO_TAIL_ORACLE)
@@ -131,6 +181,11 @@ def test_t_critical_round_trip():
         for df in (3, 10, 200):
             crit = t_critical(alpha, df)
             assert student_t_two_tail(crit, df) == pytest.approx(alpha, abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha,df,expected", T_CRITICAL_ORACLE)
+def test_t_critical_against_frozen_oracle(alpha, df, expected):
+    assert t_critical(alpha, df) == pytest.approx(expected, rel=1e-12)
 
 
 def test_jarque_bera_hand_computed():
@@ -250,6 +305,19 @@ def test_homogeneity_rejects_zero_margin():
         chi2_homogeneity(
             ContingencyTable([[0, 5], [0, 7]], ["a", "b"], ["x", "y"])
         )
+
+
+@pytest.mark.parametrize("counts", [
+    [[1, 2], [3, 1e308], [1e308, 5]],   # a margin overflows
+    [[1e160, 1], [1, 1e160]],           # margins are finite, row x col is not
+])
+def test_homogeneity_rejects_overflowing_counts(counts):
+    table = ContingencyTable(counts, range(len(counts)), ["x", "y"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^margins and expected counts "
+                                             "must be finite$"):
+            chi2_homogeneity(table)
 
 
 def test_contingency_validation():
