@@ -408,6 +408,8 @@ def _bounded(parse, inside, rule: str):
 
 _alpha = _bounded(float, lambda a: 0.0 < a < 1.0, "lie in (0, 1)")
 _positive = _bounded(int, lambda n: n >= 1, "be a positive integer")
+_spread = _bounded(float, lambda x: 0.0 <= x < math.inf,
+                   "be nonnegative and finite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,9 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate synthetic activity and "
                        "descriptor files")
-    p.add_argument("--molecules", type=int, default=206)
+    p.add_argument("--molecules", type=_positive, default=206)
     p.add_argument("--mean", type=float, default=6.4806)
-    p.add_argument("--sd", type=float, default=0.83076)
+    p.add_argument("--sd", type=_spread, default=0.83076)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--activity-out", required=True)
     p.add_argument("--descriptors-out")

@@ -91,10 +91,8 @@ class GridAggregate:
                 raise ValueError(f"cell {sel}:{sur} failed: {cell.error}")
             value = cell.measure(measure, self.threshold)
             if value == 0:
-                raise ValueError(
-                    f"cell {sel}:{sur} has zero {measure}; "
-                    "homogeneity table needs positive margins"
-                )
+                raise ValueError(f"cell {sel}:{sur} has zero {measure}; "
+                                 "every cell must be positive")
             counts.append(value)
         side = len(STRATEGY_LABELS)
         rows = [counts[i:i + side] for i in range(0, len(counts), side)]

@@ -27,7 +27,6 @@ __all__ = [
     "mutate",
     "mutate_per_gene",
     "parse_topology",
-    "serialize_topology",
     "load_topology",
 ]
 
@@ -234,13 +233,6 @@ def parse_topology(text: str) -> GeneticTopology:
         alleles = tuple(fields[colon + 1 :])
         genes.append(Gene(name, alleles))
     return GeneticTopology(tuple(genes))
-
-
-def serialize_topology(topology: GeneticTopology) -> str:
-    lines = [
-        f"gene {g.name} : {' '.join(g.alleles)}" for g in topology.genes
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def load_topology(path) -> GeneticTopology:

@@ -99,7 +99,10 @@ def student_t_two_tail(t: float, df: int) -> float:
 
 @lru_cache(maxsize=None)
 def t_critical(alpha: float, df: int) -> float:
-    """Two-tailed critical value: |t| above it has tail probability < alpha."""
+    """Two-tailed critical value: |t| above it has tail probability < alpha.
+    The bisection keeps the tail above alpha at `lo`, at or below it at
+    `hi`, and ends when they are adjacent floats: the midpoint is then one
+    of them, which any further step would write back."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     lo, hi = 0.0, 1.0
@@ -107,13 +110,12 @@ def t_critical(alpha: float, df: int) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise ArithmeticError("t_critical failed to bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if student_t_two_tail(mid, df) > alpha:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return mid
 
 
 # --- sample statistics ------------------------------------------------------
@@ -212,9 +214,11 @@ class ChiSquareReport:
         return self.p_total < self.alpha
 
 
-def _rounded_expected(e: float) -> float:
-    r = math.floor(e + 0.5)  # half-up, independent of banker's rounding
-    return r if r > 0 else e
+def _rounded_expected(e: np.ndarray) -> np.ndarray:
+    """Expected counts rounded half up (not to even); a count that rounds
+    to 0 stays exact."""
+    r = np.floor(e + 0.5)
+    return np.where(r > 0, r, e)
 
 
 def chi2_homogeneity(table: ContingencyTable, alpha: float = 0.05) -> ChiSquareReport:
@@ -235,12 +239,9 @@ def chi2_homogeneity(table: ContingencyTable, alpha: float = 0.05) -> ChiSquareR
     if not (np.isfinite(grand) and np.isfinite(expected).all()):
         raise ValueError("margins and expected counts must be finite")
 
-    contrib = np.empty_like(obs)
-    for i in range(nrow):
-        for j in range(ncol):
-            e = _rounded_expected(expected[i, j])
-            contrib[i, j] = (obs[i, j] - e) ** 2 / e
-
+    e = _rounded_expected(expected)
+    d = obs - e
+    contrib = d * d / e
     partial_row = tuple(float(contrib[i].sum()) for i in range(nrow))
     partial_col = tuple(float(contrib[:, j].sum()) for j in range(ncol))
     total = float(contrib.sum())
@@ -417,25 +418,16 @@ def format_report(report: ChiSquareReport) -> str:
     """Render observed (expected) counts plus the statistic table."""
     t = report.table
     obs = t.observed
-    lines = []
-    header = ["X^2"] + list(t.col_labels) + ["Sum"]
-    body = []
-    for i, rl in enumerate(t.row_labels):
-        cells = [
-            f"{_format_count(obs[i, j])} ({_format_count(_rounded_expected(report.expected[i, j]))})"
-            for j in range(obs.shape[1])
-        ]
-        body.append([rl] + cells + [_format_count(obs[i].sum())])
-    body.append(
-        ["Sum"]
-        + [_format_count(obs[:, j].sum()) for j in range(obs.shape[1])]
-        + [_format_count(obs.sum())]
-    )
-    widths = [
-        max(len(row[c]) for row in [header] + body) for c in range(len(header))
-    ]
-    for row in [header] + body:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+    rows = [["X^2", *t.col_labels, "Sum"]]
+    for label, o, e in zip(t.row_labels, obs,
+                           _rounded_expected(report.expected)):
+        rows.append([label, *(f"{_format_count(a)} ({_format_count(b)})"
+                              for a, b in zip(o, e)), _format_count(o.sum())])
+    rows.append(["Sum", *(_format_count(c.sum()) for c in obs.T),
+                 _format_count(obs.sum())])
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+             for row in rows]
     lines.append("")
     partials = ([(f"{label},.", report.df_row) for label in t.row_labels]
                 + [(f".,{label}", report.df_col) for label in t.col_labels]

@@ -20,7 +20,7 @@ from evoreg.genome import Gene, GeneticTopology
 from evoreg.regress import (SIGNIFICANCE_OFFSET, SingularFitError, better,
                             fit_assessed)
 from evoreg.scores import ObjectiveSpec, objective_score
-from evoreg.stats import split_line, t_critical
+from evoreg.stats import split_line, student_t_two_tail, t_critical
 from evoreg.strategy import StrategySpec
 
 
@@ -162,6 +162,36 @@ def proportional_oracle(table, n_sel, rng):
         selected.append(members.pop(rng.randrange(len(members))))
         counts[group] -= 1
     return selected
+
+
+def t_critical_oracle(alpha, df):
+    """`stats.t_critical` as a fixed 200 bisection steps, however soon its
+    bracket stops shrinking: the oracle for the loop that stops there."""
+    lo, hi = 0.0, 1.0
+    while student_t_two_tail(hi, df) > alpha:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if student_t_two_tail(mid, df) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def chi2_partials_oracle(observed):
+    """The row, column and total X^2 of `stats.chi2_homogeneity`, each
+    cell's (o - e) ** 2 / e computed alone, against its expected count
+    rounded half up by `math.floor`, or kept exact where that gives 0."""
+    obs = np.asarray(observed, dtype=float)
+    expected = np.outer(obs.sum(axis=1), obs.sum(axis=0)) / obs.sum()
+    contrib = np.empty_like(obs)
+    for (i, j), e in np.ndenumerate(expected):
+        r = math.floor(e + 0.5)
+        e = r if r > 0 else float(e)
+        contrib[i, j] = (float(obs[i, j]) - e) ** 2 / e
+    return (tuple(float(c.sum()) for c in contrib),
+            tuple(float(c.sum()) for c in contrib.T), float(contrib.sum()))
 
 
 def ncd(a, b):

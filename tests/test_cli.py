@@ -798,16 +798,20 @@ def test_summary_is_strict_json_without_a_valid_model(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["0", "-5", "1.5", "x"])
 def test_count_not_a_positive_integer_is_a_usage_error(tmp_path, capsys, value):
-    """grid --threshold and --runs-per-cell and space-size --n-max reject a
-    value that is not an integer of at least 1 when the arguments are
-    parsed, before reading a file, running a grid or printing a size."""
+    """grid --threshold and --runs-per-cell, space-size --n-max and
+    gen-data --molecules reject a value that is not an integer of at least
+    1 when the arguments are parsed, before reading a file, running a grid,
+    printing a size or writing a file."""
     manifest = write_world(tmp_path)
     capsys.readouterr()
+    activity = tmp_path / "generated.csv"
     for argv in (["grid", "--manifest", str(manifest), "--runs-per-cell",
                   "1", "--threshold", value],
                  ["grid", "--manifest", str(manifest), "--runs-per-cell",
                   value],
-                 ["space-size", "--N", "5", "--n-max", value]):
+                 ["space-size", "--N", "5", "--n-max", value],
+                 ["gen-data", "--activity-out", str(activity),
+                  "--molecules", value]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 1
@@ -815,7 +819,26 @@ def test_count_not_a_positive_integer_is_a_usage_error(tmp_path, capsys, value):
         assert f"{argv[-2]}: must be a positive integer" in captured.err
         assert captured.out == ""
     assert not (tmp_path / "out").exists()
+    assert not activity.exists()
     assert main(["space-size", "--N", "5", "--n-max", "1"]) == 0
+
+
+@pytest.mark.parametrize("sd", ["-1", "-0.5", "nan", "inf", "-inf", "x"])
+def test_gen_data_sd_outside_zero_to_inf_is_a_usage_error(tmp_path, capsys,
+                                                          sd):
+    """gen-data --sd must be nonnegative and finite: anything else is a
+    usage error naming the flag, before the activity file is written."""
+    activity = tmp_path / "generated.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["gen-data", "--activity-out", str(activity), f"--sd={sd}"])
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert f"--sd: must be nonnegative and finite, got {sd!r}" in captured.err
+    assert captured.out == ""
+    assert not activity.exists()
+    assert main(["gen-data", "--activity-out", str(activity), "--sd", "0",
+                 "--molecules", "3"]) == 0
+    assert len(activity.read_text().splitlines()) == 4
 
 
 @pytest.mark.parametrize("alpha", ["7", "1", "0", "-1", "nan", "inf", "x"])

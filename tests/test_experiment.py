@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from evoreg.engine import GenerationRecord, RunResult
@@ -5,6 +7,7 @@ from evoreg.experiment import (
     MEASURES,
     STRATEGY_LABELS,
     CellStats,
+    GridAggregate,
     accumulate_run,
     homogeneity_analysis,
     render_grid_report,
@@ -248,6 +251,27 @@ def test_grid_cell_failure_is_isolated():
     assert all(cell.error is not None for cell in agg.cells.values())
     with pytest.raises(ValueError):
         agg.contingency("num")
+
+
+def test_a_zero_cell_inside_positive_margins_is_not_testable():
+    """Every cell of a homogeneity table must be positive, not only its
+    margins: P:T holds no genotype above the threshold while its row and
+    column totals are positive."""
+    def cell(count):
+        return CellStats(runs=1, occurrences=Counter({"g": count}),
+                         participations=Counter({"g": count}))
+    cells = {(sel, sur): cell(5 if (sel, sur) == ("P", "T") else 30)
+             for sel in STRATEGY_LABELS for sur in STRATEGY_LABELS}
+    agg = GridAggregate(cells, threshold=23, runs_per_cell=1)
+    table = [[cells[(sel, sur)].measure("top_num", 23) for sur in "PTD"]
+             for sel in "PTD"]
+    assert table[0][1] == 0
+    assert min(map(sum, table)) > 0 and min(map(sum, zip(*table))) > 0
+    report = render_grid_report(agg).splitlines()
+    for measure in ("top_num", "top_occ", "top_par"):
+        assert (f"not testable: cell P:T has zero {measure}; "
+                "every cell must be positive") in report
+    assert sum(line.startswith("not testable") for line in report) == 3
 
 
 def test_homogeneity_requires_measure_for_grid(desk_grid):

@@ -19,7 +19,6 @@ from evoreg.genome import (
     mutate_per_gene,
     parse_topology,
     random_genotype,
-    serialize_topology,
 )
 from tests.conftest import ncd, parse_oracle
 
@@ -270,13 +269,10 @@ gene op : M E C Q
 """
 
 
-def test_parse_topology_and_roundtrip():
+def test_parse_topology():
     topo = parse_topology(TOPOLOGY_TEXT)
     assert [g.name for g in topo.genes] == ["metric", "kind", "op"]
     assert topo.genes[2].alleles == ("M", "E", "C", "Q")
-    text = serialize_topology(topo)
-    assert parse_topology(text) == topo
-    assert serialize_topology(parse_topology(text)) == text
 
 
 def test_load_topology(tmp_path):

@@ -16,6 +16,8 @@ from evoreg.stats import (
     t_critical,
     write_contingency_csv,
 )
+from tests.conftest import chi2_partials_oracle, t_critical_oracle
+from tests.test_acceptance import REFERENCE
 
 # frozen once from an arbitrary-precision evaluation of the regularized
 # incomplete gamma/beta functions
@@ -188,6 +190,18 @@ def test_t_critical_against_frozen_oracle(alpha, df, expected):
     assert t_critical(alpha, df) == pytest.approx(expected, rel=1e-12)
 
 
+def test_t_critical_is_the_200_step_bisection_bit_for_bit():
+    # once lo and hi are adjacent floats the midpoint is one of them, and
+    # the reference's later steps write it back unchanged
+    for alpha in (1e-6, 0.001, 0.01, 0.05, 0.25, 0.5, 0.9, 0.999999,
+                  1.0 - 2.0 ** -52):
+        for df in (*range(1, 61), *range(199, 205), 1000):
+            got = t_critical.__wrapped__(alpha, df)
+            assert got.hex() == t_critical_oracle(alpha, df).hex(), (alpha, df)
+    with pytest.raises(ArithmeticError, match="failed to bracket"):
+        t_critical(1e-12, 1)
+
+
 def test_jarque_bera_hand_computed():
     # mean 0, m2 = 1, m3 = 0, m4 = 1 -> S = 0, K = 1, JB = (4/6)(0 + 4/4)
     jb, p = jarque_bera([-1.0, -1.0, 1.0, 1.0])
@@ -298,6 +312,31 @@ def test_homogeneity_expected_margins_match_observed():
     obs = TABLE_NUM.observed
     assert np.allclose(report.expected.sum(axis=1), obs.sum(axis=1))
     assert np.allclose(report.expected.sum(axis=0), obs.sum(axis=0))
+
+
+# the reference tables, and one whose expected counts are all 2.5: rounded
+# half up, not to even
+@pytest.mark.parametrize("observed", [ref[1] for ref in REFERENCE]
+                         + [[[1, 4], [4, 1]]],
+                         ids=[ref[0] for ref in REFERENCE] + ["half counts"])
+def test_homogeneity_partials_are_the_cellwise_oracle_bit_for_bit(observed):
+    labels = range(len(observed))
+    report = chi2_homogeneity(ContingencyTable(observed, labels, labels))
+    got = (report.partial_row, report.partial_col, report.total)
+    assert got == chi2_partials_oracle(observed)
+
+
+@pytest.mark.parametrize("observed", [[[1, 9], [0, 90]], [[1, 0], [7, 33]]])
+def test_an_expected_count_below_one_half_stays_exact(observed):
+    report = chi2_homogeneity(ContingencyTable(observed, "ab", "xy"))
+    assert report.expected[0, 0] < 0.5
+    assert f"({float(report.expected[0, 0])!r})" in format_report(report)
+    # d * d may differ by an ulp from the oracle's C pow at a non-integer d
+    rows, cols, total = chi2_partials_oracle(observed)
+    for got, want, cells in zip(
+            report.partial_row + report.partial_col + (report.total,),
+            rows + cols + (total,), (2, 2, 2, 2, 4)):
+        assert abs(got - want) <= cells * math.ulp(want), (got, want)
 
 
 def test_homogeneity_rejects_zero_margin():
