@@ -4,9 +4,15 @@ validity rules, and search-space sizing.
 GramFitter fits every n-subset of a panel in both forms into its `table`:
 it gathers their normal matrices from one Gram matrix of [panel; 1; y]
 (Furnival & Wilson, *Regressions by Leaps and Bounds*, 1974) and factors
-them by a Cholesky that runs elementwise along the subset axis, in equal
-chunks of at most CHUNK_SUBSETS subsets. A subset is addressed by its row of
-`GramFitter.subsets`; `ols_fit` is the per-subset reference.
+them by a Cholesky, in equal chunks of at most CHUNK_SUBSETS subsets. The
+kernel holds each entry of the bordered matrix as one float64 vector over a
+chunk's subsets and works entry by entry with in-place ufuncs, so its
+temporaries are chunk-length vectors, or stacks of one per member or per
+form where one gather or one ufunc serves them all. Each sum adds the terms
+of the matrix product it stands for in their order, products with zeros
+included, so a subset's bits do not depend on the other subsets of its
+chunk. A subset is addressed by its row of `GramFitter.subsets`; `ols_fit`
+is the per-subset reference.
 
 Singular rule, shared by both: with the columns ordered as the members, then
 the intercept, a fit is singular when a Cholesky pivot (the squared norm a
@@ -71,10 +77,12 @@ _CONDITION_WARN = 1e12
 # pivots below this share of their diagonal carry fewer than about six
 # significant digits in double precision
 PIVOT_TOL = 1e-10
-# the most subsets factored per kernel pass; bounds the kernel's working
-# memory. At n = 3 one pass over 4,060 subsets took about 1.6 times as long
-# as three of 1,354, and each extra pass costs a fixed overhead
-CHUNK_SUBSETS = 1500
+# the most subsets factored per kernel pass; a vector of as many float64 is
+# 16 KiB, far below glibc's 128 KiB mmap threshold. A pass costs a fixed
+# 0.1 ms or so, and every carried sweep-n3 generation (784 to 2,036 touched
+# rows) runs in one. A cap of 4,096, which takes the cold 4,060-row sweep
+# in one pass too, was no faster there (6 benchmark pairs)
+CHUNK_SUBSETS = 2048
 # a valid model has at most m - SIGNIFICANCE_OFFSET coefficients
 SIGNIFICANCE_OFFSET = 6
 
@@ -129,16 +137,16 @@ def _r2(ssr, yhat_sum, sy, var_y, m):
     return np.minimum(r2, 1.0, out=r2)
 
 
-def _head_sums(x: np.ndarray, n: int) -> np.ndarray:
-    """The sums of x[:n] and of x[:n + 1] along the first axis, stacked.
-    Rows are added in order, as `np.cumsum(x, axis=0)[n - 1 : n + 1]` adds
-    them, so the bits are the same; cumsum along so short an axis runs an
-    order of magnitude slower."""
-    out = np.empty((2, *x.shape[1:]))
-    np.copyto(out[0], x[0])
-    for row in x[1:n]:
-        out[0] += row
-    np.add(out[0], x[n], out=out[1])
+def _dot(xs, ys, out=None, start=None):
+    """start + xs[0] * ys[0] + xs[1] * ys[1] + ..., elementwise over the
+    subsets and added left to right, as a matrix product adds its terms;
+    without start the sum begins with its first product."""
+    terms = zip(xs, ys)
+    x, y = next(terms)
+    out = (np.multiply(x, y, out=out) if start is None
+           else np.add(start, x * y, out=out))
+    for x, y in terms:
+        out += x * y
     return out
 
 
@@ -317,65 +325,118 @@ class GramFitter:
                                              t[rows, wi:])
         flat = np.flatnonzero(ok)
         # shape codes; per slot 0 no candidate, 1 an invalid one, 2 a valid one
-        shapes = (present.astype(np.intp) + ok) @ (3, 1)
+        c = present.view(np.uint8) + ok.view(np.uint8)
+        shapes = 3 * c[:, 0] + c[:, 1]
         return Sweep(flat >> 1, (flat & 1) == 0, values.take(flat),
                      shapes.tolist())
 
     def _fit_chunk(self, idx: np.ndarray, out: np.ndarray,
                    singular: np.ndarray) -> None:
         """The kernel: factor the bordered normal matrices of the subsets in
-        `idx` elementwise along the subset axis, and write both forms' fits
-        into `out` and `singular`, laid out as ``table`` and ``singular``."""
+        `idx` and write both forms' fits into `out` and `singular`, laid out
+        as ``table`` and ``singular``. Each matrix entry is one vector over
+        the subsets, and each sum adds the terms of the matrix product it
+        stands for in order, products with zeros included."""
         rows, n = idx.shape
         n1 = n + 1      # members and intercept
         p, m, gram = self.panel.shape[0], self.m, self.gram
-        cols = np.empty((n1 + 1, rows), dtype=np.intp)   # Gram rows: members,
-        cols[:n], cols[n:] = idx.T, [[p], [p + 1]]      # intercept, response
-        # a[i, j] is entry (i, j) of each subset's normal matrix bordered by
-        # the response; the Cholesky factor overwrites the lower triangle,
-        # the upper triangle keeps the Gram entries
-        a = gram[cols[:, None], cols[None, :]]
+        cols = idx.T.copy()
+        # a[i][j], j <= i: entry (i, j) of the normal matrices bordered by
+        # the response, rows ordered members, intercept (n), response (n1);
+        # a scalar where the subsets share it. The Cholesky factor L
+        # replaces them column by column.
+        diag = gram.take(cols * (p + 3))    # gram[c, c], one row per member
+        tol = [*(PIVOT_TOL * diag), PIVOT_TOL * gram[p, p]]
+        a = []
+        for i, ci in enumerate(cols):
+            at = ci * (p + 2)       # flat offset of Gram row ci
+            a.append([gram.take(at + cj) for cj in cols[:i]] + [diag[i]])
+        a.append([*gram[p].take(cols), gram[p, p]])
+        a.append([*gram[p + 1].take(cols), gram[p + 1, p]])
+        bad = np.empty((n1, rows), dtype=bool)
         for j in range(n1):
-            if j:
-                a[j:, j] -= (a[j:, :j] * a[j, :j]).sum(axis=1)
-            pivot = a[j, j]
-            bad = pivot <= PIVOT_TOL * gram[cols[j], cols[j]]
-            # a member pivot fails both forms, the intercept pivot one
-            singular[0 if j < n else 1 :] |= bad
-            pivot[bad] = 1.0    # keeps singular fits finite; they are masked
+            for i in range(j, n1 + 1) if j else ():
+                s = _dot(a[i][:j], a[j][:j])
+                a[i][j] = np.subtract(a[i][j], s, out=s)
+            pivot = a[j][j]
+            np.less_equal(pivot, tol[j], out=bad[j])
+            # keeps singular fits finite; they are masked
+            np.copyto(pivot, 1.0, where=bad[j])
             np.sqrt(pivot, out=pivot)
-            a[j + 1 :, j] /= pivot
-        # w = L^-1 of the design block; its leading n x n block inverts the
-        # no-intercept form's factor
-        w = np.zeros((n1, n1, rows))
+            for i in range(j + 1, n1 + 1):
+                a[i][j] /= pivot
+        # a member pivot fails both forms, the intercept pivot one
+        np.logical_or.reduce(bad[:n], axis=0, out=singular[0])
+        np.logical_or(singular[0], bad[n], out=singular[1])
+        # w[i][l], l <= i: L^-1 of the design block, zero above the diagonal;
+        # its leading n x n block inverts the no-intercept form's factor
+        w = []
         for i in range(n1):
-            w[i, i] = 1.0 / a[i, i]
-            if i:
-                w[i, :i] = -w[i, i] * (a[i, :i, None] * w[:i, :i]).sum(axis=0)
-        z = a[n1, :n1]          # L^-1 X'y
-        # sums over the leading n rows give the no-intercept form, over all
-        # n + 1 rows the intercept form
-        coef = _head_sums(w * z[:, None], n)
-        var = _head_sums(w * w, n)      # diagonal of the inverse
-        ssr = _head_sums(z * z, n)
+            row = [None] * i + [np.divide(1.0, a[i][i])]
+            neg = np.negative(row[i]) if i else None
+            for l in range(i):
+                # zero: the products with w's zeros above the diagonal
+                if l == 1:
+                    zero = a[i][0] * 0.0
+                elif l:
+                    zero += a[i][l - 1] * 0.0
+                s = _dot(a[i][l:i], [w[k][l] for k in range(l, i)],
+                         start=zero if l else None)
+                row[l] = np.multiply(neg, s, out=s)
+            w.append(row)
+        z = a[n1][:n1]      # L^-1 X'y
+        # coefficient l of a form sums w's column l against z, over the
+        # leading n rows without the intercept and all n + 1 with it, into
+        # slot l + 1 (the intercept's is 0). The diagonal of each form's
+        # inverse goes into the t rows, to become se and then t. zero sums
+        # the products with w's zeros above the diagonal; all n of them are
+        # the no-intercept form's unused intercept.
+        zero = out[0, 0]
+        for l in range(n1):
+            slot = (l + 1) % n1
+            if l == 1:
+                np.multiply(0.0, z[0], out=zero)
+            elif l:
+                zero += 0.0 * z[l - 1]
+            if l < n:
+                col = [w[i][l] for i in range(l, n)]
+                _dot(col, z[l:n], out=out[0, slot], start=zero if l else None)
+                # w's zeros square to +0, which adds nothing
+                _dot(col, col, out=out[0, n1 + slot])
+                np.add(out[0, n1 + slot], w[n][l] * w[n][l],
+                       out=out[1, n1 + slot])
+            else:
+                np.multiply(w[n][n], w[n][n], out=out[1, n1])
+            np.add(out[0, slot], w[n][l] * z[n], out=out[1, slot])
+        ssr = np.empty((2, rows))
+        _dot(z[:n], z[:n], out=ssr[0])
+        np.add(ssr[0], z[n] * z[n], out=ssr[1])
         yy, sy = gram[p + 1, p + 1], gram[p, p + 1]
-        sse = yy - ssr
-        exact = sse <= PIVOT_TOL * yy
-        sse[exact] = 0.0
-        df = np.array(self.df)[:, None]
-        t = _t_stats(coef, np.sqrt(var * (sse / df)[:, None]))
-        # sum of y_hat: from the column sums a[:n, n] without intercept
+        # the sum of y_hat; without the intercept, from the column sums X'1
         yhat_sum = np.full((2, rows), sy)
-        (coef[0, :n] * a[:n, n]).sum(axis=0, out=yhat_sum[0])
-        out[:, 0], out[:, 1:n1] = coef[:, n], coef[:, :n]   # intercept first
-        out[:, n1], out[:, n1 + 1 : 2 * n1] = t[:, n], t[:, :n]
+        _dot(out[0, 1:n1], gram[:, p].take(cols), out=yhat_sum[0])
+        sse = np.subtract(yy, ssr, out=out[:, 2 * n1 + 1])
+        exact = sse <= PIVOT_TOL * yy
+        np.copyto(sse, 0.0, where=exact)
+        # the no-intercept form's unused intercept has variance 0, and t 0
+        # as x - x is for its zero coefficient. That coefficient is NaN only
+        # where some z is not finite, which makes se NaN or 0 in its row.
+        np.subtract(out[0, 0], out[0, 0], out=out[0, n1])
+        for f, lo in ((0, 1), (1, 0)):
+            coef, se = out[f, lo:n1], out[f, n1 + lo : 2 * n1]
+            np.sqrt(np.multiply(se, sse[f] / self.df[f], out=se), out=se)
+            if se.min() > 0.0:
+                np.divide(coef, se, out=se)
+            else:   # _t_stats' rule where se is 0 or NaN
+                se[...] = _t_stats(coef, se)
+                if not f:
+                    out[0, n1] = _t_stats(out[0, 0], 0.0)
         out[:, 2 * n1] = _r2(ssr, yhat_sum, sy, yy - sy * sy / m, m)
-        out[:, 2 * n1 + 1] = sse
         for form in (0, 1) if self.s != 2.0 else ():
-            # sum |y - y_hat|^s from the residual rows; coef[n] is the intercept
-            resid = self.y - coef[form, n, :, None]
+            # sum |y - y_hat|^s from the residual rows; slot 0 the intercept
+            resid = self.y - out[form, 0, :, None]
             for j in range(n):
-                resid -= coef[form, j, :, None] * self.panel[idx[:, j]]
+                resid -= out[form, j + 1, :, None] * self.panel[idx[:, j]]
             se_s = (np.abs(resid, out=resid) ** self.s).sum(axis=1)
             out[form, 2 * n1 + 1] = np.where(exact[form], 0.0, se_s)
 

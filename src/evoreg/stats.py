@@ -238,6 +238,9 @@ def chi2_homogeneity(table: ContingencyTable, alpha: float = 0.05) -> ChiSquareR
         raise ValueError("every row and column margin must be positive")
     if not (np.isfinite(grand) and np.isfinite(expected).all()):
         raise ValueError("margins and expected counts must be finite")
+    if not (expected > 0).all():    # margins so small their product underflows
+        raise ValueError("every expected count (row margin x column margin "
+                         "/ total) must be positive")
 
     e = _rounded_expected(expected)
     d = obs - e
@@ -288,13 +291,19 @@ _BLOCK = 1 << 16
 
 
 def _line_blocks(fh):
-    """`fh`'s bytes in blocks of whole lines: a read of `_BLOCK` bytes that
-    ends inside a line takes the rest of it. The last block may end
-    without a line end."""
+    """`fh`'s bytes in blocks, each with the list of its whole lines. A
+    read of `_BLOCK` bytes keeps the lines it ends and steps the file back
+    over the rest, so the next read starts with the line it cut; a read
+    inside one line (a long one, or the last) reads on to the line's end.
+    The last line may end without a line end."""
     while block := fh.read(_BLOCK):
-        if not block.endswith(b"\n"):
+        stop = block.rfind(b"\n") + 1
+        if not stop:
             block += fh.readline()
-        yield block
+            stop = len(block)
+        elif stop < len(block):
+            fh.seek(stop - len(block), 1)
+        yield block, io.BytesIO(block).readlines(stop)
 
 
 def read_labelled_rows(fh, corner: str, error=ValueError):
@@ -311,18 +320,17 @@ def read_labelled_rows(fh, corner: str, error=ValueError):
     the first fault in the file; `non_numeric` is the one for a cell a
     caller finds not a number.
 
-    The file is read in blocks of whole lines (`_line_blocks`). A line's
-    label is the text before its first comma if the block is all ASCII
-    with no quote and that text is not blank; otherwise the line is
-    split."""
+    The file is read in blocks (`_line_blocks`). A line's label is the
+    text before its first comma if its block is all ASCII with no quote
+    and that text is not blank; otherwise the line is split."""
     no_header = f"{fh.name}: first header column must be {corner!r}"
     offset = fh.tell()
     if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
         fh.seek(offset)
     header, offset, lineno = None, fh.tell(), 0
-    for block in _line_blocks(fh):
+    for block, lines in _line_blocks(fh):
         plain = block.isascii() and b'"' not in block
-        for lineno, line in enumerate(io.BytesIO(block), lineno + 1):
+        for lineno, line in enumerate(lines, lineno + 1):
             start, offset = offset, offset + len(line)
             cr = line.find(b"\r")
             if cr >= 0 and line[cr + 1:cr + 2] != b"\n":

@@ -536,6 +536,9 @@ def test_stats_chi2_malformed(tmp_path, capsys):
     ("r1,0,0\nr2,3,4\n", "every row and column margin must be positive"),
     ("r1,1,2\nr2,3,1e308\nr3,1e308,5\n",
      "margins and expected counts must be finite"),
+    ("r1,1e-200,1e-200\nr2,1e-200,1e-200\n",
+     "every expected count (row margin x column margin / total) must be "
+     "positive"),
 ])
 def test_stats_chi2_untestable_table_names_the_file(tmp_path, capsys, rows,
                                                     message):

@@ -1,6 +1,7 @@
 """The batched subset-fit kernel against slow oracles, its singular rule,
 the engine boundary the benchmark's tracer wraps, and its memory bound."""
 
+import hashlib
 import importlib
 import math
 import random
@@ -123,16 +124,65 @@ def test_kernel_matches_oracles(kind, n, seed, s):
                 assert se_s == pytest.approx(lsse, rel=rtol)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_head_sums_add_in_cumsum_order(n):
-    """The kernel's sums over the leading n and n + 1 rows add the rows in
-    cumsum's order: the bits equal np.cumsum(x, axis=0)[n - 1:], on values
-    whose magnitudes differ enough that another order would round apart."""
-    rng = np.random.default_rng(n)
-    for shape in [(n + 1, 500), (n + 1, n + 1, 500)]:
-        x = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)
-        expected = np.cumsum(x, axis=0)[n - 1:]
-        assert regress._head_sums(x, n).tobytes() == expected.tobytes()
+def _digest_panel():
+    """An adversarial integer panel, its response, and the panel with two
+    rows changed. Small integers make every Gram entry exact, whatever
+    order BLAS adds in: rows 0 and 1 are negated copies, rows 2 and 3 have
+    disjoint supports (Gram entry exactly 0), row 4 is constant (collinear
+    with the intercept), row 5 has one nonzero value, row 7 is 2 * row 6 -
+    row 0, and y = row 0 - 2 * row 6 + 1 is an exact fit of some subsets."""
+    rng = np.random.default_rng(29)
+    m, p = 24, 8
+    panel = rng.integers(-4, 5, size=(p, m)).astype(float)
+    panel[1] = -panel[0]
+    panel[2, m // 2:] = 0.0
+    panel[3, : m // 2] = 0.0
+    panel[4] = 3.0
+    panel[5] = 0.0
+    panel[5, 7] = 5.0
+    panel[7] = 2.0 * panel[6] - panel[0]
+    y = panel[0] - 2.0 * panel[6] + 1.0
+    new = panel.copy()
+    new[2, : m // 2] = rng.integers(-4, 5, size=m // 2)
+    new[5] = -panel[5]
+    return panel, new, y
+
+
+# sha256 prefixes of table + singular bytes, cold and carried: a kernel
+# change that moves any bit of them fails the test
+KERNEL_DIGESTS = {
+    (1, 2.0): ("d9400bc1c6187df5", "ccad397d19d21d1a"),
+    (1, 1.5): ("5e87cda8ab205fc9", "6fa5e302792fd2e3"),
+    (2, 2.0): ("324f96c019fe7d4a", "c6c5f2577b3d00eb"),
+    (2, 1.5): ("71f011212cf0fe3b", "d9b0ea7b1b641b97"),
+    (3, 2.0): ("602cc6a44263df95", "46f2c7dbad5a06af"),
+    (3, 1.5): ("0ebd313d135bb5aa", "af860a21db4d53aa"),
+    (4, 2.0): ("5ebec2ace2a3c244", "7fd048a375b27778"),
+    (4, 1.5): ("828a7e7d0d923bc4", "18825c07445b92fc"),
+}
+
+
+@pytest.mark.parametrize("n,s", list(KERNEL_DIGESTS))
+def test_kernel_bits_match_the_pinned_digests(n, s):
+    """A cold and a carried sweep of the adversarial panel write the table
+    and singular mask whose digests are pinned, singular and exact fits
+    included. At s != 2 the error sums are left out: numpy's power gives
+    different last bits on different SIMD builds (AVX-512 or not)."""
+    panel, new, y = _digest_panel()
+    cold = GramFitter(panel, y, n, s=s)
+    assert cold.gram[2, 3] == 0.0 and cold.singular.any()
+    assert (cold.table[:, -1] == 0.0).any()
+    carried = GramFitter(new, y, n, s=s, previous=cold)
+    assert carried.touched.any() and not carried.touched.all()
+
+    def digest(fitter):
+        table = fitter.table.copy()
+        if s != 2.0:
+            table[:, -1] = 0.0
+        return hashlib.sha256(table.tobytes()
+                              + fitter.singular.tobytes()).hexdigest()[:16]
+
+    assert (digest(cold), digest(carried)) == KERNEL_DIGESTS[n, s]
 
 
 def test_kernel_panels_hit_their_cases():
@@ -674,9 +724,12 @@ def test_candidates_are_carried_only_under_the_same_assess_arguments():
 def test_chunk_size_leaves_the_table_unchanged(s, monkeypatch):
     """The kernel works per subset, so chunks of 1 and of 7 subsets (165 is
     not a multiple of 7) give the table and the singular mask of the
-    default chunks bit for bit, singular fits included, cold and carried."""
+    default chunks bit for bit, cold and carried: singular fits, a negated
+    member row and an exact-zero Gram entry included."""
     rng, panel, y = _carry_panel(p=11)
     panel[1], panel[9] = panel[0], 2.5   # collinear and constant slots
+    panel[3] = -panel[2]                 # a negated member row
+    panel[5, :15], panel[8, 15:] = 0.0, 0.0     # an exact-zero Gram entry
     new = panel.copy()
     new[[4, 6]] = rng.normal(size=(2, 30)) + 2.0
 
@@ -685,6 +738,7 @@ def test_chunk_size_leaves_the_table_unchanged(s, monkeypatch):
         return cold, GramFitter(new, y, 3, s=s, previous=cold)
 
     want = sweeps()
+    assert want[0].gram[5, 8] == 0.0
     assert all(w.singular.any() for w in want)
     assert not want[1].touched.all()
     for size in (1, 7):

@@ -359,6 +359,20 @@ def test_homogeneity_rejects_overflowing_counts(counts):
             chi2_homogeneity(table)
 
 
+def test_homogeneity_rejects_expected_counts_that_underflow():
+    """Positive, finite margins whose products underflow give expected
+    counts of 0; the test refuses them by its rule, without dividing 0 by 0
+    into a NaN statistic."""
+    table = ContingencyTable([[1e-200, 1e-200], [1e-200, 1e-200]],
+                             ["a", "b"], ["x", "y"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"^every expected count \(row "
+                           r"margin x column margin / total\) must be "
+                           r"positive$"):
+            chi2_homogeneity(table)
+
+
 def test_contingency_validation():
     with pytest.raises(ValueError):
         ContingencyTable([[1, 2]], ["a"], ["x", "y"])  # one row
