@@ -160,6 +160,18 @@ KERNEL_DIGESTS = {
     (4, 2.0): ("5ebec2ace2a3c244", "7fd048a375b27778"),
     (4, 1.5): ("828a7e7d0d923bc4", "18825c07445b92fc"),
 }
+# sha256 prefixes of the cells `form()` reads + singular bytes, cold and
+# carried: every value a fit, an assessment or a run uses
+READ_DIGESTS = {
+    (1, 2.0): ("bb9a2efb0cc1636a", "52827142a93a41ce"),
+    (1, 1.5): ("85264d29bfa6360c", "c69a8e65ad324ec8"),
+    (2, 2.0): ("a111fb40ea26bd3c", "f4c73bc63b397486"),
+    (2, 1.5): ("4df904a6b0d125c2", "9af16d3c285b8328"),
+    (3, 2.0): ("ee270e3630c456d8", "60f42c4e15d0ed53"),
+    (3, 1.5): ("c623589c54e718d2", "a17077794a325181"),
+    (4, 2.0): ("b721d0b85d81b1ca", "1a41a6931082df43"),
+    (4, 1.5): ("5bc442660855dcde", "e86d6cdca35c00ce"),
+}
 
 
 @pytest.mark.parametrize("n,s", list(KERNEL_DIGESTS))
@@ -182,7 +194,15 @@ def test_kernel_bits_match_the_pinned_digests(n, s):
         return hashlib.sha256(table.tobytes()
                               + fitter.singular.tobytes()).hexdigest()[:16]
 
+    def read_digest(fitter):
+        cells = [a for wi in (0, 1)
+                 for a in fitter.form(wi)[: 4 if s == 2.0 else 3]]
+        return hashlib.sha256(
+            b"".join(np.ascontiguousarray(a).tobytes() for a in cells)
+            + fitter.singular.tobytes()).hexdigest()[:16]
+
     assert (digest(cold), digest(carried)) == KERNEL_DIGESTS[n, s]
+    assert (read_digest(cold), read_digest(carried)) == READ_DIGESTS[n, s]
 
 
 def test_kernel_panels_hit_their_cases():
