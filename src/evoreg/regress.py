@@ -8,11 +8,11 @@ them by a Cholesky, in equal chunks of at most CHUNK_SUBSETS subsets. The
 kernel holds each entry of the bordered matrix as one float64 vector over a
 chunk's subsets and works entry by entry with in-place ufuncs, so its
 temporaries are chunk-length vectors, or stacks of one per member or per
-form where one gather or one ufunc serves them all. Each sum adds the terms
-of the matrix product it stands for in their order, products with zeros
-included, so a subset's bits do not depend on the other subsets of its
-chunk. A subset is addressed by its row of `GramFitter.subsets`; `ols_fit`
-is the per-subset reference.
+form where one gather or one ufunc serves them all. Each sum adds only its
+subset's own products, left to right in the order of the matrix product it
+stands for. Every operation is elementwise over the subsets, so a subset's
+bits do not depend on the other subsets of its chunk. A subset is addressed
+by its row of `GramFitter.subsets`; `ols_fit` is the per-subset reference.
 
 Singular rule, shared by both: with the columns ordered as the members, then
 the intercept, a fit is singular when a Cholesky pivot (the squared norm a
@@ -137,14 +137,12 @@ def _r2(ssr, yhat_sum, sy, var_y, m):
     return np.minimum(r2, 1.0, out=r2)
 
 
-def _dot(xs, ys, out=None, start=None):
-    """start + xs[0] * ys[0] + xs[1] * ys[1] + ..., elementwise over the
-    subsets and added left to right, as a matrix product adds its terms;
-    without start the sum begins with its first product."""
+def _dot(xs, ys, out=None):
+    """xs[0] * ys[0] + xs[1] * ys[1] + ..., elementwise over the subsets and
+    added left to right, as a matrix product adds its terms."""
     terms = zip(xs, ys)
     x, y = next(terms)
-    out = (np.multiply(x, y, out=out) if start is None
-           else np.add(start, x * y, out=out))
+    out = np.multiply(x, y, out=out)
     for x, y in terms:
         out += x * y
     return out
@@ -225,7 +223,9 @@ class GramFitter:
     ``table`` and ``singular`` index the form first (0 without, 1 with the
     intercept) and the subset last; between them ``table`` holds n + 1
     coefficients, the intercept slot first, their t statistics, r2, se_s.
-    Fits flagged in ``singular`` are undefined. ``df`` holds each form's
+    The no-intercept form's intercept coefficient and t (``table[0, 0]``
+    and ``table[0, n + 1]``) are +0.0, and `form` does not read them. Fits
+    flagged in ``singular`` are undefined. ``df`` holds each form's
     residual degrees of freedom.
     """
 
@@ -335,8 +335,8 @@ class GramFitter:
         """The kernel: factor the bordered normal matrices of the subsets in
         `idx` and write both forms' fits into `out` and `singular`, laid out
         as ``table`` and ``singular``. Each matrix entry is one vector over
-        the subsets, and each sum adds the terms of the matrix product it
-        stands for in order, products with zeros included."""
+        the subsets, and each sum adds the subset's own products in the
+        order of the matrix product it stands for."""
         rows, n = idx.shape
         n1 = n + 1      # members and intercept
         p, m, gram = self.panel.shape[0], self.m, self.gram
@@ -375,39 +375,25 @@ class GramFitter:
             row = [None] * i + [np.divide(1.0, a[i][i])]
             neg = np.negative(row[i]) if i else None
             for l in range(i):
-                # zero: the products with w's zeros above the diagonal
-                if l == 1:
-                    zero = a[i][0] * 0.0
-                elif l:
-                    zero += a[i][l - 1] * 0.0
-                s = _dot(a[i][l:i], [w[k][l] for k in range(l, i)],
-                         start=zero if l else None)
+                s = _dot(a[i][l:i], [w[k][l] for k in range(l, i)])
                 row[l] = np.multiply(neg, s, out=s)
             w.append(row)
         z = a[n1][:n1]      # L^-1 X'y
         # coefficient l of a form sums w's column l against z, over the
         # leading n rows without the intercept and all n + 1 with it, into
         # slot l + 1 (the intercept's is 0). The diagonal of each form's
-        # inverse goes into the t rows, to become se and then t. zero sums
-        # the products with w's zeros above the diagonal; all n of them are
-        # the no-intercept form's unused intercept.
-        zero = out[0, 0]
-        for l in range(n1):
-            slot = (l + 1) % n1
-            if l == 1:
-                np.multiply(0.0, z[0], out=zero)
-            elif l:
-                zero += 0.0 * z[l - 1]
-            if l < n:
-                col = [w[i][l] for i in range(l, n)]
-                _dot(col, z[l:n], out=out[0, slot], start=zero if l else None)
-                # w's zeros square to +0, which adds nothing
-                _dot(col, col, out=out[0, n1 + slot])
-                np.add(out[0, n1 + slot], w[n][l] * w[n][l],
-                       out=out[1, n1 + slot])
-            else:
-                np.multiply(w[n][n], w[n][n], out=out[1, n1])
-            np.add(out[0, slot], w[n][l] * z[n], out=out[1, slot])
+        # inverse goes into the t rows, to become se and then t.
+        for l in range(n):
+            col = [w[i][l] for i in range(l, n)]
+            _dot(col, z[l:n], out=out[0, l + 1])
+            _dot(col, col, out=out[0, n1 + l + 1])
+            np.add(out[0, l + 1], w[n][l] * z[n], out=out[1, l + 1])
+            np.add(out[0, n1 + l + 1], w[n][l] * w[n][l],
+                   out=out[1, n1 + l + 1])
+        np.multiply(w[n][n], z[n], out=out[1, 0])
+        np.multiply(w[n][n], w[n][n], out=out[1, n1])
+        # the no-intercept form has no intercept
+        out[0, [0, n1]] = 0.0
         ssr = np.empty((2, rows))
         _dot(z[:n], z[:n], out=ssr[0])
         np.add(ssr[0], z[n] * z[n], out=ssr[1])
@@ -418,10 +404,6 @@ class GramFitter:
         sse = np.subtract(yy, ssr, out=out[:, 2 * n1 + 1])
         exact = sse <= PIVOT_TOL * yy
         np.copyto(sse, 0.0, where=exact)
-        # the no-intercept form's unused intercept has variance 0, and t 0
-        # as x - x is for its zero coefficient. That coefficient is NaN only
-        # where some z is not finite, which makes se NaN or 0 in its row.
-        np.subtract(out[0, 0], out[0, 0], out=out[0, n1])
         for f, lo in ((0, 1), (1, 0)):
             coef, se = out[f, lo:n1], out[f, n1 + lo : 2 * n1]
             np.sqrt(np.multiply(se, sse[f] / self.df[f], out=se), out=se)
@@ -429,8 +411,6 @@ class GramFitter:
                 np.divide(coef, se, out=se)
             else:   # _t_stats' rule where se is 0 or NaN
                 se[...] = _t_stats(coef, se)
-                if not f:
-                    out[0, n1] = _t_stats(out[0, 0], 0.0)
         out[:, 2 * n1] = _r2(ssr, yhat_sum, sy, yy - sy * sy / m, m)
         for form in (0, 1) if self.s != 2.0 else ():
             # sum |y - y_hat|^s from the residual rows; slot 0 the intercept
