@@ -463,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     for f in fields(SyntheticSpec):
         p.add_argument("--" + _synthetic_flag(f.name).replace("_", "-"),
                        type=type(f.default), default=f.default)
-    p.add_argument("--max-rows", type=int, default=100000)
+    p.add_argument("--max-rows", type=_positive, default=100000)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("validate", help="parse all configs and data files "

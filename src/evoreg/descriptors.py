@@ -357,12 +357,9 @@ def load_activity(path) -> Dataset:
             raise DescriptorDataError(
                 f"{path}: expected header 'molecule,activity'")
         for mol, line, _ in rows:
-            cell, = stats.row_cells(path, mol, line, 1, DescriptorDataError)
-            try:
-                activity.append(float(cell))
-            except ValueError:
-                raise stats.non_numeric(path, mol,
-                                        DescriptorDataError) from None
+            cells = stats.row_cells(path, mol, line, 1, DescriptorDataError)
+            activity.append(stats.numbers(path, mol, cells,
+                                          DescriptorDataError)[0])
             ids.append(mol)
     try:
         return Dataset(tuple(ids), np.array(activity))

@@ -30,7 +30,6 @@ __all__ = [
     "split_line",
     "read_labelled_rows",
     "row_cells",
-    "non_numeric",
     "numbers",
     "write_labelled_rows",
     "load_contingency_csv",
@@ -317,8 +316,8 @@ def read_labelled_rows(fh, corner: str, error=ValueError):
     carriage return fails the load. Then, in order: a row of blank cells is
     skipped, the first other row is the header, and a later row fails if
     it has no label. A fault raises `error` naming the file and any line,
-    the first fault in the file; `non_numeric` is the one for a cell a
-    caller finds not a number.
+    the first fault in the file; `row_cells` and `numbers` raise the same
+    for a row of the wrong width and a cell that is not a number.
 
     The file is read in blocks (`_line_blocks`). A line's label is the
     text before its first comma if its block is all ASCII with no quote
@@ -369,18 +368,13 @@ def row_cells(path, label: str, line: bytes, columns: int,
     return cells
 
 
-def non_numeric(path, label: str, error=ValueError) -> Exception:
-    """The error for row `label` of a labelled-row CSV holding a cell that
-    `float()` does not parse."""
-    return error(f"{path}: non-numeric value in row {label!r}")
-
-
 def numbers(path, label: str, cells: list[str], error=ValueError) -> np.ndarray:
-    """Row `label`'s `cells` as a float array, or its `non_numeric` error."""
+    """Row `label`'s `cells` as a float array, each parsed as `float()`
+    parses it, or an `error` if one is not a number."""
     try:
         return np.array(cells, dtype=float)
     except ValueError:
-        raise non_numeric(path, label, error) from None
+        raise error(f"{path}: non-numeric value in row {label!r}") from None
 
 
 def write_labelled_rows(path, corner: str, columns, rows, cell) -> int:

@@ -802,19 +802,23 @@ def test_summary_is_strict_json_without_a_valid_model(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["0", "-5", "1.5", "x"])
 def test_count_not_a_positive_integer_is_a_usage_error(tmp_path, capsys, value):
     """grid --threshold and --runs-per-cell, space-size --n-max and
-    gen-data --molecules reject a value that is not an integer of at least
-    1 when the arguments are parsed, before reading a file, running a grid,
-    printing a size or writing a file."""
+    gen-data --molecules and --max-rows reject a value that is not an
+    integer of at least 1 when the arguments are parsed, before reading a
+    file, running a grid, printing a size or writing a file."""
     manifest = write_world(tmp_path)
     capsys.readouterr()
     activity = tmp_path / "generated.csv"
+    table = tmp_path / "table.csv"
     for argv in (["grid", "--manifest", str(manifest), "--runs-per-cell",
                   "1", "--threshold", value],
                  ["grid", "--manifest", str(manifest), "--runs-per-cell",
                   value],
                  ["space-size", "--N", "5", "--n-max", value],
                  ["gen-data", "--activity-out", str(activity),
-                  "--molecules", value]):
+                  "--molecules", value],
+                 ["gen-data", "--activity-out", str(activity),
+                  "--descriptors-out", str(table), "--topology",
+                  str(tmp_path / "topology.cgt"), "--max-rows", value]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 1
@@ -822,7 +826,7 @@ def test_count_not_a_positive_integer_is_a_usage_error(tmp_path, capsys, value):
         assert f"{argv[-2]}: must be a positive integer" in captured.err
         assert captured.out == ""
     assert not (tmp_path / "out").exists()
-    assert not activity.exists()
+    assert not activity.exists() and not table.exists()
     assert main(["space-size", "--N", "5", "--n-max", "1"]) == 0
 
 

@@ -581,6 +581,34 @@ def test_labelled_csv_readers_share_one_rule(tmp_path, topo, dataset, kind):
 
 
 @pytest.mark.parametrize("kind", ["activity", "descriptors", "contingency"])
+def test_labelled_csv_readers_share_one_number_rule(tmp_path, topo, dataset,
+                                                    kind):
+    """Each reader takes a cell as Python `float()` parses it: one with
+    underscores, surrounding spaces or non-ASCII digits loads as the number
+    written plainly, and a hexadecimal or blank cell is non-numeric."""
+    header, rows, load, content = _labelled_csv(kind, dataset)
+    label, cells = rows[1].split(",", 1)
+    rest = cells.split(",")[1:]
+    path = tmp_path / f"{kind}.csv"
+
+    def write(text):
+        path.write_text("\n".join([header, rows[0], ",".join(
+            [label, text, *rest]), *rows[2:]]) + "\n", encoding="utf-8")
+
+    for text in ("1_000", " 1.5 ", "\u0661\u0662", "+2E0"):
+        write(repr(float(text)))
+        expected = content(load(path, topo))
+        write(text)
+        assert content(load(path, topo)) == expected, text
+    for text in ("0x10", "", " ", "1.5x"):
+        write(text)
+        with pytest.raises(ValueError) as err:
+            load(path, topo)
+        assert str(err.value) == \
+            f"{path}: non-numeric value in row {label!r}", text
+
+
+@pytest.mark.parametrize("kind", ["activity", "descriptors", "contingency"])
 def test_labelled_csv_readers_skip_a_leading_bom(tmp_path, topo, dataset,
                                                  kind):
     """A UTF-8 byte-order mark that starts the file, as spreadsheet "CSV
