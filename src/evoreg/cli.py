@@ -250,14 +250,10 @@ def _load_run(path):
 
 
 def _cmd_space_size(args) -> int:
-    if (args.N is None) == (args.topology is None):
-        raise ConfigError("give exactly one of --N or --topology")
     if args.N is not None:
         n_genotypes = args.N
     else:
         n_genotypes = genome_size(load_topology(args.topology))
-    if (args.n is None) == (args.n_max is None):
-        raise ConfigError("give exactly one of --n or --n-max")
     if args.n is not None:
         print(search_space_size(n_genotypes, args.n, args.both_forms))
         return EXIT_OK
@@ -421,11 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("space-size", help="size of the n-subset search space")
-    p.add_argument("--N", type=int, help="number of genotypes")
-    p.add_argument("--topology", help="topology file to take N from")
-    p.add_argument("--n", type=int, help="subset size")
-    p.add_argument("--n-max", type=_positive,
-                   help="print sizes for n = 1..n_max")
+    space = p.add_mutually_exclusive_group(required=True)
+    space.add_argument("--N", type=int, help="number of genotypes")
+    space.add_argument("--topology", help="topology file to take N from")
+    subset = p.add_mutually_exclusive_group(required=True)
+    subset.add_argument("--n", type=int, help="subset size")
+    subset.add_argument("--n-max", type=_positive,
+                        help="print sizes for n = 1..n_max")
     p.add_argument("--both-forms", action="store_true",
                    help="double for searching both regression forms")
     p.add_argument("--csv", action="store_true", help="emit CSV")

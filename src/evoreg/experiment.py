@@ -10,6 +10,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import product
 
+from . import stats
 from .descriptors import Dataset, DescriptorDataError, Provider
 from .engine import EvolutionConfig, RunResult, run
 from .genome import GeneticTopology
@@ -175,8 +176,6 @@ def homogeneity_analysis(
 
 def render_grid_report(agg: GridAggregate, alpha: float = 0.05) -> str:
     """Human-readable per-cell counts plus the homogeneity verdicts."""
-    from .stats import format_report
-
     lines = [
         f"strategy grid: {agg.runs_per_cell} runs per cell, "
         f"master seed {agg.master_seed}, "
@@ -201,5 +200,5 @@ def render_grid_report(agg: GridAggregate, alpha: float = 0.05) -> str:
         except ValueError as exc:
             lines.append(f"not testable: {exc}")
             continue
-        lines.append(format_report(report).rstrip("\n"))
+        lines.append(stats.format_report(report).rstrip("\n"))
     return "\n".join(lines) + "\n"

@@ -183,8 +183,6 @@ def crossover(
 def mutate(g: Genotype, prob: float, rng: random.Random) -> Genotype:
     """With probability prob, set one uniformly chosen gene to a different
     allele; otherwise return the genotype unchanged."""
-    if not 0.0 <= prob <= 1.0:
-        raise ValueError(f"mutation probability {prob} outside [0, 1]")
     if rng.random() >= prob:
         return g
     pos = rng.randrange(g.topology.gene_count)
@@ -198,8 +196,6 @@ def mutate(g: Genotype, prob: float, rng: random.Random) -> Genotype:
 def mutate_per_gene(g: Genotype, prob: float, rng: random.Random) -> Genotype:
     """Alternative mutation mode: every gene flips independently with
     probability prob."""
-    if not 0.0 <= prob <= 1.0:
-        raise ValueError(f"mutation probability {prob} outside [0, 1]")
     idx = list(g.allele_index)
     changed = False
     for pos, gene in enumerate(g.topology.genes):

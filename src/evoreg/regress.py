@@ -217,8 +217,9 @@ class GramFitter:
     in both forms, at construction (module docstring), so `fit` is a lookup
     by the subset's row of ``subsets``. Results agree with ols_fit to
     floating-point noise. Rows are carried from `previous`, which the
-    fitter does not keep. Inputs must be finite, and 1 <= n < m - 1 for m
-    molecules.
+    fitter does not keep. The panel has a row per phenotype, at least n,
+    and a column per molecule; the fitter checks that its values are
+    finite and that 1 <= n < m - 1 for m molecules.
 
     ``table`` and ``singular`` index the form first (0 without, 1 with the
     intercept) and the subset last; between them ``table`` holds n + 1
@@ -234,13 +235,9 @@ class GramFitter:
         # copies: a later fitter compares its panel with this one's
         panel = np.array(panel, dtype=float)
         y = np.array(y, dtype=float)
-        if panel.ndim != 2 or panel.shape[1] != y.shape[0]:
-            raise ValueError("panel must be (n_phenotypes, n_molecules)")
         if not (np.isfinite(panel).all() and np.isfinite(y).all()):
             raise ValueError("panel and response values must be finite")
         p = panel.shape[0]
-        if n > p:
-            raise ValueError(f"subset size n={n} exceeds the panel's p={p} rows")
         self.panel, self.y, self.n, self.s = panel, y, n, s
         self.m = y.shape[0]
         if not 1 <= n < self.m - 1:

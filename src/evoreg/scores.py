@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .genome import Genotype, TopologyMismatchError
+from .genome import Genotype
 from .regress import RegressionModel
 
 __all__ = [
@@ -121,8 +121,6 @@ def objective_score(model: RegressionModel, spec: ObjectiveSpec) -> float:
 
 def selection_direction(aggregate: str, objective: ObjectiveSpec) -> str:
     """Direction of the per-genotype selection score."""
-    if aggregate not in SELECTION_AGGREGATES:
-        raise ValueError(f"unknown selection aggregate {aggregate!r}")
     return "max" if aggregate == "nalive" else objective.direction
 
 
@@ -141,8 +139,6 @@ def selection_scores(
     for the aggregate's direction, so selection disfavors them and survival
     removal favors them.
     """
-    if aggregate not in SELECTION_AGGREGATES:
-        raise ValueError(f"unknown selection aggregate {aggregate!r}")
     members = np.asarray(members, dtype=np.intp)
     values = np.asarray(values, dtype=float)
     if values.size == 0:
@@ -177,10 +173,6 @@ class NormalizationState:
     global_min: float | None = None
     global_max: float | None = None
 
-    def __post_init__(self):
-        if not self.n0 < self.n1:
-            raise ValueError("need n0 < n1")
-
     def update(self, lo: float, hi: float) -> None:
         self.global_min = lo if self.global_min is None else min(self.global_min, lo)
         self.global_max = hi if self.global_max is None else max(self.global_max, hi)
@@ -204,8 +196,6 @@ def round_significant(x: float, digits: int) -> float:
     """Round to a number of significant digits with Python's correctly
     rounded float round, subnormals included. A value that rounds past the
     largest float raises ValueError."""
-    if digits < 1:
-        raise ValueError("need at least one significant digit")
     x = float(x)
     if x == 0.0 or not math.isfinite(x):
         return x
@@ -240,11 +230,7 @@ def transform_scores(
     start at 1), then grouping the sample indices by distinct value. Every
     step preserves the score ordering.
     """
-    if direction not in ("min", "max"):
-        raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
     values = np.array(fs, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty score vector")
     if not np.all(np.isfinite(values)):
         raise ValueError("scores must be finite")
 
@@ -294,18 +280,8 @@ def survival_scores(
     individual's score is the worst case (minimum) over its pairings. High
     values mark redundant individuals, the preferred removal targets.
     """
-    if q <= 0 or r <= 0:
-        raise ValueError("survival exponents must be positive")
     values = np.asarray(fs, dtype=float)
-    p = len(genotypes)
-    if p < 2:
-        raise ValueError("survival scores need a sample of at least 2")
-    if values.shape != (p,):
-        raise ValueError("one score per genotype required")
     topology = genotypes[0].topology
-    if any(g.topology is not topology and g.topology != topology
-           for g in genotypes):
-        raise TopologyMismatchError("genotypes come from different topologies")
     alleles = np.array([g.allele_index for g in genotypes], dtype=np.intp)
     ncd = (alleles[:, None, :] != alleles[None, :, :]).sum(axis=2)
     denom = (np.abs(values[:, None] - values[None, :]) ** q

@@ -102,8 +102,6 @@ def t_critical(alpha: float, df: int) -> float:
     The bisection keeps the tail above alpha at `lo`, at or below it at
     `hi`, and ends when they are adjacent floats: the midpoint is then one
     of them, which any further step would write back."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     lo, hi = 0.0, 1.0
     while student_t_two_tail(hi, df) > alpha:
         hi *= 2.0
@@ -123,19 +121,16 @@ def t_critical(alpha: float, df: int) -> float:
 def jarque_bera(x) -> tuple[float, float]:
     """Jarque-Bera normality statistic and its chi-square(2) tail probability.
 
-    Skewness and kurtosis use population (1/m) moment estimators. When a
-    moment overflows the float range, the statistic is inf or NaN and its
-    tail probability is 0: such a sample is taken as far from normal. When
-    the squared variance underflows, the moments are taken of the sample
-    divided by its largest magnitude, which leaves skewness and kurtosis
-    unchanged.
+    `x` holds at least 4 finite values, as `check_viability` passes them;
+    a sample without variance raises ValueError. Skewness and kurtosis use
+    population (1/m) moment estimators. When a moment overflows the float
+    range, the statistic is inf or NaN and its tail probability is 0: such
+    a sample is taken as far from normal. When the squared variance
+    underflows, the moments are taken of the sample divided by its largest
+    magnitude, which leaves skewness and kurtosis unchanged.
     """
     v = np.asarray(x, dtype=float)
     m = v.size
-    if m < 4:
-        raise ValueError("Jarque-Bera needs at least 4 observations")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("Jarque-Bera needs finite values")
     with np.errstate(over="ignore", invalid="ignore"):
         d = v - v.mean()
         m2 = float(np.mean(d * d))

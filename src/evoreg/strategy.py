@@ -51,23 +51,6 @@ class StrategySpec:
             raise ValueError("significant_digits must be positive")
 
 
-def extract(
-    method: str, table: ScoreTable, n_sel: int, rng: random.Random
-) -> list[int]:
-    if method == "proportional":
-        return extract_proportional(table, n_sel, rng)
-    if method == "deterministic":
-        return extract_deterministic(table, n_sel, rng)
-    if method == "tournament":
-        return extract_tournament(table, n_sel, rng)
-    raise ValueError(f"unknown strategy method {method!r}")
-
-
-def _check_n_sel(table: ScoreTable, n_sel: int) -> None:
-    if not 1 <= n_sel <= table.size:
-        raise ValueError(f"cannot extract {n_sel} of {table.size}")
-
-
 def _group_masses(table: ScoreTable) -> list[float]:
     """Direction-adjusted nonnegative mass per distinct-score group.
 
@@ -95,7 +78,6 @@ def extract_proportional(
     reaches it, then takes a uniformly random unselected member of that
     group. Zero total mass falls back to uniform draws.
     """
-    _check_n_sel(table, n_sel)
     masses = _group_masses(table)
     remaining = [list(g) for g in table.groups]
     selected: list[int] = []
@@ -124,7 +106,6 @@ def extract_deterministic(
 ) -> list[int]:
     """Take whole best-score groups while they fit; fill the remainder with
     uniformly random members of the boundary group."""
-    _check_n_sel(table, n_sel)
     order = range(len(table.groups) - 1, -1, -1) if table.direction == "max" \
         else range(len(table.groups))
     selected: list[int] = []
@@ -150,7 +131,6 @@ def extract_tournament(
     then plays the boundary position. Both passes play one `match` rule.
     The first n_sel positions are returned.
     """
-    _check_n_sel(table, n_sel)
     wins = operator.gt if table.direction == "max" else operator.lt
     fs = table.fs.tolist()
     size = table.size
@@ -169,3 +149,16 @@ def extract_tournament(
     if n_sel < size:
         match(n_sel - 1, rng.randrange(n_sel, size))
     return perm[:n_sel]
+
+
+_EXTRACTORS = {"proportional": extract_proportional,
+               "deterministic": extract_deterministic,
+               "tournament": extract_tournament}
+
+
+def extract(
+    method: str, table: ScoreTable, n_sel: int, rng: random.Random
+) -> list[int]:
+    """`n_sel` distinct indices of `table`, 1 <= n_sel <= its size, drawn
+    by the method named `method`, one of METHODS."""
+    return _EXTRACTORS[method](table, n_sel, rng)

@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -101,8 +103,29 @@ def test_space_size_both_forms(capsys):
 
 
 def test_space_size_usage_errors(capsys):
-    assert main(["space-size", "--n", "2"]) == 2  # neither N nor topology
+    """Neither or both of --N and --topology, and neither or both of --n
+    and --n-max, are usage errors; a subset larger than the space is a
+    data error."""
+    for argv in (["--n", "2"], ["--N", "5", "--topology", "t.cgt", "--n", "1"],
+                 ["--N", "5"], ["--N", "5", "--n", "1", "--n-max", "2"]):
+        with pytest.raises(SystemExit) as err:
+            main(["space-size", *argv])
+        assert err.value.code == 1
+    capsys.readouterr()
     assert main(["space-size", "--N", "5", "--n", "9"]) == 2  # n > N
+    assert capsys.readouterr().out == ""
+
+
+def test_module_runs_as_the_command(monkeypatch, capsys):
+    """`python -m evoreg.cli` runs `main` on its arguments and exits with
+    its code."""
+    monkeypatch.delitem(sys.modules, "evoreg.cli")  # runpy runs it afresh
+    monkeypatch.setattr(sys, "argv",
+                        ["evoreg", "space-size", "--N", "5", "--n", "2"])
+    with pytest.raises(SystemExit) as err:
+        runpy.run_module("evoreg.cli", run_name="__main__")
+    assert err.value.code == 0
+    assert capsys.readouterr().out == "10\n"
 
 
 def test_usage_error_exit_code():
@@ -191,6 +214,15 @@ def test_ambiguous_alleles_exit_2(tmp_path, capsys):
     assert "'g0'" in capsys.readouterr().err
     assert not table.exists()
     assert not (tmp_path / "a.csv").exists()
+
+
+def test_gen_data_descriptor_table_needs_a_topology(tmp_path, capsys):
+    activity, table = tmp_path / "activity.csv", tmp_path / "table.csv"
+    assert main(["gen-data", "--activity-out", str(activity),
+                 "--descriptors-out", str(table)]) == 2
+    assert capsys.readouterr().err == \
+        "error: --descriptors-out needs --topology\n"
+    assert not activity.exists() and not table.exists()
 
 
 def test_gen_data_refuses_huge_table(tmp_path, capsys):
@@ -558,6 +590,47 @@ def test_validate_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "config fingerprint" in out
     assert "1024 genotypes" in out
+
+
+def test_validate_reports_a_table_manifest(tmp_path, capsys):
+    manifest, table = write_table_world(tmp_path)
+    capsys.readouterr()
+    assert main(["validate", "--manifest", str(manifest)]) == 0
+    assert f"descriptors: table {table} (64 genotypes)\n" in \
+        capsys.readouterr().out
+
+
+def test_missing_or_malformed_config_file_is_a_data_error(tmp_path, capsys):
+    missing = tmp_path / "missing.ini"
+    assert main(["run", "--manifest", str(missing)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: config file not found: {missing}\n"
+    malformed = tmp_path / "malformed.ini"
+    malformed.write_text("seed = 1\n")     # a key before any section
+    assert main(["run", "--manifest", str(malformed)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {malformed}: ")
+
+
+def test_a_world_without_viable_genotypes_is_a_runtime_failure(tmp_path,
+                                                               capsys):
+    """A table whose every row is constant has no viable genotype: `run`
+    exits 3, and `grid` reports each of its nine cells as failed and each
+    of its six measures as not testable."""
+    manifest, table = write_table_world(tmp_path)
+    header, *rows = table.read_text().splitlines()
+    width = header.count(",")
+    table.write_text(header + "\n" + "".join(
+        row.split(",", 1)[0] + ",1.0" * width + "\n" for row in rows))
+    capsys.readouterr()
+    assert main(["run", "--manifest", str(manifest)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "runtime failure: found 0 of 10 viable distinct genotypes")
+    assert main(["grid", "--manifest", str(manifest),
+                 "--runs-per-cell", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("      FAILED: run seed=") == 9
+    assert out.count("not testable: cell P:P failed: ") == 6
+    assert not list((tmp_path / "out2").glob("grid_*.csv"))
 
 
 def test_validate_rejects_unknown_keys(tmp_path, capsys):

@@ -56,6 +56,8 @@ def test_dataset_validation():
         Dataset(("a", "b", "a"), np.array([1.0, 2.0, 3.0]))  # dup ids
     with pytest.raises(ValueError):
         Dataset(("a", "b", "c"), np.array([1.0, math.inf, 3.0]))
+    with pytest.raises(ValueError, match="activity length"):
+        Dataset(("a", "b", "c"), np.array([1.0, 2.0, 3.0, 4.0]))
 
 
 def test_dataset_ids_read_back_as_written(tmp_path):
@@ -1118,6 +1120,10 @@ def test_activity_rejects_bad_files(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("wrong,header\n")
     with pytest.raises(DescriptorDataError):
+        load_activity(path)
+    path.write_text("molecule,value\nm1,1.0\n")
+    with pytest.raises(DescriptorDataError,
+                       match="expected header 'molecule,activity'"):
         load_activity(path)
     path.write_text("molecule,activity\nm1,abc\n")
     with pytest.raises(DescriptorDataError):

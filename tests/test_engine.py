@@ -64,6 +64,8 @@ def test_config_validation():
         small_config(intercept_mode="sometimes")
     with pytest.raises(ValueError):
         small_config(selection_aggregate="median")
+    with pytest.raises(ValueError, match="unknown mutation_mode"):
+        small_config(mutation_mode="allele")
     nan, inf = float("nan"), float("inf")
     for field, value in (("q", nan), ("r", nan), ("q", inf), ("r", -1.0),
                          ("target_objective", nan), ("alpha", nan),

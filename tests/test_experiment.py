@@ -251,6 +251,9 @@ def test_grid_cell_failure_is_isolated():
     assert all(cell.error is not None for cell in agg.cells.values())
     with pytest.raises(ValueError):
         agg.contingency("num")
+    with pytest.raises(ValueError, match="runs_per_cell must be at least 1"):
+        run_grid(planted_config(), topology, provider, dataset,
+                 runs_per_cell=0, master_seed=0)
 
 
 def test_a_zero_cell_inside_positive_margins_is_not_testable():

@@ -78,6 +78,9 @@ def test_invalid_topologies():
         Gene("g", ("a",))  # too few alleles
     with pytest.raises(TopologyError):
         Gene("g", ("a", "a"))  # duplicate alleles
+    for name, alleles in (("g 1", ("a", "b")), ("g", ("a", "b c"))):
+        with pytest.raises(TopologyError, match="invalid"):
+            Gene(name, alleles)  # whitespace in a name or an allele
     with pytest.raises(TopologyError):
         GeneticTopology(())  # no genes
     with pytest.raises(TopologyError):
@@ -288,6 +291,8 @@ def test_parse_topology_errors():
         parse_topology("gene g : a a\n")
     with pytest.raises(TopologyError):
         parse_topology("allele g : a b\n")
+    with pytest.raises(TopologyError, match="line 2: expected single-token"):
+        parse_topology("gene g : a b\ngene two words : a b\n")
 
 
 def test_parse_render_inverse_single_char(topo232):

@@ -168,12 +168,12 @@ def test_singular_fit_raises():
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         ols_fit(make_phenotypes([np.arange(5.0)]), make_dataset(np.arange(6.0)), True)
-
-
-def test_gram_fitter_rejects_a_subset_size_above_the_panel_rows():
-    rng = np.random.default_rng(12)
-    with pytest.raises(ValueError, match=r"n=4 exceeds the panel's p=3"):
-        GramFitter(rng.normal(size=(3, 20)), rng.normal(size=20), n=4)
+    with pytest.raises(ValueError, match="at least one phenotype"):
+        ols_fit([], make_dataset(np.arange(6.0)), True)
+    # three slopes and the intercept in four molecules leave no residual
+    with pytest.raises(ValueError, match=r"\(4 <= 4\)"):
+        ols_fit(make_phenotypes([np.arange(4.0) ** e for e in (1, 2, 3)]),
+                make_dataset(np.arange(4.0)), True)
 
 
 def test_gram_fitter_rejects_a_subset_size_outside_one_to_m_minus_two():
