@@ -313,6 +313,8 @@ def _cmd_grid(args) -> int:
         stats.write_contingency_csv(table, csv_path)
     print(report, end="")
     print(f"outputs written to {out}")
+    if not any(cell.runs for cell in agg.cells.values()):
+        raise RuntimeError("no run of any cell completed")
     return EXIT_OK
 
 

@@ -350,19 +350,23 @@ def pick_planted_genotypes(
 
 
 def load_activity(path) -> Dataset:
-    ids, activity = [], []
+    ids, cells = [], []
     with open(path, "rb") as fh:
         rows = stats.read_labelled_rows(fh, "molecule", DescriptorDataError)
         if next(rows) != ["activity"]:
             raise DescriptorDataError(
                 f"{path}: expected header 'molecule,activity'")
-        for mol, line, _ in rows:
-            cells = stats.row_cells(path, mol, line, 1, DescriptorDataError)
-            activity.append(stats.numbers(path, mol, cells,
-                                          DescriptorDataError)[0])
-            ids.append(mol)
+        try:
+            for mol, line, _ in rows:
+                cells += stats.row_cells(path, mol, line, 1, DescriptorDataError)
+                ids.append(mol)
+        except DescriptorDataError:
+            # a non-numeric cell in an earlier row is the first fault
+            stats.numbers(path, ids, cells, DescriptorDataError)
+            raise
+    activity = stats.numbers(path, ids, cells, DescriptorDataError)
     try:
-        return Dataset(tuple(ids), np.array(activity))
+        return Dataset(tuple(ids), activity)
     except ValueError as exc:
         raise DescriptorDataError(f"{path}: {exc}") from exc
 

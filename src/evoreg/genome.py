@@ -10,10 +10,14 @@ here knows what a symbol means.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import getitem
+
+import numpy as np
 
 __all__ = [
     "Gene",
@@ -90,6 +94,17 @@ class GeneticTopology:
         return re.compile("".join(
             "(" + "|".join(map(re.escape, g.alleles)) + ")" for g in self.genes))
 
+    @cached_property
+    def alphabets(self) -> tuple[tuple[str, ...], ...]:
+        """Each gene's alleles, in gene order."""
+        return tuple(g.alleles for g in self.genes)
+
+    @cached_property
+    def allele_offsets(self) -> np.ndarray:
+        """Where each gene's alleles start in a row of all alleles, then its
+        width."""
+        return np.cumsum([0, *map(len, self.alphabets)])
+
     def parse(self, text: str) -> "Genotype":
         """Inverse of Genotype.render."""
         match = self.key_pattern.fullmatch(text)
@@ -100,7 +115,7 @@ class GeneticTopology:
 
     def all_genotypes(self):
         """Iterate the whole space in lexicographic allele-index order."""
-        ranges = [range(len(g.alleles)) for g in self.genes]
+        ranges = map(range, map(len, self.alphabets))
         return (Genotype(self, idx) for idx in itertools.product(*ranges))
 
 
@@ -116,20 +131,20 @@ class Genotype:
     key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        genes = self.topology.genes
-        if len(self.allele_index) != len(genes):
+        alphabets, idx = self.topology.alphabets, self.allele_index
+        if len(idx) != len(alphabets):
             raise TopologyError(
-                f"expected {len(genes)} gene values, "
-                f"got {len(self.allele_index)}"
-            )
-        symbols = []
-        for gene, i in zip(genes, self.allele_index):
-            if not 0 <= i < len(gene.alleles):
-                raise TopologyError(
-                    f"allele index {i} out of range for gene {gene.name!r}"
-                )
-            symbols.append(gene.alleles[i])
-        object.__setattr__(self, "key", "".join(symbols))
+                f"expected {len(alphabets)} gene values, got {len(idx)}")
+        try:
+            if min(idx) < 0:  # would count from an alphabet's end
+                raise IndexError
+            key = "".join(map(getitem, alphabets, idx))
+        except IndexError:
+            gene, i = next((g, i) for g, i in zip(self.topology.genes, idx)
+                           if not 0 <= i < len(g.alleles))
+            raise TopologyError(f"allele index {i} out of range for gene "
+                                f"{gene.name!r}") from None
+        object.__setattr__(self, "key", key)
 
     def render(self) -> str:
         return self.key
@@ -137,23 +152,13 @@ class Genotype:
 
 def genome_size(topology: GeneticTopology) -> int:
     """Number of genotypes in the space: the product of alphabet sizes."""
-    n = 1
-    for gene in topology.genes:
-        n *= len(gene.alleles)
-    return n
+    return math.prod(map(len, topology.alphabets))
 
 
 def random_genotype(topology: GeneticTopology, rng: random.Random) -> Genotype:
     """Uniform draw over the genotype space."""
-    return Genotype(
-        topology, tuple(rng.randrange(len(g.alleles)) for g in topology.genes)
-    )
-
-
-def _require_same_topology(a: Genotype, b: Genotype) -> None:
-    # identity check first: topologies are shared objects in practice
-    if a.topology is not b.topology and a.topology != b.topology:
-        raise TopologyMismatchError("genotypes come from different topologies")
+    return Genotype(topology, tuple(map(rng.randrange,
+                                        map(len, topology.alphabets))))
 
 
 def crossover(
@@ -164,16 +169,17 @@ def crossover(
     The range [i, j] is uniform over all start <= end pairs, so segment
     lengths from one gene up to the whole chromosome are all possible.
     """
-    _require_same_topology(a, b)
+    # identity check first: topologies are shared objects in practice
+    if a.topology is not b.topology and a.topology != b.topology:
+        raise TopologyMismatchError("genotypes come from different topologies")
     nc = a.topology.gene_count
-    k = rng.randrange(nc * (nc + 1) // 2)
-    i = 0
-    row = nc  # number of (i, j) pairs starting at i
-    while k >= row:
-        k -= row
-        row -= 1
-        i += 1
-    j = i + k
+    pairs = nc * (nc + 1) // 2
+    k = rng.randrange(pairs)
+    # rows i..nc-1 hold w(w + 1)/2 of the pairs, w = nc - i: pair k is in
+    # the last row i whose rows hold more than the pairs - 1 - k after k
+    w = (math.isqrt(8 * (pairs - 1 - k) + 1) + 1) // 2
+    i = nc - w
+    j = i + k - pairs + w * (w + 1) // 2
     ai = list(a.allele_index)
     bi = list(b.allele_index)
     ai[i : j + 1], bi[i : j + 1] = bi[i : j + 1], ai[i : j + 1]
@@ -222,12 +228,9 @@ def parse_topology(text: str) -> GeneticTopology:
         fields = line.split()
         if fields[0] != "gene" or len(fields) < 3 or ":" not in fields:
             raise TopologyError(f"line {lineno}: expected 'gene <name> : <alleles>'")
-        colon = fields.index(":")
-        if colon != 2:
+        if fields.index(":") != 2:
             raise TopologyError(f"line {lineno}: expected single-token gene name")
-        name = fields[1]
-        alleles = tuple(fields[colon + 1 :])
-        genes.append(Gene(name, alleles))
+        genes.append(Gene(fields[1], tuple(fields[3:])))
     return GeneticTopology(tuple(genes))
 
 

@@ -12,6 +12,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import add
 from typing import Sequence
 
@@ -231,7 +232,7 @@ def transform_scores(
     step preserves the score ordering.
     """
     values = np.array(fs, dtype=float)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("scores must be finite")
 
     if state is not None:
@@ -281,11 +282,16 @@ def survival_scores(
     values mark redundant individuals, the preferred removal targets.
     """
     values = np.asarray(fs, dtype=float)
-    topology = genotypes[0].topology
-    alleles = np.array([g.allele_index for g in genotypes], dtype=np.intp)
-    ncd = (alleles[:, None, :] != alleles[None, :, :]).sum(axis=2)
+    topology, p = genotypes[0].topology, len(genotypes)
+    nc, offsets = topology.gene_count, topology.allele_offsets
+    # one-hot allele rows: their products count shared genes, exactly
+    columns = offsets[:-1] + np.fromiter(chain.from_iterable(
+        g.allele_index for g in genotypes), np.intp, p * nc).reshape(p, nc)
+    onehot = np.zeros((p, offsets[-1]))
+    onehot[np.arange(p)[:, None], columns] = 1.0
+    ncd = nc - onehot @ onehot.T
     denom = (np.abs(values[:, None] - values[None, :]) ** q
-             + (ncd / topology.gene_count) ** r)
+             + (ncd / nc) ** r)
     # 2/0 = inf gives the cap, also on the diagonal, where it never lowers
     # a row's minimum: no pair scores above the cap
     with np.errstate(divide="ignore"):

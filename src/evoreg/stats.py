@@ -363,13 +363,17 @@ def row_cells(path, label: str, line: bytes, columns: int,
     return cells
 
 
-def numbers(path, label: str, cells: list[str], error=ValueError) -> np.ndarray:
+def numbers(path, label, cells: list[str], error=ValueError) -> np.ndarray:
     """Row `label`'s `cells` as a float array, each parsed as `float()`
-    parses it, or an `error` if one is not a number."""
+    parses it, or an `error` if one is not a number. Given a label per
+    cell, the error names the first row whose cell is not a number."""
     try:
         return np.array(cells, dtype=float)
     except ValueError:
-        raise error(f"{path}: non-numeric value in row {label!r}") from None
+        if isinstance(label, str):
+            raise error(f"{path}: non-numeric value in row {label!r}") from None
+    for row, cell in zip(label, cells):  # raises at the first bad cell
+        numbers(path, row, [cell], error)
 
 
 def write_labelled_rows(path, corner: str, columns, rows, cell) -> int:

@@ -12,6 +12,7 @@ import logging
 import math
 import operator
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -57,7 +58,7 @@ def _group_masses(table: ScoreTable) -> list[float]:
     Minimization flips scores with the order-reversing affine map
     f -> (max + min - f); negative masses are shifted up to zero.
     """
-    values = [float(v) for v in table.distinct]
+    values = table.distinct.tolist()
     if table.direction == "min":
         hi, lo = values[-1], values[0]
         values = [hi + lo - v for v in values]
@@ -80,24 +81,29 @@ def extract_proportional(
     """
     masses = _group_masses(table)
     remaining = [list(g) for g in table.groups]
+    terms = list(map(operator.mul, masses, map(len, remaining)))
+    # reached[g + 1]: terms 0..g summed left to right after -0.0 (x + -0.0
+    # is x); a draw changes one term, so the sums are redone from it on
+    reached, group = [-0.0], 0
     selected: list[int] = []
     for _ in range(n_sel):
-        # running masses, summed left to right: a draw's total is the last
-        reached = list(accumulate(m * len(g) for m, g in zip(masses, remaining)))
+        reached[group:] = accumulate(terms[group:], initial=reached[group])
         total = reached[-1]
         if total <= 0.0:
-            pool = [i for group in remaining for i in group]
+            pool = [i for g in remaining for i in g]
             logger.warning("zero selection mass; drawing uniformly")
             while len(selected) < n_sel:
                 selected.append(pool.pop(rng.randrange(len(pool))))
             break
         freq = rng.random() * total
-        group = next((gi for gi, (acc, g) in enumerate(zip(reached, remaining))
-                      if freq <= acc and g), len(masses) - 1)
-        while not remaining[group]:  # guard: walk past exhausted groups
+        group = bisect_left(reached, freq, 1) - 1
+        if group == len(masses) or not freq <= reached[group + 1]:
+            group = len(masses) - 1  # none reaches it, as a NaN point
+        while not remaining[group]:  # walk past exhausted groups
             group = (group + 1) % len(remaining)
         members = remaining[group]
         selected.append(members.pop(rng.randrange(len(members))))
+        terms[group] = masses[group] * len(members)
     return selected
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from evoreg import EvolutionConfig, StrategySpec, cli
 from evoreg import descriptors as dsc
+from evoreg import experiment
 from evoreg.cli import ConfigError, SyntheticSpec, load_manifest, main
 from evoreg.descriptors import load_activity
 
@@ -614,8 +615,8 @@ def test_missing_or_malformed_config_file_is_a_data_error(tmp_path, capsys):
 def test_a_world_without_viable_genotypes_is_a_runtime_failure(tmp_path,
                                                                capsys):
     """A table whose every row is constant has no viable genotype: `run`
-    exits 3, and `grid` reports each of its nine cells as failed and each
-    of its six measures as not testable."""
+    exits 3, and so does `grid`, after it reports each of its nine cells as
+    failed and each of its six measures as not testable."""
     manifest, table = write_table_world(tmp_path)
     header, *rows = table.read_text().splitlines()
     width = header.count(",")
@@ -626,11 +627,33 @@ def test_a_world_without_viable_genotypes_is_a_runtime_failure(tmp_path,
     assert capsys.readouterr().err.startswith(
         "runtime failure: found 0 of 10 viable distinct genotypes")
     assert main(["grid", "--manifest", str(manifest),
-                 "--runs-per-cell", "1"]) == 0
-    out = capsys.readouterr().out
+                 "--runs-per-cell", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert err == "runtime failure: no run of any cell completed\n"
     assert out.count("      FAILED: run seed=") == 9
     assert out.count("not testable: cell P:P failed: ") == 6
     assert not list((tmp_path / "out2").glob("grid_*.csv"))
+
+
+def test_a_grid_with_some_completed_runs_exits_0(tmp_path, capsys,
+                                                 monkeypatch):
+    """A grid exits 3 only when no run of any cell completed: with the
+    tournament-selection cells failing and the other six complete, it
+    exits 0 and reports the three failures."""
+    manifest = write_world(tmp_path, gens=3)
+    run = experiment.run
+
+    def failing_run(cfg, *args):
+        if cfg.selection.method == "tournament":
+            raise RuntimeError("tournament refused")
+        return run(cfg, *args)
+
+    monkeypatch.setattr(experiment, "run", failing_run)
+    assert main(["grid", "--manifest", str(manifest),
+                 "--runs-per-cell", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert out.count("      FAILED: run seed=") == 3
+    assert "runtime failure" not in err
 
 
 def test_validate_rejects_unknown_keys(tmp_path, capsys):

@@ -1116,6 +1116,25 @@ def test_activity_round_trip(tmp_path, dataset):
     assert np.array_equal(loaded.activity, dataset.activity)
 
 
+def test_activity_reports_the_first_fault_in_the_file(tmp_path):
+    """The activity column is parsed at once, yet a file with a bad cell
+    and a row of the wrong width reports whichever comes first."""
+    path = tmp_path / "faults.csv"
+    for body, fault in [
+        ("m1,1.0\nm2,abc\nm3\nm4,x\n", "non-numeric value in row 'm2'"),
+        ("m1,1.0\nm2,abc\nm3,1.0,2.0\n", "non-numeric value in row 'm2'"),
+        ("m1,1.0\nm2\nm3,abc\n", "row 'm2' has wrong width"),
+        ("m1,1.0\nm2,2.0,3.0\nm3,abc\n", "row 'm2' has wrong width"),
+        ("m1,1.0\nm2,1e5\nm3,?\nm4,!\n", "non-numeric value in row 'm3'"),
+        ("m1,1.0\nm2,abc\n,3.0\n", "non-numeric value in row 'm2'"),
+        ("m1,1.0\nm2,2.0\n,3.0\nm4,abc\n", "line 4: row has no label"),
+    ]:
+        path.write_text("molecule,activity\n" + body)
+        with pytest.raises(DescriptorDataError) as info:
+            load_activity(path)
+        assert str(info.value) == f"{path}: {fault}"
+
+
 def test_activity_rejects_bad_files(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("wrong,header\n")

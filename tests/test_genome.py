@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +95,30 @@ def test_genotype_validation(topo232):
         Genotype(topo232, (0, 3, 0))  # index out of range
 
 
+def test_genotype_error_messages_and_index_types(topo232):
+    """A wrong length, a negative index and one past the alphabet each
+    raise their message, naming the first gene at fault; numpy integers
+    and bools are indices, rendered as the ints they equal."""
+    cases = (((0, 0), "expected 3 gene values, got 2"),
+             ((0, 1, 0, 1), "expected 3 gene values, got 4"),
+             ((0, -1, 0), "allele index -1 out of range for gene 'second'"),
+             ((0, 3, -1), "allele index 3 out of range for gene 'second'"),
+             ((2, 0, -1), "allele index 2 out of range for gene 'first'"),
+             ((0, 0, -2), "allele index -2 out of range for gene 'third'"),
+             ((0, 2, 2), "allele index 2 out of range for gene 'third'"))
+    for idx, message in cases:
+        with pytest.raises(TopologyError) as info:
+            Genotype(topo232, idx)
+        assert str(info.value) == message
+    g = Genotype(topo232, (np.int64(1), np.int64(2), True))
+    assert g.key == "bz1"
+    assert g == Genotype(topo232, (1, 2, 1))
+    assert Genotype(topo232, (False, np.int64(0), np.intp(0))).key == "ax0"
+    with pytest.raises(TopologyError, match="index -1 out of range for gene "
+                       "'first'"):
+        Genotype(topo232, (np.int64(-1), 0, 0))
+
+
 def test_random_genotype_uniform():
     topo = binary_topology(1)
     rng = random.Random(42)
@@ -121,6 +146,30 @@ def test_crossover_full_swap():
     # segment (0, 3) is the (nc-1)-th pair in lexicographic (start, end) order
     c1, c2 = crossover(a, b, ScriptedRng(randrange_values=[3]))
     assert c1 == b and c2 == a
+
+
+def walked_segment(nc, k):
+    """The (i, j) of pair k, pairs in (start, end) order, found by walking
+    the rows of pairs that start at each gene: the oracle for the closed
+    form in `crossover`."""
+    i, row = 0, nc  # number of (i, j) pairs starting at i
+    while k >= row:
+        k -= row
+        row -= 1
+        i += 1
+    return i, i + k
+
+
+def test_crossover_segment_matches_row_walk():
+    for nc in range(1, 41):
+        topo = binary_topology(nc)
+        a, b = Genotype(topo, (0,) * nc), Genotype(topo, (1,) * nc)
+        for k in range(nc * (nc + 1) // 2):
+            i, j = walked_segment(nc, k)
+            c1, c2 = crossover(a, b, ScriptedRng(randrange_values=[k]))
+            assert c1.allele_index == (0,) * i + (1,) * (j + 1 - i) \
+                + (0,) * (nc - 1 - j)
+            assert c2.allele_index == tuple(1 - x for x in c1.allele_index)
 
 
 def test_crossover_identity():

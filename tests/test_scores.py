@@ -531,6 +531,50 @@ def test_survival_matches_loop_reference(p, genes, seed, q, r, duplicates):
         np.testing.assert_allclose(got, want, rtol=ULP_RTOL, atol=0.0)
 
 
+def survival_broadcast_oracle(genotypes, fs, q, r):
+    """`survival_scores` with the genes that differ counted by one
+    (p, p, genes) broadcast comparison of the allele indices: the oracle
+    that the one-hot row products equal bit for bit."""
+    values = np.asarray(fs, dtype=float)
+    alleles = np.array([g.allele_index for g in genotypes], dtype=np.intp)
+    ncd = (alleles[:, None, :] != alleles[None, :, :]).sum(axis=2)
+    denom = (np.abs(values[:, None] - values[None, :]) ** q
+             + (ncd / genotypes[0].topology.gene_count) ** r)
+    with np.errstate(divide="ignore"):
+        similarity = np.minimum(SIMILARITY_CAP, 2.0 / denom)
+    return similarity.min(axis=1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    sizes=st.lists(st.integers(2, 5), min_size=1, max_size=30),
+    p=st.integers(2, 40),
+    copies=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+    q=st.sampled_from((1.0, 0.5, 2.0, 1.7)),
+    r=st.sampled_from((1.0, 0.5, 2.0, 0.3)),
+)
+def test_survival_matches_broadcast_oracle(sizes, p, copies, seed, q, r):
+    """Over alphabets of 2 to 5 alleles, with up to `copies` individuals
+    repeating an earlier genotype and its score (pairs at the cap)."""
+    rng = np.random.default_rng(seed)
+    topo = GeneticTopology(tuple(
+        Gene(f"g{i}", tuple("abcde"[:n])) for i, n in enumerate(sizes)))
+    rows = [[int(rng.integers(n)) for n in sizes] for _ in range(p)]
+    fs = rng.choice([0.0, 0.5, 2.0, -1.25], size=p)
+    spread = rng.random(p) < 0.5
+    fs[spread] = rng.normal(scale=3.0, size=int(spread.sum()))
+    for c in range(1, min(copies, p - 1) + 1):
+        source = int(rng.integers(c))
+        rows[c], fs[c] = rows[source], fs[source]
+    gs = [Genotype(topo, tuple(row)) for row in rows]
+    got = survival_scores(gs, fs, q, r)
+    want = survival_broadcast_oracle(gs, fs, q, r)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if copies and p == 2:
+        assert got.tolist() == [SIMILARITY_CAP, SIMILARITY_CAP]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     n_genotypes=st.integers(2, 16),

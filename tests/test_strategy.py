@@ -267,6 +267,18 @@ def test_extract_properties(scores, direction, method, seed, data):
     seed=st.integers(0, 2**32 - 1),
 )
 @example(scores=[-1.7e308, 1.7e308, 1.7e308], direction="max", seed=0)
+# 30 or more distinct groups, so that draws land before, in and after the
+# groups already drawn from and the running sums are redone from each
+@example(scores=[float(v) for v in range(30)], direction="max", seed=1)
+@example(scores=[float(v % 31) * 0.75 - 9.0 for v in range(40)],
+         direction="min", seed=2)
+@example(scores=[0.0] * 5 + [2.0**-v for v in range(34)], direction="max",
+         seed=3)
+@example(scores=[-1.7e308, 0.0, 1e308] + [float(v) for v in range(30)],
+         direction="min", seed=4)
+@example(scores=[-1.7e308, 1.7e308, 1.7e308] + [v * 1e306 for v in range(30)],
+         direction="max", seed=5)
+@example(scores=[-1.7e308, 0.0, 1e308], direction="min", seed=0)
 def test_extraction_draw_order_matches_oracle(scores, direction, seed):
     """Tournament and proportional extraction, at every n_sel, pick what
     their oracles pick and leave the generator in the same state, so every
