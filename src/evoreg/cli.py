@@ -406,6 +406,7 @@ def _bounded(parse, inside, rule: str):
 
 _alpha = _bounded(float, lambda a: 0.0 < a < 1.0, "lie in (0, 1)")
 _positive = _bounded(int, lambda n: n >= 1, "be a positive integer")
+_nonnegative = _bounded(int, lambda n: n >= 0, "be a nonnegative integer")
 _spread = _bounded(float, lambda x: 0.0 <= x < math.inf,
                    "be nonnegative and finite")
 
@@ -420,10 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("space-size", help="size of the n-subset search space")
     space = p.add_mutually_exclusive_group(required=True)
-    space.add_argument("--N", type=int, help="number of genotypes")
+    space.add_argument("--N", type=_positive, help="number of genotypes")
     space.add_argument("--topology", help="topology file to take N from")
     subset = p.add_mutually_exclusive_group(required=True)
-    subset.add_argument("--n", type=int, help="subset size")
+    subset.add_argument("--n", type=_nonnegative, help="subset size")
     subset.add_argument("--n-max", type=_positive,
                         help="print sizes for n = 1..n_max")
     p.add_argument("--both-forms", action="store_true",

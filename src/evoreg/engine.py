@@ -28,7 +28,6 @@ from .scores import (
     SELECTION_AGGREGATES,
     NormalizationState,
     ObjectiveSpec,
-    ScoreTable,
     objective_score,  # noqa: F401  (bench/tracing.py wraps it by name)
     selection_direction,
     selection_scores,
@@ -109,8 +108,9 @@ class EvolutionConfig:
         target = self.target_objective
         if target is not None and math.isnan(target):
             raise ValueError("target_objective must not be NaN")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+        # the t tails are accurate to 1e-10 absolute, so no smaller alpha
+        if not 1e-10 <= self.alpha < 1.0:
+            raise ValueError("alpha must be in [1e-10, 1)")
         if self.intercept_mode not in ("fallback", "both"):
             raise ValueError(f"unknown intercept_mode {self.intercept_mode!r}")
         if self.mutation_mode not in ("genotype", "gene"):
@@ -269,13 +269,12 @@ def _mutate(g: Genotype, prob: float, cfg: EvolutionConfig, rng) -> Genotype:
 
 
 def _draw(spec: StrategySpec, norm: NormalizationState | None, fs,
-          direction: str, count: int, rng) -> tuple[ScoreTable, list[int]]:
+          direction: str, count: int, rng) -> tuple[np.ndarray, list[int]]:
     """One strategy draw, for parents and for victims alike: the scores
     `fs`, whose sense is `direction`, through `spec`'s transforms, and
     `count` indices extracted from the result by `spec`'s method."""
-    table = transform_scores(fs, norm, spec.significant_digits,
-                             spec.use_ranks, direction)
-    return table, extract(spec.method, table, count, rng)
+    fs = transform_scores(fs, norm, spec.significant_digits, spec.use_ranks)
+    return fs, extract(spec.method, fs, direction, count, rng)
 
 
 def run_generation(state: EvolutionState) -> GenerationRecord:
@@ -315,7 +314,7 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
         state.best_genotypes = best_keys
 
     # selection scores and parent extraction
-    sel_table, parent_idx = _draw(
+    sel_fs, parent_idx = _draw(
         cfg.selection, state.sel_norm,
         selection_scores(p, member_rows, values, cfg.selection_aggregate,
                          direction),
@@ -363,7 +362,7 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
         v = len(viable_children)
         if len(eligible) >= 2:
             vs = survival_scores([sample[i].source_genotype for i in eligible],
-                                 sel_table.fs[eligible], cfg.q, cfg.r)
+                                 sel_fs[eligible], cfg.q, cfg.r)
             _, victims_rel = _draw(cfg.survival, state.sur_norm, vs, "max",
                                    v, rng)
             victims = [eligible[i] for i in victims_rel]

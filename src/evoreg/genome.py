@@ -24,7 +24,6 @@ __all__ = [
     "GeneticTopology",
     "Genotype",
     "TopologyError",
-    "TopologyMismatchError",
     "genome_size",
     "random_genotype",
     "crossover",
@@ -37,10 +36,6 @@ __all__ = [
 
 class TopologyError(ValueError):
     """Raised for malformed topologies or topology files."""
-
-
-class TopologyMismatchError(ValueError):
-    """Raised when an operation pairs genotypes from different topologies."""
 
 
 @dataclass(frozen=True)
@@ -168,10 +163,8 @@ def crossover(
 
     The range [i, j] is uniform over all start <= end pairs, so segment
     lengths from one gene up to the whole chromosome are all possible.
+    Both genotypes share one topology, as every genotype of a run does.
     """
-    # identity check first: topologies are shared objects in practice
-    if a.topology is not b.topology and a.topology != b.topology:
-        raise TopologyMismatchError("genotypes come from different topologies")
     nc = a.topology.gene_count
     pairs = nc * (nc + 1) // 2
     k = rng.randrange(pairs)

@@ -47,7 +47,6 @@ reads the table alone and scores every valid row.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -71,9 +70,6 @@ __all__ = [
     "better",
 ]
 
-logger = logging.getLogger(__name__)
-
-_CONDITION_WARN = 1e12
 # pivots below this share of their diagonal carry fewer than about six
 # significant digits in double precision
 PIVOT_TOL = 1e-10
@@ -155,11 +151,8 @@ def ols_fit(
     s: float = 2.0,
 ) -> RegressionModel:
     """Least-squares fit of the activity on a phenotype subset, computed
-    directly on the design matrix: the reference for GramFitter.
-
-    ``se_s`` is reported for the given exponent. Warns when the normal
-    equations are ill-conditioned.
-    """
+    directly on the design matrix: the reference for GramFitter. ``se_s``
+    is reported for the given exponent."""
     if not members:
         raise ValueError("need at least one phenotype")
     x = np.column_stack([p.values for p in members])
@@ -181,9 +174,6 @@ def ols_fit(
     if np.any(pivots <= PIVOT_TOL * np.diag(a)):
         raise SingularFitError("rank-deficient design matrix")
     inv = np.linalg.inv(a)
-    cond = float(np.max(np.diag(a)) * np.max(np.abs(inv)))  # max |a| is diagonal
-    if cond > _CONDITION_WARN:
-        logger.warning("ill-conditioned normal equations (cond ~ %.2g)", cond)
     coef = np.linalg.solve(a, design.T @ y)
     yhat = design @ coef
     residuals = y - yhat

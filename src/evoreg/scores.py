@@ -1,9 +1,8 @@
-"""Objective, selection, and survival scores, plus the score-table pipeline.
+"""Objective, selection, and survival scores, plus the score transforms.
 
-Selection strategies consume a ScoreTable: the per-individual scores after
-the optional normalize / round / rank transforms, grouped by distinct value.
-Survival similarity scores combine score distance and genotype distance and
-flow through the same pipeline.
+Selection strategies draw from the per-individual scores after the optional
+normalize / round / rank transforms. Survival similarity scores combine
+score distance and genotype distance and flow through the same transforms.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .regress import RegressionModel
 
 __all__ = [
     "ObjectiveSpec",
-    "ScoreTable",
     "NormalizationState",
     "objective_score",
     "selection_scores",
@@ -179,20 +177,6 @@ class NormalizationState:
         self.global_max = hi if self.global_max is None else max(self.global_max, hi)
 
 
-@dataclass(frozen=True)
-class ScoreTable:
-    """Scores aligned with sample indices, grouped by distinct value."""
-
-    fs: np.ndarray
-    distinct: np.ndarray              # ascending
-    direction: str
-    groups: tuple[tuple[int, ...], ...]  # sample indices per distinct value
-
-    @property
-    def size(self) -> int:
-        return int(self.fs.size)
-
-
 def round_significant(x: float, digits: int) -> float:
     """Round to a number of significant digits with Python's correctly
     rounded float round, subnormals included. A value that rounds past the
@@ -222,14 +206,12 @@ def transform_scores(
     state: NormalizationState | None = None,
     digits: int | None = None,
     use_ranks: bool = False,
-    direction: str = "max",
-) -> ScoreTable:
-    """Run the score pipeline and group the result.
+) -> np.ndarray:
+    """Run the score pipeline: the transformed scores as a float64 array.
 
     Order: normalization against the running references, rounding to
-    significant digits, tie-aware integer ranks (doubled mid-ranks shifted to
-    start at 1), then grouping the sample indices by distinct value. Every
-    step preserves the score ordering.
+    significant digits, then tie-aware integer ranks (doubled mid-ranks
+    shifted to start at 1). Every step preserves the score ordering.
     """
     values = np.array(fs, dtype=float)
     if not np.isfinite(values).all():
@@ -256,16 +238,7 @@ def transform_scores(
         values = np.array([round_significant(v, digits) for v in values])
     if use_ranks:
         values = 2.0 * _midranks(values) - 1.0
-
-    # one stable sort groups equal scores, indices ascending within a group
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    bounds = starts.tolist() + [values.size]
-    members = order.tolist()
-    groups = tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
-    return ScoreTable(values, ordered[starts], direction, groups)
+    return values
 
 
 def survival_scores(

@@ -98,15 +98,15 @@ def student_t_two_tail(t: float, df: int) -> float:
 
 @lru_cache(maxsize=None)
 def t_critical(alpha: float, df: int) -> float:
-    """Two-tailed critical value: |t| above it has tail probability < alpha.
-    The bisection keeps the tail above alpha at `lo`, at or below it at
-    `hi`, and ends when they are adjacent floats: the midpoint is then one
-    of them, which any further step would write back."""
+    """Two-tailed critical value: |t| above it has tail probability < alpha,
+    for 1e-10 <= alpha < 1 as `EvolutionConfig` checks (a negative alpha
+    would double the bracket forever). The bisection keeps the tail above
+    alpha at `lo`, at or below it at `hi`, and ends when they are adjacent
+    floats: the midpoint is then one of them, which any further step would
+    write back."""
     lo, hi = 0.0, 1.0
     while student_t_two_tail(hi, df) > alpha:
         hi *= 2.0
-        if hi > 1e12:
-            raise ArithmeticError("t_critical failed to bracket")
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if student_t_two_tail(mid, df) > alpha:
             lo = mid

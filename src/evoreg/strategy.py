@@ -1,7 +1,7 @@
-"""Extraction strategies over a grouped score table.
+"""Extraction strategies over transformed scores.
 
 The same three methods serve selection (drawing parents by fitness) and
-survival (drawing removal victims by similarity); only the table's scores and
+survival (drawing removal victims by similarity); only the scores and their
 direction differ. All draws come from the caller's random.Random, so a fixed
 seed reproduces extractions exactly.
 """
@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .scores import ScoreTable
+import numpy as np
 
 __all__ = [
     "StrategySpec",
@@ -52,14 +52,26 @@ class StrategySpec:
             raise ValueError("significant_digits must be positive")
 
 
-def _group_masses(table: ScoreTable) -> list[float]:
-    """Direction-adjusted nonnegative mass per distinct-score group.
+def _groups(fs: np.ndarray) -> tuple[list[float], list[list[int]]]:
+    """The distinct values of `fs`, ascending, and the indices holding each,
+    from one stable sort: indices ascending within a group."""
+    order = np.argsort(fs, kind="stable")
+    ordered = fs[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    bounds = starts.tolist() + [fs.size]
+    members = order.tolist()
+    groups = [members[a:b] for a, b in zip(bounds, bounds[1:])]
+    return ordered[starts].tolist(), groups
+
+
+def _group_masses(values: list[float], direction: str) -> list[float]:
+    """Direction-adjusted nonnegative mass per distinct score `values`.
 
     Minimization flips scores with the order-reversing affine map
     f -> (max + min - f); negative masses are shifted up to zero.
     """
-    values = table.distinct.tolist()
-    if table.direction == "min":
+    if direction == "min":
         hi, lo = values[-1], values[0]
         values = [hi + lo - v for v in values]
     low = min(values)
@@ -70,7 +82,7 @@ def _group_masses(table: ScoreTable) -> list[float]:
 
 
 def extract_proportional(
-    table: ScoreTable, n_sel: int, rng: random.Random
+    fs: np.ndarray, direction: str, n_sel: int, rng: random.Random
 ) -> list[int]:
     """Fitness-proportional draw without replacement via the group walk.
 
@@ -79,8 +91,8 @@ def extract_proportional(
     reaches it, then takes a uniformly random unselected member of that
     group. Zero total mass falls back to uniform draws.
     """
-    masses = _group_masses(table)
-    remaining = [list(g) for g in table.groups]
+    distinct, remaining = _groups(fs)
+    masses = _group_masses(distinct, direction)
     terms = list(map(operator.mul, masses, map(len, remaining)))
     # reached[g + 1]: terms 0..g summed left to right after -0.0 (x + -0.0
     # is x); a draw changes one term, so the sums are redone from it on
@@ -108,15 +120,13 @@ def extract_proportional(
 
 
 def extract_deterministic(
-    table: ScoreTable, n_sel: int, rng: random.Random
+    fs: np.ndarray, direction: str, n_sel: int, rng: random.Random
 ) -> list[int]:
     """Take whole best-score groups while they fit; fill the remainder with
     uniformly random members of the boundary group."""
-    order = range(len(table.groups) - 1, -1, -1) if table.direction == "max" \
-        else range(len(table.groups))
+    groups = _groups(fs)[1]
     selected: list[int] = []
-    for gi in order:
-        members = table.groups[gi]
+    for members in reversed(groups) if direction == "max" else groups:
         need = n_sel - len(selected)
         if need == 0:
             break
@@ -128,7 +138,7 @@ def extract_deterministic(
 
 
 def extract_tournament(
-    table: ScoreTable, n_sel: int, rng: random.Random
+    fs: np.ndarray, direction: str, n_sel: int, rng: random.Random
 ) -> list[int]:
     """Tournament on a random permutation.
 
@@ -137,9 +147,9 @@ def extract_tournament(
     then plays the boundary position. Both passes play one `match` rule.
     The first n_sel positions are returned.
     """
-    wins = operator.gt if table.direction == "max" else operator.lt
-    fs = table.fs.tolist()
-    size = table.size
+    wins = operator.gt if direction == "max" else operator.lt
+    fs = fs.tolist()
+    size = len(fs)
     perm = list(range(size))
     rng.shuffle(perm)
 
@@ -163,8 +173,10 @@ _EXTRACTORS = {"proportional": extract_proportional,
 
 
 def extract(
-    method: str, table: ScoreTable, n_sel: int, rng: random.Random
+    method: str, fs: np.ndarray, direction: str, n_sel: int,
+    rng: random.Random
 ) -> list[int]:
-    """`n_sel` distinct indices of `table`, 1 <= n_sel <= its size, drawn
-    by the method named `method`, one of METHODS."""
-    return _EXTRACTORS[method](table, n_sel, rng)
+    """`n_sel` distinct indices of the float64 scores `fs`, whose sense is
+    `direction`, 1 <= n_sel <= their count, drawn by the method named
+    `method`, one of METHODS."""
+    return _EXTRACTORS[method](fs, direction, n_sel, rng)

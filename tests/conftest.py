@@ -2,7 +2,7 @@ import codecs
 import csv
 import math
 import struct
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, groupby
 
 import numpy as np
 import pytest
@@ -96,18 +96,17 @@ def labelled_rows_oracle(fh, corner, error=ValueError):
         raise error(f"{fh.name}: first header column must be {corner!r}")
 
 
-def tournament_oracle(table, n_sel, rng):
+def tournament_oracle(fs, direction, n_sel, rng):
     """Tournament extraction as two passes: adjacent comparisons over the
     first n_sel positions of a shuffled permutation, then one challenger
     from the remainder against the boundary position. An exact tie flips a
     coin, drawn only on a tie; a position stays put when it is below 0.5.
     The oracle for `strategy.extract_tournament`'s picks and draw order."""
-    fs = table.fs
-    size = table.size
+    size = len(fs)
     perm = list(range(size))
     rng.shuffle(perm)
 
-    if table.direction == "max":
+    if direction == "max":
         beats = lambda a, b: fs[a] > fs[b]  # noqa: E731
     else:
         beats = lambda a, b: fs[a] < fs[b]  # noqa: E731
@@ -128,21 +127,26 @@ def tournament_oracle(table, n_sel, rng):
     return perm[:n_sel]
 
 
-def proportional_oracle(table, n_sel, rng):
-    """Proportional extraction with a separate count per score group: the
-    running masses value*count summed left to right, a uniform point in
-    the total, the first group with members that reaches it (the last group
-    if none does, as when the point is NaN), then past exhausted groups,
-    and a uniform member of that group; uniform draws once the total mass
-    is zero. The oracle for `strategy.extract_proportional`'s picks and
-    draw order."""
-    values = [float(v) for v in table.distinct]
-    if table.direction == "min":
+def proportional_oracle(fs, direction, n_sel, rng):
+    """Proportional extraction with a separate count per score group, equal
+    scores grouped by Python's stable sort of the indices: the running
+    masses value*count summed left to right, a uniform point in the total,
+    the first group with members that reaches it (the last group if none
+    does, as when the point is NaN), then past exhausted groups, and a
+    uniform member of that group; uniform draws once the total mass is
+    zero. The oracle for `strategy.extract_proportional`'s picks and draw
+    order."""
+    fs = fs.tolist()
+    grouped = [(v, list(g)) for v, g in
+               groupby(sorted(range(len(fs)), key=fs.__getitem__),
+                       fs.__getitem__)]
+    values = [v for v, _ in grouped]
+    if direction == "min":
         hi, lo = values[-1], values[0]
         values = [hi + lo - v for v in values]
     low = min(values)
     masses = [v - low for v in values] if low < 0.0 else values
-    remaining = [list(g) for g in table.groups]
+    remaining = [g for _, g in grouped]
     counts = [len(g) for g in remaining]
     selected = []
     for _ in range(n_sel):

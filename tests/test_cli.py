@@ -104,15 +104,20 @@ def test_space_size_both_forms(capsys):
 
 
 def test_space_size_usage_errors(capsys):
-    """Neither or both of --N and --topology, and neither or both of --n
-    and --n-max, are usage errors; a subset larger than the space is a
-    data error."""
+    """Neither or both of --N and --topology, neither or both of --n and
+    --n-max, and a negative --n are usage errors; a subset larger than the
+    space is a data error."""
     for argv in (["--n", "2"], ["--N", "5", "--topology", "t.cgt", "--n", "1"],
                  ["--N", "5"], ["--N", "5", "--n", "1", "--n-max", "2"]):
         with pytest.raises(SystemExit) as err:
             main(["space-size", *argv])
         assert err.value.code == 1
     capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["space-size", "--N", "5", "--n", "-1"])
+    assert err.value.code == 1
+    assert ("--n: must be a nonnegative integer, got '-1'"
+            in capsys.readouterr().err)
     assert main(["space-size", "--N", "5", "--n", "9"]) == 2  # n > N
     assert capsys.readouterr().out == ""
 
@@ -848,6 +853,8 @@ def test_config_errors_name_section_and_key(tmp_path):
         objective={"exponent": "2"})
     assert "bad [evolution] value: need 1 <= k" in error(
         evolution={"pairs": "6"})
+    assert "bad [evolution] value: alpha must be in [1e-10, 1)" in error(
+        evolution={"alpha": "1e-11"})
 
 
 def test_gen_data_flags_are_the_synthetic_keys(tmp_path, monkeypatch,
@@ -897,7 +904,7 @@ def test_summary_is_strict_json_without_a_valid_model(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["0", "-5", "1.5", "x"])
 def test_count_not_a_positive_integer_is_a_usage_error(tmp_path, capsys, value):
-    """grid --threshold and --runs-per-cell, space-size --n-max and
+    """grid --threshold and --runs-per-cell, space-size --N and --n-max and
     gen-data --molecules and --max-rows reject a value that is not an
     integer of at least 1 when the arguments are parsed, before reading a
     file, running a grid, printing a size or writing a file."""
@@ -910,6 +917,7 @@ def test_count_not_a_positive_integer_is_a_usage_error(tmp_path, capsys, value):
                  ["grid", "--manifest", str(manifest), "--runs-per-cell",
                   value],
                  ["space-size", "--N", "5", "--n-max", value],
+                 ["space-size", "--n", "2", "--N", value],
                  ["gen-data", "--activity-out", str(activity),
                   "--molecules", value],
                  ["gen-data", "--activity-out", str(activity),

@@ -69,10 +69,11 @@ def test_config_validation():
     nan, inf = float("nan"), float("inf")
     for field, value in (("q", nan), ("r", nan), ("q", inf), ("r", -1.0),
                          ("target_objective", nan), ("alpha", nan),
-                         ("pp", nan)):
+                         ("alpha", 1e-11), ("alpha", 1.0), ("pp", nan)):
         with pytest.raises(ValueError, match=f"^{field} "):
             small_config(**{field: value})
     small_config(target_objective=inf)     # never reached, but well-defined
+    small_config(alpha=1e-10)              # the floor itself
 
 
 def test_config_fingerprint_tracks_content():

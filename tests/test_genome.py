@@ -12,7 +12,6 @@ from evoreg.genome import (
     GeneticTopology,
     Genotype,
     TopologyError,
-    TopologyMismatchError,
     crossover,
     genome_size,
     load_topology,
@@ -220,10 +219,17 @@ def test_crossover_conserves_alleles_per_position():
 
 
 def test_crossover_topology_mismatch():
-    a = random_genotype(binary_topology(3), random.Random(0))
-    b = random_genotype(binary_topology(4), random.Random(0))
-    with pytest.raises(TopologyMismatchError):
-        crossover(a, b, random.Random(1))
+    """Genotypes with different gene counts make a child that `Genotype`
+    refuses, whichever segment is drawn: one too short or too long, or
+    one with allele 2 of a two-allele gene."""
+    a = Genotype(binary_topology(4), (0, 1, 0, 1))
+    three = GeneticTopology(
+        tuple(Gene(f"g{i}", ("a", "b", "c")) for i in range(3)))
+    b = Genotype(three, (2, 2, 2))
+    for seed in range(40):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(TopologyError):
+                crossover(x, y, random.Random(seed))
 
 
 def test_mutate_prob_zero():

@@ -198,8 +198,15 @@ def test_t_critical_is_the_200_step_bisection_bit_for_bit():
         for df in (*range(1, 61), *range(199, 205), 1000):
             got = t_critical.__wrapped__(alpha, df)
             assert got.hex() == t_critical_oracle(alpha, df).hex(), (alpha, df)
-    with pytest.raises(ArithmeticError, match="failed to bracket"):
-        t_critical(1e-12, 1)
+
+
+@pytest.mark.parametrize("df,expected", [
+    (1, 6366197723.68), (2, 99999.9999925), (203, 6.8239079871)])
+def test_t_critical_at_the_alpha_floor(df, expected):
+    """The smallest alpha a config accepts brackets at every df, df 1's
+    root near 6.4e9 included, and lands near the arbitrary-precision
+    critical value."""
+    assert t_critical(1e-10, df) == pytest.approx(expected, rel=1e-6)
 
 
 def test_jarque_bera_hand_computed():
