@@ -407,8 +407,8 @@ def _bounded(parse, inside, rule: str):
 _alpha = _bounded(float, lambda a: 0.0 < a < 1.0, "lie in (0, 1)")
 _positive = _bounded(int, lambda n: n >= 1, "be a positive integer")
 _nonnegative = _bounded(int, lambda n: n >= 0, "be a nonnegative integer")
-_spread = _bounded(float, lambda x: 0.0 <= x < math.inf,
-                   "be nonnegative and finite")
+_spread = _bounded(float, lambda x: 0.0 < x < math.inf,
+                   "be positive and finite")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -366,9 +366,13 @@ def load_activity(path) -> Dataset:
             raise
     activity = stats.numbers(path, ids, cells, DescriptorDataError)
     try:
-        return Dataset(tuple(ids), activity)
+        ds = Dataset(tuple(ids), activity)
+        # every fit is exact, and its slopes' t are rounding residue
+        if activity.min() == activity.max():
+            raise ValueError("activity values are all equal")
     except ValueError as exc:
         raise DescriptorDataError(f"{path}: {exc}") from exc
+    return ds
 
 
 def _float_cell(v) -> str:

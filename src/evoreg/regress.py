@@ -202,6 +202,15 @@ def _all_subsets(p: int, n: int) -> np.ndarray:
     return index
 
 
+@lru_cache(maxsize=8)
+def _subset_columns(p: int, n: int) -> np.ndarray:
+    """`_all_subsets(p, n)` transposed: one row per member position, one
+    column per subset, as a contiguous read-only array."""
+    columns = np.ascontiguousarray(_all_subsets(p, n).T)
+    columns.setflags(write=False)
+    return columns
+
+
 class GramFitter:
     """Fits every n-subset of a fixed phenotype panel against one response,
     in both forms, at construction (module docstring), so `fit` is a lookup
@@ -243,10 +252,10 @@ class GramFitter:
                  and previous.y.tobytes() == y.tobytes())
         changed = ((previous.panel.view(np.uint64) != panel.view(np.uint64))
                    .any(axis=1) if carry else np.ones(p, dtype=bool))
-        # column by column: a 2-d gather and any(axis=1) ran 6x slower
-        members = iter(self.subsets.T)
-        self.touched = changed[next(members)]
-        for column in members:
+        # one member row at a time: a 2-d gather and any(axis=0) ran slower
+        columns = _subset_columns(p, n)
+        self.touched = changed[columns[0]]
+        for column in columns[1:]:
             self.touched |= changed[column]
         rows = np.flatnonzero(self.touched)
         # fit into one buffer (the table when cold), then copy the previous
@@ -258,13 +267,16 @@ class GramFitter:
         size = max(1, -(-rows.size // chunks))
         for start in range(0, rows.size, size):
             chunk = slice(start, start + size)
-            self._fit_chunk(self.subsets[rows[chunk]], table[:, :, chunk],
-                            singular[:, chunk])
+            self._fit_chunk(columns.take(rows[chunk], axis=1),
+                            table[:, :, chunk], singular[:, chunk])
         self.table, self.singular = table, singular
         if carry:
             self.table = previous.table.copy()
             self.singular = previous.singular.copy()
-            self.table[:, :, rows], self.singular[:, rows] = table, singular
+            # one scatter into a (cells, subsets) view of the copy
+            cells = table.shape[0] * table.shape[1]
+            self.table.reshape(cells, -1)[:, rows] = table.reshape(cells, -1)
+            self.singular[:, rows] = singular
 
     def form(self, with_intercept: bool):
         """(coefficients, t_stats, r2, se_s) of one form, one row per
@@ -291,43 +303,43 @@ class GramFitter:
         its valid candidates, one row of slope t each, into a (rows, 2) value
         matrix by row and slot, NaN where no valid candidate is. The sweep
         depends on the table and the arguments alone: nothing is kept."""
-        ins0, ins1 = (np.abs(self.form(wi)[1]) < t_critical(alpha, self.df[wi])
-                      for wi in (0, 1))
-        room0, room1 = (self.n + wi <= self.m - SIGNIFICANCE_OFFSET
-                        for wi in (0, 1))
+        n, n1, table = self.n, self.n + 1, self.table
+        # in the table's (coefficient, subset) layout: the slope t of the
+        # no-intercept form, and the intercept form's t, intercept first
+        ins0 = np.abs(table[0, n1 + 1:2 * n1]) < t_critical(alpha, self.df[0])
+        ins1 = np.abs(table[1, n1:2 * n1]) < t_critical(alpha, self.df[1])
+        room0, room1 = (n + wi <= self.m - SIGNIFICANCE_OFFSET for wi in (0, 1))
         sing0, sing1 = self.singular
-        valid1 = room1 & ~(ins0 & ins1[:, 1:]).any(axis=1)
-        valid0 = room0 & ~(ins0 & (ins1[:, 1:] | sing1[:, None])).any(axis=1)
-        demoted = room1 & ~sing1 & ins1[:, 0]
+        valid1 = room1 & ~(ins0 & ins1[1:]).any(axis=0)
+        valid0 = room0 & ~(ins0 & (ins1[1:] | sing1)).any(axis=0)
+        demoted = room1 & ~sing1 & ins1[0]
         # per slot, the intercept form unless demoted, and the no-intercept
         # form when demoted or in "both" mode; a singular form gives none
-        present = np.column_stack((~demoted & ~sing1,
-                                   (demoted | both) & ~sing0))
-        ok = present & np.column_stack((valid1, valid0))
-        values = np.full(ok.shape, np.nan)
+        present = np.array((~demoted & ~sing1, (demoted | both) & ~sing0))
+        ok = present & np.array((valid1, valid0))
+        values = np.full((ok.shape[1], 2), np.nan)
         for wi in (0, 1):
-            _, t, r2, se_s = self.form(wi)
-            rows = np.flatnonzero(ok[:, 1 - wi])
-            values[rows, 1 - wi] = objective(r2[rows], se_s[rows],
-                                             t[rows, wi:])
-        flat = np.flatnonzero(ok)
+            rows = np.flatnonzero(ok[1 - wi])
+            # slope t, r2 and se_s of the rows, in one gather
+            picked = table[wi][n1 + 1 :, rows]
+            values[rows, 1 - wi] = objective(picked[n], picked[n1],
+                                             picked[:n].T)
+        flat = np.flatnonzero(ok.T)
         # shape codes; per slot 0 no candidate, 1 an invalid one, 2 a valid one
         c = present.view(np.uint8) + ok.view(np.uint8)
-        shapes = 3 * c[:, 0] + c[:, 1]
         return Sweep(flat >> 1, (flat & 1) == 0, values.take(flat),
-                     shapes.tolist())
+                     3 * c[0] + c[1])
 
-    def _fit_chunk(self, idx: np.ndarray, out: np.ndarray,
+    def _fit_chunk(self, cols: np.ndarray, out: np.ndarray,
                    singular: np.ndarray) -> None:
-        """The kernel: factor the bordered normal matrices of the subsets in
-        `idx` and write both forms' fits into `out` and `singular`, laid out
-        as ``table`` and ``singular``. Each matrix entry is one vector over
-        the subsets, and each sum adds the subset's own products in the
-        order of the matrix product it stands for."""
-        rows, n = idx.shape
+        """The kernel: factor the bordered normal matrices of the subsets,
+        whose members are the columns of `cols`, and write both forms' fits
+        into `out` and `singular`, laid out as ``table`` and ``singular``.
+        Each matrix entry is one vector over the subsets, and each sum adds
+        the subset's own products in the order of the product it stands for."""
+        n, rows = cols.shape
         n1 = n + 1      # members and intercept
         p, m, gram = self.panel.shape[0], self.m, self.gram
-        cols = idx.T.copy()
         # a[i][j], j <= i: entry (i, j) of the normal matrices bordered by
         # the response, rows ordered members, intercept (n), response (n1);
         # a scalar where the subsets share it. The Cholesky factor L
@@ -403,7 +415,7 @@ class GramFitter:
             # sum |y - y_hat|^s from the residual rows; slot 0 the intercept
             resid = self.y - out[form, 0, :, None]
             for j in range(n):
-                resid -= out[form, j + 1, :, None] * self.panel[idx[:, j]]
+                resid -= out[form, j + 1, :, None] * self.panel[cols[j]]
             se_s = (np.abs(resid, out=resid) ** self.s).sum(axis=1)
             out[form, 2 * n1 + 1] = np.where(exact[form], 0.0, se_s)
 
@@ -411,12 +423,12 @@ class GramFitter:
 class Sweep(NamedTuple):
     """The valid candidates of a table in (row, slot) order, slot 0 the
     intercept form: each one's row, form and float64 value, one array each;
-    and per row the shape code that `fit_assessed` reads."""
+    and each row's shape code, which `fit_assessed` reads, in an int array."""
 
     rows: np.ndarray
     with_intercept: np.ndarray
     values: np.ndarray
-    shapes: list[int]
+    shapes: np.ndarray
 
 
 class Candidate(NamedTuple):
@@ -433,9 +445,9 @@ _SHAPES = [tuple(Candidate(wi, k == 2) for wi, k in ((True, a), (False, b))
 
 
 # The candidates of a row, from its shape code in a `Sweep`'s shapes. The
-# engine calls this once per row only for the benchmark's tracer, which
-# counts subsets and valid and demoted candidates by it; as a bound method
-# of the list, the calls run in C when the tracer is off.
+# engine calls this once per row only when an instrument has replaced its
+# name in the engine, as the benchmark's tracer does to count subsets and
+# valid and demoted candidates.
 fit_assessed: Callable[[int], tuple[Candidate, ...]] = _SHAPES.__getitem__
 
 

@@ -211,11 +211,17 @@ def transform_scores(
 
     Order: normalization against the running references, rounding to
     significant digits, then tie-aware integer ranks (doubled mid-ranks
-    shifted to start at 1). Every step preserves the score ordering.
+    shifted to start at 1). Every step preserves the score ordering. First
+    +-inf (an exact fit's mt score) is clipped to the largest or smallest
+    finite score, or all scores are 0.0 if none is finite; NaN is refused.
     """
     values = np.array(fs, dtype=float)
-    if not np.isfinite(values).all():
-        raise ValueError("scores must be finite")
+    finite = np.isfinite(values)
+    if not finite.all():
+        if np.isnan(values).any():
+            raise ValueError("scores must not be NaN")
+        ends = values[finite] if finite.any() else np.zeros(1)
+        values = np.nan_to_num(values, posinf=ends.max(), neginf=ends.min())
 
     if state is not None:
         state.update(float(values.min()), float(values.max()))

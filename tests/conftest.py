@@ -311,7 +311,8 @@ def value_bits(view):
 def candidate_bits(sweep):
     """A `regress.Sweep` with each array as its dtype and bytes, so that
     equal sweeps agree bit for bit, NaN included."""
-    return (*((a.dtype, a.tobytes()) for a in sweep[:3]), sweep.shapes)
+    return (*((a.dtype, a.tobytes()) for a in sweep[:3]),
+            sweep.shapes.tolist())
 
 
 def scalar_objective(model, spec):

@@ -306,16 +306,28 @@ def test_run_with_an_infinite_best_objective(tmp_path, capsys):
     assert "best objective: inf" in capsys.readouterr().out
 
 
-@pytest.mark.xfail(strict=True, reason="what selection, normalization and "
-                   "proportional extraction do with an infinite score is "
-                   "not decided: transform_scores rejects it")
 @pytest.mark.parametrize("aggregate", ["min", "max", "avg"])
 def test_run_selects_on_an_infinite_objective(tmp_path, aggregate):
     """The same exact-fit world under a selection aggregate that scores a
     slot by its models' objectives hands inf to `transform_scores`, which
-    stops the run with "scores must be finite" (exit 2)."""
+    clips it to the largest finite score, so the run completes."""
     manifest = _exact_fit_world(tmp_path, aggregate)
     assert main(["run", "--manifest", str(manifest)]) == 0
+
+
+def test_constant_activity_is_a_data_error(tmp_path, capsys):
+    """An activity file whose values are all equal, on which every fit is
+    exact, stops validate and run at load (exit 2) with an error naming
+    the file and the rule, and run writes nothing."""
+    manifest = write_world(tmp_path)
+    activity = tmp_path / "activity.csv"
+    activity.write_text("molecule,activity\n" + "".join(
+        f"mol{i + 1},6.0\n" for i in range(60)))
+    for command in ("validate", "run"):
+        assert main([command, "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert f"{activity}: activity values are all equal" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_missing_activity_names_path(tmp_path, capsys):
@@ -934,20 +946,22 @@ def test_count_not_a_positive_integer_is_a_usage_error(tmp_path, capsys, value):
     assert main(["space-size", "--N", "5", "--n-max", "1"]) == 0
 
 
-@pytest.mark.parametrize("sd", ["-1", "-0.5", "nan", "inf", "-inf", "x"])
+@pytest.mark.parametrize("sd", ["-1", "-0.5", "nan", "inf", "-inf", "x",
+                                "0", "-0.0"])
 def test_gen_data_sd_outside_zero_to_inf_is_a_usage_error(tmp_path, capsys,
                                                           sd):
-    """gen-data --sd must be nonnegative and finite: anything else is a
-    usage error naming the flag, before the activity file is written."""
+    """gen-data --sd must be positive and finite: anything else, 0 (a
+    constant activity) included, is a usage error naming the flag, before
+    the activity file is written."""
     activity = tmp_path / "generated.csv"
     with pytest.raises(SystemExit) as err:
         main(["gen-data", "--activity-out", str(activity), f"--sd={sd}"])
     assert err.value.code == 1
     captured = capsys.readouterr()
-    assert f"--sd: must be nonnegative and finite, got {sd!r}" in captured.err
+    assert f"--sd: must be positive and finite, got {sd!r}" in captured.err
     assert captured.out == ""
     assert not activity.exists()
-    assert main(["gen-data", "--activity-out", str(activity), "--sd", "0",
+    assert main(["gen-data", "--activity-out", str(activity), "--sd", "0.5",
                  "--molecules", "3"]) == 0
     assert len(activity.read_text().splitlines()) == 4
 

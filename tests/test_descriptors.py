@@ -1152,6 +1152,9 @@ def test_activity_rejects_bad_files(tmp_path):
         ("m1,1.0\nm2,2.0\nm1,3.0\n", "molecule id 'm1' is repeated"),
         ("m1,1.0\nm2,nan\nm3,3.0\n", "activity values must be finite"),
         ("m1,1.0\nm2,2.0\n", "dataset needs at least 3 molecules"),
+        # every fit of a constant activity is exact (-0.0 equals 0.0)
+        ("m1,6.0\nm2,6.0\nm3,6.0\n", "activity values are all equal"),
+        ("m1,0.0\nm2,-0.0\nm3,0\n", "activity values are all equal"),
     ]:
         path.write_text("molecule,activity\n" + body)
         with pytest.raises(DescriptorDataError) as info:

@@ -481,6 +481,54 @@ def test_engine_boundary_for_the_tracer(monkeypatch):
     assert demoted_total > 0
 
 
+def test_per_subset_pass_runs_only_when_instrumented(planted_world,
+                                                     monkeypatch):
+    """The engine calls engine.fit_assessed once per subset, each time with
+    a Python int shape code, only when an instrument has replaced the name;
+    with the name still the one regress defines (here a counting wrapper
+    put in both modules) it makes no call. Either way two generations, the
+    second carried, give the records and samples of an uninstrumented run."""
+    topo, ds, provider = planted_world
+    cfg = planted_config(seed=9, p=12, n=2)
+    original = regress.fit_assessed
+
+    def generations(patched):
+        rng = random.Random(cfg.seed)
+        state = EvolutionState(cfg, provider, ds, rng,
+                               init_sample(cfg, topo, provider, ds, rng))
+        codes = []
+
+        def counting(code):
+            codes.append(code)
+            return original(code)
+
+        with monkeypatch.context() as patch:
+            for module in patched:
+                patch.setattr(module, "fit_assessed", counting)
+            records = [run_generation(state) for _ in range(2)]
+        assert not state.fitter.touched.all()   # the second sweep carried
+        keys = [ph.source_genotype.key for ph in state.sample]
+        return records, keys, codes
+
+    records, keys, codes = generations(())
+    for patched, calls in (((engine,), 2 * math.comb(cfg.p, cfg.n)),
+                           ((engine, regress), 0)):
+        got_records, got_keys, got_codes = generations(patched)
+        assert (got_records, got_keys) == (records, keys)
+        assert len(got_codes) == calls
+        assert all(type(code) is int for code in got_codes)
+
+
+def test_subset_columns_transpose_the_subsets():
+    """`_subset_columns` holds `_all_subsets` with one row per member
+    position, contiguous and read-only, one cached array per (p, n)."""
+    for p, n in ((5, 1), (8, 3), (30, 3)):
+        columns = regress._subset_columns(p, n)
+        assert np.array_equal(columns, regress._all_subsets(p, n).T)
+        assert columns.flags.c_contiguous and not columns.flags.writeable
+        assert regress._subset_columns(p, n) is columns
+
+
 def test_draw_boundary_for_the_tracer(planted_world, monkeypatch):
     """The tracer names each engine.transform_scores span by phase, which
     turns to survival when engine.survival_scores returns, and each
@@ -656,9 +704,9 @@ def test_carried_rows_are_those_without_a_changed_slot(n, s, monkeypatch):
     refitted = []
     fit_chunk = GramFitter._fit_chunk
 
-    def spy(self, idx, out, singular):
-        refitted.append(idx.copy())
-        fit_chunk(self, idx, out, singular)
+    def spy(self, cols, out, singular):
+        refitted.append(cols.copy())
+        fit_chunk(self, cols, out, singular)
 
     def sweep(new, previous, changed):
         refitted.clear()
@@ -666,8 +714,9 @@ def test_carried_rows_are_those_without_a_changed_slot(n, s, monkeypatch):
         want = [bool(changed & set(row)) for row in fitter.subsets.tolist()]
         assert fitter.touched.tolist() == want
         assert len(refitted) == math.ceil(sum(want) / regress.CHUNK_SUBSETS)
-        assert np.array_equal(np.vstack([np.empty((0, n), np.intp), *refitted]),
-                              fitter.subsets[want])
+        # one row per member position, one column per refitted subset
+        assert np.array_equal(np.hstack([np.empty((n, 0), np.intp), *refitted]),
+                              fitter.subsets[want].T)
         return fitter
 
     monkeypatch.setattr(GramFitter, "_fit_chunk", spy)

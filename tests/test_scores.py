@@ -345,6 +345,31 @@ def test_transform_normalizes_over_a_subnormal_span():
     assert transform_scores([1e-323], state).tolist() == [0.25]
 
 
+def test_transform_clips_infinite_scores():
+    """+-inf, such as an exact fit's mt score, is clipped to the largest or
+    smallest finite score of the same array before the transforms, so it
+    ties with that score, also in the running normalization references;
+    with no finite score every score is 0.0 and all tie. NaN is refused."""
+    inf = math.inf
+    assert transform_scores([inf, 1.0, 2.0]).tolist() == [2.0, 1.0, 2.0]
+    assert transform_scores([-inf, 1.0, 2.0]).tolist() == [1.0, 1.0, 2.0]
+    # the finite scores keep their bits, a -0.0 included
+    assert math.copysign(1.0, transform_scores([-0.0, inf, 0.0])[0]) == -1.0
+    assert transform_scores([inf, 1.0, 2.0],
+                            use_ranks=True).tolist() == [4.0, 1.0, 4.0]
+    state = NormalizationState(0.0, 1.0)
+    assert transform_scores([inf, 1.0, -inf, 3.0],
+                            state).tolist() == [1.0, 0.0, 0.0, 1.0]
+    assert (state.global_min, state.global_max) == (1.0, 3.0)
+    for scores in ([inf, inf, inf], [inf, -inf]):
+        assert transform_scores(scores).tolist() == [0.0] * len(scores)
+        assert transform_scores(scores, use_ranks=True).tolist() == (
+            [len(scores)] * len(scores))
+    for scores in ([math.nan, inf, 1.0], [math.nan]):
+        with pytest.raises(ValueError, match="NaN"):
+            transform_scores(scores)
+
+
 def test_transform_rejects_bad_input():
     with pytest.raises(ValueError):
         transform_scores([1.0, math.nan])
