@@ -77,7 +77,8 @@ class RunManifest:
     synthetic: SyntheticSpec | None = None
 
 
-def _read_ini(path: Path) -> configparser.ConfigParser:
+def _read_ini(path: Path, sections: tuple) -> configparser.ConfigParser:
+    """The INI file at `path`, which may hold only the named sections."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -86,6 +87,9 @@ def _read_ini(path: Path) -> configparser.ConfigParser:
             cp.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if unknown := set(cp.sections()) - set(sections):
+        raise ConfigError(
+            f"{path}: unknown sections: {', '.join(sorted(unknown))}")
     return cp
 
 
@@ -93,7 +97,7 @@ def load_manifest(path) -> RunManifest:
     """The manifest at `path`: its [paths] resolved against its directory
     (every input must exist), its [run] seed, and its [synthetic] spec."""
     path = Path(path)
-    cp = _read_ini(path)
+    cp = _read_ini(path, ("paths", "run", "synthetic"))
 
     def located(text: str) -> Path:
         return (path.parent / text).resolve()
@@ -200,7 +204,8 @@ def _load_section(cp, path: Path, section: str, cls, keys: dict, **given):
 
 def load_evolution_config(path, seed: int) -> engine.EvolutionConfig:
     path = Path(path)
-    cp = _read_ini(path)
+    cp = _read_ini(path, ("evolution", "objective", "selection", "survival",
+                          "viability"))
     return _load_section(
         cp, path, "evolution", engine.EvolutionConfig, _EVOLUTION,
         objective=_load_section(cp, path, "objective", ObjectiveSpec,
@@ -407,6 +412,8 @@ def _bounded(parse, inside, rule: str):
 _alpha = _bounded(float, lambda a: 0.0 < a < 1.0, "lie in (0, 1)")
 _positive = _bounded(int, lambda n: n >= 1, "be a positive integer")
 _nonnegative = _bounded(int, lambda n: n >= 0, "be a nonnegative integer")
+# a Dataset needs three molecules
+_molecules = _bounded(int, lambda n: n >= 3, "be an integer of at least 3")
 _spread = _bounded(float, lambda x: 0.0 < x < math.inf,
                    "be positive and finite")
 
@@ -454,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate synthetic activity and "
                        "descriptor files")
-    p.add_argument("--molecules", type=_positive, default=206)
+    p.add_argument("--molecules", type=_molecules, default=206)
     p.add_argument("--mean", type=float, default=6.4806)
     p.add_argument("--sd", type=_spread, default=0.83076)
     p.add_argument("--seed", type=int, default=0)

@@ -139,7 +139,8 @@ class ViabilityReport:
 
     @property
     def viable(self) -> bool:
-        return not self.failed_criteria()
+        return (self.finite and self.non_constant and self.cv_ok is not False
+                and self.jb_ok is not False and self.simple_r2_ok is not False)
 
     def failed_criteria(self) -> tuple[str, ...]:
         names = ("finite", "non_constant", "cv", "jarque_bera", "simple_r2")
@@ -214,11 +215,16 @@ class TableProvider:
                  table: Mapping[str, np.ndarray]):
         self.topology = topology
         self._table = table
-        self._keys = tuple(table)
-        is_key = topology.key_pattern.fullmatch
-        bad = next((k for k in self._keys if is_key(k) is None), None)
-        if bad is not None:
-            raise DescriptorDataError(f"malformed genotype {bad!r}")
+        self._keys = keys = tuple(table)
+        # one match checks every key; when it fails, or a key holds a line
+        # feed, a scan in table order names the first bad key
+        text = "\n".join(keys) + "\n"
+        if (text.count("\n") != len(keys)
+                or topology.keys_pattern.fullmatch(text) is None):
+            is_key = topology.key_pattern.fullmatch
+            bad = next((k for k in keys if is_key(k) is None), None)
+            if bad is not None:
+                raise DescriptorDataError(f"malformed genotype {bad!r}")
 
     def provide(self, genotype: Genotype) -> Phenotype | None:
         values = self._table.get(genotype.render())

@@ -180,7 +180,9 @@ class RunResult:
 @dataclass
 class EvolutionState:
     """Mutable state of one run. A sample member is the phenotype its
-    provider returned; its genotype is ``source_genotype``."""
+    provider returned; its genotype is ``source_genotype``. ``panel`` and
+    ``alleles`` hold each slot's values and allele indices, one row per slot,
+    rewritten where a child replaces a member."""
 
     cfg: EvolutionConfig
     provider: Provider
@@ -194,8 +196,13 @@ class EvolutionState:
     sel_norm: NormalizationState | None = None
     sur_norm: NormalizationState | None = None
     fitter: GramFitter | None = None    # the last sweep's, to carry from
+    panel: np.ndarray = field(init=False)
+    alleles: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        self.panel = np.vstack([ph.values for ph in self.sample])
+        self.alleles = np.array([ph.source_genotype.allele_index
+                                 for ph in self.sample], dtype=np.intp)
         if (bounds := self.cfg.selection.normalization) is not None:
             self.sel_norm = NormalizationState(*bounds)
         if (bounds := self.cfg.survival.normalization) is not None:
@@ -285,11 +292,10 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
     # full sweep: every n-subset of the sample, one table row each, with the
     # rows of unchanged slots carried from the last sweep; only the
     # error-sum objective needs residual sums at its exponent
-    panel = np.vstack([ph.values for ph in sample])
     keys = [ph.source_genotype.key for ph in sample]
     fit_s = cfg.objective.s if cfg.objective.kind == "se" else 2.0
-    fitter = state.fitter = GramFitter(panel, state.dataset.activity, cfg.n,
-                                       s=fit_s, previous=state.fitter)
+    fitter = state.fitter = GramFitter(state.panel, state.dataset.activity,
+                                       cfg.n, s=fit_s, previous=state.fitter)
     sweep = fitter.assess(cfg.alpha, cfg.intercept_mode == "both",
                           cfg.objective.values)
     # one call per subset, only where an instrument has replaced the name:
@@ -364,8 +370,9 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
     if viable_children:
         v = len(viable_children)
         if len(eligible) >= 2:
-            vs = survival_scores([sample[i].source_genotype for i in eligible],
-                                 sel_fs[eligible], cfg.q, cfg.r)
+            vs = survival_scores(sample[0].source_genotype.topology,
+                                 state.alleles[eligible], sel_fs[eligible],
+                                 cfg.q, cfg.r)
             _, victims_rel = _draw(cfg.survival, state.sur_norm, vs, "max",
                                    v, rng)
             victims = [eligible[i] for i in victims_rel]
@@ -373,6 +380,8 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
             victims = eligible[:v]
         for slot, child in zip(victims, viable_children):
             sample[slot] = child
+            state.panel[slot] = child.values
+            state.alleles[slot] = child.source_genotype.allele_index
     else:
         logger.debug("generation %d: no viable children", state.generation + 1)
 

@@ -90,6 +90,14 @@ class GeneticTopology:
             "(" + "|".join(map(re.escape, g.alleles)) + ")" for g in self.genes))
 
     @cached_property
+    def keys_pattern(self) -> re.Pattern:
+        """Matches keys that each end in a line feed: many keys checked in
+        one match, `key_pattern` repeated with its groups not capturing."""
+        return re.compile("(?:%s\n)*" % "".join(
+            "(?:" + "|".join(map(re.escape, g.alleles)) + ")"
+            for g in self.genes))
+
+    @cached_property
     def alphabets(self) -> tuple[tuple[str, ...], ...]:
         """Each gene's alleles, in gene order."""
         return tuple(g.alleles for g in self.genes)

@@ -231,7 +231,8 @@ class GramFitter:
 
     def __init__(self, panel: np.ndarray, y: np.ndarray, n: int,
                  s: float = 2.0, previous: GramFitter | None = None):
-        # copies: a later fitter compares its panel with this one's
+        # copies: a later fitter compares its panel with this one's, and
+        # the engine updates the panel it passes in place
         panel = np.array(panel, dtype=float)
         y = np.array(y, dtype=float)
         if not (np.isfinite(panel).all() and np.isfinite(y).all()):
@@ -299,10 +300,9 @@ class GramFitter:
                objective: Callable[..., np.ndarray]) -> Sweep:
         """The valid candidates of the table under the validity rules
         (module docstring) at significance level `alpha`, `both` selecting
-        "both" mode. One `objective(r2, se_s, slope_t)` call per form scores
-        its valid candidates, one row of slope t each, into a (rows, 2) value
-        matrix by row and slot, NaN where no valid candidate is. The sweep
-        depends on the table and the arguments alone: nothing is kept."""
+        "both" mode. One `objective(r2, se_s, slope_t)` call scores the
+        valid candidates in (row, slot) order, one row of slope t each. The
+        sweep depends on the table and the arguments alone: nothing is kept."""
         n, n1, table = self.n, self.n + 1, self.table
         # in the table's (coefficient, subset) layout: the slope t of the
         # no-intercept form, and the intercept form's t, intercept first
@@ -317,18 +317,14 @@ class GramFitter:
         # form when demoted or in "both" mode; a singular form gives none
         present = np.array((~demoted & ~sing1, (demoted | both) & ~sing0))
         ok = present & np.array((valid1, valid0))
-        values = np.full((ok.shape[1], 2), np.nan)
-        for wi in (0, 1):
-            rows = np.flatnonzero(ok[1 - wi])
-            # slope t, r2 and se_s of the rows, in one gather
-            picked = table[wi][n1 + 1 :, rows]
-            values[rows, 1 - wi] = objective(picked[n], picked[n1],
-                                             picked[:n].T)
         flat = np.flatnonzero(ok.T)
+        rows, slot = flat >> 1, flat & 1
+        # slope t, r2 and se_s of each valid candidate, in one gather
+        picked = table[1 - slot, n1 + 1:, rows]
         # shape codes; per slot 0 no candidate, 1 an invalid one, 2 a valid one
         c = present.view(np.uint8) + ok.view(np.uint8)
-        return Sweep(flat >> 1, (flat & 1) == 0, values.take(flat),
-                     3 * c[0] + c[1])
+        return Sweep(rows, slot == 0, objective(picked[:, n], picked[:, n1],
+                                                picked[:, :n]), 3 * c[0] + c[1])
 
     def _fit_chunk(self, cols: np.ndarray, out: np.ndarray,
                    singular: np.ndarray) -> None:
@@ -392,7 +388,7 @@ class GramFitter:
         np.multiply(w[n][n], z[n], out=out[1, 0])
         np.multiply(w[n][n], w[n][n], out=out[1, n1])
         # the no-intercept form has no intercept
-        out[0, [0, n1]] = 0.0
+        out[0, 0] = out[0, n1] = 0.0
         ssr = np.empty((2, rows))
         _dot(z[:n], z[:n], out=ssr[0])
         np.add(ssr[0], z[n] * z[n], out=ssr[1])

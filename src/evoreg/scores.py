@@ -11,13 +11,11 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
 from operator import add
-from typing import Sequence
 
 import numpy as np
 
-from .genome import Genotype
+from .genome import GeneticTopology
 from .regress import RegressionModel
 
 __all__ = [
@@ -247,13 +245,10 @@ def transform_scores(
     return values
 
 
-def survival_scores(
-    genotypes: Sequence[Genotype],
-    fs,
-    q: float,
-    r: float,
-) -> np.ndarray:
-    """Similarity of each individual to the rest of the sample.
+def survival_scores(topology: GeneticTopology, alleles: np.ndarray, fs,
+                    q: float, r: float) -> np.ndarray:
+    """Similarity of each individual to the rest of the sample, from the
+    (p, genes) allele indices of the individuals' genotypes in `topology`.
 
     Pair similarity is 2 / (|f_i - f_j|^q + (ncd/nc)^r), capped when both
     distance terms vanish (duplicate genotypes with equal scores); an
@@ -261,13 +256,11 @@ def survival_scores(
     values mark redundant individuals, the preferred removal targets.
     """
     values = np.asarray(fs, dtype=float)
-    topology, p = genotypes[0].topology, len(genotypes)
-    nc, offsets = topology.gene_count, topology.allele_offsets
+    p, nc = alleles.shape
+    offsets = topology.allele_offsets
     # one-hot allele rows: their products count shared genes, exactly
-    columns = offsets[:-1] + np.fromiter(chain.from_iterable(
-        g.allele_index for g in genotypes), np.intp, p * nc).reshape(p, nc)
     onehot = np.zeros((p, offsets[-1]))
-    onehot[np.arange(p)[:, None], columns] = 1.0
+    onehot[np.arange(p)[:, None], offsets[:-1] + alleles] = 1.0
     ncd = nc - onehot @ onehot.T
     denom = (np.abs(values[:, None] - values[None, :]) ** q
              + (ncd / nc) ** r)

@@ -13,12 +13,13 @@ from evoreg.descriptors import (
     Dataset,
     PlantedSignal,
     SyntheticProvider,
+    TableProvider,
     pick_planted_genotypes,
 )
 from evoreg.engine import EvolutionConfig
 from evoreg.genome import Gene, GeneticTopology
-from evoreg.regress import (SIGNIFICANCE_OFFSET, SingularFitError, better,
-                            fit_assessed)
+from evoreg.regress import (SIGNIFICANCE_OFFSET, SingularFitError, Sweep,
+                            better, fit_assessed)
 from evoreg.scores import ObjectiveSpec, objective_score
 from evoreg.stats import split_line, student_t_two_tail, t_critical
 from evoreg.strategy import StrategySpec
@@ -277,6 +278,32 @@ def fit_assessed_oracle(fit, row, ds, alpha, intercept_mode="fallback"):
     return candidates
 
 
+def assess_per_form_oracle(fitter, alpha, both, objective):
+    """`GramFitter.assess` with one objective call per form, its values
+    scattered into a (rows, 2) NaN matrix by row and slot and taken back out
+    in (row, slot) order: the oracle for the one-gather, one-call read-out,
+    whose sweep must equal this one bit for bit."""
+    n, n1, table = fitter.n, fitter.n + 1, fitter.table
+    ins0 = np.abs(table[0, n1 + 1:2 * n1]) < t_critical(alpha, fitter.df[0])
+    ins1 = np.abs(table[1, n1:2 * n1]) < t_critical(alpha, fitter.df[1])
+    room0, room1 = (n + wi <= fitter.m - SIGNIFICANCE_OFFSET for wi in (0, 1))
+    sing0, sing1 = fitter.singular
+    valid1 = room1 & ~(ins0 & ins1[1:]).any(axis=0)
+    valid0 = room0 & ~(ins0 & (ins1[1:] | sing1)).any(axis=0)
+    demoted = room1 & ~sing1 & ins1[0]
+    present = np.array((~demoted & ~sing1, (demoted | both) & ~sing0))
+    ok = present & np.array((valid1, valid0))
+    values = np.full((ok.shape[1], 2), np.nan)
+    for wi in (0, 1):
+        rows = np.flatnonzero(ok[1 - wi])
+        picked = table[wi][n1 + 1:, rows]
+        values[rows, 1 - wi] = objective(picked[n], picked[n1], picked[:n].T)
+    flat = np.flatnonzero(ok.T)
+    c = present.view(np.uint8) + ok.view(np.uint8)
+    return Sweep(flat >> 1, (flat & 1) == 0, values.take(flat),
+                 3 * c[0] + c[1])
+
+
 def candidate_view(sweep):
     """Per table row, (with_intercept, valid, value) of each candidate of a
     `regress.Sweep`, the value only when valid: the form and validity of
@@ -397,6 +424,17 @@ def planted_config(seed=0, max_generations=200, **overrides):
     )
     base.update(overrides)
     return EvolutionConfig(**base)
+
+
+def partial_table_world():
+    """A descriptor table with every third genotype of a 7-gene space left
+    out, so some children get no phenotype and never reach the screen."""
+    topology = binary_topology(7)
+    dataset = normal_dataset(m=30)
+    rng = np.random.default_rng(17)
+    table = {g.render(): rng.uniform(0.0, 1.0, 30)
+             for i, g in enumerate(topology.all_genotypes()) if i % 3}
+    return topology, dataset, TableProvider(topology, table)
 
 
 @pytest.fixture(scope="session")

@@ -353,6 +353,8 @@ def test_run_missing_activity_names_path(tmp_path, capsys):
      "unknown keys in [paths]: colour"),
     (lambda t: t[:t.index("[synthetic]")],
      "need either paths.descriptors or a [synthetic] section"),
+    (lambda t: t.replace("[synthetic]", "[synthetc]"),
+     "unknown sections: synthetc"),
 ])
 def test_manifest_errors_name_section_and_key(tmp_path, capsys, edit,
                                               message):
@@ -831,6 +833,30 @@ def test_unset_config_keys_take_the_dataclass_defaults(tmp_path):
     assert cfg.fingerprint() == expected.fingerprint()
 
 
+@pytest.mark.parametrize("extra, names", [
+    ("[objectve]\nkind = se\n", "objectve"),
+    ("[viabilty]\nmin_cv = 5\n", "viabilty"),
+    ("[Objective]\n[zeta]\n[alpha]\n", "Objective, alpha, zeta"),
+])
+def test_an_unknown_config_section_is_refused(tmp_path, capsys, extra,
+                                              names):
+    """An evolution config section that no loader reads, a misspelt
+    `[objective]` or `[viability]` among them, exits 2 naming every such
+    section, sorted, before any run; it is never read as no section."""
+    manifest = write_world(tmp_path)
+    evo = tmp_path / "evolution.cfg"
+    evo.write_text(evo.read_text() + extra)
+    with pytest.raises(ConfigError) as err:
+        cli.load_evolution_config(evo, 7)
+    assert str(err.value) == f"{evo}: unknown sections: {names}"
+    capsys.readouterr()
+    for command in ("validate", "run"):
+        assert main([command, "--manifest", str(manifest)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {evo.resolve()}: unknown sections: {names}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_errors_name_section_and_key(tmp_path):
     path = tmp_path / "evolution.cfg"
 
@@ -917,9 +943,9 @@ def test_summary_is_strict_json_without_a_valid_model(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["0", "-5", "1.5", "x"])
 def test_count_not_a_positive_integer_is_a_usage_error(tmp_path, capsys, value):
     """grid --threshold and --runs-per-cell, space-size --N and --n-max and
-    gen-data --molecules and --max-rows reject a value that is not an
-    integer of at least 1 when the arguments are parsed, before reading a
-    file, running a grid, printing a size or writing a file."""
+    gen-data --max-rows reject a value that is not an integer of at least 1
+    when the arguments are parsed, before reading a file, running a grid,
+    printing a size or writing a file."""
     manifest = write_world(tmp_path)
     capsys.readouterr()
     activity = tmp_path / "generated.csv"
@@ -930,8 +956,6 @@ def test_count_not_a_positive_integer_is_a_usage_error(tmp_path, capsys, value):
                   value],
                  ["space-size", "--N", "5", "--n-max", value],
                  ["space-size", "--n", "2", "--N", value],
-                 ["gen-data", "--activity-out", str(activity),
-                  "--molecules", value],
                  ["gen-data", "--activity-out", str(activity),
                   "--descriptors-out", str(table), "--topology",
                   str(tmp_path / "topology.cgt"), "--max-rows", value]):
@@ -944,6 +968,31 @@ def test_count_not_a_positive_integer_is_a_usage_error(tmp_path, capsys, value):
     assert not (tmp_path / "out").exists()
     assert not activity.exists() and not table.exists()
     assert main(["space-size", "--N", "5", "--n-max", "1"]) == 0
+
+
+@pytest.mark.parametrize("value", ["0", "1", "2", "-5", "2.5", "x"])
+def test_gen_data_molecules_below_three_is_a_usage_error(tmp_path, capsys,
+                                                         value):
+    """gen-data --molecules must be an integer of at least 3, the fewest a
+    dataset holds: anything else, 1 and 2 included, is a usage error
+    (exit 1) naming the flag, and no file is written."""
+    activity = tmp_path / "generated.csv"
+    table = tmp_path / "table.csv"
+    (tmp_path / "topology.cgt").write_text(TOPOLOGY)
+    for extra in ([], ["--descriptors-out", str(table), "--topology",
+                       str(tmp_path / "topology.cgt")]):
+        with pytest.raises(SystemExit) as err:
+            main(["gen-data", "--activity-out", str(activity), *extra,
+                  "--molecules", value])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert (f"--molecules: must be an integer of at least 3, "
+                f"got {value!r}") in captured.err
+        assert captured.out == ""
+        assert not activity.exists() and not table.exists()
+    assert main(["gen-data", "--activity-out", str(activity),
+                 "--molecules", "3"]) == 0
+    assert len(activity.read_text().splitlines()) == 4
 
 
 @pytest.mark.parametrize("sd", ["-1", "-0.5", "nan", "inf", "-inf", "x",

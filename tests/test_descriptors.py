@@ -2,6 +2,7 @@ import codecs
 import csv
 import gc
 import hashlib
+import itertools
 import math
 import random
 import tempfile
@@ -22,6 +23,7 @@ from evoreg.descriptors import (
     SyntheticProvider,
     TableProvider,
     ViabilityPolicy,
+    ViabilityReport,
     check_viability,
     load_activity,
     load_descriptor_table,
@@ -93,6 +95,16 @@ def test_viability_constant_vector_fails(topo, dataset):
     report = check_viability(p, dataset, ViabilityPolicy())
     assert not report.viable
     assert report.failed_criteria() == ("non_constant",)
+
+
+def test_viable_means_no_failed_criterion():
+    """`viable` tests the five flags itself: for every report, of any
+    applied or unapplied screen, it is True exactly when no criterion
+    failed, and a bool."""
+    core, screen = (True, False), (True, False, None)
+    for flags in itertools.product(core, core, screen, screen, screen):
+        report = ViabilityReport(*flags)
+        assert report.viable is (not report.failed_criteria()), flags
 
 
 def test_viability_nonfinite_fails(topo, dataset):
@@ -387,6 +399,29 @@ def test_table_provider_lookup(topo, dataset):
     assert np.array_equal(ph.values, values)
     assert provider.provide(Genotype(topo, (1, 1))) is None
     assert provider.known_keys() == (g.render(),)
+
+
+@pytest.mark.parametrize("bad", [
+    "qq", "aaaaaaaaa", "aaaaaaaaaaa", "aaaaa aaaaa", "aaaaaaaaaa\r", "",
+    "aaaaaaaaaa\n", "\naaaaaaaaaa", "aaaaaaaaaa\nbbbbbbbbbb",
+])
+def test_table_keys_checked_in_one_match_name_the_first_bad_key(bad):
+    """Every key of a table is checked by one match over the keys joined
+    by line feeds; a table that fails it, or whose keys hold a line feed,
+    is scanned key by key, so the first bad key in table order is named.
+    A key holding a line feed between two good keys passes the joined
+    match and is still refused."""
+    topo = binary_topology(10)
+    keys = [g.render() for g in topo.all_genotypes()]
+    assert TableProvider(topo, dict.fromkeys(keys)).known_keys() == tuple(keys)
+    assert TableProvider(topo, {}).known_keys() == ()
+    for at, later in ((700, None), (0, 3), (1023, None), (5, 900)):
+        table = keys[:at] + [bad] + keys[at:]
+        if later is not None:
+            table.insert(later + 1, "zz")
+        with pytest.raises(DescriptorDataError) as err:
+            TableProvider(topo, dict.fromkeys(table))
+        assert str(err.value) == f"malformed genotype {bad!r}"
 
 
 def test_table_known_keys_file_order_and_read_only(tmp_path, topo, dataset):

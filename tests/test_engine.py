@@ -31,6 +31,7 @@ from tests.conftest import (
     candidate_view,
     fit_assessed_oracle,
     normal_dataset,
+    partial_table_world,
     planted_config,
     planted_provider,
 )
@@ -734,3 +735,39 @@ def test_tiny_space_reaches_exhaustive_optimum():
         if result.best_objective == pytest.approx(best_value, rel=1e-9):
             hits += 1
     assert hits / trials >= 0.95
+
+
+@pytest.mark.parametrize("world", ["synthetic", "partial_table"])
+@pytest.mark.parametrize("keep_best", [True, False])
+@pytest.mark.parametrize("mutation_mode", ["genotype", "gene"])
+def test_state_arrays_follow_the_sample(world, keep_best, mutation_mode,
+                                        planted_world):
+    """The state's panel and allele rows are built once from the sample and
+    rewritten where a child replaces a member: after every generation each
+    slot's rows equal its member's values and allele indices bit for bit.
+    The fitter keeps its own copy of the panel, so writing to the state's
+    panel leaves the carried sweep's comparison rows as they were."""
+    topo, ds, provider = (planted_world if world == "synthetic"
+                          else partial_table_world())
+    cfg = planted_config(seed=6, p=12, n=2, k=3, pp=0.3, cp=0.3,
+                         keep_best=keep_best, mutation_mode=mutation_mode,
+                         max_generations=15)
+    rng = random.Random(cfg.seed)
+    state = EvolutionState(cfg, provider, ds, rng,
+                           init_sample(cfg, topo, provider, ds, rng))
+    replaced = 0
+    for _ in range(cfg.max_generations):
+        before = list(state.sample)
+        run_generation(state)
+        replaced += sum(a is not b for a, b in zip(before, state.sample))
+        want = np.vstack([ph.values for ph in state.sample])
+        assert state.panel.dtype == np.float64
+        assert state.panel.tobytes() == want.tobytes()
+        assert state.alleles.dtype == np.intp
+        assert state.alleles.tolist() == [
+            list(ph.source_genotype.allele_index) for ph in state.sample]
+    assert replaced > cfg.max_generations
+    fitted = state.fitter.panel.copy()
+    assert fitted.tobytes() != state.panel.tobytes()  # children since the sweep
+    state.panel[:] = np.nan
+    assert state.fitter.panel.tobytes() == fitted.tobytes()

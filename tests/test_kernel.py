@@ -28,12 +28,14 @@ from evoreg.regress import (
 from evoreg.scores import OBJECTIVE_KINDS, ObjectiveSpec
 from evoreg.strategy import StrategySpec
 from tests.conftest import (
+    assess_per_form_oracle,
     binary_topology,
     candidate_bits,
     candidate_view,
     fit_assessed_oracle,
     normal_dataset,
     oracle_candidates,
+    partial_table_world,
     planted_config,
     planted_provider,
     value_bits,
@@ -361,6 +363,47 @@ def test_candidate_values_equal_objective_score(spec, mode, kind, n, seed,
         assert value_bits(got[row]) == value_bits(want), (kind, row)
 
 
+@pytest.mark.parametrize("mode", ["fallback", "both"])
+@pytest.mark.parametrize("spec", OBJECTIVES, ids=lambda o: f"{o.kind}-{o.s}")
+def test_one_pass_assess_equals_the_per_form_loop(spec, mode):
+    """`assess` gathers every valid candidate in (row, slot) order and
+    scores them in one objective call; its sweep equals the per-form loop
+    it replaced (`assess_per_form_oracle`) array for array and bit for bit,
+    on every validity panel at n = 1 to 3 and alphas from 1e-10 to 0.9:
+    empty sweeps, and hr's -0.0 for an r2 of 0, included."""
+    calls, empty, negative_zero = [], set(), False
+
+    def objective(r2, se_s, slope_t):
+        calls.append(len(r2))
+        return spec.values(r2, se_s, slope_t)
+
+    rng = np.random.default_rng(29)
+    worlds = [(make_panel(kind, n, rng), n)
+              for kind in VALIDITY_PANELS for n in (1, 2, 3)]
+    # m = n + 5: no form has room for its coefficients
+    worlds.append(((rng.normal(size=(5, 7)), rng.normal(size=7)), 2))
+    for (panel, y), n in worlds:
+        fitter = GramFitter(panel, y, n,
+                            s=spec.s if spec.kind == "se" else 2.0)
+        for alpha in (1e-10, 0.05, 0.25, 0.9):
+            calls.clear()
+            got = fitter.assess(alpha, mode == "both", objective)
+            want = assess_per_form_oracle(fitter, alpha, mode == "both",
+                                          spec.values)
+            assert calls == [got.values.size]
+            assert candidate_bits(got) == candidate_bits(want)
+            empty.add(got.values.size == 0)
+            negative_zero |= bool(np.signbit(got.values[got.values == 0.0])
+                                  .any())
+    assert empty == {True, False}
+    # a no-intercept fit on a constant member has r2 = 0: hr at s > 1
+    # scores it -0.0, which the comparison tells from +0.0
+    if spec.kind != "hr" or spec.s < 1.0:
+        assert not negative_zero
+    elif mode == "both":
+        assert negative_zero
+
+
 def test_validity_panels_reach_every_case():
     """The mask test's panels reach each rule on both sides of crit: a kept
     and a demoted primary, each valid and invalid; the second candidate of
@@ -565,17 +608,6 @@ def test_draw_boundary_for_the_tracer(planted_world, monkeypatch):
     ]
 
 
-def _partial_table_world():
-    """A descriptor table with every third genotype of a 7-gene space left
-    out, so some children get no phenotype and never reach the screen."""
-    topology = binary_topology(7)
-    dataset = normal_dataset(m=30)
-    rng = np.random.default_rng(17)
-    table = {g.render(): rng.uniform(0.0, 1.0, 30)
-             for i, g in enumerate(topology.all_genotypes()) if i % 3}
-    return topology, dataset, TableProvider(topology, table)
-
-
 @pytest.mark.parametrize("world", ["synthetic", "partial_table"])
 def test_child_boundaries_for_the_tracer(world, planted_world, monkeypatch):
     """The tracer also wraps engine.check_viability and both providers'
@@ -587,7 +619,7 @@ def test_child_boundaries_for_the_tracer(world, planted_world, monkeypatch):
         assert callable(vars(cls)["provide"])
 
     topo, ds, provider = (planted_world if world == "synthetic"
-                          else _partial_table_world())
+                          else partial_table_world())
     cfg = planted_config(seed=4, p=12, n=1, k=6, pp=0.3, cp=0.3)
     rng = random.Random(cfg.seed)
     state = EvolutionState(cfg, provider, ds, rng,

@@ -391,22 +391,29 @@ def binary_genotypes(*indices):
     return [Genotype(topo, idx) for idx in indices]
 
 
+def allele_rows(genotypes):
+    """The topology and the (p, genes) allele-index rows of `genotypes`:
+    what `survival_scores` takes, as the engine keeps it per sample slot."""
+    return genotypes[0].topology, np.array(
+        [g.allele_index for g in genotypes], dtype=np.intp)
+
+
 def test_survival_duplicates_hit_cap():
     gs = binary_genotypes((0, 0, 0), (0, 0, 0))
-    vs = survival_scores(gs, [1.0, 1.0], q=1.0, r=1.0)
+    vs = survival_scores(*allele_rows(gs), [1.0, 1.0], q=1.0, r=1.0)
     assert vs.tolist() == [SIMILARITY_CAP, SIMILARITY_CAP]
 
 
 def test_survival_maximally_distant_pair():
     gs = binary_genotypes((0, 0, 0), (1, 1, 1))
-    vs = survival_scores(gs, [2.0, 2.0], q=1.0, r=1.0)
+    vs = survival_scores(*allele_rows(gs), [2.0, 2.0], q=1.0, r=1.0)
     assert vs.tolist() == [2.0, 2.0]
 
 
 def test_survival_pair_symmetry_and_min_rule():
     gs = binary_genotypes((0, 0, 0), (0, 0, 1), (1, 1, 1))
     fs = [1.0, 2.0, 5.0]
-    vs = survival_scores(gs, fs, q=1.0, r=1.0)
+    vs = survival_scores(*allele_rows(gs), fs, q=1.0, r=1.0)
 
     def pair(i, j):
         vsp = abs(fs[i] - fs[j])
@@ -425,12 +432,12 @@ def test_survival_permutation_equivariance():
     gs = [Genotype(topo, tuple(rng.randrange(2) for _ in range(5)))
           for _ in range(6)]
     fs = [rng.uniform(0, 3) for _ in range(6)]
-    base = survival_scores(gs, fs, q=2.0, r=0.5)
+    base = survival_scores(*allele_rows(gs), fs, q=2.0, r=0.5)
     perm = list(range(6))
     rng.shuffle(perm)
     permuted = survival_scores(
-        [gs[i] for i in perm], [fs[i] for i in perm], q=2.0, r=0.5
-    )
+        *allele_rows([gs[i] for i in perm]), [fs[i] for i in perm], q=2.0,
+        r=0.5)
     for new_pos, old_pos in enumerate(perm):
         assert permuted[new_pos] == pytest.approx(base[old_pos])
 
@@ -547,7 +554,7 @@ def some_genotypes(rng, p, genes, duplicates):
 def test_survival_matches_loop_reference(p, genes, seed, q, r, duplicates):
     rng = np.random.default_rng(seed)
     gs, fs = some_genotypes(rng, p, genes, duplicates)
-    got = survival_scores(gs, fs, q, r)
+    got = survival_scores(*allele_rows(gs), fs, q, r)
     want = survival_reference(gs, fs, q, r)
     if duplicates and p == 2:
         assert got.tolist() == [SIMILARITY_CAP, SIMILARITY_CAP]
@@ -594,7 +601,7 @@ def test_survival_matches_broadcast_oracle(sizes, p, copies, seed, q, r):
         source = int(rng.integers(c))
         rows[c], fs[c] = rows[source], fs[source]
     gs = [Genotype(topo, tuple(row)) for row in rows]
-    got = survival_scores(gs, fs, q, r)
+    got = survival_scores(*allele_rows(gs), fs, q, r)
     want = survival_broadcast_oracle(gs, fs, q, r)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     if copies and p == 2:
