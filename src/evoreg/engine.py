@@ -309,9 +309,12 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
     best = ((np.argmax if direction == "max" else np.argmin)(values)
             if values.size else None)
     best_value = float(values[best]) if best is not None else float("nan")
-    member_rows = fitter.subsets[sweep.rows]
-    participations = np.bincount(member_rows.ravel(), minlength=p)
-    best_members = member_rows[best].tolist() if best is not None else []
+    # per slot, over the rows that hold it; a row can hold two candidates
+    slot_rows = regress._slot_rows(p, cfg.n)
+    row_counts = np.bincount(sweep.rows, minlength=len(fitter.subsets))
+    participations = row_counts[slot_rows].sum(axis=1)
+    best_members = (fitter.subsets[sweep.rows[best]].tolist()
+                    if best is not None else [])
     best_keys = tuple(keys[i] for i in best_members)
 
     improved = best is not None and (state.best_model is None or better(
@@ -325,7 +328,8 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
     # selection scores and parent extraction
     sel_fs, parent_idx = _draw(
         cfg.selection, state.sel_norm,
-        selection_scores(p, member_rows, values, cfg.selection_aggregate,
+        selection_scores(fitter.subsets, slot_rows, participations,
+                         sweep.rows, values, cfg.selection_aggregate,
                          direction),
         selection_direction(cfg.selection_aggregate, cfg.objective),
         2 * cfg.k, rng)

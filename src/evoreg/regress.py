@@ -133,17 +133,6 @@ def _r2(ssr, yhat_sum, sy, var_y, m):
     return np.minimum(r2, 1.0, out=r2)
 
 
-def _dot(xs, ys, out=None):
-    """xs[0] * ys[0] + xs[1] * ys[1] + ..., elementwise over the subsets and
-    added left to right, as a matrix product adds its terms."""
-    terms = zip(xs, ys)
-    x, y = next(terms)
-    out = np.multiply(x, y, out=out)
-    for x, y in terms:
-        out += x * y
-    return out
-
-
 def ols_fit(
     members: Sequence[Phenotype],
     ds: Dataset,
@@ -211,6 +200,17 @@ def _subset_columns(p: int, n: int) -> np.ndarray:
     return columns
 
 
+@lru_cache(maxsize=8)
+def _slot_rows(p: int, n: int) -> np.ndarray:
+    """Row g lists, ascending, the rows of `_all_subsets(p, n)` that hold
+    member g: a (p, C(p - 1, n - 1)) read-only array. A stable sort of the
+    members keeps each member's rows in row order."""
+    index = np.argsort(_all_subsets(p, n).ravel(), kind="stable")
+    index = index.reshape(p, -1) // n
+    index.setflags(write=False)
+    return index
+
+
 class GramFitter:
     """Fits every n-subset of a fixed phenotype panel against one response,
     in both forms, at construction (module docstring), so `fit` is a lookup
@@ -251,13 +251,12 @@ class GramFitter:
         carry = (previous is not None and (previous.n, previous.s) == (n, s)
                  and previous.panel.shape == panel.shape
                  and previous.y.tobytes() == y.tobytes())
-        changed = ((previous.panel.view(np.uint64) != panel.view(np.uint64))
-                   .any(axis=1) if carry else np.ones(p, dtype=bool))
-        # one member row at a time: a 2-d gather and any(axis=0) ran slower
+        self.touched = np.full(len(self.subsets), not carry)
+        if carry:
+            changed = (previous.panel.view(np.uint64)
+                       != panel.view(np.uint64)).any(axis=1)
+            self.touched[_slot_rows(p, n)[changed]] = True
         columns = _subset_columns(p, n)
-        self.touched = changed[columns[0]]
-        for column in columns[1:]:
-            self.touched |= changed[column]
         rows = np.flatnonzero(self.touched)
         # fit into one buffer (the table when cold), then copy the previous
         # table: copying first, or chunk outputs from the kernel, ran slower
@@ -316,15 +315,19 @@ class GramFitter:
         # per slot, the intercept form unless demoted, and the no-intercept
         # form when demoted or in "both" mode; a singular form gives none
         present = np.array((~demoted & ~sing1, (demoted | both) & ~sing0))
-        ok = present & np.array((valid1, valid0))
-        flat = np.flatnonzero(ok.T)
+        ok = np.empty((len(sing0), 2), dtype=bool)    # (row, slot) order
+        np.logical_and(present[0], valid1, out=ok[:, 0])
+        np.logical_and(present[1], valid0, out=ok[:, 1])
+        flat = np.flatnonzero(ok)
         rows, slot = flat >> 1, flat & 1
-        # slope t, r2 and se_s of each valid candidate, in one gather
-        picked = table[1 - slot, n1 + 1:, rows]
+        # slope t, r2 and se_s of each valid candidate, a row per field, in
+        # one take by flat table index (form, field, subset)
+        fields = np.arange(n1 + 1, 2 * n1 + 2)[:, None] * table.shape[2]
+        picked = table.take(rows + (1 - slot) * table[0].size + fields)
         # shape codes; per slot 0 no candidate, 1 an invalid one, 2 a valid one
-        c = present.view(np.uint8) + ok.view(np.uint8)
-        return Sweep(rows, slot == 0, objective(picked[:, n], picked[:, n1],
-                                                picked[:, :n]), 3 * c[0] + c[1])
+        c = present.view(np.uint8) + ok.T.view(np.uint8)
+        return Sweep(rows, slot == 0, objective(picked[n], picked[n1],
+                                                picked[:n].T), 3 * c[0] + c[1])
 
     def _fit_chunk(self, cols: np.ndarray, out: np.ndarray,
                    singular: np.ndarray) -> None:
@@ -338,20 +341,20 @@ class GramFitter:
         p, m, gram = self.panel.shape[0], self.m, self.gram
         # a[i][j], j <= i: entry (i, j) of the normal matrices bordered by
         # the response, rows ordered members, intercept (n), response (n1);
-        # a scalar where the subsets share it. The Cholesky factor L
-        # replaces them column by column.
-        diag = gram.take(cols * (p + 3))    # gram[c, c], one row per member
-        tol = [*(PIVOT_TOL * diag), PIVOT_TOL * gram[p, p]]
-        a = []
-        for i, ci in enumerate(cols):
-            at = ci * (p + 2)       # flat offset of Gram row ci
-            a.append([gram.take(at + cj) for cj in cols[:i]] + [diag[i]])
+        # a scalar where the subsets share it. One take per row gathers the
+        # vectors. The Cholesky factor L replaces them column by column, and
+        # every sum adds its products left to right.
+        at = cols * (p + 2)     # flat offsets of the members' Gram rows
+        a = [list(gram.take(at[i] + cols[:i + 1])) for i in range(n)]
         a.append([*gram[p].take(cols), gram[p, p]])
         a.append([*gram[p + 1].take(cols), gram[p + 1, p]])
+        tol = [PIVOT_TOL * a[i][i] for i in range(n1)]
         bad = np.empty((n1, rows), dtype=bool)
         for j in range(n1):
             for i in range(j, n1 + 1) if j else ():
-                s = _dot(a[i][:j], a[j][:j])
+                s = a[i][0] * a[j][0]
+                for k in range(1, j):
+                    s += a[i][k] * a[j][k]
                 a[i][j] = np.subtract(a[i][j], s, out=s)
             pivot = a[j][j]
             np.less_equal(pivot, tol[j], out=bad[j])
@@ -370,7 +373,9 @@ class GramFitter:
             row = [None] * i + [np.divide(1.0, a[i][i])]
             neg = np.negative(row[i]) if i else None
             for l in range(i):
-                s = _dot(a[i][l:i], [w[k][l] for k in range(l, i)])
+                s = a[i][l] * w[l][l]
+                for k in range(l + 1, i):
+                    s += a[i][k] * w[k][l]
                 row[l] = np.multiply(neg, s, out=s)
             w.append(row)
         z = a[n1][:n1]      # L^-1 X'y
@@ -379,23 +384,29 @@ class GramFitter:
         # slot l + 1 (the intercept's is 0). The diagonal of each form's
         # inverse goes into the t rows, to become se and then t.
         for l in range(n):
-            col = [w[i][l] for i in range(l, n)]
-            _dot(col, z[l:n], out=out[0, l + 1])
-            _dot(col, col, out=out[0, n1 + l + 1])
-            np.add(out[0, l + 1], w[n][l] * z[n], out=out[1, l + 1])
-            np.add(out[0, n1 + l + 1], w[n][l] * w[n][l],
-                   out=out[1, n1 + l + 1])
+            coef = np.multiply(w[l][l], z[l], out=out[0, l + 1])
+            var = np.multiply(w[l][l], w[l][l], out=out[0, n1 + l + 1])
+            for i in range(l + 1, n):
+                coef += w[i][l] * z[i]
+                var += w[i][l] * w[i][l]
+            np.add(coef, w[n][l] * z[n], out=out[1, l + 1])
+            np.add(var, w[n][l] * w[n][l], out=out[1, n1 + l + 1])
         np.multiply(w[n][n], z[n], out=out[1, 0])
         np.multiply(w[n][n], w[n][n], out=out[1, n1])
         # the no-intercept form has no intercept
         out[0, 0] = out[0, n1] = 0.0
-        ssr = np.empty((2, rows))
-        _dot(z[:n], z[:n], out=ssr[0])
-        np.add(ssr[0], z[n] * z[n], out=ssr[1])
         yy, sy = gram[p + 1, p + 1], gram[p, p + 1]
-        # the sum of y_hat; without the intercept, from the column sums X'1
+        # ssr = y_hat . y_hat; the sum of y_hat, without the intercept from
+        # the column sums X'1
+        ssr = np.empty((2, rows))
         yhat_sum = np.full((2, rows), sy)
-        _dot(out[0, 1:n1], gram[:, p].take(cols), out=yhat_sum[0])
+        ones = gram[:, p].take(cols)
+        np.multiply(z[0], z[0], out=ssr[0])
+        np.multiply(out[0, 1], ones[0], out=yhat_sum[0])
+        for i in range(1, n):
+            ssr[0] += z[i] * z[i]
+            yhat_sum[0] += out[0, i + 1] * ones[i]
+        np.add(ssr[0], z[n] * z[n], out=ssr[1])
         sse = np.subtract(yy, ssr, out=out[:, 2 * n1 + 1])
         exact = sse <= PIVOT_TOL * yy
         np.copyto(sse, 0.0, where=exact)

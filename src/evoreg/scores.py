@@ -122,37 +122,42 @@ def selection_direction(aggregate: str, objective: ObjectiveSpec) -> str:
 
 
 def selection_scores(
-    n_genotypes: int,
-    members: np.ndarray,
+    subsets: np.ndarray,
+    slot_rows: np.ndarray,
+    counts: np.ndarray,
+    rows: np.ndarray,
     values,
     aggregate: str,
     direction: str,
 ) -> np.ndarray:
     """Per-genotype score over the valid regressions that contain it.
 
-    Row v of the (V, n) ``members`` array holds the sample indices of valid
-    model v, and ``values[v]`` its objective score, whose sense is
-    ``direction``. Genotypes contained in no valid model get the worst score
-    for the aggregate's direction, so selection disfavors them and survival
-    removal favors them.
+    Valid model v fits the subset in row ``rows[v]`` of ``subsets``, the
+    rows ascending and at most two models to a row, and ``values[v]`` is its
+    objective score, whose sense is ``direction``. Row g of ``slot_rows``
+    lists the rows of ``subsets`` that hold genotype g, and ``counts[g]``
+    the models that contain it. Genotypes contained in no valid model get
+    the worst score for the aggregate's direction, so selection disfavors
+    them and survival removal favors them.
     """
-    members = np.asarray(members, dtype=np.intp)
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         logger.warning("no valid regressions; all selection scores worst-valued")
-    flat = members.ravel()
-    counts = np.bincount(flat, minlength=n_genotypes)
     if aggregate == "nalive":
         return counts.astype(float)
-    per_member = np.repeat(values, members.shape[-1])
     if aggregate == "avg":
-        sums = np.bincount(flat, weights=per_member, minlength=n_genotypes)
-        out = np.divide(sums, counts, out=np.zeros(n_genotypes),
+        # in (model, member) order: the sums' bits depend on it
+        sums = np.bincount(subsets[rows].ravel(), minlength=len(counts),
+                           weights=np.repeat(values, subsets.shape[1]))
+        out = np.divide(sums, counts, out=np.zeros(len(counts)),
                         where=counts > 0)
     else:
-        out = np.full(n_genotypes, np.inf if aggregate == "min" else -np.inf)
+        # each row's best model, then each genotype's best row: exact, as
+        # no objective gives zeros of both signs, whose order would pick one
         ufunc = np.minimum if aggregate == "min" else np.maximum
-        ufunc.at(out, flat, per_member)
+        best = np.full(len(subsets), np.inf if aggregate == "min" else -np.inf)
+        ufunc.at(best, rows, values)
+        out = ufunc.reduce(best[slot_rows], axis=1)
     out[counts == 0] = 0.0 if direction == "max" else WORST_MIN_SCORE
     return out
 

@@ -19,8 +19,8 @@ from evoreg.descriptors import (
 from evoreg.engine import EvolutionConfig
 from evoreg.genome import Gene, GeneticTopology
 from evoreg.regress import (SIGNIFICANCE_OFFSET, SingularFitError, Sweep,
-                            better, fit_assessed)
-from evoreg.scores import ObjectiveSpec, objective_score
+                            _all_subsets, _slot_rows, better, fit_assessed)
+from evoreg.scores import WORST_MIN_SCORE, ObjectiveSpec, objective_score
 from evoreg.stats import split_line, student_t_two_tail, t_critical
 from evoreg.strategy import StrategySpec
 
@@ -302,6 +302,41 @@ def assess_per_form_oracle(fitter, alpha, both, objective):
     c = present.view(np.uint8) + ok.view(np.uint8)
     return Sweep(flat >> 1, (flat & 1) == 0, values.take(flat),
                  3 * c[0] + c[1])
+
+
+def selection_scores_oracle(n_genotypes, members, values, aggregate,
+                            direction):
+    """Per-genotype selection scores from the (V, n) ``members`` array of
+    the valid models, one row each, and their ``values``: bincounts and
+    `minimum.at` / `maximum.at` over every member of every model. The
+    oracle for `scores.selection_scores`, which reads the sweep by slot and
+    must equal this bit for bit; it logs nothing for an empty sweep."""
+    members = np.asarray(members, dtype=np.intp)
+    values = np.asarray(values, dtype=float)
+    flat = members.ravel()
+    counts = np.bincount(flat, minlength=n_genotypes)
+    if aggregate == "nalive":
+        return counts.astype(float)
+    per_member = np.repeat(values, members.shape[-1])
+    if aggregate == "avg":
+        sums = np.bincount(flat, weights=per_member, minlength=n_genotypes)
+        out = np.divide(sums, counts, out=np.zeros(n_genotypes),
+                        where=counts > 0)
+    else:
+        out = np.full(n_genotypes, np.inf if aggregate == "min" else -np.inf)
+        ufunc = np.minimum if aggregate == "min" else np.maximum
+        ufunc.at(out, flat, per_member)
+    out[counts == 0] = 0.0 if direction == "max" else WORST_MIN_SCORE
+    return out
+
+
+def sweep_inputs(p, n, rows):
+    """`scores.selection_scores`' subsets, slot index and per-genotype
+    counts for valid models at the ascending table `rows` of a sweep of p
+    genotypes, computed as the engine computes them, and the rows."""
+    subsets, slot_rows = _all_subsets(p, n), _slot_rows(p, n)
+    counts = np.bincount(rows, minlength=len(subsets))[slot_rows].sum(axis=1)
+    return subsets, slot_rows, counts, rows
 
 
 def candidate_view(sweep):

@@ -572,6 +572,50 @@ def test_subset_columns_transpose_the_subsets():
         assert regress._subset_columns(p, n) is columns
 
 
+def test_slot_rows_list_each_slots_subsets():
+    """Row g of `_slot_rows(p, n)` lists, ascending, the rows of
+    `_all_subsets(p, n)` that hold g, as the membership scan finds them:
+    read-only, one cached array per (p, n)."""
+    for p in range(1, 13):
+        for n in range(1, p + 1):
+            subsets = regress._all_subsets(p, n).tolist()
+            index = regress._slot_rows(p, n)
+            assert index.shape == (p, math.comb(p - 1, n - 1))
+            assert index.tolist() == [
+                [r for r, row in enumerate(subsets) if g in row]
+                for g in range(p)]
+            assert not index.flags.writeable
+            assert regress._slot_rows(p, n) is index
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(p=st.integers(2, 9), n=st.integers(1, 3),
+       changes=st.sampled_from(("none", "one", "all", "random")),
+       seed=st.integers(0, 2**32 - 1))
+def test_touched_equals_the_member_column_loop(p, n, changes, seed):
+    """A carried fitter's `touched` mask, from the slot index, equals the OR
+    of the changed mask over each member column, for no, one, every and a
+    random set of changed slots; a cold fitter touches every row."""
+    rng = np.random.default_rng(seed)
+    n = min(n, p - 1)
+    panel = rng.normal(size=(p, 12)) + 2.0
+    y = rng.normal(size=12)
+    changed = {"none": np.zeros(p, bool), "all": np.ones(p, bool),
+               "one": np.arange(p) == rng.integers(p),
+               "random": rng.random(p) < 0.4}[changes]
+    new = panel.copy()
+    new[changed] += 1.0
+    previous = GramFitter(panel, y, n)
+    assert previous.touched.all()
+    columns = regress._subset_columns(p, n)
+    want = changed[columns[0]]
+    for column in columns[1:]:
+        want = want | changed[column]
+    fitter = GramFitter(new, y, n, previous=previous)
+    assert fitter.touched.dtype == bool
+    assert fitter.touched.tolist() == want.tolist()
+
+
 def test_draw_boundary_for_the_tracer(planted_world, monkeypatch):
     """The tracer names each engine.transform_scores span by phase, which
     turns to survival when engine.survival_scores returns, and each

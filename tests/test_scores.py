@@ -12,7 +12,7 @@ from evoreg.genome import (
     GeneticTopology,
     Genotype,
 )
-from evoreg.regress import RegressionModel, ols_fit
+from evoreg.regress import GramFitter, RegressionModel, _all_subsets, ols_fit
 from evoreg.scores import (
     OBJECTIVE_KINDS,
     SIMILARITY_CAP,
@@ -28,7 +28,8 @@ from evoreg.scores import (
     transform_scores,
 )
 from evoreg.strategy import _groups
-from tests.conftest import ncd, scalar_objective
+from tests.conftest import (ncd, scalar_objective, selection_scores_oracle,
+                            sweep_inputs)
 from tests.test_regress import make_dataset, make_phenotypes
 
 
@@ -185,11 +186,15 @@ def test_objective_hr_boundaries():
 # --- selection scores ------------------------------------------------------------
 
 
-def scored(models, spec):
-    """The engine's member rows and objective values for (subset, model)
-    pairs."""
-    members = np.array([subset for subset, _ in models], dtype=np.intp)
-    return members, [objective_score(model, spec) for _, model in models]
+def scored(p, models, spec):
+    """`selection_scores`' sweep inputs and objective values for (subset,
+    model) pairs over p genotypes, one model per subset, in row order."""
+    n = len(models[0][0]) if models else 2
+    subsets = map(tuple, _all_subsets(p, n).tolist())
+    row_of = {subset: row for row, subset in enumerate(subsets)}
+    rows = np.array([row_of[subset] for subset, _ in models], dtype=np.intp)
+    return (*sweep_inputs(p, n, rows),
+            [objective_score(model, spec) for _, model in models])
 
 
 def test_selection_nalive_counts_memberships():
@@ -199,25 +204,32 @@ def test_selection_nalive_counts_memberships():
         ((1, 2), model_stub()),
     ]
     spec = ObjectiveSpec("r2")
-    fs = selection_scores(4, *scored(models, spec), "nalive", spec.direction)
+    fs = selection_scores(*scored(4, models, spec), "nalive", spec.direction)
     assert fs.tolist() == [2.0, 2.0, 2.0, 0.0]
 
 
 def test_selection_zero_model_worst_value_for_direction():
     spec = ObjectiveSpec("se")
-    fs = selection_scores(3, *scored([((0, 1), model_stub())], spec), "min",
+    fs = selection_scores(*scored(3, [((0, 1), model_stub())], spec), "min",
                           spec.direction)
     assert fs[2] == WORST_MIN_SCORE
     spec = ObjectiveSpec("r2")
-    fs = selection_scores(3, *scored([((0, 1), model_stub())], spec), "max",
+    fs = selection_scores(*scored(3, [((0, 1), model_stub())], spec), "max",
                           spec.direction)
     assert fs[2] == 0.0
 
 
-def test_selection_empty_model_set_flags_worst():
-    spec = ObjectiveSpec("r2")
-    fs = selection_scores(3, *scored([], spec), "avg", spec.direction)
-    assert fs.tolist() == [0.0, 0.0, 0.0]
+def test_selection_empty_model_set_flags_worst(caplog):
+    """An empty sweep logs its warning and gives every genotype the worst
+    score of the direction, under every aggregate but nalive's 0 count."""
+    for aggregate in ("nalive", "min", "max", "avg"):
+        for direction, worst in (("max", 0.0), ("min", WORST_MIN_SCORE)):
+            caplog.clear()
+            fs = selection_scores(*scored(3, [], ObjectiveSpec("r2")),
+                                  aggregate, direction)
+            assert "no valid regressions" in caplog.text
+            want = 0.0 if aggregate == "nalive" else worst
+            assert fs.tolist() == [want] * 3
 
 
 def test_selection_aggregates_match_membership_oracle():
@@ -227,15 +239,15 @@ def test_selection_aggregates_match_membership_oracle():
         ((1, 2), model_stub(r2=0.7)),
     ]
     spec = ObjectiveSpec("r2", 1.0)
-    rows = scored(models, spec)
+    rows = scored(3, models, spec)
     # brute-force membership oracle
     expected_avg = {0: (0.9 + 0.5) / 2, 1: (0.9 + 0.7) / 2, 2: (0.5 + 0.7) / 2}
-    avg = selection_scores(3, *rows, "avg", spec.direction)
+    avg = selection_scores(*rows, "avg", spec.direction)
     for i in range(3):
         assert avg[i] == pytest.approx(expected_avg[i])
-    assert selection_scores(3, *rows, "min", spec.direction).tolist() == \
+    assert selection_scores(*rows, "min", spec.direction).tolist() == \
         [0.5, 0.7, 0.5]
-    assert selection_scores(3, *rows, "max", spec.direction).tolist() == \
+    assert selection_scores(*rows, "max", spec.direction).tolist() == \
         [0.9, 0.9, 0.7]
 
 
@@ -608,6 +620,13 @@ def test_survival_matches_broadcast_oracle(sizes, p, copies, seed, q, r):
         assert got.tolist() == [SIMILARITY_CAP, SIMILARITY_CAP]
 
 
+def sweep_rows(rng, size, n_models):
+    """Ascending rows of up to `n_models` valid models among `size` table
+    rows, at most two to a row, as "both" mode's two forms give."""
+    picked = rng.choice(2 * size, size=min(n_models, 2 * size), replace=False)
+    return np.sort(picked) >> 1
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     n_genotypes=st.integers(2, 16),
@@ -622,20 +641,82 @@ def test_selection_matches_loop_reference(
 ):
     rng = np.random.default_rng(seed)
     n = min(n, n_genotypes - 1)
-    # sorted member rows, repeated when both intercept forms are valid
-    members = np.array(
-        [np.sort(rng.choice(n_genotypes, size=n, replace=False))
-         for _ in range(n_models)], dtype=np.intp,
-    ).reshape(n_models, n)
-    if n_models > 1:
-        members[-1] = members[0]
-    values = rng.choice([0.5, 0.1, 2.0], size=n_models)
-    spread = rng.random(n_models) < 0.7
+    inputs = sweep_inputs(n_genotypes, n,
+                          sweep_rows(rng, math.comb(n_genotypes, n), n_models))
+    values = rng.choice([0.5, 0.1, 2.0], size=len(inputs[-1]))
+    spread = rng.random(len(values)) < 0.7
     values[spread] = rng.uniform(0.0, 50.0, size=int(spread.sum()))
-    got = selection_scores(n_genotypes, members, values, aggregate, direction)
+    got = selection_scores(*inputs, values, aggregate, direction)
+    members = inputs[0][inputs[-1]]
     want = selection_reference(n_genotypes, members.tolist(), values.tolist(),
                                aggregate, direction)
     assert got.tolist() == want.tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    n_genotypes=st.integers(2, 14),
+    n=st.integers(1, 4),
+    n_models=st.integers(0, 60),
+    seed=st.integers(0, 2**32 - 1),
+    zero=st.sampled_from((0.0, -0.0)),
+)
+def test_selection_equals_the_member_gather_oracle(n_genotypes, n, n_models,
+                                                   seed, zero):
+    """Read by slot, every aggregate in both directions equals the member
+    gather bit for bit: rows with one or two models, ties, +-inf (an exact
+    fit's mt score) and zeros, of one sign per sweep as every objective
+    gives them, and empty sweeps."""
+    rng = np.random.default_rng(seed)
+    n = min(n, n_genotypes - 1)
+    subsets, slot_rows, counts, rows = sweep_inputs(
+        n_genotypes, n, sweep_rows(rng, math.comb(n_genotypes, n), n_models))
+    values = rng.choice([zero, 0.25, 3.0, math.inf, -math.inf, 1e-300],
+                        size=rows.size)
+    spread = rng.random(rows.size) < 0.5
+    values[spread] = rng.normal(scale=10.0, size=int(spread.sum()))
+    want_counts = np.bincount(subsets[rows].ravel(), minlength=n_genotypes)
+    assert counts.tolist() == want_counts.tolist()
+    for aggregate in ("nalive", "min", "max", "avg"):
+        for direction in ("min", "max"):
+            got = selection_scores(subsets, slot_rows, counts, rows, values,
+                                   aggregate, direction)
+            want = selection_scores_oracle(n_genotypes, subsets[rows], values,
+                                           aggregate, direction)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind,s", [("mt", 1.5), ("r2", 1.0), ("hr", 2.0)])
+@pytest.mark.parametrize("both", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_selection_of_real_sweeps_equals_the_oracle(kind, s, both, n):
+    """Participations and selection scores, taken as the engine takes them
+    from a sweep in fallback and "both" mode, equal the member gather bit
+    for bit; the response is an exact fit of some subsets, whose mt scores
+    are +inf."""
+    rng = np.random.default_rng(100 * n + both)
+    p, m = 8, 20
+    panel = rng.normal(size=(p, m)) + 2.0
+    y = panel[0] - 2.0 * panel[3] + 1.0
+    panel[5] = y - 0.5 * panel[2] + 0.3 * rng.normal(size=m)
+    spec = ObjectiveSpec(kind, s)
+    fitter = GramFitter(panel, y, n)
+    sweep = fitter.assess(0.05, both, spec.values)
+    assert sweep.rows.size
+    if both:
+        assert (np.diff(sweep.rows) == 0).any()
+    if kind == "mt" and n > 1:
+        assert np.isinf(sweep.values).any()
+    inputs = sweep_inputs(p, n, sweep.rows)
+    members = fitter.subsets[sweep.rows]
+    want_counts = np.bincount(members.ravel(), minlength=p)
+    assert inputs[2].tolist() == want_counts.tolist()
+    for aggregate in ("nalive", "min", "max", "avg"):
+        got = selection_scores(*inputs, sweep.values, aggregate,
+                               spec.direction)
+        want = selection_scores_oracle(p, members, sweep.values, aggregate,
+                                       spec.direction)
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
