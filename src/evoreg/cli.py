@@ -78,8 +78,10 @@ class RunManifest:
 
 
 def _read_ini(path: Path, sections: tuple) -> configparser.ConfigParser:
-    """The INI file at `path`, which may hold only the named sections."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """The INI file at `path`, which may hold only the named sections. A
+    value is read as written: `%` is a plain character (no interpolation)."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:

@@ -180,9 +180,9 @@ class RunResult:
 @dataclass
 class EvolutionState:
     """Mutable state of one run. A sample member is the phenotype its
-    provider returned; its genotype is ``source_genotype``. ``panel`` and
-    ``alleles`` hold each slot's values and allele indices, one row per slot,
-    rewritten where a child replaces a member."""
+    provider returned; its genotype is ``source_genotype``. ``alleles`` holds
+    each slot's allele indices, rewritten where a child replaces a member;
+    ``fitter``, built at the first sweep, refits the slots in ``replaced``."""
 
     cfg: EvolutionConfig
     provider: Provider
@@ -195,12 +195,11 @@ class EvolutionState:
     best_genotypes: tuple[str, ...] = ()
     sel_norm: NormalizationState | None = None
     sur_norm: NormalizationState | None = None
-    fitter: GramFitter | None = None    # the last sweep's, to carry from
-    panel: np.ndarray = field(init=False)
+    fitter: GramFitter | None = None
+    replaced: list[int] = field(default_factory=list)
     alleles: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.panel = np.vstack([ph.values for ph in self.sample])
         self.alleles = np.array([ph.source_genotype.allele_index
                                  for ph in self.sample], dtype=np.intp)
         if (bounds := self.cfg.selection.normalization) is not None:
@@ -289,13 +288,17 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
     cfg, rng, sample = state.cfg, state.rng, state.sample
     p, direction = cfg.p, cfg.objective.direction
 
-    # full sweep: every n-subset of the sample, one table row each, with the
-    # rows of unchanged slots carried from the last sweep; only the
-    # error-sum objective needs residual sums at its exponent
+    # full sweep: every n-subset of the sample, one table row each, by the
+    # run's fitter, built at the first sweep (only the error-sum objective
+    # needs residual sums at its exponent), then refitted at replaced slots
     keys = [ph.source_genotype.key for ph in sample]
-    fit_s = cfg.objective.s if cfg.objective.kind == "se" else 2.0
-    fitter = state.fitter = GramFitter(state.panel, state.dataset.activity,
-                                       cfg.n, s=fit_s, previous=state.fitter)
+    if state.fitter is None:
+        fit_s = cfg.objective.s if cfg.objective.kind == "se" else 2.0
+        state.fitter = GramFitter([ph.values for ph in sample],
+                                  state.dataset.activity, cfg.n, s=fit_s)
+    elif replaced := state.replaced:
+        state.fitter.refit(replaced, [sample[i].values for i in replaced])
+    fitter, state.replaced = state.fitter, []
     sweep = fitter.assess(cfg.alpha, cfg.intercept_mode == "both",
                           cfg.objective.values)
     # one call per subset, only where an instrument has replaced the name:
@@ -384,7 +387,7 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
             victims = eligible[:v]
         for slot, child in zip(victims, viable_children):
             sample[slot] = child
-            state.panel[slot] = child.values
+            state.replaced.append(slot)
             state.alleles[slot] = child.source_genotype.allele_index
     else:
         logger.debug("generation %d: no viable children", state.generation + 1)

@@ -16,11 +16,12 @@ by its row of `GramFitter.subsets`; `ols_fit` is the per-subset reference.
 
 Singular rule, shared by both: with the columns ordered as the members, then
 the intercept, a fit is singular when a Cholesky pivot (the squared norm a
-column keeps after projecting out the columns before it) is at most
-PIVOT_TOL times its diagonal entry. So the intercept form fails whenever the
-no-intercept form does. Applied to the response, the rule marks an exact
-fit: an error sum at most PIVOT_TOL * sum(y^2) is reported as 0, and
-nonzero t statistics as +-inf.
+column keeps after projecting out the columns before it) is not above
+PIVOT_TOL times its diagonal entry; a NaN pivot, left by Gram entries past
+the float range, is not above it either. So the intercept form fails
+whenever the no-intercept form does. Applied to the response, the rule
+marks an exact fit: an error sum at most PIVOT_TOL * sum(y^2) is reported
+as 0, and nonzero t statistics as +-inf.
 
 Validity rules, applied by `GramFitter.assess` as masks over the table: a
 coefficient is insignificant when |t| < t_critical(alpha, df) of its form,
@@ -36,13 +37,13 @@ insignificant or singular. The same pass scores the valid candidates into
 a `Sweep` of arrays: their values stay one float64 array from the objective
 to selection. `fit_assessed` reads a row's candidates from its shape code.
 
-Carried sweeps: given the `previous` generation's fitter with the same n, s,
-panel shape and y bits, a fitter refits only the rows ``touched`` by a panel
-row whose bits changed and copies the other rows of its table. At a fixed
-shape BLAS gives two unchanged rows the same Gram bits and, on the finite
-values a fitter accepts, the kernel works per subset, so the table equals a
-cold sweep's bit for bit. A different n, s, shape or y is cold. `assess`
-reads the table alone and scores every valid row.
+Refits: a run keeps one fitter, and `GramFitter.refit` writes the slots
+survival replaced into its panel and refits only the rows ``touched`` by
+one of them, in place; construction is the refit of every slot. The Gram
+matrix is recomputed over the whole panel at its fixed shape, where BLAS
+gives two unchanged rows the same bits, and on the finite values a fitter
+accepts the kernel works per subset, so the table equals a fresh fitter's
+bit for bit. `assess` reads the table alone and scores every valid row.
 """
 
 from __future__ import annotations
@@ -75,9 +76,9 @@ __all__ = [
 PIVOT_TOL = 1e-10
 # the most subsets factored per kernel pass; a vector of as many float64 is
 # 16 KiB, far below glibc's 128 KiB mmap threshold. A pass costs a fixed
-# 0.1 ms or so, and every carried sweep-n3 generation (784 to 2,036 touched
-# rows) runs in one. A cap of 4,096, which takes the cold 4,060-row sweep
-# in one pass too, was no faster there (6 benchmark pairs)
+# 0.1 ms or so, and every sweep-n3 refit after the first (784 to 2,036
+# touched rows) runs in one. A cap of 4,096, which takes the first 4,060-row
+# sweep in one pass too, was no faster there (6 benchmark pairs)
 CHUNK_SUBSETS = 2048
 # a valid model has at most m - SIGNIFICANCE_OFFSET coefficients
 SIGNIFICANCE_OFFSET = 6
@@ -160,7 +161,7 @@ def ols_fit(
         pivots = np.diag(np.linalg.cholesky(a)) ** 2
     except np.linalg.LinAlgError:   # not positive definite
         pivots = np.zeros(k)
-    if np.any(pivots <= PIVOT_TOL * np.diag(a)):
+    if not np.all(pivots > PIVOT_TOL * np.diag(a)):
         raise SingularFitError("rank-deficient design matrix")
     inv = np.linalg.inv(a)
     coef = np.linalg.solve(a, design.T @ y)
@@ -213,12 +214,12 @@ def _slot_rows(p: int, n: int) -> np.ndarray:
 
 class GramFitter:
     """Fits every n-subset of a fixed phenotype panel against one response,
-    in both forms, at construction (module docstring), so `fit` is a lookup
-    by the subset's row of ``subsets``. Results agree with ols_fit to
-    floating-point noise. Rows are carried from `previous`, which the
-    fitter does not keep. The panel has a row per phenotype, at least n,
-    and a column per molecule; the fitter checks that its values are
-    finite and that 1 <= n < m - 1 for m molecules.
+    in both forms, at construction and at each `refit` (module docstring),
+    so `fit` is a lookup by the subset's row of ``subsets``. Results agree
+    with ols_fit to floating-point noise. The panel has a row per
+    phenotype, at least n, and a column per molecule; the fitter copies it
+    into its own ``panel``, which only `refit` writes, and checks that its
+    values are finite and that 1 <= n < m - 1 for m molecules.
 
     ``table`` and ``singular`` index the form first (0 without, 1 with the
     intercept) and the subset last; between them ``table`` holds n + 1
@@ -229,37 +230,35 @@ class GramFitter:
     residual degrees of freedom.
     """
 
-    def __init__(self, panel: np.ndarray, y: np.ndarray, n: int,
-                 s: float = 2.0, previous: GramFitter | None = None):
-        # copies: a later fitter compares its panel with this one's, and
-        # the engine updates the panel it passes in place
-        panel = np.array(panel, dtype=float)
-        y = np.array(y, dtype=float)
-        if not (np.isfinite(panel).all() and np.isfinite(y).all()):
-            raise ValueError("panel and response values must be finite")
-        p = panel.shape[0]
-        self.panel, self.y, self.n, self.s = panel, y, n, s
-        self.m = y.shape[0]
+    def __init__(self, panel, y: np.ndarray, n: int, s: float = 2.0):
+        p, self.n, self.s, self.m = len(panel), n, s, len(y)
         if not 1 <= n < self.m - 1:
             raise ValueError(f"subset size {n} not in [1, m - 1 = {self.m - 1})")
         self.df = (self.m - n, self.m - n - 1)
-        z = np.empty((p + 2, self.m))
-        z[:-2], z[-2], z[-1] = panel, 1.0, y
-        self.gram = z @ z.T
+        # [panel; 1; y], whose full Gram matrix every refit takes
+        self._z = np.empty((p + 2, self.m))
+        self._z[p], self._z[p + 1] = 1.0, y
+        self.panel, self.y = self._z[:p], self._z[p + 1]
+        if not np.isfinite(self.y).all():
+            raise ValueError("panel and response values must be finite")
         self.subsets = _all_subsets(p, n)
-        # compared bit for bit: -0.0 is not 0.0
-        carry = (previous is not None and (previous.n, previous.s) == (n, s)
-                 and previous.panel.shape == panel.shape
-                 and previous.y.tobytes() == y.tobytes())
-        self.touched = np.full(len(self.subsets), not carry)
-        if carry:
-            changed = (previous.panel.view(np.uint64)
-                       != panel.view(np.uint64)).any(axis=1)
-            self.touched[_slot_rows(p, n)[changed]] = True
-        columns = _subset_columns(p, n)
+        self.table = np.empty((2, 2 * n + 4, len(self.subsets)))
+        self.singular = np.empty((2, len(self.subsets)), dtype=bool)
+        self.refit(np.arange(p), panel)
+
+    def refit(self, slots, values) -> None:
+        """Write `values`, one row per slot, into the panel rows `slots` and
+        refit in place the ``touched`` rows, whose subset holds one of them;
+        a non-finite value is a ValueError that leaves the fitter unchanged."""
+        values = np.asarray(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError("panel and response values must be finite")
+        self.panel[slots] = values
+        self.gram = self._z @ self._z.T
+        p, n = self.panel.shape[0], self.n
+        self.touched = np.zeros(len(self.subsets), dtype=bool)
+        self.touched[_slot_rows(p, n)[slots]] = True
         rows = np.flatnonzero(self.touched)
-        # fit into one buffer (the table when cold), then copy the previous
-        # table: copying first, or chunk outputs from the kernel, ran slower
         table = np.empty((2, 2 * n + 4, rows.size))
         singular = np.zeros((2, rows.size), dtype=bool)
         # the fewest chunks of at most CHUNK_SUBSETS rows, of equal size
@@ -267,16 +266,12 @@ class GramFitter:
         size = max(1, -(-rows.size // chunks))
         for start in range(0, rows.size, size):
             chunk = slice(start, start + size)
-            self._fit_chunk(columns.take(rows[chunk], axis=1),
+            self._fit_chunk(_subset_columns(p, n).take(rows[chunk], axis=1),
                             table[:, :, chunk], singular[:, chunk])
-        self.table, self.singular = table, singular
-        if carry:
-            self.table = previous.table.copy()
-            self.singular = previous.singular.copy()
-            # one scatter into a (cells, subsets) view of the copy
-            cells = table.shape[0] * table.shape[1]
-            self.table.reshape(cells, -1)[:, rows] = table.reshape(cells, -1)
-            self.singular[:, rows] = singular
+        # one scatter into a (cells, subsets) view of the table
+        cells = table.shape[0] * table.shape[1]
+        self.table.reshape(cells, -1)[:, rows] = table.reshape(cells, -1)
+        self.singular[:, rows] = singular
 
     def form(self, with_intercept: bool):
         """(coefficients, t_stats, r2, se_s) of one form, one row per
@@ -357,7 +352,7 @@ class GramFitter:
                     s += a[i][k] * a[j][k]
                 a[i][j] = np.subtract(a[i][j], s, out=s)
             pivot = a[j][j]
-            np.less_equal(pivot, tol[j], out=bad[j])
+            np.logical_not(np.greater(pivot, tol[j], out=bad[j]), out=bad[j])
             # keeps singular fits finite; they are masked
             np.copyto(pivot, 1.0, where=bad[j])
             np.sqrt(pivot, out=pivot)

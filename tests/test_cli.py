@@ -675,6 +675,24 @@ def test_a_grid_with_some_completed_runs_exits_0(tmp_path, capsys,
     assert "runtime failure" not in err
 
 
+def test_a_percent_sign_is_a_plain_character(tmp_path, capsys):
+    """Config values are read as written, with no interpolation: an output
+    directory named `out%x` validates and runs, writing into `out%x`, and a
+    `%` inside a numeric value is a bad value (exit 2), not a crash."""
+    manifest = write_world(tmp_path, gens=2)
+    manifest.write_text(manifest.read_text().replace(
+        "output = out\n", "output = out%x\n"))
+    assert main(["validate", "--manifest", str(manifest)]) == 0
+    assert main(["run", "--manifest", str(manifest)]) == 0
+    assert (tmp_path / "out%x" / "run_log.tsv").exists()
+    assert not (tmp_path / "out").exists()
+    capsys.readouterr()
+    evo = tmp_path / "evolution.cfg"
+    evo.write_text(evo.read_text().replace("pairs = 2\n", "pairs = 2%\n"))
+    assert main(["validate", "--manifest", str(manifest)]) == 2
+    assert "bad [evolution] value: pairs: " in capsys.readouterr().err
+
+
 def test_validate_rejects_unknown_keys(tmp_path, capsys):
     manifest = write_world(tmp_path)
     evo = tmp_path / "evolution.cfg"

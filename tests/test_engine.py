@@ -742,11 +742,12 @@ def test_tiny_space_reaches_exhaustive_optimum():
 @pytest.mark.parametrize("mutation_mode", ["genotype", "gene"])
 def test_state_arrays_follow_the_sample(world, keep_best, mutation_mode,
                                         planted_world):
-    """The state's panel and allele rows are built once from the sample and
-    rewritten where a child replaces a member: after every generation each
-    slot's rows equal its member's values and allele indices bit for bit.
-    The fitter keeps its own copy of the panel, so writing to the state's
-    panel leaves the carried sweep's comparison rows as they were."""
+    """The state's allele rows are built once from the sample and rewritten
+    where a child replaces a member, and the run's fitter refits its panel
+    at those slots: after every generation each slot's allele row equals
+    its member's allele indices, and the fitter's panel row the values of
+    the member it swept, bit for bit. The fitter copies the arrays it is
+    given, so a caller's later writes leave its panel as it was."""
     topo, ds, provider = (planted_world if world == "synthetic"
                           else partial_table_world())
     cfg = planted_config(seed=6, p=12, n=2, k=3, pp=0.3, cp=0.3,
@@ -760,14 +761,18 @@ def test_state_arrays_follow_the_sample(world, keep_best, mutation_mode,
         before = list(state.sample)
         run_generation(state)
         replaced += sum(a is not b for a, b in zip(before, state.sample))
-        want = np.vstack([ph.values for ph in state.sample])
-        assert state.panel.dtype == np.float64
-        assert state.panel.tobytes() == want.tobytes()
+        swept = np.vstack([ph.values for ph in before])
+        assert state.fitter.panel.dtype == np.float64
+        assert state.fitter.panel.tobytes() == swept.tobytes()
         assert state.alleles.dtype == np.intp
         assert state.alleles.tolist() == [
             list(ph.source_genotype.allele_index) for ph in state.sample]
     assert replaced > cfg.max_generations
-    fitted = state.fitter.panel.copy()
-    assert fitted.tobytes() != state.panel.tobytes()  # children since the sweep
-    state.panel[:] = np.nan
-    assert state.fitter.panel.tobytes() == fitted.tobytes()
+    given = np.vstack([ph.values for ph in state.sample])
+    want = given.copy()
+    fitter = GramFitter(given, ds.activity, cfg.n)
+    values = given[[1]]
+    fitter.refit([0], values)
+    want[0] = want[1]
+    given[:], values[:] = np.nan, np.nan
+    assert fitter.panel.tobytes() == want.tobytes()

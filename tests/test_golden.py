@@ -229,30 +229,35 @@ def test_report_matches_golden(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_carried_sweeps_equal_cold_sweeps(name, monkeypatch):
-    """Over a whole golden run, each generation's fitter, which carries the
-    rows of unchanged slots from the last one, has the table, the singular
-    mask and the sweep arrays of a fitter built without `previous`, bit for
-    bit. The cases cover both intercept modes, s = 2 and s != 2, n = 1, 2
-    and 3, and the table provider."""
-    carried = []
+    """Over a whole golden run, at every sweep the run's one fitter, refitted
+    in place at the slots survival replaced, has the table, the singular
+    mask and the sweep arrays of a fresh fitter on its panel, bit for bit.
+    The cases cover both intercept modes, s = 2 and s != 2, n = 1, 2 and 3,
+    and the table provider."""
+    built, carried = [], []
 
     class Checked(GramFitter):
-        def __init__(self, panel, y, n, s=2.0, previous=None):
-            super().__init__(panel, y, n, s=s, previous=previous)
-            self.cold = GramFitter(panel, y, n, s=s)
-            assert np.array_equal(self.table.view(np.uint64),
-                                  self.cold.table.view(np.uint64))
-            assert np.array_equal(self.singular, self.cold.singular)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+        def refit(self, slots, values):
+            super().refit(slots, values)
             carried.append(int(np.count_nonzero(~self.touched)))
 
         def assess(self, *args):
+            fresh = GramFitter(self.panel, self.y, self.n, s=self.s)
+            assert np.array_equal(self.table.view(np.uint64),
+                                  fresh.table.view(np.uint64))
+            assert np.array_equal(self.singular, fresh.singular)
             got = super().assess(*args)
-            assert candidate_bits(got) == candidate_bits(self.cold.assess(*args))
+            assert candidate_bits(got) == candidate_bits(fresh.assess(*args))
             return got
 
     monkeypatch.setattr(engine, "GramFitter", Checked)
     CASES[name]()
-    assert sum(carried) > 0
+    assert len(built) == 1
+    assert len(carried) > 1 and sum(carried) > 0
 
 
 def test_hr_rewards_a_model_with_no_explanatory_power():

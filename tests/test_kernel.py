@@ -6,7 +6,6 @@ import importlib
 import math
 import random
 import tracemalloc
-import weakref
 from itertools import combinations
 from pathlib import Path
 
@@ -150,8 +149,8 @@ def _digest_panel():
     return panel, new, y
 
 
-# sha256 prefixes of the cells `form()` reads + singular bytes, cold and
-# carried: every value a fit, an assessment or a run uses. With the
+# sha256 prefixes of the cells `form()` reads + singular bytes, fresh and
+# refitted: every value a fit, an assessment or a run uses. With the
 # no-intercept form's two unread slots, pinned to +0.0, they cover every
 # bit of table and singular, so a kernel change that moves one fails
 KERNEL_DIGESTS = {
@@ -168,28 +167,30 @@ KERNEL_DIGESTS = {
 
 @pytest.mark.parametrize("n,s", list(KERNEL_DIGESTS))
 def test_kernel_bits_match_the_pinned_digests(n, s):
-    """A cold and a carried sweep of the adversarial panel write the cells
-    `form()` reads and the singular mask whose digests are pinned, singular
-    and exact fits included, and +0.0 in the no-intercept form's intercept
-    coefficient and t. At s != 2 the error sums are left out: numpy's power
-    gives different last bits on different SIMD builds (AVX-512 or not)."""
+    """A fresh fitter of the adversarial panel, and the same fitter refitted
+    at the two changed rows, write the cells `form()` reads and the
+    singular mask whose digests are pinned, singular and exact fits
+    included, and +0.0 in the no-intercept form's intercept coefficient and
+    t. At s != 2 the error sums are left out: numpy's power gives different
+    last bits on different SIMD builds (AVX-512 or not)."""
     panel, new, y = _digest_panel()
-    cold = GramFitter(panel, y, n, s=s)
-    assert cold.gram[2, 3] == 0.0 and cold.singular.any()
-    assert (cold.table[:, -1] == 0.0).any()
-    carried = GramFitter(new, y, n, s=s, previous=cold)
-    assert carried.touched.any() and not carried.touched.all()
 
     def digest(fitter):
+        assert not fitter.table[0, [0, n + 1]].view(np.uint64).any()
         cells = [a for wi in (0, 1)
                  for a in fitter.form(wi)[: 4 if s == 2.0 else 3]]
         return hashlib.sha256(
             b"".join(np.ascontiguousarray(a).tobytes() for a in cells)
             + fitter.singular.tobytes()).hexdigest()[:16]
 
-    assert (digest(cold), digest(carried)) == KERNEL_DIGESTS[n, s]
-    for fitter in (cold, carried):
-        assert not fitter.table[0, [0, n + 1]].view(np.uint64).any()
+    fitter = GramFitter(panel, y, n, s=s)
+    assert fitter.gram[2, 3] == 0.0 and fitter.singular.any()
+    assert (fitter.table[:, -1] == 0.0).any()
+    fresh = digest(fitter)
+    fitter.refit([2, 5], new[[2, 5]])
+    assert fitter.panel.tobytes() == new.tobytes()
+    assert fitter.touched.any() and not fitter.touched.all()
+    assert (fresh, digest(fitter)) == KERNEL_DIGESTS[n, s]
 
 
 def test_kernel_panels_hit_their_cases():
@@ -263,6 +264,31 @@ def test_singular_rule_intercept_pivot(factor, singular):
             ols_fit(make_phenotypes(list(panel)), make_dataset(y), True)
     else:
         assert fitter.fit(0, True).df == m - 2
+
+
+def test_singular_rule_overflowing_member():
+    """A member whose squared norm passes the float range (a row scaled by
+    1e160) gives an infinite Gram entry, and an infinite or NaN pivot in
+    each subset that holds it, first or last: every such subset is
+    singular in both forms, in the fitter and in ols_fit, and the other
+    subsets fit, finite."""
+    rng = np.random.default_rng(48)
+    m = 30
+    panel = rng.normal(size=(5, m)) + 2.0
+    y = panel[0] - panel[3] + rng.normal(size=m)
+    panel[2] *= 1e160
+    phenos, ds = make_phenotypes(list(panel)), make_dataset(y)
+    with np.errstate(all="ignore"):
+        fitter = GramFitter(panel, y, n=3)
+        for members in ((0, 1, 2), (2, 3, 4)):
+            for wi in (False, True):
+                with pytest.raises(SingularFitError):
+                    ols_fit([phenos[i] for i in members], ds, wi)
+    assert np.isinf(fitter.gram[2, 2])
+    holds = np.array([2 in row for row in fitter.subsets.tolist()])
+    assert fitter.singular[:, holds].all()
+    assert not fitter.singular[:, ~holds].any()
+    assert np.isfinite(fitter.table[:, :, ~holds]).all()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -465,8 +491,9 @@ def test_engine_boundary_for_the_tracer(monkeypatch):
     and reads the valid and demoted counts off their candidates' ``valid``
     and ``with_intercept``; these names and counts are its contract with
     the program. engine.GramFitter is replaced by a plain function, as the
-    tracer does, and the second generation, which carries rows from the
-    first, keeps the counts. The first generation builds one model, its
+    tracer does: the first generation builds the run's fitter through it,
+    and the second refits that fitter in place, calling it no more, with
+    the other counts kept. The first generation builds one model, its
     best; a later one at most one."""
     assert engine.GramFitter is regress.GramFitter
     assert callable(vars(GramFitter)["fit"])
@@ -514,13 +541,13 @@ def test_engine_boundary_for_the_tracer(monkeypatch):
                 record = run_generation(state)
             fits = calls.pop("fit")
             assert fits == 1 if generation == 1 else fits <= 1
-            assert calls == {"gram": 1, "assessed": math.comb(cfg.p, cfg.n),
-                             "t": 2}
+            assert calls == {"gram": int(generation == 1),
+                             "assessed": math.comb(cfg.p, cfg.n), "t": 2}
             assert (sum(c.valid for c in returned)
                     == record.valid_regression_count)
             assert sum(not c.with_intercept for c in returned) == demoted
             demoted_total += demoted
-        assert not state.fitter.touched.all()   # the second sweep carried
+        assert not state.fitter.touched.all()   # the second sweep refitted
     assert demoted_total > 0
 
 
@@ -530,7 +557,7 @@ def test_per_subset_pass_runs_only_when_instrumented(planted_world,
     a Python int shape code, only when an instrument has replaced the name;
     with the name still the one regress defines (here a counting wrapper
     put in both modules) it makes no call. Either way two generations, the
-    second carried, give the records and samples of an uninstrumented run."""
+    second a refit, give the records and samples of an uninstrumented run."""
     topo, ds, provider = planted_world
     cfg = planted_config(seed=9, p=12, n=2)
     original = regress.fit_assessed
@@ -549,7 +576,7 @@ def test_per_subset_pass_runs_only_when_instrumented(planted_world,
             for module in patched:
                 patch.setattr(module, "fit_assessed", counting)
             records = [run_generation(state) for _ in range(2)]
-        assert not state.fitter.touched.all()   # the second sweep carried
+        assert not state.fitter.touched.all()   # the second sweep refitted
         keys = [ph.source_genotype.key for ph in state.sample]
         return records, keys, codes
 
@@ -593,9 +620,9 @@ def test_slot_rows_list_each_slots_subsets():
        changes=st.sampled_from(("none", "one", "all", "random")),
        seed=st.integers(0, 2**32 - 1))
 def test_touched_equals_the_member_column_loop(p, n, changes, seed):
-    """A carried fitter's `touched` mask, from the slot index, equals the OR
-    of the changed mask over each member column, for no, one, every and a
-    random set of changed slots; a cold fitter touches every row."""
+    """A refit's `touched` mask, from the slot index, equals the OR of the
+    changed mask over each member column, for no, one, every and a random
+    set of changed slots; construction touches every row."""
     rng = np.random.default_rng(seed)
     n = min(n, p - 1)
     panel = rng.normal(size=(p, 12)) + 2.0
@@ -605,13 +632,13 @@ def test_touched_equals_the_member_column_loop(p, n, changes, seed):
                "random": rng.random(p) < 0.4}[changes]
     new = panel.copy()
     new[changed] += 1.0
-    previous = GramFitter(panel, y, n)
-    assert previous.touched.all()
+    fitter = GramFitter(panel, y, n)
+    assert fitter.touched.all()
     columns = regress._subset_columns(p, n)
     want = changed[columns[0]]
     for column in columns[1:]:
         want = want | changed[column]
-    fitter = GramFitter(new, y, n, previous=previous)
+    fitter.refit(np.flatnonzero(changed), new[changed])
     assert fitter.touched.dtype == bool
     assert fitter.touched.tolist() == want.tolist()
 
@@ -744,20 +771,20 @@ def test_tracer_patches_and_restores_every_name(instrument, planted_world,
         assert vars(owner)[attr] is original
 
 
-# --- sweeps carried from the previous generation's fitter ---------------------
+# --- refits in place at the replaced slots --------------------------------
 
 
-def assert_equals_cold(fitter, *assessments):
+def assert_equals_fresh(fitter, *assessments):
     """`fitter` has the table, the singular mask and, for each (alpha, both,
-    objective), the sweep arrays of a fitter built without `previous`."""
-    cold = GramFitter(fitter.panel, fitter.y, fitter.n, s=fitter.s)
+    objective), the sweep arrays of a fresh fitter on its panel."""
+    fresh = GramFitter(fitter.panel, fitter.y, fitter.n, s=fitter.s)
     assert np.array_equal(fitter.table.view(np.uint64),
-                          cold.table.view(np.uint64))
-    assert np.array_equal(fitter.singular, cold.singular)
-    assert fitter.df == cold.df
+                          fresh.table.view(np.uint64))
+    assert np.array_equal(fitter.singular, fresh.singular)
+    assert fitter.df == fresh.df
     for args in assessments:
         assert (candidate_bits(fitter.assess(*args))
-                == candidate_bits(cold.assess(*args)))
+                == candidate_bits(fresh.assess(*args)))
 
 
 def _carry_panel(seed=46, p=8, m=30):
@@ -770,12 +797,14 @@ def _carry_panel(seed=46, p=8, m=30):
 
 @pytest.mark.parametrize("n,s", [(1, 2.0), (2, 1.5), (3, 2.0)])
 def test_carried_rows_are_those_without_a_changed_slot(n, s, monkeypatch):
-    """A panel row whose bits did not change, including a replaced slot
-    with identical values, is carried; a row of new values or 0.0 turned
-    -0.0 is changed, and exactly the subsets with a changed member are
-    refitted. The result equals a cold sweep bit for bit, and so do its
-    candidates under any alpha, mode and objective, whatever the previous
-    fitter assessed. A value turned NaN is rejected, carried or cold."""
+    """A refit touches exactly the subsets with a slot in the list, whatever
+    the new values: a slot given its own values, new values, or 0.0 turned
+    -0.0. Only those are refitted, the rest are carried in place, and the
+    result equals a fresh fitter bit for bit, and so do its candidates under
+    any alpha, mode and objective, whatever the fitter assessed before. An
+    empty list refits nothing and leaves the table's bits as they were. A
+    value turned NaN is rejected before anything is written, by a refit or
+    a fresh fitter."""
     rng, panel, y = _carry_panel()
     refitted = []
     fit_chunk = GramFitter._fit_chunk
@@ -784,41 +813,50 @@ def test_carried_rows_are_those_without_a_changed_slot(n, s, monkeypatch):
         refitted.append(cols.copy())
         fit_chunk(self, cols, out, singular)
 
-    def sweep(new, previous, changed):
+    def refit(fitter, new, slots):
         refitted.clear()
-        fitter = GramFitter(new, y, n, s=s, previous=previous)
-        want = [bool(changed & set(row)) for row in fitter.subsets.tolist()]
+        fitter.refit(slots, new[slots])
+        want = [bool(set(slots) & set(row)) for row in fitter.subsets.tolist()]
         assert fitter.touched.tolist() == want
         assert len(refitted) == math.ceil(sum(want) / regress.CHUNK_SUBSETS)
         # one row per member position, one column per refitted subset
         assert np.array_equal(np.hstack([np.empty((n, 0), np.intp), *refitted]),
                               fitter.subsets[want].T)
-        return fitter
+        assert fitter.panel.tobytes() == new.tobytes()
 
     monkeypatch.setattr(GramFitter, "_fit_chunk", spy)
     assessments = [(0.05, True, R2.values), (0.1, False, R2.values),
                    (0.05, False, ObjectiveSpec("mt", 2.0).values)]
-    previous = GramFitter(panel, y, n, s=s)
-    previous.assess(*assessments[0])
+    fitter = GramFitter(panel, y, n, s=s)
+    fitter.assess(*assessments[0])
     new = panel.copy()
-    new[1] = panel[1].copy()            # replaced by identical values
     new[5] = rng.normal(size=30) + 2.0  # new values
     new[2, 7] = -0.0
-    fitter = sweep(new, previous, {2, 5})
-    assert_equals_cold(fitter, *assessments)
-    assert_equals_cold(sweep(new.copy(), fitter, set()), *assessments)
+    refit(fitter, new, [1, 2, 5])       # slot 1 given its own values
+    assert_equals_fresh(fitter, *assessments)
+    table, singular = fitter.table.copy(), fitter.singular.copy()
+    refit(fitter, new, [])
+    assert fitter.table.tobytes() == table.tobytes()
+    assert fitter.singular.tobytes() == singular.tobytes()
+    assert_equals_fresh(fitter, *assessments)
 
-    new[6, 3] = np.nan
-    for previous in (fitter, None):
-        with pytest.raises(ValueError, match="finite"):
-            GramFitter(new, y, n, s=s, previous=previous)
+    bad = new.copy()
+    bad[6, 3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        fitter.refit([4, 6], bad[[4, 6]])
+    assert fitter.panel.tobytes() == new.tobytes()
+    assert fitter.table.tobytes() == table.tobytes()
+    assert fitter.singular.tobytes() == singular.tobytes()
+    with pytest.raises(ValueError, match="finite"):
+        GramFitter(bad, y, n, s=s)
 
 
 def test_candidates_are_carried_only_under_the_same_assess_arguments():
-    """A carried fitter marks as touched exactly the subsets with a changed
-    slot, and its assess keeps nothing from the previous fitter's: under the
-    previous alpha, mode and objective and under another of each, it scores
-    the rows a cold sweep scores, and its candidates equal a cold sweep's."""
+    """A refitted fitter marks as touched exactly the subsets with a
+    replaced slot, and its assess keeps nothing from an earlier assessment:
+    under the earlier alpha, mode and objective and under another of each,
+    it scores the rows a fresh fitter scores, and its candidates equal a
+    fresh fitter's. `assess` adds nothing to the fitter."""
     rng, panel, y = _carry_panel()
     sizes = []
 
@@ -829,11 +867,9 @@ def test_candidates_are_carried_only_under_the_same_assess_arguments():
         return objective
 
     objective = counting(R2)
-    previous = GramFitter(panel, y, 2)
-    previous.assess(0.05, False, objective)
     new = panel.copy()
     new[4] = rng.normal(size=30) + 2.0
-    cold = GramFitter(new, y, 2)
+    fresh = GramFitter(new, y, 2)
 
     def scored(f, *args):
         sizes.clear()
@@ -843,80 +879,94 @@ def test_candidates_are_carried_only_under_the_same_assess_arguments():
     for args in ((0.05, False, objective), (0.1, False, objective),
                  (0.05, True, objective),
                  (0.05, False, counting(ObjectiveSpec("mt", 2.0)))):
-        fitter = GramFitter(new, y, 2, previous=previous)
+        fitter = GramFitter(panel, y, 2)
+        kept = [(name, id(value)) for name, value in vars(fitter).items()]
+        fitter.assess(0.05, False, objective)
+        assert [(name, id(value))
+                for name, value in vars(fitter).items()] == kept
+        fitter.refit([4], new[[4]])
         assert fitter.touched.tolist() == [4 in row
                                            for row in fitter.subsets.tolist()]
-        assert scored(fitter, *args) == scored(cold, *args)
-        assert_equals_cold(fitter, args)
+        assert scored(fitter, *args) == scored(fresh, *args)
+        assert_equals_fresh(fitter, args)
 
 
 @pytest.mark.parametrize("s", [2.0, 1.5])
 def test_chunk_size_leaves_the_table_unchanged(s, monkeypatch):
     """The kernel works per subset, so chunks of 1 and of 7 subsets (165 is
     not a multiple of 7) give the table and the singular mask of the
-    default chunks bit for bit, cold and carried: singular fits, a negated
+    default chunks bit for bit, fresh and refitted: singular fits, a negated
     member row and an exact-zero Gram entry included."""
     rng, panel, y = _carry_panel(p=11)
     panel[1], panel[9] = panel[0], 2.5   # collinear and constant slots
     panel[3] = -panel[2]                 # a negated member row
     panel[5, :15], panel[8, 15:] = 0.0, 0.0     # an exact-zero Gram entry
-    new = panel.copy()
-    new[[4, 6]] = rng.normal(size=(2, 30)) + 2.0
+    new = rng.normal(size=(2, 30)) + 2.0
 
     def sweeps():
-        cold = GramFitter(panel, y, 3, s=s)
-        return cold, GramFitter(new, y, 3, s=s, previous=cold)
+        fitter = GramFitter(panel, y, 3, s=s)
+        assert fitter.gram[5, 8] == 0.0 and fitter.singular.any()
+        fresh = fitter.table.copy(), fitter.singular.copy()
+        fitter.refit([4, 6], new)
+        assert not fitter.touched.all() and fitter.singular.any()
+        return fresh, (fitter.table, fitter.singular)
 
     want = sweeps()
-    assert want[0].gram[5, 8] == 0.0
-    assert all(w.singular.any() for w in want)
-    assert not want[1].touched.all()
     for size in (1, 7):
         monkeypatch.setattr(regress, "CHUNK_SUBSETS", size)
         for got, ref in zip(sweeps(), want):
-            assert np.array_equal(got.table.view(np.uint64),
-                                  ref.table.view(np.uint64))
-            assert np.array_equal(got.singular, ref.singular)
+            assert np.array_equal(got[0].view(np.uint64),
+                                  ref[0].view(np.uint64))
+            assert np.array_equal(got[1], ref[1])
 
 
-def test_a_different_n_s_shape_or_response_sweeps_cold():
-    """Only a fitter with the same n, s, panel shape and response bits
-    carries rows; any other previous fitter gives a cold sweep."""
-    _, panel, y = _carry_panel()
-    previous = GramFitter(panel, y, 2)
-    previous.assess(0.05, False, R2.values)
-    y_signed = y.copy()
-    y_signed[np.argmin(np.abs(y))] *= -1.0
-    for args, kwargs in (((panel, y, 3), {}), ((panel, y, 2), {"s": 1.5}),
-                         ((panel[:-1], y, 2), {}),
-                         ((panel[:, 1:], y[1:], 2), {}),
-                         ((panel, y_signed, 2), {})):
-        fitter = GramFitter(*args, **kwargs, previous=previous)
-        assert fitter.touched.all()
-        assert_equals_cold(fitter, (0.05, False, R2.values))
-    assert not GramFitter(panel, y.copy(), 2, previous=previous).touched.any()
+REFIT_ROWS = ("random", "negzero", "constant", "collinear", "exact", "huge")
 
 
-def test_a_carried_fitter_does_not_keep_its_previous_alive():
-    """The fitter copies what it carries and drops `previous`, so a run
-    holds one previous table and one candidate list at a time; `assess`
-    adds nothing to the fitter."""
-    _, panel, y = _carry_panel()
-    previous = GramFitter(panel, y, 2)
-    kept = [(name, id(value)) for name, value in vars(previous).items()]
-    previous.assess(0.05, False, R2.values)
-    assert [(name, id(value))
-            for name, value in vars(previous).items()] == kept
-    gone = [weakref.ref(previous), weakref.ref(previous.table)]
-    fitter = GramFitter(panel.copy(), y, 2, previous=previous)
-    del previous
-    assert [ref() for ref in gone] == [None, None]
-    assert_equals_cold(fitter, (0.05, False, R2.values))
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4), s=st.sampled_from((2.0, 1.5)),
+       steps=st.lists(st.tuples(
+           st.one_of(st.just(frozenset()), st.just(frozenset(range(8))),
+                     st.frozensets(st.integers(0, 7))),
+           st.lists(st.sampled_from(REFIT_ROWS), min_size=8, max_size=8)),
+           min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_refits_equal_a_fresh_fitter(n, s, steps, seed):
+    """Any sequence of refits leaves a fitter whose table, singular mask and
+    candidates equal, bit for bit, those of a fresh fitter on its panel:
+    slot lists from none to all eight, n = 1 to 4, s = 2 and 1.5, and new
+    rows that are random, a copy of another slot with its zeros as -0.0,
+    constant, collinear with two slots, an exact fit of the response, or
+    scaled by 1e160 (Gram entries past the float range)."""
+    rng, panel, y = _carry_panel(seed=seed % 2**16)
+    panel[:, 11] = 0.0
+    fitter = GramFitter(panel, y, n, s=s)
+    assessments = [(0.05, False, R2.values), (0.1, True, R2.values),
+                   (0.05, True, ObjectiveSpec("mt", s).values)]
+    for slots, kinds in steps:
+        slots = sorted(slots)
+        current = fitter.panel.copy()
+        values = np.empty((len(slots), current.shape[1]))
+        for row, kind in zip(values, kinds):
+            a, b = rng.choice(len(current), size=2, replace=False)
+            row[:] = {
+                "random": lambda: rng.normal(size=row.size) + 2.0,
+                "negzero": lambda: np.where(current[a] == 0.0, -0.0,
+                                            current[a]),
+                "constant": lambda: np.full(row.size, 3.0),
+                "collinear": lambda: 2.0 * current[a] - current[b],
+                "exact": lambda: y - 1.5,
+                "huge": lambda: 1e160 * (rng.normal(size=row.size) + 2.0),
+            }[kind]()
+        with np.errstate(all="ignore"):
+            fitter.refit(slots, values)
+            assert_equals_fresh(fitter, *assessments)
 
 
 def test_a_run_keeps_one_fitter_alive(planted_world, monkeypatch):
-    """Over a run, each generation's fitter replaces the last: after every
-    generation only the state's fitter and its table are alive."""
+    """A run builds one fitter, at its first sweep, through engine.GramFitter,
+    and refits it in place: every later generation keeps the same fitter
+    and the same table, singular mask and panel arrays."""
     topo, ds, provider = planted_world
     cfg = planted_config(seed=3, p=12, n=2, max_generations=12)
     rng = random.Random(cfg.seed)
@@ -925,18 +975,21 @@ def test_a_run_keeps_one_fitter_alive(planted_world, monkeypatch):
     built = []
 
     def tracked(*args, **kwargs):
-        fitter = GramFitter(*args, **kwargs)
-        built.append((weakref.ref(fitter), weakref.ref(fitter.table)))
-        return fitter
+        built.append(GramFitter(*args, **kwargs))
+        return built[-1]
 
     monkeypatch.setattr(engine, "GramFitter", tracked)
-    for _ in range(cfg.max_generations):
+    assert state.fitter is None
+    run_generation(state)
+    fitter = state.fitter
+    arrays = [fitter.table, fitter.singular, fitter.panel]
+    for _ in range(cfg.max_generations - 1):
         run_generation(state)
-        alive = [i for i, refs in enumerate(built)
-                 if any(ref() is not None for ref in refs)]
-        assert alive == [len(built) - 1]
-        assert built[-1][0]() is state.fitter
-    assert len(built) == cfg.max_generations
+        assert state.fitter is fitter
+        assert all(a is b for a, b in zip(
+            [fitter.table, fitter.singular, fitter.panel], arrays))
+    assert not fitter.touched.all()
+    assert built == [fitter]
 
 
 # --- memory ------------------------------------------------------------------
