@@ -34,6 +34,7 @@ __all__ = [
     "TableProvider",
     "SyntheticProvider",
     "check_viability",
+    "screen_viability",
     "load_activity",
     "write_activity",
     "load_descriptor_table",
@@ -41,6 +42,9 @@ __all__ = [
     "DescriptorDataError",
 ]
 
+
+# the viability criteria, in the order reports list them
+CRITERIA = ("finite", "non_constant", "cv", "jarque_bera", "simple_r2")
 
 # phenotypes a SyntheticProvider keeps, least recently used evicted first; a
 # value depends only on its key, so eviction changes no output
@@ -139,64 +143,67 @@ class ViabilityReport:
 
     @property
     def viable(self) -> bool:
-        return (self.finite and self.non_constant and self.cv_ok is not False
-                and self.jb_ok is not False and self.simple_r2_ok is not False)
+        return not self.failed_criteria()
 
     def failed_criteria(self) -> tuple[str, ...]:
-        names = ("finite", "non_constant", "cv", "jarque_bera", "simple_r2")
         flags = (self.finite, self.non_constant, self.cv_ok, self.jb_ok,
                  self.simple_r2_ok)
-        return tuple(n for n, f in zip(names, flags) if f is False)
+        return tuple(n for n, f in zip(CRITERIA, flags) if f is False)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def check_viability(
-    p: Phenotype, ds: Dataset, policy: ViabilityPolicy
-) -> ViabilityReport:
-    """Apply the viability rules: finite everywhere, not all identical, and
-    any configured optional screens.
-
-    The screens work on one centred copy of the values: the cv compares the
-    population sd (pairwise sums, as numpy's mean and std take them) with
-    the mean; the simple r2 floor compares the squared Pearson correlation
-    with the activity (0 when either side has no variance). Overflowing
-    squares give cv = inf, which passes, and fail the r2; an overflowing
-    sum leaves no representable mean, so the cv and the r2 fail."""
-    v = p.values
-    if v.shape != ds.activity.shape:
+def screen_viability(rows, ds: Dataset,
+                     policy: ViabilityPolicy) -> np.ndarray:
+    """Apply the viability rules to `rows`, each the values of one phenotype:
+    finite, not all identical, and the optional screens the policy sets.
+    Returns a (rows, 5) bool array of failed criteria, in `CRITERIA` order;
+    no optional screen fails a row that is not finite. Each row gets the
+    bits it gets alone. The cv compares the population sd (pairwise sums,
+    as numpy's std) with the mean; the simple r2 is the squared Pearson
+    correlation with the activity (0 when either side has no variance).
+    Overflowing squares give cv = inf, which passes, and fail the r2, as an
+    underflowing r2 denominator does; an overflowing sum fails cv and r2."""
+    m = ds.size
+    if any(v.shape != (m,) for v in rows):
         raise ValueError("phenotype length does not match dataset")
-    m = v.size
-    total = v.sum()
-    # a finite sum proves every value finite; an overflowed one proves nothing
-    finite = math.isfinite(total) or bool(np.isfinite(v).all())
-    non_constant = finite and bool((v != v[0]).any())
-    cv_ok = jb_ok = r2_ok = None
-    if finite:
-        if policy.min_cv is not None or policy.min_simple_r2 is not None:
-            mean = total / m
-            d = v - mean
+    v = np.array(rows, dtype=float).reshape(-1, m)
+    failed = np.zeros((len(v), len(CRITERIA)), dtype=bool)
+    finite = np.isfinite(v).all(axis=1)
+    non_constant = finite & (v != v[:, :1]).any(axis=1)
+    failed[:, 0], failed[:, 1] = ~finite, ~non_constant
+    if (alpha := policy.jb_alpha) is not None:
+        # a constant row, or one too short for the moments, fails
+        failed[:, 3] = finite
+        for i in np.flatnonzero(non_constant & (m >= 4)).tolist():
+            failed[i, 3] = stats.jarque_bera(v[i])[1] < alpha
+    if policy.min_cv is None and policy.min_simple_r2 is None:
+        return failed
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mean = v.sum(axis=1) / m
+        d = v - mean[:, None]
         if policy.min_cv is not None:
-            sd = math.sqrt((d * d).sum() / m)
-            if mean == 0.0:
-                # zero mean with any spread is maximally variable
-                cv_ok = sd > 0.0
-            else:
-                cv_ok = abs(sd / float(mean)) >= policy.min_cv
-        if policy.jb_alpha is not None:
-            if non_constant and m >= 4:
-                _, pval = stats.jarque_bera(v)
-                jb_ok = pval >= policy.jb_alpha
-            else:
-                jb_ok = False
-        if policy.min_simple_r2 is not None:
+            # zero mean with any spread is maximally variable: cv = inf
+            sd = np.sqrt((d * d).sum(axis=1) / m)
+            failed[:, 2] = finite & ~(np.abs(sd / mean) >= policy.min_cv)
+        if (floor := policy.min_simple_r2) is not None:
+            # np.vecdot takes each row's dot products as BLAS ddot does, to
+            # the bits of one row's d @ dy; (d * dy).sum(axis=1) would not
             dy, syy = ds.centred_activity
-            sxx = float(d @ d)
-            r2 = 0.0
-            if sxx != 0.0 and syy != 0.0:
-                sxy = float(d @ dy)
-                r2 = sxy * sxy / (sxx * syy)
-            r2_ok = math.isfinite(r2) and r2 >= policy.min_simple_r2
-    return ViabilityReport(finite, non_constant, cv_ok, jb_ok, r2_ok)
+            sxx, sxy = np.vecdot(d, d), np.vecdot(d, dy)
+            r2 = sxy * sxy / (sxx * syy)
+            r2[(sxx == 0.0) | (syy == 0.0)] = 0.0
+            failed[:, 4] = finite & ~(np.isfinite(r2) & (r2 >= floor))
+    return failed
+
+
+def check_viability(p: Phenotype, ds: Dataset,
+                    policy: ViabilityPolicy) -> ViabilityReport:
+    """`screen_viability` of one phenotype, as a report; None marks a screen
+    not applied: left out of the policy, or optional on non-finite values."""
+    failed = screen_viability([p.values], ds, policy)[0].tolist()
+    optional = (policy.min_cv, policy.jb_alpha, policy.min_simple_r2)
+    return ViabilityReport(not failed[0], not failed[1], *(
+        None if a is None or failed[0] else not f
+        for a, f in zip(optional, failed[2:])))
 
 
 # --- providers ---------------------------------------------------------------

@@ -15,13 +15,16 @@ import logging
 import math
 import random
 from collections import Counter, deque
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
+from itertools import compress
 
 import numpy as np
 
 from . import genome as gn, regress
-from .descriptors import (Dataset, Phenotype, Provider, ViabilityPolicy,
-                          check_viability)
+from .descriptors import (CRITERIA, Dataset, Phenotype, Provider,
+                          ViabilityPolicy, screen_viability)
+from .descriptors import check_viability  # noqa: F401  (bench/tracing.py wraps it by name)
 from .genome import GeneticTopology, Genotype
 from .regress import GramFitter, RegressionModel, better, fit_assessed
 from .scores import (
@@ -208,27 +211,48 @@ class EvolutionState:
             self.sur_norm = NormalizationState(*bounds)
 
 
-def _admit(g: Genotype, seen: set[str], provider: Provider, ds: Dataset,
-           policy: ViabilityPolicy, rejected: Counter[str]) -> Phenotype | None:
+def _admit(candidates: Iterable[Genotype], need: int, seen: set[str],
+           provider: Provider, ds: Dataset, policy: ViabilityPolicy
+           ) -> tuple[list[Phenotype], Counter[str]]:
     """The one rule for entering the sample, when it is drawn and when
-    children are bred: a key not in `seen`, a phenotype, and every viability
-    screen passed. An admitted key joins `seen`; each rejection is counted
-    in `rejected` under its reason (duplicate, no_phenotype, or the failed
-    criteria)."""
-    key = g.key
-    if key in seen:
-        rejected["duplicate"] += 1
-        return None
-    ph = provider.provide(g)
-    if ph is None:
-        rejected["no_phenotype"] += 1
-        return None
-    report = check_viability(ph, ds, policy)
-    if not report.viable:
-        rejected.update(report.failed_criteria())
-        return None
-    seen.add(key)
-    return ph
+    children are bred: candidates in order, each with a key not in `seen`, a
+    phenotype and every viability screen passed, until `need` are admitted.
+    Returns them, and the rejections counted by reason (duplicate,
+    no_phenotype, or the failed criteria); admitted keys join `seen`. A
+    round takes candidates lazily until it holds as many new keys as could
+    still be admitted, provides each in order, screens them in one call and
+    admits the viable ones in order: it takes the candidates one-at-a-time
+    admission would. A key rejected before counts its reasons again, without
+    a second provide."""
+    admitted: list[Phenotype] = []
+    rejected: Counter[str] = Counter()
+    reasons: dict[str, tuple[str, ...]] = {}    # by provided key; () admitted
+    candidates = iter(candidates)
+    while len(admitted) < need:
+        keys, provided = [], {}
+        for g in candidates:
+            keys.append(key := g.key)
+            if key not in seen and key not in reasons and key not in provided:
+                provided[key] = provider.provide(g)
+                if len(provided) == need - len(admitted):
+                    break
+        if not keys:
+            break
+        reasons.update(dict.fromkeys(provided, ("no_phenotype",)))
+        screened = [k for k, ph in provided.items() if ph is not None]
+        failed = screen_viability([provided[k].values for k in screened],
+                                  ds, policy)
+        for key, row in zip(screened, failed.tolist()):
+            reasons[key] = tuple(compress(CRITERIA, row))
+        for key in keys:
+            if key in seen:
+                rejected["duplicate"] += 1
+            elif reasons[key]:
+                rejected.update(reasons[key])
+            else:
+                seen.add(key)
+                admitted.append(provided[key])
+    return admitted, rejected
 
 
 def init_sample(
@@ -238,12 +262,11 @@ def init_sample(
     ds: Dataset,
     rng: random.Random,
 ) -> list[Phenotype]:
-    """Assemble p distinct genotypes with viable phenotypes.
-
-    Providers with an enumerable key set are sampled from that set (shuffled);
-    open-ended providers are rejection-sampled up to a retry bound. Failure
-    reports a histogram of the reasons that rejected candidates.
-    """
+    """Assemble p distinct genotypes with viable phenotypes, admitted in
+    rounds by `_admit`. Providers with an enumerable key set are sampled
+    from that set (shuffled); open-ended providers are rejection-sampled up
+    to a retry bound. Candidates are drawn lazily, as many as admission
+    takes. Failure reports a histogram of the reasons that rejected them."""
     known = provider.known_keys()
     if known is not None:
         # map is lazy: only the keys drawn are parsed
@@ -253,15 +276,10 @@ def init_sample(
     else:
         candidates = (gn.random_genotype(topology, rng)
                       for _ in range(_INIT_ATTEMPTS_PER_SLOT * cfg.p))
-    rejected: Counter[str] = Counter()
-    sample: list[Phenotype] = []
-    seen: set[str] = set()
-    for g in candidates:
-        ph = _admit(g, seen, provider, ds, cfg.viability, rejected)
-        if ph is not None:
-            sample.append(ph)
-            if len(sample) == cfg.p:
-                return sample
+    sample, rejected = _admit(candidates, cfg.p, set(), provider, ds,
+                              cfg.viability)
+    if len(sample) == cfg.p:
+        return sample
     raise InsufficientViableMaterialError(
         f"found {len(sample)} of {cfg.p} viable distinct genotypes; "
         f"rejections: {dict(rejected) or 'none'}"
@@ -353,16 +371,8 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
 
     # admission; duplicates of sample members (or of earlier admitted
     # children) would corrupt the similarity scores, so they are rejected
-    seen = set(keys)
-    rejected: Counter[str] = Counter()
-    viable_children: list[Phenotype] = []
-    for child in children:
-        if len(viable_children) == len(eligible):
-            break
-        ph = _admit(child, seen, state.provider, state.dataset,
-                    cfg.viability, rejected)
-        if ph is not None:
-            viable_children.append(ph)
+    viable_children, _ = _admit(children, len(eligible), set(keys),
+                                state.provider, state.dataset, cfg.viability)
 
     record = GenerationRecord(
         generation=state.generation + 1,

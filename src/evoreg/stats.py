@@ -121,7 +121,7 @@ def t_critical(alpha: float, df: int) -> float:
 def jarque_bera(x) -> tuple[float, float]:
     """Jarque-Bera normality statistic and its chi-square(2) tail probability.
 
-    `x` holds at least 4 finite values, as `check_viability` passes them;
+    `x` holds at least 4 finite values, as `screen_viability` passes them;
     a sample without variance raises ValueError. Skewness and kurtosis use
     population (1/m) moment estimators. When a moment overflows the float
     range, the statistic is inf or NaN and its tail probability is 0: such

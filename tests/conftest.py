@@ -2,6 +2,7 @@ import codecs
 import csv
 import math
 import struct
+from collections import Counter
 from itertools import accumulate, combinations, groupby
 
 import numpy as np
@@ -9,11 +10,13 @@ import pytest
 from hypothesis.internal.conjecture import providers as hypothesis_providers
 from hypothesis.internal.constants_ast import Constants
 
+from evoreg import stats
 from evoreg.descriptors import (
     Dataset,
     PlantedSignal,
     SyntheticProvider,
     TableProvider,
+    ViabilityReport,
     pick_planted_genotypes,
 )
 from evoreg.engine import EvolutionConfig
@@ -197,6 +200,87 @@ def chi2_partials_oracle(observed):
         contrib[i, j] = (float(obs[i, j]) - e) ** 2 / e
     return (tuple(float(c.sum()) for c in contrib),
             tuple(float(c.sum()) for c in contrib.T), float(contrib.sum()))
+
+
+def viability_oracle(v, ds, policy):
+    """The viability rules applied to one phenotype's values, one numpy call
+    at a time: the oracle for `descriptors.screen_viability`, each of whose
+    rows must give the same five outcomes, None where a screen is not
+    applied (left out of the policy, or optional on values not finite).
+
+    The screens work on one centred copy of the values: the cv compares the
+    population sd (pairwise sums, as numpy's mean and std take them) with
+    the mean; the simple r2 floor compares the squared Pearson correlation
+    with the activity (0 when either side has no variance). Overflowing
+    squares give cv = inf, which passes, and fail the r2; an overflowing
+    sum leaves no representable mean, so the cv and the r2 fail. An r2
+    denominator that underflows to 0 makes the r2 NaN, which fails."""
+    if v.shape != ds.activity.shape:
+        raise ValueError("phenotype length does not match dataset")
+    m = v.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = v.sum()
+        # a finite sum proves every value finite; an overflowed one does not
+        finite = math.isfinite(total) or bool(np.isfinite(v).all())
+        non_constant = finite and bool((v != v[0]).any())
+        cv_ok = jb_ok = r2_ok = None
+        if finite:
+            if policy.min_cv is not None or policy.min_simple_r2 is not None:
+                mean = total / m
+                d = v - mean
+            if policy.min_cv is not None:
+                sd = math.sqrt((d * d).sum() / m)
+                if mean == 0.0:
+                    # zero mean with any spread is maximally variable
+                    cv_ok = sd > 0.0
+                else:
+                    cv_ok = abs(sd / float(mean)) >= policy.min_cv
+            if policy.jb_alpha is not None:
+                if non_constant and m >= 4:
+                    _, pval = stats.jarque_bera(v)
+                    jb_ok = pval >= policy.jb_alpha
+                else:
+                    jb_ok = False
+            if policy.min_simple_r2 is not None:
+                dy, syy = ds.centred_activity
+                sxx = float(d @ d)
+                r2 = 0.0
+                if sxx != 0.0 and syy != 0.0:
+                    sxy = float(d @ dy)
+                    denominator = sxx * syy
+                    r2 = sxy * sxy / denominator if denominator else math.nan
+                r2_ok = math.isfinite(r2) and r2 >= policy.min_simple_r2
+    return (finite, non_constant, cv_ok, jb_ok, r2_ok)
+
+
+def admit_oracle(candidates, need, seen, provider, ds, policy):
+    """Admission one candidate at a time, as the engine admitted before it
+    screened in rounds: a candidate with a key in `seen` is a duplicate;
+    any other is provided (again, if it was rejected before), screened
+    alone by `viability_oracle` and admitted if viable, until `need` are
+    admitted, without drawing a candidate past the last admitted one. The
+    oracle for `engine._admit`, which must admit the same phenotypes and
+    count the same rejections in the same order, providing each key once."""
+    admitted, rejected = [], Counter()
+    if need == 0:
+        return admitted, rejected
+    for g in candidates:
+        if g.key in seen:
+            rejected["duplicate"] += 1
+            continue
+        ph = provider.provide(g)
+        if ph is None:
+            rejected["no_phenotype"] += 1
+            continue
+        report = ViabilityReport(*viability_oracle(ph.values, ds, policy))
+        if not report.viable:
+            rejected.update(report.failed_criteria())
+            continue
+        seen.add(g.key)
+        admitted.append(ph)
+        if len(admitted) == need:
+            break
+    return admitted, rejected
 
 
 def ncd(a, b):

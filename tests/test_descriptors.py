@@ -28,12 +28,13 @@ from evoreg.descriptors import (
     load_activity,
     load_descriptor_table,
     pick_planted_genotypes,
+    screen_viability,
     write_activity,
     write_descriptor_table,
 )
 from evoreg.genome import Gene, GeneticTopology, Genotype, random_genotype
 from tests.conftest import (binary_topology, labelled_rows_oracle,
-                            normal_dataset)
+                            normal_dataset, viability_oracle)
 
 
 @pytest.fixture
@@ -374,6 +375,149 @@ def test_viability_matches_reference_on_any_floats(values, min_cv, min_r2,
                  np.random.default_rng(m).normal(size=m))
     assert_same_report(np.array(values), ds,
                        ViabilityPolicy(min_cv, jb_alpha, min_r2))
+
+
+# --- the batch screen against the one-row oracle ------------------------------
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 1e200, -1e200, 5e-324,
+                  1e-165, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
+
+
+def special_rows(m):
+    """Rows of length m that probe each branch of the screens: NaN and
+    +-inf, finite rows whose sum overflows, squares that overflow at zero
+    mean, constant rows, zero mean with spread, and signed zeros."""
+    ramp = np.arange(m, dtype=float)
+    alternating = np.where(ramp % 2 == 0, 1.0, -1.0)
+    alternating[-1] *= m % 2 == 0     # an odd count ends on a zero
+    rows = [np.full(m, math.nan), np.where(ramp == 1, math.inf, ramp),
+            np.where(ramp == 0, -math.inf, ramp),
+            np.full(m, 1e308), np.full(m, -1e308),
+            np.where(ramp < m / 2, 1e308, 1.5e308),
+            1e200 * alternating, -1e200 * alternating,
+            np.full(m, 3.3), np.zeros(m), np.full(m, -0.0),
+            np.where(ramp % 2 == 0, 0.0, -0.0), alternating,
+            ramp, 10.0 + 1e-12 * np.sin(ramp)]
+    return rows
+
+
+@st.composite
+def screen_batches(draw):
+    """A dataset, a policy and a batch of 0 to 12 rows of its length, each
+    row drawn whole from `special_rows` or cell by cell from any float."""
+    m = draw(st.integers(3, 40))
+    cell = st.floats(width=64) | st.sampled_from(SPECIAL_FLOATS)
+    row = (st.sampled_from(range(len(special_rows(m)))).map(
+        lambda i: special_rows(m)[i])
+        | st.lists(cell, min_size=m, max_size=m).map(np.array)
+        | st.floats(-1e3, 1e3).map(lambda c: np.full(m, c)))
+    rows = draw(st.lists(row, max_size=12))
+    policy = ViabilityPolicy(
+        min_cv=draw(st.none() | st.just(0.0) | st.floats(0.0, 3.0)),
+        jb_alpha=draw(st.none() | st.floats(0.0, 1.0)),
+        min_simple_r2=draw(st.none() | st.sampled_from([0.0, 1.0])
+                           | st.floats(0.0, 1.0)))
+    ds = Dataset(tuple(f"m{i}" for i in range(m)),
+                 np.random.default_rng(m).normal(size=m))
+    return ds, policy, rows
+
+
+def assert_screen_matches_oracle(ds, policy, rows):
+    """Each row of one `screen_viability` call fails exactly the criteria
+    that `viability_oracle` finds False, and `check_viability` of that row
+    alone reports the oracle's five outcomes, None included, as bools."""
+    failed = screen_viability(rows, ds, policy)
+    assert failed.dtype == bool and failed.shape == (len(rows), 5)
+    for got, values in zip(failed.tolist(), rows):
+        want = viability_oracle(values, ds, policy)
+        assert got == [o is False for o in want]
+        report = check_viability(Phenotype(values, None), ds, policy)
+        fields = (report.finite, report.non_constant, report.cv_ok,
+                  report.jb_ok, report.simple_r2_ok)
+        assert [(type(f), f) for f in fields] == \
+            [(type(o), o) for o in want]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(screen_batches())
+def test_batch_screen_matches_the_one_row_oracle(batch):
+    """Bug guard for the batch screen: whatever the rows and the policy,
+    every row of a batch screened in one call gets the one-row rule's
+    outcome. Row sums and dot products are taken per row to the bits a
+    single row gets, so the decisions agree at the thresholds too."""
+    assert_screen_matches_oracle(*batch)
+
+
+@pytest.mark.parametrize("b", [0, 1, 2, 24, 300])
+def test_batch_screen_on_special_rows_and_thresholds(b):
+    """Batches of 0, 1 and many rows, mixing the special rows with random
+    ones, under each edge setting: min_cv = 0, min_simple_r2 = 0 and 1, and
+    Jarque-Bera on and off; and floors set at a row's own cv and r2, which
+    that row passes and the next float above them fails."""
+    m = 206
+    rng = np.random.default_rng(b)
+    ds = Dataset(tuple(f"m{i}" for i in range(m)), rng.normal(6.5, 0.8, m))
+    pool = special_rows(m) + [rng.uniform(size=m), rng.normal(-2.0, 1.0, m),
+                              ds.activity + rng.normal(0.0, 0.5, m)]
+    rows = [pool[i] for i in rng.integers(0, len(pool), b)]
+    for min_cv, jb_alpha, min_r2 in itertools.product(
+            (None, 0.0, 0.1), (None, 0.01), (None, 0.0, 0.02, 1.0)):
+        assert_screen_matches_oracle(
+            ds, ViabilityPolicy(min_cv, jb_alpha, min_r2), rows)
+    dy, syy = ds.centred_activity
+    for values in pool[-3:]:
+        mean = values.sum() / m
+        d = values - mean
+        cv = abs(math.sqrt((d * d).sum() / m) / float(mean))
+        sxy = float(d @ dy)
+        r2 = sxy * sxy / (float(d @ d) * syy)
+        for at, ok in ((0, True), (1, False)):
+            policy = ViabilityPolicy(
+                min_cv=cv if at == 0 else math.nextafter(cv, math.inf),
+                min_simple_r2=r2 if at == 0 else math.nextafter(r2, math.inf))
+            failed = screen_viability(rows + [values], ds, policy)
+            assert failed[-1, 2:].tolist() == [not ok, False, not ok]
+            assert_screen_matches_oracle(ds, policy, rows + [values])
+
+
+def test_an_underflowing_r2_denominator_fails_the_floor():
+    """Activity and values spread by about 1e-160: both sums of squares are
+    nonzero, but their product underflows to 0, where the one-row rule's
+    Python division raised ZeroDivisionError. The r2 is NaN, and a NaN r2
+    fails every floor, 0 included."""
+    m = 40
+    rng = np.random.default_rng(m)
+    ds = Dataset(tuple(f"m{i}" for i in range(m)),
+                 1e-160 * rng.normal(size=m))
+    values = 1e-160 * rng.normal(size=m)
+    dy, syy = ds.centred_activity
+    d = values - values.sum() / m
+    assert float(d @ d) != 0.0 and syy != 0.0
+    with pytest.raises(ZeroDivisionError):
+        float(d @ dy) ** 2 / (float(d @ d) * syy)
+    policy = ViabilityPolicy(min_simple_r2=0.0)
+    report = check_viability(Phenotype(values, None), ds, policy)
+    assert report.simple_r2_ok is False
+    assert_screen_matches_oracle(ds, policy, [values, values])
+
+
+@pytest.mark.parametrize("lengths", [(39,), (40, 39), (40, 41, 40), (1,),
+                                     (40, 1)])
+def test_a_row_of_another_length_is_refused_by_name(dataset, lengths):
+    """A phenotype whose length is not the dataset's raises the same
+    ValueError alone and in a batch, whatever the other rows' lengths: the
+    lengths are checked before the rows are stacked, so a length-1 row is
+    not broadcast and rows of unequal length are not a stacking error."""
+    rows = [np.arange(float(n)) for n in lengths]
+    with pytest.raises(ValueError,
+                       match="^phenotype length does not match dataset$"):
+        screen_viability(rows, dataset, ViabilityPolicy(min_cv=0.1))
+    for values in rows:
+        if values.size != dataset.size:
+            with pytest.raises(ValueError, match="^phenotype length does"):
+                check_viability(Phenotype(values, None), dataset,
+                                ViabilityPolicy())
 
 
 def test_policy_validation():

@@ -2,12 +2,14 @@ import ast
 import logging
 import math
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evoreg import engine, genome
 from evoreg.descriptors import (Phenotype, SyntheticProvider, TableProvider,
@@ -26,6 +28,7 @@ from evoreg.regress import GramFitter, better
 from evoreg.scores import ObjectiveSpec, objective_score
 from evoreg.strategy import StrategySpec
 from tests.conftest import (
+    admit_oracle,
     binary_topology,
     brute_best,
     candidate_view,
@@ -315,6 +318,217 @@ def test_children_beyond_the_free_slots_are_never_provided(planted_world,
             asked.append(len(provider.asked))
     assert max(asked) == cfg.p - cfg.n
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+# --- admission in rounds against one-at-a-time admission -----------------------
+
+
+class KindProvider:
+    """A provider over a small space whose phenotype is fixed by each key's
+    kind: "none" has no phenotype, "constant" fails non_constant, "noise"
+    is uniform (and fails an r2 floor about as often as it is set to), and
+    "copy" tracks the activity, passing every screen."""
+
+    def __init__(self, topology, ds, kinds):
+        rng = np.random.default_rng(len(kinds))
+        self.values = {}
+        for g, kind in zip(topology.all_genotypes(), kinds):
+            self.values[g.key] = {
+                "none": None, "constant": np.full(ds.size, 2.0),
+                "noise": rng.uniform(0.0, 1.0, ds.size),
+                "copy": ds.activity + rng.normal(0.0, 0.1, ds.size)}[kind]
+
+    def provide(self, g):
+        values = self.values[g.key]
+        return None if values is None else Phenotype(values, g)
+
+    def known_keys(self):
+        return None
+
+
+class CountedDraws:
+    """An iterator over `items` that counts how many were drawn."""
+
+    def __init__(self, items):
+        self.items, self.drawn = iter(items), 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        item = next(self.items)
+        self.drawn += 1
+        return item
+
+
+def first_asks(asked):
+    """Provide calls with each key's repeats dropped: one-at-a-time admission
+    provides a rejected key again, admission in rounds does not."""
+    return list(dict.fromkeys(asked))
+
+
+def assert_admits_as_the_oracle(candidates, need, seen, provider, ds, policy):
+    """`engine._admit` and `admit_oracle` on the same inputs: the same
+    phenotypes admitted, the same rejections counted in the same order, the
+    same keys seen, as many candidates drawn, and the oracle's provide
+    calls less its repeats. Returns the oracle's provide calls."""
+    runs = []
+    for admit in (engine._admit, admit_oracle):
+        recording = RecordingProvider(provider)
+        draws = CountedDraws(candidates)
+        seen_after = set(seen)
+        admitted, rejected = admit(draws, need, seen_after, recording, ds,
+                                   policy)
+        runs.append(([(ph.source_genotype.key, ph.values.tobytes())
+                      for ph in admitted], list(rejected.items()),
+                     seen_after, draws.drawn, recording.asked))
+    got, want = runs
+    assert got[:4] == want[:4]
+    assert got[4] == first_asks(want[4])
+    return want[4]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    kinds=st.lists(st.sampled_from(["none", "constant", "noise", "copy"]),
+                   min_size=16, max_size=16),
+    picks=st.lists(st.integers(0, 15), max_size=40),
+    seen=st.sets(st.integers(0, 15), max_size=8),
+    need=st.integers(0, 20),
+    min_r2=st.sampled_from([None, 0.05]),
+    min_cv=st.sampled_from([None, 0.1]),
+)
+def test_admission_in_rounds_matches_one_at_a_time(kinds, picks, seen, need,
+                                                   min_r2, min_cv):
+    """Any candidate sequence over a 16-genotype space, repeats of admitted
+    and of rejected keys included, any keys already seen and any count
+    needed: admission in rounds admits, counts and draws as one-at-a-time
+    admission does."""
+    topo = binary_topology(4)
+    ds = normal_dataset(m=20)
+    genotypes = list(topo.all_genotypes())
+    assert_admits_as_the_oracle(
+        [genotypes[i] for i in picks], need,
+        {genotypes[i].key for i in seen}, KindProvider(topo, ds, kinds), ds,
+        ViabilityPolicy(min_cv=min_cv, min_simple_r2=min_r2))
+
+
+def test_admission_counts_repeats_of_admitted_and_rejected_keys():
+    """A fixed sequence with every kind of repeat: a rejected key drawn
+    again counts its reasons again without a second provide, an admitted
+    one counts as a duplicate, and a key seen before is a duplicate too."""
+    topo = binary_topology(2)
+    ds = normal_dataset(m=20)
+    aa, ab, ba, bb = topo.all_genotypes()
+    provider = KindProvider(topo, ds, ["copy", "none", "constant", "copy"])
+    candidates = [aa, ab, ba, aa, ab, ba, bb, ba, aa]
+    asked = assert_admits_as_the_oracle(candidates, 5, {bb.key}, provider,
+                                        ds, ViabilityPolicy())
+    assert asked == ["aa", "ab", "ba", "ab", "ba", "ba"]
+    admitted, rejected = engine._admit(candidates, 5, {bb.key}, provider, ds,
+                                       ViabilityPolicy())
+    assert [ph.source_genotype for ph in admitted] == [aa]
+    assert list(rejected.items()) == [
+        ("no_phenotype", 2), ("non_constant", 3), ("duplicate", 3)]
+
+
+def _init_sample_oracle_rng(cfg, topology, provider, ds, rng):
+    """`init_sample`'s candidates admitted one at a time by `admit_oracle`:
+    the sample, or None, and the rejections."""
+    known = provider.known_keys()
+    if known is not None:
+        keys = list(known)
+        rng.shuffle(keys)
+        candidates = map(topology.parse, keys)
+    else:
+        candidates = (genome.random_genotype(topology, rng)
+                      for _ in range(engine._INIT_ATTEMPTS_PER_SLOT * cfg.p))
+    sample, rejected = admit_oracle(candidates, cfg.p, set(), provider, ds,
+                                    cfg.viability)
+    return (sample if len(sample) == cfg.p else None), rejected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_init_sample_in_rounds_draws_as_one_at_a_time(seed):
+    """A screened synthetic world where about a quarter of the candidates
+    fail the r2 floor: `init_sample` draws the same random genotypes, leaves
+    the run's generator in the same state, admits the same sample and
+    provides in the same order as one-at-a-time admission; where too few
+    are viable, it fails with the same histogram."""
+    topo = binary_topology(12)
+    ds = normal_dataset(m=30)
+    provider = planted_provider(topo, ds, n_planted=8, plant_seed=seed)
+    policy = ViabilityPolicy(min_cv=0.1, min_simple_r2=0.0035)
+    cfg = small_config(p=60, n=2, k=3, seed=seed, viability=policy)
+    got_p, want_p = RecordingProvider(provider), RecordingProvider(provider)
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    sample = init_sample(cfg, topo, got_p, ds, rng)
+    expected, rejected = _init_sample_oracle_rng(cfg, topo, want_p, ds,
+                                                 oracle_rng)
+    assert [ph.source_genotype.key for ph in sample] == \
+        [ph.source_genotype.key for ph in expected]
+    assert rng.getstate() == oracle_rng.getstate()
+    assert got_p.asked == first_asks(want_p.asked)
+    # about a quarter of the provided candidates fail the r2 floor
+    assert 0.1 <= rejected["simple_r2"] / len(want_p.asked) <= 0.4
+
+    # a floor only the planted genotypes pass: the space runs dry
+    strict = replace(cfg, viability=ViabilityPolicy(min_simple_r2=0.5))
+    with pytest.raises(InsufficientViableMaterialError) as err:
+        init_sample(strict, topo, provider, ds, random.Random(seed))
+    oracle_rng = random.Random(seed)
+    found, rejected = _init_sample_oracle_rng(strict, topo, provider, ds,
+                                              oracle_rng)
+    assert found is None
+    assert str(err.value).endswith(f"rejections: {dict(rejected)}")
+
+
+def _run_with(admit, cfg, topo, provider, ds, monkeypatch):
+    """A run whose admissions go through `admit`, with a None marking the
+    start of each admission call in the provider's log."""
+    recording = RecordingProvider(provider)
+
+    def marked(*args):
+        recording.asked.append(None)
+        return admit(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(engine, "_admit", marked)
+        result = run(cfg, topo, recording, ds)
+    calls, current = [], None
+    for key in recording.asked:
+        if key is None:
+            calls.append(current := [])
+        else:
+            current.append(key)
+    return result, calls
+
+
+@pytest.mark.parametrize("world", ["screened", "partial_table"])
+def test_runs_admitting_in_rounds_equal_one_at_a_time(world, planted_world,
+                                                      monkeypatch):
+    """Whole runs with keep_best and 2k > p - n, where admission stops
+    before the last children: one over a screened synthetic world and one
+    over a table with missing keys. Run logs and summaries are identical to
+    runs that admit one at a time, and so is every admission call's
+    provide order, less the oracle's repeats."""
+    if world == "screened":
+        topo, ds, provider = planted_world
+        policy = ViabilityPolicy(min_cv=0.1, min_simple_r2=0.001)
+    else:
+        topo, ds, provider = partial_table_world()
+        policy = ViabilityPolicy()
+    cfg = planted_config(seed=6, p=8, n=1, k=4, pp=0.3, cp=0.3,
+                         max_generations=30, viability=policy)
+    assert 2 * cfg.k > cfg.p - cfg.n and cfg.keep_best
+    got, got_calls = _run_with(engine._admit, cfg, topo, provider, ds,
+                               monkeypatch)
+    want, want_calls = _run_with(admit_oracle, cfg, topo, provider, ds,
+                                 monkeypatch)
+    assert got.log_text() == want.log_text()
+    assert got.summary_dict() == want.summary_dict()
+    assert got_calls == [first_asks(c) for c in want_calls]
+    assert len(got_calls) == cfg.max_generations + 1
 
 
 def test_run_single_generation_record():

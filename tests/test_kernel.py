@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evoreg import descriptors, engine, genome, regress
-from evoreg.descriptors import SyntheticProvider, TableProvider
+from evoreg.descriptors import (SyntheticProvider, TableProvider,
+                                ViabilityPolicy)
 from evoreg.engine import EvolutionState, init_sample, run_generation
 from evoreg.regress import (
     PIVOT_TOL,
@@ -681,28 +682,35 @@ def test_draw_boundary_for_the_tracer(planted_world, monkeypatch):
 
 @pytest.mark.parametrize("world", ["synthetic", "partial_table"])
 def test_child_boundaries_for_the_tracer(world, planted_world, monkeypatch):
-    """The tracer also wraps engine.check_viability and both providers'
-    provide methods, and reads its provide_ms, viability_ms and nonviable
-    counts from them: one run_generation must screen each child that gets
-    a phenotype exactly once, right after its provide call."""
+    """The tracer wraps both providers' provide methods and reads its
+    provide counts from them; it also still finds engine.check_viability
+    to wrap, though admission screens in batches and never calls it. Each
+    run_generation provides each child whose key is new once, in breeding
+    order, and screens each phenotype once, in one `screen_viability`
+    batch after its provide call, with no more rows in a batch than there
+    are free slots left."""
     assert engine.check_viability is descriptors.check_viability
     for cls in (SyntheticProvider, TableProvider):
         assert callable(vars(cls)["provide"])
 
     topo, ds, provider = (planted_world if world == "synthetic"
                           else partial_table_world())
-    cfg = planted_config(seed=4, p=12, n=1, k=6, pp=0.3, cp=0.3)
+    # floors that reject enough children for a second batch
+    floor = 0.01 if world == "synthetic" else 0.05
+    cfg = planted_config(seed=4, p=12, n=1, k=6, pp=0.3, cp=0.3,
+                         viability=ViabilityPolicy(min_simple_r2=floor))
     rng = random.Random(cfg.seed)
     state = EvolutionState(cfg, provider, ds, rng,
                            init_sample(cfg, topo, provider, ds, rng))
     children, events = [], []
 
     def bred(original):
-        def crossover(a, b, rng):
-            pair = original(a, b, rng)
-            children.extend(pair)
-            return pair
-        return crossover
+        # parents are mutated first, then each child after its crossover
+        def mutate(g, prob, rng):
+            child = original(g, prob, rng)
+            children.append(child)
+            return child
+        return mutate
 
     def provided(original):
         def provide(self, genotype):
@@ -712,31 +720,46 @@ def test_child_boundaries_for_the_tracer(world, planted_world, monkeypatch):
         return provide
 
     def screened(original):
-        def check_viability(ph, ds, policy):
-            events.append(("screen", ph.source_genotype, ph))
-            return original(ph, ds, policy)
-        return check_viability
+        def screen_viability(rows, ds, policy):
+            failed = original(rows, ds, policy)
+            events.append(("screen", list(rows), failed))
+            return failed
+        return screen_viability
 
-    monkeypatch.setattr(genome, "crossover", bred(genome.crossover))
+    monkeypatch.setattr(genome, "mutate", bred(genome.mutate))
     cls = type(provider)
     monkeypatch.setattr(cls, "provide", provided(vars(cls)["provide"]))
-    monkeypatch.setattr(engine, "check_viability",
-                        screened(engine.check_viability))
-    run_generation(state)
-
-    assert len(children) == 2 * cfg.k
-    provides = [e for e in events if e[0] == "provide"]
-    screens = [e for e in events if e[0] == "screen"]
-    with_phenotype = [e for e in provides if e[2] is not None]
-    assert screens and len(provides) <= len(children)
-    if world == "partial_table":
-        assert len(with_phenotype) < len(provides)
-    assert len(screens) == len(with_phenotype)
-    for i, event in enumerate(events):
-        if event[0] == "screen":
-            kind, genotype, ph = events[i - 1]
-            assert kind == "provide" and ph is event[2]
-            assert genotype == event[1]
+    monkeypatch.setattr(engine, "screen_viability",
+                        screened(engine.screen_viability))
+    batches_per_generation, missing = [], 0
+    for _ in range(10):
+        before = [ph.source_genotype.key for ph in state.sample]
+        children.clear()
+        events.clear()
+        record = run_generation(state)
+        assert len(children) == 4 * cfg.k
+        new_keys = list(dict.fromkeys(c.key for c in children[2 * cfg.k:]
+                                      if c.key not in before))
+        provides = [e for e in events if e[0] == "provide"]
+        asked = [g.key for _, g, _ in provides]
+        assert asked == new_keys[:len(asked)]
+        missing += sum(ph is None for _, _, ph in provides)
+        free = cfg.p - len(record.best_model_genotypes)
+        pending, batches = [], 0
+        for event in events:
+            if event[0] == "provide":
+                if event[2] is not None:
+                    pending.append(event[2].values)
+                continue
+            rows, failed = event[1], event[2]
+            assert len(rows) == len(pending) <= free
+            assert all(r is v for r, v in zip(rows, pending))
+            free -= int((~failed.any(axis=1)).sum())
+            pending, batches = [], batches + 1
+        assert not pending
+        batches_per_generation.append(batches)
+    assert max(batches_per_generation) > 1
+    assert (missing > 0) == (world == "partial_table")
 
 
 @pytest.mark.parametrize("instrument", ["Probe", "Tracer"])
