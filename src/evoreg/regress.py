@@ -4,7 +4,7 @@ validity rules, and search-space sizing.
 GramFitter fits every n-subset of a panel in both forms into its `table`:
 it gathers their normal matrices from one Gram matrix of [panel; 1; y]
 (Furnival & Wilson, *Regressions by Leaps and Bounds*, 1974) and factors
-them by a Cholesky, in equal chunks of at most CHUNK_SUBSETS subsets. The
+them by a Cholesky, in chunks of at most CHUNK_SUBSETS subsets. The
 kernel holds each entry of the bordered matrix as one float64 vector over a
 chunk's subsets and works entry by entry with in-place ufuncs, so its
 temporaries are chunk-length vectors, or stacks of one per member or per
@@ -39,11 +39,12 @@ to selection. `fit_assessed` reads a row's candidates from its shape code.
 
 Refits: a run keeps one fitter, and `GramFitter.refit` writes the slots
 survival replaced into its panel and refits only the rows ``touched`` by
-one of them, in place; construction is the refit of every slot. The Gram
-matrix is recomputed over the whole panel at its fixed shape, where BLAS
-gives two unchanged rows the same bits, and on the finite values a fitter
-accepts the kernel works per subset, so the table equals a fresh fitter's
-bit for bit. `assess` reads the table alone and scores every valid row.
+one of them, chunk by chunk into the table's columns; construction is the
+refit of every slot. The Gram matrix is recomputed over the whole panel at
+its fixed shape, where BLAS gives two unchanged rows the same bits, and on
+the finite values a fitter accepts the kernel works per subset, so the
+table equals a fresh fitter's bit for bit. `assess` reads the table alone
+and scores every valid row.
 """
 
 from __future__ import annotations
@@ -77,8 +78,9 @@ PIVOT_TOL = 1e-10
 # the most subsets factored per kernel pass; a vector of as many float64 is
 # 16 KiB, far below glibc's 128 KiB mmap threshold. A pass costs a fixed
 # 0.1 ms or so, and every sweep-n3 refit after the first (784 to 2,036
-# touched rows) runs in one. A cap of 4,096, which takes the first 4,060-row
-# sweep in one pass too, was no faster there (6 benchmark pairs)
+# touched rows) runs in one; the first, 4,060 rows, runs as 2,048 + 2,012.
+# A cap of 4,096, which takes it in one pass, was no faster (6 benchmark
+# pairs)
 CHUNK_SUBSETS = 2048
 # a valid model has at most m - SIGNIFICANCE_OFFSET coefficients
 SIGNIFICANCE_OFFSET = 6
@@ -186,19 +188,11 @@ def ols_fit(
 @lru_cache(maxsize=8)
 def _all_subsets(p: int, n: int) -> np.ndarray:
     """Every n-subset of range(p) in lexicographic order, one per row, as a
-    read-only array."""
-    index = np.array(list(combinations(range(p), n)), dtype=np.intp)
+    read-only array stored column-major, so its transpose holds each member
+    position's column contiguously, as the kernel reads it."""
+    index = np.array(list(combinations(range(p), n)), dtype=np.intp, order="F")
     index.setflags(write=False)
     return index
-
-
-@lru_cache(maxsize=8)
-def _subset_columns(p: int, n: int) -> np.ndarray:
-    """`_all_subsets(p, n)` transposed: one row per member position, one
-    column per subset, as a contiguous read-only array."""
-    columns = np.ascontiguousarray(_all_subsets(p, n).T)
-    columns.setflags(write=False)
-    return columns
 
 
 @lru_cache(maxsize=8)
@@ -259,19 +253,13 @@ class GramFitter:
         self.touched = np.zeros(len(self.subsets), dtype=bool)
         self.touched[_slot_rows(p, n)[slots]] = True
         rows = np.flatnonzero(self.touched)
-        table = np.empty((2, 2 * n + 4, rows.size))
-        singular = np.zeros((2, rows.size), dtype=bool)
-        # the fewest chunks of at most CHUNK_SUBSETS rows, of equal size
-        chunks = max(1, -(-rows.size // CHUNK_SUBSETS))
-        size = max(1, -(-rows.size // chunks))
-        for start in range(0, rows.size, size):
-            chunk = slice(start, start + size)
-            self._fit_chunk(_subset_columns(p, n).take(rows[chunk], axis=1),
-                            table[:, :, chunk], singular[:, chunk])
-        # one scatter into a (cells, subsets) view of the table
-        cells = table.shape[0] * table.shape[1]
-        self.table.reshape(cells, -1)[:, rows] = table.reshape(cells, -1)
-        self.singular[:, rows] = singular
+        for start in range(0, rows.size, CHUNK_SUBSETS):
+            chunk = rows[start:start + CHUNK_SUBSETS]
+            out = np.empty((2, 2 * n + 4, chunk.size))
+            singular = np.empty((2, chunk.size), dtype=bool)
+            self._fit_chunk(self.subsets.T.take(chunk, axis=1), out, singular)
+            self.table[:, :, chunk] = out
+            self.singular[:, chunk] = singular
 
     def form(self, with_intercept: bool):
         """(coefficients, t_stats, r2, se_s) of one form, one row per

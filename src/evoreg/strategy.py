@@ -29,8 +29,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-METHODS = ("proportional", "deterministic", "tournament")
-
 
 @dataclass(frozen=True)
 class StrategySpec:
@@ -170,6 +168,7 @@ def extract_tournament(
 _EXTRACTORS = {"proportional": extract_proportional,
                "deterministic": extract_deterministic,
                "tournament": extract_tournament}
+METHODS = tuple(_EXTRACTORS)
 
 
 def extract(

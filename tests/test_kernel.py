@@ -590,14 +590,20 @@ def test_per_subset_pass_runs_only_when_instrumented(planted_world,
         assert all(type(code) is int for code in got_codes)
 
 
-def test_subset_columns_transpose_the_subsets():
-    """`_subset_columns` holds `_all_subsets` with one row per member
-    position, contiguous and read-only, one cached array per (p, n)."""
+def test_all_subsets_are_stored_by_member_column():
+    """`_all_subsets(p, n)` lists every n-subset in lexicographic order, one
+    per row, read-only and stored column-major, so its transpose is the
+    C-contiguous array of member columns the kernel reads; one cached array
+    per (p, n)."""
     for p, n in ((5, 1), (8, 3), (30, 3)):
-        columns = regress._subset_columns(p, n)
-        assert np.array_equal(columns, regress._all_subsets(p, n).T)
-        assert columns.flags.c_contiguous and not columns.flags.writeable
-        assert regress._subset_columns(p, n) is columns
+        subsets = regress._all_subsets(p, n)
+        members = list(combinations(range(p), n))
+        assert subsets.tolist() == [list(c) for c in members]
+        assert subsets.flags.f_contiguous and not subsets.flags.writeable
+        columns = subsets.T
+        assert columns.flags.c_contiguous
+        assert columns.tolist() == [list(c) for c in zip(*members)]
+        assert regress._all_subsets(p, n) is subsets
 
 
 def test_slot_rows_list_each_slots_subsets():
@@ -635,7 +641,7 @@ def test_touched_equals_the_member_column_loop(p, n, changes, seed):
     new[changed] += 1.0
     fitter = GramFitter(panel, y, n)
     assert fitter.touched.all()
-    columns = regress._subset_columns(p, n)
+    columns = regress._all_subsets(p, n).T
     want = changed[columns[0]]
     for column in columns[1:]:
         want = want | changed[column]
