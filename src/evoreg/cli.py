@@ -222,20 +222,13 @@ def load_evolution_config(path, seed: int) -> engine.EvolutionConfig:
 
 def _synthetic_provider(spec: SyntheticSpec, topology: GeneticTopology,
                         ds: dsc.Dataset) -> dsc.SyntheticProvider:
-    planted = {}
-    if spec.planted_count > 0:
-        keys = dsc.pick_planted_genotypes(
-            topology, spec.planted_count, spec.planted_seed
-        )
-        signal = dsc.PlantedSignal(
-            slope=spec.planted_slope,
-            intercept=spec.planted_intercept,
-            noise_sd=spec.planted_noise,
-        )
-        planted = {key: signal for key in keys}
-    return dsc.SyntheticProvider(
-        topology, ds, spec.seed, spec.low, spec.high, planted
-    )
+    signal = dsc.PlantedSignal(slope=spec.planted_slope,
+                               intercept=spec.planted_intercept,
+                               noise_sd=spec.planted_noise)
+    keys = dsc.pick_planted_genotypes(topology, spec.planted_count,
+                                      spec.planted_seed)
+    return dsc.SyntheticProvider(topology, ds, spec.seed, spec.low, spec.high,
+                                 dict.fromkeys(keys, signal))
 
 
 def _load_run(path):

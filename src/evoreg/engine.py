@@ -321,7 +321,7 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
                           cfg.objective.values)
     # one call per subset, only where an instrument has replaced the name:
     # the benchmark's tracer counts subsets and candidates by these calls.
-    # ROADMAP item 1 step 3 deletes the pass once it reads counters instead
+    # ROADMAP item 1 step 1 deletes the pass together with the tracer
     if fit_assessed is not regress.fit_assessed:
         deque(map(fit_assessed, sweep.shapes.tolist()), maxlen=0)
     values = sweep.values
@@ -331,9 +331,8 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
             if values.size else None)
     best_value = float(values[best]) if best is not None else float("nan")
     # per slot, over the rows that hold it; a row can hold two candidates
-    slot_rows = regress._slot_rows(p, cfg.n)
     row_counts = np.bincount(sweep.rows, minlength=len(fitter.subsets))
-    participations = row_counts[slot_rows].sum(axis=1)
+    participations = row_counts[fitter.slot_rows].sum(axis=1)
     best_members = (fitter.subsets[sweep.rows[best]].tolist()
                     if best is not None else [])
     best_keys = tuple(keys[i] for i in best_members)
@@ -349,7 +348,7 @@ def run_generation(state: EvolutionState) -> GenerationRecord:
     # selection scores and parent extraction
     sel_fs, parent_idx = _draw(
         cfg.selection, state.sel_norm,
-        selection_scores(fitter.subsets, slot_rows, participations,
+        selection_scores(fitter.subsets, fitter.slot_rows, participations,
                          sweep.rows, values, cfg.selection_aggregate,
                          direction),
         selection_direction(cfg.selection_aggregate, cfg.objective),

@@ -39,12 +39,12 @@ to selection. `fit_assessed` reads a row's candidates from its shape code.
 
 Refits: a run keeps one fitter, and `GramFitter.refit` writes the slots
 survival replaced into its panel and refits only the rows ``touched`` by
-one of them, chunk by chunk into the table's columns; construction is the
-refit of every slot. The Gram matrix is recomputed over the whole panel at
-its fixed shape, where BLAS gives two unchanged rows the same bits, and on
-the finite values a fitter accepts the kernel works per subset, so the
-table equals a fresh fitter's bit for bit. `assess` reads the table alone
-and scores every valid row.
+one of them, chunk by chunk through buffers it keeps into the table's
+columns; construction is the refit of every slot. The Gram matrix is
+recomputed over the whole panel at its fixed shape, where BLAS gives two
+unchanged rows the same bits, and on the finite values a fitter accepts
+the kernel works per subset, so the table equals a fresh fitter's bit for
+bit. `assess` reads the table alone and scores every valid row.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ class GramFitter:
     The no-intercept form's intercept coefficient and t (``table[0, 0]``
     and ``table[0, n + 1]``) are +0.0, and `form` does not read them. Fits
     flagged in ``singular`` are undefined. ``df`` holds each form's
-    residual degrees of freedom.
+    residual degrees of freedom, and ``slot_rows`` each slot's rows.
     """
 
     def __init__(self, panel, y: np.ndarray, n: int, s: float = 2.0):
@@ -235,9 +235,15 @@ class GramFitter:
         self.panel, self.y = self._z[:p], self._z[p + 1]
         if not np.isfinite(self.y).all():
             raise ValueError("panel and response values must be finite")
-        self.subsets = _all_subsets(p, n)
+        self.subsets, self.slot_rows = _all_subsets(p, n), _slot_rows(p, n)
         self.table = np.empty((2, 2 * n + 4, len(self.subsets)))
         self.singular = np.empty((2, len(self.subsets)), dtype=bool)
+        # the kernel's output for a chunk of up to w rows, kept so that no
+        # refit allocates it; a chunk fills its leading entries as contiguous
+        # arrays (strided views of w columns were 3% slower on sweep-n3)
+        w = min(len(self.subsets), CHUNK_SUBSETS)
+        self._out = np.empty(2 * (2 * n + 4) * w)
+        self._out_singular = np.empty(2 * w, dtype=bool)
         self.refit(np.arange(p), panel)
 
     def refit(self, slots, values) -> None:
@@ -249,14 +255,14 @@ class GramFitter:
             raise ValueError("panel and response values must be finite")
         self.panel[slots] = values
         self.gram = self._z @ self._z.T
-        p, n = self.panel.shape[0], self.n
         self.touched = np.zeros(len(self.subsets), dtype=bool)
-        self.touched[_slot_rows(p, n)[slots]] = True
-        rows = np.flatnonzero(self.touched)
-        for start in range(0, rows.size, CHUNK_SUBSETS):
-            chunk = rows[start:start + CHUNK_SUBSETS]
-            out = np.empty((2, 2 * n + 4, chunk.size))
-            singular = np.empty((2, chunk.size), dtype=bool)
+        self.touched[self.slot_rows[slots]] = True
+        rows, w = np.flatnonzero(self.touched), self._out_singular.size // 2
+        for start in range(0, rows.size, w):
+            chunk = rows[start:start + w]
+            c = chunk.size
+            out = self._out[:2 * (2 * self.n + 4) * c].reshape(2, -1, c)
+            singular = self._out_singular[:2 * c].reshape(2, c)
             self._fit_chunk(self.subsets.T.take(chunk, axis=1), out, singular)
             self.table[:, :, chunk] = out
             self.singular[:, chunk] = singular

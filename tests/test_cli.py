@@ -758,6 +758,27 @@ def test_synthetic_defaults_come_from_the_spec(tmp_path, monkeypatch, capsys):
     assert specs == [SyntheticSpec()]
 
 
+def test_planted_keys_without_planted_genotypes_change_nothing(tmp_path,
+                                                               capsys):
+    """At planted_count = 0 the planted slope, intercept and noise are
+    checked and plant nothing: the run's log and summary are byte-identical
+    to those of the same manifest without the keys."""
+    manifest = write_world(tmp_path, gens=4, planted=0)
+    text = manifest.read_text()
+    head = (text[: text.index("[synthetic]")]
+            + "[synthetic]\nseed = 5\nplanted_count = 0\n")
+    outputs = []
+    for keys in ("", "planted_slope = -2.5\nplanted_intercept = 7\n"
+                     "planted_noise = 0.75\n"):
+        manifest.write_text(head + keys)
+        assert main(["validate", "--manifest", str(manifest)]) == 0
+        assert main(["run", "--manifest", str(manifest)]) == 0
+        outputs.append([(tmp_path / "out" / name).read_bytes()
+                        for name in ("run_log.tsv", "summary.json")])
+    assert outputs[0] == outputs[1]
+    assert load_manifest(manifest).synthetic.planted_slope == -2.5
+
+
 def test_synthetic_values_must_be_finite(tmp_path, capsys):
     """A non-finite planted value or interval bound, a negative
     planted_noise or planted_count, or low >= high is a ConfigError naming

@@ -609,7 +609,8 @@ def test_all_subsets_are_stored_by_member_column():
 def test_slot_rows_list_each_slots_subsets():
     """Row g of `_slot_rows(p, n)` lists, ascending, the rows of
     `_all_subsets(p, n)` that hold g, as the membership scan finds them:
-    read-only, one cached array per (p, n)."""
+    read-only, one cached array per (p, n), which a fitter of p slots and
+    subset size n keeps as its ``slot_rows``."""
     for p in range(1, 13):
         for n in range(1, p + 1):
             subsets = regress._all_subsets(p, n).tolist()
@@ -620,6 +621,9 @@ def test_slot_rows_list_each_slots_subsets():
                 for g in range(p)]
             assert not index.flags.writeable
             assert regress._slot_rows(p, n) is index
+    _, panel, y = _carry_panel()
+    for n in (1, 2, 3):
+        assert GramFitter(panel, y, n).slot_rows is regress._slot_rows(8, n)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -833,13 +837,18 @@ def test_carried_rows_are_those_without_a_changed_slot(n, s, monkeypatch):
     any alpha, mode and objective, whatever the fitter assessed before. An
     empty list refits nothing and leaves the table's bits as they were. A
     value turned NaN is rejected before anything is written, by a refit or
-    a fresh fitter."""
+    a fresh fitter. At the default chunk size and at 7, every kernel call of
+    a fitter, from its first fit on, writes contiguous views of the same two
+    buffers the fitter owns, one column per subset of the chunk."""
     rng, panel, y = _carry_panel()
-    refitted = []
+    refitted, written = [], []
     fit_chunk = GramFitter._fit_chunk
 
     def spy(self, cols, out, singular):
         refitted.append(cols.copy())
+        assert out.shape[2] == singular.shape[1] == cols.shape[1]
+        assert out.flags.c_contiguous and singular.flags.c_contiguous
+        written.append((self, out.base, singular.base))
         fit_chunk(self, cols, out, singular)
 
     def refit(fitter, new, slots):
@@ -856,28 +865,39 @@ def test_carried_rows_are_those_without_a_changed_slot(n, s, monkeypatch):
     monkeypatch.setattr(GramFitter, "_fit_chunk", spy)
     assessments = [(0.05, True, R2.values), (0.1, False, R2.values),
                    (0.05, False, ObjectiveSpec("mt", 2.0).values)]
-    fitter = GramFitter(panel, y, n, s=s)
-    fitter.assess(*assessments[0])
-    new = panel.copy()
-    new[5] = rng.normal(size=30) + 2.0  # new values
-    new[2, 7] = -0.0
-    refit(fitter, new, [1, 2, 5])       # slot 1 given its own values
-    assert_equals_fresh(fitter, *assessments)
-    table, singular = fitter.table.copy(), fitter.singular.copy()
-    refit(fitter, new, [])
-    assert fitter.table.tobytes() == table.tobytes()
-    assert fitter.singular.tobytes() == singular.tobytes()
-    assert_equals_fresh(fitter, *assessments)
+    for chunk in (regress.CHUNK_SUBSETS, 7):
+        monkeypatch.setattr(regress, "CHUNK_SUBSETS", chunk)
+        written.clear()
+        fitter = GramFitter(panel, y, n, s=s)
+        buffers = fitter._out, fitter._out_singular
+        w = min(math.comb(8, n), chunk)
+        assert [b.size for b in buffers] == [2 * (2 * n + 4) * w, 2 * w]
+        fitter.assess(*assessments[0])
+        new = panel.copy()
+        new[5] = rng.normal(size=30) + 2.0  # new values
+        new[2, 7] = -0.0
+        refit(fitter, new, [1, 2, 5])       # slot 1 given its own values
+        assert_equals_fresh(fitter, *assessments)
+        table, singular = fitter.table.copy(), fitter.singular.copy()
+        refit(fitter, new, [])
+        assert fitter.table.tobytes() == table.tobytes()
+        assert fitter.singular.tobytes() == singular.tobytes()
+        assert_equals_fresh(fitter, *assessments)
 
-    bad = new.copy()
-    bad[6, 3] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        fitter.refit([4, 6], bad[[4, 6]])
-    assert fitter.panel.tobytes() == new.tobytes()
-    assert fitter.table.tobytes() == table.tobytes()
-    assert fitter.singular.tobytes() == singular.tobytes()
-    with pytest.raises(ValueError, match="finite"):
-        GramFitter(bad, y, n, s=s)
+        bad = new.copy()
+        bad[6, 3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            fitter.refit([4, 6], bad[[4, 6]])
+        assert fitter.panel.tobytes() == new.tobytes()
+        assert fitter.table.tobytes() == table.tobytes()
+        assert fitter.singular.tobytes() == singular.tobytes()
+        with pytest.raises(ValueError, match="finite"):
+            GramFitter(bad, y, n, s=s)
+        assert fitter._out is buffers[0]
+        assert fitter._out_singular is buffers[1]
+        assert all(call[1] is call[0]._out and call[2] is call[0]._out_singular
+                   for call in written)
+        assert sum(call[0] is fitter for call in written) > 1
 
 
 def test_candidates_are_carried_only_under_the_same_assess_arguments():
@@ -995,30 +1015,50 @@ def test_refits_equal_a_fresh_fitter(n, s, steps, seed):
 def test_a_run_keeps_one_fitter_alive(planted_world, monkeypatch):
     """A run builds one fitter, at its first sweep, through engine.GramFitter,
     and refits it in place: every later generation keeps the same fitter
-    and the same table, singular mask and panel arrays."""
+    and the same table, singular mask, panel, slot index and kernel buffers,
+    and at the default chunk size and at 7 every kernel call, from the
+    first fit on, writes views of the fitter's two buffers."""
     topo, ds, provider = planted_world
     cfg = planted_config(seed=3, p=12, n=2, max_generations=12)
-    rng = random.Random(cfg.seed)
-    state = EvolutionState(cfg, provider, ds, rng,
-                           init_sample(cfg, topo, provider, ds, rng))
-    built = []
+    built, written = [], []
 
     def tracked(*args, **kwargs):
         built.append(GramFitter(*args, **kwargs))
         return built[-1]
 
+    fit_chunk = GramFitter._fit_chunk
+
+    def spy(self, cols, out, singular):
+        written.append((self, out.base, singular.base))
+        fit_chunk(self, cols, out, singular)
+
     monkeypatch.setattr(engine, "GramFitter", tracked)
-    assert state.fitter is None
-    run_generation(state)
-    fitter = state.fitter
-    arrays = [fitter.table, fitter.singular, fitter.panel]
-    for _ in range(cfg.max_generations - 1):
+    monkeypatch.setattr(GramFitter, "_fit_chunk", spy)
+    for chunk in (regress.CHUNK_SUBSETS, 7):
+        monkeypatch.setattr(regress, "CHUNK_SUBSETS", chunk)
+        built.clear()
+        written.clear()
+        rng = random.Random(cfg.seed)
+        state = EvolutionState(cfg, provider, ds, rng,
+                               init_sample(cfg, topo, provider, ds, rng))
+        assert state.fitter is None
         run_generation(state)
-        assert state.fitter is fitter
-        assert all(a is b for a, b in zip(
-            [fitter.table, fitter.singular, fitter.panel], arrays))
-    assert not fitter.touched.all()
-    assert built == [fitter]
+        fitter = state.fitter
+
+        def arrays():
+            return [fitter.table, fitter.singular, fitter.panel,
+                    fitter.slot_rows, fitter._out, fitter._out_singular]
+
+        first = arrays()
+        for _ in range(cfg.max_generations - 1):
+            run_generation(state)
+            assert state.fitter is fitter
+            assert all(a is b for a, b in zip(arrays(), first))
+        assert not fitter.touched.all()
+        assert built == [fitter]
+        assert len(written) >= cfg.max_generations
+        assert all(call[0] is fitter and call[1] is first[4]
+                   and call[2] is first[5] for call in written)
 
 
 # --- memory ------------------------------------------------------------------
