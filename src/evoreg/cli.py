@@ -413,15 +413,7 @@ _spread = _bounded(float, lambda x: 0.0 < x < math.inf,
                    "be positive and finite")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="evoreg",
-        description="Evolutionary search for best-subset linear regressions "
-        "over descriptor families",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("space-size", help="size of the n-subset search space")
+def _space_size_arguments(p) -> None:
     space = p.add_mutually_exclusive_group(required=True)
     space.add_argument("--N", type=_positive, help="number of genotypes")
     space.add_argument("--topology", help="topology file to take N from")
@@ -434,11 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true", help="emit CSV")
     p.set_defaults(func=_cmd_space_size)
 
-    p = sub.add_parser("run", help="one evolution run from a manifest")
+
+def _run_arguments(p) -> None:
     p.add_argument("--manifest", required=True)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("grid", help="3x3 selection/survival strategy grid")
+
+def _grid_arguments(p) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--runs-per-cell", type=_positive, default=46)
     p.add_argument("--threshold", type=_positive, default=23,
@@ -446,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_alpha, default=0.05)
     p.set_defaults(func=_cmd_grid)
 
-    p = sub.add_parser("stats", help="statistical utilities")
+
+def _stats_arguments(p) -> None:
     stats_sub = p.add_subparsers(dest="stats_command", required=True)
     p2 = stats_sub.add_parser("chi2", help="chi-square homogeneity of a "
                               "labeled contingency CSV")
@@ -454,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--alpha", type=_alpha, default=0.05)
     p2.set_defaults(func=_cmd_stats_chi2)
 
-    p = sub.add_parser("gen-data", help="generate synthetic activity and "
-                       "descriptor files")
+
+def _gen_data_arguments(p) -> None:
     p.add_argument("--molecules", type=_molecules, default=206)
     p.add_argument("--mean", type=float, default=6.4806)
     p.add_argument("--sd", type=_spread, default=0.83076)
@@ -469,17 +464,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rows", type=_positive, default=100000)
     p.set_defaults(func=_cmd_gen_data)
 
-    p = sub.add_parser("validate", help="parse all configs and data files "
-                       "(every table cell) and print the normalized forms")
+
+def _validate_arguments(p) -> None:
     p.add_argument("--manifest", required=True)
     p.set_defaults(func=_cmd_validate)
 
+
+# subcommand -> (its line in the top-level help, what adds its arguments)
+_COMMANDS = {
+    "space-size": ("size of the n-subset search space", _space_size_arguments),
+    "run": ("one evolution run from a manifest", _run_arguments),
+    "grid": ("3x3 selection/survival strategy grid", _grid_arguments),
+    "stats": ("statistical utilities", _stats_arguments),
+    "gen-data": ("generate synthetic activity and descriptor files",
+                 _gen_data_arguments),
+    "validate": ("parse all configs and data files (every table cell) and "
+                 "print the normalized forms", _validate_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser. Given the name of a subcommand, it holds that one
+    alone, which parses its command line as the full parser does; given
+    anything else, it holds all of them."""
+    parser = _Parser(
+        prog="evoreg",
+        description="Evolutionary search for best-subset linear regressions "
+        "over descriptor families",
+    )
+    one = command in _COMMANDS
+    # a usage error after the subcommand prints the top-level usage, which
+    # lists every subcommand however many are registered; only the full
+    # parser reports an unknown or missing one, naming the metavar if set
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
+    for name in [command] if one else _COMMANDS:
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # a command builds only its own parser: all six cost about 1 ms
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, dsc.DescriptorDataError, TopologyError,

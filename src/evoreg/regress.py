@@ -382,8 +382,9 @@ class GramFitter:
             np.add(var, w[n][l] * w[n][l], out=out[1, n1 + l + 1])
         np.multiply(w[n][n], z[n], out=out[1, 0])
         np.multiply(w[n][n], w[n][n], out=out[1, n1])
-        # the no-intercept form has no intercept
-        out[0, 0] = out[0, n1] = 0.0
+        # the no-intercept form has no intercept; its t slot holds 1.0 until
+        # the t pass below, so that it keeps the form's se positive
+        out[0, 0], out[0, n1] = 0.0, 1.0
         yy, sy = gram[p + 1, p + 1], gram[p, p + 1]
         # ssr = y_hat . y_hat; the sum of y_hat, without the intercept from
         # the column sums X'1
@@ -399,13 +400,15 @@ class GramFitter:
         sse = np.subtract(yy, ssr, out=out[:, 2 * n1 + 1])
         exact = sse <= PIVOT_TOL * yy
         np.copyto(sse, 0.0, where=exact)
-        for f, lo in ((0, 1), (1, 0)):
-            coef, se = out[f, lo:n1], out[f, n1 + lo : 2 * n1]
-            np.sqrt(np.multiply(se, sse[f] / self.df[f], out=se), out=se)
-            if se.min() > 0.0:
-                np.divide(coef, se, out=se)
-            else:   # _t_stats' rule where se is 0 or NaN
-                se[...] = _t_stats(coef, se)
+        # both forms' t in one pass over their t rows
+        coef, se = out[:, :n1], out[:, n1:2 * n1]
+        scale = sse / np.array(self.df, dtype=float)[:, None]
+        np.sqrt(np.multiply(se, scale[:, None], out=se), out=se)
+        if se.min() > 0.0:
+            np.divide(coef, se, out=se)
+        else:   # _t_stats' rule where se is 0 or NaN
+            se[...] = _t_stats(coef, se)
+        out[0, n1] = 0.0
         out[:, 2 * n1] = _r2(ssr, yhat_sum, sy, yy - sy * sy / m, m)
         for form in (0, 1) if self.s != 2.0 else ():
             # sum |y - y_hat|^s from the residual rows; slot 0 the intercept

@@ -143,6 +143,50 @@ def test_usage_error_exit_code():
     assert err.value.code == 1
 
 
+# per subcommand, a command line that parses, with options of each kind
+PARSED = [
+    ["space-size", "--N", "5", "--n-max", "3", "--both-forms", "--csv"],
+    ["run", "--manifest", "m.cfg"],
+    ["grid", "--manifest", "m.cfg", "--runs-per-cell", "2", "--threshold",
+     "4", "--alpha", "0.1"],
+    ["stats", "chi2", "--table", "t.csv", "--alpha", "0.01"],
+    ["gen-data", "--activity-out", "a.csv", "--molecules", "9", "--sd",
+     "0.5", "--table-seed", "3", "--planted-count", "2", "--max-rows", "10"],
+    ["validate", "--manifest", "m.cfg"],
+]
+
+
+def test_a_command_parser_parses_as_the_full_one():
+    """`build_parser(cmd)` holds subcommand `cmd` alone and gives its
+    command lines the namespace the full parser gives them."""
+    assert [argv[0] for argv in PARSED] == list(cli._COMMANDS)
+    for argv in PARSED:
+        assert (vars(cli.build_parser(argv[0]).parse_args(argv))
+                == vars(cli.build_parser().parse_args(argv)))
+    with pytest.raises(SystemExit):
+        cli.build_parser("run").parse_args(PARSED[2])
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["no-such-command"], ["--manifest", "m.cfg"],
+    *([name, "--help"] for name in cli._COMMANDS), ["stats", "chi2", "-h"],
+    *([name] for name in cli._COMMANDS), ["stats", "chi3"],
+    ["run", "--manifest", "m.cfg", "--extra"], ["grid", "--manifest", "m.cfg",
+                                                "--alpha", "1"],
+    ["stats", "chi2", "--table", "t.csv", "extra"],
+])
+def test_main_prints_what_the_full_parser_prints(argv, capsys):
+    """Help, usage errors and their exit codes are the full parser's, with
+    no arguments, an unknown command and a usage error that the top-level
+    parser reports after a command's own arguments."""
+    with pytest.raises(SystemExit) as err:
+        cli.build_parser().parse_args(argv)
+    expected = err.value.code, capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert (err.value.code, capsys.readouterr()) == expected
+
+
 def test_gen_data_defaults_recover_distribution(tmp_path, capsys):
     out = tmp_path / "activity.csv"
     assert main(["gen-data", "--seed", "1", "--activity-out", str(out)]) == 0
