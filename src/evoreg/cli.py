@@ -18,7 +18,7 @@ import numpy as np
 
 from . import descriptors as dsc
 from . import engine, experiment, stats
-from .genome import GeneticTopology, TopologyError, genome_size, load_topology
+from .genome import GeneticTopology, genome_size, load_topology
 from .regress import search_space_size
 from .scores import ObjectiveSpec
 from .strategy import StrategySpec
@@ -82,8 +82,9 @@ def _read_ini(path: Path, sections: tuple) -> configparser.ConfigParser:
     value is read as written: `%` is a plain character (no interpolation)."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                    interpolation=None)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"not a file: {path}" if path.exists()
+                          else f"config file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh)
@@ -106,8 +107,9 @@ def load_manifest(path) -> RunManifest:
 
     def existing(text: str) -> Path:
         found = located(text)
-        if not found.exists():
-            raise ValueError(f"file not found: {found}")
+        if not found.is_file():
+            raise ValueError(f"not a file: {found}" if found.exists()
+                             else f"file not found: {found}")
         return found
 
     def directory(text: str) -> Path:
@@ -511,8 +513,7 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, dsc.DescriptorDataError, TopologyError,
-            FileNotFoundError, ValueError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # engine and other runtime failures

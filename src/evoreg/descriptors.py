@@ -365,12 +365,13 @@ def pick_planted_genotypes(
 def load_activity(path) -> Dataset:
     ids, cells = [], []
     with open(path, "rb") as fh:
-        rows = stats.read_labelled_rows(fh, "molecule", DescriptorDataError)
+        rows = stats.read_labelled_rows(fh, "molecule", DescriptorDataError,
+                                        lines=True)
         if next(rows) != ["activity"]:
             raise DescriptorDataError(
                 f"{path}: expected header 'molecule,activity'")
         try:
-            for mol, line, _ in rows:
+            for mol, line in (row for block in rows for row in block):
                 cells += stats.row_cells(path, mol, line, 1, DescriptorDataError)
                 ids.append(mol)
         except DescriptorDataError:
@@ -415,11 +416,11 @@ class _TableRows(Mapping):
             raise DescriptorDataError(
                 f"{path}: molecule columns do not match the activity file")
         self._columns = len(columns)
-        for key, _, offset in rows:
-            if key in self._offsets:
-                raise DescriptorDataError(
-                    f"{path}: duplicate genotype {key!r}")
-            self._offsets[key] = offset
+        for block in rows:
+            for key, offset in block:
+                if self._offsets.setdefault(key, offset) != offset:
+                    raise DescriptorDataError(
+                        f"{path}: duplicate genotype {key!r}")
 
     def __getitem__(self, key: str) -> np.ndarray:
         self._fh.seek(self._offsets[key])

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import codecs
 import csv
-import io
 import math
 import sys
 from dataclasses import dataclass
@@ -278,78 +277,77 @@ def split_line(line: bytes) -> list[str]:
     return cells
 
 
-# Bytes per read. glibc gives freed buffers of 128 KiB and more back to the
-# kernel by default, so a larger block is faulted in anew on every read:
-# 1 MiB blocks index a 16 MB table about a third slower than these.
+# Bytes per read. glibc gives freed buffers of 128 KiB and up back to the
+# kernel, so 1 MiB blocks, faulted in anew on each read, are a third slower.
 _BLOCK = 1 << 16
 
 
-def _line_blocks(fh):
-    """`fh`'s bytes in blocks, each with the list of its whole lines. A
-    read of `_BLOCK` bytes keeps the lines it ends and steps the file back
-    over the rest, so the next read starts with the line it cut; a read
-    inside one line (a long one, or the last) reads on to the line's end.
-    The last line may end without a line end."""
-    while block := fh.read(_BLOCK):
-        stop = block.rfind(b"\n") + 1
-        if not stop:
-            block += fh.readline()
-            stop = len(block)
-        elif stop < len(block):
-            fh.seek(stop - len(block), 1)
-        yield block, io.BytesIO(block).readlines(stop)
-
-
-def read_labelled_rows(fh, corner: str, error=ValueError):
+def read_labelled_rows(fh, corner: str, error=ValueError, lines=False):
     """Stream a labelled-row CSV from `fh`, a file opened in binary mode: a
     header `<corner>,<column labels>`, then one labelled row per line.
-    Yields the column labels, then each row's label, its line (split it
-    with `row_cells`) and the byte offset the line starts at.
+    Yields the column labels, then a list per block of the file of each
+    row's label and its line's byte offset, or with `lines` its line.
 
-    A UTF-8 byte-order mark that starts the file is not part of its first
-    cell (offsets still count it). Lines end in LF or CRLF: any other
-    carriage return fails the load. Then, in order: a row of blank cells is
-    skipped, the first other row is the header, and a later row fails if
-    it has no label. A fault raises `error` naming the file and any line,
-    the first fault in the file; `row_cells` and `numbers` raise the same
+    A UTF-8 byte-order mark that starts the file is not part of its first cell
+    (offsets still count it). Lines end in LF or CRLF: any other carriage
+    return fails the load. Then, in order: a row of blank cells is skipped, the
+    first other row is the header, and a later row fails if it has no label. A
+    fault raises `error` naming the file and any line, the first fault in the
+    file, after the rows before it; `row_cells` and `numbers` raise the same
     for a row of the wrong width and a cell that is not a number.
 
-    The file is read in blocks (`_line_blocks`). A line's label is the
-    text before its first comma if its block is all ASCII with no quote
-    and that text is not blank; otherwise the line is split."""
+    Each block (`_BLOCK` bytes cut after a line end) is scanned in place.
+    A line's label is the text before its first comma if its block is all
+    ASCII with no quote and that text is not blank; else the line is split."""
     no_header = f"{fh.name}: first header column must be {corner!r}"
     offset = fh.tell()
     if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
         fh.seek(offset)
     header, offset, lineno = None, fh.tell(), 0
-    for block, lines in _line_blocks(fh):
-        plain = block.isascii() and b'"' not in block
-        for lineno, line in enumerate(lines, lineno + 1):
-            start, offset = offset, offset + len(line)
-            cr = line.find(b"\r")
-            if cr >= 0 and line[cr + 1:cr + 2] != b"\n":
-                raise error(f"{fh.name}: line {lineno}: "
-                            "carriage return without a line feed")
-            label = ""
-            if header is not None and plain:
-                label = line.partition(b",")[0].decode().strip()
+    while block := fh.read(_BLOCK):
+        stop = block.rfind(b"\n") + 1
+        if not stop:  # inside one line: read on to its end
+            block += fh.readline()
+            stop = len(block)
+        elif stop < len(block):  # the next read starts with the cut line
+            fh.seek(stop - len(block), 1)
+        scan = block.isascii() and b'"' not in block
+        find, plain = block.find, scan and header is not None
+        rows, fault, end = [], None, 0
+        while end < stop:
+            start, lineno = end, lineno + 1
+            eol = find(b"\n", start)  # none follows `stop`
+            end = eol + 1 or stop
+            cr = find(b"\r", start, end)
+            if cr >= 0 and cr + 1 != eol:
+                fault = "carriage return without a line feed"
+                break
+            comma = find(b",", start, end) if plain else -1
+            label = comma > start and block[start:comma].decode().strip()
             if not label:  # the header, a line to split, or a blank label
                 try:
-                    cells = split_line(line)
+                    cells = split_line(block[start:end])
                 except (csv.Error, UnicodeDecodeError) as exc:
-                    raise error(f"{fh.name}: line {lineno}: {exc}") from None
+                    fault = exc
+                    break
                 label = cells[0].strip()
                 if not label and not any(map(str.strip, cells)):
                     continue
-            if header is None:
-                header = [c.strip() for c in cells]
-                if label != corner:
-                    raise error(no_header)
-                yield header[1:]
-            elif not label:
-                raise error(f"{fh.name}: line {lineno}: row has no label")
-            else:
-                yield label, line, start
+                if header is None:
+                    header, plain = [c.strip() for c in cells], scan
+                    if label != corner:
+                        raise error(no_header)
+                    yield header[1:]
+                    continue
+                if not label:
+                    fault = "row has no label"
+                    break
+            rows.append((label, block[start:end] if lines else offset + start))
+        if rows:  # none before the header
+            yield rows
+        if fault is not None:
+            raise error(f"{fh.name}: line {lineno}: {fault}")
+        offset += stop
     if header is None:
         raise error(no_header)
 
@@ -392,11 +390,11 @@ def load_contingency_csv(path) -> ContingencyTable:
     """Read a labelled contingency table: header ',C1,C2,...', then at
     least two labelled rows of counts."""
     with open(path, "rb") as fh:
-        rows = read_labelled_rows(fh, "")
+        rows = read_labelled_rows(fh, "", lines=True)
         col_labels = next(rows)
         labelled = [(label, numbers(path, label, row_cells(
                         path, label, line, len(col_labels))))
-                    for label, line, _ in rows]
+                    for block in rows for label, line in block]
     if len(labelled) < 2:
         raise ValueError(f"{path}: need a header and at least two rows")
     row_labels, counts = zip(*labelled)

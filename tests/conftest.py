@@ -63,9 +63,10 @@ def parse_oracle(topology, text):
 
 def labelled_rows_oracle(fh, corner, error=ValueError):
     """`stats.read_labelled_rows` as one readline per line, each plain line
-    (ASCII, unquoted, labelled) checked by its own comma count. The oracle
-    for the block reader's yields and its first error on files whose
-    carriage returns all end a line."""
+    (ASCII, unquoted, labelled) checked by its own comma count: the column
+    labels, then each row's label, byte offset and line in turn. The
+    oracle for the block reader's rows, taken out of their blocks, and its
+    first error on files whose carriage returns all end a line."""
     header, offset = None, fh.tell()
     for lineno, line in enumerate(fh, 1):
         start, offset = offset, offset + len(line)
@@ -76,7 +77,7 @@ def labelled_rows_oracle(fh, corner, error=ValueError):
             if label:
                 if line.count(b",") + 1 != len(header):
                     raise error(f"{fh.name}: row {label!r} has wrong width")
-                yield label, line, start
+                yield label, start, line
                 continue
         try:
             cells = split_line(line)
@@ -95,7 +96,7 @@ def labelled_rows_oracle(fh, corner, error=ValueError):
         elif len(cells) != len(header):
             raise error(f"{fh.name}: row {label!r} has wrong width")
         else:
-            yield label, line, start
+            yield label, start, line
     if header is None or header[0] != corner:
         raise error(f"{fh.name}: first header column must be {corner!r}")
 

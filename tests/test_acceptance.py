@@ -97,6 +97,37 @@ def test_reference_occurrences_come_in_threes():
     assert gcds == dict.fromkeys(gcds, 1) and len(gcds) == 5
 
 
+def test_reference_margins_support_a_selection_effect():
+    """ROADMAP item 16's margin test on the paper's own tables, which needs
+    no runs. With 46 runs per cell, equal margins are the null of a main
+    effect. For `occ` (total genotypes) and `par` (valid-regression
+    genotypes), the X^2 on df 2 of the selection rows' sums and of the
+    survival columns' sums against equal margins, and the break-even
+    design effect: the variance inflation at which X^2 / design effect
+    has a tail of 0.05 (chi2_sf's critical value on df 2). Selection's
+    margins stay significant up to a design effect of about 500 and
+    survival's up to 56 and 109, while the 3x3 interaction X^2 (135 and
+    187 on df 4) does only up to about 14 and 20. The `num` and `top_num`
+    tables are left out: a cell's distinct genotypes are not a sum over
+    its runs."""
+    lo, hi = 0.0, 100.0     # chi2_sf(x, 2) falls from 1 to e^-50
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if chi2_sf(mid, 2) > 0.05 else (lo, mid)
+    assert math.isclose(hi, -2.0 * math.log(0.05), rel_tol=1e-12)
+    want = {"total genotypes": [(3043.0, 508), (338.2, 56)],
+            "valid-regression genotypes": [(3164.0, 528), (655.3, 109)]}
+    got = {}
+    for name, observed, *_ in REFERENCE:
+        if name in want:
+            counts = np.array(observed, dtype=float)
+            got[name] = []
+            for margins in (counts.sum(axis=1), counts.sum(axis=0)):
+                equal = margins.sum() / 3.0
+                x2 = float(((margins - equal) ** 2 / equal).sum())
+                got[name].append((float(f"{x2:.4g}"), round(x2 / hi)))
+    assert got == want
+
+
 def test_criterion_1_chi_square_reproduction():
     t0 = time.time()
     worst = 0.0

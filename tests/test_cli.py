@@ -675,6 +675,33 @@ def test_missing_or_malformed_config_file_is_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {malformed}: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (lambda m, d: ["run", "--manifest", str(d)], lambda d: f"not a file: {d}"),
+    (lambda m, d: ["validate", "--manifest", str(m)],
+     lambda d: f"bad [paths] value: descriptors: not a file: {d.resolve()}"),
+    (lambda m, d: ["stats", "chi2", "--table", str(d)],
+     lambda d: f"Is a directory: '{d}'"),
+    (lambda m, d: ["space-size", "--topology", str(d), "--n", "1"],
+     lambda d: f"Is a directory: '{d}'"),
+], ids=["manifest", "descriptors", "chi2-table", "topology"])
+def test_a_directory_named_as_an_input_file_is_a_data_error(
+        tmp_path, capsys, argv, message):
+    """A directory where a command reads a file exits 2, as a missing file
+    does, and not 3 as a runtime failure: the manifest itself, a manifest's
+    descriptors (named under its [paths] key), `stats chi2 --table` and
+    `space-size --topology`."""
+    manifest, _ = write_table_world(tmp_path)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    manifest.write_text(manifest.read_text().replace(
+        "descriptors = table.csv", "descriptors = folder"))
+    capsys.readouterr()
+    assert main(argv(manifest, folder)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message(folder) in err, err
+    assert not (tmp_path / "out2").exists()
+
+
 def test_a_world_without_viable_genotypes_is_a_runtime_failure(tmp_path,
                                                                capsys):
     """A table whose every row is constant has no viable genotype: `run`

@@ -1064,23 +1064,33 @@ def _labelled_files(draw):
 
 
 def _width_checked(fh, corner):
-    """`stats.read_labelled_rows`, each row split by `stats.row_cells`, so
-    that a row of the wrong width fails, before it is yielded."""
-    rows = stats.read_labelled_rows(fh, corner)
+    """`stats.read_labelled_rows` with `lines`, its rows taken out of their
+    blocks in turn, each row split by `stats.row_cells`, so that a row of
+    the wrong width fails before it is yielded."""
+    rows = stats.read_labelled_rows(fh, corner, lines=True)
     columns = next(rows)
     yield columns
-    for label, line, offset in rows:
+    for label, line in (row for block in rows for row in block):
         stats.row_cells(fh.name, label, line, len(columns))
-        yield label, line, offset
+        yield label, line
 
 
-def _read_all(read, path):
-    """What `read` yields from the file at `path` for corner "c", and the
+def _indexed(fh, corner):
+    """`stats.read_labelled_rows` without lines, as `_TableRows` reads it:
+    the column labels, then each block's (label, offset) rows in turn."""
+    rows = stats.read_labelled_rows(fh, corner)
+    yield next(rows)
+    for block in rows:
+        yield from block
+
+
+def _read_all(read, path, corner="c"):
+    """What `read` yields from the file at `path` for `corner`, and the
     message of the error that ends it (None if none does)."""
     rows = []
     with open(path, "rb") as fh:
         try:
-            for row in read(fh, "c"):
+            for row in read(fh, corner):
                 rows.append(row)
         except ValueError as exc:
             return rows, str(exc)
@@ -1094,18 +1104,55 @@ def _read_all(read, path):
 def test_block_reader_matches_a_line_reader(data):
     """Read in blocks of 1, 2, 7 and 64 bytes and at the module's own size,
     so that long rows, CRLFs and the byte-order mark straddle block
-    boundaries, `read_labelled_rows`, each row's width checked where it is
-    split, yields the labels, lines and offsets that reading one line at a
-    time yields, and fails with the same first error."""
+    boundaries, `read_labelled_rows` with `lines`, each row's width checked
+    as it is yielded, yields the labels and lines that reading one line at
+    a time yields, and fails with the same first error. Read without
+    `lines`, it yields the same labels with each line's byte offset, up to
+    a row of the wrong width, which only a caller that splits the row
+    finds."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.csv"
         path.write_bytes(data)
-        want = _read_all(labelled_rows_oracle, path)
+        rows, error = _read_all(labelled_rows_oracle, path)
+        header, rows = rows[:1], rows[1:]
+        lines = [*header, *((label, line) for label, _, line in rows)]
+        offsets = [*header, *((label, start) for label, start, _ in rows)]
         for block in (1, 2, 7, 64, stats._BLOCK):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(stats, "_BLOCK", block)
                 got = _read_all(_width_checked, path)
-            assert got == want, block
+                index = _read_all(_indexed, path)
+            assert got == (lines, error), block
+            if error is None or not error.endswith("has wrong width"):
+                assert index == (offsets, error), block
+            else:
+                assert index[0][:len(offsets)] == offsets, block
+
+
+@pytest.mark.parametrize("line_end", [b"\r\n", b"\n"])
+def test_block_reader_indexes_a_full_size_table(tmp_path, line_end):
+    """A 4,096-row table as `write_descriptor_table` writes it (CRLF) and
+    as an LF copy, both many blocks long, read at the module's block size
+    without `lines`: the labels and offsets that reading one line at a
+    time yields, and a table provider that finds each row at its offset."""
+    topology = binary_topology(12)
+    ds = normal_dataset(m=64)
+    rng = np.random.default_rng(15)
+    path = tmp_path / "table.csv"
+    write_descriptor_table(path, ds, (
+        (g.render(), rng.normal(size=ds.size))
+        for g in topology.all_genotypes()))
+    path.write_bytes(path.read_bytes().replace(b"\r\n", line_end))
+    assert path.stat().st_size > 50 * stats._BLOCK
+    rows, error = _read_all(labelled_rows_oracle, path, "genotype")
+    assert error is None and len(rows) == 4097
+    got = _read_all(_indexed, path, "genotype")
+    assert got == ([rows[0], *(row[:2] for row in rows[1:])], None)
+    provider = load_descriptor_table(path, topology, ds)
+    for label, _, line in rows[1::511]:
+        values = provider.provide(topology.parse(label)).values
+        assert values.tolist() == stats.numbers(
+            path, label, stats.split_line(line)[1:]).tolist()
 
 
 def test_table_rows_read_after_the_file_is_removed(tmp_path, topo, dataset):
