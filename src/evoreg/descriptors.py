@@ -17,6 +17,7 @@ from collections import Counter, OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Protocol
 
 import numpy as np
@@ -28,7 +29,6 @@ __all__ = [
     "Dataset",
     "Phenotype",
     "ViabilityPolicy",
-    "ViabilityReport",
     "PlantedSignal",
     "Provider",
     "TableProvider",
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-# the viability criteria, in the order reports list them
+# the viability criteria, in the order a verdict lists the failed ones
 CRITERIA = ("finite", "non_constant", "cv", "jarque_bera", "simple_r2")
 
 # phenotypes a SyntheticProvider keeps, least recently used evicted first; a
@@ -131,34 +131,15 @@ class ViabilityPolicy:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class ViabilityReport:
-    """Per-criterion outcome; None marks a criterion that was not applied."""
-
-    finite: bool
-    non_constant: bool
-    cv_ok: bool | None
-    jb_ok: bool | None
-    simple_r2_ok: bool | None
-
-    @property
-    def viable(self) -> bool:
-        return not self.failed_criteria()
-
-    def failed_criteria(self) -> tuple[str, ...]:
-        flags = (self.finite, self.non_constant, self.cv_ok, self.jb_ok,
-                 self.simple_r2_ok)
-        return tuple(n for n, f in zip(CRITERIA, flags) if f is False)
-
-
 def screen_viability(rows, ds: Dataset,
-                     policy: ViabilityPolicy) -> np.ndarray:
+                     policy: ViabilityPolicy) -> list[tuple[str, ...]]:
     """Apply the viability rules to `rows`, each the values of one phenotype:
     finite, not all identical, and the optional screens the policy sets.
-    Returns a (rows, 5) bool array of failed criteria, in `CRITERIA` order;
-    no optional screen fails a row that is not finite. Each row gets the
-    bits it gets alone. The cv compares the population sd (pairwise sums,
-    as numpy's std) with the mean; the simple r2 is the squared Pearson
+    Returns each row's verdict, the criteria it fails in `CRITERIA` order
+    (() if viable); no optional screen fails a row that is not finite, and
+    none that the policy leaves out fails any. Each row gets the bits it
+    gets alone. The cv compares the population sd (pairwise sums, as
+    numpy's std) with the mean; the simple r2 is the squared Pearson
     correlation with the activity (0 when either side has no variance).
     Overflowing squares give cv = inf, which passes, and fail the r2, as an
     underflowing r2 denominator does; an overflowing sum fails cv and r2."""
@@ -175,35 +156,29 @@ def screen_viability(rows, ds: Dataset,
         failed[:, 3] = finite
         for i in np.flatnonzero(non_constant & (m >= 4)).tolist():
             failed[i, 3] = stats.jarque_bera(v[i])[1] < alpha
-    if policy.min_cv is None and policy.min_simple_r2 is None:
-        return failed
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mean = v.sum(axis=1) / m
-        d = v - mean[:, None]
-        if policy.min_cv is not None:
-            # zero mean with any spread is maximally variable: cv = inf
-            sd = np.sqrt((d * d).sum(axis=1) / m)
-            failed[:, 2] = finite & ~(np.abs(sd / mean) >= policy.min_cv)
-        if (floor := policy.min_simple_r2) is not None:
-            # np.vecdot takes each row's dot products as BLAS ddot does, to
-            # the bits of one row's d @ dy; (d * dy).sum(axis=1) would not
-            dy, syy = ds.centred_activity
-            sxx, sxy = np.vecdot(d, d), np.vecdot(d, dy)
-            r2 = sxy * sxy / (sxx * syy)
-            r2[(sxx == 0.0) | (syy == 0.0)] = 0.0
-            failed[:, 4] = finite & ~(np.isfinite(r2) & (r2 >= floor))
-    return failed
+    if policy.min_cv is not None or policy.min_simple_r2 is not None:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            mean = v.sum(axis=1) / m
+            d = v - mean[:, None]
+            if policy.min_cv is not None:
+                # zero mean with any spread is maximally variable: cv = inf
+                sd = np.sqrt((d * d).sum(axis=1) / m)
+                failed[:, 2] = finite & ~(np.abs(sd / mean) >= policy.min_cv)
+            if (floor := policy.min_simple_r2) is not None:
+                # np.vecdot takes row dot products as BLAS ddot does, to the
+                # bits of one row's d @ dy; (d * dy).sum(axis=1) would not
+                dy, syy = ds.centred_activity
+                sxx, sxy = np.vecdot(d, d), np.vecdot(d, dy)
+                r2 = sxy * sxy / (sxx * syy)
+                r2[(sxx == 0.0) | (syy == 0.0)] = 0.0
+                failed[:, 4] = finite & ~(np.isfinite(r2) & (r2 >= floor))
+    return [tuple(compress(CRITERIA, row)) for row in failed.tolist()]
 
 
 def check_viability(p: Phenotype, ds: Dataset,
-                    policy: ViabilityPolicy) -> ViabilityReport:
-    """`screen_viability` of one phenotype, as a report; None marks a screen
-    not applied: left out of the policy, or optional on non-finite values."""
-    failed = screen_viability([p.values], ds, policy)[0].tolist()
-    optional = (policy.min_cv, policy.jb_alpha, policy.min_simple_r2)
-    return ViabilityReport(not failed[0], not failed[1], *(
-        None if a is None or failed[0] else not f
-        for a, f in zip(optional, failed[2:])))
+                    policy: ViabilityPolicy) -> tuple[str, ...]:
+    """The verdict of `screen_viability` on one phenotype."""
+    return screen_viability([p.values], ds, policy)[0]
 
 
 # --- providers ---------------------------------------------------------------

@@ -17,13 +17,12 @@ import random
 from collections import Counter, deque
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
-from itertools import compress
 
 import numpy as np
 
 from . import genome as gn, regress
-from .descriptors import (CRITERIA, Dataset, Phenotype, Provider,
-                          ViabilityPolicy, screen_viability)
+from .descriptors import (Dataset, Phenotype, Provider, ViabilityPolicy,
+                          screen_viability)
 from .descriptors import check_viability  # noqa: F401  (bench/tracing.py wraps it by name)
 from .genome import GeneticTopology, Genotype
 from .regress import GramFitter, RegressionModel, better, fit_assessed
@@ -240,10 +239,8 @@ def _admit(candidates: Iterable[Genotype], need: int, seen: set[str],
             break
         reasons.update(dict.fromkeys(provided, ("no_phenotype",)))
         screened = [k for k, ph in provided.items() if ph is not None]
-        failed = screen_viability([provided[k].values for k in screened],
-                                  ds, policy)
-        for key, row in zip(screened, failed.tolist()):
-            reasons[key] = tuple(compress(CRITERIA, row))
+        reasons.update(zip(screened, screen_viability(
+            [provided[k].values for k in screened], ds, policy)))
         for key in keys:
             if key in seen:
                 rejected["duplicate"] += 1

@@ -152,7 +152,7 @@ def jarque_bera(x) -> tuple[float, float]:
 
 
 class ContingencyTable:
-    """Nonnegative R x C counts with row/column labels."""
+    """Nonnegative R x C counts; no row or column label appears twice."""
 
     def __init__(self, observed, row_labels, col_labels):
         obs = np.asarray(observed, dtype=float)
@@ -165,6 +165,12 @@ class ContingencyTable:
         self.observed = obs
         self.row_labels = tuple(str(r) for r in row_labels)
         self.col_labels = tuple(str(c) for c in col_labels)
+        for kind, labels in (("row", self.row_labels),
+                             ("column", self.col_labels)):
+            if len(set(labels)) < len(labels):
+                repeated = next(x for i, x in enumerate(labels)
+                                if x in labels[:i])
+                raise ValueError(f"{kind} label {repeated!r} is repeated")
 
     @property
     def shape(self) -> tuple[int, int]:

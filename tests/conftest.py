@@ -16,7 +16,6 @@ from evoreg.descriptors import (
     PlantedSignal,
     SyntheticProvider,
     TableProvider,
-    ViabilityReport,
     pick_planted_genotypes,
 )
 from evoreg.engine import EvolutionConfig
@@ -203,11 +202,23 @@ def chi2_partials_oracle(observed):
             tuple(float(c.sum()) for c in contrib.T), float(contrib.sum()))
 
 
+# the names of `viability_oracle`'s five outcomes, in its order
+OUTCOME_NAMES = ("finite", "non_constant", "cv", "jarque_bera", "simple_r2")
+
+
+def failed_names(outcomes):
+    """The verdict of five viability outcomes: the names of those that are
+    False, in order. True and None (a screen not applied) pass, and so does
+    any other value, a numpy False say, so that the verdict misses it."""
+    return tuple(n for n, o in zip(OUTCOME_NAMES, outcomes) if o is False)
+
+
 def viability_oracle(v, ds, policy):
     """The viability rules applied to one phenotype's values, one numpy call
-    at a time: the oracle for `descriptors.screen_viability`, each of whose
-    rows must give the same five outcomes, None where a screen is not
-    applied (left out of the policy, or optional on values not finite).
+    at a time: five outcomes, None where a screen is not applied (left out
+    of the policy, or optional on values not finite). The oracle for
+    `descriptors.screen_viability`, whose verdict on each row must name
+    exactly the outcomes that are False here (`failed_names`).
 
     The screens work on one centred copy of the values: the cv compares the
     population sd (pairwise sums, as numpy's mean and std take them) with
@@ -273,9 +284,9 @@ def admit_oracle(candidates, need, seen, provider, ds, policy):
         if ph is None:
             rejected["no_phenotype"] += 1
             continue
-        report = ViabilityReport(*viability_oracle(ph.values, ds, policy))
-        if not report.viable:
-            rejected.update(report.failed_criteria())
+        reasons = failed_names(viability_oracle(ph.values, ds, policy))
+        if reasons:
+            rejected.update(reasons)
             continue
         seen.add(g.key)
         admitted.append(ph)

@@ -23,7 +23,6 @@ from evoreg.descriptors import (
     SyntheticProvider,
     TableProvider,
     ViabilityPolicy,
-    ViabilityReport,
     check_viability,
     load_activity,
     load_descriptor_table,
@@ -33,8 +32,9 @@ from evoreg.descriptors import (
     write_descriptor_table,
 )
 from evoreg.genome import Gene, GeneticTopology, Genotype, random_genotype
-from tests.conftest import (binary_topology, labelled_rows_oracle,
-                            normal_dataset, viability_oracle)
+from tests.conftest import (binary_topology, failed_names,
+                            labelled_rows_oracle, normal_dataset,
+                            viability_oracle)
 
 
 @pytest.fixture
@@ -93,57 +93,57 @@ def make_phenotype(values, topo, idx=(0, 0)):
 
 def test_viability_constant_vector_fails(topo, dataset):
     p = make_phenotype(np.full(40, 3.3), topo)
-    report = check_viability(p, dataset, ViabilityPolicy())
-    assert not report.viable
-    assert report.failed_criteria() == ("non_constant",)
+    assert check_viability(p, dataset, ViabilityPolicy()) == ("non_constant",)
 
 
-def test_viable_means_no_failed_criterion():
-    """`viable` tests the five flags itself: for every report, of any
-    applied or unapplied screen, it is True exactly when no criterion
-    failed, and a bool."""
-    core, screen = (True, False), (True, False, None)
-    for flags in itertools.product(core, core, screen, screen, screen):
-        report = ViabilityReport(*flags)
-        assert report.viable is (not report.failed_criteria()), flags
+def test_a_verdict_names_every_failed_criterion_in_order(dataset):
+    """A verdict is a tuple of criterion names in `CRITERIA` order, () for
+    a viable phenotype: a row that fails every applied screen names each
+    once, a row that passes them is (), and a screen the policy leaves out
+    is named by no row."""
+    every = ViabilityPolicy(min_cv=1e300, jb_alpha=1.0, min_simple_r2=1.0)
+    rows = [np.full(40, 3.3), np.arange(40.0)]
+    assert screen_viability(rows, dataset, every) == [
+        ("non_constant", "cv", "jarque_bera", "simple_r2"),
+        ("cv", "jarque_bera", "simple_r2")]
+    assert descriptors.CRITERIA == (
+        "finite", "non_constant", "cv", "jarque_bera", "simple_r2")
+    assert screen_viability(rows, dataset, ViabilityPolicy()) == [
+        ("non_constant",), ()]
+    assert screen_viability([], dataset, every) == []
 
 
 def test_viability_nonfinite_fails(topo, dataset):
     values = np.arange(40.0)
     values[5] = math.nan
-    report = check_viability(make_phenotype(values, topo), dataset,
-                             ViabilityPolicy())
-    assert not report.viable
-    assert "finite" in report.failed_criteria()
+    assert check_viability(make_phenotype(values, topo), dataset,
+                           ViabilityPolicy()) == ("finite", "non_constant")
 
 
 def test_viability_plain_vector_passes(topo, dataset):
-    report = check_viability(
+    assert check_viability(
         make_phenotype(np.arange(40.0), topo), dataset, ViabilityPolicy()
-    )
-    assert report.viable
-    assert report.cv_ok is None and report.jb_ok is None
+    ) == ()
 
 
 def test_viability_cv_floor(topo, dataset):
     # mean 10, sd ~0.001 -> cv tiny
     values = 10.0 + 0.001 * np.sin(np.arange(40.0))
     policy = ViabilityPolicy(min_cv=0.01)
-    assert not check_viability(
+    assert check_viability(
         make_phenotype(values, topo), dataset, policy
-    ).viable
+    ) == ("cv",)
     spread = 10.0 + 1.0 * np.sin(np.arange(40.0))  # cv ~ 0.07
     assert check_viability(
         make_phenotype(spread, topo), dataset, policy
-    ).viable
+    ) == ()
 
 
 def test_viability_cv_zero_mean_passes(topo, dataset):
     values = np.concatenate([np.ones(20), -np.ones(20)])
-    report = check_viability(
+    assert check_viability(
         make_phenotype(values, topo), dataset, ViabilityPolicy(min_cv=5.0)
-    )
-    assert report.cv_ok is True
+    ) == ()
 
 
 def test_viability_jb_gate_passes_normal_samples(topo):
@@ -156,7 +156,7 @@ def test_viability_jb_gate_passes_normal_samples(topo):
         y = rng.normal(size=200)
         ds = Dataset(ids, y)
         x = rng.standard_normal(200)
-        passed += check_viability(make_phenotype(x, topo), ds, policy).viable
+        passed += check_viability(make_phenotype(x, topo), ds, policy) == ()
     assert passed / trials >= 0.95
 
 
@@ -166,10 +166,9 @@ def test_viability_jb_gate_rejects_heavy_tails(topo):
     ds = Dataset(ids, rng.normal(size=200))
     x = rng.standard_normal(200)
     x[0] = 25.0
-    report = check_viability(
+    assert check_viability(
         make_phenotype(x, topo), ds, ViabilityPolicy(jb_alpha=0.01)
-    )
-    assert report.jb_ok is False
+    ) == ("jarque_bera",)
 
 
 def test_viability_simple_r2_floor(topo, dataset):
@@ -177,11 +176,11 @@ def test_viability_simple_r2_floor(topo, dataset):
     policy = ViabilityPolicy(min_simple_r2=0.5)
     assert check_viability(
         make_phenotype(noisy_copy, topo), dataset, policy
-    ).viable
+    ) == ()
     rng = np.random.default_rng(5)
-    assert not check_viability(
+    assert check_viability(
         make_phenotype(rng.uniform(size=40), topo), dataset, policy
-    ).viable
+    ) == ("simple_r2",)
 
 
 def test_viability_length_mismatch(topo, dataset):
@@ -192,7 +191,7 @@ def test_viability_length_mismatch(topo, dataset):
 
 
 # The screen as numpy's mean and std and a separate simple_r2 computed it,
-# kept as an oracle: the array passes must give the same report bit for bit.
+# kept as an oracle: the array passes must give the same verdict at the bit.
 
 
 def simple_r2(x, y):
@@ -232,15 +231,14 @@ def viability_reference(v, ds, policy):
     return (finite, non_constant, cv_ok, jb_ok, r2_ok)
 
 
-def assert_same_report(values, ds, policy):
-    """Field by field, value and type: a numpy bool where a bool was is a
-    difference too."""
+def assert_same_verdict(values, ds, policy):
+    """The verdict on one phenotype is a tuple naming exactly the outcomes
+    the reference finds False (a numpy False, which a bool False was, is
+    not named, so it is a difference too). Returns the verdict."""
     with np.errstate(all="ignore"):
         got = check_viability(Phenotype(values, None), ds, policy)
         want = viability_reference(np.asarray(values, dtype=float), ds, policy)
-    fields = (got.finite, got.non_constant, got.cv_ok, got.jb_ok,
-              got.simple_r2_ok)
-    assert [(type(f), f) for f in fields] == [(type(f), f) for f in want]
+    assert type(got) is tuple and got == failed_names(want)
     return got
 
 
@@ -303,7 +301,7 @@ def test_viability_matches_reference_on_adversarial_panels(
     panels["activity_copy"] = 2.0 * ds.activity - 1.0
     for name, values in panels.items():
         for policy in policies:
-            assert_same_report(values, ds, policy)
+            assert_same_verdict(values, ds, policy)
 
 
 def test_an_overflowing_r2_fails_the_floor():
@@ -313,9 +311,9 @@ def test_an_overflowing_r2_fails_the_floor():
     m = len(OVERFLOWING_SQUARES)
     ds = Dataset(tuple(f"m{i}" for i in range(m)),
                  np.random.default_rng(m).normal(6.5, 0.8, m))
-    got = assert_same_report(np.array(OVERFLOWING_SQUARES), ds,
-                             ViabilityPolicy(min_simple_r2=0.99))
-    assert got.simple_r2_ok is False
+    got = assert_same_verdict(np.array(OVERFLOWING_SQUARES), ds,
+                              ViabilityPolicy(min_simple_r2=0.99))
+    assert got == ("simple_r2",)
 
 
 def test_overflowing_panels_are_screened_without_warnings():
@@ -324,15 +322,13 @@ def test_overflowing_panels_are_screened_without_warnings():
     leaves no mean, so the cv and the r2 fail. Neither passes JB."""
     policy = ViabilityPolicy(min_cv=0.1, jb_alpha=0.01, min_simple_r2=0.0)
     for values, want in (([1e308, 1e308, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
-                          (True, True, False, False, False)),
-                         (OVERFLOWING_SQUARES,
-                          (True, True, True, False, False))):
+                          ("cv", "jarque_bera", "simple_r2")),
+                         (OVERFLOWING_SQUARES, ("jarque_bera", "simple_r2"))):
         m = len(values)
         ds = Dataset(tuple(f"m{i}" for i in range(m)),
                      np.random.default_rng(m).normal(6.5, 0.8, m))
-        got = check_viability(Phenotype(np.array(values), None), ds, policy)
-        assert (got.finite, got.non_constant, got.cv_ok, got.jb_ok,
-                got.simple_r2_ok) == want
+        assert check_viability(Phenotype(np.array(values), None), ds,
+                               policy) == want
 
 
 @pytest.mark.parametrize("m", [5, 40, 206])
@@ -346,12 +342,13 @@ def test_viability_thresholds_match_reference_on_both_sides(m):
         cv = abs(float(values.std()) / float(values.mean()))
         r2 = simple_r2(values, ds.activity)
         for floor, ok in ((cv, True), (math.nextafter(cv, math.inf), False)):
-            got = assert_same_report(values, ds, ViabilityPolicy(min_cv=floor))
-            assert got.cv_ok is ok
+            got = assert_same_verdict(values, ds,
+                                      ViabilityPolicy(min_cv=floor))
+            assert got == (() if ok else ("cv",))
         for floor, ok in ((r2, True), (math.nextafter(r2, math.inf), False)):
-            got = assert_same_report(values, ds,
-                                     ViabilityPolicy(min_simple_r2=floor))
-            assert got.simple_r2_ok is ok
+            got = assert_same_verdict(values, ds,
+                                      ViabilityPolicy(min_simple_r2=floor))
+            assert got == (() if ok else ("simple_r2",))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -373,7 +370,7 @@ def test_viability_matches_reference_on_any_floats(values, min_cv, min_r2,
     m = len(values)
     ds = Dataset(tuple(f"m{i}" for i in range(m)),
                  np.random.default_rng(m).normal(size=m))
-    assert_same_report(np.array(values), ds,
+    assert_same_verdict(np.array(values), ds,
                        ViabilityPolicy(min_cv, jb_alpha, min_r2))
 
 
@@ -424,19 +421,15 @@ def screen_batches(draw):
 
 
 def assert_screen_matches_oracle(ds, policy, rows):
-    """Each row of one `screen_viability` call fails exactly the criteria
-    that `viability_oracle` finds False, and `check_viability` of that row
-    alone reports the oracle's five outcomes, None included, as bools."""
-    failed = screen_viability(rows, ds, policy)
-    assert failed.dtype == bool and failed.shape == (len(rows), 5)
-    for got, values in zip(failed.tolist(), rows):
-        want = viability_oracle(values, ds, policy)
-        assert got == [o is False for o in want]
-        report = check_viability(Phenotype(values, None), ds, policy)
-        fields = (report.finite, report.non_constant, report.cv_ok,
-                  report.jb_ok, report.simple_r2_ok)
-        assert [(type(f), f) for f in fields] == \
-            [(type(o), o) for o in want]
+    """Each row's verdict from one `screen_viability` call names exactly the
+    outcomes that `viability_oracle` finds False, in its order, and
+    `check_viability` of that row alone gives the same verdict."""
+    verdicts = screen_viability(rows, ds, policy)
+    assert type(verdicts) is list and len(verdicts) == len(rows)
+    for got, values in zip(verdicts, rows):
+        want = failed_names(viability_oracle(values, ds, policy))
+        assert type(got) is tuple and got == want
+        assert check_viability(Phenotype(values, None), ds, policy) == want
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -476,8 +469,8 @@ def test_batch_screen_on_special_rows_and_thresholds(b):
             policy = ViabilityPolicy(
                 min_cv=cv if at == 0 else math.nextafter(cv, math.inf),
                 min_simple_r2=r2 if at == 0 else math.nextafter(r2, math.inf))
-            failed = screen_viability(rows + [values], ds, policy)
-            assert failed[-1, 2:].tolist() == [not ok, False, not ok]
+            verdicts = screen_viability(rows + [values], ds, policy)
+            assert verdicts[-1] == (() if ok else ("cv", "simple_r2"))
             assert_screen_matches_oracle(ds, policy, rows + [values])
 
 
@@ -497,8 +490,8 @@ def test_an_underflowing_r2_denominator_fails_the_floor():
     with pytest.raises(ZeroDivisionError):
         float(d @ dy) ** 2 / (float(d @ d) * syy)
     policy = ViabilityPolicy(min_simple_r2=0.0)
-    report = check_viability(Phenotype(values, None), ds, policy)
-    assert report.simple_r2_ok is False
+    assert check_viability(Phenotype(values, None), ds,
+                           policy) == ("simple_r2",)
     assert_screen_matches_oracle(ds, policy, [values, values])
 
 
@@ -853,8 +846,8 @@ def test_table_csv_nan_rows_load_but_fail_viability(tmp_path, topo, dataset):
         assert not math.isfinite(cell), token
         assert cell == float(token) or math.isnan(float(token)), token
         assert np.array_equal(ph.values[1:], np.full(39, 1.5))
-        report = check_viability(ph, dataset, ViabilityPolicy())
-        assert report.failed_criteria() == ("finite", "non_constant"), token
+        assert check_viability(ph, dataset, ViabilityPolicy()) == (
+            "finite", "non_constant"), token
 
 
 def test_table_load_memory_is_bounded(tmp_path):

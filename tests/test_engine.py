@@ -202,7 +202,7 @@ def _init_sample_oracle(cfg, provider, ds, rng):
     sample = []
     for g in candidates:
         ph = provider.provide(g)
-        if ph is not None and check_viability(ph, ds, cfg.viability).viable:
+        if ph is not None and check_viability(ph, ds, cfg.viability) == ():
             sample.append(ph)
             if len(sample) == cfg.p:
                 return sample
@@ -585,6 +585,53 @@ def test_run_fit_count_small_sample():
     for rec in result.records:
         assert rec.valid_regression_count <= 3
         assert sum(rec.participations) == 2 * rec.valid_regression_count
+
+
+@pytest.mark.parametrize("mode", ["fallback", "both"])
+def test_a_generation_builds_a_model_only_when_it_improves(mode,
+                                                           planted_world,
+                                                           monkeypatch):
+    """Over a planted run: generation 1 builds the run's one fitter through
+    engine.GramFitter and no later generation calls it; `GramFitter.fit`
+    builds one model in a generation whose record is improved and none in
+    any other; and the valid candidates of each sweep, counted subset by
+    subset by `fit_assessed_oracle` on a fresh fitter of the sample the
+    generation starts from, number its record's valid_regression_count."""
+    topo, ds, provider = planted_world
+    cfg = planted_config(seed=8, p=12, n=2, max_generations=30,
+                         intercept_mode=mode)
+    fit, generation = GramFitter.fit, engine.run_generation
+    calls, seen = Counter(), []
+
+    def counting(key, original):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    def observed(state):
+        fresh = GramFitter([ph.values for ph in state.sample], ds.activity,
+                           cfg.n)
+        valid = sum(c.valid for row in range(len(fresh.subsets))
+                    for c in fit_assessed_oracle(
+                        lambda *a: fit(fresh, *a), row, ds, cfg.alpha, mode))
+        calls.clear()
+        record = generation(state)
+        seen.append((record, calls.copy(), valid))
+        return record
+
+    monkeypatch.setattr(engine, "GramFitter",
+                        counting("build", engine.GramFitter))
+    monkeypatch.setattr(GramFitter, "fit", counting("fit", fit))
+    monkeypatch.setattr(engine, "run_generation", observed)
+    result = run(cfg, topo, provider, ds)
+    assert [record for record, _, _ in seen] == result.records
+    assert len(seen) == cfg.max_generations
+    for record, counted, valid in seen:
+        assert counted == Counter(build=record.generation == 1,
+                                  fit=record.improved)
+        assert valid == record.valid_regression_count
+    assert 1 < sum(record.improved for record in result.records) < len(seen)
 
 
 def test_generation_sweep_matches_brute_best():

@@ -1,8 +1,9 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 
-from evoreg.engine import GenerationRecord, RunResult
+from evoreg.engine import GenerationRecord, RunResult, run
 from evoreg.experiment import (
     MEASURES,
     STRATEGY_LABELS,
@@ -14,6 +15,7 @@ from evoreg.experiment import (
     run_grid,
 )
 from evoreg.stats import ContingencyTable, chi2_homogeneity
+from evoreg.strategy import StrategySpec
 from tests.conftest import (
     binary_topology,
     normal_dataset,
@@ -181,6 +183,36 @@ def test_accumulate_twice_doubles_counts():
     assert twice.measure("num", 23) == once.measure("num", 23)
     assert twice.measure("occ", 23) == 2 * once.measure("occ", 23)
     assert twice.measure("par", 23) == 2 * once.measure("par", 23)
+
+
+@pytest.mark.parametrize("keep_best", [True, False])
+def test_a_run_adds_p_occurrences_per_improving_generation(keep_best):
+    """The unit of `occ` (ROADMAP item 13) on real planted runs, one per
+    selection x survival pair: the sample holds p distinct genotypes, so a
+    run adds exactly p times its improving generations to a cell's occ,
+    and a genotype's participations never exceed its occurrences. A change
+    of counting unit has to edit this test."""
+    topology = binary_topology(10)
+    dataset = normal_dataset()
+    provider = planted_provider(topology, dataset)
+    cell, improving, quiet = CellStats(), 0, 0
+    for seed, (sel, sur) in enumerate(product(
+            ("proportional", "tournament", "deterministic"), repeat=2)):
+        cfg = planted_config(seed=seed, max_generations=30,
+                             keep_best=keep_best,
+                             selection=StrategySpec(sel),
+                             survival=StrategySpec(sur))
+        result = run(cfg, topology, provider, dataset)
+        gains = sum(r.improved for r in result.records)
+        before = cell.measure("occ", 23)
+        accumulate_run(cell, result)
+        assert cell.measure("occ", 23) - before == cfg.p * gains
+        assert all(cell.participations[g] <= c
+                   for g, c in cell.occurrences.items())
+        improving += gains
+        quiet += len(result.records) - gains
+    assert cell.measure("par", 23) <= cell.measure("occ", 23)
+    assert improving > 9 and quiet > 0
 
 
 @pytest.fixture(scope="module")

@@ -731,9 +731,9 @@ def test_child_boundaries_for_the_tracer(world, planted_world, monkeypatch):
 
     def screened(original):
         def screen_viability(rows, ds, policy):
-            failed = original(rows, ds, policy)
-            events.append(("screen", list(rows), failed))
-            return failed
+            verdicts = original(rows, ds, policy)
+            events.append(("screen", list(rows), verdicts))
+            return verdicts
         return screen_viability
 
     monkeypatch.setattr(genome, "mutate", bred(genome.mutate))
@@ -761,10 +761,10 @@ def test_child_boundaries_for_the_tracer(world, planted_world, monkeypatch):
                 if event[2] is not None:
                     pending.append(event[2].values)
                 continue
-            rows, failed = event[1], event[2]
+            rows, verdicts = event[1], event[2]
             assert len(rows) == len(pending) <= free
             assert all(r is v for r, v in zip(rows, pending))
-            free -= int((~failed.any(axis=1)).sum())
+            free -= verdicts.count(())
             pending, batches = [], batches + 1
         assert not pending
         batches_per_generation.append(batches)

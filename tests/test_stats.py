@@ -385,6 +385,11 @@ def test_contingency_validation():
         ContingencyTable([[1, -2], [3, 4]], ["a", "b"], ["x", "y"])
     with pytest.raises(ValueError, match="label count"):
         ContingencyTable([[1, 2], [3, 4]], ["a", "b", "c"], ["x", "y"])
+    # labels are compared as the report prints them
+    with pytest.raises(ValueError, match="^row label '1' is repeated$"):
+        ContingencyTable([[1, 2], [3, 4], [5, 6]], [1, "1", 2], ["x", "y"])
+    with pytest.raises(ValueError, match="^column label 'x' is repeated$"):
+        ContingencyTable([[1, 2, 3], [3, 4, 5]], "ab", "xyx")
 
 
 def test_contingency_csv_round_trip(tmp_path):
@@ -401,7 +406,7 @@ def test_contingency_csv_round_trip(tmp_path):
 
 def test_contingency_csv_needs_a_two_by_two_table(tmp_path):
     """A contingency CSV needs two labelled rows and two columns of
-    nonnegative counts; each fault names the file."""
+    nonnegative counts, and no label twice; each fault names the file."""
     path = tmp_path / "table.csv"
     for text, message in (
         ("", "first header column must be ''"),
@@ -410,6 +415,8 @@ def test_contingency_csv_needs_a_two_by_two_table(tmp_path):
         ("\n,P,T\n\na,1,2\n,,\n", "need a header and at least two rows"),
         (",P\na,1\nb,2\n", "contingency table must be at least 2x2"),
         (",P,T\na,1,2\nb,3,-4\n", "counts must be finite and nonnegative"),
+        (",P,T\nr1,1,2\nr1,3,4\n", "row label 'r1' is repeated"),
+        (",P,P,T\na,1,2,3\nb,3,4,5\n", "column label 'P' is repeated"),
     ):
         path.write_text(text)
         with pytest.raises(ValueError) as err:
