@@ -13,7 +13,7 @@ import hashlib
 import math
 import random
 import weakref
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -77,19 +77,7 @@ class Dataset:
             raise ValueError("activity length does not match molecule count")
         if not np.all(np.isfinite(self.activity)):
             raise ValueError("activity values must be finite")
-        # the CSV readers strip cells, read a row with a blank first cell as
-        # unlabelled and end a row at a line break: such an id would read
-        # back changed, or not at all
-        for i in self.molecule_ids:
-            if i != i.strip():
-                raise ValueError(
-                    f"molecule id {i!r} has surrounding whitespace")
-            if not i or "\r" in i or "\n" in i:
-                raise ValueError(f"molecule id {i!r} is empty or spans lines")
-        if len(set(self.molecule_ids)) != m:
-            repeated = next(k for k, c in Counter(self.molecule_ids).items()
-                            if c > 1)
-            raise ValueError(f"molecule id {repeated!r} is repeated")
+        stats.check_labels(self.molecule_ids, "molecule id")
 
     @property
     def size(self) -> int:

@@ -26,6 +26,7 @@ __all__ = [
     "t_critical",
     "jarque_bera",
     "chi2_homogeneity",
+    "check_labels",
     "split_line",
     "read_labelled_rows",
     "row_cells",
@@ -152,7 +153,7 @@ def jarque_bera(x) -> tuple[float, float]:
 
 
 class ContingencyTable:
-    """Nonnegative R x C counts; no row or column label appears twice."""
+    """Nonnegative R x C counts under labels that pass `check_labels`."""
 
     def __init__(self, observed, row_labels, col_labels):
         obs = np.asarray(observed, dtype=float)
@@ -165,12 +166,8 @@ class ContingencyTable:
         self.observed = obs
         self.row_labels = tuple(str(r) for r in row_labels)
         self.col_labels = tuple(str(c) for c in col_labels)
-        for kind, labels in (("row", self.row_labels),
-                             ("column", self.col_labels)):
-            if len(set(labels)) < len(labels):
-                repeated = next(x for i, x in enumerate(labels)
-                                if x in labels[:i])
-                raise ValueError(f"{kind} label {repeated!r} is repeated")
+        check_labels(self.row_labels, "row label")
+        check_labels(self.col_labels, "column label")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -267,6 +264,20 @@ def chi2_homogeneity(table: ContingencyTable, alpha: float = 0.05) -> ChiSquareR
 
 
 # --- labelled-row CSV and rendering ------------------------------------------
+
+
+def check_labels(labels, kind: str) -> None:
+    """Refuse `labels` that a labelled-row CSV would not read back as written
+    (its readers strip cells, take a blank first cell as no label and end a
+    record at a line break) or that repeat; the ValueError names a `kind`."""
+    for x in labels:
+        if x != x.strip():
+            raise ValueError(f"{kind} {x!r} has surrounding whitespace")
+        if not x or "\r" in x or "\n" in x:
+            raise ValueError(f"{kind} {x!r} is empty or spans lines")
+    if len(set(labels)) < len(labels):
+        repeated = next(x for i, x in enumerate(labels) if x in labels[:i])
+        raise ValueError(f"{kind} {repeated!r} is repeated")
 
 
 def split_line(line: bytes) -> list[str]:

@@ -15,6 +15,7 @@ from evoreg.regress import (
 )
 from evoreg.scores import ObjectiveSpec
 from tests.conftest import assess_validity, candidate_view, oracle_candidates
+from tests.test_descriptors import constant_dataset
 
 
 def make_dataset(y):
@@ -113,6 +114,23 @@ def test_gram_fitter_matches_ols_fit():
                 assert np.allclose(fast.t_stats, ref.t_stats, rtol=1e-8)
                 assert fast.r2 == pytest.approx(ref.r2, rel=1e-9, abs=1e-12)
                 assert fast.se_s == pytest.approx(ref.se_s, rel=1e-8, abs=1e-9)
+
+
+def test_a_constant_response_has_r2_zero():
+    """y has no variance, so no fit explains any of it: r2 is 0, not the
+    0/0 of a squared correlation, in every row and both forms of the
+    fitter, as in ols_fit."""
+    m, p, n = 40, 6, 2
+    ds = constant_dataset(m)
+    panel = np.random.default_rng(5).uniform(-2, 5, size=(p, m))
+    phenos = make_phenotypes(list(panel))
+    fitter = GramFitter(panel, ds.activity, n=n)
+    assert not fitter.singular.any()
+    for wi in (False, True):
+        assert fitter.form(wi)[2].tolist() == [0.0] * len(fitter.subsets)
+        for row, subset in enumerate(fitter.subsets):
+            ref = ols_fit([phenos[i] for i in subset], ds, wi)
+            assert fitter.fit(row, wi).r2 == ref.r2 == 0.0
 
 
 def test_residuals_orthogonal_to_regressors():

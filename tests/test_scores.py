@@ -112,6 +112,16 @@ def test_objective_mt_uses_slopes_only():
         )
 
 
+def test_objective_mt_refuses_a_model_without_slopes():
+    """mt is a mean over slope t statistics, and an intercept-only model
+    has none: its score is refused, not taken as the mean of nothing."""
+    intercept_only = model_stub(t_stats=(5.0,), with_intercept=True)
+    assert intercept_only.slope_t_stats == ()
+    with pytest.raises(ValueError,
+                       match="^mt objective needs slope t statistics$"):
+        objective_score(intercept_only, ObjectiveSpec("mt", 2.0))
+
+
 def test_objective_mt_sums_left_to_right():
     """mt adds its terms left to right, so it gives the same bits on every
     Python version: from 3.12 the built-in sum() of floats is compensated,

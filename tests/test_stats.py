@@ -390,6 +390,39 @@ def test_contingency_validation():
         ContingencyTable([[1, 2], [3, 4], [5, 6]], [1, "1", 2], ["x", "y"])
     with pytest.raises(ValueError, match="^column label 'x' is repeated$"):
         ContingencyTable([[1, 2, 3], [3, 4, 5]], "ab", "xyx")
+    # and under the rule that `Dataset` applies to molecule ids
+    with pytest.raises(ValueError, match="^row label ' a' has surrounding "
+                       "whitespace$"):
+        ContingencyTable([[1, 2], [3, 4]], [" a", "b"], ["x", "y"])
+    with pytest.raises(ValueError, match="^column label '' is empty or "
+                       "spans lines$"):
+        ContingencyTable([[1, 2], [3, 4]], "ab", ["", "y"])
+
+
+def test_contingency_labels_read_back_as_written(tmp_path):
+    """The contingency CSV reader strips every cell, reads a row with a
+    blank first cell as unlabelled and ends a record at a line break, so a
+    padded, empty or multi-line label would come back changed or not at
+    all: the table refuses them, in rows and in columns, and the labels it
+    accepts survive the CSV."""
+    counts = [[1, 2], [3, 4]]
+    for bad in (" r", "r ", "\tr", "r\n"):
+        with pytest.raises(ValueError, match="surrounding whitespace"):
+            ContingencyTable(counts, [bad, "s"], ["x", "y"])
+        with pytest.raises(ValueError, match="surrounding whitespace"):
+            ContingencyTable(counts, ["r", "s"], ["x", bad])
+    for bad in ("", "r\n1", "r\r1", "r\r\n1"):
+        with pytest.raises(ValueError, match="is empty or spans lines"):
+            ContingencyTable(counts, ["r", bad], ["x", "y"])
+        with pytest.raises(ValueError, match="is empty or spans lines"):
+            ContingencyTable(counts, ["r", "s"], [bad, "y"])
+    table = ContingencyTable([[1, 2, 3], [4, 5, 6.5]], ["r 1", "x,y"],
+                             ['q"t', "é", "x,y"])
+    write_contingency_csv(table, tmp_path / "t.csv")
+    loaded = load_contingency_csv(tmp_path / "t.csv")
+    assert loaded.row_labels == table.row_labels
+    assert loaded.col_labels == table.col_labels
+    assert np.array_equal(loaded.observed, table.observed)
 
 
 def test_contingency_csv_round_trip(tmp_path):
@@ -406,7 +439,8 @@ def test_contingency_csv_round_trip(tmp_path):
 
 def test_contingency_csv_needs_a_two_by_two_table(tmp_path):
     """A contingency CSV needs two labelled rows and two columns of
-    nonnegative counts, and no label twice; each fault names the file."""
+    nonnegative counts, and no label twice or blank; each fault names the
+    file."""
     path = tmp_path / "table.csv"
     for text, message in (
         ("", "first header column must be ''"),
@@ -417,6 +451,8 @@ def test_contingency_csv_needs_a_two_by_two_table(tmp_path):
         (",P,T\na,1,2\nb,3,-4\n", "counts must be finite and nonnegative"),
         (",P,T\nr1,1,2\nr1,3,4\n", "row label 'r1' is repeated"),
         (",P,P,T\na,1,2,3\nb,3,4,5\n", "column label 'P' is repeated"),
+        (",P,\na,1,2\nb,3,4\n", "column label '' is empty or spans lines"),
+        (",P, \na,1,2\nb,3,4\n", "column label '' is empty or spans lines"),
     ):
         path.write_text(text)
         with pytest.raises(ValueError) as err:
